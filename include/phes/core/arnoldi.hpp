@@ -35,10 +35,19 @@ struct ArnoldiResult {
 };
 
 /// One approximate eigenpair extracted from the projection.
+///
+/// The full-space Ritz vector x = V_d y costs d * dim complex
+/// multiply-adds, far more than the d x d eigensolve that yields y, and
+/// callers need it only for the few pairs they lock.  So a pair always
+/// carries its projected eigenvector y (`coords`, length d) and builds
+/// `vector` only on request: ritz_pairs(ar, true) for every pair, or
+/// form_ritz_vector(ar, pair) for one.  Both produce the same bits.
 struct RitzPair {
   Complex value{};       ///< eigenvalue of the *operator* (e.g. mu)
   double residual = 0.0; ///< ||Op x - mu x|| estimate
-  ComplexVector vector;  ///< Ritz vector in the full space (unit norm)
+  ComplexVector coords;  ///< unit-norm eigenvector y of H_d (length d)
+  ComplexVector vector;  ///< Ritz vector V_d y in the full space (unit
+                         ///< norm); empty unless requested
 };
 
 /// Run `d` Arnoldi steps from start vector v0 (need not be normalized).
@@ -61,8 +70,16 @@ struct RitzPair {
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the
 /// shift).  Residuals use the h(d+1,d) * |last component| bound.
+/// Every pair carries `coords`; `vector` is filled only when
+/// `want_vectors` is set.
 [[nodiscard]] std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar,
                                                bool want_vectors);
+
+/// The unit-norm full-space Ritz vector V_d y of `pair` (a pair of `ar`
+/// returned by ritz_pairs), bit-identical to the `vector` that
+/// ritz_pairs(ar, true) fills in.
+[[nodiscard]] ComplexVector form_ritz_vector(const ArnoldiResult& ar,
+                                             const RitzPair& pair);
 
 /// Random complex start vector of unit norm.
 [[nodiscard]] ComplexVector random_start_vector(std::size_t dim,

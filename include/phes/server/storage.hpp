@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "phes/pipeline/job.hpp"
@@ -142,6 +143,13 @@ class Storage {
 
 /// The original in-memory retention: keep at most `max_finished`
 /// terminal records, evicting oldest-first.
+///
+/// Input specs are interned: an inline submission's spec carries the
+/// whole Touchstone text (tens of KB), and clients resubmit the same
+/// model, so all records with the same spec share one refcounted copy.
+/// A copy is freed with the last record that uses it; the
+/// phes_store_input_bytes gauge counts the bytes of the distinct specs
+/// held.
 class MemoryStorage final : public Storage {
  public:
   /// Retention counters live in `registry` (the owning server's);
@@ -165,14 +173,23 @@ class MemoryStorage final : public Storage {
   [[nodiscard]] StorageStats stats() const override;
 
  private:
+  /// Drop `id`'s reference to its spec; frees the spec with its last
+  /// reference.
+  void release_input(std::uint64_t id);
+
   const std::size_t max_finished_;
   std::map<std::uint64_t, JobRecord> records_;
-  /// Input specs, evicted alongside their records.
-  std::map<std::uint64_t, std::string> inputs_;
+  /// The distinct input specs, each with the number of records using
+  /// it.  Node keys never move, so inputs_ can point at them.
+  std::unordered_map<std::string, std::size_t> interned_;
+  /// Each job's spec (a key of interned_), evicted with its record.
+  std::map<std::uint64_t, const std::string*> inputs_;
+  std::size_t input_bytes_ = 0;  ///< sum of the distinct specs' sizes
   /// Registry-backed (StorageStats is a view over these).
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* evicted_ = nullptr;
   obs::Gauge* records_gauge_ = nullptr;
+  obs::Gauge* input_bytes_gauge_ = nullptr;
   obs::Histogram* put_hist_ = nullptr;
 };
 

@@ -173,27 +173,12 @@ std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
 
   const la::ComplexEigResult eig = la::hessenberg_eig(hd, true);
   pairs.reserve(d);
-  const std::size_t dim = ar.v_rows.cols();
   for (std::size_t j = 0; j < d; ++j) {
     RitzPair p;
     p.value = eig.values[j];
-    const auto y = eig.vectors.col(j);
-    p.residual = beta * std::abs(y[d - 1]);
-    if (want_vectors) {
-      p.vector.assign(dim, Complex{});
-      for (std::size_t row = 0; row < d; ++row) {
-        const Complex yc = y[row];
-        if (yc == Complex{}) continue;
-        const Complex* vr = ar.v_rows.row_ptr(row);
-        for (std::size_t i = 0; i < dim; ++i) {
-          p.vector[i] += vr[i] * yc;
-        }
-      }
-      const double norm = la::nrm2<Complex>(p.vector);
-      if (norm > 0.0) {
-        for (auto& x : p.vector) x /= norm;
-      }
-    }
+    p.coords = eig.vectors.col(j);
+    p.residual = beta * std::abs(p.coords[d - 1]);
+    if (want_vectors) p.vector = form_ritz_vector(ar, p);
     pairs.push_back(std::move(p));
   }
   std::sort(pairs.begin(), pairs.end(), [](const RitzPair& a,
@@ -201,6 +186,25 @@ std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
     return std::abs(a.value) > std::abs(b.value);
   });
   return pairs;
+}
+
+ComplexVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
+  const std::size_t d = ar.steps;
+  util::check(pair.coords.size() == d,
+              "form_ritz_vector: pair does not belong to this Arnoldi run");
+  const std::size_t dim = ar.v_rows.cols();
+  ComplexVector x(dim, Complex{});
+  for (std::size_t row = 0; row < d; ++row) {
+    const Complex yc = pair.coords[row];
+    if (yc == Complex{}) continue;
+    const Complex* vr = ar.v_rows.row_ptr(row);
+    for (std::size_t i = 0; i < dim; ++i) x[i] += vr[i] * yc;
+  }
+  const double norm = la::nrm2<Complex>(x);
+  if (norm > 0.0) {
+    for (auto& e : x) e /= norm;
+  }
+  return x;
 }
 
 }  // namespace phes::core

@@ -128,7 +128,8 @@ SingleShiftResult single_shift_iteration(
     result.matvecs += ar.matvecs;
     ++result.restarts;
 
-    const auto pairs = ritz_pairs(ar, true);
+    // Ritz vectors are built below only for the pairs that get locked.
+    const auto pairs = ritz_pairs(ar, false);
     std::size_t new_in_disk = 0;
     unconverged_limit = std::numeric_limits<double>::infinity();
     for (const auto& p : pairs) {
@@ -145,7 +146,7 @@ SingleShiftResult single_shift_iteration(
       const Complex lambda = theta + 1.0 / p.value;
       if (already_locked(lambda)) continue;
       locked.push_back({lambda, std::abs(lambda - theta)});
-      lock_vector(p.vector);
+      lock_vector(form_ritz_vector(ar, p));
       if (locked.back().distance <= rho * 1.0000001) ++new_in_disk;
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "phes/la/blas.hpp"
 #include "phes/la/hessenberg.hpp"
@@ -39,32 +40,76 @@ Givens make_givens(Complex f, Complex g) {
   return rot;
 }
 
-// Wilkinson shift: eigenvalue of the trailing 2x2 closest to t(m,m).
-Complex wilkinson_shift(const ComplexMatrix& t, std::size_t m) {
-  const Complex a = t(m - 1, m - 1), b = t(m - 1, m);
-  const Complex c = t(m, m - 1), d = t(m, m);
+// Wilkinson shift: eigenvalue of the trailing 2x2 [a b; c d] closest
+// to d.
+Complex wilkinson_shift(Complex a, Complex b, Complex c, Complex d) {
   const Complex tr2 = 0.5 * (a + d);
   const Complex disc = std::sqrt(tr2 * tr2 - (a * d - b * c));
   const Complex l1 = tr2 + disc, l2 = tr2 - disc;
   return std::abs(l1 - d) < std::abs(l2 - d) ? l1 : l2;
 }
 
+// Complex plane pair: entry (i, j) of an n x n matrix lives at i*n + j
+// of `re` and `im`.
+struct SplitMatrix {
+  std::size_t n = 0;
+  std::vector<double> re, im;
+
+  explicit SplitMatrix(std::size_t size)
+      : n(size), re(size * size, 0.0), im(size * size, 0.0) {}
+
+  [[nodiscard]] Complex at(std::size_t i, std::size_t j) const {
+    return {re[i * n + j], im[i * n + j]};
+  }
+  void clear(std::size_t i, std::size_t j) {
+    re[i * n + j] = 0.0;
+    im[i * n + j] = 0.0;
+  }
+};
+
+// In-place rotation of the plane rows a = (ar, ai) and b = (br, bi)
+// over [0, len):
+//   a <- c*a + p*b,   b <- q*a + c*b,
+// each complex product written out the way std::complex evaluates it
+// (x*y = (xr*yr - xi*yi, xr*yi + xi*yr); a real factor scales each
+// part), so the planes hold exactly the bits the interleaved loop
+// would.
+void rotate_rows(double* __restrict ar, double* __restrict ai,
+                 double* __restrict br, double* __restrict bi,
+                 std::size_t len, double c, double pr, double pi, double qr,
+                 double qi) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const double t1r = ar[i], t1i = ai[i], t2r = br[i], t2i = bi[i];
+    ar[i] = c * t1r + (pr * t2r - pi * t2i);
+    ai[i] = c * t1i + (pr * t2i + pi * t2r);
+    br[i] = (qr * t1r - qi * t1i) + c * t2r;
+    bi[i] = (qr * t1i + qi * t1r) + c * t2i;
+  }
+}
+
 }  // namespace
 
-ComplexEigResult hessenberg_eig(ComplexMatrix t, bool want_vectors) {
-  util::check(t.is_square(), "hessenberg_eig: matrix must be square");
-  const std::size_t n = t.rows();
+ComplexEigResult hessenberg_eig(ComplexMatrix h, bool want_vectors) {
+  util::check(h.is_square(), "hessenberg_eig: matrix must be square");
+  const std::size_t n = h.rows();
   ComplexEigResult result;
   if (n == 0) return result;
 
   // Clear below-subdiagonal garbage so the iteration invariant holds.
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j + 1 < i; ++j) t(i, j) = Complex{};
+    for (std::size_t j = 0; j + 1 < i; ++j) h(i, j) = Complex{};
   }
+  const double norm_scale = std::max(frobenius_norm(h), 1e-300);
 
-  ComplexMatrix z =
-      want_vectors ? ComplexMatrix::identity(n) : ComplexMatrix();
-  const double norm_scale = std::max(frobenius_norm(t), 1e-300);
+  // T in split planes, row-major; the Schur basis Z transposed, so
+  // row k of `zt` is column k of Z and every Z update is a row sweep.
+  SplitMatrix t(n);
+  for (std::size_t i = 0; i < n * n; ++i) {
+    t.re[i] = h.data()[i].real();
+    t.im[i] = h.data()[i].imag();
+  }
+  SplitMatrix zt(want_vectors ? n : 0);
+  for (std::size_t i = 0; i < zt.n; ++i) zt.re[i * n + i] = 1.0;
 
   if (n > 1) {
     std::size_t m = n - 1;
@@ -74,11 +119,11 @@ ComplexEigResult hessenberg_eig(ComplexMatrix t, bool want_vectors) {
       // Deflation scan.
       std::size_t l = m;
       while (l > 0) {
-        const double sub = std::abs(t(l, l - 1));
-        double ref = std::abs(t(l - 1, l - 1)) + std::abs(t(l, l));
+        const double sub = std::abs(t.at(l, l - 1));
+        double ref = std::abs(t.at(l - 1, l - 1)) + std::abs(t.at(l, l));
         if (ref == 0.0) ref = norm_scale;
         if (sub <= kEps * ref) {
-          t(l, l - 1) = Complex{};
+          t.clear(l, l - 1);
           break;
         }
         --l;
@@ -98,77 +143,98 @@ ComplexEigResult hessenberg_eig(ComplexMatrix t, bool want_vectors) {
       Complex mu;
       if (iter % 11 == 10) {
         // Exceptional shift.
-        mu = t(m, m) + Complex(1.5 * std::abs(t(m, m - 1)), 0.0);
+        mu = t.at(m, m) + Complex(1.5 * std::abs(t.at(m, m - 1)), 0.0);
       } else {
-        mu = wilkinson_shift(t, m);
+        mu = wilkinson_shift(t.at(m - 1, m - 1), t.at(m - 1, m),
+                             t.at(m, m - 1), t.at(m, m));
       }
 
       // Implicit single-shift QR sweep on block [l, m] via Givens chase.
-      Complex x = t(l, l) - mu;
-      Complex y = t(l + 1, l);
+      Complex x = t.at(l, l) - mu;
+      Complex y = t.at(l + 1, l);
       for (std::size_t k = l; k <= m - 1; ++k) {
         const Givens g = make_givens(x, y);
-        // Left rotation on rows k, k+1.
+        const double c = g.c, sr = g.s.real(), si = g.s.imag();
+        const double nsr = -sr, nsi = -si;
+        // Left rotation on rows k, k+1 by [c s; -conj(s) c], with
+        // -conj(s) = (nsr, si).
         const std::size_t c0 = (k > l) ? k - 1 : l;
-        for (std::size_t j = c0; j < n; ++j) {
-          const Complex t1 = t(k, j), t2 = t(k + 1, j);
-          t(k, j) = g.c * t1 + g.s * t2;
-          t(k + 1, j) = -std::conj(g.s) * t1 + g.c * t2;
-        }
-        // Right rotation on columns k, k+1.
+        rotate_rows(&t.re[k * n + c0], &t.im[k * n + c0],
+                    &t.re[(k + 1) * n + c0], &t.im[(k + 1) * n + c0], n - c0,
+                    c, sr, si, nsr, si);
+        // Right rotation on columns k, k+1 by the adjoint: p = conj(s)
+        // = (sr, nsi), q = -s = (nsr, nsi).  Strided down T's column
+        // pair, contiguous along Z^T's rows.
         const std::size_t r1 = std::min(k + 2, m);
         for (std::size_t i = 0; i <= r1; ++i) {
-          const Complex t1 = t(i, k), t2 = t(i, k + 1);
-          t(i, k) = g.c * t1 + std::conj(g.s) * t2;
-          t(i, k + 1) = -g.s * t1 + g.c * t2;
+          const std::size_t ik = i * n + k;
+          const double t1r = t.re[ik], t1i = t.im[ik];
+          const double t2r = t.re[ik + 1], t2i = t.im[ik + 1];
+          t.re[ik] = c * t1r + (sr * t2r - nsi * t2i);
+          t.im[ik] = c * t1i + (sr * t2i + nsi * t2r);
+          t.re[ik + 1] = (nsr * t1r - nsi * t1i) + c * t2r;
+          t.im[ik + 1] = (nsr * t1i + nsi * t1r) + c * t2i;
         }
         if (want_vectors) {
-          for (std::size_t i = 0; i < n; ++i) {
-            const Complex t1 = z(i, k), t2 = z(i, k + 1);
-            z(i, k) = g.c * t1 + std::conj(g.s) * t2;
-            z(i, k + 1) = -g.s * t1 + g.c * t2;
-          }
+          rotate_rows(&zt.re[k * n], &zt.im[k * n], &zt.re[(k + 1) * n],
+                      &zt.im[(k + 1) * n], n, c, sr, nsi, nsr, nsi);
         }
-        if (k > l) t(k + 1, k - 1) = Complex{};  // clear chased bulge residue
+        if (k > l) t.clear(k + 1, k - 1);  // clear chased bulge residue
         if (k + 1 <= m - 1) {
-          x = t(k + 1, k);
-          y = t(k + 2, k);
+          x = t.at(k + 1, k);
+          y = t.at(k + 2, k);
         }
       }
     }
   }
 
   result.values.resize(n);
-  for (std::size_t i = 0; i < n; ++i) result.values[i] = t(i, i);
+  for (std::size_t i = 0; i < n; ++i) result.values[i] = t.at(i, i);
 
   if (want_vectors) {
     // Back-substitution for eigenvectors of the triangular factor, then
     // rotate back through the accumulated Schur vectors.
     result.vectors = ComplexMatrix(n, n);
     const double small = kEps * norm_scale;
+    ComplexVector y_vec(n), v(n);
+    std::vector<double> vr(n), vi(n);
     for (std::size_t j = 0; j < n; ++j) {
-      ComplexVector y_vec(n, Complex{});
+      std::fill(y_vec.begin(), y_vec.end(), Complex{});
       y_vec[j] = Complex(1.0, 0.0);
-      const Complex lambda = t(j, j);
+      const Complex lambda = t.at(j, j);
       for (std::size_t ii = j; ii-- > 0;) {
-        Complex acc{};
-        for (std::size_t k = ii + 1; k <= j; ++k) acc += t(ii, k) * y_vec[k];
-        Complex denom = t(ii, ii) - lambda;
+        // acc = sum_k t(ii, k) * y(k), one complex product at a time.
+        double acc_r = 0.0, acc_i = 0.0;
+        const double* tr = &t.re[ii * n];
+        const double* ti = &t.im[ii * n];
+        for (std::size_t k = ii + 1; k <= j; ++k) {
+          const double yr = y_vec[k].real(), yi = y_vec[k].imag();
+          acc_r = acc_r + (tr[k] * yr - ti[k] * yi);
+          acc_i = acc_i + (tr[k] * yi + ti[k] * yr);
+        }
+        Complex denom = t.at(ii, ii) - lambda;
         if (std::abs(denom) < small) {
           denom = Complex(small, small);  // perturb repeated eigenvalue
         }
-        y_vec[ii] = -acc / denom;
+        y_vec[ii] = -Complex(acc_r, acc_i) / denom;
       }
-      // v = Z y, normalized.
-      ComplexVector v(n, Complex{});
-      for (std::size_t i = 0; i < n; ++i) {
-        Complex acc{};
-        for (std::size_t k = 0; k <= j; ++k) acc += z(i, k) * y_vec[k];
-        v[i] = acc;
+      // v = Z y, normalized: v(i) accumulates z(i, k) * y(k) in
+      // ascending k, swept over i along the rows of Z^T.
+      std::fill(vr.begin(), vr.end(), 0.0);
+      std::fill(vi.begin(), vi.end(), 0.0);
+      for (std::size_t k = 0; k <= j; ++k) {
+        const double yr = y_vec[k].real(), yi = y_vec[k].imag();
+        const double* zr = &zt.re[k * n];
+        const double* zi = &zt.im[k * n];
+        for (std::size_t i = 0; i < n; ++i) {
+          vr[i] = vr[i] + (zr[i] * yr - zi[i] * yi);
+          vi[i] = vi[i] + (zr[i] * yi + zi[i] * yr);
+        }
       }
+      for (std::size_t i = 0; i < n; ++i) v[i] = Complex(vr[i], vi[i]);
       const double nv = nrm2<Complex>(v);
       if (nv > 0.0) {
-        for (auto& vi : v) vi /= nv;
+        for (auto& e : v) e /= nv;
       }
       result.vectors.set_col(j, v);
     }

@@ -70,6 +70,7 @@ MemoryStorage::MemoryStorage(std::size_t max_finished,
   }
   evicted_ = &registry->counter("phes_store_evicted_total");
   records_gauge_ = &registry->gauge("phes_store_records");
+  input_bytes_gauge_ = &registry->gauge("phes_store_input_bytes");
   put_hist_ = &registry->histogram("phes_store_put_seconds");
 }
 
@@ -77,7 +78,7 @@ void MemoryStorage::put(const JobRecord& record) {
   const util::WallTimer timer;
   records_[record.id] = record;
   while (records_.size() > max_finished_) {
-    inputs_.erase(records_.begin()->first);
+    release_input(records_.begin()->first);
     records_.erase(records_.begin());
     evicted_->add();
   }
@@ -87,13 +88,31 @@ void MemoryStorage::put(const JobRecord& record) {
 
 void MemoryStorage::note_input(std::uint64_t id,
                                const std::string& spec_json) {
-  inputs_[id] = spec_json;
+  release_input(id);
+  const auto [it, fresh] = interned_.try_emplace(spec_json, 0);
+  ++it->second;
+  inputs_[id] = &it->first;
+  if (fresh) {
+    input_bytes_ += spec_json.size();
+    input_bytes_gauge_->set(static_cast<std::int64_t>(input_bytes_));
+  }
+}
+
+void MemoryStorage::release_input(std::uint64_t id) {
+  const auto input = inputs_.find(id);
+  if (input == inputs_.end()) return;
+  const auto it = interned_.find(*input->second);
+  inputs_.erase(input);
+  if (--it->second > 0) return;  // another record still uses it
+  input_bytes_ -= it->first.size();
+  input_bytes_gauge_->set(static_cast<std::int64_t>(input_bytes_));
+  interned_.erase(it);
 }
 
 std::optional<std::string> MemoryStorage::input(std::uint64_t id) const {
   const auto it = inputs_.find(id);
   if (it == inputs_.end()) return std::nullopt;
-  return it->second;
+  return *it->second;
 }
 
 std::optional<JobRecord> MemoryStorage::get(std::uint64_t id) const {

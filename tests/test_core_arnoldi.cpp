@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/operators.hpp"
@@ -14,6 +15,7 @@ namespace phes {
 namespace {
 
 using core::arnoldi;
+using core::form_ritz_vector;
 using core::ritz_pairs;
 using la::Complex;
 using la::ComplexMatrix;
@@ -133,6 +135,44 @@ TEST(Arnoldi, DeflationFindsSecondEigenvalue) {
   auto pairs2 = ritz_pairs(ar2, false);
   EXPECT_NEAR(std::abs(pairs2.front().value - second) / std::abs(second),
               0.0, 1e-8);
+}
+
+TEST(Arnoldi, RitzVectorsAreBuiltOnlyOnRequest) {
+  util::Rng rng(5);
+  const DenseOp op(test::random_complex_matrix(40, 40, rng));
+  const auto ar = arnoldi(op, core::random_start_vector(40, rng), 20, {});
+  ASSERT_EQ(ar.steps, 20u);
+  const auto lazy = ritz_pairs(ar, false);
+  const auto eager = ritz_pairs(ar, true);
+  ASSERT_EQ(lazy.size(), 20u);
+  ASSERT_EQ(eager.size(), lazy.size());
+  for (std::size_t j = 0; j < lazy.size(); ++j) {
+    // Without the request no full-space vector exists, only H_d's
+    // eigenvector coordinates.
+    EXPECT_TRUE(lazy[j].vector.empty());
+    ASSERT_EQ(lazy[j].coords.size(), ar.steps);
+    EXPECT_NEAR(la::nrm2<Complex>(lazy[j].coords), 1.0, 1e-12);
+    // Same pairs in the same order either way.
+    EXPECT_EQ(lazy[j].value, eager[j].value);
+    EXPECT_EQ(lazy[j].residual, eager[j].residual);
+    ASSERT_EQ(eager[j].coords.size(), ar.steps);
+    EXPECT_EQ(std::memcmp(lazy[j].coords.data(), eager[j].coords.data(),
+                          ar.steps * sizeof(Complex)),
+              0);
+    // The on-demand vector is bit for bit the eager one.
+    const ComplexVector x = form_ritz_vector(ar, lazy[j]);
+    ASSERT_EQ(x.size(), 40u);
+    ASSERT_EQ(eager[j].vector.size(), 40u);
+    EXPECT_EQ(std::memcmp(x.data(), eager[j].vector.data(),
+                          x.size() * sizeof(Complex)),
+              0)
+        << "pair " << j;
+  }
+  // A pair from a different-length run is rejected.
+  const auto short_ar =
+      arnoldi(op, core::random_start_vector(40, rng), 5, {});
+  EXPECT_THROW((void)form_ritz_vector(short_ar, lazy.front()),
+               std::invalid_argument);
 }
 
 TEST(Arnoldi, StartVectorInLockedSubspaceThrows) {

@@ -6,6 +6,11 @@
 //  - nrm2 survives entries near DBL_MAX / DBL_MIN (scaled rescue pass);
 //  - gemv_transposed on Complex applies the plain (dotu-style)
 //    transpose, without conjugation — regression for the old doc bug;
+//  - the split-plane Hessenberg QR (la::hessenberg_eig) is BIT-identical
+//    to the interleaved std::complex loop it replaced, kept below
+//    verbatim as reference_hessenberg_eig, on random, Arnoldi-derived
+//    and branch-forcing (deflating, repeated-eigenvalue,
+//    exceptional-shift) Hessenbergs;
 //  - the tuned operator paths (ImplicitHamiltonianOp, SmwShiftInvertOp,
 //    arnoldi CGS2) agree with the reference backend to rounding on the
 //    solver's real shapes, and are deterministic: bit-identical across
@@ -14,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,9 +29,11 @@
 #include "phes/hamiltonian/implicit_op.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/blas.hpp"
+#include "phes/la/eig.hpp"
 #include "phes/la/kernels.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/macromodel/simo_realization.hpp"
+#include "phes/util/check.hpp"
 #include "phes/util/rng.hpp"
 #include "test_support.hpp"
 
@@ -420,6 +429,283 @@ TEST(BackendEquivalenceTest, ArnoldiDeflationWorksOnTunedBackend) {
       for (std::size_t k = 0; k < dim; ++k) g += std::conj(q[k]) * vi[k];
       EXPECT_NEAR(std::abs(g), 0.0, 1e-9);
     }
+  }
+}
+
+// ---- split-plane Hessenberg QR: bitwise oracle ------------------------
+
+// The interleaved std::complex Hessenberg QR that la::hessenberg_eig
+// replaced, kept verbatim: the split-plane rewrite must reproduce its
+// values and vectors bit for bit.  The only addition is `branches`,
+// which counts the rarely taken paths so the tests can prove they ran.
+struct ReferenceBranches {
+  std::size_t exceptional_shifts = 0;
+  std::size_t perturbed_denoms = 0;
+};
+
+struct ReferenceGivens {
+  double c = 1.0;
+  Complex s{};
+};
+
+ReferenceGivens reference_make_givens(Complex f, Complex g) {
+  ReferenceGivens rot;
+  const double af = std::abs(f), ag = std::abs(g);
+  if (ag == 0.0) {
+    rot.c = 1.0;
+    rot.s = Complex{};
+    return rot;
+  }
+  if (af == 0.0) {
+    rot.c = 0.0;
+    rot.s = std::conj(g) / ag;
+    return rot;
+  }
+  const double d = std::hypot(af, ag);
+  rot.c = af / d;
+  rot.s = (f / af) * (std::conj(g) / d);
+  return rot;
+}
+
+Complex reference_wilkinson_shift(const ComplexMatrix& t, std::size_t m) {
+  const Complex a = t(m - 1, m - 1), b = t(m - 1, m);
+  const Complex c = t(m, m - 1), d = t(m, m);
+  const Complex tr2 = 0.5 * (a + d);
+  const Complex disc = std::sqrt(tr2 * tr2 - (a * d - b * c));
+  const Complex l1 = tr2 + disc, l2 = tr2 - disc;
+  return std::abs(l1 - d) < std::abs(l2 - d) ? l1 : l2;
+}
+
+la::ComplexEigResult reference_hessenberg_eig(
+    ComplexMatrix t, bool want_vectors,
+    ReferenceBranches* branches = nullptr) {
+  const std::size_t n = t.rows();
+  la::ComplexEigResult result;
+  if (n == 0) return result;
+
+  // Clear below-subdiagonal garbage so the iteration invariant holds.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j + 1 < i; ++j) t(i, j) = Complex{};
+  }
+
+  ComplexMatrix z =
+      want_vectors ? ComplexMatrix::identity(n) : ComplexMatrix();
+  const double norm_scale = std::max(la::frobenius_norm(t), 1e-300);
+
+  if (n > 1) {
+    std::size_t m = n - 1;
+    std::size_t iter = 0, total_iter = 0;
+    const std::size_t max_total = 60 * n;
+    while (true) {
+      // Deflation scan.
+      std::size_t l = m;
+      while (l > 0) {
+        const double sub = std::abs(t(l, l - 1));
+        double ref = std::abs(t(l - 1, l - 1)) + std::abs(t(l, l));
+        if (ref == 0.0) ref = norm_scale;
+        if (sub <= la::kEps * ref) {
+          t(l, l - 1) = Complex{};
+          break;
+        }
+        --l;
+      }
+      if (l == m) {
+        if (m == 0) break;
+        --m;
+        iter = 0;
+        continue;
+      }
+
+      ++iter;
+      ++total_iter;
+      util::require(total_iter < max_total,
+                    "hessenberg_eig: QR iteration failed to converge");
+
+      Complex mu;
+      if (iter % 11 == 10) {
+        // Exceptional shift.
+        mu = t(m, m) + Complex(1.5 * std::abs(t(m, m - 1)), 0.0);
+        if (branches != nullptr) ++branches->exceptional_shifts;
+      } else {
+        mu = reference_wilkinson_shift(t, m);
+      }
+
+      // Implicit single-shift QR sweep on block [l, m] via Givens chase.
+      Complex x = t(l, l) - mu;
+      Complex y = t(l + 1, l);
+      for (std::size_t k = l; k <= m - 1; ++k) {
+        const ReferenceGivens g = reference_make_givens(x, y);
+        // Left rotation on rows k, k+1.
+        const std::size_t c0 = (k > l) ? k - 1 : l;
+        for (std::size_t j = c0; j < n; ++j) {
+          const Complex t1 = t(k, j), t2 = t(k + 1, j);
+          t(k, j) = g.c * t1 + g.s * t2;
+          t(k + 1, j) = -std::conj(g.s) * t1 + g.c * t2;
+        }
+        // Right rotation on columns k, k+1.
+        const std::size_t r1 = std::min(k + 2, m);
+        for (std::size_t i = 0; i <= r1; ++i) {
+          const Complex t1 = t(i, k), t2 = t(i, k + 1);
+          t(i, k) = g.c * t1 + std::conj(g.s) * t2;
+          t(i, k + 1) = -g.s * t1 + g.c * t2;
+        }
+        if (want_vectors) {
+          for (std::size_t i = 0; i < n; ++i) {
+            const Complex t1 = z(i, k), t2 = z(i, k + 1);
+            z(i, k) = g.c * t1 + std::conj(g.s) * t2;
+            z(i, k + 1) = -g.s * t1 + g.c * t2;
+          }
+        }
+        if (k > l) t(k + 1, k - 1) = Complex{};  // clear chased bulge residue
+        if (k + 1 <= m - 1) {
+          x = t(k + 1, k);
+          y = t(k + 2, k);
+        }
+      }
+    }
+  }
+
+  result.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) result.values[i] = t(i, i);
+
+  if (want_vectors) {
+    // Back-substitution for eigenvectors of the triangular factor, then
+    // rotate back through the accumulated Schur vectors.
+    result.vectors = ComplexMatrix(n, n);
+    const double small = la::kEps * norm_scale;
+    for (std::size_t j = 0; j < n; ++j) {
+      ComplexVector y_vec(n, Complex{});
+      y_vec[j] = Complex(1.0, 0.0);
+      const Complex lambda = t(j, j);
+      for (std::size_t ii = j; ii-- > 0;) {
+        Complex acc{};
+        for (std::size_t k = ii + 1; k <= j; ++k) acc += t(ii, k) * y_vec[k];
+        Complex denom = t(ii, ii) - lambda;
+        if (std::abs(denom) < small) {
+          denom = Complex(small, small);  // perturb repeated eigenvalue
+          if (branches != nullptr) ++branches->perturbed_denoms;
+        }
+        y_vec[ii] = -acc / denom;
+      }
+      // v = Z y, normalized.
+      ComplexVector v(n, Complex{});
+      for (std::size_t i = 0; i < n; ++i) {
+        Complex acc{};
+        for (std::size_t k = 0; k <= j; ++k) acc += z(i, k) * y_vec[k];
+        v[i] = acc;
+      }
+      const double nv = la::nrm2<Complex>(v);
+      if (nv > 0.0) {
+        for (auto& vi : v) vi /= nv;
+      }
+      result.vectors.set_col(j, v);
+    }
+  }
+  return result;
+}
+
+// memcmp equality of the split-plane solve and the reference, with and
+// without vectors; `branches` receives the reference's branch counts of
+// the with-vectors solve.
+void expect_hessenberg_eig_bitwise(const ComplexMatrix& h,
+                                   const std::string& label,
+                                   ReferenceBranches* branches = nullptr) {
+  for (const bool want_vectors : {false, true}) {
+    const auto got = la::hessenberg_eig(h, want_vectors);
+    const auto ref = reference_hessenberg_eig(
+        h, want_vectors, want_vectors ? branches : nullptr);
+    ASSERT_EQ(got.values.size(), ref.values.size()) << label;
+    EXPECT_EQ(std::memcmp(got.values.data(), ref.values.data(),
+                          ref.values.size() * sizeof(Complex)),
+              0)
+        << label << " values, want_vectors=" << want_vectors;
+    ASSERT_EQ(got.vectors.rows(), ref.vectors.rows()) << label;
+    ASSERT_EQ(got.vectors.cols(), ref.vectors.cols()) << label;
+    const std::size_t entries = ref.vectors.rows() * ref.vectors.cols();
+    ASSERT_EQ(entries, want_vectors ? h.rows() * h.rows() : 0u) << label;
+    if (entries == 0) continue;  // memcmp must not see a null pointer
+    EXPECT_EQ(std::memcmp(got.vectors.data(), ref.vectors.data(),
+                          entries * sizeof(Complex)),
+              0)
+        << label << " vectors, want_vectors=" << want_vectors;
+  }
+}
+
+ComplexMatrix random_hessenberg(std::size_t d, util::Rng& rng) {
+  ComplexMatrix h(d, d);
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      // Entries below the subdiagonal are garbage the solver must clear.
+      h(i, j) = Complex(rng.normal(), rng.normal());
+    }
+  }
+  return h;
+}
+
+TEST(HessenbergEigBitwiseTest, RandomHessenbergsMatchReference) {
+  util::Rng rng(12);
+  for (const std::size_t d : {1u, 2u, 3u, 17u, 60u, 90u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      expect_hessenberg_eig_bitwise(random_hessenberg(d, rng),
+                                    "random d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(HessenbergEigBitwiseTest, ArnoldiHessenbergsMatchReference) {
+  // The serving traffic's shape: d = 60 projections of the
+  // shift-inverted Hamiltonian of a 3-port, order-36 model.
+  const auto model = test::synthetic_model(1.05, 2011, 36, 3);
+  const macromodel::SimoRealization realization(model);
+  util::Rng rng(21);
+  for (const double omega : {1.3, 4.7, 8.2}) {
+    const hamiltonian::SmwShiftInvertOp op(realization, Complex(0.0, omega));
+    const ComplexVector v0 = core::random_start_vector(op.dim(), rng);
+    const auto ar = core::arnoldi(op, v0, 60, {});
+    ASSERT_EQ(ar.steps, 60u);
+    ComplexMatrix h(ar.steps, ar.steps);
+    for (std::size_t i = 0; i < ar.steps; ++i) {
+      for (std::size_t j = 0; j < ar.steps; ++j) h(i, j) = ar.h(i, j);
+    }
+    expect_hessenberg_eig_bitwise(h, "arnoldi omega=" + std::to_string(omega));
+  }
+}
+
+TEST(HessenbergEigBitwiseTest, ExactZeroSubdiagonalsMatchReference) {
+  util::Rng rng(31);
+  ComplexMatrix h = random_hessenberg(24, rng);
+  for (const std::size_t i : {3u, 11u, 12u, 23u}) h(i, i - 1) = Complex{};
+  expect_hessenberg_eig_bitwise(h, "zero subdiagonals");
+}
+
+TEST(HessenbergEigBitwiseTest, RepeatedEigenvalueMatchesReference) {
+  // Upper triangular with a twice-repeated diagonal entry: the
+  // back-substitution hits denom == 0 and takes the perturbation branch.
+  util::Rng rng(41);
+  ComplexMatrix h(6, 6);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = i; j < 6; ++j) {
+      h(i, j) = Complex(rng.normal(), rng.normal());
+    }
+  }
+  h(4, 4) = h(1, 1);
+  ReferenceBranches branches;
+  expect_hessenberg_eig_bitwise(h, "repeated eigenvalue", &branches);
+  EXPECT_GT(branches.perturbed_denoms, 0u);
+}
+
+TEST(HessenbergEigBitwiseTest, CyclicShiftTakesExceptionalShifts) {
+  // The n x n cyclic shift: its eigenvalues are the n-th roots of unity,
+  // all of modulus 1, so Wilkinson shifts stall and the
+  // iter % 11 == 10 exceptional shift has to break the cycle.
+  for (const std::size_t n : {4u, 7u, 12u}) {
+    ComplexMatrix h(n, n);
+    for (std::size_t i = 1; i < n; ++i) h(i, i - 1) = Complex(1.0, 0.0);
+    h(0, n - 1) = Complex(1.0, 0.0);
+    ReferenceBranches branches;
+    expect_hessenberg_eig_bitwise(h, "cyclic n=" + std::to_string(n),
+                                  &branches);
+    EXPECT_GT(branches.exceptional_shifts, 0u) << "n=" << n;
   }
 }
 

@@ -22,6 +22,7 @@
 #include "phes/pipeline/report.hpp"
 #include "phes/server/result_store.hpp"
 #include "phes/server/storage.hpp"
+#include "phes/util/metrics.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -258,6 +259,62 @@ TEST(MemoryStorage, EvictsOldestPastCap) {
   EXPECT_TRUE(storage.get(4).has_value());
   EXPECT_EQ(storage.stats().evicted, 2u);
   EXPECT_FALSE(storage.stats().durable);
+}
+
+TEST(MemoryStorage, InternsIdenticalInputSpecs) {
+  obs::MetricsRegistry registry;
+  MemoryStorage storage(64, &registry);
+  const auto& input_bytes = registry.gauge("phes_store_input_bytes");
+  // An inline spec's size: the Touchstone text rides inside it.
+  const std::string spec_a = "{\"inline\": \"" + std::string(40000, 'a') + "\"}";
+  const std::string spec_b = "{\"inline\": \"" + std::string(30000, 'b') + "\"}";
+  for (std::uint64_t id = 1; id <= 10; ++id) storage.note_input(id, spec_a);
+  // Ten identical submissions hold one spec's bytes.
+  EXPECT_EQ(input_bytes.value(), static_cast<std::int64_t>(spec_a.size()));
+  // A distinct spec counts separately.
+  storage.note_input(11, spec_b);
+  storage.note_input(12, spec_b);
+  EXPECT_EQ(input_bytes.value(),
+            static_cast<std::int64_t>(spec_a.size() + spec_b.size()));
+  // Every id still reads back its exact spec.
+  for (std::uint64_t id = 1; id <= 12; ++id) {
+    const auto spec = storage.input(id);
+    ASSERT_TRUE(spec.has_value()) << id;
+    EXPECT_EQ(*spec, id <= 10 ? spec_a : spec_b) << id;
+  }
+  EXPECT_FALSE(storage.input(13).has_value());
+}
+
+TEST(MemoryStorage, EvictingEveryRecordFreesTheInputSpecs) {
+  obs::MetricsRegistry registry;
+  MemoryStorage storage(4, &registry);
+  const auto& input_bytes = registry.gauge("phes_store_input_bytes");
+  const std::string spec_a(5000, 'a');
+  const std::string spec_b(7000, 'b');
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    storage.note_input(id, id % 2 == 0 ? spec_a : spec_b);
+    storage.put(make_record(sample_result(id), JobState::kDone));
+  }
+  EXPECT_EQ(input_bytes.value(),
+            static_cast<std::int64_t>(spec_a.size() + spec_b.size()));
+  // Evicting id 1 leaves spec_b referenced by id 3.
+  storage.put(make_record(sample_result(5), JobState::kDone));
+  EXPECT_FALSE(storage.input(1).has_value());
+  EXPECT_EQ(*storage.input(3), spec_b);
+  EXPECT_EQ(input_bytes.value(),
+            static_cast<std::int64_t>(spec_a.size() + spec_b.size()));
+  // Input-less records push out all four originals.
+  for (std::uint64_t id = 6; id <= 8; ++id) {
+    storage.put(make_record(sample_result(id), JobState::kDone));
+  }
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    EXPECT_FALSE(storage.input(id).has_value()) << id;
+  }
+  EXPECT_EQ(input_bytes.value(), 0);
+  // A spec noted again after its last holder left is stored afresh.
+  storage.note_input(9, spec_a);
+  EXPECT_EQ(*storage.input(9), spec_a);
+  EXPECT_EQ(input_bytes.value(), static_cast<std::int64_t>(spec_a.size()));
 }
 
 // ---- DiskStorage ------------------------------------------------------
