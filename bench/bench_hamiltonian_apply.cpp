@@ -1,6 +1,7 @@
 // bench_hamiltonian_apply — ctest-registered BENCH-JSON A/B smoke of
-// the tuned kernel backend against the reference backend on the hot
-// paths of the Hamiltonian solve:
+// the library's kernels ("tuned") against the straight-line oracle
+// loops of tests/reference_kernels.hpp ("reference") on the hot paths
+// of the Hamiltonian solve:
 //
 //   - SmwShiftInvertOp::apply (shift-and-invert: resolvent tables +
 //     split-plane C products vs. the original per-block divisions);
@@ -11,9 +12,9 @@
 //     Gram-Schmidt kernel alone.
 //
 // Measurements are best-of-N with tuned/reference interleaved inside
-// each repetition, so machine noise hits both backends alike.  Exits
-// non-zero when the tuned backend fails to at least match reference
-// (speedup < 1.0) or when the two backends disagree numerically.
+// each repetition, so machine noise hits both sides alike.  Exits
+// non-zero when the library fails to at least match the oracle
+// (speedup < 1.0) or when the two disagree numerically.
 
 #include <cmath>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "phes/la/blas.hpp"
 #include "phes/util/rng.hpp"
 #include "phes/util/timer.hpp"
+#include "reference_kernels.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -32,7 +34,6 @@ namespace {
 using namespace phes;
 using la::Complex;
 using la::ComplexVector;
-using la::KernelBackend;
 
 int failures = 0;
 
@@ -89,13 +90,11 @@ void bench_operators(std::size_t states, std::size_t ports,
 
   // --- SMW shift-and-invert apply ------------------------------------
   const Complex theta(0.0, 2.0);
-  const hamiltonian::SmwShiftInvertOp smw_tuned(realization, theta,
-                                                KernelBackend::kTuned);
-  const hamiltonian::SmwShiftInvertOp smw_ref(realization, theta,
-                                              KernelBackend::kReference);
+  const hamiltonian::SmwShiftInvertOp smw_tuned(realization, theta);
+  const test::ReferenceSmwOp smw_ref(realization, theta);
   smw_tuned.apply(x, yt);
   smw_ref.apply(x, yr);
-  expect(max_rel_diff(yt, yr) < 1e-9, "SMW backends agree numerically");
+  expect(max_rel_diff(yt, yr) < 1e-9, "SMW apply agrees with the oracle");
 
   constexpr int kIters = 40;
   auto [smw_t, smw_r] = ab_best(
@@ -115,14 +114,12 @@ void bench_operators(std::size_t states, std::size_t ports,
       realization.order(), ports, smw_t, smw_r, smw_speedup);
 
   // --- implicit Hamiltonian apply ------------------------------------
-  const hamiltonian::ImplicitHamiltonianOp imp_tuned(
-      realization, KernelBackend::kTuned);
-  const hamiltonian::ImplicitHamiltonianOp imp_ref(
-      realization, KernelBackend::kReference);
+  const hamiltonian::ImplicitHamiltonianOp imp_tuned(realization);
+  const test::ReferenceImplicitOp imp_ref(realization);
   imp_tuned.apply(x, yt);
   imp_ref.apply(x, yr);
   expect(max_rel_diff(yt, yr) < 1e-10,
-         "implicit-op backends agree numerically");
+         "implicit apply agrees with the oracle");
 
   auto [imp_t, imp_r] = ab_best(
       7,
@@ -150,16 +147,14 @@ void bench_operators(std::size_t states, std::size_t ports,
   auto [orth_t, orth_r] = ab_best(
       5,
       [&] {
-        const auto ar =
-            core::arnoldi(imp_tuned, v0, d, {}, KernelBackend::kTuned);
+        const auto ar = core::arnoldi(imp_tuned, v0, d, {});
         steps_t = ar.steps;
       },
       [&] {
-        const auto ar = core::arnoldi(imp_tuned, v0, d, {},
-                                      KernelBackend::kReference);
+        const auto ar = test::reference_arnoldi(imp_tuned, v0, d, {});
         steps_r = ar.steps;
       });
-  expect(steps_t == steps_r, "both backends complete the same steps");
+  expect(steps_t == steps_r, "both Arnoldi loops complete the same steps");
   const double orth_speedup = orth_r / orth_t;
   expect(orth_speedup >= 1.0,
          "tuned orthogonalization at least matches reference");

@@ -54,7 +54,6 @@
 // Flags:
 //   --poles <n>          VF poles per column            (default 12)
 //   --vf-iters <n>       VF pole-relocation sweeps      (default 12)
-//   --kernel <backend>   tuned|reference compute kernels (default tuned)
 //   --threads <n>        total hardware budget          (default auto)
 //   --jobs <n>           concurrent jobs override       (default auto)
 //   --solver-threads <n> per-job solver threads override(default auto)
@@ -103,7 +102,6 @@
 #include <vector>
 
 #include "phes/io/touchstone.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/samples.hpp"
 #include "phes/pipeline/batch.hpp"
@@ -161,7 +159,6 @@ struct CliOptions {
   bool vf_iters_set = false;
   bool warm_start_set = false;
   bool stop_after_set = false;
-  bool kernel_set = false;
 };
 
 int usage() {
@@ -187,7 +184,6 @@ int usage() {
                "  (<endpoint> = socket path | tcp:HOST:PORT)\n"
                "flags: --poles N --vf-iters N --threads N --jobs N\n"
                "       --solver-threads N --stop-after STAGE\n"
-               "       --kernel tuned|reference\n"
                "       --summary-json PATH --summary-csv PATH\n"
                "       --no-warm-start --verbose\n"
                "serve/batch: --queue N --no-share-sessions "
@@ -264,9 +260,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
     } else if (flag == "--stop-after") {
       cli.job.stop_after = pipeline::parse_stage(value());
       cli.stop_after_set = true;
-    } else if (flag == "--kernel") {
-      cli.job.solver.kernel = la::parse_kernel_backend(value());
-      cli.kernel_set = true;
     } else if (flag == "--summary-json") {
       cli.summary_json = value();
     } else if (flag == "--summary-csv") {
@@ -592,10 +585,6 @@ std::string options_json_from(const CliOptions& cli) {
   if (cli.stop_after_set) {
     add("\"stop_after\": \"" +
         std::string(pipeline::stage_name(cli.job.stop_after)) + "\"");
-  }
-  if (cli.kernel_set) {
-    add("\"kernel\": \"" +
-        std::string(la::kernel_backend_name(cli.job.solver.kernel)) + "\"");
   }
   return options_json;
 }

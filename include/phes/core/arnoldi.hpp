@@ -3,17 +3,17 @@
 //
 // Builds an orthonormal basis V_d of the Krylov subspace
 //   span{ v1, Op v1, ..., Op^{d-1} v1 }
-// by modified Gram-Schmidt with one reorthogonalization pass, while
-// keeping every basis vector orthogonal to a set of locked (previously
-// converged) Ritz vectors — the "incremental deflation" of [9].  The
-// Galerkin projection returns the (d+1) x d Hessenberg matrix whose
-// eigenpairs approximate the operator's dominant eigenpairs.
+// by blocked classical Gram-Schmidt with one reorthogonalization pass
+// (CGS2), while keeping every basis vector orthogonal to a set of
+// locked (previously converged) Ritz vectors — the "incremental
+// deflation" of [9].  The Galerkin projection returns the (d+1) x d
+// Hessenberg matrix whose eigenpairs approximate the operator's
+// dominant eigenpairs.
 
 #include <span>
 #include <vector>
 
 #include "phes/hamiltonian/operators.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/la/matrix.hpp"
 #include "phes/la/types.hpp"
 #include "phes/util/rng.hpp"
@@ -54,18 +54,14 @@ struct RitzPair {
 /// `locked` vectors are deflated: the basis is kept orthogonal to them.
 /// Throws std::invalid_argument on dimension mismatches.
 ///
-/// `backend` selects the orthogonalization kernel: kReference keeps the
-/// original modified Gram-Schmidt pass (vector-at-a-time, immediate
-/// subtraction) bit for bit; kTuned uses blocked classical Gram-Schmidt
-/// with a full reorthogonalization pass (CGS2) — all projections
+/// Orthogonalization is blocked classical Gram-Schmidt with a full
+/// reorthogonalization pass (CGS2, "twice is enough"): all projections
 /// against the un-updated w are computed with the row-paired
-/// multi-accumulator dot kernels, then subtracted en bloc.  Both run
-/// two passes ("twice is enough") and agree to rounding.
+/// multi-accumulator dot kernels, then subtracted en bloc.
 [[nodiscard]] ArnoldiResult arnoldi(
     const hamiltonian::ComplexLinearOperator& op,
     std::span<const Complex> v0, std::size_t d,
-    std::span<const ComplexVector> locked,
-    la::KernelBackend backend = la::KernelBackend::kTuned);
+    std::span<const ComplexVector> locked);
 
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the

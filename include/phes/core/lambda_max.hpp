@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "phes/la/kernels.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/rng.hpp"
 
@@ -15,9 +14,6 @@ struct LambdaMaxOptions {
   std::size_t krylov_dim = 40;
   std::size_t restarts = 3;
   double safety_factor = 1.05;  ///< Ritz values underestimate |lambda|max
-  /// Compute substrate for the implicit-operator applies and the
-  /// Arnoldi orthogonalization (see la/kernels.hpp).
-  la::KernelBackend kernel = la::KernelBackend::kTuned;
 };
 
 /// Estimate plus its cost, so callers (and warm-started re-solves that

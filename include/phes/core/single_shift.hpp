@@ -26,7 +26,6 @@
 #include <cstdint>
 
 #include "phes/hamiltonian/shift_invert.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/la/types.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/rng.hpp"
@@ -42,9 +41,6 @@ struct SingleShiftOptions {
   std::size_t min_restarts = 2;     ///< confirmation restarts
   double radius_safety = 0.9;       ///< margin vs. unconverged Ritz dist
   double cluster_tol = 1e-7;        ///< relative eigenvalue dedup radius
-  /// Compute substrate for the Arnoldi orthogonalization and the
-  /// shift-invert applies (see la/kernels.hpp for the contract).
-  la::KernelBackend kernel = la::KernelBackend::kTuned;
 };
 
 /// Result of one S invocation.

@@ -46,11 +46,6 @@ struct SolverOptions {
   /// Band-relative resolution: intervals thinner than
   /// resolution * (omega_max - omega_min) count as covered.
   double resolution = 1e-9;
-  /// Compute substrate for the whole solve path; solve() propagates it
-  /// into `shift.kernel` and `lambda_max.kernel` so one switch flips
-  /// every kernel (see la/kernels.hpp for the tuned/reference
-  /// contract).
-  la::KernelBackend kernel = la::KernelBackend::kTuned;
 };
 
 /// Per-shift execution record (diagnostics and scheduling ablations).

@@ -25,7 +25,6 @@
 #include <memory>
 
 #include "phes/hamiltonian/shift_invert.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/la/types.hpp"
 #include "phes/util/sync.hpp"
 
@@ -46,18 +45,12 @@ class ShiftFactorizationCache {
 
   explicit ShiftFactorizationCache(std::size_t capacity = 64);
 
-  /// Return the cached operator for (revision, theta, backend), or
-  /// invoke `build` and cache its result.  `build` runs without the
-  /// cache lock held; exceptions from it propagate (nothing is cached).
-  /// The least-recently-used entry is evicted when the cache is full.
-  /// The kernel backend is part of the key: tuned and reference
-  /// operators for one shift are distinct entries, so flipping the
-  /// backend between solves can never hand back an operator built for
-  /// the other substrate.
-  [[nodiscard]] OpPtr acquire(
-      std::uint64_t revision, la::Complex theta, const Builder& build,
-      la::KernelBackend backend = la::KernelBackend::kTuned)
-      PHES_EXCLUDES(mutex_);
+  /// Return the cached operator for (revision, theta), or invoke
+  /// `build` and cache its result.  `build` runs without the cache lock
+  /// held; exceptions from it propagate (nothing is cached).  The
+  /// least-recently-used entry is evicted when the cache is full.
+  [[nodiscard]] OpPtr acquire(std::uint64_t revision, la::Complex theta,
+                              const Builder& build) PHES_EXCLUDES(mutex_);
 
   /// Drop every entry with revision < `revision` (residue update:
   /// operators against the old C matrix are invalid).
@@ -66,9 +59,7 @@ class ShiftFactorizationCache {
   /// Drop everything (counters are kept).
   void clear() PHES_EXCLUDES(mutex_);
 
-  [[nodiscard]] bool contains(
-      std::uint64_t revision, la::Complex theta,
-      la::KernelBackend backend = la::KernelBackend::kTuned) const
+  [[nodiscard]] bool contains(std::uint64_t revision, la::Complex theta) const
       PHES_EXCLUDES(mutex_);
 
   [[nodiscard]] CacheStats stats() const PHES_EXCLUDES(mutex_);
@@ -79,7 +70,6 @@ class ShiftFactorizationCache {
     std::uint64_t revision = 0;
     double re = 0.0;
     double im = 0.0;
-    int backend = 0;  ///< la::KernelBackend as an ordered int
     auto operator<=>(const Key&) const = default;
   };
   struct Entry {

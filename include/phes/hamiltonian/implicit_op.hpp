@@ -10,7 +10,6 @@
 
 #include <memory>
 
-#include "phes/la/kernels.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/hamiltonian/operators.hpp"
 #include "phes/macromodel/simo_realization.hpp"
@@ -20,37 +19,26 @@ namespace phes::hamiltonian {
 class ImplicitHamiltonianOp final : public ComplexLinearOperator {
  public:
   /// Keeps a reference to `realization`; the caller guarantees it
-  /// outlives the operator.  `backend` selects the compute substrate:
-  /// kReference reproduces the original apply loops bit for bit;
-  /// kTuned batches the R^{-1}/S^{-1} small solves through one fused
-  /// multi-RHS LU apply, runs the dense C products on split real/imag
-  /// planes, and fuses the A / A^T block traversals of the two
-  /// Hamiltonian halves (J-symmetry: y1 and y2 walk the same blocks).
+  /// outlives the operator.  The apply batches the R^{-1}/S^{-1} small
+  /// solves through one fused multi-RHS LU apply, runs the dense C
+  /// products on split real/imag planes, and fuses the A / A^T block
+  /// traversals of the two Hamiltonian halves (J-symmetry: y1 and y2
+  /// walk the same blocks).
   explicit ImplicitHamiltonianOp(
-      const macromodel::SimoRealization& realization,
-      la::KernelBackend backend = la::KernelBackend::kTuned);
+      const macromodel::SimoRealization& realization);
 
   [[nodiscard]] std::size_t dim() const noexcept override {
     return 2 * realization_.order();
-  }
-
-  [[nodiscard]] la::KernelBackend backend() const noexcept {
-    return backend_;
   }
 
   void apply(std::span<const Complex> x,
              std::span<Complex> y) const override;
 
  private:
-  void apply_reference(std::span<const Complex> x,
-                       std::span<Complex> y) const;
-  void apply_tuned(std::span<const Complex> x, std::span<Complex> y) const;
-
   const macromodel::SimoRealization& realization_;
   la::LuFactorization<double> r_lu_;  ///< R = D^T D - I
   la::LuFactorization<double> s_lu_;  ///< S = D D^T - I
   la::RealMatrix d_;
-  la::KernelBackend backend_;
 };
 
 }  // namespace phes::hamiltonian

@@ -25,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "phes/la/kernels.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/hamiltonian/operators.hpp"
 #include "phes/macromodel/simo_realization.hpp"
@@ -51,26 +50,19 @@ class SmwShiftInvertOp final : public ComplexLinearOperator {
   /// Throws std::runtime_error if theta is (numerically) an eigenvalue
   /// of M, making K singular; callers nudge the shift and retry.
   ///
-  /// `backend` selects the per-apply compute substrate: kReference
-  /// reproduces the original apply loops bit for bit; kTuned replaces
-  /// the per-apply pole-block divisions with resolvent multiplier
-  /// tables frozen at theta (every (A - theta I)^{-1} /
+  /// The applies carry no pole-block divisions: the constructor freezes
+  /// resolvent multiplier tables at theta (every (A - theta I)^{-1} /
   /// -(A^T + theta I)^{-1} block collapses to a precomputed uniform
-  /// 2x2 rotation), and runs the dense C / C^T products on split
+  /// 2x2 rotation), and the dense C / C^T products run on split
   /// real/imag planes.
   SmwShiftInvertOp(const macromodel::SimoRealization& realization,
-                   Complex theta,
-                   la::KernelBackend backend = la::KernelBackend::kTuned);
+                   Complex theta);
 
   [[nodiscard]] std::size_t dim() const noexcept override {
     return 2 * realization_.order();
   }
 
   [[nodiscard]] Complex shift() const noexcept { return theta_; }
-
-  [[nodiscard]] la::KernelBackend backend() const noexcept {
-    return backend_;
-  }
 
   void apply(std::span<const Complex> x,
              std::span<Complex> y) const override;
@@ -87,16 +79,11 @@ class SmwShiftInvertOp final : public ComplexLinearOperator {
     Complex c12{};
   };
 
-  void apply_reference(std::span<const Complex> x,
-                       std::span<Complex> y) const;
-  void apply_tuned(std::span<const Complex> x, std::span<Complex> y) const;
-
   const macromodel::SimoRealization& realization_;
   Complex theta_;
-  la::KernelBackend backend_;
   std::unique_ptr<la::LuFactorization<Complex>> k_lu_;  ///< 2p x 2p kernel
-  std::vector<TableBlock> p_table_;  ///< (A - theta I)^{-1}      (tuned)
-  std::vector<TableBlock> q_table_;  ///< -(A^T + theta I)^{-1}   (tuned)
+  std::vector<TableBlock> p_table_;  ///< (A - theta I)^{-1}
+  std::vector<TableBlock> q_table_;  ///< -(A^T + theta I)^{-1}
 };
 
 }  // namespace phes::hamiltonian

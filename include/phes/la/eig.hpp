@@ -26,11 +26,6 @@
 // a*b + c into a fused multiply-add (the project's flags do not enable
 // FMA).  test_la_kernels keeps the old loop verbatim as its oracle and
 // asserts memcmp equality.
-//
-// No backend switch.  Like the order-preserving kernels of
-// la/kernels.hpp, this QR is always on: a transformation that cannot
-// change a bit needs no reference path to fall back to, so there is
-// no option, flag or KernelBackend value for it.
 
 #include <vector>
 

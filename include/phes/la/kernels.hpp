@@ -1,43 +1,28 @@
 #pragma once
-// Runtime-selectable kernel backend plus the blocked, SIMD-friendly
-// compute kernels behind the `tuned` backend.
+// Blocked, SIMD-friendly compute kernels of the solve path: blocked
+// complex row reductions (the CGS2 orthogonalization in core::arnoldi)
+// and split real/imag-plane products of a real matrix with a complex
+// vector (the C / C^T / D / D^T products of the Hamiltonian operators).
 //
-// Dispatch rule: every numerics-heavy layer (arnoldi orthogonalization,
-// the Hamiltonian operators, the batched LU applies) takes a
-// KernelBackend and routes through exactly one of two code paths:
-//
-//   kReference  the original straight-line loops, preserved verbatim —
-//               results are bit-identical to the pre-kernel-layer code;
-//   kTuned      register-blocked kernels with split real/imag planes,
-//               multiple accumulators, and precomputed reciprocal
-//               tables.  Same math, different floating-point summation
-//               order, so results may differ from reference at
-//               rounding level (but are deterministic for a fixed
-//               backend: bit-identical across runs and thread counts).
+// There is one kernel path.  The transforms in this file and in the
+// operators that use them reorder floating-point reductions (multiple
+// accumulators, paired rows, split planes, frozen resolvent tables,
+// fused multi-RHS solves), so results differ from straight-line loops
+// at rounding level; tests/reference_kernels.hpp keeps those loops as
+// the test oracle.  Order-preserving transforms (la/blas.hpp blocked
+// products, la::hessenberg_eig) are bit-identical to the loops they
+// replaced.  Either way the results are deterministic: bit-identical
+// across runs and thread counts.
 //
 // The kernels here are deliberately free-standing (raw pointers +
 // strides) so the operators can point them at matrix rows, locked
 // Ritz vectors, and scratch planes without adapter copies.
 
 #include <cstddef>
-#include <string>
 
 #include "phes/la/types.hpp"
 
 namespace phes::la {
-
-/// Which compute substrate the solve path runs on.
-enum class KernelBackend {
-  kTuned = 0,      ///< blocked/vectorized kernels (default)
-  kReference = 1,  ///< pre-kernel-layer loops, bit-for-bit
-};
-
-/// Parse "tuned" / "reference".  Throws std::invalid_argument on
-/// anything else (the CLI surfaces the message as a usage error).
-[[nodiscard]] KernelBackend parse_kernel_backend(const std::string& name);
-
-/// Canonical name, the inverse of parse_kernel_backend.
-[[nodiscard]] const char* kernel_backend_name(KernelBackend backend) noexcept;
 
 namespace kernels {
 

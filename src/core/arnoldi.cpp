@@ -5,6 +5,7 @@
 
 #include "phes/la/blas.hpp"
 #include "phes/la/eig.hpp"
+#include "phes/la/kernels.hpp"
 #include "phes/util/check.hpp"
 
 namespace phes::core {
@@ -13,31 +14,11 @@ namespace {
 
 // Orthogonalize `w` against rows [0, count) of `v_rows` and against all
 // locked vectors, accumulating projection coefficients for the basis
-// rows into `coeffs` (length >= count).  One MGS pass.
-void mgs_pass(const ComplexMatrix& v_rows, std::size_t count,
-              std::span<const ComplexVector> locked, ComplexVector& w,
-              Complex* coeffs) {
-  const std::size_t dim = w.size();
-  for (const auto& lv : locked) {
-    Complex proj{};
-    const Complex* q = lv.data();
-    for (std::size_t i = 0; i < dim; ++i) proj += std::conj(q[i]) * w[i];
-    for (std::size_t i = 0; i < dim; ++i) w[i] -= proj * q[i];
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    const Complex* vj = v_rows.row_ptr(j);
-    Complex proj{};
-    for (std::size_t i = 0; i < dim; ++i) proj += std::conj(vj[i]) * w[i];
-    for (std::size_t i = 0; i < dim; ++i) w[i] -= proj * vj[i];
-    if (coeffs != nullptr) coeffs[j] += proj;
-  }
-}
-
-// Tuned pass: blocked classical Gram-Schmidt.  ALL projections are
-// taken against the un-updated w (one reduction sweep through the
-// row-paired multi-accumulator dot kernels), then subtracted en bloc.
-// Callers run it twice (CGS2), which restores the orthogonality
-// quality of reorthogonalized MGS.
+// rows into `coeffs` (length >= count).  One blocked classical
+// Gram-Schmidt pass: ALL projections are taken against the un-updated
+// w (one reduction sweep through the row-paired multi-accumulator dot
+// kernels), then subtracted en bloc.  Callers run it twice (CGS2),
+// which restores the orthogonality quality of reorthogonalized MGS.
 void cgs_pass(const ComplexMatrix& v_rows, std::size_t count,
               std::span<const ComplexVector> locked, ComplexVector& w,
               Complex* coeffs, std::vector<Complex>& proj,
@@ -80,8 +61,7 @@ ComplexVector random_start_vector(std::size_t dim, util::Rng& rng) {
 
 ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
                       std::span<const Complex> v0, std::size_t d,
-                      std::span<const ComplexVector> locked,
-                      la::KernelBackend backend) {
+                      std::span<const ComplexVector> locked) {
   const std::size_t dim = op.dim();
   util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
   util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
@@ -101,26 +81,15 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
   res.v_rows = ComplexMatrix(d_eff + 1, dim);
   res.h = ComplexMatrix(d_eff + 1, d_eff);
 
-  // Backend dispatch for the orthogonalization pass; scratch lives
-  // outside so the tuned path allocates at most once per run.
-  std::vector<Complex> proj_scratch;
+  // Scratch lives outside the passes so a run allocates at most once.
+  std::vector<Complex> proj;
   std::vector<const Complex*> locked_ptrs;
-  const bool tuned = backend == la::KernelBackend::kTuned;
-  const auto orth = [&](std::size_t count, ComplexVector& w,
-                        Complex* coeffs) {
-    if (tuned) {
-      cgs_pass(res.v_rows, count, locked, w, coeffs, proj_scratch,
-               locked_ptrs);
-    } else {
-      mgs_pass(res.v_rows, count, locked, w, coeffs);
-    }
-  };
 
   // Normalize (and deflate) the start vector.
   {
     ComplexVector w(v0.begin(), v0.end());
-    orth(0, w, nullptr);
-    orth(0, w, nullptr);
+    cgs_pass(res.v_rows, 0, locked, w, nullptr, proj, locked_ptrs);
+    cgs_pass(res.v_rows, 0, locked, w, nullptr, proj, locked_ptrs);
     const double norm = la::nrm2<Complex>(w);
     util::require(norm > 1e-10,
                   "arnoldi: start vector lies in the locked subspace");
@@ -136,11 +105,10 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
     ++res.matvecs;
     const double norm_before = la::nrm2<Complex>(w);
 
-    // Two orthogonalization passes (classic "twice is enough"):
-    // MGS+reorth on the reference backend, CGS2 on the tuned one.
+    // Two orthogonalization passes (CGS2, "twice is enough").
     std::fill(coeffs.begin(), coeffs.end(), Complex{});
-    orth(k + 1, w, coeffs.data());
-    orth(k + 1, w, coeffs.data());
+    cgs_pass(res.v_rows, k + 1, locked, w, coeffs.data(), proj, locked_ptrs);
+    cgs_pass(res.v_rows, k + 1, locked, w, coeffs.data(), proj, locked_ptrs);
     for (std::size_t j = 0; j <= k; ++j) res.h(j, k) = coeffs[j];
 
     const double norm = la::nrm2<Complex>(w);

@@ -11,7 +11,7 @@ namespace phes::core {
 LambdaMaxEstimate estimate_lambda_max_counted(
     const macromodel::SimoRealization& realization,
     const LambdaMaxOptions& opt, util::Rng& rng) {
-  const hamiltonian::ImplicitHamiltonianOp op(realization, opt.kernel);
+  const hamiltonian::ImplicitHamiltonianOp op(realization);
   const std::size_t dim = op.dim();
   const std::size_t d = std::min(opt.krylov_dim, dim - 1);
 
@@ -19,7 +19,7 @@ LambdaMaxEstimate estimate_lambda_max_counted(
   double best = 0.0;
   for (std::size_t r = 0; r < std::max<std::size_t>(opt.restarts, 1); ++r) {
     const auto v0 = random_start_vector(dim, rng);
-    const auto ar = arnoldi(op, v0, d, {}, opt.kernel);
+    const auto ar = arnoldi(op, v0, d, {});
     est.matvecs += ar.matvecs;
     for (const auto& p : ritz_pairs(ar, false)) {
       best = std::max(best, std::abs(p.value));

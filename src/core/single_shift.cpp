@@ -56,8 +56,7 @@ SingleShiftResult single_shift_iteration(
       if (factory) {
         op = factory(theta);
       } else {
-        op = std::make_shared<const SmwShiftInvertOp>(realization, theta,
-                                                      opt.kernel);
+        op = std::make_shared<const SmwShiftInvertOp>(realization, theta);
         ++result.factorizations;
       }
       break;
@@ -118,7 +117,7 @@ SingleShiftResult single_shift_iteration(
     const ComplexVector v0 = random_start_vector(dim, rng);
     ArnoldiResult ar;
     try {
-      ar = arnoldi(*op, v0, d, locked_vectors, opt.kernel);
+      ar = arnoldi(*op, v0, d, locked_vectors);
     } catch (const std::runtime_error&) {
       // Start vector collapsed into the locked subspace: the operator's
       // reachable space is exhausted — everything findable is found.

@@ -42,16 +42,10 @@ SolverResult ParallelHamiltonianEigensolver::solve(
 }
 
 SolverResult ParallelHamiltonianEigensolver::solve(
-    const SolverOptions& options, const SolveContext& ctx) const {
-  util::check(options.threads >= 1, "solve: need at least one thread");
-  util::check(options.kappa >= 2, "solve: kappa must be >= 2 (Sec. IV-A)");
-  util::check(options.alpha >= 1.0, "solve: alpha must be >= 1 (Eq. 23)");
-
-  // The top-level backend is authoritative: one switch flips every
-  // kernel in the solve path (documented on SolverOptions::kernel).
-  SolverOptions opt = options;
-  opt.shift.kernel = opt.kernel;
-  opt.lambda_max.kernel = opt.kernel;
+    const SolverOptions& opt, const SolveContext& ctx) const {
+  util::check(opt.threads >= 1, "solve: need at least one thread");
+  util::check(opt.kappa >= 2, "solve: kappa must be >= 2 (Sec. IV-A)");
+  util::check(opt.alpha >= 1.0, "solve: alpha must be >= 1 (Eq. 23)");
 
   util::WallTimer timer;
 

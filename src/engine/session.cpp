@@ -44,17 +44,13 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   const std::size_t builds_before = factorizations_.load();
 
   const std::uint64_t revision = revision_;
-  const la::KernelBackend backend = opt.kernel;
   core::SolveContext ctx;
-  ctx.factory = [this, revision, backend](la::Complex theta) {
-    return cache_.acquire(
-        revision, theta,
-        [&] {
-          factorizations_.fetch_add(1);
-          return std::make_shared<const hamiltonian::SmwShiftInvertOp>(
-              realization_, theta, backend);
-        },
-        backend);
+  ctx.factory = [this, revision](la::Complex theta) {
+    return cache_.acquire(revision, theta, [&] {
+      factorizations_.fetch_add(1);
+      return std::make_shared<const hamiltonian::SmwShiftInvertOp>(
+          realization_, theta);
+    });
   };
 
   core::WarmStartSeeds seeds;

@@ -11,10 +11,8 @@ ShiftFactorizationCache::ShiftFactorizationCache(std::size_t capacity)
 }
 
 ShiftFactorizationCache::OpPtr ShiftFactorizationCache::acquire(
-    std::uint64_t revision, la::Complex theta, const Builder& build,
-    la::KernelBackend backend) {
-  const Key key{revision, theta.real(), theta.imag(),
-                static_cast<int>(backend)};
+    std::uint64_t revision, la::Complex theta, const Builder& build) {
+  const Key key{revision, theta.real(), theta.imag()};
   {
     util::MutexLock lock(mutex_);
     const auto it = entries_.find(key);
@@ -68,11 +66,9 @@ void ShiftFactorizationCache::clear() {
 }
 
 bool ShiftFactorizationCache::contains(std::uint64_t revision,
-                                       la::Complex theta,
-                                       la::KernelBackend backend) const {
+                                       la::Complex theta) const {
   util::MutexLock lock(mutex_);
-  return entries_.count(Key{revision, theta.real(), theta.imag(),
-                            static_cast<int>(backend)}) > 0;
+  return entries_.count(Key{revision, theta.real(), theta.imag()}) > 0;
 }
 
 CacheStats ShiftFactorizationCache::stats() const {

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "phes/la/blas.hpp"
+#include "phes/la/kernels.hpp"
 #include "phes/la/svd.hpp"
 #include "phes/util/check.hpp"
 
@@ -18,97 +19,21 @@ la::RealMatrix gram_minus_identity(const la::RealMatrix& d, bool transpose_first
   return g;
 }
 
-// Solve with a real LU against a complex right-hand side by splitting
-// real and imaginary parts (reference path: two independent solves).
-la::ComplexVector solve_real_lu(const la::LuFactorization<double>& lu,
-                                std::span<const la::Complex> rhs) {
-  la::RealVector re(rhs.size()), im(rhs.size());
-  for (std::size_t i = 0; i < rhs.size(); ++i) {
-    re[i] = rhs[i].real();
-    im[i] = rhs[i].imag();
-  }
-  const auto xre = lu.solve(re);
-  const auto xim = lu.solve(im);
-  la::ComplexVector x(rhs.size());
-  for (std::size_t i = 0; i < rhs.size(); ++i) {
-    x[i] = la::Complex(xre[i], xim[i]);
-  }
-  return x;
-}
-
 }  // namespace
 
 ImplicitHamiltonianOp::ImplicitHamiltonianOp(
-    const macromodel::SimoRealization& realization,
-    la::KernelBackend backend)
+    const macromodel::SimoRealization& realization)
     : realization_(realization),
       r_lu_(gram_minus_identity(realization.d(), true)),
       s_lu_(gram_minus_identity(realization.d(), false)),
-      d_(realization.d()),
-      backend_(backend) {
+      d_(realization.d()) {
   const auto sigma_d = la::real_singular_values(d_);
   util::check(sigma_d.empty() || sigma_d.front() < 1.0,
               "ImplicitHamiltonianOp: requires sigma_max(D) < 1");
 }
 
-void ImplicitHamiltonianOp::apply(std::span<const Complex> x,
-                                  std::span<Complex> y) const {
-  if (backend_ == la::KernelBackend::kReference) {
-    apply_reference(x, y);
-  } else {
-    apply_tuned(x, y);
-  }
-}
-
-void ImplicitHamiltonianOp::apply_reference(std::span<const Complex> x,
-                                            std::span<Complex> y) const {
-  const std::size_t n = realization_.order();
-  const std::size_t p = realization_.ports();
-  util::check(x.size() == 2 * n && y.size() == 2 * n,
-              "ImplicitHamiltonianOp::apply: size mismatch");
-  const auto x1 = x.subspan(0, n);
-  const auto x2 = x.subspan(n, n);
-  auto y1 = y.subspan(0, n);
-  auto y2 = y.subspan(n, n);
-
-  // u = C x1, v = B^T x2 (p-vectors).
-  la::ComplexVector u(p), v(p);
-  realization_.apply_c(x1, u);
-  realization_.apply_bt<Complex>(x2, v);
-
-  // t = R^{-1} (D^T u + v).
-  la::ComplexVector dtu(p, Complex{});
-  for (std::size_t i = 0; i < p; ++i) {
-    Complex acc{};
-    for (std::size_t j = 0; j < p; ++j) acc += d_(j, i) * u[j];  // D^T u
-    dtu[i] = acc + v[i];
-  }
-  const auto t = solve_real_lu(r_lu_, dtu);
-
-  // y1 = A x1 - B t.
-  realization_.apply_a<Complex>(x1, y1);
-  la::ComplexVector bt(n);
-  realization_.apply_b<Complex>(t, bt);
-  for (std::size_t i = 0; i < n; ++i) y1[i] -= bt[i];
-
-  // w = S^{-1} u + D R^{-1} v;  y2 = C^T w - A^T x2.
-  const auto s_inv_u = solve_real_lu(s_lu_, u);
-  const auto r_inv_v = solve_real_lu(r_lu_, v);
-  la::ComplexVector w(p);
-  for (std::size_t i = 0; i < p; ++i) {
-    Complex acc{};
-    for (std::size_t j = 0; j < p; ++j) acc += d_(i, j) * r_inv_v[j];
-    w[i] = s_inv_u[i] + acc;
-  }
-  la::ComplexVector ctw(n);
-  realization_.apply_ct(w, ctw);
-  la::ComplexVector atx2(n);
-  realization_.apply_at<Complex>(x2, atx2);
-  for (std::size_t i = 0; i < n; ++i) y2[i] = ctw[i] - atx2[i];
-}
-
-// Tuned path.  Same math as apply_reference, restructured around the
-// J-symmetry of the Hamiltonian halves:
+// The apply is restructured around the J-symmetry of the Hamiltonian
+// halves:
 //   - the dense C / C^T products run on split real/imag planes
 //     (contiguous double loops instead of interleaved complex);
 //   - R^{-1} is applied ONCE to the 4-plane block [D^T u + v | v] and
@@ -116,8 +41,8 @@ void ImplicitHamiltonianOp::apply_reference(std::span<const Complex> x,
 //     six independent triangular-solve passes;
 //   - the A x1 and A^T x2 block traversals (and the B t subtraction)
 //     are fused into one sweep over the pole blocks shared by y1/y2.
-void ImplicitHamiltonianOp::apply_tuned(std::span<const Complex> x,
-                                        std::span<Complex> y) const {
+void ImplicitHamiltonianOp::apply(std::span<const Complex> x,
+                                  std::span<Complex> y) const {
   const std::size_t n = realization_.order();
   const std::size_t p = realization_.ports();
   util::check(x.size() == 2 * n && y.size() == 2 * n,

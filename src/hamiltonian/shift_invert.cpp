@@ -2,14 +2,14 @@
 
 #include <vector>
 
+#include "phes/la/kernels.hpp"
 #include "phes/util/check.hpp"
 
 namespace phes::hamiltonian {
 
 SmwShiftInvertOp::SmwShiftInvertOp(
-    const macromodel::SimoRealization& realization, Complex theta,
-    la::KernelBackend backend)
-    : realization_(realization), theta_(theta), backend_(backend) {
+    const macromodel::SimoRealization& realization, Complex theta)
+    : realization_(realization), theta_(theta) {
   const std::size_t p = realization_.ports();
   // H(theta) and H(-theta): O(n p^2) worth of structured evaluations
   // (each eval is O(n p); entries land in p x p matrices).
@@ -28,94 +28,35 @@ SmwShiftInvertOp::SmwShiftInvertOp(
   }
   k_lu_ = std::make_unique<la::LuFactorization<Complex>>(std::move(k));
 
-  if (backend_ == la::KernelBackend::kTuned) {
-    // Freeze the resolvent multipliers at theta.  For a pair block
-    // [[alpha, beta], [-beta, alpha]]:
-    //   (A - theta I)^{-1}:       g = alpha - theta, det = g^2 + beta^2,
-    //                             c11 =  g / det,  c12 = -beta / det;
-    //   -(A^T + theta I)^{-1}:    g' = alpha + theta, det = g'^2 + beta^2,
-    //                             c11 = -g' / det, c12 = -beta / det
-    // (the second folds solve_at_minus(-theta) plus the negation into
-    // the same uniform 2x2 form).  Singles keep only c11.
-    const auto& blocks = realization_.blocks();
-    p_table_.reserve(blocks.size());
-    q_table_.reserve(blocks.size());
-    for (const auto& blk : blocks) {
-      TableBlock pb{blk.state, blk.is_pair, {}, {}};
-      TableBlock qb{blk.state, blk.is_pair, {}, {}};
-      if (blk.is_pair) {
-        const Complex g = Complex(blk.alpha, 0.0) - theta_;
-        const Complex det = g * g + blk.beta * blk.beta;
-        pb.c11 = g / det;
-        pb.c12 = -blk.beta / det;
-        const Complex gq = Complex(blk.alpha, 0.0) + theta_;
-        const Complex detq = gq * gq + blk.beta * blk.beta;
-        qb.c11 = -gq / detq;
-        qb.c12 = -blk.beta / detq;
-      } else {
-        pb.c11 = 1.0 / (Complex(blk.alpha, 0.0) - theta_);
-        qb.c11 = -1.0 / (Complex(blk.alpha, 0.0) + theta_);
-      }
-      p_table_.push_back(pb);
-      q_table_.push_back(qb);
+  // Freeze the resolvent multipliers at theta.  For a pair block
+  // [[alpha, beta], [-beta, alpha]]:
+  //   (A - theta I)^{-1}:       g = alpha - theta, det = g^2 + beta^2,
+  //                             c11 =  g / det,  c12 = -beta / det;
+  //   -(A^T + theta I)^{-1}:    g' = alpha + theta, det = g'^2 + beta^2,
+  //                             c11 = -g' / det, c12 = -beta / det
+  // (the second folds solve_at_minus(-theta) plus the negation into
+  // the same uniform 2x2 form).  Singles keep only c11.
+  const auto& blocks = realization_.blocks();
+  p_table_.reserve(blocks.size());
+  q_table_.reserve(blocks.size());
+  for (const auto& blk : blocks) {
+    TableBlock pb{blk.state, blk.is_pair, {}, {}};
+    TableBlock qb{blk.state, blk.is_pair, {}, {}};
+    if (blk.is_pair) {
+      const Complex g = Complex(blk.alpha, 0.0) - theta_;
+      const Complex det = g * g + blk.beta * blk.beta;
+      pb.c11 = g / det;
+      pb.c12 = -blk.beta / det;
+      const Complex gq = Complex(blk.alpha, 0.0) + theta_;
+      const Complex detq = gq * gq + blk.beta * blk.beta;
+      qb.c11 = -gq / detq;
+      qb.c12 = -blk.beta / detq;
+    } else {
+      pb.c11 = 1.0 / (Complex(blk.alpha, 0.0) - theta_);
+      qb.c11 = -1.0 / (Complex(blk.alpha, 0.0) + theta_);
     }
-  }
-}
-
-void SmwShiftInvertOp::apply(std::span<const Complex> x,
-                             std::span<Complex> y) const {
-  if (backend_ == la::KernelBackend::kReference) {
-    apply_reference(x, y);
-  } else {
-    apply_tuned(x, y);
-  }
-}
-
-void SmwShiftInvertOp::apply_reference(std::span<const Complex> x,
-                                       std::span<Complex> y) const {
-  const std::size_t n = realization_.order();
-  const std::size_t p = realization_.ports();
-  util::check(x.size() == 2 * n && y.size() == 2 * n,
-              "SmwShiftInvertOp::apply: size mismatch");
-
-  // G x with G = blkdiag((A - theta I)^{-1}, -(A^T + theta I)^{-1}).
-  la::ComplexVector g1(n), g2(n);
-  realization_.solve_a_minus(theta_, x.subspan(0, n), g1);
-  realization_.solve_at_minus(-theta_, x.subspan(n, n), g2);
-  for (auto& v : g2) v = -v;
-
-  // w = V G x = [C g1; B^T g2].
-  la::ComplexVector w(2 * p);
-  {
-    la::ComplexVector w1(p), w2(p);
-    realization_.apply_c(g1, w1);
-    realization_.apply_bt<Complex>(g2, w2);
-    for (std::size_t i = 0; i < p; ++i) {
-      w[i] = w1[i];
-      w[p + i] = w2[i];
-    }
-  }
-
-  // z = K^{-1} w.
-  const la::ComplexVector z = k_lu_->solve(w);
-
-  // U z = [B z1; C^T z2], then G (U z).
-  la::ComplexVector u1(n), u2(n);
-  {
-    la::ComplexVector z1(z.begin(), z.begin() + static_cast<long>(p));
-    la::ComplexVector z2(z.begin() + static_cast<long>(p), z.end());
-    la::ComplexVector bz(n), ctz(n);
-    realization_.apply_b<Complex>(z1, bz);
-    realization_.apply_ct(z2, ctz);
-    realization_.solve_a_minus(theta_, bz, u1);
-    realization_.solve_at_minus(-theta_, ctz, u2);
-    for (auto& v : u2) v = -v;
-  }
-
-  // y = G x - G U K^{-1} V G x.
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] = g1[i] - u1[i];
-    y[n + i] = g2[i] - u2[i];
+    p_table_.push_back(pb);
+    q_table_.push_back(qb);
   }
 }
 
@@ -139,13 +80,13 @@ void apply_table(const Table& table, std::span<const la::Complex> x,
 
 }  // namespace
 
-// Tuned path.  Same math as apply_reference; the per-block complex
-// divisions of the two resolvent halves are replaced by the multiplier
-// tables frozen in the constructor (one table application = a handful
-// of fused multiply-adds per block, no divides), and the dense C / C^T
-// products run on split real/imag planes.
-void SmwShiftInvertOp::apply_tuned(std::span<const Complex> x,
-                                   std::span<Complex> y) const {
+// The per-block complex divisions of the two resolvent halves are
+// replaced by the multiplier tables frozen in the constructor (one
+// table application = a handful of fused multiply-adds per block, no
+// divides), and the dense C / C^T products run on split real/imag
+// planes.
+void SmwShiftInvertOp::apply(std::span<const Complex> x,
+                             std::span<Complex> y) const {
   const std::size_t n = realization_.order();
   const std::size_t p = realization_.ports();
   util::check(x.size() == 2 * n && y.size() == 2 * n,

@@ -1,19 +1,6 @@
 #include "phes/la/kernels.hpp"
 
-#include <stdexcept>
-
 namespace phes::la {
-
-KernelBackend parse_kernel_backend(const std::string& name) {
-  if (name == "tuned") return KernelBackend::kTuned;
-  if (name == "reference") return KernelBackend::kReference;
-  throw std::invalid_argument("unknown kernel backend '" + name +
-                              "' (expected tuned|reference)");
-}
-
-const char* kernel_backend_name(KernelBackend backend) noexcept {
-  return backend == KernelBackend::kReference ? "reference" : "tuned";
-}
 
 namespace kernels {
 
@@ -21,7 +8,7 @@ namespace {
 
 // One conj(v)*w dot product with four independent re/im accumulator
 // pairs: the serial complex-add chain is the latency bottleneck of the
-// reference Gram-Schmidt, and four chains keep the FMA pipes busy.
+// straight-line Gram-Schmidt, and four chains keep the FMA pipes busy.
 inline Complex dotc_one(const Complex* v, const Complex* w,
                         std::size_t dim) {
   double re0 = 0.0, im0 = 0.0, re1 = 0.0, im1 = 0.0;

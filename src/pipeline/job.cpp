@@ -111,12 +111,7 @@ std::string write_job_spec_json(const PipelineJob& job) {
      << "\", \"ports\": " << job.input_ports << ", \"input_hash\": \""
      << input_content_hash(job) << "\"";
   // The option surface the submit protocol exposes (protocol.cpp's
-  // job_options_from), under the same keys.  The kernel backend is
-  // DELIBERATELY not recorded: it selects the compute substrate, not
-  // the job's semantics, so a replayed spec inherits the serving
-  // process's --kernel default — which is exactly what makes
-  // `campaign replay --all` against a restarted server an A/B of the
-  // two backends over identical stored traffic.
+  // job_options_from), under the same keys.
   os << ", \"options\": {\"poles\": " << job.options.fit.num_poles
      << ", \"vf_iters\": " << job.options.fit.iterations
      << ", \"warm_start\": "

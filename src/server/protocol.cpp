@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "phes/io/touchstone.hpp"
-#include "phes/la/kernels.hpp"
 #include "phes/pipeline/report.hpp"
 #include "phes/server/server.hpp"
 
@@ -71,11 +70,6 @@ pipeline::JobOptions job_options_from(const JobServer& server,
         options->bool_or("warm_start", result.session.warm_start);
     if (const JsonValue* stop = options->find("stop_after")) {
       result.stop_after = pipeline::parse_stage(stop->as_string());
-    }
-    if (const JsonValue* kernel = options->find("kernel")) {
-      // "tuned" | "reference"; parse errors surface as the op's error
-      // response through the handler's catch block.
-      result.solver.kernel = la::parse_kernel_backend(kernel->as_string());
     }
   }
   return result;

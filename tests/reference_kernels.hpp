@@ -1,0 +1,304 @@
+#pragma once
+// Reference oracle for the solver's kernels: the straight-line operator
+// applies and the vector-at-a-time MGS2 Arnoldi that the library's
+// kernels replaced, kept verbatim.  The library computes the same math
+// with reordered reductions (split planes, resolvent tables, fused
+// multi-RHS solves, blocked CGS2), so the two agree to rounding, not
+// bit for bit.  test_la_kernels compares against these within
+// rounding-level tolerances; bench_hamiltonian_apply times them as the
+// "reference" side of its A/B gates.
+//
+// The factorizations (the 2p x 2p SMW matrix K, R = D^T D - I and
+// S = D D^T - I) are built from the public SimoRealization API exactly
+// as the library constructors build them.
+
+#include <algorithm>
+#include <complex>
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "phes/core/arnoldi.hpp"
+#include "phes/hamiltonian/operators.hpp"
+#include "phes/la/blas.hpp"
+#include "phes/la/lu.hpp"
+#include "phes/la/matrix.hpp"
+#include "phes/la/types.hpp"
+#include "phes/macromodel/simo_realization.hpp"
+#include "phes/util/check.hpp"
+
+namespace phes::test {
+
+/// Solve with a real LU against a complex right-hand side by splitting
+/// real and imaginary parts (two independent solves).
+inline la::ComplexVector reference_solve_real_lu(
+    const la::LuFactorization<double>& lu,
+    std::span<const la::Complex> rhs) {
+  la::RealVector re(rhs.size()), im(rhs.size());
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    re[i] = rhs[i].real();
+    im[i] = rhs[i].imag();
+  }
+  const auto xre = lu.solve(re);
+  const auto xim = lu.solve(im);
+  la::ComplexVector x(rhs.size());
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    x[i] = la::Complex(xre[i], xim[i]);
+  }
+  return x;
+}
+
+/// R = D^T D - I (transpose_first) or S = D D^T - I.
+inline la::RealMatrix reference_gram_minus_identity(const la::RealMatrix& d,
+                                                    bool transpose_first) {
+  la::RealMatrix g = transpose_first ? la::gemm(la::transpose(d), d)
+                                     : la::gemm(d, la::transpose(d));
+  for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) -= 1.0;
+  return g;
+}
+
+/// (M - theta I)^{-1} x through the SMW closed form, with a complex
+/// division per pole block and interleaved-complex C / C^T products.
+/// Oracle for hamiltonian::SmwShiftInvertOp.
+class ReferenceSmwOp final : public hamiltonian::ComplexLinearOperator {
+ public:
+  /// Keeps a reference to `realization`; the caller guarantees it
+  /// outlives the operator.
+  ReferenceSmwOp(const macromodel::SimoRealization& realization,
+                 la::Complex theta)
+      : realization_(realization),
+        theta_(theta),
+        k_lu_(smw_kernel(realization, theta)) {}
+
+  [[nodiscard]] std::size_t dim() const noexcept override {
+    return 2 * realization_.order();
+  }
+
+  void apply(std::span<const la::Complex> x,
+             std::span<la::Complex> y) const override {
+    using la::Complex;
+    const std::size_t n = realization_.order();
+    const std::size_t p = realization_.ports();
+    util::check(x.size() == 2 * n && y.size() == 2 * n,
+                "ReferenceSmwOp::apply: size mismatch");
+
+    // G x with G = blkdiag((A - theta I)^{-1}, -(A^T + theta I)^{-1}).
+    la::ComplexVector g1(n), g2(n);
+    realization_.solve_a_minus(theta_, x.subspan(0, n), g1);
+    realization_.solve_at_minus(-theta_, x.subspan(n, n), g2);
+    for (auto& v : g2) v = -v;
+
+    // w = V G x = [C g1; B^T g2].
+    la::ComplexVector w(2 * p);
+    {
+      la::ComplexVector w1(p), w2(p);
+      realization_.apply_c(g1, w1);
+      realization_.apply_bt<Complex>(g2, w2);
+      for (std::size_t i = 0; i < p; ++i) {
+        w[i] = w1[i];
+        w[p + i] = w2[i];
+      }
+    }
+
+    // z = K^{-1} w.
+    const la::ComplexVector z = k_lu_.solve(w);
+
+    // U z = [B z1; C^T z2], then G (U z).
+    la::ComplexVector u1(n), u2(n);
+    {
+      la::ComplexVector z1(z.begin(), z.begin() + static_cast<long>(p));
+      la::ComplexVector z2(z.begin() + static_cast<long>(p), z.end());
+      la::ComplexVector bz(n), ctz(n);
+      realization_.apply_b<Complex>(z1, bz);
+      realization_.apply_ct(z2, ctz);
+      realization_.solve_a_minus(theta_, bz, u1);
+      realization_.solve_at_minus(-theta_, ctz, u2);
+      for (auto& v : u2) v = -v;
+    }
+
+    // y = G x - G U K^{-1} V G x.
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = g1[i] - u1[i];
+      y[n + i] = g2[i] - u2[i];
+    }
+  }
+
+ private:
+  const macromodel::SimoRealization& realization_;
+  la::Complex theta_;
+  la::LuFactorization<la::Complex> k_lu_;  ///< 2p x 2p kernel K
+
+  // K = [ -H(theta)  -I ;  I  H(-theta)^T ].
+  static la::ComplexMatrix smw_kernel(
+      const macromodel::SimoRealization& realization, la::Complex theta) {
+    const std::size_t p = realization.ports();
+    const la::ComplexMatrix h_pos = realization.eval(theta);
+    const la::ComplexMatrix h_neg = realization.eval(-theta);
+    la::ComplexMatrix k(2 * p, 2 * p);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        k(i, j) = -h_pos(i, j);
+        k(p + i, p + j) = h_neg(j, i);
+      }
+      k(i, p + i) = la::Complex(-1.0, 0.0);
+      k(p + i, i) = la::Complex(1.0, 0.0);
+    }
+    return k;
+  }
+};
+
+/// y = M x with six independent R^{-1} / S^{-1} solves and separate
+/// A / A^T traversals.  Oracle for hamiltonian::ImplicitHamiltonianOp.
+class ReferenceImplicitOp final : public hamiltonian::ComplexLinearOperator {
+ public:
+  /// Keeps a reference to `realization`; the caller guarantees it
+  /// outlives the operator.
+  explicit ReferenceImplicitOp(const macromodel::SimoRealization& realization)
+      : realization_(realization),
+        r_lu_(reference_gram_minus_identity(realization.d(), true)),
+        s_lu_(reference_gram_minus_identity(realization.d(), false)),
+        d_(realization.d()) {}
+
+  [[nodiscard]] std::size_t dim() const noexcept override {
+    return 2 * realization_.order();
+  }
+
+  void apply(std::span<const la::Complex> x,
+             std::span<la::Complex> y) const override {
+    using la::Complex;
+    const std::size_t n = realization_.order();
+    const std::size_t p = realization_.ports();
+    util::check(x.size() == 2 * n && y.size() == 2 * n,
+                "ReferenceImplicitOp::apply: size mismatch");
+    const auto x1 = x.subspan(0, n);
+    const auto x2 = x.subspan(n, n);
+    auto y1 = y.subspan(0, n);
+    auto y2 = y.subspan(n, n);
+
+    // u = C x1, v = B^T x2 (p-vectors).
+    la::ComplexVector u(p), v(p);
+    realization_.apply_c(x1, u);
+    realization_.apply_bt<Complex>(x2, v);
+
+    // t = R^{-1} (D^T u + v).
+    la::ComplexVector dtu(p, Complex{});
+    for (std::size_t i = 0; i < p; ++i) {
+      Complex acc{};
+      for (std::size_t j = 0; j < p; ++j) acc += d_(j, i) * u[j];  // D^T u
+      dtu[i] = acc + v[i];
+    }
+    const auto t = reference_solve_real_lu(r_lu_, dtu);
+
+    // y1 = A x1 - B t.
+    realization_.apply_a<Complex>(x1, y1);
+    la::ComplexVector bt(n);
+    realization_.apply_b<Complex>(t, bt);
+    for (std::size_t i = 0; i < n; ++i) y1[i] -= bt[i];
+
+    // w = S^{-1} u + D R^{-1} v;  y2 = C^T w - A^T x2.
+    const auto s_inv_u = reference_solve_real_lu(s_lu_, u);
+    const auto r_inv_v = reference_solve_real_lu(r_lu_, v);
+    la::ComplexVector w(p);
+    for (std::size_t i = 0; i < p; ++i) {
+      Complex acc{};
+      for (std::size_t j = 0; j < p; ++j) acc += d_(i, j) * r_inv_v[j];
+      w[i] = s_inv_u[i] + acc;
+    }
+    la::ComplexVector ctw(n);
+    realization_.apply_ct(w, ctw);
+    la::ComplexVector atx2(n);
+    realization_.apply_at<Complex>(x2, atx2);
+    for (std::size_t i = 0; i < n; ++i) y2[i] = ctw[i] - atx2[i];
+  }
+
+ private:
+  const macromodel::SimoRealization& realization_;
+  la::LuFactorization<double> r_lu_;  ///< R = D^T D - I
+  la::LuFactorization<double> s_lu_;  ///< S = D D^T - I
+  la::RealMatrix d_;
+};
+
+/// One modified Gram-Schmidt pass of `w` against every locked vector
+/// and rows [0, count) of `v_rows`, vector at a time with immediate
+/// subtraction; basis-row projections accumulate into `coeffs`.
+inline void reference_mgs_pass(const la::ComplexMatrix& v_rows,
+                               std::size_t count,
+                               std::span<const la::ComplexVector> locked,
+                               la::ComplexVector& w, la::Complex* coeffs) {
+  using la::Complex;
+  const std::size_t dim = w.size();
+  for (const auto& lv : locked) {
+    Complex proj{};
+    const Complex* q = lv.data();
+    for (std::size_t i = 0; i < dim; ++i) proj += std::conj(q[i]) * w[i];
+    for (std::size_t i = 0; i < dim; ++i) w[i] -= proj * q[i];
+  }
+  for (std::size_t j = 0; j < count; ++j) {
+    const Complex* vj = v_rows.row_ptr(j);
+    Complex proj{};
+    for (std::size_t i = 0; i < dim; ++i) proj += std::conj(vj[i]) * w[i];
+    for (std::size_t i = 0; i < dim; ++i) w[i] -= proj * vj[i];
+    if (coeffs != nullptr) coeffs[j] += proj;
+  }
+}
+
+/// core::arnoldi with MGS plus one reorthogonalization pass (MGS2) in
+/// place of blocked CGS2: same contract, same breakdown test.
+inline core::ArnoldiResult reference_arnoldi(
+    const hamiltonian::ComplexLinearOperator& op,
+    std::span<const la::Complex> v0, std::size_t d,
+    std::span<const la::ComplexVector> locked) {
+  using la::Complex;
+  const std::size_t dim = op.dim();
+  util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
+  util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
+  for (const auto& lv : locked) {
+    util::check(lv.size() == dim, "arnoldi: locked vector dimension mismatch");
+  }
+
+  const std::size_t available = dim - locked.size();
+  util::check(available >= 2, "arnoldi: locked subspace leaves no room");
+  const std::size_t d_eff = std::min(d, available - 1);
+
+  core::ArnoldiResult res;
+  res.v_rows = la::ComplexMatrix(d_eff + 1, dim);
+  res.h = la::ComplexMatrix(d_eff + 1, d_eff);
+
+  // Normalize (and deflate) the start vector.
+  {
+    la::ComplexVector w(v0.begin(), v0.end());
+    reference_mgs_pass(res.v_rows, 0, locked, w, nullptr);
+    reference_mgs_pass(res.v_rows, 0, locked, w, nullptr);
+    const double norm = la::nrm2<Complex>(w);
+    util::require(norm > 1e-10,
+                  "arnoldi: start vector lies in the locked subspace");
+    Complex* row0 = res.v_rows.row_ptr(0);
+    for (std::size_t i = 0; i < dim; ++i) row0[i] = w[i] / norm;
+  }
+
+  la::ComplexVector w(dim);
+  std::vector<Complex> coeffs(d_eff + 1);
+  for (std::size_t k = 0; k < d_eff; ++k) {
+    op.apply(std::span<const Complex>(res.v_rows.row_ptr(k), dim), w);
+    ++res.matvecs;
+    const double norm_before = la::nrm2<Complex>(w);
+
+    std::fill(coeffs.begin(), coeffs.end(), Complex{});
+    reference_mgs_pass(res.v_rows, k + 1, locked, w, coeffs.data());
+    reference_mgs_pass(res.v_rows, k + 1, locked, w, coeffs.data());
+    for (std::size_t j = 0; j <= k; ++j) res.h(j, k) = coeffs[j];
+
+    const double norm = la::nrm2<Complex>(w);
+    res.steps = k + 1;
+    if (norm <= 1e-10 * std::max(norm_before, 1e-300)) {
+      res.h(k + 1, k) = Complex{};
+      break;
+    }
+    res.h(k + 1, k) = Complex(norm, 0.0);
+    Complex* next = res.v_rows.row_ptr(k + 1);
+    for (std::size_t i = 0; i < dim; ++i) next[i] = w[i] / norm;
+  }
+  return res;
+}
+
+}  // namespace phes::test

@@ -85,32 +85,6 @@ TEST(ShiftCache, EvictsLeastRecentlyUsedFirst) {
   EXPECT_TRUE(cache.contains(0, tc));
 }
 
-TEST(ShiftCache, KernelBackendIsPartOfTheKey) {
-  const auto model = make_model(1.05, 14, 20, 2);
-  const SimoRealization simo(model);
-  ShiftFactorizationCache cache(8);
-
-  const Complex t(0.0, 1.0);
-  const auto tuned = cache.acquire(
-      0, t, [&] { return build_op(simo, t); }, la::KernelBackend::kTuned);
-  // Same revision and shift, other backend: must be a distinct entry —
-  // serving a tuned operator to a reference solve would silently
-  // change the compute substrate mid-session.
-  const auto ref = cache.acquire(
-      0, t, [&] { return build_op(simo, t); }, la::KernelBackend::kReference);
-  EXPECT_NE(tuned.get(), ref.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().entries, 2u);
-
-  EXPECT_TRUE(cache.contains(0, t, la::KernelBackend::kTuned));
-  EXPECT_TRUE(cache.contains(0, t, la::KernelBackend::kReference));
-  EXPECT_EQ(cache.stats().hits, 0u);
-  const auto again = cache.acquire(
-      0, t, [&] { return build_op(simo, t); }, la::KernelBackend::kReference);
-  EXPECT_EQ(again.get(), ref.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
 TEST(ShiftCache, RevisionInvalidationDropsStaleEntries) {
   const auto model = make_model(1.05, 12, 20, 2);
   const SimoRealization simo(model);

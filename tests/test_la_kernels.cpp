@@ -1,4 +1,4 @@
-// Kernel-layer tests: the tuned/reference backend contract.
+// Kernel-layer tests: the one kernel path against its oracles.
 //
 //  - the always-on blocked BLAS paths (gemv, gemv_transposed,
 //    solve_many, the mixed real/complex products) are BIT-identical to
@@ -11,10 +11,11 @@
 //    verbatim as reference_hessenberg_eig, on random, Arnoldi-derived
 //    and branch-forcing (deflating, repeated-eigenvalue,
 //    exceptional-shift) Hessenbergs;
-//  - the tuned operator paths (ImplicitHamiltonianOp, SmwShiftInvertOp,
-//    arnoldi CGS2) agree with the reference backend to rounding on the
-//    solver's real shapes, and are deterministic: bit-identical across
-//    repeated and concurrent applies for a fixed backend.
+//  - the library operators (ImplicitHamiltonianOp, SmwShiftInvertOp,
+//    arnoldi CGS2) agree with the straight-line oracle loops of
+//    reference_kernels.hpp to rounding on the solver's real shapes, and
+//    are deterministic: bit-identical across repeated and concurrent
+//    applies.
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,7 @@
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/check.hpp"
 #include "phes/util/rng.hpp"
+#include "reference_kernels.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -43,7 +45,6 @@ namespace {
 using la::Complex;
 using la::ComplexMatrix;
 using la::ComplexVector;
-using la::KernelBackend;
 using la::RealMatrix;
 using la::RealVector;
 
@@ -57,20 +58,6 @@ RealVector random_real_vector(std::size_t n, util::Rng& rng) {
   RealVector v(n);
   for (auto& x : v) x = rng.normal();
   return v;
-}
-
-// ---- backend parsing ---------------------------------------------------
-
-TEST(KernelBackendTest, ParseAndName) {
-  EXPECT_EQ(la::parse_kernel_backend("tuned"), KernelBackend::kTuned);
-  EXPECT_EQ(la::parse_kernel_backend("reference"),
-            KernelBackend::kReference);
-  EXPECT_STREQ(la::kernel_backend_name(KernelBackend::kTuned), "tuned");
-  EXPECT_STREQ(la::kernel_backend_name(KernelBackend::kReference),
-               "reference");
-  EXPECT_THROW((void)la::parse_kernel_backend("fast"),
-               std::invalid_argument);
-  EXPECT_THROW((void)la::parse_kernel_backend(""), std::invalid_argument);
 }
 
 // ---- nrm2 extreme ranges ----------------------------------------------
@@ -300,7 +287,7 @@ TEST(TunedKernelsTest, PlaneKernelsMatchInterleaved) {
   }
 }
 
-// ---- tuned vs. reference operators on solver shapes -------------------
+// ---- library operators vs. the reference oracle on solver shapes ------
 
 double rel_diff(const ComplexVector& a, const ComplexVector& b) {
   double num = 0.0, den = 0.0;
@@ -315,12 +302,8 @@ TEST(BackendEquivalenceTest, ImplicitOpTunedMatchesReference) {
   for (const std::uint64_t seed : {2011u, 7u}) {
     const auto model = test::synthetic_model(0.9, seed, 64, 4);
     const macromodel::SimoRealization realization(model);
-    const hamiltonian::ImplicitHamiltonianOp tuned(
-        realization, KernelBackend::kTuned);
-    const hamiltonian::ImplicitHamiltonianOp ref(
-        realization, KernelBackend::kReference);
-    EXPECT_EQ(tuned.backend(), KernelBackend::kTuned);
-    EXPECT_EQ(ref.backend(), KernelBackend::kReference);
+    const hamiltonian::ImplicitHamiltonianOp tuned(realization);
+    const test::ReferenceImplicitOp ref(realization);
     util::Rng rng(seed);
     for (int rep = 0; rep < 3; ++rep) {
       const ComplexVector x = random_complex_vector(tuned.dim(), rng);
@@ -338,10 +321,8 @@ TEST(BackendEquivalenceTest, SmwOpTunedMatchesReference) {
   util::Rng rng(5);
   for (const double omega : {0.8, 3.1, 9.7}) {
     const Complex theta(0.0, omega);
-    const hamiltonian::SmwShiftInvertOp tuned(realization, theta,
-                                              KernelBackend::kTuned);
-    const hamiltonian::SmwShiftInvertOp ref(realization, theta,
-                                            KernelBackend::kReference);
+    const hamiltonian::SmwShiftInvertOp tuned(realization, theta);
+    const test::ReferenceSmwOp ref(realization, theta);
     const ComplexVector x = random_complex_vector(tuned.dim(), rng);
     ComplexVector yt(tuned.dim()), yr(tuned.dim());
     tuned.apply(x, yt);
@@ -350,20 +331,34 @@ TEST(BackendEquivalenceTest, SmwOpTunedMatchesReference) {
   }
 }
 
-// The reference backend must reproduce the historical numerics — the
-// operator built without an explicit backend used to BE these loops,
-// so the two ImplicitHamiltonianOp paths bracket any refactor drift.
+// core::arnoldi and the oracle's MGS2 loop share one signature, so the
+// invariant and determinism tests run the same checks over both.
+using ArnoldiFn = core::ArnoldiResult (*)(
+    const hamiltonian::ComplexLinearOperator&, std::span<const Complex>,
+    std::size_t, std::span<const ComplexVector>);
+
+// The oracle reproduces the historical numerics — the library
+// operators and core::arnoldi used to BE these loops — so checking the
+// Arnoldi invariants on both paths brackets any refactor drift.
 TEST(BackendEquivalenceTest, ArnoldiInvariantsHoldPerBackend) {
   const auto model = test::synthetic_model(0.9, 2011, 64, 4);
   const macromodel::SimoRealization realization(model);
-  for (const KernelBackend backend :
-       {KernelBackend::kTuned, KernelBackend::kReference}) {
-    const hamiltonian::ImplicitHamiltonianOp op(realization, backend);
+  const hamiltonian::ImplicitHamiltonianOp library_op(realization);
+  const test::ReferenceImplicitOp reference_op(realization);
+  struct Path {
+    const char* name;
+    const hamiltonian::ComplexLinearOperator& op;
+    ArnoldiFn arnoldi;
+  };
+  for (const Path& path : {Path{"library", library_op, &core::arnoldi},
+                           Path{"reference", reference_op,
+                                &test::reference_arnoldi}}) {
+    const auto& op = path.op;
     const std::size_t dim = op.dim();
     util::Rng rng(3);
     const ComplexVector v0 = core::random_start_vector(dim, rng);
     for (const std::size_t d : {30u, 60u, 90u}) {
-      const auto ar = core::arnoldi(op, v0, d, {}, backend);
+      const auto ar = path.arnoldi(op, v0, d, {});
       ASSERT_GE(ar.steps, 1u);
       // Orthonormality of the basis rows.
       for (std::size_t i = 0; i <= ar.steps; ++i) {
@@ -376,8 +371,8 @@ TEST(BackendEquivalenceTest, ArnoldiInvariantsHoldPerBackend) {
           }
           EXPECT_NEAR(std::abs(g - (i == j ? Complex(1.0) : Complex{})),
                       0.0, 1e-9)
-              << "backend=" << la::kernel_backend_name(backend)
-              << " d=" << d << " (" << i << "," << j << ")";
+              << "path=" << path.name << " d=" << d << " (" << i << ","
+              << j << ")";
         }
       }
       // Arnoldi relation: Op v_k = sum_i h(i,k) v_i.
@@ -391,8 +386,7 @@ TEST(BackendEquivalenceTest, ArnoldiInvariantsHoldPerBackend) {
           for (std::size_t q = 0; q < dim; ++q) w[q] -= h * vi[q];
         }
         EXPECT_LT(la::nrm2<Complex>(w), 1e-8)
-            << "backend=" << la::kernel_backend_name(backend)
-            << " d=" << d << " k=" << k;
+            << "path=" << path.name << " d=" << d << " k=" << k;
       }
     }
   }
@@ -419,8 +413,7 @@ TEST(BackendEquivalenceTest, ArnoldiDeflationWorksOnTunedBackend) {
     locked.push_back(std::move(v));
   }
   const ComplexVector v0 = core::random_start_vector(dim, rng);
-  const auto ar =
-      core::arnoldi(op, v0, 20, locked, KernelBackend::kTuned);
+  const auto ar = core::arnoldi(op, v0, 20, locked);
   ASSERT_GE(ar.steps, 1u);
   for (std::size_t i = 0; i <= ar.steps; ++i) {
     for (const auto& q : locked) {
@@ -709,7 +702,7 @@ TEST(HessenbergEigBitwiseTest, CyclicShiftTakesExceptionalShifts) {
   }
 }
 
-// ---- determinism: fixed backend => bit-identical ----------------------
+// ---- determinism: bit-identical across runs and threads ---------------
 
 TEST(BackendDeterminismTest, TunedAppliesAreBitIdenticalAcrossThreads) {
   const auto model = test::synthetic_model(1.08, 2011, 64, 4);
@@ -760,10 +753,9 @@ TEST(BackendDeterminismTest, ArnoldiRunsAreBitIdenticalPerBackend) {
   const hamiltonian::ImplicitHamiltonianOp op(realization);
   util::Rng rng(8);
   const ComplexVector v0 = core::random_start_vector(op.dim(), rng);
-  for (const KernelBackend backend :
-       {KernelBackend::kTuned, KernelBackend::kReference}) {
-    const auto a = core::arnoldi(op, v0, 25, {}, backend);
-    const auto b = core::arnoldi(op, v0, 25, {}, backend);
+  for (const ArnoldiFn arnoldi : {&core::arnoldi, &test::reference_arnoldi}) {
+    const auto a = arnoldi(op, v0, 25, {});
+    const auto b = arnoldi(op, v0, 25, {});
     ASSERT_EQ(a.steps, b.steps);
     for (std::size_t i = 0; i <= a.steps; ++i) {
       const Complex* ra = a.v_rows.row_ptr(i);

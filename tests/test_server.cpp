@@ -252,6 +252,33 @@ TEST(Protocol, MalformedAndUnknownRequests) {
   jobs.shutdown(false);
 }
 
+TEST(Protocol, LegacyKernelOptionIsIgnored) {
+  // Older clients could send "kernel": "reference".  The solver has one
+  // kernel path now, so the key is an unknown option like any other:
+  // the job must run as if it were absent.
+  JobServer jobs(deterministic_server_options());
+  const std::string path =
+      server::json_quote(test::fixture_path("golden.s2p"));
+  std::vector<std::uint64_t> ids;
+  for (const char* options :
+       {"{\"poles\": 12}", "{\"poles\": 12, \"kernel\": \"reference\"}"}) {
+    const auto outcome = server::handle_request(
+        jobs, "{\"op\": \"submit\", \"path\": " + path +
+                  ", \"options\": " + options + "}");
+    const auto json = JsonValue::parse(outcome.response);
+    ASSERT_TRUE(json.bool_or("ok", false)) << outcome.response;
+    ids.push_back(json.uint_or("id", 0));
+    ASSERT_TRUE(jobs.wait(ids.back(), 300.0));
+  }
+  const auto plain = jobs.result(ids[0]);
+  const auto legacy = jobs.result(ids[1]);
+  ASSERT_TRUE(plain && plain->ok) << (plain ? plain->error : "missing");
+  ASSERT_TRUE(legacy && legacy->ok) << (legacy ? legacy->error : "missing");
+  EXPECT_EQ(pipeline::result_signature(*legacy),
+            pipeline::result_signature(*plain));
+  jobs.shutdown(true);
+}
+
 // ---- End-to-end over the socket ---------------------------------------
 
 TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
