@@ -11,7 +11,12 @@
 //   - 2p x 2p complex LU factor + fused multi-RHS solve (the SMW
 //     kernel), with a correctness check of solve_many against the
 //     column-wise solve;
-//   - gemm on residue-matrix shapes.
+//   - gemm on residue-matrix shapes;
+//   - vector_fit's sigma least squares, 800x26 / 1200x45 / 1600x64
+//     with the real system's exact-zero block pattern: la::least_squares
+//     (row-sweep QR) against the column-at-a-time oracle reference_qr
+//     of tests/reference_kernels.hpp, whose solution it must reproduce
+//     bit for bit.
 //
 // Every timing is the best of a few calls after one untimed warm-up
 // call, so first-touch page faults and cold caches stay out of the
@@ -21,17 +26,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <tuple>
 
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/blas.hpp"
 #include "phes/la/eig.hpp"
 #include "phes/la/lu.hpp"
+#include "phes/la/qr.hpp"
 #include "phes/la/svd.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/rng.hpp"
 #include "phes/util/timer.hpp"
+#include "reference_kernels.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -200,6 +210,30 @@ int main() {
         "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"gemm\","
         "\"n\":%zu,\"seconds\":%.6f}\n",
         n, sec);
+  }
+
+  // VF sigma least squares: (rows, cols, ports) of 2-, 3- and 4-port
+  // fits over 200 samples.
+  for (const auto& [m, n, p] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{800, 26, 2},
+        {1200, 45, 3},
+        {1600, 64, 4}}) {
+    util::Rng rng(7);
+    const la::RealMatrix a = test::sigma_pattern_matrix(m, n, p, rng);
+    la::RealVector b(m);
+    for (auto& v : b) v = rng.normal();
+    la::RealVector x, x_ref;
+    const double sec = best_seconds(5, [&] { x = la::least_squares(a, b); });
+    const double ref_sec =
+        best_seconds(5, [&] { x_ref = test::reference_qr(a).solve(b); });
+    expect(x.size() == n && x_ref.size() == n &&
+               std::memcmp(x.data(), x_ref.data(), n * sizeof(double)) == 0,
+           "least_squares is bit-identical to the reference QR");
+    std::printf(
+        "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"least_squares\","
+        "\"rows\":%zu,\"cols\":%zu,\"seconds\":%.6f,"
+        "\"reference_seconds\":%.6f,\"speedup\":%.3f}\n",
+        m, n, sec, ref_sec, ref_sec / sec);
   }
 
   if (failures > 0) {

@@ -1,8 +1,28 @@
 #pragma once
 // Householder QR factorization and least-squares solving (real).
 //
-// Consumers: Vector Fitting's overdetermined pole-relocation systems and
-// the passivity-enforcement least-squares updates.
+// Consumer: Vector Fitting — the sigma-iteration least squares of
+// vector_fit (a 2Kp x (p(nb+1) + nb) system per column and iteration,
+// 1600 x 64 for a 4-port, 12-pole fit) and its final residue solves.
+//
+// Storage layout.  The factor is held row-major: R in the upper
+// triangle, the Householder vectors v (with v(k) = 1 implied) below
+// the diagonal.  The constructor applies each reflector to the
+// trailing columns in two row sweeps, so every inner loop walks one
+// contiguous row and the compiler vectorizes it:
+//   dot sweep:    s_j = A(k, j);  s_j += v_i * A(i, j) for i = k+1..m-1,
+//   update sweep: s_j *= tau;  A(k, j) -= s_j;  A(i, j) -= s_j * v_i.
+//
+// Bit-identity contract.  Column j's update never feeds column j+1's
+// dot product (which reads only column k and column j+1), so each s_j
+// sees the same floating-point operations in the same order — rows
+// ascending from k, no split accumulators — as the column-at-a-time
+// loop the sweeps replaced.  For finite input R, Q and solve() are
+// therefore bit-identical to that loop on any build that does not
+// contract a*b + c into a fused multiply-add (the project's flags do
+// not enable FMA).  tests/reference_kernels.hpp keeps the old loop
+// verbatim as reference_qr, and test_la_kernels asserts memcmp
+// equality.
 
 #include <cstddef>
 #include <vector>
@@ -29,9 +49,6 @@ class QrFactorization {
 
   /// Explicit R (n x n upper triangular).
   [[nodiscard]] RealMatrix r() const;
-
-  /// |R(i,i)| minimum — rank-deficiency indicator.
-  [[nodiscard]] double min_diag_r() const noexcept;
 
  private:
   void apply_qt(RealVector& b) const;  // b <- Q^T b

@@ -1,7 +1,7 @@
 #include "phes/la/qr.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "phes/util/check.hpp"
 
@@ -12,6 +12,8 @@ QrFactorization::QrFactorization(RealMatrix a) : qr_(std::move(a)) {
               "QrFactorization: requires rows >= cols");
   const std::size_t m = qr_.rows(), n = qr_.cols();
   tau_.assign(n, 0.0);
+  // s_j of the trailing-column update, one entry per column right of k.
+  RealVector s(n > 0 ? n - 1 : 0);
 
   for (std::size_t k = 0; k < n; ++k) {
     // Build the Householder reflector annihilating qr_(k+1..m-1, k).
@@ -29,13 +31,25 @@ QrFactorization::QrFactorization(RealMatrix a) : qr_(std::move(a)) {
     tau_[k] = -vk / alpha;  // tau = 2 / (v^T v) given the normalization
     qr_(k, k) = alpha;
 
-    // Apply (I - tau v v^T) to the trailing columns.
-    for (std::size_t j = k + 1; j < n; ++j) {
-      double s = qr_(k, j);
-      for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, k) * qr_(i, j);
-      s *= tau_[k];
-      qr_(k, j) -= s;
-      for (std::size_t i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
+    // Apply (I - tau v v^T) to the trailing columns in two row sweeps
+    // (see the order contract in qr.hpp): s = A(k, :) + sum_i v_i A(i, :)
+    // row by row, then A(k, :) -= tau s and A(i, :) -= (tau s) v_i.
+    const std::size_t w = n - k - 1;
+    double* const row_k = qr_.row_ptr(k) + k + 1;
+    for (std::size_t j = 0; j < w; ++j) s[j] = row_k[j];
+    for (std::size_t i = k + 1; i < m; ++i) {
+      const double* const row = qr_.row_ptr(i);
+      const double vi = row[k];
+      for (std::size_t j = 0; j < w; ++j) s[j] += vi * row[k + 1 + j];
+    }
+    for (std::size_t j = 0; j < w; ++j) {
+      s[j] *= tau_[k];
+      row_k[j] -= s[j];
+    }
+    for (std::size_t i = k + 1; i < m; ++i) {
+      double* const row = qr_.row_ptr(i);
+      const double vi = row[k];
+      for (std::size_t j = 0; j < w; ++j) row[k + 1 + j] -= s[j] * vi;
     }
   }
 }
@@ -95,14 +109,6 @@ RealMatrix QrFactorization::r() const {
     for (std::size_t j = i; j < n; ++j) r(i, j) = qr_(i, j);
   }
   return r;
-}
-
-double QrFactorization::min_diag_r() const noexcept {
-  double m = std::abs(qr_(0, 0));
-  for (std::size_t i = 1; i < qr_.cols(); ++i) {
-    m = std::min(m, std::abs(qr_(i, i)));
-  }
-  return m;
 }
 
 RealVector least_squares(RealMatrix a, RealVector b) {

@@ -113,13 +113,24 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
     span.duration_ms = round_fixed(timing.seconds * 1e3);
     // The eigensolver stages carry their SolverResult's counters: the
     // characterize stage produced the initial report, verify the final
-    // one.  (Enforce re-solves internally; its cost shows up in the
-    // session totals below.)
+    // one.  Enforce carries its rounds' aggregate, and the session's
+    // factorizations that neither of the other two solves built.
     const core::SolverResult* solver = nullptr;
     if (timing.stage == pipeline::Stage::kCharacterize) {
       solver = &result.initial_report.solver;
     } else if (timing.stage == pipeline::Stage::kVerify) {
       solver = &result.final_report.solver;
+    } else if (timing.stage == pipeline::Stage::kEnforce) {
+      const passivity::EnforcementResult& e = result.enforcement;
+      const std::size_t solver_builds =
+          result.initial_report.solver.factorizations +
+          result.final_report.solver.factorizations;
+      span.matvecs = e.total_matvecs;
+      span.factorizations = result.session.factorizations > solver_builds
+                                ? result.session.factorizations - solver_builds
+                                : 0;
+      span.cache_hits = e.cache_hits;
+      span.cache_misses = e.cache_misses;
     }
     if (solver != nullptr) {
       span.matvecs = solver->total_matvecs;

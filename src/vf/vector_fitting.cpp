@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <string>
 
 #include "phes/la/blas.hpp"
 #include "phes/la/qr.hpp"
@@ -143,8 +144,16 @@ VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
   const std::size_t k_samples = samples.count();
   util::check(p > 0, "vector_fit: empty samples");
   util::check(opt.num_poles >= 2, "vector_fit: need at least two poles");
-  util::check(2 * k_samples >= opt.num_poles + 1,
-              "vector_fit: need more samples than unknowns per output");
+  // The sigma system is 2Kp x (p(nb+1) + nb) with nb = num_poles at
+  // the start (relocation never grows the basis); QR needs rows >= cols.
+  const std::size_t min_samples =
+      (p * (opt.num_poles + 1) + opt.num_poles + 2 * p - 1) / (2 * p);
+  util::check(k_samples >= min_samples,
+              "vector_fit: " + std::to_string(k_samples) +
+                  " samples are too few for a " +
+                  std::to_string(opt.num_poles) + "-pole, " +
+                  std::to_string(p) + "-port fit (need at least " +
+                  std::to_string(min_samples) + ")");
   util::check(opt.iterations >= 1, "vector_fit: need >= 1 iteration");
 
   const double w_lo = samples.omega.front();

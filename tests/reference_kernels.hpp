@@ -8,14 +8,21 @@
 // rounding-level tolerances; bench_hamiltonian_apply times them as the
 // "reference" side of its A/B gates.
 //
+// reference_qr is the exception: the column-at-a-time Householder loop
+// that la::QrFactorization's row sweeps replaced keeps every operation
+// in order, so test_la_kernels demands memcmp equality with it, and
+// bench_la_kernels times it against la::least_squares.
+//
 // The factorizations (the 2p x 2p SMW matrix K, R = D^T D - I and
 // S = D D^T - I) are built from the public SimoRealization API exactly
 // as the library constructors build them.
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "phes/core/arnoldi.hpp"
@@ -299,6 +306,112 @@ inline core::ArnoldiResult reference_arnoldi(
     for (std::size_t i = 0; i < dim; ++i) next[i] = w[i] / norm;
   }
   return res;
+}
+
+/// la::QrFactorization as it was before the row sweeps: the
+/// constructor builds the factor column at a time, each trailing column
+/// j walking down the rows.  solve, thin_q and r are the library's own,
+/// unchanged, so the three outputs compare the factorizations bit for
+/// bit.
+class ReferenceQr {
+ public:
+  explicit ReferenceQr(la::RealMatrix a) : qr_(std::move(a)) {
+    util::check(qr_.rows() >= qr_.cols(),
+                "QrFactorization: requires rows >= cols");
+    const std::size_t m = qr_.rows(), n = qr_.cols();
+    tau_.assign(n, 0.0);
+
+    for (std::size_t k = 0; k < n; ++k) {
+      // Build the Householder reflector annihilating qr_(k+1..m-1, k).
+      double norm_x = 0.0;
+      for (std::size_t i = k; i < m; ++i) norm_x += qr_(i, k) * qr_(i, k);
+      norm_x = std::sqrt(norm_x);
+      if (norm_x == 0.0) {
+        tau_[k] = 0.0;
+        continue;
+      }
+      const double alpha = qr_(k, k) >= 0.0 ? -norm_x : norm_x;
+      // v = x - alpha e1, normalized so v(k) = 1; store v below diagonal.
+      const double vk = qr_(k, k) - alpha;
+      for (std::size_t i = k + 1; i < m; ++i) qr_(i, k) /= vk;
+      tau_[k] = -vk / alpha;  // tau = 2 / (v^T v) given the normalization
+      qr_(k, k) = alpha;
+
+      // Apply (I - tau v v^T) to the trailing columns.
+      for (std::size_t j = k + 1; j < n; ++j) {
+        double s = qr_(k, j);
+        for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, k) * qr_(i, j);
+        s *= tau_[k];
+        qr_(k, j) -= s;
+        for (std::size_t i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
+      }
+    }
+  }
+
+  [[nodiscard]] la::RealVector solve(la::RealVector b) const {
+    util::check(b.size() == qr_.rows(),
+                "QrFactorization::solve: size mismatch");
+    const std::size_t n = qr_.cols();
+    apply_qt(b);
+    la::RealVector x(n);
+    for (std::size_t ii = n; ii-- > 0;) {
+      double acc = b[ii];
+      for (std::size_t j = ii + 1; j < n; ++j) acc -= qr_(ii, j) * x[j];
+      util::require(qr_(ii, ii) != 0.0,
+                    "QrFactorization::solve: rank-deficient system");
+      x[ii] = acc / qr_(ii, ii);
+    }
+    return x;
+  }
+
+  [[nodiscard]] la::RealMatrix thin_q() const {
+    const std::size_t m = qr_.rows(), n = qr_.cols();
+    la::RealMatrix q(m, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      la::RealVector e(m, 0.0);
+      e[j] = 1.0;
+      for (std::size_t kk = n; kk-- > 0;) {
+        if (tau_[kk] == 0.0) continue;
+        double s = e[kk];
+        for (std::size_t i = kk + 1; i < m; ++i) s += qr_(i, kk) * e[i];
+        s *= tau_[kk];
+        e[kk] -= s;
+        for (std::size_t i = kk + 1; i < m; ++i) e[i] -= s * qr_(i, kk);
+      }
+      q.set_col(j, e);
+    }
+    return q;
+  }
+
+  [[nodiscard]] la::RealMatrix r() const {
+    const std::size_t n = qr_.cols();
+    la::RealMatrix r(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i; j < n; ++j) r(i, j) = qr_(i, j);
+    }
+    return r;
+  }
+
+ private:
+  void apply_qt(la::RealVector& b) const {
+    const std::size_t m = qr_.rows(), n = qr_.cols();
+    for (std::size_t k = 0; k < n; ++k) {
+      if (tau_[k] == 0.0) continue;
+      double s = b[k];
+      for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, k) * b[i];
+      s *= tau_[k];
+      b[k] -= s;
+      for (std::size_t i = k + 1; i < m; ++i) b[i] -= s * qr_(i, k);
+    }
+  }
+
+  la::RealMatrix qr_;  // R in the upper triangle, reflectors below
+  la::RealVector tau_;  // reflector scalars
+};
+
+/// The factorization of `a` by the oracle loop.
+inline ReferenceQr reference_qr(la::RealMatrix a) {
+  return ReferenceQr(std::move(a));
 }
 
 }  // namespace phes::test

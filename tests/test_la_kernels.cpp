@@ -11,6 +11,11 @@
 //    verbatim as reference_hessenberg_eig, on random, Arnoldi-derived
 //    and branch-forcing (deflating, repeated-eigenvalue,
 //    exceptional-shift) Hessenbergs;
+//  - the row-sweep Householder QR (la::QrFactorization) is BIT-identical
+//    to the column-at-a-time loop it replaced (reference_qr in
+//    reference_kernels.hpp) in r(), thin_q() and solve(), on square,
+//    tall random and vector_fit sigma-shaped systems, through the
+//    tau = 0 path and with signed zeros;
 //  - the library operators (ImplicitHamiltonianOp, SmwShiftInvertOp,
 //    arnoldi CGS2) agree with the straight-line oracle loops of
 //    reference_kernels.hpp to rounding on the solver's real shapes, and
@@ -22,8 +27,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "phes/core/arnoldi.hpp"
@@ -33,6 +40,7 @@
 #include "phes/la/eig.hpp"
 #include "phes/la/kernels.hpp"
 #include "phes/la/lu.hpp"
+#include "phes/la/qr.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/check.hpp"
 #include "phes/util/rng.hpp"
@@ -700,6 +708,83 @@ TEST(HessenbergEigBitwiseTest, CyclicShiftTakesExceptionalShifts) {
                                   &branches);
     EXPECT_GT(branches.exceptional_shifts, 0u) << "n=" << n;
   }
+}
+
+// ---- row-sweep Householder QR: bitwise oracle --------------------------
+
+bool same_bits(const RealMatrix& a, const RealMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||  // memcmp must not see a null pointer
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const RealVector& a, const RealVector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// memcmp equality of r(), thin_q() and solve(b) between the library
+// and reference_qr.  A rank-deficient `a` must make both solves throw.
+void expect_qr_bitwise(const RealMatrix& a, const std::string& label,
+                       util::Rng& rng, bool full_rank = true) {
+  const la::QrFactorization got(a);
+  const test::ReferenceQr ref = test::reference_qr(a);
+  EXPECT_TRUE(same_bits(got.r(), ref.r())) << label << " r()";
+  EXPECT_TRUE(same_bits(got.thin_q(), ref.thin_q())) << label << " thin_q()";
+  const RealVector b = random_real_vector(a.rows(), rng);
+  if (full_rank) {
+    EXPECT_TRUE(same_bits(got.solve(b), ref.solve(b))) << label << " solve()";
+  } else {
+    EXPECT_THROW((void)got.solve(b), std::runtime_error) << label;
+    EXPECT_THROW((void)ref.solve(b), std::runtime_error) << label;
+  }
+}
+
+TEST(QrRowSweepBitwiseTest, SmallAndRandomShapesMatchReference) {
+  util::Rng rng(51);
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{1, 1},
+                            {3, 2},
+                            {17, 17},
+                            {37, 5}}) {
+    expect_qr_bitwise(test::random_real_matrix(m, n, rng),
+                      std::to_string(m) + "x" + std::to_string(n), rng);
+  }
+}
+
+TEST(QrRowSweepBitwiseTest, SigmaSystemsMatchReference) {
+  // vector_fit's sigma least squares: (rows, cols, ports) of 2-, 3- and
+  // 4-port fits over 200 samples, exact zeros interleaved as in the
+  // real system.
+  util::Rng rng(52);
+  for (const auto& [m, n, p] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t>{800, 26, 2},
+                               {1200, 45, 3},
+                               {1600, 64, 4}}) {
+    const RealMatrix a = test::sigma_pattern_matrix(m, n, p, rng);
+    expect_qr_bitwise(a, "sigma " + std::to_string(m) + "x" +
+                             std::to_string(n), rng);
+  }
+}
+
+TEST(QrRowSweepBitwiseTest, ZeroColumnTakesTauZeroPath) {
+  util::Rng rng(53);
+  RealMatrix a = test::random_real_matrix(12, 6, rng);
+  for (std::size_t i = 0; i < a.rows(); ++i) a(i, 2) = 0.0;
+  expect_qr_bitwise(a, "zero column", rng, /*full_rank=*/false);
+  // The zero column survives the earlier reflectors as zeros, so its
+  // diagonal entry is the skipped reflector's exact 0.
+  EXPECT_EQ(la::QrFactorization(a).r()(2, 2), 0.0);
+}
+
+TEST(QrRowSweepBitwiseTest, NegativeZerosMatchReference) {
+  util::Rng rng(54);
+  RealMatrix a = test::random_real_matrix(15, 7, rng);
+  for (std::size_t i = 0; i < a.rows(); i += 2) a(i, 1) = -0.0;
+  for (std::size_t j = 0; j < a.cols(); ++j) a(j, j) = -0.0;
+  a(14, 0) = -0.0;
+  a(3, 6) = -0.0;
+  expect_qr_bitwise(a, "negative zeros", rng);
 }
 
 // ---- determinism: bit-identical across runs and threads ---------------

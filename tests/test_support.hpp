@@ -53,6 +53,29 @@ inline ComplexMatrix random_complex_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
+/// Random matrix with the exact-zero block pattern of vector_fit's
+/// sigma least squares.  Rows come in (Re, Im) pairs, sample-major and
+/// port-minor; the rows of port i are nonzero only in port i's column
+/// block — random basis values, then the d column: 1 on Re rows, exact
+/// 0 on Im rows — and in the shared sigma tail right of all blocks.
+/// Blocks are (cols - ports) / (ports + 1) + 1 wide and the tail takes
+/// the remaining columns, so 2Kp x (p(nb+1) + nb) is exactly the sigma
+/// system of a p-port fit with nb poles over K samples.
+inline RealMatrix sigma_pattern_matrix(std::size_t rows, std::size_t cols,
+                                       std::size_t ports, util::Rng& rng) {
+  const std::size_t block = (cols - ports) / (ports + 1) + 1;
+  const std::size_t tail0 = ports * block;
+  RealMatrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const bool im = r % 2 == 1;
+    const std::size_t base = (r / 2 % ports) * block;
+    for (std::size_t b = 0; b + 1 < block; ++b) m(r, base + b) = rng.normal();
+    m(r, base + block - 1) = im ? 0.0 : 1.0;
+    for (std::size_t c = tail0; c < cols; ++c) m(r, c) = rng.normal();
+  }
+  return m;
+}
+
 /// Random Hermitian matrix.
 inline ComplexMatrix random_hermitian_matrix(std::size_t n, util::Rng& rng) {
   ComplexMatrix a = random_complex_matrix(n, n, rng);

@@ -132,15 +132,21 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   result.stage_timings = {
       {pipeline::Stage::kLoad, 0.1, 0.0},
       {pipeline::Stage::kCharacterize, 0.8, 0.1},
-      {pipeline::Stage::kVerify, 0.5, 0.9},
+      {pipeline::Stage::kEnforce, 0.3, 0.9},
+      {pipeline::Stage::kVerify, 0.5, 1.2},
   };
   result.initial_report.solver.total_matvecs = 100;
   result.initial_report.solver.factorizations = 3;
   result.initial_report.solver.cache_hits = 1;
   result.initial_report.solver.cache_misses = 2;
+  result.enforcement.total_matvecs = 250;
+  result.enforcement.cache_hits = 3;
+  result.enforcement.cache_misses = 2;
   result.final_report.solver.total_matvecs = 40;
+  result.final_report.solver.factorizations = 1;
   result.final_report.solver.cache_hits = 5;
   result.session.solves = 8;
+  result.session.factorizations = 9;
   result.session.warm_solves = 6;
   result.session.cache.hits = 9;
   result.session.cache.misses = 4;
@@ -149,16 +155,24 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
       server::build_job_trace(result, 1000.0, 1000.5, 500.0);
   EXPECT_EQ(trace.id, 7u);
   EXPECT_DOUBLE_EQ(trace.queue_wait_ms, 500.0);
-  ASSERT_EQ(trace.spans.size(), 3u);
+  ASSERT_EQ(trace.spans.size(), 4u);
   EXPECT_EQ(trace.spans[0].stage, "load");
   EXPECT_EQ(trace.spans[0].matvecs, 0u);
   EXPECT_EQ(trace.spans[1].stage, "characterize");
   EXPECT_EQ(trace.spans[1].matvecs, 100u);
   EXPECT_EQ(trace.spans[1].factorizations, 3u);
   EXPECT_EQ(trace.spans[1].cache_misses, 2u);
-  EXPECT_EQ(trace.spans[2].stage, "verify");
-  EXPECT_EQ(trace.spans[2].matvecs, 40u);
-  EXPECT_EQ(trace.spans[2].cache_hits, 5u);
+  // Enforce: the rounds' aggregate, and the session's factorizations
+  // that the characterize (3) and verify (1) solves did not build.
+  EXPECT_EQ(trace.spans[2].stage, "enforce");
+  EXPECT_EQ(trace.spans[2].matvecs, 250u);
+  EXPECT_EQ(trace.spans[2].factorizations, 5u);
+  EXPECT_EQ(trace.spans[2].cache_hits, 3u);
+  EXPECT_EQ(trace.spans[2].cache_misses, 2u);
+  EXPECT_EQ(trace.spans[3].stage, "verify");
+  EXPECT_EQ(trace.spans[3].matvecs, 40u);
+  EXPECT_EQ(trace.spans[3].factorizations, 1u);
+  EXPECT_EQ(trace.spans[3].cache_hits, 5u);
   // Span start = job start + the stage's offset into the run.
   EXPECT_NEAR(trace.spans[1].start_unix, 1000.6, 1e-6);
   EXPECT_EQ(trace.solves, 8u);
@@ -209,8 +223,10 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
     }
   }
   // The eigensolver stages carry solver counters; golden.s2p is
-  // non-passive, so characterization must have done real work.
+  // non-passive, so characterization and enforcement's
+  // re-characterizations must have done real work.
   EXPECT_GT(trace.spans[3].matvecs, 0u);   // characterize
+  EXPECT_GT(trace.spans[4].matvecs, 0u);   // enforce
   EXPECT_GT(trace.spans[5].matvecs, 0u);   // verify
   EXPECT_GT(trace.solves, 0u);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/samples.hpp"
@@ -142,6 +143,22 @@ TEST(VectorFitting, RejectsBadInputs) {
   opt = VectorFittingOptions{};
   opt.num_poles = 10;
   EXPECT_THROW(vector_fit(tiny, opt), std::invalid_argument);
+  // 1 port, 7 samples, 12 poles: 2K = 14 covers the 13 unknowns of one
+  // output, but the sigma system is 14 x 25.  The precondition must
+  // name the shortfall instead of the QR failing on rows < cols; 13
+  // samples (26 x 25) is the least that fits.
+  const auto one_port = reference_model(4, 12, 1);
+  opt = VectorFittingOptions{};
+  opt.num_poles = 12;
+  try {
+    (void)vector_fit(sample_model(one_port, 0.2, 20.0, 7), opt);
+    ADD_FAILURE() << "7 samples for 12 poles must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "vector_fit: 7 samples are too few for a 12-pole, "
+                 "1-port fit (need at least 13)");
+  }
+  EXPECT_NO_THROW((void)vector_fit(sample_model(one_port, 0.2, 20.0, 13), opt));
 }
 
 TEST(VectorFitting, EndToEndPipelineWithPassivityCheck) {
