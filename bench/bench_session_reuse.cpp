@@ -41,7 +41,10 @@ int main(int argc, char** argv) {
   (void)argv;
 
   // Shared seeded-model fixture; 1.08 peak gain: clearly non-passive.
-  const auto model = test::synthetic_model(1.08, 2011, 48, 3);
+  // Its order sits above engine::kDenseMaxOrder, so the session takes
+  // the Krylov route that the cache and warm start serve.
+  const auto model =
+      test::synthetic_model(1.08, 2011, engine::kDenseMaxOrder + 8, 3);
 
   core::SolverOptions opt;
   // One solver thread: the dynamic scheduler is then fully

@@ -374,9 +374,9 @@ void print_job_detail(const pipeline::PipelineResult& r, bool verbose) {
                 r.enforcement.relative_model_change);
   }
   if (r.session.solves > 0) {
-    std::printf("    session: %zu solve(s) (%zu warm-started), cache "
-                "%zu hit / %zu miss, %zu factorization(s) built\n",
-                r.session.solves, r.session.warm_solves,
+    std::printf("    session: %zu solve(s) (%zu dense, %zu warm-started), "
+                "cache %zu hit / %zu miss, %zu factorization(s) built\n",
+                r.session.solves, r.session.dense_solves, r.session.warm_solves,
                 r.session.cache.hits, r.session.cache.misses,
                 r.session.factorizations);
   }

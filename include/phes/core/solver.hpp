@@ -84,6 +84,10 @@ struct SolverResult {
   std::size_t factorizations = 0;  ///< shift-invert operators built
   std::size_t cache_hits = 0;      ///< factorization-cache hits
   std::size_t cache_misses = 0;    ///< factorization-cache misses
+
+  /// Solved by the dense route (solve_dense): every shift, matvec,
+  /// factorization and cache counter above is zero.
+  bool dense = false;
 };
 
 /// Warm-start seeds for a re-solve (produced by engine::SolverSession
@@ -126,6 +130,27 @@ struct SolveContext {
                                      double band_lo, double band_hi,
                                      const WarmStartSeeds& seeds);
 
+/// The crossing filter both solver routes share.  Sorts and
+/// deduplicates `result.eigenvalues` (within shift.cluster_tol *
+/// scale), keeps the numerically imaginary ones (|Re lambda| <=
+/// imag_tol * |lambda|) as the sorted, deduplicated crossings |Im
+/// lambda|, and sets `passive` and `shifts_processed`.  The scale is
+/// max(max pole magnitude of `realization`, band_hi).
+void finalize_crossings(SolverResult& result, const SolverOptions& options,
+                        const macromodel::SimoRealization& realization,
+                        double band_hi);
+
+/// The dense route: the full spectrum of the explicit 2n x 2n
+/// scattering Hamiltonian (hamiltonian::build_scattering_hamiltonian +
+/// la::real_eigenvalues, O(n^3)), restricted to the caller's band
+/// omega_min <= Im lambda (<= omega_max when omega_max > omega_min)
+/// and passed through finalize_crossings.  A default band reports the
+/// exact spectral radius as omega_max.  Single-threaded; the scheduler
+/// options (threads, shifts, seed) do not apply.
+[[nodiscard]] SolverResult solve_dense(
+    const macromodel::SimoRealization& realization,
+    const SolverOptions& options);
+
 class ParallelHamiltonianEigensolver {
  public:
   /// Keeps a reference to `realization` (caller guarantees lifetime).
@@ -155,9 +180,6 @@ class ParallelHamiltonianEigensolver {
                                              const SolveContext& context,
                                              double band_lo,
                                              double band_hi) const;
-
-  void finalize_result(SolverResult& result, const SolverOptions& options,
-                       double band_hi) const;
 
   const macromodel::SimoRealization& realization_;
 };

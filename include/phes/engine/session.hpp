@@ -24,6 +24,12 @@
 // One session per job; solve() itself is not thread-safe (run solves
 // sequentially on a session), but the solver's worker threads share the
 // cache safely.
+//
+// Models of order <= kDenseMaxOrder skip all of the above: solve()
+// sends them through core::solve_dense, which costs less than one
+// Krylov characterization there and leaves no factorization or
+// warm-start record behind.  A session's order never changes, so one
+// session always takes the same route.
 
 #include <atomic>
 #include <cstdint>
@@ -35,6 +41,27 @@
 #include "phes/macromodel/simo_realization.hpp"
 
 namespace phes::engine {
+
+/// Largest state order that SolverSession::solve sends through the
+/// dense Hamiltonian route instead of the Krylov solver.  Measured by
+/// bench/ablation_full_vs_selective (cold solves, best of 3, 4-core
+/// x86-64, GCC 12 Release), p = 4 / p = 16, milliseconds:
+///
+///     order   dense         Krylov 1 thread   Krylov 4 threads
+///        48     1.2 /   1.4     90 /  76         124 /  39
+///        96    13   /  18      196 / 187         203 / 107
+///       144    39   /  38      390 / 350         111 / 127
+///       192   127   / 133      577 / 601         183 / 186
+///       256   507   / 512      868 / 860         237 / 242
+///       384  1432   / 1382    1405 / 1330        462 / 388
+///
+/// Krylov at 4 threads wins from between 192 and 256 on; both routes
+/// find the same crossings at every point.  A second run repeated the
+/// 192 and 256 rows within 20 %; 4-thread Krylov below order 144 varied
+/// up to 3x (41 ms at order 48, p = 4).  Every served `phes_pipeline
+/// gen` model (order 24-48) is dense; the paper's n = 1000 cases stay
+/// on Krylov.
+inline constexpr std::size_t kDenseMaxOrder = 192;
 
 /// Outcome record of the session's most recent solve, kept across
 /// residue updates so the next characterization starts informed.
@@ -59,6 +86,7 @@ struct SessionStats {
   std::uint64_t revision = 0;
   std::size_t solves = 0;          ///< solver invocations on this session
   std::size_t warm_solves = 0;     ///< solves that consumed a warm start
+  std::size_t dense_solves = 0;    ///< solves that took the dense route
   std::size_t factorizations = 0;  ///< shift-invert operators built
 };
 
@@ -101,8 +129,10 @@ class SolverSession {
   /// imaginary eigenvalues still cluster near the old crossings.
   void update_residues(const la::RealMatrix& c);
 
-  /// Run the eigensolver on the current snapshot, warm-started from the
-  /// previous outcome and with factorizations routed through the cache.
+  /// Run the eigensolver on the current snapshot: core::solve_dense at
+  /// order <= kDenseMaxOrder, otherwise the Krylov solver warm-started
+  /// from the previous outcome and with factorizations routed through
+  /// the cache.
   [[nodiscard]] core::SolverResult solve(const core::SolverOptions& options);
 
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
@@ -128,6 +158,7 @@ class SolverSession {
   std::atomic<std::size_t> factorizations_{0};
   std::size_t solves_ = 0;
   std::size_t warm_solves_ = 0;
+  std::size_t dense_solves_ = 0;
 };
 
 }  // namespace phes::engine

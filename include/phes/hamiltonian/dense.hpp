@@ -9,9 +9,11 @@
 //   R = D^T D - I,   S = D D^T - I
 //
 // has a purely imaginary eigenvalue j*w exactly where some singular
-// value of H(jw) touches 1.  The dense form is O(n^2) storage and is
-// used for baselines and cross-validation; the solver itself only ever
-// applies M implicitly.
+// value of H(jw) touches 1.  The dense form is O(n^2) storage and its
+// full eigensolution O(n^3): it is the solver's dense route
+// (core::solve_dense, taken by engine::SolverSession for models of
+// order <= engine::kDenseMaxOrder) and the tests' ground truth.  The
+// Krylov solver above that order only ever applies M implicitly.
 
 #include "phes/la/matrix.hpp"
 #include "phes/la/types.hpp"
@@ -27,15 +29,6 @@ using la::RealMatrix;
 /// if sigma_max(D) >= 1 (R/S would be singular; the paper assumes
 /// strict asymptotic passivity, Eq. 4).
 [[nodiscard]] RealMatrix build_scattering_hamiltonian(
-    const macromodel::StateSpaceModel& model);
-
-/// Assemble the immittance (admittance/impedance) Hamiltonian
-///   M = [ A - B Q^{-1} C   -B Q^{-1} B^T
-///         C^T Q^{-1} C     -A^T + C^T Q^{-1} B^T ],  Q = D + D^T,
-/// whose imaginary eigenvalues mark eigenvalue-of-Re{H} zero crossings.
-/// Throws if Q is singular.  (Paper Sec. II: "the same derivations can
-/// be performed for the impedance, admittance, and hybrid cases".)
-[[nodiscard]] RealMatrix build_immittance_hamiltonian(
     const macromodel::StateSpaceModel& model);
 
 }  // namespace phes::hamiltonian

@@ -59,6 +59,7 @@ struct JobTrace {
   std::vector<StageSpan> spans;
   std::uint64_t solves = 0;
   std::uint64_t warm_solves = 0;
+  std::uint64_t dense_solves = 0;
   std::uint64_t factorizations = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <thread>
 
+#include "phes/hamiltonian/dense.hpp"
+#include "phes/la/schur.hpp"
 #include "phes/util/check.hpp"
 #include "phes/util/sync.hpp"
 #include "phes/util/timer.hpp"
@@ -204,7 +206,7 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
   result.disks = sched.disks();
   la::ComplexVector all = sched.all_eigenvalues();
   result.eigenvalues = std::move(all);
-  finalize_result(result, opt, band_hi);
+  finalize_crossings(result, opt, realization_, band_hi);
   return result;
 }
 
@@ -319,14 +321,14 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   }
   result.eigenvalues = std::move(all);
   result.shifts_eliminated = 0;  // the static grid never skips work
-  finalize_result(result, opt, band_hi);
+  finalize_crossings(result, opt, realization_, band_hi);
   return result;
 }
 
-void ParallelHamiltonianEigensolver::finalize_result(
-    SolverResult& result, const SolverOptions& opt, double band_hi) const {
-  const double scale =
-      std::max(realization_.max_pole_magnitude(), band_hi);
+void finalize_crossings(SolverResult& result, const SolverOptions& opt,
+                        const macromodel::SimoRealization& realization,
+                        double band_hi) {
+  const double scale = std::max(realization.max_pole_magnitude(), band_hi);
 
   la::ComplexVector all = std::move(result.eigenvalues);
   std::sort(all.begin(), all.end(), [](la::Complex a, la::Complex b) {
@@ -361,6 +363,36 @@ void ParallelHamiltonianEigensolver::finalize_result(
   result.passive = result.crossings.empty();
   result.eigenvalues = std::move(dedup);
   result.shifts_processed = result.shift_log.size();
+}
+
+SolverResult solve_dense(const macromodel::SimoRealization& realization,
+                         const SolverOptions& opt) {
+  util::WallTimer timer;
+  const la::ComplexVector spectrum = la::real_eigenvalues(
+      hamiltonian::build_scattering_hamiltonian(realization.to_dense()));
+
+  const bool explicit_band = opt.omega_max > opt.omega_min;
+  double band_hi = opt.omega_max;
+  if (!explicit_band) {
+    band_hi = 0.0;
+    for (const auto& lambda : spectrum) {
+      band_hi = std::max(band_hi, std::abs(lambda));
+    }
+  }
+
+  SolverResult result;
+  result.dense = true;
+  for (const auto& lambda : spectrum) {
+    if (lambda.imag() >= opt.omega_min &&
+        (!explicit_band || lambda.imag() <= band_hi)) {
+      result.eigenvalues.push_back(lambda);
+    }
+  }
+  finalize_crossings(result, opt, realization, band_hi);
+  result.omega_min = opt.omega_min;
+  result.omega_max = band_hi;
+  result.seconds = timer.seconds();
+  return result;
 }
 
 }  // namespace phes::core

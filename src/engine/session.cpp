@@ -39,6 +39,15 @@ void SolverSession::update_residues(const la::RealMatrix& c) {
 }
 
 core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
+  if (realization_.order() <= kDenseMaxOrder) {
+    // Small model: one dense eigensolve beats the Krylov search, and
+    // it leaves nothing to cache or warm-start from.
+    core::SolverResult result = core::solve_dense(realization_, opt);
+    ++solves_;
+    ++dense_solves_;
+    return result;
+  }
+
   // Snapshot counters so the result carries per-solve deltas.
   const CacheStats before = cache_.stats();
   const std::size_t builds_before = factorizations_.load();
@@ -197,6 +206,7 @@ SessionStats SolverSession::stats() const {
   s.revision = revision_;
   s.solves = solves_;
   s.warm_solves = warm_solves_;
+  s.dense_solves = dense_solves_;
   s.factorizations = factorizations_.load();
   return s;
 }

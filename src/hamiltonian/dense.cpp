@@ -52,23 +52,4 @@ RealMatrix build_scattering_hamiltonian(
   return m;
 }
 
-RealMatrix build_immittance_hamiltonian(
-    const macromodel::StateSpaceModel& model) {
-  model.check_shapes();
-  const std::size_t n = model.order();
-  RealMatrix q = model.d + la::transpose(model.d);
-  const RealMatrix q_inv = la::lu_inverse(q);  // throws when singular
-
-  const RealMatrix bq = la::gemm(model.b, q_inv);
-  const RealMatrix ctq = la::gemm(la::transpose(model.c), q_inv);
-
-  RealMatrix m(2 * n, 2 * n);
-  m.set_block(0, 0, model.a - la::gemm(bq, model.c));
-  m.set_block(0, n, la::gemm(bq, la::transpose(model.b)) * -1.0);
-  m.set_block(n, 0, la::gemm(ctq, model.c));
-  m.set_block(n, n, la::gemm(ctq, la::transpose(model.b)) -
-                        la::transpose(model.a));
-  return m;
-}
-
 }  // namespace phes::hamiltonian

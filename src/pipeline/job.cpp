@@ -202,6 +202,7 @@ engine::SessionStats stats_since(const engine::SessionStats& now,
   // `entries` and `revision` are gauges: keep the current values.
   d.solves -= base.solves;
   d.warm_solves -= base.warm_solves;
+  d.dense_solves -= base.dense_solves;
   d.factorizations -= base.factorizations;
   return d;
 }

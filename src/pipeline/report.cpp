@@ -115,6 +115,7 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
      << ", \"factorizations\": " << r.session.factorizations
      << ", \"solves\": " << r.session.solves
      << ", \"warm_solves\": " << r.session.warm_solves
+     << ", \"dense_solves\": " << r.session.dense_solves
      << ", \"revision\": " << r.session.revision
      << ", \"reused\": " << (r.session_reused ? "true" : "false")
      << " },\n";
@@ -196,6 +197,8 @@ PipelineResult read_job_json(const std::string& text) {
         static_cast<std::size_t>(session->uint_or("solves", 0));
     r.session.warm_solves =
         static_cast<std::size_t>(session->uint_or("warm_solves", 0));
+    r.session.dense_solves =
+        static_cast<std::size_t>(session->uint_or("dense_solves", 0));
     r.session.revision =
         static_cast<std::size_t>(session->uint_or("revision", 0));
     r.session_reused = session->bool_or("reused", false);

@@ -57,6 +57,7 @@ std::string JobTrace::to_json() const {
   }
   os << "], \"session\": {\"solves\": " << solves
      << ", \"warm_solves\": " << warm_solves
+     << ", \"dense_solves\": " << dense_solves
      << ", \"factorizations\": " << factorizations
      << ", \"cache_hits\": " << cache_hits
      << ", \"cache_misses\": " << cache_misses << "}}";
@@ -88,6 +89,7 @@ JobTrace JobTrace::from_json(const util::JsonValue& v) {
   if (const util::JsonValue* session = v.find("session")) {
     t.solves = session->uint_or("solves", 0);
     t.warm_solves = session->uint_or("warm_solves", 0);
+    t.dense_solves = session->uint_or("dense_solves", 0);
     t.factorizations = session->uint_or("factorizations", 0);
     t.cache_hits = session->uint_or("cache_hits", 0);
     t.cache_misses = session->uint_or("cache_misses", 0);
@@ -142,6 +144,7 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
   }
   t.solves = result.session.solves;
   t.warm_solves = result.session.warm_solves;
+  t.dense_solves = result.session.dense_solves;
   t.factorizations = result.session.factorizations;
   t.cache_hits = result.session.cache.hits;
   t.cache_misses = result.session.cache.misses;

@@ -1,6 +1,8 @@
 // Integration tests for the parallel Hamiltonian eigensolver: the
 // crossing set Omega must match the dense-Schur ground truth for any
-// thread count and both scheduling modes.
+// thread count and both scheduling modes.  The DenseRoute suite checks
+// the session's dense route (orders <= engine::kDenseMaxOrder) against
+// cold Krylov solves over a seeded grid of models.
 
 #include <gtest/gtest.h>
 
@@ -9,11 +11,13 @@
 
 #include "phes/core/lambda_max.hpp"
 #include "phes/core/solver.hpp"
+#include "phes/engine/session.hpp"
 #include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
+#include "phes/passivity/characterization.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -222,6 +226,118 @@ TEST(Solver, RejectsBadOptions) {
   opt = SolverOptions{};
   opt.alpha = 0.5;
   EXPECT_THROW(solver.solve(opt), std::invalid_argument);
+}
+
+// ---- DenseRoute: the session's dense route vs cold Krylov solves -------
+
+struct DenseCase {
+  std::size_t ports;
+  std::size_t order;
+  double peak;
+  std::uint64_t seed;
+};
+
+void PrintTo(const DenseCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << ", order " << c.order << ", " << c.ports
+      << " ports, peak gain " << c.peak;
+}
+
+std::vector<DenseCase> dense_cases() {
+  std::vector<DenseCase> cases;
+  std::uint64_t seed = 1100;
+  for (std::size_t ports : {1u, 2u, 4u, 8u}) {
+    for (std::size_t order : {std::size_t{12}, std::size_t{24},
+                              std::size_t{48}, std::size_t{96},
+                              engine::kDenseMaxOrder}) {
+      for (double peak : {0.9, 0.999, 1.02, 1.1}) {
+        ++seed;
+        if (order < 2 * ports) continue;  // generator: 2 states per port
+        cases.push_back({ports, order, peak, seed});
+      }
+    }
+  }
+  return cases;
+}
+
+/// The crossings of `w` inside [lo, hi].
+RealVector in_band(const RealVector& w, double lo, double hi) {
+  RealVector out;
+  for (double x : w) {
+    if (x >= lo && x <= hi) out.push_back(x);
+  }
+  return out;
+}
+
+class DenseRoute : public ::testing::TestWithParam<DenseCase> {};
+
+TEST_P(DenseRoute, MatchesColdKrylovSolve) {
+  const DenseCase c = GetParam();
+  SCOPED_TRACE(::testing::PrintToString(c));
+  const auto model =
+      test::synthetic_model(c.peak, c.seed, c.order, c.ports);
+  const SimoRealization simo(model);
+
+  SolverOptions opt;
+  opt.threads = 2;
+  engine::SolverSession session{SimoRealization(simo)};
+  const auto dense = session.solve(opt);
+  ASSERT_TRUE(dense.dense);
+  EXPECT_EQ(dense.total_matvecs, 0u);
+  EXPECT_EQ(dense.shifts_processed, 0u);
+  EXPECT_EQ(dense.factorizations, 0u);
+
+  const auto krylov = ParallelHamiltonianEigensolver(simo).solve(opt);
+  ASSERT_FALSE(krylov.dense);
+  const double scale = std::max(model.max_pole_magnitude(), dense.omega_max);
+  EXPECT_TRUE(
+      test::frequencies_match(dense.crossings, krylov.crossings, 1e-5 * scale))
+      << "dense found " << dense.crossings.size() << " crossings, Krylov "
+      << krylov.crossings.size();
+  EXPECT_EQ(dense.passive, krylov.passive);
+  EXPECT_EQ(passivity::classify_bands(simo, dense.crossings).size(),
+            passivity::classify_bands(simo, krylov.crossings).size());
+
+  // An explicit upper band edge between two crossings (or at half the
+  // largest pole when there are fewer than two) truncates both routes
+  // alike.  Krylov disks may overhang the edge, so its report is cut
+  // to the band; the dense route reports nothing outside it.
+  SolverOptions band = opt;
+  const RealVector& w = dense.crossings;
+  band.omega_max = w.size() >= 2
+                       ? 0.5 * (w[w.size() / 2 - 1] + w[w.size() / 2])
+                       : 0.5 * model.max_pole_magnitude();
+  engine::SolverSession band_session{SimoRealization(simo)};
+  const auto dense_cut = band_session.solve(band);
+  const auto krylov_cut = ParallelHamiltonianEigensolver(simo).solve(band);
+  ASSERT_TRUE(dense_cut.dense);
+  EXPECT_EQ(dense_cut.omega_max, band.omega_max);
+  EXPECT_EQ(krylov_cut.omega_max, band.omega_max);
+  EXPECT_EQ(in_band(dense_cut.crossings, 0.0, band.omega_max),
+            dense_cut.crossings);
+  EXPECT_TRUE(test::frequencies_match(
+      dense_cut.crossings, in_band(krylov_cut.crossings, 0.0, band.omega_max),
+      1e-5 * scale));
+  EXPECT_TRUE(test::frequencies_match(
+      dense_cut.crossings, in_band(dense.crossings, 0.0, band.omega_max),
+      1e-5 * scale));
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededModels, DenseRoute,
+                         ::testing::ValuesIn(dense_cases()));
+
+TEST(DenseRouteBoundary, SelectedByOrderAtTheConstant) {
+  core::SolverOptions opt;
+  opt.threads = 2;
+  for (const std::size_t order :
+       {engine::kDenseMaxOrder, engine::kDenseMaxOrder + 1}) {
+    SCOPED_TRACE("seed 1200, order " + std::to_string(order) + ", 1 port");
+    engine::SolverSession session(test::synthetic_model(1.05, 1200, order, 1));
+    ASSERT_EQ(session.realization().order(), order);
+    const auto res = session.solve(opt);
+    EXPECT_EQ(res.dense, order <= engine::kDenseMaxOrder);
+    EXPECT_EQ(session.stats().dense_solves, res.dense ? 1u : 0u);
+    EXPECT_EQ(res.total_matvecs == 0, res.dense);
+  }
 }
 
 }  // namespace

@@ -35,6 +35,11 @@ macromodel::PoleResidueModel make_model(double peak, std::uint64_t seed,
   return test::synthetic_model(peak, seed, states, ports);
 }
 
+// The SolverSession cases below exercise the Krylov route, where the
+// cache and the warm start live: their models sit above
+// engine::kDenseMaxOrder, which the session solves densely instead.
+constexpr std::size_t kKrylovOrder = engine::kDenseMaxOrder + 8;
+
 ShiftFactorizationCache::OpPtr build_op(const SimoRealization& simo,
                                         Complex theta) {
   return std::make_shared<const hamiltonian::SmwShiftInvertOp>(simo, theta);
@@ -137,7 +142,7 @@ TEST(ShiftCache, ConcurrentAcquireIsSafeAndCoherent) {
 // ---- SolverSession ----------------------------------------------------
 
 TEST(Session, ColdSolveMatchesClassicApiBitForBit) {
-  const auto model = make_model(1.07, 20);
+  const auto model = make_model(1.07, 20, kKrylovOrder);
   const SimoRealization simo(model);
   core::SolverOptions opt;
   opt.threads = 1;
@@ -157,7 +162,7 @@ TEST(Session, ColdSolveMatchesClassicApiBitForBit) {
 }
 
 TEST(Session, SameRevisionResolveIsWarmCachedAndCheaper) {
-  const auto model = make_model(1.07, 21);
+  const auto model = make_model(1.07, 21, kKrylovOrder);
   SolverSession session(model);
   core::SolverOptions opt;
   opt.threads = 1;
@@ -188,7 +193,8 @@ TEST_P(SessionEquivalence, WarmResolveFindsSameOmegaAsColdSolve) {
   // Acceptance: on seeded non-passive models, the session-reused solve
   // after a residue perturbation finds the same crossing set (to
   // tolerance) as a from-scratch cold solve of the perturbed model.
-  const auto model = make_model(1.05 + 0.01 * GetParam(), 30 + GetParam());
+  const auto model = make_model(1.05 + 0.01 * GetParam(), 30 + GetParam(),
+                                kKrylovOrder);
   const SimoRealization simo(model);
   const double tol = 1e-5 * model.max_pole_magnitude();
   core::SolverOptions opt;
@@ -218,7 +224,7 @@ TEST_P(SessionEquivalence, WarmResolveFindsSameOmegaAsColdSolve) {
 INSTANTIATE_TEST_SUITE_P(Models, SessionEquivalence, ::testing::Range(0, 3));
 
 TEST(Session, UpdateResiduesBumpsRevisionAndInvalidates) {
-  const auto model = make_model(1.06, 40, 24, 2);
+  const auto model = make_model(1.06, 40, kKrylovOrder, 2);
   SolverSession session(model);
   core::SolverOptions opt;
   opt.threads = 1;
@@ -238,7 +244,7 @@ TEST(Session, UpdateResiduesBumpsRevisionAndInvalidates) {
 
 TEST(Session, ExplicitBandLimitNeverBecomesADefaultBandHint) {
   // A caller-truncated band must not cap a later default-band solve.
-  const auto model = make_model(1.06, 46, 24, 2);
+  const auto model = make_model(1.06, 46, kKrylovOrder, 2);
   SolverSession session(model);
   core::SolverOptions narrow;
   narrow.threads = 1;
@@ -257,7 +263,7 @@ TEST(Session, LargeResidueDriftReestimatesTheBand) {
   // The band hint must not go stale: a large cumulative residue change
   // forces a fresh |lambda|max estimate instead of trusting the edge
   // recorded before the perturbations.
-  const auto model = make_model(1.06, 45, 24, 2);
+  const auto model = make_model(1.06, 45, kKrylovOrder, 2);
   SolverSession session(model);
   core::SolverOptions opt;
   opt.threads = 1;
@@ -283,7 +289,7 @@ TEST(Session, EnforcementRecharacterizationsHitTheCache) {
   // loop's second and later characterizations report >= 1
   // factorization-cache hit and strictly fewer total matvecs than the
   // initial cold characterization.
-  const auto model = make_model(1.15, 70);
+  const auto model = make_model(1.15, 70, kKrylovOrder);
   SolverSession session(model);
 
   passivity::EnforcementOptions eopt;
@@ -304,6 +310,32 @@ TEST(Session, EnforcementRecharacterizationsHitTheCache) {
   }
   EXPECT_GT(result.cache_hits, 0u);
   EXPECT_EQ(result.characterizations, result.history.size());
+}
+
+TEST(Session, SmallModelTakesTheDenseRoute) {
+  // At or below kDenseMaxOrder every solve is dense: no shifts, no
+  // factorizations, nothing cached, no warm-start record.
+  const auto model = make_model(1.07, 20);
+  ASSERT_LE(model.order(), engine::kDenseMaxOrder);
+  SolverSession session(model);
+  core::SolverOptions opt;
+  opt.threads = 2;
+  for (int i = 0; i < 2; ++i) {
+    const auto res = session.solve(opt);
+    EXPECT_TRUE(res.dense);
+    EXPECT_FALSE(res.passive);
+    EXPECT_FALSE(res.warm_started);
+    EXPECT_EQ(res.total_matvecs, 0u);
+    EXPECT_EQ(res.shifts_processed, 0u);
+    EXPECT_EQ(res.factorizations, 0u);
+  }
+  const auto stats = session.stats();
+  EXPECT_EQ(stats.solves, 2u);
+  EXPECT_EQ(stats.dense_solves, 2u);
+  EXPECT_EQ(stats.warm_solves, 0u);
+  EXPECT_EQ(stats.factorizations, 0u);
+  EXPECT_EQ(stats.cache.entries, 0u);
+  EXPECT_FALSE(session.warm_start().valid);
 }
 
 TEST(Session, CompatOverloadMatchesSessionEnforcement) {

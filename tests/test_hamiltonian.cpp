@@ -107,64 +107,6 @@ TEST(DenseHamiltonian, PassiveModelHasNoImaginaryEigenvalues) {
   EXPECT_TRUE(freqs.empty());
 }
 
-TEST(DenseHamiltonian, ImmittanceBuilderIsHamiltonian) {
-  const auto model = small_model(0.9, 6);
-  const SimoRealization simo(model);
-  auto dense = simo.to_dense();
-  // Make D + D^T safely nonsingular.
-  for (std::size_t i = 0; i < dense.d.rows(); ++i) dense.d(i, i) += 2.0;
-  const RealMatrix m = hamiltonian::build_immittance_hamiltonian(dense);
-  const std::size_t n = dense.order();
-  RealMatrix jm(2 * n, 2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < 2 * n; ++j) {
-      jm(i, j) = m(n + i, j);
-      jm(n + i, j) = -m(i, j);
-    }
-  }
-  EXPECT_LT(test::max_abs_diff(jm, la::transpose(jm)), 1e-10);
-}
-
-TEST(DenseHamiltonian, ImmittanceImaginaryEigenvaluesAreHermitianPartZeros) {
-  // For an immittance representation Y(s), passivity is positive
-  // realness: lambda_min of the Hermitian part He(Y(jw)) >= 0.  The
-  // immittance Hamiltonian's imaginary eigenvalues mark the zero
-  // crossings of those eigenvalues.
-  const auto model = small_model(0.9, 8);
-  const SimoRealization simo(model);
-  auto dense = simo.to_dense();
-  // Shift D so Q = D + D^T is safely nonsingular but He(Y) still dips
-  // negative somewhere (non-passive immittance model).
-  for (std::size_t i = 0; i < dense.d.rows(); ++i) dense.d(i, i) += 0.4;
-
-  const RealMatrix m = hamiltonian::build_immittance_hamiltonian(dense);
-  const auto spectrum = la::real_eigenvalues(m);
-  const auto freqs = hamiltonian::extract_imaginary_frequencies(
-      spectrum, 1e-8, model.max_pole_magnitude());
-
-  std::size_t checked = 0;
-  for (double w : freqs) {
-    const ComplexMatrix y = dense.eval(w);
-    ComplexMatrix herm(y.rows(), y.cols());
-    for (std::size_t i = 0; i < y.rows(); ++i) {
-      for (std::size_t j = 0; j < y.cols(); ++j) {
-        herm(i, j) = 0.5 * (y(i, j) + std::conj(y(j, i)));
-      }
-    }
-    const auto eig = la::hermitian_eig(herm, false);
-    double closest = 1e300;
-    for (double lambda : eig.values) {
-      closest = std::min(closest, std::abs(lambda));
-    }
-    EXPECT_LT(closest, 1e-6)
-        << "no Hermitian-part eigenvalue crossing zero at w=" << w;
-    ++checked;
-  }
-  // The shifted model should actually produce crossings; if not, the
-  // test validates nothing.
-  EXPECT_GT(checked, 0u);
-}
-
 TEST(ImplicitOp, MatchesDenseHamiltonian) {
   const auto model = small_model(1.05, 7);
   const SimoRealization simo(model);

@@ -16,6 +16,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "phes/engine/session.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/pipeline/report.hpp"
 #include "phes/server/job_queue.hpp"
@@ -356,7 +357,10 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
 
 TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
   // Characterize-only jobs never bump the session revision, so the
-  // second job's eigensolve is served from the first job's cache.
+  // second job checks the first job's session back out of the pool.
+  // golden.s2p fits below engine::kDenseMaxOrder: both eigensolves
+  // take the dense route, so the shared session serves no cached
+  // factorization — the pool sharing itself is what is checked.
   ServerOptions options = deterministic_server_options();
   options.workers = 1;
   JobServer jobs(options);
@@ -376,23 +380,24 @@ TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
   ASSERT_TRUE(r1 && r1->ok) << (r1 ? r1->error : "missing");
   ASSERT_TRUE(r2 && r2->ok) << (r2 ? r2->error : "missing");
 
-  // Cold first job, hot second job — same crossings, bit for bit.
+  // Fresh first session, pooled second one — same crossings, bit for
+  // bit, one dense solve each and nothing factorized or cached.
   EXPECT_FALSE(r1->session_reused);
-  EXPECT_EQ(r1->session.cache.hits, 0u);
   EXPECT_TRUE(r2->session_reused);
-  EXPECT_GT(r2->session.cache.hits, 0u) << "no cross-job cache hits";
-  EXPECT_GT(r2->initial_report.solver.cache_hits, 0u);
-  EXPECT_EQ(r2->initial_report.solver.factorizations, 0u)
-      << "a fully cached re-characterization builds nothing";
+  for (const auto& r : {*r1, *r2}) {
+    ASSERT_LE(r.order, engine::kDenseMaxOrder);
+    EXPECT_EQ(r.session.solves, 1u);
+    EXPECT_EQ(r.session.dense_solves, 1u);
+    EXPECT_EQ(r.session.factorizations, 0u);
+    EXPECT_EQ(r.session.cache.hits + r.session.cache.misses, 0u);
+    EXPECT_TRUE(r.initial_report.solver.dense);
+  }
   ASSERT_EQ(r1->initial_report.crossings.size(),
             r2->initial_report.crossings.size());
   for (std::size_t i = 0; i < r1->initial_report.crossings.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1->initial_report.crossings[i],
                      r2->initial_report.crossings[i]);
   }
-  EXPECT_EQ(r1->initial_report.solver.total_matvecs,
-            r2->initial_report.solver.total_matvecs)
-      << "cached factorizations must not change the solve";
 
   const auto stats = jobs.stats();
   EXPECT_EQ(stats.pool.checkouts, 2u);
