@@ -1,7 +1,5 @@
 // bench_la_kernels — ctest-registered BENCH-JSON smoke over the dense
-// kernel substrate on the shapes the solver actually uses (the same
-// grid as the optional gbench harness micro_la_kernels.cpp, but
-// self-contained so it runs in every CI build):
+// kernel substrate on the shapes the solver actually uses:
 //
 //   - d x d complex Hessenberg eigensolve, d = 30/60/90 (one per
 //     Arnoldi restart), on random Hessenbergs and on the d = 60

@@ -3,6 +3,9 @@
 //   phes_pipeline run <file> [flags]
 //       Run one file (Touchstone .sNp or phes-samples text) through
 //       load -> fit -> realize -> characterize -> enforce -> verify.
+//       `--stop-after fit|characterize|enforce` runs one file only up
+//       to that stage (fit only, passivity check only, enforcement
+//       without the verify solve).
 //   phes_pipeline batch <dir> [flags]
 //       Run every .sNp / .snp / .txt samples file in <dir> as a batch
 //       with two-level (jobs x solver-threads) parallelism and print a
@@ -35,7 +38,6 @@
 //         wait <id> [--timeout s]       shutdown [--no-drain]
 //         replay <id> | replay --all [--state S --model H
 //                                     --from N --to N]
-//         resubmit <id>
 //         campaign <id> [--csv | --table]
 //       `submit --inline` sends the file's contents in the request
 //       payload (submit_inline op) — the server needs no access to the
@@ -48,8 +50,7 @@
 //       campaign; `campaign <id>` reports its progress with a per-job
 //       delta against the stored baseline (bit-identical /
 //       numerically-changed / state-changed), renderable as CSV or an
-//       ASCII table locally.  `resubmit` re-admits one stored record
-//       with no tracking.
+//       ASCII table locally.
 //
 // Flags:
 //   --poles <n>          VF poles per column            (default 12)
@@ -178,7 +179,6 @@ int usage() {
                "  phes_pipeline client <endpoint> replay <id>\n"
                "  phes_pipeline client <endpoint> replay --all "
                "[--state S --model H --from N --to N]\n"
-               "  phes_pipeline client <endpoint> resubmit <id>\n"
                "  phes_pipeline client <endpoint> campaign <id> "
                "[--csv|--table]\n"
                "  (<endpoint> = socket path | tcp:HOST:PORT)\n"
@@ -658,13 +658,13 @@ int cmd_client(const std::string& endpoint_spec, const std::string& op,
       request += ", \"to\": " + std::to_string(cli.to_id);
     }
     request += "}";
-  } else if (op == "resubmit" || op == "campaign") {
+  } else if (op == "campaign") {
     if (id_or_file == nullptr) {
-      std::fprintf(stderr, "error: %s needs an id\n", op.c_str());
+      std::fprintf(stderr, "error: campaign needs an id\n");
       return 2;
     }
-    request = "{\"op\": \"" + op + "\", \"id\": " +
-              std::to_string(parse_count(id_or_file, op.c_str())) + "}";
+    request = "{\"op\": \"campaign\", \"id\": " +
+              std::to_string(parse_count(id_or_file, "campaign")) + "}";
   } else if (op == "metrics") {
     request = "{\"op\": \"metrics\"}";
   } else if (op == "stats" || op == "ping") {

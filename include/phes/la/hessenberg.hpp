@@ -6,19 +6,19 @@
 
 namespace phes::la {
 
-/// Result of a Hessenberg reduction A = Q H Q^T (or Q^H for complex).
-template <typename T>
-struct HessenbergResult {
-  Matrix<T> h;  ///< upper Hessenberg
-  Matrix<T> q;  ///< orthogonal/unitary accumulator (empty if not requested)
+/// Result of a complex Hessenberg reduction A = Q H Q^H.
+struct ComplexHessenbergResult {
+  ComplexMatrix h;  ///< upper Hessenberg
+  ComplexMatrix q;  ///< unitary accumulator (empty if not requested)
 };
 
-/// Reduce a real square matrix to Hessenberg form.
-[[nodiscard]] HessenbergResult<Real> hessenberg_reduce(RealMatrix a,
-                                                       bool accumulate_q);
+/// Reduce a real square matrix to upper Hessenberg form H, similar to
+/// `a`.  The orthogonal factor is not formed: the one caller, the
+/// eigenvalues-only Francis iteration, never reads it.
+[[nodiscard]] RealMatrix hessenberg_reduce(RealMatrix a);
 
 /// Reduce a complex square matrix to Hessenberg form.
-[[nodiscard]] HessenbergResult<Complex> hessenberg_reduce(
-    ComplexMatrix a, bool accumulate_q);
+[[nodiscard]] ComplexHessenbergResult hessenberg_reduce(ComplexMatrix a,
+                                                        bool accumulate_q);
 
 }  // namespace phes::la

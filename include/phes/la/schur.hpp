@@ -11,18 +11,18 @@
 
 namespace phes::la {
 
-/// A = Q T Q^T with T quasi-upper-triangular (1x1 / 2x2 diagonal blocks).
+/// Real Schur factor T of A = Q T Q^T: quasi-upper-triangular (1x1 /
+/// 2x2 diagonal blocks).  The orthogonal factor Q is not formed.
 struct RealSchurResult {
   RealMatrix t;                   ///< quasi-triangular factor
-  RealMatrix q;                   ///< orthogonal factor (empty if skipped)
   ComplexVector eigenvalues;      ///< all n eigenvalues
 };
 
-/// Compute the real Schur form.  Throws std::runtime_error if the QR
+/// Compute the real Schur factor.  Throws std::runtime_error if the QR
 /// iteration fails to converge (pathological; not observed in practice).
-[[nodiscard]] RealSchurResult real_schur(RealMatrix a, bool accumulate_q);
+[[nodiscard]] RealSchurResult real_schur(RealMatrix a);
 
-/// Eigenvalues only (Hessenberg + Francis QR without Q accumulation).
+/// Eigenvalues only (Hessenberg + Francis QR, real_schur(a).eigenvalues).
 [[nodiscard]] ComplexVector real_eigenvalues(RealMatrix a);
 
 /// Eigenvalues of a quasi-upper-triangular matrix (helper, exposed for

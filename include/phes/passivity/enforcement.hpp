@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "phes/core/solver.hpp"
-#include "phes/macromodel/simo_realization.hpp"
 #include "phes/passivity/characterization.hpp"
 
 namespace phes::passivity {
@@ -75,11 +74,5 @@ struct EnforcementResult {
 /// (session.realization()).
 [[nodiscard]] EnforcementResult enforce_passivity(
     engine::SolverSession& session, const EnforcementOptions& options);
-
-/// Compatibility overload: runs through a throwaway session and writes
-/// the perturbed residues back into `realization`.
-[[nodiscard]] EnforcementResult enforce_passivity(
-    macromodel::SimoRealization& realization,
-    const EnforcementOptions& options);
 
 }  // namespace phes::passivity

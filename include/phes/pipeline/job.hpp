@@ -153,8 +153,8 @@ struct PipelineResult {
 /// Serialize a job's replayable input specification — name, input
 /// source (path or inline text), format, port count, content hash, and
 /// the option surface the submit protocol exposes — as one JSON
-/// document.  The durable store persists it at admission so `replay`/
-/// `resubmit` can turn a stored record back into a fresh PipelineJob.
+/// document.  The durable store persists it at admission so `replay`
+/// can turn a stored record back into a fresh PipelineJob.
 /// A job whose input is an already-parsed samples set has no replayable
 /// source and yields an empty string.
 [[nodiscard]] std::string write_job_spec_json(const PipelineJob& job);

@@ -19,7 +19,7 @@
 // unreadable stored payload, admission failure) are skipped-and-counted
 // in the campaign report — never fatal, never queued.
 //
-// Thread-safe: start/resubmit/status may run concurrently from protocol
+// Thread-safe: start/status may run concurrently from protocol
 // handlers.  Job admission happens OUTSIDE the campaign mutex (submit
 // blocks on queue backpressure), so a slow replay cannot wedge status
 // polls of other campaigns.
@@ -107,11 +107,6 @@ class CampaignRunner {
   /// Throws std::runtime_error when filter.id names an unknown or
   /// still-running job; per-record replay failures become skips.
   StartResult start(const ReplayFilter& filter);
-
-  /// Re-admit one stored record without campaign tracking; returns the
-  /// fresh job id.  Throws std::runtime_error when the record is
-  /// unknown, not terminal, or cannot be rebuilt from its stored input.
-  std::uint64_t resubmit(std::uint64_t source_id);
 
   /// Campaign progress; lazily classifies entries whose replayed job
   /// has reached a terminal state.  nullopt for an unknown campaign.

@@ -22,7 +22,6 @@
 //    "state":"done","model":"<hash>","from":3,"to":9}
 //                               (rebuild stored records as fresh jobs;
 //                                starts a tracked campaign)
-//   {"op":"resubmit","id":7}    (one stored record, untracked)
 //   {"op":"campaign","id":1}    (campaign progress + per-job deltas)
 //   {"op":"stats"}
 //   {"op":"metrics"}            (full obs::MetricsRegistry dump)
@@ -45,8 +44,7 @@
 // replayed/skipped breakdown; `campaign` reports that campaign's
 // progress, classifying each finished replay against its stored
 // baseline (bit-identical / numerically-changed / state-changed — see
-// server/campaign.hpp).  `resubmit` re-admits one stored record with
-// no tracking.
+// server/campaign.hpp).
 // `trace` returns the server/trace.hpp JobTrace of a finished job —
 // one span per pipeline stage with durations and solver counters —
 // while it remains in the in-memory trace ring

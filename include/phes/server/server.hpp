@@ -160,8 +160,8 @@ class JobServer {
     return traces_.get(id);
   }
 
-  /// Campaign replay over the stored records (the replay/resubmit/
-  /// campaign protocol ops).
+  /// Campaign replay over the stored records (the replay/campaign
+  /// protocol ops).
   [[nodiscard]] CampaignRunner& campaigns() noexcept { return campaigns_; }
   /// The replayable input spec persisted for `id` at admission, when
   /// the storage backend kept one.

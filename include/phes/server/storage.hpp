@@ -100,8 +100,8 @@ class Storage {
                              const std::string& /*name*/) {}
 
   /// Persist an admitted job's replayable input specification
-  /// (pipeline::write_job_spec_json) so `replay`/`resubmit` can rebuild
-  /// the job later.  Best-effort: failures are logged, never thrown —
+  /// (pipeline::write_job_spec_json) so `replay` can rebuild the job
+  /// later.  Best-effort: failures are logged, never thrown —
   /// a job without a stored spec simply cannot be replayed.  Default
   /// no-op (backends that keep no inputs make every record
   /// unreplayable, which the campaign report surfaces as skips).
@@ -145,9 +145,9 @@ class Storage {
 /// terminal records, evicting oldest-first.
 ///
 /// Input specs are interned: an inline submission's spec carries the
-/// whole Touchstone text (tens of KB), and clients resubmit the same
-/// model, so all records with the same spec share one refcounted copy.
-/// A copy is freed with the last record that uses it; the
+/// whole Touchstone text (tens of KB), and clients submit the same
+/// model again and again, so all records with the same spec share one
+/// refcounted copy.  A copy is freed with the last record that uses it; the
 /// phes_store_input_bytes gauge counts the bytes of the distinct specs
 /// held.
 class MemoryStorage final : public Storage {

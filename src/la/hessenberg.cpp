@@ -6,10 +6,9 @@
 
 namespace phes::la {
 
-HessenbergResult<Real> hessenberg_reduce(RealMatrix a, bool accumulate_q) {
+RealMatrix hessenberg_reduce(RealMatrix a) {
   util::check(a.is_square(), "hessenberg_reduce: matrix must be square");
   const std::size_t n = a.rows();
-  RealMatrix q = accumulate_q ? RealMatrix::identity(n) : RealMatrix();
 
   for (std::size_t k = 0; k + 2 < n; ++k) {
     // Householder vector annihilating a(k+2.., k).
@@ -38,23 +37,15 @@ HessenbergResult<Real> hessenberg_reduce(RealMatrix a, bool accumulate_q) {
       s *= beta;
       for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= s * v[j - k - 1];
     }
-    if (accumulate_q) {
-      for (std::size_t i = 0; i < n; ++i) {
-        double s = 0.0;
-        for (std::size_t j = k + 1; j < n; ++j) s += q(i, j) * v[j - k - 1];
-        s *= beta;
-        for (std::size_t j = k + 1; j < n; ++j) q(i, j) -= s * v[j - k - 1];
-      }
-    }
     // Zero out the annihilated entries explicitly.
     a(k + 1, k) = alpha;
     for (std::size_t i = k + 2; i < n; ++i) a(i, k) = 0.0;
   }
-  return {std::move(a), std::move(q)};
+  return a;
 }
 
-HessenbergResult<Complex> hessenberg_reduce(ComplexMatrix a,
-                                            bool accumulate_q) {
+ComplexHessenbergResult hessenberg_reduce(ComplexMatrix a,
+                                          bool accumulate_q) {
   util::check(a.is_square(), "hessenberg_reduce: matrix must be square");
   const std::size_t n = a.rows();
   ComplexMatrix q = accumulate_q ? ComplexMatrix::identity(n)

@@ -37,8 +37,8 @@ SmallReflector make_reflector(double x, double y, double z, bool use_z) {
 // One implicit Francis double-shift QR sweep on the active block
 // [l, m] (inclusive) of the Hessenberg matrix h.  sum/prod are the sum
 // and product of the two shifts.
-void francis_step(RealMatrix& h, RealMatrix* q, std::size_t l, std::size_t m,
-                  double sum, double prod) {
+void francis_step(RealMatrix& h, std::size_t l, std::size_t m, double sum,
+                  double prod) {
   const std::size_t n = h.rows();
   double x = h(l, l) * h(l, l) + h(l, l + 1) * h(l + 1, l) - sum * h(l, l) +
              prod;
@@ -68,16 +68,6 @@ void francis_step(RealMatrix& h, RealMatrix* q, std::size_t l, std::size_t m,
         h(i, k) -= s;
         h(i, k + 1) -= s * r.v1;
         if (use_z) h(i, k + 2) -= s * r.v2;
-      }
-      if (q != nullptr && !q->empty()) {
-        for (std::size_t i = 0; i < n; ++i) {
-          double s = (*q)(i, k) + r.v1 * (*q)(i, k + 1);
-          if (use_z) s += r.v2 * (*q)(i, k + 2);
-          s *= r.beta;
-          (*q)(i, k) -= s;
-          (*q)(i, k + 1) -= s * r.v1;
-          if (use_z) (*q)(i, k + 2) -= s * r.v2;
-        }
       }
       if (k > l) {
         // The reflector annihilated rows k+1(..k+2) of the bulge column
@@ -128,17 +118,16 @@ ComplexVector quasi_triangular_eigenvalues(const RealMatrix& t) {
   return lambda;
 }
 
-RealSchurResult real_schur(RealMatrix a, bool accumulate_q) {
+RealSchurResult real_schur(RealMatrix a) {
   util::check(a.is_square(), "real_schur: matrix must be square");
   const std::size_t n = a.rows();
-  if (n == 0) return {RealMatrix(), RealMatrix(), {}};
+  if (n == 0) return {RealMatrix(), {}};
   if (n == 1) {
     ComplexVector ev{Complex(a(0, 0), 0.0)};
-    return {std::move(a), RealMatrix::identity(1), std::move(ev)};
+    return {std::move(a), std::move(ev)};
   }
 
-  auto [h, q] = hessenberg_reduce(std::move(a), accumulate_q);
-  RealMatrix* qp = accumulate_q ? &q : nullptr;
+  RealMatrix h = hessenberg_reduce(std::move(a));
 
   const double norm_scale = std::max(frobenius_norm(h), 1e-300);
   std::size_t m = n - 1;
@@ -190,15 +179,15 @@ RealSchurResult real_schur(RealMatrix a, bool accumulate_q) {
       sum = h(m - 1, m - 1) + h(m, m);
       prod = h(m - 1, m - 1) * h(m, m) - h(m - 1, m) * h(m, m - 1);
     }
-    francis_step(h, qp, l, m, sum, prod);
+    francis_step(h, l, m, sum, prod);
   }
 
   ComplexVector ev = quasi_triangular_eigenvalues(h);
-  return {std::move(h), std::move(q), std::move(ev)};
+  return {std::move(h), std::move(ev)};
 }
 
 ComplexVector real_eigenvalues(RealMatrix a) {
-  return real_schur(std::move(a), /*accumulate_q=*/false).eigenvalues;
+  return real_schur(std::move(a)).eigenvalues;
 }
 
 }  // namespace phes::la

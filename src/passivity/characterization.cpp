@@ -109,11 +109,4 @@ PassivityReport characterize_passivity(
   return report;
 }
 
-PassivityReport characterize_passivity(
-    const macromodel::SimoRealization& realization,
-    const core::SolverOptions& solver_options) {
-  engine::SolverSession session{macromodel::SimoRealization(realization)};
-  return characterize_passivity(session, solver_options);
-}
-
 }  // namespace phes::passivity

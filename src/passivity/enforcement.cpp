@@ -258,12 +258,4 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
   return result;
 }
 
-EnforcementResult enforce_passivity(macromodel::SimoRealization& realization,
-                                    const EnforcementOptions& opt) {
-  engine::SolverSession session{macromodel::SimoRealization(realization)};
-  EnforcementResult result = enforce_passivity(session, opt);
-  realization.c() = session.realization().c();
-  return result;
-}
-
 }  // namespace phes::passivity

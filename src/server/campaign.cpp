@@ -134,26 +134,6 @@ CampaignRunner::StartResult CampaignRunner::start(
   return out;
 }
 
-std::uint64_t CampaignRunner::resubmit(std::uint64_t source_id) {
-  const auto summary = server_.job_summary(source_id);
-  if (!summary) {
-    throw std::runtime_error("resubmit: unknown job id " +
-                             std::to_string(source_id));
-  }
-  if (!is_terminal(summary->state)) {
-    throw std::runtime_error("resubmit: job " + std::to_string(source_id) +
-                             " has not finished (state " +
-                             job_state_name(summary->state) + ")");
-  }
-  std::string reason;
-  auto job = rebuild(source_id, reason);
-  if (!job) {
-    throw std::runtime_error("resubmit: job " + std::to_string(source_id) +
-                             ": " + reason);
-  }
-  return server_.submit(std::move(*job));
-}
-
 std::optional<CampaignStatus> CampaignRunner::status(
     std::uint64_t campaign_id) {
   util::MutexLock lock(mutex_);

@@ -234,18 +234,6 @@ std::string handle_replay(JobServer& server, const JsonValue& request) {
   return os.str();
 }
 
-std::string handle_resubmit(JobServer& server, const JsonValue& request) {
-  const JsonValue* id_value = request.find("id");
-  if (id_value == nullptr) {
-    return error_response("resubmit: missing \"id\"");
-  }
-  const std::uint64_t source = id_value->as_uint();
-  const std::uint64_t id = server.campaigns().resubmit(source);
-  return "{\"ok\": true, \"op\": \"resubmit\", \"id\": " +
-         std::to_string(id) + ", \"source\": " + std::to_string(source) +
-         "}";
-}
-
 std::string handle_campaign(JobServer& server, const JsonValue& request) {
   const JsonValue* id_value = request.find("id");
   if (id_value == nullptr) {
@@ -407,8 +395,6 @@ RequestOutcome handle_request(JobServer& server, const JsonValue& request,
       outcome.response = handle_cancel(server, request);
     } else if (op == "replay") {
       outcome.response = handle_replay(server, request);
-    } else if (op == "resubmit") {
-      outcome.response = handle_resubmit(server, request);
     } else if (op == "campaign") {
       outcome.response = handle_campaign(server, request);
     } else if (op == "stats") {

@@ -48,12 +48,11 @@ constexpr std::size_t kPreAuthMaxLineBytes = 4096;
 constexpr std::size_t kFastPathMaxBytes = 4096;
 
 /// Ops safe to answer inline on the loop: everything except the
-/// submits and the replay ops, which admit jobs and can block on
-/// admission backpressure.
+/// submits and `replay`, which admit jobs and can block on admission
+/// backpressure.
 bool is_fast_op(const JsonValue& request) {
   const std::string op = request.string_or("op", "");
-  return op != "submit" && op != "submit_inline" && op != "replay" &&
-         op != "resubmit";
+  return op != "submit" && op != "submit_inline" && op != "replay";
 }
 
 }  // namespace

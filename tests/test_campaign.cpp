@@ -1,5 +1,5 @@
 // Replayable campaigns end to end: stored records resolved back into
-// fresh jobs through the replay/resubmit/campaign protocol ops.  The
+// fresh jobs through the replay/campaign protocol ops.  The
 // acceptance property is replay determinism — running a whole
 // --data-dir again after a restart classifies every job bit-identical
 // against its stored baseline (pipeline::result_signature).  The fault
@@ -163,7 +163,7 @@ TEST(Campaign, ReplayAllAfterRestartIsBitIdentical) {
       registry.counter("phes_campaign_delta_identical_total").value(), 2u);
 }
 
-TEST(Campaign, SingleIdReplayTracksAndResubmitDoesNot) {
+TEST(Campaign, SingleIdReplayTracksOneCampaign) {
   // No data_dir: the in-memory backend keeps input specs too, so
   // replay works without a restart in the picture.
   obs::MetricsRegistry registry;
@@ -190,16 +190,6 @@ TEST(Campaign, SingleIdReplayTracksAndResubmitDoesNot) {
   EXPECT_TRUE(status.bool_or("done", false));
   EXPECT_EQ(status.find("deltas")->uint_or("identical", 0), 1u);
 
-  // resubmit re-admits without campaign tracking: a fresh job id, the
-  // same deterministic result, and no campaign 2.
-  const auto resub = JsonValue::parse(request(
-      jobs,
-      "{\"op\": \"resubmit\", \"id\": " + std::to_string(source) + "}"));
-  ASSERT_TRUE(resub.bool_or("ok", false)) << resub.string_or("error", "");
-  EXPECT_EQ(resub.uint_or("source", 0), source);
-  const std::uint64_t resub_id = resub.uint_or("id", 0);
-  ASSERT_TRUE(jobs.wait(resub_id, 300.0));
-  EXPECT_EQ(pipeline::result_signature(*jobs.result(resub_id)), baseline);
   const auto none =
       JsonValue::parse(request(jobs, "{\"op\": \"campaign\", \"id\": 2}"));
   EXPECT_FALSE(none.bool_or("ok", true));
@@ -238,11 +228,15 @@ TEST(Campaign, ReplayRejectsUnknownUnfinishedAndMissingSelector) {
       JsonValue::parse(request(jobs, "{\"op\": \"replay\"}"));
   EXPECT_FALSE(selectorless.bool_or("ok", true));
 
-  const auto resub =
-      JsonValue::parse(request(jobs, "{\"op\": \"resubmit\", \"id\": 42}"));
-  EXPECT_FALSE(resub.bool_or("ok", true));
-  EXPECT_NE(resub.string_or("error", "").find("unknown job id 42"),
+  // The removed untracked re-admit op: an old client gets a clean
+  // error and no job is admitted.
+  const std::size_t admitted = jobs.job_summaries().size();
+  const auto removed =
+      JsonValue::parse(request(jobs, "{\"op\":\"resubmit\",\"id\":42}"));
+  EXPECT_FALSE(removed.bool_or("ok", true));
+  EXPECT_NE(removed.string_or("error", "").find("unknown op 'resubmit'"),
             std::string::npos);
+  EXPECT_EQ(jobs.job_summaries().size(), admitted);
 
   gate.release();
   ASSERT_TRUE(jobs.wait(running, 300.0));

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "phes/engine/session.hpp"
 #include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
@@ -20,6 +21,7 @@
 namespace phes {
 namespace {
 
+using engine::SolverSession;
 using macromodel::SimoRealization;
 using passivity::characterize_passivity;
 using passivity::enforce_passivity;
@@ -38,10 +40,11 @@ macromodel::PoleResidueModel make_model(double peak, std::uint64_t seed,
 
 TEST(Characterization, NonPassiveModelYieldsViolationBands) {
   const auto model = make_model(1.08, 1);
-  const SimoRealization simo(model);
+  SolverSession session(model);
+  const SimoRealization& simo = session.realization();
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(simo, sopt);
+  const auto report = characterize_passivity(session, sopt);
   ASSERT_FALSE(report.passive);
   ASSERT_FALSE(report.bands.empty());
   for (const auto& band : report.bands) {
@@ -56,22 +59,20 @@ TEST(Characterization, NonPassiveModelYieldsViolationBands) {
 }
 
 TEST(Characterization, PassiveModelHasNoBands) {
-  const auto model = make_model(0.8, 2);
-  const SimoRealization simo(model);
+  SolverSession session(make_model(0.8, 2));
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(simo, sopt);
+  const auto report = characterize_passivity(session, sopt);
   EXPECT_TRUE(report.passive);
   EXPECT_TRUE(report.bands.empty());
   EXPECT_TRUE(report.crossings.empty());
 }
 
 TEST(Characterization, BandsAreDelimitedByCrossings) {
-  const auto model = make_model(1.06, 3);
-  const SimoRealization simo(model);
+  SolverSession session(make_model(1.06, 3));
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(simo, sopt);
+  const auto report = characterize_passivity(session, sopt);
   ASSERT_FALSE(report.bands.empty());
   for (const auto& band : report.bands) {
     // Band edges must be crossings (or the 0 / 1.5*wmax sentinels).
@@ -87,10 +88,11 @@ TEST(Characterization, BandsAreDelimitedByCrossings) {
 
 TEST(Sweep, AgreesWithHamiltonianCharacterization) {
   const auto model = make_model(1.07, 4);
-  const SimoRealization simo(model);
+  SolverSession session(model);
+  const SimoRealization& simo = session.realization();
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(simo, sopt);
+  const auto report = characterize_passivity(session, sopt);
   ASSERT_FALSE(report.crossings.empty());
 
   passivity::SweepOptions sw;
@@ -135,11 +137,12 @@ class EnforcementProperty : public ::testing::TestWithParam<int> {};
 TEST_P(EnforcementProperty, MakesModelPassiveWithSmallPerturbation) {
   const auto model =
       make_model(1.05 + 0.01 * GetParam(), 100 + GetParam());
-  SimoRealization simo(model);
+  SolverSession session(model);
 
   passivity::EnforcementOptions eopt;
   eopt.solver.threads = 2;
-  const auto result = enforce_passivity(simo, eopt);
+  const auto result = enforce_passivity(session, eopt);
+  const SimoRealization& simo = session.realization();
   EXPECT_TRUE(result.success) << "not passive after "
                               << result.iterations << " iterations";
   EXPECT_LT(result.relative_model_change, 0.5);
@@ -167,24 +170,22 @@ INSTANTIATE_TEST_SUITE_P(Violations, EnforcementProperty,
                          ::testing::Range(0, 4));
 
 TEST(Enforcement, PassiveInputIsANoop) {
-  const auto model = make_model(0.8, 200);
-  SimoRealization simo(model);
+  SolverSession session(make_model(0.8, 200));
   passivity::EnforcementOptions eopt;
   eopt.solver.threads = 2;
-  const auto result = enforce_passivity(simo, eopt);
+  const auto result = enforce_passivity(session, eopt);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.iterations, 0u);
   EXPECT_DOUBLE_EQ(result.relative_model_change, 0.0);
 }
 
 TEST(Enforcement, PreservesPoles) {
-  const auto model = make_model(1.06, 201);
-  SimoRealization simo(model);
-  const auto blocks_before = simo.blocks();
+  SolverSession session(make_model(1.06, 201));
+  const auto blocks_before = session.realization().blocks();
   passivity::EnforcementOptions eopt;
   eopt.solver.threads = 2;
-  (void)enforce_passivity(simo, eopt);
-  const auto& blocks_after = simo.blocks();
+  (void)enforce_passivity(session, eopt);
+  const auto& blocks_after = session.realization().blocks();
   ASSERT_EQ(blocks_before.size(), blocks_after.size());
   for (std::size_t i = 0; i < blocks_before.size(); ++i) {
     EXPECT_DOUBLE_EQ(blocks_before[i].alpha, blocks_after[i].alpha);
@@ -194,24 +195,22 @@ TEST(Enforcement, PreservesPoles) {
 
 TEST(Enforcement, AccuracyIsTracked) {
   // The relative model change must reflect the actual C perturbation.
-  const auto model = make_model(1.05, 202);
-  SimoRealization simo(model);
-  const auto c_before = simo.c();
+  SolverSession session(make_model(1.05, 202));
+  const auto c_before = session.realization().c();
   passivity::EnforcementOptions eopt;
   eopt.solver.threads = 2;
-  const auto result = enforce_passivity(simo, eopt);
-  const auto diff = simo.c() - c_before;
+  const auto result = enforce_passivity(session, eopt);
+  const auto diff = session.realization().c() - c_before;
   const double expected =
       la::frobenius_norm(diff) / la::frobenius_norm(c_before);
   EXPECT_NEAR(result.relative_model_change, expected, 1e-12);
 }
 
 TEST(Enforcement, RejectsBadMargin) {
-  const auto model = make_model(1.05, 203, 20, 2);
-  SimoRealization simo(model);
+  SolverSession session(make_model(1.05, 203, 20, 2));
   passivity::EnforcementOptions eopt;
   eopt.margin = 0.0;
-  EXPECT_THROW(enforce_passivity(simo, eopt), std::invalid_argument);
+  EXPECT_THROW(enforce_passivity(session, eopt), std::invalid_argument);
 }
 
 }  // namespace

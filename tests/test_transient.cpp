@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "phes/engine/session.hpp"
 #include "phes/la/blas.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/la/schur.hpp"
@@ -99,11 +100,11 @@ TEST(EnergyGain, MatchesSigmaSquaredAtDriveFrequency) {
 }
 
 TEST(EnergyGain, ExceedsUnityInsideViolationBand) {
-  const auto model = make_model(1.25, 32);
-  const SimoRealization simo(model);
+  engine::SolverSession session(make_model(1.25, 32));
+  const SimoRealization& simo = session.realization();
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = passivity::characterize_passivity(simo, sopt);
+  const auto report = passivity::characterize_passivity(session, sopt);
   ASSERT_FALSE(report.bands.empty());
   const auto& band = report.bands.front();
 
@@ -173,8 +174,9 @@ TEST(Transient, NonPassiveModelBlowsUpWhenClosedLoopIsUnstable) {
 TEST(Transient, EnforcementRemovesInstability) {
   // End-to-end: find an unstable termination for the non-passive model,
   // enforce passivity, verify the same termination is now stable.
-  auto model = make_model(1.5, 35);
-  SimoRealization simo(model);
+  engine::SolverSession session(make_model(1.5, 35));
+  // Enforcement perturbs the session's model in place.
+  const SimoRealization& simo = session.realization();
   la::RealVector bad_gammas;
   for (const auto& gammas : sign_patterns(simo.ports(), 0.999)) {
     if (has_rhp_pole(simo, gammas)) {
@@ -187,7 +189,7 @@ TEST(Transient, EnforcementRemovesInstability) {
   passivity::EnforcementOptions eopt;
   eopt.solver.threads = 2;
   eopt.max_iterations = 40;
-  const auto enf = passivity::enforce_passivity(simo, eopt);
+  const auto enf = passivity::enforce_passivity(session, eopt);
   ASSERT_TRUE(enf.success);
   EXPECT_FALSE(has_rhp_pole(simo, bad_gammas));
 
