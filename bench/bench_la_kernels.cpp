@@ -10,11 +10,13 @@
 //     kernel), with a correctness check of solve_many against the
 //     column-wise solve;
 //   - gemm on residue-matrix shapes;
-//   - vector_fit's sigma least squares, 800x26 / 1200x45 / 1600x64
-//     with the real system's exact-zero block pattern: la::least_squares
-//     (row-sweep QR) against the column-at-a-time oracle reference_qr
-//     of tests/reference_kernels.hpp, whose solution it must reproduce
-//     bit for bit.
+//   - vector_fit's sigma least squares: the per-output 400x26 block
+//     [Phi, 1 | -H_i Phi | H_i] of the fast solve (12 poles, 200
+//     samples), and the dense 800x26 / 1200x45 / 1600x64 systems it
+//     replaced, with the real systems' exact-zero block pattern:
+//     la::least_squares (row-sweep QR) against the column-at-a-time
+//     oracle reference_qr of tests/reference_kernels.hpp, whose
+//     solution it must reproduce bit for bit.
 //
 // Every timing is the best of a few calls after one untimed warm-up
 // call, so first-touch page faults and cold caches stay out of the
@@ -210,10 +212,13 @@ int main() {
         n, sec);
   }
 
-  // VF sigma least squares: (rows, cols, ports) of 2-, 3- and 4-port
-  // fits over 200 samples.
+  // VF sigma least squares over 200 samples, (rows, cols, ports): the
+  // per-output block of a 12-pole fit (one "port": 12 basis columns and
+  // the d column, then 12 sigma columns and H_i), then the dense
+  // systems of 2-, 3- and 4-port fits.
   for (const auto& [m, n, p] :
-       {std::tuple<std::size_t, std::size_t, std::size_t>{800, 26, 2},
+       {std::tuple<std::size_t, std::size_t, std::size_t>{400, 26, 1},
+        {800, 26, 2},
         {1200, 45, 3},
         {1600, 64, 4}}) {
     util::Rng rng(7);

@@ -1,9 +1,10 @@
 #pragma once
 // Householder QR factorization and least-squares solving (real).
 //
-// Consumer: Vector Fitting — the sigma-iteration least squares of
-// vector_fit (a 2Kp x (p(nb+1) + nb) system per column and iteration,
-// 1600 x 64 for a 4-port, 12-pole fit) and its final residue solves.
+// Consumer: Vector Fitting — the sigma iterations of vector_fit (per
+// column and iteration, one 2K x (2nb + 2) block per output, 400 x 26
+// for a 12-pole fit over 200 samples, then a p nb x nb stacked solve)
+// and its final residue solves.
 //
 // Storage layout.  The factor is held row-major: R in the upper
 // triangle, the Householder vectors v (with v(k) = 1 implied) below

@@ -11,8 +11,19 @@
 //     value sigma_i > 1 with triplet (u_i, sigma_i, v_i),
 //       delta sigma_i = Re( u_i^H  DeltaC  Phi(j w*) v_i ),
 //     Phi(s) = (sI - A)^{-1} B, which is linear in DeltaC;
-//  3. correct: the minimum-Frobenius-norm DeltaC driving each violating
-//     sigma_i to 1 - margin solves a small dual Gram system;
+//  3. correct: the minimum-norm DeltaC driving each violating sigma_i
+//     to 1 - margin solves a small dual Gram system.  The norm is
+//     damping-weighted, sum_j ||DeltaC(:, j)||^2 / |Re p_j| over the
+//     states j: up to a constant, the diagonal of each state's
+//     controllability Gramian, so an energy-norm step (Grivet-Talocia,
+//     arXiv 1706.06395).  The Frobenius norm prices a residue change
+//     the same at every pole, although near a pole it moves the
+//     response by about 1/|Re p| times as much.  A fit with more poles
+//     than the data has states leaves surplus poles at relative
+//     damping ~1e-4; a Frobenius step excites them, and enforcement
+//     then ping-pongs between peaks until its rounds run out.  In the
+//     dual Gram sums and in the step, state column j is scaled by
+//     |alpha| of its block;
 //  4. apply DeltaC to the realization (poles untouched: stability is
 //     preserved by construction) and repeat until the Hamiltonian test
 //     reports no imaginary eigenvalues.

@@ -70,6 +70,14 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
   const RealMatrix c_initial = realization.c();
   const double c_initial_norm = la::frobenius_norm(c_initial);
   const double ceiling = 1.0 - opt.margin;
+  // Energy-norm weights: the step minimizes
+  // sum_j ||DeltaC(:, j)||^2 / |Re p_j|, so state column j enters the
+  // dual Gram sums and the step with the factor |alpha| of its block.
+  la::RealVector column_weight(realization.order());
+  for (const auto& blk : realization.blocks()) {
+    column_weight[blk.state] = std::abs(blk.alpha);
+    if (blk.is_pair) column_weight[blk.state + 1] = std::abs(blk.alpha);
+  }
 
   const auto record_cost = [&result](EnforcementIterate& it,
                                      const core::SolverResult& solver) {
@@ -155,8 +163,9 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     }
     if (kept.empty()) kept.push_back(constraints.front());
 
-    // Minimum-norm DeltaC: DeltaC = sum_j mu_j G_j with
-    // (Gram + ridge I) mu = target.
+    // Minimum weighted-norm DeltaC: DeltaC = sum_a mu_a G_a W with
+    // W = diag(column_weight) and (Gram_W + ridge I) mu = target, where
+    // Gram_W(a, b) = <G_a W, G_b>.
     const std::size_t m = kept.size();
     RealMatrix gram(m, m);
     for (std::size_t a = 0; a < m; ++a) {
@@ -166,7 +175,7 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
           const double* ga = kept[a].g.row_ptr(row);
           const double* gb = kept[b].g.row_ptr(row);
           for (std::size_t col = 0; col < kept[a].g.cols(); ++col) {
-            dot += ga[col] * gb[col];
+            dot += ga[col] * column_weight[col] * gb[col];
           }
         }
         gram(a, b) = dot;
@@ -189,7 +198,7 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
         const double* g = kept[a].g.row_ptr(row);
         double* drow = delta.row_ptr(row);
         for (std::size_t col = 0; col < delta.cols(); ++col) {
-          drow[col] += mu[a] * g[col];
+          drow[col] += mu[a] * g[col] * column_weight[col];
         }
       }
     }

@@ -56,7 +56,7 @@ PoleSet initial_poles(std::size_t num_poles, double w_lo, double w_hi,
 // Evaluates the partial-fraction basis at s = j*w into `phi`
 // (basis_size complex values).  Layout: reals first, then for each
 // pair the two functions [1/(s-a) + 1/(s-a*)], [j/(s-a) - j/(s-a*)].
-void eval_basis(const PoleSet& poles, double w, ComplexVector& phi) {
+void eval_basis(const PoleSet& poles, double w, Complex* phi) {
   const Complex s(0.0, w);
   std::size_t b = 0;
   for (double a : poles.real_poles) phi[b++] = 1.0 / (s - a);
@@ -135,19 +135,65 @@ double pole_movement(const PoleSet& a, const PoleSet& b) {
   return worst / scale;
 }
 
+// The fast sigma solve of vector_fitting.hpp (a detail::SigmaSolve).
+RealVector fast_sigma_solve(const macromodel::FrequencySamples& samples,
+                            std::size_t col, std::span<const Complex> phi,
+                            std::size_t nb) {
+  const std::size_t p = samples.ports();
+  const std::size_t k_samples = samples.count();
+  // Output i's block [Phi, 1 | -H_i Phi | H_i]: its residues and d
+  // (the first nb + 1 columns) are output i's own unknowns, so QR
+  // eliminates them exactly; R's rows nb+1..2nb then hold the sigma
+  // block and, in the last column, the matching tail of Q^T H_i.
+  const std::size_t width = 2 * nb + 2;
+  RealMatrix stacked(p * nb, nb);
+  RealVector stacked_rhs(p * nb);
+  for (std::size_t i = 0; i < p; ++i) {
+    RealMatrix a(2 * k_samples, width);
+    for (std::size_t m = 0; m < k_samples; ++m) {
+      const Complex h = samples.h[m](i, col);
+      const Complex* const phi_m = phi.data() + m * nb;
+      double* const row_re = a.row_ptr(2 * m);
+      double* const row_im = a.row_ptr(2 * m + 1);
+      for (std::size_t b = 0; b < nb; ++b) {
+        row_re[b] = phi_m[b].real();
+        row_im[b] = phi_m[b].imag();
+        const Complex hp = -h * phi_m[b];
+        row_re[nb + 1 + b] = hp.real();
+        row_im[nb + 1 + b] = hp.imag();
+      }
+      row_re[nb] = 1.0;  // d term (real)
+      row_im[nb] = 0.0;
+      row_re[width - 1] = h.real();
+      row_im[width - 1] = h.imag();
+    }
+    const RealMatrix r = la::QrFactorization(std::move(a)).r();
+    for (std::size_t j = 0; j < nb; ++j) {
+      for (std::size_t b = 0; b < nb; ++b) {
+        stacked(i * nb + j, b) = r(nb + 1 + j, nb + 1 + b);
+      }
+      stacked_rhs[i * nb + j] = r(nb + 1 + j, width - 1);
+    }
+  }
+  return la::least_squares(std::move(stacked), std::move(stacked_rhs));
+}
+
 }  // namespace
 
-VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
-                               const VectorFittingOptions& opt) {
+namespace detail {
+
+VectorFittingResult vector_fit_with(
+    const macromodel::FrequencySamples& samples,
+    const VectorFittingOptions& opt, SigmaSolve sigma_solve) {
   samples.check_consistency();
   const std::size_t p = samples.ports();
   const std::size_t k_samples = samples.count();
   util::check(p > 0, "vector_fit: empty samples");
   util::check(opt.num_poles >= 2, "vector_fit: need at least two poles");
-  // The sigma system is 2Kp x (p(nb+1) + nb) with nb = num_poles at
-  // the start (relocation never grows the basis); QR needs rows >= cols.
-  const std::size_t min_samples =
-      (p * (opt.num_poles + 1) + opt.num_poles + 2 * p - 1) / (2 * p);
+  // Each output's sigma block is 2K x (2nb + 2) with nb = num_poles at
+  // the start (relocation never grows the basis); QR needs rows >= cols,
+  // so K >= nb + 1 whatever the port count.
+  const std::size_t min_samples = opt.num_poles + 1;
   util::check(k_samples >= min_samples,
               "vector_fit: " + std::to_string(k_samples) +
                   " samples are too few for a " +
@@ -174,36 +220,11 @@ VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
     // ---- sigma iterations: relocate poles -----------------------------
     for (std::size_t it = 0; it < opt.iterations; ++it) {
       const std::size_t nb = poles.basis_size();
-      const std::size_t n_res = nb + 1;          // residues + d per output
-      const std::size_t n_unknown = p * n_res + nb;
-      RealMatrix a(2 * k_samples * p, n_unknown);
-      RealVector rhs(2 * k_samples * p);
-
-      ComplexVector phi(nb);
+      ComplexVector phi(k_samples * nb);
       for (std::size_t m = 0; m < k_samples; ++m) {
-        eval_basis(poles, samples.omega[m], phi);
-        for (std::size_t i = 0; i < p; ++i) {
-          const Complex h = samples.h[m](i, col);
-          const std::size_t row_re = 2 * (m * p + i);
-          const std::size_t row_im = row_re + 1;
-          const std::size_t base = i * n_res;
-          for (std::size_t b = 0; b < nb; ++b) {
-            a(row_re, base + b) = phi[b].real();
-            a(row_im, base + b) = phi[b].imag();
-            // sigma part: -H(s) * phi_b(s) (shared unknowns at tail).
-            const Complex hp = -h * phi[b];
-            a(row_re, p * n_res + b) = hp.real();
-            a(row_im, p * n_res + b) = hp.imag();
-          }
-          a(row_re, base + nb) = 1.0;  // d term (real)
-          a(row_im, base + nb) = 0.0;
-          rhs[row_re] = h.real();
-          rhs[row_im] = h.imag();
-        }
+        eval_basis(poles, samples.omega[m], phi.data() + m * nb);
       }
-      const RealVector x = la::least_squares(std::move(a), std::move(rhs));
-      RealVector sigma_coeffs(nb);
-      for (std::size_t b = 0; b < nb; ++b) sigma_coeffs[b] = x[p * n_res + b];
+      const RealVector sigma_coeffs = sigma_solve(samples, col, phi, nb);
 
       PoleSet new_poles =
           relocate_poles(poles, sigma_coeffs, opt.enforce_stability);
@@ -223,12 +244,13 @@ VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
     // ---- final residue identification (sigma == 1) --------------------
     const std::size_t nb = poles.basis_size();
     RealMatrix basis(2 * k_samples, nb + 1);
-    ComplexVector phi(nb);
+    ComplexVector phi(k_samples * nb);
     for (std::size_t m = 0; m < k_samples; ++m) {
-      eval_basis(poles, samples.omega[m], phi);
+      Complex* const phi_m = phi.data() + m * nb;
+      eval_basis(poles, samples.omega[m], phi_m);
       for (std::size_t b = 0; b < nb; ++b) {
-        basis(2 * m, b) = phi[b].real();
-        basis(2 * m + 1, b) = phi[b].imag();
+        basis(2 * m, b) = phi_m[b].real();
+        basis(2 * m + 1, b) = phi_m[b].imag();
       }
       basis(2 * m, nb) = 1.0;
       basis(2 * m + 1, nb) = 0.0;
@@ -263,12 +285,11 @@ VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
       }
       d(i, col) = solutions[i][nb];
       // Fit error accumulation.
-      ComplexVector phi2(nb);
       for (std::size_t m = 0; m < k_samples; ++m) {
-        eval_basis(poles, samples.omega[m], phi2);
+        const Complex* const phi_m = phi.data() + m * nb;
         Complex fit(d(i, col), 0.0);
         for (std::size_t bb = 0; bb < nb; ++bb) {
-          fit += solutions[i][bb] * phi2[bb];
+          fit += solutions[i][bb] * phi_m[bb];
         }
         err_sq += std::norm(fit - samples.h[m](i, col));
         ref_sq += std::norm(samples.h[m](i, col));
@@ -310,6 +331,13 @@ VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
   for (double e : result.column_rms) total += e * e;
   result.rms_error = std::sqrt(total / static_cast<double>(p));
   return result;
+}
+
+}  // namespace detail
+
+VectorFittingResult vector_fit(const macromodel::FrequencySamples& samples,
+                               const VectorFittingOptions& opt) {
+  return detail::vector_fit_with(samples, opt, &fast_sigma_solve);
 }
 
 }  // namespace phes::vf

@@ -13,6 +13,11 @@
 // in order, so test_la_kernels demands memcmp equality with it, and
 // bench_la_kernels times it against la::least_squares.
 //
+// reference_dense_sigma_solve is the dense sigma least squares that
+// vf::detail::fast_sigma_solve replaced.  The fast form eliminates the
+// residues exactly, so test_vf compares whole fits against it to
+// rounding-level tolerances.
+//
 // The factorizations (the 2p x 2p SMW matrix K, R = D^T D - I and
 // S = D D^T - I) are built from the public SimoRealization API exactly
 // as the library constructors build them.
@@ -30,7 +35,9 @@
 #include "phes/la/blas.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/la/matrix.hpp"
+#include "phes/la/qr.hpp"
 #include "phes/la/types.hpp"
+#include "phes/macromodel/samples.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/check.hpp"
 
@@ -412,6 +419,49 @@ class ReferenceQr {
 /// The factorization of `a` by the oracle loop.
 inline ReferenceQr reference_qr(la::RealMatrix a) {
   return ReferenceQr(std::move(a));
+}
+
+/// The full sigma system of column `col`, 2Kp x (p(nb+1) + nb): per
+/// output its own residues and d, then the shared sigma coefficients,
+/// solved with one dense QR.  Signature of vf::detail::SigmaSolve.
+inline la::RealVector reference_dense_sigma_solve(
+    const macromodel::FrequencySamples& samples, std::size_t col,
+    std::span<const la::Complex> phi_all, std::size_t nb) {
+  using la::Complex;
+  using la::RealMatrix;
+  using la::RealVector;
+  const std::size_t p = samples.ports();
+  const std::size_t k_samples = samples.count();
+  const std::size_t n_res = nb + 1;          // residues + d per output
+  const std::size_t n_unknown = p * n_res + nb;
+  RealMatrix a(2 * k_samples * p, n_unknown);
+  RealVector rhs(2 * k_samples * p);
+
+  for (std::size_t m = 0; m < k_samples; ++m) {
+    const Complex* const phi = phi_all.data() + m * nb;
+    for (std::size_t i = 0; i < p; ++i) {
+      const Complex h = samples.h[m](i, col);
+      const std::size_t row_re = 2 * (m * p + i);
+      const std::size_t row_im = row_re + 1;
+      const std::size_t base = i * n_res;
+      for (std::size_t b = 0; b < nb; ++b) {
+        a(row_re, base + b) = phi[b].real();
+        a(row_im, base + b) = phi[b].imag();
+        // sigma part: -H(s) * phi_b(s) (shared unknowns at tail).
+        const Complex hp = -h * phi[b];
+        a(row_re, p * n_res + b) = hp.real();
+        a(row_im, p * n_res + b) = hp.imag();
+      }
+      a(row_re, base + nb) = 1.0;  // d term (real)
+      a(row_im, base + nb) = 0.0;
+      rhs[row_re] = h.real();
+      rhs[row_im] = h.imag();
+    }
+  }
+  const RealVector x = la::least_squares(std::move(a), std::move(rhs));
+  RealVector sigma_coeffs(nb);
+  for (std::size_t b = 0; b < nb; ++b) sigma_coeffs[b] = x[p * n_res + b];
+  return sigma_coeffs;
 }
 
 }  // namespace phes::test

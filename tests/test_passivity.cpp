@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "phes/engine/session.hpp"
 #include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
+#include "phes/io/touchstone.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/la/svd.hpp"
 #include "phes/macromodel/generator.hpp"
@@ -16,6 +18,7 @@
 #include "phes/passivity/characterization.hpp"
 #include "phes/passivity/enforcement.hpp"
 #include "phes/passivity/sweep.hpp"
+#include "phes/vf/vector_fitting.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -205,6 +208,41 @@ TEST(Enforcement, AccuracyIsTracked) {
       la::frobenius_norm(diff) / la::frobenius_norm(c_before);
   EXPECT_NEAR(result.relative_model_change, expected, 1e-12);
 }
+
+// phes_pipeline gen members whose 12-pole fits carry surplus poles
+// with relative damping near 1e-4 (4 ports at order 24 or 36: 6 or 9
+// true states per column).  A Frobenius-minimal step excites those
+// poles, and enforcement ping-pongs between two peaks until its rounds
+// run out: case918 did so under the dense sigma solve, the other three
+// under the fast one.  The damping-weighted step must certify all four.
+class GenEnforcementRegression
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GenEnforcementRegression, CertifiesWithinTheRoundBudget) {
+  const std::size_t i = GetParam();
+  // Exactly as `phes_pipeline gen` builds member i (i mod 3 == 2: 4
+  // ports, DB format), written and read back as Touchstone.
+  std::stringstream file;
+  io::TouchstoneMetadata meta;
+  meta.format = io::TouchstoneFormat::kDB;
+  io::save_touchstone(test::gen_samples(i), file, meta);
+  const auto samples = io::load_touchstone(file, 4).samples;
+
+  vf::VectorFittingOptions fit_opt;
+  fit_opt.num_poles = 12;
+  SolverSession session(vf::vector_fit(samples, fit_opt).model);
+  ASSERT_FALSE(characterize_passivity(session, core::SolverOptions{}).passive);
+
+  const passivity::EnforcementOptions eopt;
+  const auto result = enforce_passivity(session, eopt);
+  EXPECT_TRUE(result.success) << "case" << i + 1 << ".s4p not passive after "
+                              << result.iterations << " rounds";
+  EXPECT_LE(result.iterations, eopt.max_iterations);
+  EXPECT_TRUE(characterize_passivity(session, core::SolverOptions{}).passive);
+}
+
+INSTANTIATE_TEST_SUITE_P(GenMembers, GenEnforcementRegression,
+                         ::testing::Values(404, 476, 917, 1136));
 
 TEST(Enforcement, RejectsBadMargin) {
   SolverSession session(make_model(1.05, 203, 20, 2));

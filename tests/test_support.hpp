@@ -59,8 +59,10 @@ inline ComplexMatrix random_complex_matrix(std::size_t rows, std::size_t cols,
 /// block — random basis values, then the d column: 1 on Re rows, exact
 /// 0 on Im rows — and in the shared sigma tail right of all blocks.
 /// Blocks are (cols - ports) / (ports + 1) + 1 wide and the tail takes
-/// the remaining columns, so 2Kp x (p(nb+1) + nb) is exactly the sigma
-/// system of a p-port fit with nb poles over K samples.
+/// the remaining columns, so 2Kp x (p(nb+1) + nb) is exactly the dense
+/// sigma system of a p-port fit with nb poles over K samples, and
+/// 2K x (2nb + 2) with one "port" is the fast solve's per-output block
+/// (its last tail column the sample values H_i).
 inline RealMatrix sigma_pattern_matrix(std::size_t rows, std::size_t cols,
                                        std::size_t ports, util::Rng& rng) {
   const std::size_t block = (cols - ports) / (ports + 1) + 1;
@@ -162,6 +164,22 @@ inline macromodel::FrequencySamples non_passive_samples(
   spec.seed = seed;
   const auto model = macromodel::make_synthetic_model(spec);
   return sample_model(model, 0.3, 60.0, 160);
+}
+
+/// Samples of `phes_pipeline gen` member i (file case<i+1>.s<p>p) before
+/// its Touchstone round trip: p = 2 + i mod 3 ports, order
+/// 24 + 12 (i mod 4), peak gain 1.04 (even i) or 0.95 (odd i), band
+/// 1-30 rad/s, generator seed 2011 + i, 200 samples over 0.3-90 rad/s.
+inline macromodel::FrequencySamples gen_samples(std::size_t i) {
+  macromodel::SyntheticModelSpec spec;
+  spec.ports = 2 + i % 3;
+  spec.states = 24 + 12 * (i % 4);
+  spec.omega_min = 1.0;
+  spec.omega_max = 30.0;
+  spec.target_peak_gain = i % 2 == 0 ? 1.04 : 0.95;
+  spec.seed = 2011 + i;
+  return sample_model(macromodel::make_synthetic_model(spec), 0.3, 90.0,
+                      200);
 }
 
 /// Samples of a safely passive 2-port model (peak gain 0.9).

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/samples.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/passivity/sweep.hpp"
 #include "phes/vf/vector_fitting.hpp"
+#include "reference_kernels.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -144,9 +147,9 @@ TEST(VectorFitting, RejectsBadInputs) {
   opt.num_poles = 10;
   EXPECT_THROW(vector_fit(tiny, opt), std::invalid_argument);
   // 1 port, 7 samples, 12 poles: 2K = 14 covers the 13 unknowns of one
-  // output, but the sigma system is 14 x 25.  The precondition must
+  // output, but its sigma block is 14 x 26.  The precondition must
   // name the shortfall instead of the QR failing on rows < cols; 13
-  // samples (26 x 25) is the least that fits.
+  // samples (26 x 26) is the least that fits.
   const auto one_port = reference_model(4, 12, 1);
   opt = VectorFittingOptions{};
   opt.num_poles = 12;
@@ -159,6 +162,69 @@ TEST(VectorFitting, RejectsBadInputs) {
                  "1-port fit (need at least 13)");
   }
   EXPECT_NO_THROW((void)vector_fit(sample_model(one_port, 0.2, 20.0, 13), opt));
+  // 4 ports, 12 samples, 12 poles: a dense 96 x 64 sigma system would
+  // have rows enough, but each output's 24 x 26 block does not.  Every
+  // port count needs num_poles + 1 samples.
+  const auto four_port = reference_model(4, 48, 4);
+  try {
+    (void)vector_fit(sample_model(four_port, 0.2, 20.0, 12), opt);
+    ADD_FAILURE() << "12 samples for 12 poles must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "vector_fit: 12 samples are too few for a 12-pole, "
+                 "4-port fit (need at least 13)");
+  }
+}
+
+std::vector<la::Complex> column_poles(const macromodel::PoleResidueColumn& c) {
+  std::vector<la::Complex> poles;
+  for (const auto& t : c.real_terms) poles.emplace_back(t.pole, 0.0);
+  for (const auto& t : c.complex_terms) poles.push_back(t.pole);
+  return poles;
+}
+
+TEST(VectorFitting, FastSigmaMatchesDenseOracle) {
+  // The fast sigma solve eliminates each output's residues exactly, so
+  // it has the dense system's minimizer and the fits differ by
+  // rounding only — where the minimizer is unique.  The gen kinds
+  // with fewer true states per column than poles (3 ports at order 24,
+  // 4 ports at order 24 and 36) are excluded: their sigma system is
+  // rank-deficient, and the surplus poles land wherever rounding puts
+  // them, under either solve.  Kept: the exactly fitted kinds (2-port
+  // order 24, 3-port order 36, 4-port order 48) and the under-fitted
+  // ones (more true states per column than poles).
+  VectorFittingOptions opt;
+  opt.num_poles = 12;
+  std::size_t fits = 0;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const std::size_t ports = 2 + i % 3;
+    const std::size_t states = 24 + 12 * (i % 4);
+    if (states / ports < opt.num_poles) continue;
+    const auto samples = test::gen_samples(i);
+    const auto fast = vector_fit(samples, opt);
+    const auto dense = vf::detail::vector_fit_with(
+        samples, opt, &test::reference_dense_sigma_solve);
+    ++fits;
+
+    ASSERT_EQ(fast.column_rms.size(), dense.column_rms.size());
+    for (std::size_t c = 0; c < fast.column_rms.size(); ++c) {
+      const double a = fast.column_rms[c], b = dense.column_rms[c];
+      EXPECT_TRUE(std::abs(a - b) <= 1e-8 * std::abs(b) ||
+                  std::abs(a - b) <= 1e-12)
+          << "member " << i << " column " << c << ": rms " << a
+          << " vs dense " << b;
+      const auto pa = column_poles(fast.model.columns()[c]);
+      const auto pb = column_poles(dense.model.columns()[c]);
+      ASSERT_EQ(pa.size(), pb.size()) << "member " << i << " column " << c;
+      for (const la::Complex& q : pb) {
+        double best = 1e300;
+        for (const la::Complex& z : pa) best = std::min(best, std::abs(z - q));
+        EXPECT_LE(best, 1e-8 * std::abs(q))
+            << "member " << i << " column " << c << ": dense pole " << q;
+      }
+    }
+  }
+  EXPECT_EQ(fits, 18u);
 }
 
 TEST(VectorFitting, EndToEndPipelineWithPassivityCheck) {
