@@ -374,9 +374,11 @@ void print_job_detail(const pipeline::PipelineResult& r, bool verbose) {
                 r.enforcement.relative_model_change);
   }
   if (r.session.solves > 0) {
-    std::printf("    session: %zu solve(s) (%zu dense, %zu warm-started), "
+    std::printf("    session: %zu solve(s) (%zu dense, %zu memo reuse(s), "
+                "%zu warm-started), "
                 "cache %zu hit / %zu miss, %zu factorization(s) built\n",
-                r.session.solves, r.session.dense_solves, r.session.warm_solves,
+                r.session.solves, r.session.dense_solves,
+                r.session.dense_reuses, r.session.warm_solves,
                 r.session.cache.hits, r.session.cache.misses,
                 r.session.factorizations);
   }

@@ -77,6 +77,13 @@ struct RitzPair {
 [[nodiscard]] ComplexVector form_ritz_vector(const ArnoldiResult& ar,
                                              const RitzPair& pair);
 
+/// Append `v` to the locked set after two modified Gram-Schmidt passes
+/// against it and normalization, so the set stays orthonormal (a raw
+/// set of Ritz vectors is not, and deflating with it produces spurious
+/// Ritz values).  A direction already represented (residual norm below
+/// 1e-8) is dropped; returns whether `v` was appended.
+bool lock_vector(std::vector<ComplexVector>& locked, const ComplexVector& v);
+
 /// Random complex start vector of unit norm.
 [[nodiscard]] ComplexVector random_start_vector(std::size_t dim,
                                                 util::Rng& rng);

@@ -28,11 +28,23 @@
 // Models of order <= kDenseMaxOrder skip all of the above: solve()
 // sends them through core::solve_dense, which costs less than one
 // Krylov characterization there and leaves no factorization or
-// warm-start record behind.  A session's order never changes, so one
-// session always takes the same route.
+// warm-start record behind.  Their reuse is a one-entry memo of the
+// last dense result instead, keyed on (revision, omega_min, omega_max,
+// imag_tol, shift.cluster_tol) compared bitwise — the only inputs
+// solve_dense and finalize_crossings read.  The dense eigensolve is
+// deterministic, so a same-key re-solve (enforcement's first round
+// after characterize, verify after the last round, a pooled repeat of
+// an unchanged model) returns the stored result bit for bit and counts
+// as a dense reuse, not a dense solve.  update_residues bumps the
+// revision, so perturbed rounds and pool restores always recompute.
+// The Krylov route has no such memo: its same-revision re-solve draws
+// new start vectors, a genuine second certificate.  A session's order
+// never changes, so one session always takes the same route.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "phes/core/solver.hpp"
 #include "phes/engine/shift_cache.hpp"
@@ -86,7 +98,11 @@ struct SessionStats {
   std::uint64_t revision = 0;
   std::size_t solves = 0;          ///< solver invocations on this session
   std::size_t warm_solves = 0;     ///< solves that consumed a warm start
-  std::size_t dense_solves = 0;    ///< solves that took the dense route
+  std::size_t dense_solves = 0;    ///< dense eigensolves that ran
+  /// Dense solves answered from the session's memo of its last dense
+  /// result (same revision and key): solves == dense_solves +
+  /// dense_reuses on a dense-route session.
+  std::size_t dense_reuses = 0;
   std::size_t factorizations = 0;  ///< shift-invert operators built
 };
 
@@ -130,9 +146,10 @@ class SolverSession {
   void update_residues(const la::RealMatrix& c);
 
   /// Run the eigensolver on the current snapshot: core::solve_dense at
-  /// order <= kDenseMaxOrder, otherwise the Krylov solver warm-started
-  /// from the previous outcome and with factorizations routed through
-  /// the cache.
+  /// order <= kDenseMaxOrder (or its memoized result on a same-key
+  /// re-solve; `seconds` is then the lookup time), otherwise the Krylov
+  /// solver warm-started from the previous outcome and with
+  /// factorizations routed through the cache.
   [[nodiscard]] core::SolverResult solve(const core::SolverOptions& options);
 
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
@@ -159,6 +176,16 @@ class SolverSession {
   std::size_t solves_ = 0;
   std::size_t warm_solves_ = 0;
   std::size_t dense_solves_ = 0;
+  std::size_t dense_reuses_ = 0;
+  /// One-entry memo of the last dense result.  Key: the revision and
+  /// the bits of the only SolverOptions fields solve_dense and
+  /// finalize_crossings read (omega_min, omega_max, imag_tol,
+  /// shift.cluster_tol).
+  struct DenseMemo {
+    std::array<std::uint64_t, 5> key{};
+    core::SolverResult result;
+  };
+  std::optional<DenseMemo> dense_memo_;
 };
 
 }  // namespace phes::engine

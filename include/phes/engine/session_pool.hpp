@@ -27,6 +27,8 @@
 //    return.  A reused session then schedules the next job's solves
 //    exactly like a fresh one — cached factorizations change *cost*,
 //    never results, keeping pooled jobs bit-identical to one-shot runs.
+//    A dense-route session keeps its dense-result memo across jobs; a
+//    hit returns the bits a fresh solve computes, so the rule holds.
 //    Sweeps that prefer throughput over bitwise reproducibility can
 //    keep warm starts with `reset_warm_start = false`.
 //  - Idle sessions are evicted least-recently-used first once the pool

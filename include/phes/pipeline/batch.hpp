@@ -78,7 +78,7 @@ class BatchRunner {
 /// Aggregate per-job results into a summary table (name, status, ports,
 /// order, bands before/after, fit error, timings).  With `pool`, a
 /// footer row surfaces the batch's session-pool reuse (checkouts,
-/// pool hits, aggregated cache hits/misses).
+/// pool hits, aggregated cache hits/misses and dense-memo reuses).
 [[nodiscard]] util::Table summary_table(
     const std::vector<PipelineResult>& results,
     const engine::SessionPoolStats* pool = nullptr);

@@ -60,6 +60,7 @@ struct JobTrace {
   std::uint64_t solves = 0;
   std::uint64_t warm_solves = 0;
   std::uint64_t dense_solves = 0;
+  std::uint64_t dense_reuses = 0;  ///< dense solves served by the memo
   std::uint64_t factorizations = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;

@@ -162,17 +162,57 @@ ComplexVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
               "form_ritz_vector: pair does not belong to this Arnoldi run");
   const std::size_t dim = ar.v_rows.cols();
   ComplexVector x(dim, Complex{});
+  // x += v * y spelled out as std::complex evaluates it for finite
+  // values, (ac - bd, ad + bc): the same bits without the NaN-recovery
+  // call that keeps the complex product from vectorizing.
+  double* xd = reinterpret_cast<double*>(x.data());
   for (std::size_t row = 0; row < d; ++row) {
     const Complex yc = pair.coords[row];
     if (yc == Complex{}) continue;
-    const Complex* vr = ar.v_rows.row_ptr(row);
-    for (std::size_t i = 0; i < dim; ++i) x[i] += vr[i] * yc;
+    const double c = yc.real();
+    const double s = yc.imag();
+    const double* vr = reinterpret_cast<const double*>(ar.v_rows.row_ptr(row));
+    for (std::size_t i = 0; i < 2 * dim; i += 2) {
+      const double a = vr[i];
+      const double b = vr[i + 1];
+      xd[i] += a * c - b * s;
+      xd[i + 1] += a * s + b * c;
+    }
   }
   const double norm = la::nrm2<Complex>(x);
   if (norm > 0.0) {
     for (auto& e : x) e /= norm;
   }
   return x;
+}
+
+bool lock_vector(std::vector<ComplexVector>& locked, const ComplexVector& v) {
+  ComplexVector w = v;
+  const std::size_t n2 = 2 * w.size();
+  double* wd = reinterpret_cast<double*>(w.data());
+  // Complex products spelled out as std::complex evaluates them for
+  // finite values: conj(q) * w = (ac + bd, ad - bc) and p * q =
+  // (ac - bd, ad + bc), in the same loop order — the same bits.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : locked) {
+      const double* qd = reinterpret_cast<const double*>(q.data());
+      double pr = 0.0;
+      double pi = 0.0;
+      for (std::size_t i = 0; i < n2; i += 2) {
+        pr += qd[i] * wd[i] + qd[i + 1] * wd[i + 1];
+        pi += qd[i] * wd[i + 1] - qd[i + 1] * wd[i];
+      }
+      for (std::size_t i = 0; i < n2; i += 2) {
+        wd[i] -= pr * qd[i] - pi * qd[i + 1];
+        wd[i + 1] -= pr * qd[i + 1] + pi * qd[i];
+      }
+    }
+  }
+  const double norm = la::nrm2<Complex>(w);
+  if (norm < 1e-8) return false;  // direction already represented
+  for (auto& x : w) x /= norm;
+  locked.push_back(std::move(w));
+  return true;
 }
 
 }  // namespace phes::core

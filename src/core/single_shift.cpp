@@ -8,7 +8,6 @@
 
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
-#include "phes/la/blas.hpp"
 #include "phes/util/check.hpp"
 
 namespace phes::core {
@@ -80,22 +79,6 @@ SingleShiftResult single_shift_iteration(
   // the span (an approximately invariant subspace), which is all the
   // deflation needs.
   std::vector<ComplexVector> locked_vectors;
-  const auto lock_vector = [&](const ComplexVector& v) {
-    ComplexVector w = v;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& q : locked_vectors) {
-        Complex proj{};
-        for (std::size_t i = 0; i < w.size(); ++i) {
-          proj += std::conj(q[i]) * w[i];
-        }
-        for (std::size_t i = 0; i < w.size(); ++i) w[i] -= proj * q[i];
-      }
-    }
-    const double norm = la::nrm2<Complex>(w);
-    if (norm < 1e-8) return;  // direction already represented
-    for (auto& x : w) x /= norm;
-    locked_vectors.push_back(std::move(w));
-  };
   double rho = rho0;
   // Distance estimate of the nearest eigenvalue the process has seen but
   // not yet converged; caps the certified radius.
@@ -145,7 +128,7 @@ SingleShiftResult single_shift_iteration(
       const Complex lambda = theta + 1.0 / p.value;
       if (already_locked(lambda)) continue;
       locked.push_back({lambda, std::abs(lambda - theta)});
-      lock_vector(form_ritz_vector(ar, p));
+      lock_vector(locked_vectors, form_ritz_vector(ar, p));
       if (locked.back().distance <= rho * 1.0000001) ++new_in_disk;
     }
 

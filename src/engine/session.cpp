@@ -1,6 +1,7 @@
 #include "phes/engine/session.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "phes/la/blas.hpp"
 #include "phes/util/check.hpp"
+#include "phes/util/timer.hpp"
 
 namespace phes::engine {
 
@@ -40,11 +42,25 @@ void SolverSession::update_residues(const la::RealMatrix& c) {
 
 core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   if (realization_.order() <= kDenseMaxOrder) {
-    // Small model: one dense eigensolve beats the Krylov search, and
-    // it leaves nothing to cache or warm-start from.
-    core::SolverResult result = core::solve_dense(realization_, opt);
+    // Small model: one dense eigensolve beats the Krylov search.  The
+    // dense eigensolve is deterministic, so a repeat on the same
+    // revision and key (verify after enforce, enforcement's round 0
+    // after characterize) is answered from the memo, bit for bit.
+    util::WallTimer timer;
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const std::array<std::uint64_t, 5> key{
+        revision_, bits(opt.omega_min), bits(opt.omega_max),
+        bits(opt.imag_tol), bits(opt.shift.cluster_tol)};
     ++solves_;
+    if (dense_memo_ && dense_memo_->key == key) {
+      ++dense_reuses_;
+      core::SolverResult result = dense_memo_->result;
+      result.seconds = timer.seconds();
+      return result;
+    }
+    core::SolverResult result = core::solve_dense(realization_, opt);
     ++dense_solves_;
+    dense_memo_ = DenseMemo{key, result};
     return result;
   }
 
@@ -197,6 +213,10 @@ std::size_t SolverSession::approx_memory_bytes() const {
   bytes += (warm_.crossings.size() + warm_.shift_centers.size() +
             warm_.shift_radii.size()) *
            sizeof(double);
+  if (dense_memo_) {
+    bytes += dense_memo_->result.crossings.size() * sizeof(double) +
+             dense_memo_->result.eigenvalues.size() * sizeof(la::Complex);
+  }
   return bytes;
 }
 
@@ -207,6 +227,7 @@ SessionStats SolverSession::stats() const {
   s.solves = solves_;
   s.warm_solves = warm_solves_;
   s.dense_solves = dense_solves_;
+  s.dense_reuses = dense_reuses_;
   s.factorizations = factorizations_.load();
   return s;
 }

@@ -1,7 +1,9 @@
 #include "phes/io/touchstone.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -9,7 +11,7 @@
 #include <istream>
 #include <numbers>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "phes/util/check.hpp"
@@ -39,60 +41,94 @@ std::string upper(std::string s) {
   return s;
 }
 
-/// Strict double parse: the whole token must be a finite number.
-double parse_number(const std::string& token, std::size_t line) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    fail(line, "expected a number, got '" + token + "'");
+/// Strict double parse: the whole token must be a finite decimal
+/// number.  One leading '+' is allowed, as strtod took it (from_chars
+/// takes none); hexadecimal floats are not numbers here.
+double parse_number(std::string_view token, std::size_t line) {
+  std::string_view digits = token;
+  if (digits.starts_with('+') && !digits.substr(1).starts_with('-')) {
+    digits.remove_prefix(1);
+  }
+  const char* const last = digits.data() + digits.size();
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(digits.data(), last, value);
+  if (end != last || ec == std::errc::invalid_argument) {
+    fail(line, "expected a number, got '" + std::string(token) + "'");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    // Overflow or underflow: take strtod's saturated value (+-inf, or
+    // the nearest subnormal or zero), as the reader always has.
+    value = std::strtod(std::string(token).c_str(), nullptr);
   }
   if (!std::isfinite(value)) {
-    fail(line, "non-finite value '" + token + "'");
+    fail(line, "non-finite value '" + std::string(token) + "'");
   }
   return value;
 }
 
-/// Line-aware tokenizer: strips '!' comments, remembers the line each
-/// token came from, and exposes the raw line for option-line handling.
+bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Append the whitespace-separated tokens of `text` to `tokens`.
+void split_tokens(std::string_view text,
+                  std::vector<std::string_view>& tokens) {
+  std::size_t i = 0;
+  while (true) {
+    while (i < text.size() && is_space(text[i])) ++i;
+    if (i == text.size()) return;
+    const std::size_t start = i;
+    while (i < text.size() && !is_space(text[i])) ++i;
+    tokens.push_back(text.substr(start, i - start));
+  }
+}
+
+/// Line-aware tokenizer over the whole input, read once: strips '!'
+/// comments, remembers the line each token came from, and exposes the
+/// raw line for option-line handling.  Tokens are views into the
+/// buffer, valid for the tokenizer's lifetime.
 class Tokenizer {
  public:
-  explicit Tokenizer(std::istream& is) : is_(is) {}
+  explicit Tokenizer(std::istream& is) {
+    char chunk[1 << 16];
+    while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
+      text_.append(chunk, static_cast<std::size_t>(is.gcount()));
+    }
+  }
 
   /// Next data token, or false at end of input.  Option lines (leading
   /// '#') are dispatched to `on_option` as whole lines.
   template <typename OptionHandler>
-  bool next(std::string& token, OptionHandler&& on_option) {
+  bool next(std::string_view& token, OptionHandler&& on_option) {
     while (true) {
       if (pos_ < tokens_.size()) {
         token = tokens_[pos_++];
         return true;
       }
-      std::string raw;
-      if (!std::getline(is_, raw)) return false;
+      if (at_ == text_.size()) return false;
+      const std::size_t eol = std::min(text_.find('\n', at_), text_.size());
+      std::string_view raw = std::string_view(text_).substr(at_, eol - at_);
+      at_ = eol == text_.size() ? eol : eol + 1;
       ++line_;
-      if (const auto bang = raw.find('!'); bang != std::string::npos) {
-        raw.erase(bang);
-      }
-      std::istringstream ls(raw);
-      std::string first;
-      if (!(ls >> first)) continue;  // blank / comment-only line
-      if (first[0] == '#') {
-        on_option(raw, line_);
-        continue;
-      }
+      raw = raw.substr(0, raw.find('!'));
       tokens_.clear();
       pos_ = 0;
-      tokens_.push_back(first);
-      std::string t;
-      while (ls >> t) tokens_.push_back(t);
+      split_tokens(raw, tokens_);
+      if (tokens_.empty()) continue;  // blank / comment-only line
+      if (tokens_.front().front() == '#') {
+        tokens_.clear();
+        on_option(raw, line_);
+      }
     }
   }
 
   [[nodiscard]] std::size_t line() const noexcept { return line_; }
 
  private:
-  std::istream& is_;
-  std::vector<std::string> tokens_;
+  std::string text_;
+  std::size_t at_ = 0;  ///< start of the next unread line
+  std::vector<std::string_view> tokens_;
   std::size_t pos_ = 0;
   std::size_t line_ = 0;
 };
@@ -105,16 +141,21 @@ double unit_scale(const std::string& unit_upper, std::size_t line) {
   fail(line, "unknown frequency unit '" + unit_upper + "'");
 }
 
-void parse_option_line(const std::string& raw, std::size_t line,
+void parse_option_line(std::string_view raw, std::size_t line,
                        TouchstoneMetadata& meta, bool& seen) {
   if (seen) fail(line, "duplicate option line");
   seen = true;
-  std::istringstream ls(raw);
-  std::string tok;
-  ls >> tok;  // consume '#' (possibly glued to the first field)
-  if (tok.size() > 1) tok.erase(0, 1); else if (!(ls >> tok)) return;
-  do {
-    const std::string t = upper(tok);
+  std::vector<std::string_view> tokens;
+  split_tokens(raw, tokens);
+  // Drop the '#' (possibly glued to the first field).
+  if (tokens.front().size() > 1) {
+    tokens.front().remove_prefix(1);
+  } else {
+    tokens.erase(tokens.begin());
+  }
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string_view tok = tokens[i];
+    const std::string t = upper(std::string(tok));
     if (t == "HZ" || t == "KHZ" || t == "MHZ" || t == "GHZ") {
       meta.frequency_scale = unit_scale(t, line);
       meta.unit = t == "HZ" ? "Hz" : t == "KHZ" ? "kHz"
@@ -131,14 +172,16 @@ void parse_option_line(const std::string& raw, std::size_t line,
     } else if (t == "DB") {
       meta.format = TouchstoneFormat::kDB;
     } else if (t == "R") {
-      if (!(ls >> tok)) fail(line, "option 'R' missing its resistance value");
-      meta.reference_resistance = parse_number(tok, line);
+      if (++i == tokens.size()) {
+        fail(line, "option 'R' missing its resistance value");
+      }
+      meta.reference_resistance = parse_number(tokens[i], line);
     } else if (t.size() > 2 && t.ends_with("HZ")) {
       fail(line, "unknown frequency unit '" + t + "'");
     } else {
-      fail(line, "unknown option token '" + tok + "'");
+      fail(line, "unknown option token '" + std::string(tok) + "'");
     }
-  } while (ls >> tok);
+  }
 }
 
 la::Complex decode_pair(TouchstoneFormat format, double a, double b) {
@@ -224,7 +267,7 @@ TouchstoneData load_touchstone(std::istream& is, std::size_t ports) {
   TouchstoneData out;
   bool option_seen = false;
   bool data_seen = false;
-  auto on_option = [&](const std::string& raw, std::size_t line) {
+  auto on_option = [&](std::string_view raw, std::size_t line) {
     // The spec puts the option line before the data; accepting one
     // mid-stream would silently re-interpret records already parsed.
     if (data_seen) {
@@ -235,7 +278,7 @@ TouchstoneData load_touchstone(std::istream& is, std::size_t ports) {
 
   Tokenizer tok(is);
   const std::size_t values_per_record = 2 * ports * ports;
-  std::string token;
+  std::string_view token;
   double previous_freq = -1.0;
   while (tok.next(token, on_option)) {
     const std::size_t record_line = tok.line();
@@ -252,7 +295,7 @@ TouchstoneData load_touchstone(std::istream& is, std::size_t ports) {
 
     la::ComplexMatrix h(ports, ports);
     for (std::size_t v = 0; v < values_per_record; v += 2) {
-      std::string a_tok, b_tok;
+      std::string_view a_tok, b_tok;
       if (!tok.next(a_tok, on_option) || !tok.next(b_tok, on_option)) {
         fail(tok.line(), "truncated record: expected " +
                              std::to_string(values_per_record) +

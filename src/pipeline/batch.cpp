@@ -92,7 +92,7 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
 util::Table summary_table(const std::vector<PipelineResult>& results,
                           const engine::SessionPoolStats* pool) {
   util::Table table({"job", "status", "ports", "order", "fit rms",
-                     "bands", "after", "cache", "time [s]"});
+                     "bands", "after", "cache", "memo", "time [s]"});
   for (const auto& r : results) {
     const bool characterized =
         std::any_of(r.stage_timings.begin(), r.stage_timings.end(),
@@ -104,8 +104,9 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
                     [](const StageTiming& t) {
                       return t.stage == Stage::kVerify;
                     });
-    // Factorization reuse at a glance: hits/misses of the job's
-    // session cache across characterize + enforce rounds + verify.
+    // Reuse at a glance: hits/misses of the job's factorization cache
+    // across characterize + enforce rounds + verify, and how many of
+    // its solves the dense-result memo answered.
     const auto& cache = r.session.cache;
     table.add_row({
         r.name,
@@ -118,6 +119,9 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
         characterized ? std::to_string(cache.hits) + "/" +
                             std::to_string(cache.misses)
                       : "-",
+        characterized ? std::to_string(r.session.dense_reuses) + "/" +
+                            std::to_string(r.session.solves)
+                      : "-",
         util::format_double(r.total_seconds),
     });
   }
@@ -126,10 +130,14 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
     // served by an already-pooled session, and the cache totals.
     std::size_t hits = 0;
     std::size_t misses = 0;
+    std::size_t reuses = 0;
+    std::size_t solves = 0;
     double seconds = 0.0;
     for (const auto& r : results) {
       hits += r.session.cache.hits;
       misses += r.session.cache.misses;
+      reuses += r.session.dense_reuses;
+      solves += r.session.solves;
       seconds += r.total_seconds;
     }
     table.add_row({
@@ -142,6 +150,7 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
         "-",
         "-",
         std::to_string(hits) + "/" + std::to_string(misses),
+        std::to_string(reuses) + "/" + std::to_string(solves),
         util::format_double(seconds),
     });
   }

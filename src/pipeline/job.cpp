@@ -203,6 +203,7 @@ engine::SessionStats stats_since(const engine::SessionStats& now,
   d.solves -= base.solves;
   d.warm_solves -= base.warm_solves;
   d.dense_solves -= base.dense_solves;
+  d.dense_reuses -= base.dense_reuses;
   d.factorizations -= base.factorizations;
   return d;
 }
@@ -351,8 +352,11 @@ PipelineResult run_pipeline(const PipelineJob& job,
     return result;
   }
 
-  // -- verify (independent re-characterization; warm-started, and on
-  // the unchanged revision the factorization cache serves it) ----------
+  // -- verify (re-characterization of the final revision: a dense-route
+  // session answers it from its memo of the last enforcement round's
+  // solve, or of characterize when the model was already passive; a
+  // Krylov session re-solves warm-started from the factorization
+  // cache, a second certificate from new start vectors) ---------------
   if (!run_stage(Stage::kVerify, [&] {
         result.final_report = passivity::characterize_passivity(
             *session, job.options.solver);

@@ -116,6 +116,7 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
      << ", \"solves\": " << r.session.solves
      << ", \"warm_solves\": " << r.session.warm_solves
      << ", \"dense_solves\": " << r.session.dense_solves
+     << ", \"dense_reuses\": " << r.session.dense_reuses
      << ", \"revision\": " << r.session.revision
      << ", \"reused\": " << (r.session_reused ? "true" : "false")
      << " },\n";
@@ -199,6 +200,8 @@ PipelineResult read_job_json(const std::string& text) {
         static_cast<std::size_t>(session->uint_or("warm_solves", 0));
     r.session.dense_solves =
         static_cast<std::size_t>(session->uint_or("dense_solves", 0));
+    r.session.dense_reuses =
+        static_cast<std::size_t>(session->uint_or("dense_reuses", 0));
     r.session.revision =
         static_cast<std::size_t>(session->uint_or("revision", 0));
     r.session_reused = session->bool_or("reused", false);
@@ -264,18 +267,20 @@ void write_summary_json(const std::vector<PipelineResult>& results,
   os << "\n  ],\n";
 
   std::size_t succeeded = 0;
-  std::size_t hits = 0, misses = 0, warm = 0;
+  std::size_t hits = 0, misses = 0, warm = 0, reuses = 0;
   double seconds = 0.0;
   for (const auto& r : results) {
     if (r.ok) ++succeeded;
     hits += r.session.cache.hits;
     misses += r.session.cache.misses;
     warm += r.session.warm_solves;
+    reuses += r.session.dense_reuses;
     seconds += r.total_seconds;
   }
   os << "  \"summary\": { \"jobs\": " << results.size()
      << ", \"succeeded\": " << succeeded << ", \"cache_hits\": " << hits
      << ", \"cache_misses\": " << misses << ", \"warm_solves\": " << warm
+     << ", \"dense_reuses\": " << reuses
      << ", \"total_seconds\": " << fmt(seconds) << " }\n}\n";
 }
 
@@ -283,8 +288,8 @@ void write_summary_csv(const std::vector<PipelineResult>& results,
                        std::ostream& os) {
   os << "job,id,status,ok,cancelled,ports,order,fit_rms,bands_initial,"
         "bands_final,enforce_iterations,cache_hits,cache_misses,"
-        "cache_evictions,factorizations,solves,warm_solves,"
-        "session_reused,total_matvecs,"
+        "cache_evictions,factorizations,solves,warm_solves,dense_solves,"
+        "dense_reuses,session_reused,total_matvecs,"
         "seconds_load,seconds_fit,seconds_realize,seconds_characterize,"
         "seconds_enforce,seconds_verify,seconds_total\n";
   for (const auto& r : results) {
@@ -313,6 +318,7 @@ void write_summary_csv(const std::vector<PipelineResult>& results,
        << ',' << r.session.cache.misses << ','
        << r.session.cache.evictions << ',' << r.session.factorizations
        << ',' << r.session.solves << ',' << r.session.warm_solves << ','
+       << r.session.dense_solves << ',' << r.session.dense_reuses << ','
        << (r.session_reused ? 1 : 0) << ',' << job_matvecs(r);
     for (const Stage stage : kAllStages) {
       os << ',' << fmt(stage_seconds(r, stage));

@@ -320,6 +320,7 @@ void JobServer::log_slow_job(const JobTrace& trace) const {
   }
   os << " session: solves=" << trace.solves << " warm=" << trace.warm_solves
      << " dense=" << trace.dense_solves
+     << " dense_reuses=" << trace.dense_reuses
      << " cache=" << trace.cache_hits << '/' << trace.cache_misses;
   util::log_line("slow-job", os.str());
 }

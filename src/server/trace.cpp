@@ -58,6 +58,7 @@ std::string JobTrace::to_json() const {
   os << "], \"session\": {\"solves\": " << solves
      << ", \"warm_solves\": " << warm_solves
      << ", \"dense_solves\": " << dense_solves
+     << ", \"dense_reuses\": " << dense_reuses
      << ", \"factorizations\": " << factorizations
      << ", \"cache_hits\": " << cache_hits
      << ", \"cache_misses\": " << cache_misses << "}}";
@@ -90,6 +91,7 @@ JobTrace JobTrace::from_json(const util::JsonValue& v) {
     t.solves = session->uint_or("solves", 0);
     t.warm_solves = session->uint_or("warm_solves", 0);
     t.dense_solves = session->uint_or("dense_solves", 0);
+    t.dense_reuses = session->uint_or("dense_reuses", 0);
     t.factorizations = session->uint_or("factorizations", 0);
     t.cache_hits = session->uint_or("cache_hits", 0);
     t.cache_misses = session->uint_or("cache_misses", 0);
@@ -145,6 +147,7 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
   t.solves = result.session.solves;
   t.warm_solves = result.session.warm_solves;
   t.dense_solves = result.session.dense_solves;
+  t.dense_reuses = result.session.dense_reuses;
   t.factorizations = result.session.factorizations;
   t.cache_hits = result.session.cache.hits;
   t.cache_misses = result.session.cache.misses;

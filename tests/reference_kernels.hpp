@@ -13,6 +13,11 @@
 // in order, so test_la_kernels demands memcmp equality with it, and
 // bench_la_kernels times it against la::least_squares.
 //
+// reference_form_ritz_vector and reference_lock_vector are the
+// std::complex loops behind core::form_ritz_vector and
+// core::lock_vector; the library spells each product out in the same
+// order, so test_la_kernels demands memcmp equality with them.
+//
 // reference_dense_sigma_solve is the dense sigma least squares that
 // vf::detail::fast_sigma_solve replaced.  The fast form eliminates the
 // residues exactly, so test_vf compares whole fits against it to
@@ -254,6 +259,48 @@ inline void reference_mgs_pass(const la::ComplexMatrix& v_rows,
     for (std::size_t i = 0; i < dim; ++i) w[i] -= proj * vj[i];
     if (coeffs != nullptr) coeffs[j] += proj;
   }
+}
+
+/// core::form_ritz_vector with std::complex products.
+inline la::ComplexVector reference_form_ritz_vector(
+    const core::ArnoldiResult& ar, const core::RitzPair& pair) {
+  using la::Complex;
+  const std::size_t d = ar.steps;
+  const std::size_t dim = ar.v_rows.cols();
+  la::ComplexVector x(dim, Complex{});
+  for (std::size_t row = 0; row < d; ++row) {
+    const Complex yc = pair.coords[row];
+    if (yc == Complex{}) continue;
+    const Complex* vr = ar.v_rows.row_ptr(row);
+    for (std::size_t i = 0; i < dim; ++i) x[i] += vr[i] * yc;
+  }
+  const double norm = la::nrm2<Complex>(x);
+  if (norm > 0.0) {
+    for (auto& e : x) e /= norm;
+  }
+  return x;
+}
+
+/// core::lock_vector with std::complex products (the MGS2 lambda of
+/// the single-shift iteration).
+inline bool reference_lock_vector(std::vector<la::ComplexVector>& locked,
+                                  const la::ComplexVector& v) {
+  using la::Complex;
+  la::ComplexVector w = v;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : locked) {
+      Complex proj{};
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        proj += std::conj(q[i]) * w[i];
+      }
+      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= proj * q[i];
+    }
+  }
+  const double norm = la::nrm2<Complex>(w);
+  if (norm < 1e-8) return false;  // direction already represented
+  for (auto& x : w) x /= norm;
+  locked.push_back(std::move(w));
+  return true;
 }
 
 /// core::arnoldi with MGS plus one reorthogonalization pass (MGS2) in

@@ -2,17 +2,23 @@
 // order, revision invalidation, concurrent access) and the
 // SolverSession contract — cold solves bit-identical to the classic
 // API, warm re-solves finding the same crossing set cheaper, and the
-// enforcement loop's re-characterizations hitting the cache.
+// enforcement loop's re-characterizations hitting the cache — plus the
+// dense route's one-entry result memo: a same-key re-solve is served
+// bit for bit, anything that can change the answer recomputes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "phes/core/solver.hpp"
 #include "phes/engine/session.hpp"
+#include "phes/engine/session_pool.hpp"
 #include "phes/engine/shift_cache.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
@@ -315,7 +321,8 @@ TEST(Session, EnforcementRecharacterizationsHitTheCache) {
 
 TEST(Session, SmallModelTakesTheDenseRoute) {
   // At or below kDenseMaxOrder every solve is dense: no shifts, no
-  // factorizations, nothing cached, no warm-start record.
+  // factorizations, nothing cached, no warm-start record.  The repeat
+  // on the unchanged model is served by the dense-result memo.
   const auto model = make_model(1.07, 20);
   ASSERT_LE(model.order(), engine::kDenseMaxOrder);
   SolverSession session(model);
@@ -332,11 +339,187 @@ TEST(Session, SmallModelTakesTheDenseRoute) {
   }
   const auto stats = session.stats();
   EXPECT_EQ(stats.solves, 2u);
-  EXPECT_EQ(stats.dense_solves, 2u);
+  EXPECT_EQ(stats.dense_solves, 1u);
+  EXPECT_EQ(stats.dense_reuses, 1u);
   EXPECT_EQ(stats.warm_solves, 0u);
   EXPECT_EQ(stats.factorizations, 0u);
   EXPECT_EQ(stats.cache.entries, 0u);
   EXPECT_FALSE(session.warm_start().valid);
+}
+
+// ---- dense-result memo ---------------------------------------------------
+
+bool same_bits(const core::SolverResult& a, const core::SolverResult& b) {
+  const auto bits_equal = [](const auto& x, const auto& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
+  };
+  return bits_equal(a.crossings, b.crossings) &&
+         bits_equal(a.eigenvalues, b.eigenvalues) &&
+         a.passive == b.passive && a.dense == b.dense &&
+         std::memcmp(&a.omega_min, &b.omega_min, sizeof(double)) == 0 &&
+         std::memcmp(&a.omega_max, &b.omega_max, sizeof(double)) == 0;
+}
+
+TEST(DenseMemo, SameKeyResolveIsBitIdenticalAndCountedAsReuse) {
+  const auto model = make_model(1.07, 20);
+  ASSERT_LE(model.order(), engine::kDenseMaxOrder);
+  SolverSession session(model);
+  core::SolverOptions opt;
+  const auto first = session.solve(opt);
+  ASSERT_FALSE(first.crossings.empty());
+  EXPECT_EQ(session.stats().dense_solves, 1u);
+  EXPECT_EQ(session.stats().dense_reuses, 0u);
+
+  const auto second = session.solve(opt);
+  EXPECT_TRUE(same_bits(first, second));
+  EXPECT_EQ(session.stats().solves, 2u);
+  EXPECT_EQ(session.stats().dense_solves, 1u);
+  EXPECT_EQ(session.stats().dense_reuses, 1u);
+  // The served result is the one a cold solve computes.
+  EXPECT_TRUE(same_bits(second, core::solve_dense(session.realization(), opt)));
+}
+
+TEST(DenseMemo, UpdateResiduesRecomputes) {
+  const auto model = make_model(1.07, 21);
+  SolverSession session(model);
+  core::SolverOptions opt;
+  (void)session.solve(opt);
+  // Even an identical C bumps the revision: the memo never outlives it.
+  const la::RealMatrix c = session.realization().c();
+  session.update_residues(c);
+  (void)session.solve(opt);
+  EXPECT_EQ(session.stats().dense_solves, 2u);
+  EXPECT_EQ(session.stats().dense_reuses, 0u);
+
+  la::RealMatrix scaled = c;
+  scaled *= 0.5;
+  session.update_residues(scaled);
+  const auto perturbed = session.solve(opt);
+  EXPECT_EQ(session.stats().dense_solves, 3u);
+  EXPECT_TRUE(
+      same_bits(perturbed, core::solve_dense(session.realization(), opt)));
+  // The new revision is memoized in turn.
+  (void)session.solve(opt);
+  EXPECT_EQ(session.stats().dense_reuses, 1u);
+}
+
+TEST(DenseMemo, EachKeyFieldRecomputes) {
+  const auto model = make_model(1.07, 22);
+  const SimoRealization simo(model);
+  const std::vector<std::pair<std::string,
+                              std::function<void(core::SolverOptions&)>>>
+      keys = {
+          {"omega_min", [](core::SolverOptions& o) { o.omega_min = 0.5; }},
+          {"omega_max", [](core::SolverOptions& o) { o.omega_max = 40.0; }},
+          {"imag_tol", [](core::SolverOptions& o) { o.imag_tol = 1e-4; }},
+          {"cluster_tol",
+           [](core::SolverOptions& o) { o.shift.cluster_tol = 1e-5; }},
+          // Bitwise key: -0.0 == 0.0 numerically, but it is another key.
+          {"omega_min sign",
+           [](core::SolverOptions& o) { o.omega_min = -0.0; }},
+      };
+  for (const auto& [name, change] : keys) {
+    SolverSession session{SimoRealization(simo)};
+    core::SolverOptions opt;
+    (void)session.solve(opt);
+    core::SolverOptions changed = opt;
+    change(changed);
+    const auto res = session.solve(changed);
+    EXPECT_EQ(session.stats().dense_solves, 2u) << name;
+    EXPECT_EQ(session.stats().dense_reuses, 0u) << name;
+    EXPECT_TRUE(same_bits(res, core::solve_dense(simo, changed))) << name;
+    // Switching back misses too: the memo holds one entry.
+    (void)session.solve(opt);
+    EXPECT_EQ(session.stats().dense_solves, 3u) << name;
+  }
+}
+
+TEST(DenseMemo, NonKeyFieldsDoNotChangeTheDenseResult) {
+  // solve_dense reads only the key fields: varying every other field
+  // gives the same bits cold, which is what lets the memo serve them.
+  const auto model = make_model(1.07, 23);
+  const SimoRealization simo(model);
+  const core::SolverOptions base;
+  const auto reference = core::solve_dense(simo, base);
+  ASSERT_FALSE(reference.crossings.empty());
+
+  core::SolverOptions other = base;
+  other.threads = 4;
+  other.kappa = 5;
+  other.alpha = 1.3;
+  other.seed = 99;
+  other.resolution = 1e-5;
+  other.scheduling = core::SchedulingMode::kStaticGrid;
+  other.lambda_max.krylov_dim = 17;
+  other.lambda_max.restarts = 1;
+  other.lambda_max.safety_factor = 1.5;
+  other.shift.krylov_dim = 20;
+  other.shift.eigs_per_shift = 2;
+  other.shift.ritz_tol = 1e-6;
+  other.shift.max_restarts = 3;
+  other.shift.min_restarts = 1;
+  other.shift.radius_safety = 0.5;
+  EXPECT_TRUE(same_bits(core::solve_dense(simo, other), reference));
+
+  SolverSession session{SimoRealization(simo)};
+  (void)session.solve(base);
+  const auto served = session.solve(other);
+  EXPECT_EQ(session.stats().dense_reuses, 1u);
+  EXPECT_TRUE(same_bits(served, reference));
+}
+
+TEST(DenseMemo, KrylovOrderSessionNeverReuses) {
+  const auto model = make_model(1.07, 24, kKrylovOrder);
+  ASSERT_GT(model.order(), engine::kDenseMaxOrder);
+  SolverSession session(model);
+  core::SolverOptions opt;
+  opt.threads = 2;
+  const auto first = session.solve(opt);
+  const auto second = session.solve(opt);
+  EXPECT_FALSE(first.dense);
+  EXPECT_FALSE(second.dense);
+  // The same-revision re-solve is a genuine second certificate.
+  EXPECT_GT(second.total_matvecs, 0u);
+  EXPECT_EQ(session.stats().solves, 2u);
+  EXPECT_EQ(session.stats().dense_solves, 0u);
+  EXPECT_EQ(session.stats().dense_reuses, 0u);
+}
+
+TEST(DenseMemo, PoolRestoreMissesAndUnchangedReturnHits) {
+  const auto model = make_model(1.07, 25);
+  const SimoRealization pristine(model);
+  engine::SessionPool pool;
+  core::SolverOptions opt;
+  core::SolverResult cold;
+  {
+    auto lease = pool.checkout(SimoRealization(pristine));
+    cold = lease.session().solve(opt);
+  }
+  {
+    // Unchanged model back out of the pool: the memo serves it.
+    auto lease = pool.checkout(SimoRealization(pristine));
+    ASSERT_TRUE(lease.reused());
+    const auto before = lease.session().stats();
+    EXPECT_TRUE(same_bits(lease.session().solve(opt), cold));
+    EXPECT_EQ(lease.session().stats().dense_reuses, before.dense_reuses + 1);
+    // Perturb the residues the way enforcement would.
+    la::RealMatrix c = lease.session().realization().c();
+    c *= 0.9;
+    lease.session().update_residues(c);
+    (void)lease.session().solve(opt);
+  }
+  EXPECT_EQ(pool.stats().restores, 1u);
+  auto lease = pool.checkout(SimoRealization(pristine));
+  ASSERT_TRUE(lease.reused());
+  const auto before = lease.session().stats();
+  const auto restored = lease.session().solve(opt);
+  // The restore bumped the revision: recomputed, and the same bits as
+  // the pristine model's first solve.
+  EXPECT_EQ(lease.session().stats().dense_solves, before.dense_solves + 1);
+  EXPECT_EQ(lease.session().stats().dense_reuses, before.dense_reuses);
+  EXPECT_TRUE(same_bits(restored, cold));
 }
 
 }  // namespace

@@ -16,6 +16,10 @@
 //    reference_kernels.hpp) in r(), thin_q() and solve(), on square,
 //    tall random and vector_fit sigma-shaped systems, through the
 //    tau = 0 path and with signed zeros;
+//  - core::form_ritz_vector and core::lock_vector, which spell the
+//    complex products out, are BIT-identical to the std::complex loops
+//    they replaced (reference_form_ritz_vector / reference_lock_vector)
+//    on the Ritz pairs and locking sequences of real Arnoldi runs;
 //  - the library operators (ImplicitHamiltonianOp, SmwShiftInvertOp,
 //    arnoldi CGS2) agree with the straight-line oracle loops of
 //    reference_kernels.hpp to rounding on the solver's real shapes, and
@@ -785,6 +789,82 @@ TEST(QrRowSweepBitwiseTest, NegativeZerosMatchReference) {
   a(14, 0) = -0.0;
   a(3, 6) = -0.0;
   expect_qr_bitwise(a, "negative zeros", rng);
+}
+
+// ---- Ritz formation and locking: bitwise oracle -----------------------
+
+bool same_complex_bits(const ComplexVector& a, const ComplexVector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||  // memcmp must not see a null pointer
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0);
+}
+
+TEST(RitzLockBitwiseTest, FormAndLockMatchReference) {
+  // A shift-inverted operator, as in the single-shift iteration: lock
+  // every Ritz vector of several restarts in turn, through both paths,
+  // and demand the same bits at every step (including the rejections
+  // of directions already represented).
+  const auto model = test::synthetic_model(1.08, 2011, 64, 4);
+  const macromodel::SimoRealization realization(model);
+  const hamiltonian::SmwShiftInvertOp op(realization, Complex(0.0, 2.5));
+  const std::size_t dim = op.dim();
+  util::Rng rng(61);
+  std::vector<ComplexVector> locked;
+  std::vector<ComplexVector> ref_locked;
+  std::size_t accepted = 0;
+  for (int restart = 0; restart < 3; ++restart) {
+    const ComplexVector v0 = core::random_start_vector(dim, rng);
+    const auto ar = core::arnoldi(op, v0, 30, locked);
+    const auto pairs = core::ritz_pairs(ar, false);
+    for (const auto& pair : pairs) {
+      const ComplexVector x = core::form_ritz_vector(ar, pair);
+      ASSERT_TRUE(
+          same_complex_bits(x, test::reference_form_ritz_vector(ar, pair)))
+          << "restart " << restart;
+      const bool took = core::lock_vector(locked, x);
+      ASSERT_EQ(took, test::reference_lock_vector(ref_locked, x));
+      ASSERT_TRUE(same_complex_bits(locked.back(), ref_locked.back()))
+          << "restart " << restart << ", locked " << locked.size();
+      if (took) ++accepted;
+      // Re-locking a vector already in the set takes the rejection
+      // path through both.
+      ASSERT_FALSE(core::lock_vector(locked, locked.back()));
+      ASSERT_FALSE(test::reference_lock_vector(ref_locked, ref_locked.back()));
+    }
+  }
+  EXPECT_GT(accepted, 60u);
+  EXPECT_EQ(locked.size(), accepted);
+}
+
+TEST(RitzLockBitwiseTest, RandomAndSignedZeroInputsMatchReference) {
+  // Random Ritz coordinates on a random orthonormal-free basis, with
+  // exact zeros and negative zeros sprinkled into both.
+  util::Rng rng(62);
+  core::ArnoldiResult ar;
+  ar.steps = 9;
+  ar.v_rows = ComplexMatrix(ar.steps + 1, 33);
+  for (std::size_t r = 0; r <= ar.steps; ++r) {
+    const ComplexVector row = random_complex_vector(33, rng);
+    std::copy(row.begin(), row.end(), ar.v_rows.row_ptr(r));
+  }
+  ar.v_rows(1, 4) = Complex(-0.0, 0.0);
+  ar.v_rows(2, 7) = Complex(0.0, -0.0);
+  core::RitzPair pair;
+  pair.coords = random_complex_vector(ar.steps, rng);
+  pair.coords[3] = Complex{};
+  pair.coords[5] = Complex(-0.0, 1.0);
+  EXPECT_TRUE(same_complex_bits(core::form_ritz_vector(ar, pair),
+                                test::reference_form_ritz_vector(ar, pair)));
+
+  std::vector<ComplexVector> locked;
+  std::vector<ComplexVector> ref_locked;
+  for (int i = 0; i < 12; ++i) {
+    ComplexVector v = random_complex_vector(33, rng);
+    v[static_cast<std::size_t>(i)] = Complex(-0.0, -0.0);
+    ASSERT_EQ(core::lock_vector(locked, v),
+              test::reference_lock_vector(ref_locked, v));
+    ASSERT_TRUE(same_complex_bits(locked.back(), ref_locked.back())) << i;
+  }
 }
 
 // ---- determinism: bit-identical across runs and threads ---------------

@@ -70,11 +70,17 @@ TEST(Pipeline, EndToEndEnforcesPassivity) {
   // round's re-characterization, and verify.  The fitted model sits
   // below engine::kDenseMaxOrder, so each of those solves took the
   // dense route: no factorizations, nothing to cache or warm-start.
+  // Enforcement's round 0 re-solves characterize's revision and verify
+  // the last round's, so the dense-result memo serves exactly two.
   ASSERT_LE(result.order, engine::kDenseMaxOrder);
   EXPECT_GE(result.enforcement.characterizations, 2u);
   EXPECT_EQ(result.session.solves,
             2 + result.enforcement.characterizations);
-  EXPECT_EQ(result.session.dense_solves, result.session.solves);
+  EXPECT_EQ(result.session.dense_solves,
+            result.enforcement.characterizations);
+  EXPECT_EQ(result.session.dense_reuses, 2u);
+  EXPECT_EQ(result.session.dense_solves + result.session.dense_reuses,
+            result.session.solves);
   EXPECT_EQ(result.session.warm_solves, 0u);
   EXPECT_EQ(result.session.factorizations, 0u);
   EXPECT_EQ(result.session.cache.hits + result.session.cache.misses, 0u);
@@ -206,10 +212,14 @@ TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
   for (int i = 1; i < 4; ++i) {
     EXPECT_TRUE(outcome.results[i].session_reused);
   }
-  for (const auto& r : outcome.results) {
+  // The first job runs the dense eigensolve; the three pooled repeats
+  // of the unchanged model are served by the session's memo.
+  for (std::size_t i = 0; i < outcome.results.size(); ++i) {
+    const auto& r = outcome.results[i];
     ASSERT_LE(r.order, engine::kDenseMaxOrder);
     EXPECT_EQ(r.session.solves, 1u);
-    EXPECT_EQ(r.session.dense_solves, 1u);
+    EXPECT_EQ(r.session.dense_solves, i == 0 ? 1u : 0u) << "job " << i;
+    EXPECT_EQ(r.session.dense_reuses, i == 0 ? 0u : 1u) << "job " << i;
     EXPECT_EQ(r.session.factorizations, 0u);
     EXPECT_EQ(r.session.cache.hits + r.session.cache.misses, 0u);
   }
@@ -396,6 +406,39 @@ TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {
   EXPECT_EQ(result.status(), "passive");
   EXPECT_FALSE(result.enforcement_run);
   EXPECT_TRUE(result.certified_passive);
+  // Characterize runs the dense eigensolve; verify re-solves the same
+  // revision and is served by the session's dense-result memo.
+  ASSERT_LE(result.order, engine::kDenseMaxOrder);
+  EXPECT_EQ(result.session.solves, 2u);
+  EXPECT_EQ(result.session.dense_solves, 1u);
+  EXPECT_EQ(result.session.dense_reuses, 1u);
+}
+
+TEST(Pipeline, PooledRepeatOfPassiveModelRunsNoEigensolve) {
+  // Two full runs over one passive model, one worker: the second job
+  // checks out the first job's unchanged session, whose memo serves
+  // both its characterize and its verify solve — same bits.
+  const auto samples = test::passive_samples(21);
+  std::vector<PipelineJob> jobs(2, make_job(samples));
+  pipeline::BatchOptions options;
+  options.job_workers = 1;
+  options.solver_threads = 1;
+  const auto outcome = pipeline::BatchRunner(options).run_all(jobs);
+  ASSERT_EQ(outcome.results.size(), 2u);
+  const auto& first = outcome.results[0];
+  const auto& second = outcome.results[1];
+  ASSERT_TRUE(first.ok && second.ok);
+  EXPECT_EQ(second.status(), "passive");
+  EXPECT_TRUE(second.session_reused);
+  EXPECT_EQ(first.session.dense_solves, 1u);
+  EXPECT_EQ(first.session.dense_reuses, 1u);
+  EXPECT_EQ(second.session.solves, 2u);
+  EXPECT_EQ(second.session.dense_solves, 0u);
+  EXPECT_EQ(second.session.dense_reuses, 2u);
+  EXPECT_EQ(second.initial_report.solver.eigenvalues,
+            first.initial_report.solver.eigenvalues);
+  EXPECT_EQ(second.final_report.solver.eigenvalues,
+            first.final_report.solver.eigenvalues);
 }
 
 TEST(Pipeline, CancellationStopsAtStageBoundary) {

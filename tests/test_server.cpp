@@ -381,13 +381,18 @@ TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
   ASSERT_TRUE(r2 && r2->ok) << (r2 ? r2->error : "missing");
 
   // Fresh first session, pooled second one — same crossings, bit for
-  // bit, one dense solve each and nothing factorized or cached.
+  // bit, nothing factorized or cached.  The first job runs the dense
+  // eigensolve; the second, on the unchanged pooled session, is served
+  // by its dense-result memo.
   EXPECT_FALSE(r1->session_reused);
   EXPECT_TRUE(r2->session_reused);
+  EXPECT_EQ(r1->session.dense_solves, 1u);
+  EXPECT_EQ(r1->session.dense_reuses, 0u);
+  EXPECT_EQ(r2->session.dense_solves, 0u);
+  EXPECT_EQ(r2->session.dense_reuses, 1u);
   for (const auto& r : {*r1, *r2}) {
     ASSERT_LE(r.order, engine::kDenseMaxOrder);
     EXPECT_EQ(r.session.solves, 1u);
-    EXPECT_EQ(r.session.dense_solves, 1u);
     EXPECT_EQ(r.session.factorizations, 0u);
     EXPECT_EQ(r.session.cache.hits + r.session.cache.misses, 0u);
     EXPECT_TRUE(r.initial_report.solver.dense);

@@ -71,6 +71,7 @@ PipelineResult sample_result(std::uint64_t id) {
   r.session.solves = 5;
   r.session.warm_solves = 4;
   r.session.dense_solves = 1;
+  r.session.dense_reuses = 2;
   r.session.revision = 3;
   r.session_reused = true;
   double t = 0.0123456789;
@@ -162,16 +163,21 @@ TEST(ReportReader, ReconstructsSemanticFields) {
   EXPECT_EQ(reread.stage_timings.size(), 6u);
   EXPECT_EQ(reread.session.cache.hits, 7u);
   EXPECT_EQ(reread.session.dense_solves, 1u);
+  EXPECT_EQ(reread.session.dense_reuses, 2u);
   EXPECT_TRUE(reread.session_reused);
 
-  // Records written before the dense route carry no "dense_solves".
+  // Records written before the dense route carry no "dense_solves",
+  // and those written before the dense-result memo no "dense_reuses".
   std::string old_doc = job_json(sample_result(43));
-  const std::string key = ", \"dense_solves\": 1";
-  const std::size_t key_at = old_doc.find(key);
-  ASSERT_NE(key_at, std::string::npos);
-  old_doc.erase(key_at, key.size());
+  for (const std::string key :
+       {", \"dense_solves\": 1", ", \"dense_reuses\": 2"}) {
+    const std::size_t key_at = old_doc.find(key);
+    ASSERT_NE(key_at, std::string::npos) << key;
+    old_doc.erase(key_at, key.size());
+  }
   const PipelineResult old_record = pipeline::read_job_json(old_doc);
   EXPECT_EQ(old_record.session.dense_solves, 0u);
+  EXPECT_EQ(old_record.session.dense_reuses, 0u);
   EXPECT_EQ(old_record.session.warm_solves, 4u);
 
   const PipelineResult failed =

@@ -1,12 +1,20 @@
 // Touchstone reader/writer tests: round trips across formats and
 // frequency units, the 2-port ordering quirk, noise-section handling,
-// and a malformed-input table with line-numbered diagnostics.
+// a malformed-input table with line-numbered diagnostics, and bitwise
+// agreement of the in-place from_chars reader with the istringstream +
+// strtod reader it replaced.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "phes/io/touchstone.hpp"
 #include "phes/macromodel/generator.hpp"
@@ -279,6 +287,172 @@ TEST(Touchstone, GoldenS4pLoadsAndRoundTrips) {
   for (std::size_t k = 0; k < data.samples.count(); ++k) {
     EXPECT_LT(test::max_abs_diff(reloaded.samples.h[k], data.samples.h[k]),
               1e-12);
+  }
+}
+
+// ---- Bitwise oracle: the istringstream + strtod reader -----------------
+// The reader before the in-place tokenizer, reduced to well-formed
+// input: per-line istringstream tokens, strtod, the same decoding.
+
+macromodel::FrequencySamples reference_load(std::istream& is,
+                                            std::size_t ports) {
+  double scale = 1e9;
+  TouchstoneFormat format = TouchstoneFormat::kMA;
+  std::vector<double> values;
+  std::string raw;
+  while (std::getline(is, raw)) {
+    if (const auto bang = raw.find('!'); bang != std::string::npos) {
+      raw.erase(bang);
+    }
+    std::istringstream ls(raw);
+    std::string tok;
+    if (!(ls >> tok)) continue;
+    if (tok[0] == '#') {
+      if (tok.size() > 1) tok.erase(0, 1); else if (!(ls >> tok)) continue;
+      do {
+        for (char& c : tok) {
+          c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        }
+        if (tok == "HZ") scale = 1.0;
+        if (tok == "KHZ") scale = 1e3;
+        if (tok == "MHZ") scale = 1e6;
+        if (tok == "GHZ") scale = 1e9;
+        if (tok == "RI") format = TouchstoneFormat::kRI;
+        if (tok == "MA") format = TouchstoneFormat::kMA;
+        if (tok == "DB") format = TouchstoneFormat::kDB;
+        if (tok == "R") ls >> tok;
+      } while (ls >> tok);
+      continue;
+    }
+    do {
+      values.push_back(std::strtod(tok.c_str(), nullptr));
+    } while (ls >> tok);
+  }
+  const double deg = std::numbers::pi / 180.0;
+  const std::size_t per_record = 1 + 2 * ports * ports;
+  macromodel::FrequencySamples out;
+  for (std::size_t r = 0; r + per_record <= values.size(); r += per_record) {
+    out.omega.push_back(2.0 * std::numbers::pi * values[r] * scale);
+    la::ComplexMatrix h(ports, ports);
+    for (std::size_t v = 0; v < ports * ports; ++v) {
+      const double a = values[r + 1 + 2 * v];
+      const double b = values[r + 2 + 2 * v];
+      const std::size_t row = ports == 2 ? v % 2 : v / ports;
+      const std::size_t col = ports == 2 ? v / 2 : v % ports;
+      h(row, col) = format == TouchstoneFormat::kRI ? la::Complex(a, b)
+                    : format == TouchstoneFormat::kMA
+                        ? std::polar(a, b * deg)
+                        : std::polar(std::pow(10.0, a / 20.0), b * deg);
+    }
+    out.h.push_back(std::move(h));
+  }
+  return out;
+}
+
+void expect_bitwise_equal(const macromodel::FrequencySamples& got,
+                          const macromodel::FrequencySamples& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.count(), want.count()) << label;
+  ASSERT_GT(got.count(), 0u) << label;
+  EXPECT_EQ(std::memcmp(got.omega.data(), want.omega.data(),
+                        got.count() * sizeof(double)),
+            0)
+      << label;
+  for (std::size_t k = 0; k < got.count(); ++k) {
+    ASSERT_EQ(std::memcmp(got.h[k].data(), want.h[k].data(),
+                          got.h[k].size() * sizeof(la::Complex)),
+              0)
+        << label << " record " << k;
+  }
+}
+
+TEST(Touchstone, GoldenFilesMatchStrtodReaderBitwise) {
+  for (const auto& [name, ports] :
+       {std::pair<const char*, std::size_t>{"golden.s2p", 2},
+        {"golden.s4p", 4}}) {
+    const auto got = io::load_touchstone_file(test::fixture_path(name));
+    std::ifstream is(test::fixture_path(name));
+    expect_bitwise_equal(got.samples, reference_load(is, ports), name);
+  }
+}
+
+TEST(Touchstone, GenFilesMatchStrtodReaderBitwise) {
+  // The `phes_pipeline gen` mix: 2-4 ports, RI/MA/DB, 200 samples.
+  const TouchstoneFormat formats[] = {TouchstoneFormat::kRI,
+                                      TouchstoneFormat::kMA,
+                                      TouchstoneFormat::kDB};
+  for (std::size_t i = 0; i < 6; ++i) {
+    macromodel::SyntheticModelSpec spec;
+    spec.ports = 2 + i % 3;
+    spec.states = 24 + 12 * (i % 4);
+    spec.omega_min = 1.0;
+    spec.omega_max = 30.0;
+    spec.target_peak_gain = i % 2 == 0 ? 1.04 : 0.95;
+    spec.seed = 2011 + i;
+    const auto samples = macromodel::sample_model(
+        macromodel::make_synthetic_model(spec), 0.3, 90.0, 200);
+    TouchstoneMetadata meta;
+    meta.format = formats[i % 3];
+    std::stringstream text;
+    save_touchstone(samples, text, meta);
+    std::stringstream a(text.str());
+    std::stringstream b(text.str());
+    expect_bitwise_equal(load_touchstone(a, spec.ports).samples,
+                         reference_load(b, spec.ports),
+                         "gen case" + std::to_string(i + 1));
+  }
+}
+
+TEST(Touchstone, NumberSyntaxEdges) {
+  // One leading '+' is accepted, as strtod did; a sign after it is not.
+  std::stringstream plus("# Hz S RI\n+1.0 +0.5 -0.25\n");
+  const auto data = load_touchstone(plus, 1);
+  EXPECT_EQ(data.samples.h[0](0, 0), la::Complex(0.5, -0.25));
+  // Underflow keeps strtod's nearest value; overflow is non-finite.
+  std::stringstream tiny("# Hz S RI\n1.0 1e-400 4.9e-324\n");
+  const auto small = load_touchstone(tiny, 1);
+  EXPECT_EQ(small.samples.h[0](0, 0).real(), std::strtod("1e-400", nullptr));
+  EXPECT_EQ(small.samples.h[0](0, 0).imag(),
+            std::strtod("4.9e-324", nullptr));
+
+  const MalformedCase cases[] = {
+      // strtod read hexadecimal floats; the reader does not.
+      {"hex float", "# Hz S RI\n1.0 0x1p-1 0\n",
+       "line 2: expected a number, got '0x1p-1'"},
+      {"plus minus", "# Hz S RI\n1.0 +-1 0\n", "line 2: expected a number"},
+      {"double plus", "# Hz S RI\n1.0 ++1 0\n", "line 2: expected a number"},
+      {"lone plus", "# Hz S RI\n1.0 + 0\n", "line 2: expected a number"},
+      {"trailing junk", "# Hz S RI\n1.0 1e 0\n", "line 2: expected a number"},
+      {"overflow", "# Hz S RI\n1.0 1e400 0\n",
+       "line 2: non-finite value '1e400'"},
+      {"infinity", "# Hz S RI\n1.0 -inf 0\n", "line 2: non-finite"},
+      {"hex R value", "# Hz S RI R 0x10\n1.0 0 0\n",
+       "line 1: expected a number"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream ss(c.text);
+    try {
+      (void)load_touchstone(ss, 1);
+      FAIL() << c.label << ": expected a parse error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect_in_message),
+                std::string::npos)
+          << c.label << ": got '" << e.what() << "'";
+    }
+  }
+}
+
+TEST(Touchstone, ValueSplitAcrossLinesReportsTheLaterLine) {
+  // A pair whose second value sits on the next line: a bad first value
+  // is reported at the line the pair ends on, as before.
+  std::stringstream ss("# Hz S RI\n1.0 bad\n0\n");
+  try {
+    (void)load_touchstone(ss, 1);
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: expected a number"),
+              std::string::npos)
+        << e.what();
   }
 }
 

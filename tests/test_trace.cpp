@@ -52,6 +52,7 @@ JobTrace sample_trace(std::uint64_t id) {
   t.solves = 9;
   t.warm_solves = 5;
   t.dense_solves = 4;
+  t.dense_reuses = 3;
   t.factorizations = 7;
   t.cache_hits = 11;
   t.cache_misses = 6;
@@ -75,6 +76,7 @@ TEST(JobTraceJson, RoundTripIsByteIdentical) {
   EXPECT_EQ(parsed.spans[1].stage, "verify");
   EXPECT_EQ(parsed.solves, 9u);
   EXPECT_EQ(parsed.dense_solves, 4u);
+  EXPECT_EQ(parsed.dense_reuses, 3u);
   // The contract from trace.hpp: parse -> rebuild -> serialize is
   // byte-identical (fixed %.6f timestamp formatting at build time).
   EXPECT_EQ(parsed.to_json(), json);
@@ -82,14 +84,18 @@ TEST(JobTraceJson, RoundTripIsByteIdentical) {
 
 TEST(JobTraceJson, RecordWithoutDenseSolvesReadsZero) {
   // Traces written before the dense route existed carry no
-  // "dense_solves" key; they read as zero dense solves.
+  // "dense_solves" key, and those before the dense-result memo no
+  // "dense_reuses"; they read as zero.
   std::string json = sample_trace(42).to_json();
-  const std::string key = ", \"dense_solves\": 4";
-  const std::size_t at = json.find(key);
-  ASSERT_NE(at, std::string::npos) << json;
-  json.erase(at, key.size());
+  for (const std::string key :
+       {", \"dense_solves\": 4", ", \"dense_reuses\": 3"}) {
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << json;
+    json.erase(at, key.size());
+  }
   const JobTrace parsed = JobTrace::from_json(util::JsonValue::parse(json));
   EXPECT_EQ(parsed.dense_solves, 0u);
+  EXPECT_EQ(parsed.dense_reuses, 0u);
   EXPECT_EQ(parsed.solves, 9u);
   EXPECT_EQ(parsed.warm_solves, 5u);
 }
@@ -166,6 +172,7 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   result.session.factorizations = 9;
   result.session.warm_solves = 6;
   result.session.dense_solves = 2;
+  result.session.dense_reuses = 5;
   result.session.cache.hits = 9;
   result.session.cache.misses = 4;
 
@@ -196,6 +203,7 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   EXPECT_EQ(trace.solves, 8u);
   EXPECT_EQ(trace.warm_solves, 6u);
   EXPECT_EQ(trace.dense_solves, 2u);
+  EXPECT_EQ(trace.dense_reuses, 5u);
   EXPECT_EQ(trace.cache_hits, 9u);
 }
 
@@ -244,13 +252,18 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
   // golden.s2p fits to a 2-port, order-24 model: below kDenseMaxOrder,
   // so every eigensolve of the job took the dense route — one session,
   // no shifts, no factorizations.  It is non-passive, so the job ran
-  // characterize + enforce's re-characterizations + verify.
+  // characterize + enforce's re-characterizations + verify.  Two of
+  // those repeat a solve of the same revision and are served by the
+  // session's dense-result memo: enforcement's round 0 (characterize's
+  // model) and verify (the last round's model).
   const auto result = jobs.result(id);
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->enforcement_run);
   ASSERT_LE(result->order, engine::kDenseMaxOrder);
   EXPECT_EQ(trace.solves, 2 + result->enforcement.characterizations);
-  EXPECT_EQ(trace.dense_solves, trace.solves);
+  EXPECT_EQ(trace.dense_solves, result->enforcement.characterizations);
+  EXPECT_EQ(trace.dense_reuses, 2u);
+  EXPECT_EQ(trace.dense_solves + trace.dense_reuses, trace.solves);
   EXPECT_EQ(trace.factorizations, 0u);
   for (const StageSpan& span : trace.spans) {
     EXPECT_EQ(span.matvecs, 0u) << span.stage;
