@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
     return submitter.request(
         "{\"op\": \"submit\", \"path\": \"/nonexistent/pressure.s2p\"}");
   });
-  while (jobs.stats().queue.push_waits == 0) {
+  while (test::counter(jobs.metrics_snapshot(),
+                       "phes_queue_push_waits_total") == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 

@@ -33,8 +33,7 @@
 //       --auth-token-file FILE).
 //         submit <file> [--inline] [job flags]
 //         status [id]     result <id>     cancel <id>
-//         stats           ping            trace <id>
-//         metrics [--prom]
+//         ping            trace <id>      metrics [--prom]
 //         wait <id> [--timeout s]       shutdown [--no-drain]
 //         replay <id> | replay --all [--state S --model H
 //                                     --from N --to N]
@@ -87,6 +86,8 @@
 
 #include <csignal>
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -174,7 +175,7 @@ int usage() {
                "[--inline] [flags]\n"
                "  phes_pipeline client <endpoint> "
                "status|result|cancel|wait|trace [id]\n"
-               "  phes_pipeline client <endpoint> stats|ping|shutdown\n"
+               "  phes_pipeline client <endpoint> ping|shutdown\n"
                "  phes_pipeline client <endpoint> metrics [--prom]\n"
                "  phes_pipeline client <endpoint> replay <id>\n"
                "  phes_pipeline client <endpoint> replay --all "
@@ -225,9 +226,13 @@ std::string read_token_file(const std::string& path) {
 }
 
 std::size_t parse_count(const char* text, const char* flag) {
+  // Digits only: strtoul itself skips leading whitespace and wraps a
+  // leading '-' to a huge count.
   char* end = nullptr;
+  errno = 0;
   const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0') {
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument(std::string(flag) + ": expected a number, "
                                 "got '" + text + "'");
   }
@@ -490,13 +495,19 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   options.slow_job_ms = cli.slow_job_ms;
 
   server::JobServer server(options);
+  // Counter lookup in a metrics snapshot (absent names read 0).
+  const auto counter = [](const obs::MetricsSnapshot& snapshot,
+                          const char* name) -> unsigned long long {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0 : it->second;
+  };
   if (!cli.data_dir.empty()) {
-    const auto storage = server.stats().storage;
-    std::printf("durable store %s: %zu record(s) recovered",
-                cli.data_dir.c_str(), storage.recovered);
-    if (storage.lost > 0) {
-      std::printf(", %zu marked lost (were in flight at the crash)",
-                  storage.lost);
+    const obs::MetricsSnapshot recovery = server.metrics_snapshot();
+    std::printf("durable store %s: %llu record(s) recovered",
+                cli.data_dir.c_str(),
+                counter(recovery, "phes_store_recovered_total"));
+    if (const auto lost = counter(recovery, "phes_store_lost_total")) {
+      std::printf(", %llu marked lost (were in flight at the crash)", lost);
     }
     std::printf("\n");
   }
@@ -524,7 +535,6 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
-  const auto stats = server.stats();
   std::string endpoints;
   for (const auto& t : transport.transports()) {
     endpoints += endpoints.empty() ? "" : ", ";
@@ -532,7 +542,7 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   }
   std::printf("phes_pipeline serving on %s (%zu worker(s) x %zu solver "
               "thread(s), queue %zu, sessions %s)\n",
-              endpoints.c_str(), stats.workers, stats.solver_threads,
+              endpoints.c_str(), server.workers(), server.solver_threads(),
               cli.queue_capacity, cli.share_sessions ? "pooled" : "private");
   std::fflush(stdout);
 
@@ -550,12 +560,13 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   server.shutdown(drain);
   transport.stop();
 
-  const auto final_stats = server.stats();
-  std::printf("served %zu job(s); queue peak %zu; session pool: %zu "
-              "checkout(s), %zu reuse(s), %zu restore(s)\n",
-              final_stats.submitted, final_stats.queue.peak_size,
-              final_stats.pool.checkouts, final_stats.pool.pool_hits,
-              final_stats.pool.restores);
+  const obs::MetricsSnapshot final_metrics = server.metrics_snapshot();
+  std::printf("served %llu job(s); session pool: %llu checkout(s), %llu "
+              "reuse(s), %llu restore(s)\n",
+              counter(final_metrics, "phes_jobs_submitted_total"),
+              counter(final_metrics, "phes_session_pool_checkouts_total"),
+              counter(final_metrics, "phes_session_pool_hits_total"),
+              counter(final_metrics, "phes_session_pool_restores_total"));
   return 0;
 }
 
@@ -667,9 +678,7 @@ int cmd_client(const std::string& endpoint_spec, const std::string& op,
     }
     request = "{\"op\": \"campaign\", \"id\": " +
               std::to_string(parse_count(id_or_file, "campaign")) + "}";
-  } else if (op == "metrics") {
-    request = "{\"op\": \"metrics\"}";
-  } else if (op == "stats" || op == "ping") {
+  } else if (op == "metrics" || op == "ping") {
     request = "{\"op\": \"" + op + "\"}";
   } else if (op == "shutdown") {
     request = std::string("{\"op\": \"shutdown\", \"drain\": ") +

@@ -107,18 +107,8 @@ struct SessionStats {
 };
 
 struct SessionOptions {
-  std::size_t cache_capacity = 64;
   /// Seed re-solves from the previous outcome (band + shifts).
   bool warm_start = true;
-  /// Pre-build the seed shifts' factorizations before the scheduler
-  /// runs, so seeded startup intervals begin with cache hits.
-  bool prefetch_seeds = true;
-  /// A re-solve of an UNCHANGED revision counts the recorded solve as
-  /// the confirmation restart for each replayed disk: min_restarts
-  /// drops to 1 for the seeded intervals only (fresh mop-up intervals
-  /// keep the full restart insurance), roughly halving the cost of
-  /// empty disks on the verify path.
-  bool confirmation_resolve = true;
 };
 
 class SolverSession {

@@ -23,16 +23,18 @@
 //    session returned with a bumped revision is restored to the
 //    pristine residues captured at creation before it re-enters the
 //    pool, so the next job always sees the unperturbed model.
-//  - Determinism: by default the warm-start record is cleared on
-//    return.  A reused session then schedules the next job's solves
-//    exactly like a fresh one — cached factorizations change *cost*,
-//    never results, keeping pooled jobs bit-identical to one-shot runs.
-//    A dense-route session keeps its dense-result memo across jobs; a
-//    hit returns the bits a fresh solve computes, so the rule holds.
-//    Sweeps that prefer throughput over bitwise reproducibility can
-//    keep warm starts with `reset_warm_start = false`.
+//  - Determinism: the warm-start record is cleared on return.  A
+//    reused session then schedules the next job's solves exactly like
+//    a fresh one — cached factorizations change *cost*, never results,
+//    keeping pooled jobs bit-identical to one-shot runs.  A dense-route
+//    session keeps its dense-result memo across jobs; a hit returns the
+//    bits a fresh solve computes, so the rule holds.
 //  - Idle sessions are evicted least-recently-used first once the pool
 //    exceeds its session-count or approximate-memory budget.
+//
+// Counters and levels live in an obs::MetricsRegistry
+// (phes_session_pool_*; see README "Observability"); stats() is a view
+// over those instruments.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,6 +43,7 @@
 
 #include "phes/engine/session.hpp"
 #include "phes/macromodel/simo_realization.hpp"
+#include "phes/util/metrics.hpp"
 #include "phes/util/sync.hpp"
 
 namespace phes::engine {
@@ -61,12 +64,6 @@ struct SessionPoolOptions {
   std::size_t memory_budget_bytes = 256u << 20;
   /// Options for sessions the pool creates.
   SessionOptions session{};
-  /// Restore the pristine residue matrix when a job returns a session
-  /// whose revision moved (enforcement ran).  Disable only if every job
-  /// wants to continue from the previous job's perturbed model.
-  bool reset_residues = true;
-  /// Clear the warm-start record on return (see file comment).
-  bool reset_warm_start = true;
 };
 
 struct SessionPoolStats {
@@ -85,8 +82,8 @@ struct SessionPoolStats {
 class SessionPool;
 
 /// Exclusive RAII lease of a pooled session; the destructor returns the
-/// session to the pool (restoring/evicting per the pool options).  The
-/// pool must outlive every lease.
+/// session to the pool (restoring its residues, evicting over budget).
+/// The pool must outlive every lease.
 class SessionLease {
  public:
   SessionLease() = default;
@@ -118,7 +115,10 @@ class SessionLease {
 
 class SessionPool {
  public:
-  explicit SessionPool(SessionPoolOptions options = {});
+  /// Counters and levels live in `registry` (the owning server's);
+  /// nullptr gives the pool a private registry.
+  explicit SessionPool(SessionPoolOptions options = {},
+                       obs::MetricsRegistry* registry = nullptr);
   ~SessionPool();
 
   SessionPool(const SessionPool&) = delete;
@@ -130,13 +130,7 @@ class SessionPool {
   [[nodiscard]] SessionLease checkout(macromodel::SimoRealization realization)
       PHES_EXCLUDES(mutex_);
 
-  /// Drop every idle session (leased ones are unaffected).
-  void clear_idle() PHES_EXCLUDES(mutex_);
-
   [[nodiscard]] SessionPoolStats stats() const PHES_EXCLUDES(mutex_);
-  [[nodiscard]] const SessionPoolOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   friend class SessionLease;
@@ -154,6 +148,8 @@ class SessionPool {
 
   void give_back(Entry* entry) PHES_EXCLUDES(mutex_);
   void evict_over_budget_locked() PHES_REQUIRES(mutex_);
+  /// Copy the idle/leased levels into their gauges.
+  void publish_levels_locked() PHES_REQUIRES(mutex_);
 
   SessionPoolOptions options_;
   mutable util::Mutex mutex_;
@@ -161,13 +157,19 @@ class SessionPool {
   std::list<std::unique_ptr<Entry>> idle_ PHES_GUARDED_BY(mutex_);
   std::size_t idle_bytes_ PHES_GUARDED_BY(mutex_) = 0;
   std::size_t leased_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t checkouts_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t pool_hits_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t creations_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t returns_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t restores_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t evictions_ PHES_GUARDED_BY(mutex_) = 0;
-  std::size_t collisions_ PHES_GUARDED_BY(mutex_) = 0;
+
+  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
+  obs::Counter* checkouts_ = nullptr;
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* creations_ = nullptr;
+  obs::Counter* returns_ = nullptr;
+  obs::Counter* restores_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* collisions_ = nullptr;
+  /// Written only under mutex_, so stats() reads consistent levels.
+  obs::Gauge* idle_sessions_gauge_ PHES_PT_GUARDED_BY(mutex_) = nullptr;
+  obs::Gauge* leased_sessions_gauge_ PHES_PT_GUARDED_BY(mutex_) = nullptr;
+  obs::Gauge* idle_bytes_gauge_ PHES_PT_GUARDED_BY(mutex_) = nullptr;
 };
 
 }  // namespace phes::engine

@@ -37,15 +37,6 @@
 
 namespace phes::server {
 
-struct DispatchStats {
-  std::size_t workers = 0;
-  std::size_t queue_depth = 0;  ///< tasks waiting (not yet picked up)
-  std::size_t peak_depth = 0;
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t rejected = 0;  ///< try_submit refusals (queue full)
-};
-
 class DispatchPool {
  public:
   /// Runs one request line; may block (admission backpressure).
@@ -74,8 +65,6 @@ class DispatchPool {
   /// Idempotent.
   void stop() PHES_EXCLUDES(mutex_);
 
-  [[nodiscard]] DispatchStats stats() const PHES_EXCLUDES(mutex_);
-
  private:
   struct Task {
     std::uint64_t conn_token = 0;
@@ -90,13 +79,11 @@ class DispatchPool {
   Handler handler_;
   Completion on_complete_;
 
-  mutable util::Mutex mutex_;
+  util::Mutex mutex_;
   util::CondVar work_available_;
   std::deque<Task> queue_ PHES_GUARDED_BY(mutex_);
   bool stopping_ PHES_GUARDED_BY(mutex_) = false;
-  std::size_t peak_depth_ PHES_GUARDED_BY(mutex_) = 0;
 
-  /// Registry-backed counters (the stats op reads the same values).
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* submitted_ = nullptr;
   obs::Counter* completed_ = nullptr;

@@ -91,8 +91,8 @@ class JobQueue {
   /// Max-tracking needs the mutex anyway.
   std::size_t peak_size_ PHES_GUARDED_BY(mutex_) = 0;
 
-  /// Stats counters are registry-backed (the stats op is a view over
-  /// the metrics registry, not a parallel bookkeeping path).
+  /// Stats counters are registry-backed (stats() is a view over the
+  /// metrics registry, not a parallel bookkeeping path).
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* pushed_ = nullptr;
   obs::Counter* popped_ = nullptr;

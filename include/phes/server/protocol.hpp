@@ -23,7 +23,6 @@
 //                               (rebuild stored records as fresh jobs;
 //                                starts a tracked campaign)
 //   {"op":"campaign","id":1}    (campaign progress + per-job deltas)
-//   {"op":"stats"}
 //   {"op":"metrics"}            (full obs::MetricsRegistry dump)
 //   {"op":"trace","id":7}       (per-stage spans of a finished job)
 //   {"op":"shutdown","drain":true}
@@ -33,11 +32,10 @@
 // to one line.  A cancel ack ("cancelled": true) means the request was
 // accepted — a job already inside its final stage still completes, and
 // the terminal state reported by status/result is authoritative.
-// `stats` reports queue/session-pool/job counters, the result
-// storage's retention counters, and — when served through a
-// TransportServer — the transport and dispatch-pool counters; all of
-// them are views over the same obs::MetricsRegistry the `metrics` op
-// dumps in full (see README "Observability" for the name reference).
+// `metrics` dumps the server's obs::MetricsRegistry — every layer's
+// counters, gauges and histograms (transport, dispatch, queue, workers,
+// session pool, store, campaigns; see README "Observability" for the
+// name reference).  It is the server's one stats surface.
 // `replay` resolves stored records (one id, or `all` narrowed by the
 // optional state/model/from/to filters) back into fresh jobs through
 // the normal admission path and answers with a campaign id plus the
@@ -55,9 +53,6 @@
 // with the pipeline's report reader; `JsonValue` stays available under
 // this namespace for existing callers.
 
-#include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <string>
 
 #include "phes/util/json.hpp"
@@ -85,41 +80,17 @@ struct RequestOutcome {
   bool drain = true;  ///< shutdown mode requested
 };
 
-/// Transport-side counters the stats op folds into its response when
-/// the request is served through a TransportServer (the protocol layer
-/// itself has no transport to ask).
-struct TransportSnapshot {
-  std::size_t accepted = 0;          ///< connections accepted (all time)
-  std::size_t open_connections = 0;
-  std::size_t requests = 0;          ///< lines handled (inline + pooled)
-  std::size_t inline_requests = 0;   ///< served on the loop fast path
-  std::size_t dispatched = 0;        ///< handed to the dispatch pool
-  std::size_t rejected = 0;          ///< dispatch-overload rejections
-  std::size_t oversized_lines = 0;
-  std::size_t auth_failures = 0;
-  std::size_t dispatch_workers = 0;  ///< 0 => inline handling (no pool)
-  std::size_t dispatch_queue_depth = 0;
-  std::size_t dispatch_peak_depth = 0;
-  std::size_t dispatch_completed = 0;
-};
-
-/// Provider the transport passes so `stats` can report live counters.
-using TransportSnapshotFn = std::function<TransportSnapshot()>;
-
 /// Execute one NDJSON request line against `server`.  Never throws:
 /// parse and dispatch errors come back as {"ok":false,...} responses.
 /// The shutdown op only reports the request — the caller decides when
 /// to invoke JobServer::shutdown (typically after flushing the ack).
-/// `snapshot`, when provided, feeds the stats op's transport section.
-[[nodiscard]] RequestOutcome handle_request(
-    JobServer& server, const std::string& line,
-    const TransportSnapshotFn& snapshot = nullptr);
+[[nodiscard]] RequestOutcome handle_request(JobServer& server,
+                                            const std::string& line);
 
 /// Already-parsed variant for callers that needed the document anyway
 /// (the transport's fast path peeks at the op before deciding where to
 /// run the request — no point parsing the same line twice).
-[[nodiscard]] RequestOutcome handle_request(
-    JobServer& server, const JsonValue& request,
-    const TransportSnapshotFn& snapshot = nullptr);
+[[nodiscard]] RequestOutcome handle_request(JobServer& server,
+                                            const JsonValue& request);
 
 }  // namespace phes::server

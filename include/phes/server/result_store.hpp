@@ -78,12 +78,8 @@ class ResultStore {
   /// polling — on a disk backend this reads every stored payload).
   [[nodiscard]] std::vector<JobRecord> all() const;
 
-  /// Record counts by state, indexed by static_cast<size_t>(JobState).
-  [[nodiscard]] std::vector<std::size_t> state_counts() const;
   [[nodiscard]] std::size_t size() const;
 
-  /// Backend retention/persistence counters (the stats op's "store").
-  [[nodiscard]] StorageStats storage_stats() const;
   /// Highest id the backend recovered — the server resumes its id
   /// sequence above it.
   [[nodiscard]] std::uint64_t max_seen_id() const;

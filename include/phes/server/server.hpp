@@ -83,18 +83,6 @@ struct ServerOptions {
   double slow_job_ms = 0.0;
 };
 
-struct ServerStats {
-  std::size_t submitted = 0;
-  std::size_t workers = 0;
-  std::size_t solver_threads = 0;
-  JobQueue::Stats queue;
-  engine::SessionPoolStats pool;
-  /// Result-storage backend counters (retention, recovery).
-  StorageStats storage;
-  /// Counts by JobState, indexed by static_cast<size_t>(state).
-  std::vector<std::size_t> states;
-};
-
 class JobServer {
  public:
   explicit JobServer(ServerOptions options = {});
@@ -140,9 +128,19 @@ class JobServer {
     return accepting_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const ServerOptions& options() const noexcept {
     return options_;
+  }
+  /// The resolved parallelism plan: pipeline workers, and the solver
+  /// threads each job gets.
+  [[nodiscard]] std::size_t workers() const noexcept { return worker_count_; }
+  [[nodiscard]] std::size_t solver_threads() const noexcept {
+    return solver_threads_;
+  }
+  /// The cross-job session pool; its counters are the registry's
+  /// phes_session_pool_* instruments.
+  [[nodiscard]] const engine::SessionPool& session_pool() const noexcept {
+    return session_pool_;
   }
 
   /// The registry every layer of this server reports into (the
@@ -195,8 +193,8 @@ class JobServer {
   std::size_t worker_count_ = 1;
   std::size_t solver_threads_ = 1;
 
-  /// Declared before queue_/store_: both register instruments in the
-  /// registry during construction.
+  /// Declared before queue_/store_/session_pool_: all three register
+  /// instruments in the registry during construction.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_ = nullptr;
   TraceStore traces_;

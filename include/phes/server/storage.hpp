@@ -79,15 +79,6 @@ struct JobSummary {
   std::string status;  ///< PipelineResult::status(), terminal only
 };
 
-struct StorageStats {
-  bool durable = false;       ///< records survive a process restart
-  std::size_t records = 0;    ///< terminal records retained
-  std::size_t bytes = 0;      ///< persisted payload bytes (disk only)
-  std::size_t evicted = 0;    ///< retention evictions, lifetime
-  std::size_t recovered = 0;  ///< terminal records recovered at startup
-  std::size_t lost = 0;       ///< non-terminal at crash, marked failed
-};
-
 /// Terminal-record backend.  Holds only records in a terminal state;
 /// queued/running records live in the ResultStore's own map.
 class Storage {
@@ -129,11 +120,7 @@ class Storage {
   [[nodiscard]] virtual std::vector<JobSummary> summaries() const = 0;
   [[nodiscard]] virtual std::vector<JobRecord> all() const = 0;
 
-  /// Record counts indexed by static_cast<size_t>(JobState) — the
-  /// stats-op hot path, so no per-record string materialization.
-  [[nodiscard]] virtual std::vector<std::size_t> state_counts() const = 0;
   [[nodiscard]] virtual std::size_t size() const = 0;
-  [[nodiscard]] virtual StorageStats stats() const = 0;
 
   /// Highest job id this backend has ever seen (recovered ids
   /// included) — the server resumes its id sequence above it so a
@@ -168,9 +155,7 @@ class MemoryStorage final : public Storage {
       std::uint64_t id) const override;
   [[nodiscard]] std::vector<JobSummary> summaries() const override;
   [[nodiscard]] std::vector<JobRecord> all() const override;
-  [[nodiscard]] std::vector<std::size_t> state_counts() const override;
   [[nodiscard]] std::size_t size() const override;
-  [[nodiscard]] StorageStats stats() const override;
 
  private:
   /// Drop `id`'s reference to its spec; frees the spec with its last
@@ -185,7 +170,6 @@ class MemoryStorage final : public Storage {
   /// Each job's spec (a key of interned_), evicted with its record.
   std::map<std::uint64_t, const std::string*> inputs_;
   std::size_t input_bytes_ = 0;  ///< sum of the distinct specs' sizes
-  /// Registry-backed (StorageStats is a view over these).
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* evicted_ = nullptr;
   obs::Gauge* records_gauge_ = nullptr;
@@ -198,7 +182,7 @@ struct DiskStorageOptions {
   /// are evicted (file unlinked, journal updated).  0 = unbounded.
   std::size_t max_bytes = 0;
   /// Records older than this (wall-clock seconds since they finished)
-  /// are purged lazily on mutation/stats.  0 = no TTL.
+  /// are purged lazily on mutation.  0 = no TTL.
   double ttl_seconds = 0.0;
 };
 
@@ -233,9 +217,7 @@ class DiskStorage final : public Storage {
       std::uint64_t id) const override;
   [[nodiscard]] std::vector<JobSummary> summaries() const override;
   [[nodiscard]] std::vector<JobRecord> all() const override;
-  [[nodiscard]] std::vector<std::size_t> state_counts() const override;
   [[nodiscard]] std::size_t size() const override;
-  [[nodiscard]] StorageStats stats() const override;
   [[nodiscard]] std::uint64_t max_seen_id() const override {
     return max_seen_id_;
   }
@@ -272,8 +254,7 @@ class DiskStorage final : public Storage {
   std::map<std::uint64_t, std::string> pending_;  ///< admitted, no finish
   std::uint64_t max_seen_id_ = 0;
   std::size_t total_bytes_ = 0;
-  /// Registry-backed (StorageStats is a view over these).  Resolved in
-  /// the constructor BEFORE recover() runs, so the recovery pass can
+  /// Resolved in the constructor BEFORE recover() runs, so the recovery pass can
   /// publish its counters and replay latency directly.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* evicted_ = nullptr;

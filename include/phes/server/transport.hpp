@@ -28,8 +28,8 @@
 // re-queued to the loop through the eventfd wakeup and written from
 // the loop thread (workers never touch sockets).  A submit blocked on
 // a full admission queue therefore stalls only its own connection (and
-// one pool worker) — status/stats/ping stay live.  Two refinements:
-//   - fast path: cheap ops (ping/status/result/cancel/stats/auth/
+// one pool worker) — status/metrics/ping stay live.  Two refinements:
+//   - fast path: cheap ops (ping/status/result/cancel/metrics/auth/
 //     shutdown) on a connection with nothing in flight are answered
 //     inline on the loop — no pool round-trip;
 //   - per-connection ordering: at most one request per connection is
@@ -164,17 +164,6 @@ struct TransportLimits {
   std::size_t max_pipelined_requests = 128;
 };
 
-struct TransportStats {
-  std::size_t accepted = 0;       ///< connections accepted (all time)
-  std::size_t open_connections = 0;
-  std::size_t requests = 0;       ///< lines handled (inline + pooled)
-  std::size_t inline_requests = 0;  ///< answered on the loop fast path
-  std::size_t dispatched = 0;       ///< handed to the dispatch pool
-  std::size_t rejected = 0;         ///< dispatch-overload refusals
-  std::size_t auth_failures = 0;  ///< bad/missing token, pre-auth ops
-  std::size_t oversized_lines = 0;
-};
-
 /// Single-threaded epoll event loop serving the NDJSON protocol over
 /// any set of transports, with request handling on a DispatchPool.
 /// Lifecycle mirrors the old SocketServer: construct -> start() ->
@@ -209,11 +198,6 @@ class TransportServer {
   [[nodiscard]] bool shutdown_requested() const
       PHES_EXCLUDES(shutdown_mutex_);
 
-  [[nodiscard]] TransportStats stats() const;
-  /// Dispatch-pool counters (all zero when dispatch_workers == 0).
-  [[nodiscard]] DispatchStats dispatch_stats() const;
-  /// Combined view the protocol's stats op reports.
-  [[nodiscard]] TransportSnapshot snapshot() const;
   [[nodiscard]] const std::vector<std::unique_ptr<Transport>>& transports()
       const noexcept {
     return transports_;
@@ -299,8 +283,7 @@ class TransportServer {
       PHES_GUARDED_BY(completions_mutex_);
 
   // Transport-layer instruments, resolved once at construction from the
-  // JobServer's registry; TransportStats is a view over these (every
-  // field is a single atomic, so no stats mutex is needed).
+  // JobServer's registry.
   obs::Counter* accepted_ctr_ = nullptr;
   obs::Counter* requests_ctr_ = nullptr;
   obs::Counter* inline_requests_ctr_ = nullptr;

@@ -14,10 +14,11 @@
 //   - Kill switch: set_enabled(false) turns every instrument created by
 //     the registry into a relaxed-load-and-return no-op, so the
 //     overhead of observability can be measured (bench_metrics_overhead)
-//     and disabled outright.  Note the stats-op counters are registry
-//     views, so disabling the registry also freezes them.  Compiling
-//     with -DPHES_DISABLE_METRICS removes the instrument bodies
-//     entirely (perf builds; the stats ops then report zeros).
+//     and disabled outright.  The in-process stats views
+//     (JobQueue::stats, SessionPool::stats) read registry instruments,
+//     so disabling the registry also freezes them.  Compiling with
+//     -DPHES_DISABLE_METRICS removes the instrument bodies entirely
+//     (perf builds; `metrics` and those views then report zeros).
 //
 // Ownership: instruments are owned by their registry and live as long
 // as it does; handles returned by counter()/gauge()/histogram() are

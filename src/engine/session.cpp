@@ -13,11 +13,18 @@
 
 namespace phes::engine {
 
+namespace {
+
+/// Shift factorizations a session's LRU cache keeps.
+constexpr std::size_t kCacheCapacity = 64;
+
+}  // namespace
+
 SolverSession::SolverSession(macromodel::SimoRealization realization,
                              SessionOptions options)
     : realization_(std::move(realization)),
       options_(options),
-      cache_(options.cache_capacity) {}
+      cache_(kCacheCapacity) {}
 
 SolverSession::SolverSession(const macromodel::PoleResidueModel& model,
                              SessionOptions options)
@@ -81,9 +88,11 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   core::WarmStartSeeds seeds;
   const bool warm = options_.warm_start && warm_.valid;
   if (warm) {
-    if (warm_.revision == revision_ && options_.confirmation_resolve) {
-      // Unchanged model: disks replayed with their certified radius
-      // (rho0 > 0) already carry the explicit-restart insurance.
+    if (warm_.revision == revision_) {
+      // Unchanged model: the recorded solve counts as the confirmation
+      // restart of each replayed disk, so min_restarts drops to 1 for
+      // the seeded intervals only (fresh mop-up intervals keep the
+      // full restart insurance).
       ctx.confirm_seeded = true;
     }
     // The band only transfers when this solve searches a default band
@@ -122,8 +131,9 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
 
     const double band_hi =
         opt.omega_max > opt.omega_min ? opt.omega_max : seeds.band_hint;
-    if (options_.prefetch_seeds && band_hi > opt.omega_min) {
-      // Pre-build the factorizations the scheduler will ask for first.
+    if (band_hi > opt.omega_min) {
+      // Pre-build the factorizations the scheduler will ask for first,
+      // so seeded startup intervals begin with cache hits.
       // planned_seeds is the solver's own filter, so the prefetched
       // cache keys match the scheduler's requests bitwise.
       const core::SeedPlan kept =

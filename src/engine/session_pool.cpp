@@ -106,7 +106,25 @@ void SessionLease::release() {
 
 // ---- SessionPool ------------------------------------------------------
 
-SessionPool::SessionPool(SessionPoolOptions options) : options_(options) {}
+SessionPool::SessionPool(SessionPoolOptions options,
+                         obs::MetricsRegistry* registry)
+    : options_(options) {
+  if (registry == nullptr) {
+    owned_registry_ = std::make_unique<obs::MetricsRegistry>();
+    registry = owned_registry_.get();
+  }
+  checkouts_ = &registry->counter("phes_session_pool_checkouts_total");
+  hits_ = &registry->counter("phes_session_pool_hits_total");
+  creations_ = &registry->counter("phes_session_pool_creations_total");
+  returns_ = &registry->counter("phes_session_pool_returns_total");
+  restores_ = &registry->counter("phes_session_pool_restores_total");
+  evictions_ = &registry->counter("phes_session_pool_evictions_total");
+  collisions_ = &registry->counter("phes_session_pool_collisions_total");
+  idle_sessions_gauge_ = &registry->gauge("phes_session_pool_idle_sessions");
+  leased_sessions_gauge_ =
+      &registry->gauge("phes_session_pool_leased_sessions");
+  idle_bytes_gauge_ = &registry->gauge("phes_session_pool_idle_bytes");
+}
 
 SessionPool::~SessionPool() = default;
 
@@ -117,22 +135,23 @@ SessionLease SessionPool::checkout(macromodel::SimoRealization realization) {
   bool reused = false;
   {
     util::MutexLock lock(mutex_);
-    ++checkouts_;
+    checkouts_->add();
     for (auto it = idle_.begin(); it != idle_.end(); ++it) {
       if ((*it)->hash != hash) continue;
       if (!same_realization((*it)->session->realization(), realization)) {
-        ++collisions_;
+        collisions_->add();
         continue;
       }
       entry = std::move(*it);
       idle_.erase(it);
       idle_bytes_ -= entry->bytes;
-      ++pool_hits_;
+      hits_->add();
       reused = true;
       break;
     }
-    if (entry == nullptr) ++creations_;
+    if (entry == nullptr) creations_->add();
     ++leased_;
+    publish_levels_locked();
   }
 
   if (entry == nullptr) {
@@ -160,23 +179,22 @@ void SessionPool::give_back(Entry* raw) {
   // must not leak its perturbed model to the next job over this hash.
   // The restore runs outside the pool lock (it walks a p x n matrix and
   // purges the cache).
-  bool restored = false;
-  if (options_.reset_residues &&
-      entry->session->revision() != entry->clean_revision) {
+  const bool restored = entry->session->revision() != entry->clean_revision;
+  if (restored) {
     entry->session->update_residues(entry->baseline_c);
     entry->clean_revision = entry->session->revision();
-    restored = true;
   }
-  if (options_.reset_warm_start) entry->session->clear_warm_start();
+  entry->session->clear_warm_start();
   entry->bytes = entry->session->approx_memory_bytes();
 
   util::MutexLock lock(mutex_);
-  ++returns_;
-  if (restored) ++restores_;
+  returns_->add();
+  if (restored) restores_->add();
   --leased_;
   idle_bytes_ += entry->bytes;
   idle_.push_front(std::move(entry));
   evict_over_budget_locked();
+  publish_levels_locked();
 }
 
 void SessionPool::evict_over_budget_locked() {
@@ -184,30 +202,30 @@ void SessionPool::evict_over_budget_locked() {
          (idle_bytes_ > options_.memory_budget_bytes && !idle_.empty())) {
     idle_bytes_ -= idle_.back()->bytes;
     idle_.pop_back();
-    ++evictions_;
+    evictions_->add();
   }
 }
 
-void SessionPool::clear_idle() {
-  util::MutexLock lock(mutex_);
-  evictions_ += idle_.size();
-  idle_.clear();
-  idle_bytes_ = 0;
+void SessionPool::publish_levels_locked() {
+  idle_sessions_gauge_->set(static_cast<std::int64_t>(idle_.size()));
+  leased_sessions_gauge_->set(static_cast<std::int64_t>(leased_));
+  idle_bytes_gauge_->set(static_cast<std::int64_t>(idle_bytes_));
 }
 
 SessionPoolStats SessionPool::stats() const {
   util::MutexLock lock(mutex_);
   SessionPoolStats s;
-  s.checkouts = checkouts_;
-  s.pool_hits = pool_hits_;
-  s.creations = creations_;
-  s.returns = returns_;
-  s.restores = restores_;
-  s.evictions = evictions_;
-  s.collisions = collisions_;
-  s.idle_sessions = idle_.size();
-  s.leased_sessions = leased_;
-  s.idle_bytes = idle_bytes_;
+  s.checkouts = checkouts_->value();
+  s.pool_hits = hits_->value();
+  s.creations = creations_->value();
+  s.returns = returns_->value();
+  s.restores = restores_->value();
+  s.evictions = evictions_->value();
+  s.collisions = collisions_->value();
+  s.idle_sessions = static_cast<std::size_t>(idle_sessions_gauge_->value());
+  s.leased_sessions =
+      static_cast<std::size_t>(leased_sessions_gauge_->value());
+  s.idle_bytes = static_cast<std::size_t>(idle_bytes_gauge_->value());
   return s;
 }
 

@@ -43,7 +43,6 @@ bool DispatchPool::try_submit(std::uint64_t conn_token, std::string line) {
                           std::chrono::steady_clock::now()});
     submitted_->add();
     depth_->set(static_cast<std::int64_t>(queue_.size()));
-    peak_depth_ = std::max(peak_depth_, queue_.size());
   }
   work_available_.notify_one();
   return true;
@@ -84,18 +83,6 @@ void DispatchPool::stop() {
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-}
-
-DispatchStats DispatchPool::stats() const {
-  util::MutexLock lock(mutex_);
-  DispatchStats s;
-  s.workers = workers_.size();
-  s.queue_depth = queue_.size();
-  s.peak_depth = peak_depth_;
-  s.submitted = static_cast<std::size_t>(submitted_->value());
-  s.completed = static_cast<std::size_t>(completed_->value());
-  s.rejected = static_cast<std::size_t>(rejected_->value());
-  return s;
 }
 
 }  // namespace phes::server

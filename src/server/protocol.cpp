@@ -272,60 +272,6 @@ std::string handle_campaign(JobServer& server, const JsonValue& request) {
   return os.str();
 }
 
-std::string handle_stats(JobServer& server,
-                         const TransportSnapshotFn& snapshot) {
-  const ServerStats stats = server.stats();
-  std::ostringstream os;
-  os << "{\"ok\": true, \"submitted\": " << stats.submitted
-     << ", \"workers\": " << stats.workers
-     << ", \"solver_threads\": " << stats.solver_threads;
-  os << ", \"queue\": {\"size\": " << stats.queue.size
-     << ", \"capacity\": " << stats.queue.capacity
-     << ", \"pushed\": " << stats.queue.pushed
-     << ", \"popped\": " << stats.queue.popped
-     << ", \"removed\": " << stats.queue.removed
-     << ", \"push_waits\": " << stats.queue.push_waits
-     << ", \"peak_size\": " << stats.queue.peak_size << "}";
-  os << ", \"session_pool\": {\"checkouts\": " << stats.pool.checkouts
-     << ", \"pool_hits\": " << stats.pool.pool_hits
-     << ", \"creations\": " << stats.pool.creations
-     << ", \"restores\": " << stats.pool.restores
-     << ", \"evictions\": " << stats.pool.evictions
-     << ", \"idle_sessions\": " << stats.pool.idle_sessions
-     << ", \"leased_sessions\": " << stats.pool.leased_sessions
-     << ", \"idle_bytes\": " << stats.pool.idle_bytes << "}";
-  os << ", \"store\": {\"durable\": "
-     << (stats.storage.durable ? "true" : "false")
-     << ", \"records\": " << stats.storage.records
-     << ", \"bytes\": " << stats.storage.bytes
-     << ", \"evicted\": " << stats.storage.evicted
-     << ", \"recovered\": " << stats.storage.recovered
-     << ", \"lost\": " << stats.storage.lost << "}";
-  if (snapshot) {
-    const TransportSnapshot t = snapshot();
-    os << ", \"transport\": {\"accepted\": " << t.accepted
-       << ", \"open_connections\": " << t.open_connections
-       << ", \"requests\": " << t.requests
-       << ", \"inline_requests\": " << t.inline_requests
-       << ", \"dispatched\": " << t.dispatched
-       << ", \"rejected\": " << t.rejected
-       << ", \"oversized_lines\": " << t.oversized_lines
-       << ", \"auth_failures\": " << t.auth_failures << "}";
-    os << ", \"dispatch\": {\"workers\": " << t.dispatch_workers
-       << ", \"queue_depth\": " << t.dispatch_queue_depth
-       << ", \"peak_depth\": " << t.dispatch_peak_depth
-       << ", \"completed\": " << t.dispatch_completed << "}";
-  }
-  os << ", \"jobs\": {";
-  for (std::size_t i = 0; i < stats.states.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << "\""
-       << job_state_name(static_cast<JobState>(i))
-       << "\": " << stats.states[i];
-  }
-  os << "}}";
-  return os.str();
-}
-
 std::string handle_metrics(JobServer& server) {
   // The full registry dump: every layer's counters/gauges/histograms
   // in one object (the client's --prom mode converts it to Prometheus
@@ -360,10 +306,9 @@ std::string handle_trace(JobServer& server, const JsonValue& request) {
 
 }  // namespace
 
-RequestOutcome handle_request(JobServer& server, const std::string& line,
-                              const TransportSnapshotFn& snapshot) {
+RequestOutcome handle_request(JobServer& server, const std::string& line) {
   try {
-    return handle_request(server, JsonValue::parse(line), snapshot);
+    return handle_request(server, JsonValue::parse(line));
   } catch (const std::exception& e) {
     RequestOutcome outcome;
     outcome.response = error_response(e.what());
@@ -371,8 +316,7 @@ RequestOutcome handle_request(JobServer& server, const std::string& line,
   }
 }
 
-RequestOutcome handle_request(JobServer& server, const JsonValue& request,
-                              const TransportSnapshotFn& snapshot) {
+RequestOutcome handle_request(JobServer& server, const JsonValue& request) {
   RequestOutcome outcome;
   try {
     const std::string op = request.string_or("op", "");
@@ -397,8 +341,6 @@ RequestOutcome handle_request(JobServer& server, const JsonValue& request,
       outcome.response = handle_replay(server, request);
     } else if (op == "campaign") {
       outcome.response = handle_campaign(server, request);
-    } else if (op == "stats") {
-      outcome.response = handle_stats(server, snapshot);
     } else if (op == "metrics") {
       outcome.response = handle_metrics(server);
     } else if (op == "trace") {

@@ -180,23 +180,9 @@ std::vector<JobRecord> ResultStore::all() const {
   return out;
 }
 
-std::vector<std::size_t> ResultStore::state_counts() const {
-  util::MutexLock lock(mutex_);
-  std::vector<std::size_t> counts = storage_->state_counts();
-  for (const auto& [id, rec] : records_) {
-    ++counts[static_cast<std::size_t>(rec.state)];
-  }
-  return counts;
-}
-
 std::size_t ResultStore::size() const {
   util::MutexLock lock(mutex_);
   return records_.size() + storage_->size();
-}
-
-StorageStats ResultStore::storage_stats() const {
-  util::MutexLock lock(mutex_);
-  return storage_->stats();
 }
 
 std::uint64_t ResultStore::max_seen_id() const {

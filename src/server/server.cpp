@@ -55,7 +55,7 @@ JobServer::JobServer(ServerOptions options, pipeline::ParallelismPlan plan)
       traces_(options_.trace_capacity, options_.trace_file),
       queue_(options_.queue_capacity, registry_),
       store_(make_storage(options_, registry_)),
-      session_pool_(options_.pool),
+      session_pool_(options_.pool, registry_),
       campaigns_(*this, *registry_),
       pool_(worker_count_) {
   jobs_submitted_ = &registry_->counter("phes_jobs_submitted_total");
@@ -205,14 +205,16 @@ void JobServer::shutdown(bool drain) {
     // submit racing past the accepting() gate self-flags (see submit).
     aborting_.store(true, std::memory_order_release);
     util::MutexLock lock(flags_mutex_);
-    for (auto& item : queue_.drain()) {
-      store_.mark_cancelled(item.id);
-      // Drained jobs never reach run_one, so reap their flags here.
-      cancel_flags_.erase(item.id);
-    }
+    const std::vector<QueuedJob> backlog = queue_.drain();
+    // Drained jobs never reach run_one, so reap their flags here.
+    for (const QueuedJob& item : backlog) cancel_flags_.erase(item.id);
     for (auto& [id, flag] : cancel_flags_) {
       flag->store(true, std::memory_order_release);
     }
+    // The backlog's records go terminal only after every in-flight
+    // flag is set: a status poll that sees the backlog cancelled also
+    // knows the in-flight jobs will stop at their next stage boundary.
+    for (const QueuedJob& item : backlog) store_.mark_cancelled(item.id);
   }
   // Wake blocked producers/consumers; workers drain what remains (the
   // whole backlog when draining, nothing otherwise) and exit.
@@ -323,18 +325,6 @@ void JobServer::log_slow_job(const JobTrace& trace) const {
      << " dense_reuses=" << trace.dense_reuses
      << " cache=" << trace.cache_hits << '/' << trace.cache_misses;
   util::log_line("slow-job", os.str());
-}
-
-ServerStats JobServer::stats() const {
-  ServerStats s;
-  s.submitted = static_cast<std::size_t>(jobs_submitted_->value());
-  s.workers = worker_count_;
-  s.solver_threads = solver_threads_;
-  s.queue = queue_.stats();
-  s.pool = session_pool_.stats();
-  s.storage = store_.storage_stats();
-  s.states = store_.state_counts();
-  return s;
 }
 
 void JobServer::set_stage_observer(

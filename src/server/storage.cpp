@@ -162,24 +162,7 @@ std::vector<JobRecord> MemoryStorage::all() const {
   return out;
 }
 
-std::vector<std::size_t> MemoryStorage::state_counts() const {
-  std::vector<std::size_t> counts(
-      static_cast<std::size_t>(JobState::kCancelled) + 1, 0);
-  for (const auto& [id, rec] : records_) {
-    ++counts[static_cast<std::size_t>(rec.state)];
-  }
-  return counts;
-}
-
 std::size_t MemoryStorage::size() const { return records_.size(); }
-
-StorageStats MemoryStorage::stats() const {
-  StorageStats s;
-  s.durable = false;
-  s.records = records_.size();
-  s.evicted = static_cast<std::size_t>(evicted_->value());
-  return s;
-}
 
 // ---- DiskStorage ------------------------------------------------------
 
@@ -585,26 +568,6 @@ std::vector<JobRecord> DiskStorage::all() const {
   return out;
 }
 
-std::vector<std::size_t> DiskStorage::state_counts() const {
-  std::vector<std::size_t> counts(
-      static_cast<std::size_t>(JobState::kCancelled) + 1, 0);
-  for (const auto& [id, entry] : entries_) {
-    ++counts[static_cast<std::size_t>(entry.state)];
-  }
-  return counts;
-}
-
 std::size_t DiskStorage::size() const { return entries_.size(); }
-
-StorageStats DiskStorage::stats() const {
-  StorageStats s;
-  s.durable = true;
-  s.records = entries_.size();
-  s.bytes = total_bytes_;
-  s.evicted = static_cast<std::size_t>(evicted_->value());
-  s.recovered = static_cast<std::size_t>(recovered_->value());
-  s.lost = static_cast<std::size_t>(lost_->value());
-  return s;
-}
 
 }  // namespace phes::server

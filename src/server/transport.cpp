@@ -288,8 +288,7 @@ void TransportServer::start() {
     dispatch_pool_ = std::make_unique<DispatchPool>(
         limits_.dispatch_workers, limits_.dispatch_queue_capacity,
         [this](const std::string& line) {
-          return handle_request(server_, line,
-                                [this] { return snapshot(); });
+          return handle_request(server_, line);
         },
         [this](std::uint64_t token, RequestOutcome outcome) {
           {
@@ -564,8 +563,7 @@ void TransportServer::handle_line(Connection& conn, const std::string& line) {
       inline_requests_ctr_->add();
       const util::WallTimer inline_timer;
       RequestOutcome outcome =
-          parsed ? handle_request(server_, request,
-                                  [this] { return snapshot(); })
+          parsed ? handle_request(server_, request)
                  : handle_request(server_, line);
       inline_handle_hist_->observe(inline_timer.seconds());
       finish_outcome(conn, outcome);
@@ -585,8 +583,7 @@ void TransportServer::handle_line(Connection& conn, const std::string& line) {
 
 void TransportServer::handle_inline(Connection& conn,
                                     const std::string& line) {
-  finish_outcome(conn,
-                 handle_request(server_, line, [this] { return snapshot(); }));
+  finish_outcome(conn, handle_request(server_, line));
 }
 
 void TransportServer::finish_outcome(Connection& conn,
@@ -782,49 +779,6 @@ bool TransportServer::wait_shutdown() {
 bool TransportServer::shutdown_requested() const {
   util::MutexLock lock(shutdown_mutex_);
   return shutdown_requested_;
-}
-
-TransportStats TransportServer::stats() const {
-  // A view over the registry-backed instruments: each field is one
-  // relaxed atomic load (no cross-field consistency is promised, same
-  // as the old mutex snapshot taken between loop iterations).
-  TransportStats s;
-  s.accepted = static_cast<std::size_t>(accepted_ctr_->value());
-  s.open_connections =
-      static_cast<std::size_t>(open_connections_gauge_->value());
-  s.requests = static_cast<std::size_t>(requests_ctr_->value());
-  s.inline_requests =
-      static_cast<std::size_t>(inline_requests_ctr_->value());
-  s.dispatched = static_cast<std::size_t>(dispatched_ctr_->value());
-  s.rejected = static_cast<std::size_t>(rejected_ctr_->value());
-  s.auth_failures = static_cast<std::size_t>(auth_failures_ctr_->value());
-  s.oversized_lines = static_cast<std::size_t>(oversized_ctr_->value());
-  return s;
-}
-
-DispatchStats TransportServer::dispatch_stats() const {
-  return dispatch_pool_ ? dispatch_pool_->stats() : DispatchStats{};
-}
-
-TransportSnapshot TransportServer::snapshot() const {
-  TransportSnapshot s;
-  const TransportStats t = stats();
-  s.accepted = t.accepted;
-  s.open_connections = t.open_connections;
-  s.requests = t.requests;
-  s.inline_requests = t.inline_requests;
-  s.dispatched = t.dispatched;
-  s.rejected = t.rejected;
-  s.oversized_lines = t.oversized_lines;
-  s.auth_failures = t.auth_failures;
-  if (dispatch_pool_) {
-    const DispatchStats d = dispatch_pool_->stats();
-    s.dispatch_workers = d.workers;
-    s.dispatch_queue_depth = d.queue_depth;
-    s.dispatch_peak_depth = d.peak_depth;
-    s.dispatch_completed = d.completed;
-  }
-  return s;
 }
 
 }  // namespace phes::server

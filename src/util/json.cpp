@@ -210,7 +210,8 @@ double JsonValue::as_number() const {
 
 std::uint64_t JsonValue::as_uint() const {
   const double n = as_number();
-  if (n < 0.0 || std::floor(n) != n) {
+  // 2^64 and above do not fit: casting them is undefined behaviour.
+  if (n < 0.0 || std::floor(n) != n || n >= 18446744073709551616.0) {
     throw std::runtime_error("JSON: not a non-negative integer");
   }
   return static_cast<std::uint64_t>(n);

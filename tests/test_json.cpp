@@ -89,6 +89,17 @@ TEST(Json, AsUintRejectsNegativesAndFractions) {
                std::runtime_error);
 }
 
+TEST(Json, AsUintRejectsValuesPastUint64) {
+  // The largest double below 2^64 converts exactly; 2^64 and up would
+  // be an undefined float-to-integer cast.
+  EXPECT_EQ(JsonValue::parse("18446744073709549568").as_uint(),
+            18446744073709549568ull);
+  EXPECT_THROW((void)JsonValue::parse("18446744073709551616").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("{\"id\": 1e30}").uint_or("id", 7),
+               std::runtime_error);
+}
+
 TEST(Json, MembersPreserveDocumentOrderIncludingDuplicates) {
   const auto v = JsonValue::parse(
       R"({"z": 1, "a": 2, "m": 3, "z": 4})");

@@ -2,7 +2,7 @@
 // AF_UNIX NDJSON transport.  Jobs submitted over the socket must
 // produce results bit-identical to one-shot run_pipeline on the same
 // inputs — with and without cross-job session reuse — and the protocol
-// surface (submit/status/result/cancel/stats/shutdown, error paths) is
+// surface (submit/status/result/cancel/metrics/shutdown, error paths) is
 // exercised end to end.  Also holds the JobQueue/ResultStore unit
 // coverage the server relies on.
 
@@ -175,9 +175,9 @@ TEST(ResultStore, LifecycleAndStates) {
   EXPECT_EQ(record->state, JobState::kCancelled);
   EXPECT_TRUE(record->result.cancelled);
 
-  const auto counts = store.state_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kDone)], 1u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kCancelled)], 1u);
+  const auto summaries = store.summaries();
+  EXPECT_EQ(test::count_state(summaries, JobState::kDone), 1u);
+  EXPECT_EQ(test::count_state(summaries, JobState::kCancelled), 1u);
 }
 
 TEST(ResultStore, EvictsOldestFinishedPastRetentionCap) {
@@ -243,6 +243,14 @@ TEST(Protocol, MalformedAndUnknownRequests) {
   EXPECT_NE(outcome.response.find("missing \\\"id\\\""), std::string::npos);
   outcome = server::handle_request(jobs, "{\"op\": \"status\", \"id\": 99}");
   EXPECT_NE(outcome.response.find("unknown job id"), std::string::npos);
+  // An id past the uint64 range is a request error, not a cast.
+  outcome = server::handle_request(jobs, "{\"op\":\"result\",\"id\":1e30}");
+  EXPECT_NE(outcome.response.find("\"ok\": false"), std::string::npos);
+  EXPECT_NE(outcome.response.find("not a non-negative integer"),
+            std::string::npos);
+  // The counters are served by `metrics` alone.
+  outcome = server::handle_request(jobs, "{\"op\": \"stats\"}");
+  EXPECT_NE(outcome.response.find("unknown op 'stats'"), std::string::npos);
   outcome = server::handle_request(jobs, "{\"op\": \"ping\"}");
   EXPECT_NE(outcome.response.find("\"ok\": true"), std::string::npos);
   EXPECT_FALSE(outcome.shutdown_requested);
@@ -337,15 +345,16 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
   EXPECT_NE(result_line.find("\"reused\": true"), std::string::npos);
   EXPECT_EQ(result_line.find('\n'), std::string::npos) << "NDJSON: one line";
 
-  // status (single + all) and stats over the same connection.
+  // status (single + all) and metrics over the same connection.
   const std::string status_line = client.request(
       "{\"op\": \"status\", \"id\": " + std::to_string(ids[0]) + "}");
   EXPECT_NE(status_line.find("\"state\": \"done\""), std::string::npos);
   const std::string all_line = client.request("{\"op\": \"status\"}");
   EXPECT_NE(all_line.find("\"jobs\": ["), std::string::npos);
-  const std::string stats_line = client.request("{\"op\": \"stats\"}");
-  EXPECT_NE(stats_line.find("\"pool_hits\": 1"), std::string::npos)
-      << stats_line;
+  const std::string metrics_line = client.request("{\"op\": \"metrics\"}");
+  EXPECT_NE(metrics_line.find("\"phes_session_pool_hits_total\": 1"),
+            std::string::npos)
+      << metrics_line;
 
   // Shutdown over the wire: ack first, then the owner tears down.
   const std::string ack = client.request("{\"op\": \"shutdown\"}");
@@ -404,10 +413,39 @@ TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
                      r2->initial_report.crossings[i]);
   }
 
-  const auto stats = jobs.stats();
-  EXPECT_EQ(stats.pool.checkouts, 2u);
-  EXPECT_EQ(stats.pool.pool_hits, 1u);
-  EXPECT_EQ(stats.pool.creations, 1u);
+  // The metrics op serves the pool's own bookkeeping: every
+  // phes_session_pool_* value equals SessionPool::stats().
+  const auto response =
+      JsonValue::parse(server::handle_request(jobs, "{\"op\": \"metrics\"}")
+                           .response);
+  const auto metrics = obs::MetricsSnapshot::from_json(
+      *response.find("metrics"));
+  const auto pool = jobs.session_pool().stats();
+  EXPECT_EQ(pool.checkouts, 2u);
+  EXPECT_EQ(pool.pool_hits, 1u);
+  EXPECT_EQ(pool.creations, 1u);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_checkouts_total"),
+            pool.checkouts);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_hits_total"),
+            pool.pool_hits);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_creations_total"),
+            pool.creations);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_returns_total"),
+            pool.returns);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_restores_total"),
+            pool.restores);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_evictions_total"),
+            pool.evictions);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_collisions_total"),
+            pool.collisions);
+  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_idle_sessions"),
+            static_cast<std::int64_t>(pool.idle_sessions));
+  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_leased_sessions"),
+            static_cast<std::int64_t>(pool.leased_sessions));
+  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_idle_bytes"),
+            static_cast<std::int64_t>(pool.idle_bytes));
+  EXPECT_EQ(pool.idle_sessions, 1u);
+  EXPECT_GT(pool.idle_bytes, 0u);
   jobs.shutdown(true);
 }
 

@@ -161,9 +161,10 @@ TEST(ServerShutdown, AbortCancelsBacklogAndFlagsInFlightWork) {
   const std::uint64_t q2 = jobs.submit(quick_job("queued2", 3));
 
   std::thread aborter([&] { jobs.shutdown(false); });
-  // The abort drains the backlog and sets every cancel flag before
-  // closing the queue; once the queue reports closed, both happened.
-  while (!jobs.stats().queue.closed) {
+  // The abort sets every in-flight cancel flag before it marks the
+  // drained backlog cancelled; once q2's record is terminal, both
+  // happened.
+  while (jobs.job_summary(q2)->state != JobState::kCancelled) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   gate.release();
@@ -183,10 +184,10 @@ TEST(ServerShutdown, AbortCancelsBacklogAndFlagsInFlightWork) {
   EXPECT_EQ(inflight->result.status(), "cancelled@realize");
 
   // Store consistency: every record terminal, none lost.
-  const auto counts = jobs.stats().states;
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kQueued)], 0u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kRunning)], 0u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kCancelled)], 3u);
+  const auto summaries = jobs.job_summaries();
+  EXPECT_EQ(test::count_state(summaries, JobState::kQueued), 0u);
+  EXPECT_EQ(test::count_state(summaries, JobState::kRunning), 0u);
+  EXPECT_EQ(test::count_state(summaries, JobState::kCancelled), 3u);
 }
 
 }  // namespace

@@ -80,11 +80,12 @@ void reach_pressure_point(JobServer& jobs, StageGate& gate) {
   ASSERT_EQ(jobs.submit(quick_job("gated", 7)), 1u);
   gate.wait_blocked();
   ASSERT_EQ(jobs.submit(quick_job("queued", 5)), 2u);
-  ASSERT_EQ(jobs.stats().queue.size, 1u);
+  ASSERT_EQ(test::gauge(jobs.metrics_snapshot(), "phes_queue_depth"), 1);
 }
 
 void wait_for_blocked_push(JobServer& jobs) {
-  while (jobs.stats().queue.push_waits == 0) {
+  while (test::counter(jobs.metrics_snapshot(),
+                       "phes_queue_push_waits_total") == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -114,7 +115,7 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
     server::Client poller(socket_path);
     std::string out = poller.request("{\"op\": \"ping\"}");
     out += "\n" + poller.request("{\"op\": \"status\"}");
-    out += "\n" + poller.request("{\"op\": \"stats\"}");
+    out += "\n" + poller.request("{\"op\": \"metrics\"}");
     return out;
   });
   ASSERT_EQ(live_ops.wait_for(std::chrono::seconds(30)),
@@ -124,10 +125,13 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
   EXPECT_NE(responses.find("\"op\": \"ping\""), std::string::npos);
   // The blocked job is already visible as a queued record.
   EXPECT_NE(responses.find("\"id\": 3"), std::string::npos) << responses;
-  // The stats op reports the transport + dispatch sections.
-  EXPECT_NE(responses.find("\"transport\""), std::string::npos);
-  EXPECT_NE(responses.find("\"dispatch\""), std::string::npos);
-  EXPECT_NE(responses.find("\"push_waits\": 1"), std::string::npos);
+  // The metrics op reports the transport + dispatch layers.
+  EXPECT_NE(responses.find("\"phes_transport_requests_total\""),
+            std::string::npos);
+  EXPECT_NE(responses.find("\"phes_dispatch_completed_total\""),
+            std::string::npos);
+  EXPECT_NE(responses.find("\"phes_queue_push_waits_total\": 1"),
+            std::string::npos);
 
   // The submit is still blocked; nothing resolved it by accident.
   EXPECT_EQ(blocked_ack.wait_for(std::chrono::milliseconds(0)),
@@ -140,9 +144,12 @@ TEST(ServerDispatch, StatusAndPingStayLiveWhileASubmitBlocksOnAdmission) {
   ASSERT_TRUE(jobs.wait(3, 120.0));
   EXPECT_EQ(jobs.status(3)->state, JobState::kFailed);  // bogus path
 
-  const auto stats = transport.stats();
-  EXPECT_GT(stats.inline_requests, 0u) << "cheap ops used the fast path";
-  EXPECT_GT(stats.dispatched, 0u) << "the submit went through the pool";
+  const auto metrics = jobs.metrics_snapshot();
+  EXPECT_GT(test::counter(metrics, "phes_transport_inline_requests_total"),
+            0u)
+      << "cheap ops used the fast path";
+  EXPECT_GT(test::counter(metrics, "phes_transport_dispatched_total"), 0u)
+      << "the submit went through the pool";
 
   transport.stop();
   jobs.shutdown(true);
@@ -251,7 +258,8 @@ TEST(ServerDispatch, OverloadedDispatchQueueRejectsInsteadOfStalling) {
     server::Client b(socket_path);
     return b.request(kBlockedSubmit);
   });
-  while (transport.dispatch_stats().queue_depth == 0) {
+  while (test::gauge(jobs.metrics_snapshot(), "phes_dispatch_queue_depth") ==
+         0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Submit C finds the pool full: answered with an overload error
@@ -262,7 +270,9 @@ TEST(ServerDispatch, OverloadedDispatchQueueRejectsInsteadOfStalling) {
       << rejected;
   EXPECT_NE(c.request("{\"op\": \"ping\"}").find("\"ok\": true"),
             std::string::npos);
-  EXPECT_GE(transport.stats().rejected, 1u);
+  EXPECT_GE(test::counter(jobs.metrics_snapshot(),
+                          "phes_transport_rejected_total"),
+            1u);
 
   gate.release();
   EXPECT_TRUE(JsonValue::parse(ack_a.get()).bool_or("ok", false));
@@ -285,12 +295,15 @@ TEST(ServerDispatch, InlineModeStillServesEverything) {
   server::Client client(socket_path);
   EXPECT_NE(client.request("{\"op\": \"ping\"}").find("\"ok\": true"),
             std::string::npos);
-  const auto stats_json =
-      JsonValue::parse(client.request("{\"op\": \"stats\"}"));
-  ASSERT_TRUE(stats_json.bool_or("ok", false));
-  const JsonValue* dispatch = stats_json.find("dispatch");
-  ASSERT_NE(dispatch, nullptr);
-  EXPECT_EQ(dispatch->uint_or("workers", 99), 0u);
+  const auto metrics_json =
+      JsonValue::parse(client.request("{\"op\": \"metrics\"}"));
+  ASSERT_TRUE(metrics_json.bool_or("ok", false));
+  const auto metrics =
+      obs::MetricsSnapshot::from_json(*metrics_json.find("metrics"));
+  // No dispatch pool: its instruments are never registered, and the
+  // transport hands it nothing.
+  EXPECT_EQ(metrics.counters.count("phes_dispatch_completed_total"), 0u);
+  EXPECT_EQ(test::counter(metrics, "phes_transport_dispatched_total"), 0u);
 
   transport.stop();
   jobs.shutdown(true);

@@ -139,8 +139,9 @@ TEST(ServerRecovery, RestartServesByteIdenticalResultsOverBothTransports) {
 
   {
     Generation gen(dir.path, "gen2");
-    EXPECT_EQ(gen.jobs.stats().storage.recovered, 2u);
-    EXPECT_EQ(gen.jobs.stats().storage.lost, 0u);
+    const auto metrics = gen.jobs.metrics_snapshot();
+    EXPECT_EQ(test::counter(metrics, "phes_store_recovered_total"), 2u);
+    EXPECT_EQ(test::counter(metrics, "phes_store_lost_total"), 0u);
 
     server::Client unix_client(gen.unix_endpoint);
     server::Client tcp_client(gen.tcp_endpoint);
@@ -169,7 +170,9 @@ TEST(ServerRecovery, RestartServesByteIdenticalResultsOverBothTransports) {
   // Third generation: the post-restart job persisted as well.
   {
     Generation gen(dir.path, "gen3");
-    EXPECT_EQ(gen.jobs.stats().storage.recovered, 3u);
+    EXPECT_EQ(test::counter(gen.jobs.metrics_snapshot(),
+                            "phes_store_recovered_total"),
+              3u);
     server::Client unix_client(gen.unix_endpoint);
     const auto json =
         JsonValue::parse(unix_client.request(result_request(3)));
@@ -191,7 +194,9 @@ TEST(ServerRecovery, JobsInFlightAtACrashComeBackAsLost) {
     EXPECT_TRUE(store.mark_running(1));
   }
   Generation gen(dir.path, "aftercrash");
-  EXPECT_EQ(gen.jobs.stats().storage.lost, 2u);
+  EXPECT_EQ(
+      test::counter(gen.jobs.metrics_snapshot(), "phes_store_lost_total"),
+      2u);
   server::Client client(gen.unix_endpoint);
 
   const auto status =

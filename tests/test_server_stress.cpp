@@ -284,16 +284,17 @@ TEST(ServerStress, ConcurrentClientsOverTwoModelsShareSessions) {
   }
   EXPECT_EQ(done, kTotal);
 
-  const auto stats = jobs.stats();
-  EXPECT_EQ(stats.submitted, kTotal);
-  EXPECT_EQ(stats.queue.pushed, kTotal);
-  EXPECT_EQ(stats.queue.popped, kTotal);
-  EXPECT_LE(stats.queue.peak_size, options.queue_capacity);
-  EXPECT_GT(stats.queue.push_waits, 0u)
+  const auto metrics = jobs.metrics_snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_jobs_submitted_total"), kTotal);
+  EXPECT_EQ(test::counter(metrics, "phes_queue_pushed_total"), kTotal);
+  EXPECT_EQ(test::counter(metrics, "phes_queue_popped_total"), kTotal);
+  EXPECT_GT(test::counter(metrics, "phes_queue_push_waits_total"), 0u)
       << "queue never filled: backpressure untested";
-  EXPECT_EQ(stats.pool.checkouts, kTotal);
-  EXPECT_GT(stats.pool.pool_hits, 0u) << "no cross-job session sharing";
-  EXPECT_EQ(stats.pool.leased_sessions, 0u);
+  EXPECT_EQ(test::counter(metrics, "phes_session_pool_checkouts_total"),
+            kTotal);
+  EXPECT_GT(test::counter(metrics, "phes_session_pool_hits_total"), 0u)
+      << "no cross-job session sharing";
+  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_leased_sessions"), 0);
   EXPECT_GT(reused_sessions, 0u);
 
   // All jobs over one model agree on the crossing set, bit for bit.
@@ -354,11 +355,11 @@ TEST(ServerStress, CancelStormLeavesStoreConsistent) {
                 record->state == JobState::kCancelled)
         << job_state_name(record->state);
   }
-  const auto counts = jobs.stats().states;
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kQueued)], 0u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kRunning)], 0u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kDone)] +
-                counts[static_cast<std::size_t>(JobState::kCancelled)],
+  const auto summaries = jobs.job_summaries();
+  EXPECT_EQ(test::count_state(summaries, JobState::kQueued), 0u);
+  EXPECT_EQ(test::count_state(summaries, JobState::kRunning), 0u);
+  EXPECT_EQ(test::count_state(summaries, JobState::kDone) +
+                test::count_state(summaries, JobState::kCancelled),
             kTotal);
   jobs.shutdown(true);
 }

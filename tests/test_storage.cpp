@@ -266,7 +266,8 @@ TEST(JobSpec, ToleratesUnknownFieldsAndRejectsInputlessSpecs) {
 // ---- MemoryStorage ----------------------------------------------------
 
 TEST(MemoryStorage, EvictsOldestPastCap) {
-  MemoryStorage storage(2);
+  obs::MetricsRegistry registry;
+  MemoryStorage storage(2, &registry);
   for (std::uint64_t id = 1; id <= 4; ++id) {
     storage.put(make_record(sample_result(id), JobState::kDone));
   }
@@ -275,8 +276,10 @@ TEST(MemoryStorage, EvictsOldestPastCap) {
   EXPECT_FALSE(storage.get(2).has_value());
   EXPECT_TRUE(storage.get(3).has_value());
   EXPECT_TRUE(storage.get(4).has_value());
-  EXPECT_EQ(storage.stats().evicted, 2u);
-  EXPECT_FALSE(storage.stats().durable);
+  const auto metrics = registry.snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_store_evicted_total"), 2u);
+  // Not durable: the in-memory backend registers no recovery counters.
+  EXPECT_EQ(metrics.counters.count("phes_store_recovered_total"), 0u);
 }
 
 TEST(MemoryStorage, InternsIdenticalInputSpecs) {
@@ -339,7 +342,8 @@ TEST(MemoryStorage, EvictingEveryRecordFreesTheInputSpecs) {
 
 TEST(DiskStorage, PutGetServesTheExactRecord) {
   TempDir dir("putget");
-  DiskStorage storage(dir.path);
+  obs::MetricsRegistry registry;
+  DiskStorage storage(dir.path, {}, &registry);
   const JobRecord original = make_record(sample_result(5), JobState::kDone);
   storage.put(original);
 
@@ -354,9 +358,11 @@ TEST(DiskStorage, PutGetServesTheExactRecord) {
   const auto summary = storage.summary(5);
   ASSERT_TRUE(summary.has_value());
   EXPECT_EQ(summary->status, original.result.status());
-  EXPECT_EQ(storage.stats().records, 1u);
-  EXPECT_GT(storage.stats().bytes, 0u);
-  EXPECT_TRUE(storage.stats().durable);
+  const auto metrics = registry.snapshot();
+  EXPECT_EQ(test::gauge(metrics, "phes_store_records"), 1);
+  EXPECT_GT(test::gauge(metrics, "phes_store_bytes"), 0);
+  // Durable: the disk backend registers its recovery counters.
+  EXPECT_EQ(metrics.counters.count("phes_store_recovered_total"), 1u);
 }
 
 TEST(DiskStorage, RecoversRecordsAcrossInstances) {
@@ -371,9 +377,11 @@ TEST(DiskStorage, RecoversRecordsAcrossInstances) {
     done_json = job_json(storage.get(1)->result);
     failed_json = job_json(storage.get(2)->result);
   }
-  DiskStorage reopened(dir.path);
-  EXPECT_EQ(reopened.stats().recovered, 2u);
-  EXPECT_EQ(reopened.stats().lost, 0u);
+  obs::MetricsRegistry registry;
+  DiskStorage reopened(dir.path, {}, &registry);
+  const auto metrics = registry.snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_store_recovered_total"), 2u);
+  EXPECT_EQ(test::counter(metrics, "phes_store_lost_total"), 0u);
   EXPECT_EQ(reopened.max_seen_id(), 2u);
   ASSERT_TRUE(reopened.get(1).has_value());
   // Byte-identical payloads: the acceptance property behind restart-
@@ -392,8 +400,9 @@ TEST(DiskStorage, AdmittedButUnfinishedJobsComeBackAsLost) {
     storage.put(make_record(sample_result(3), JobState::kDone));
     // id 7 never finishes: the process "crashes" here.
   }
-  DiskStorage reopened(dir.path);
-  EXPECT_EQ(reopened.stats().lost, 1u);
+  obs::MetricsRegistry registry;
+  DiskStorage reopened(dir.path, {}, &registry);
+  EXPECT_EQ(test::counter(registry.snapshot(), "phes_store_lost_total"), 1u);
   EXPECT_EQ(reopened.state(7), JobState::kFailed);
   const auto record = reopened.get(7);
   ASSERT_TRUE(record.has_value());
@@ -404,8 +413,10 @@ TEST(DiskStorage, AdmittedButUnfinishedJobsComeBackAsLost) {
   EXPECT_EQ(reopened.max_seen_id(), 7u);
   // The lost verdict is itself durable: a third open has no pending
   // adds and serves the same failed record.
-  DiskStorage third(dir.path);
-  EXPECT_EQ(third.stats().lost, 0u);
+  obs::MetricsRegistry third_registry;
+  DiskStorage third(dir.path, {}, &third_registry);
+  EXPECT_EQ(test::counter(third_registry.snapshot(), "phes_store_lost_total"),
+            0u);
   EXPECT_EQ(third.state(7), JobState::kFailed);
 }
 
@@ -413,18 +424,23 @@ TEST(DiskStorage, ByteBudgetEvictsOldestFirst) {
   TempDir dir("bytes");
   DiskStorageOptions options;
   options.max_bytes = 3000;  // records are ~700-900 bytes each
-  DiskStorage storage(dir.path, options);
+  obs::MetricsRegistry registry;
+  DiskStorage storage(dir.path, options, &registry);
   for (std::uint64_t id = 1; id <= 10; ++id) {
     storage.put(make_record(sample_result(id), JobState::kDone));
   }
   EXPECT_LT(storage.size(), 10u);
-  EXPECT_LE(storage.stats().bytes, options.max_bytes);
-  EXPECT_GT(storage.stats().evicted, 0u);
+  const auto metrics = registry.snapshot();
+  EXPECT_LE(test::gauge(metrics, "phes_store_bytes"),
+            static_cast<std::int64_t>(options.max_bytes));
+  EXPECT_GT(test::counter(metrics, "phes_store_evicted_total"), 0u);
   EXPECT_FALSE(storage.get(1).has_value()) << "oldest evicted first";
   EXPECT_TRUE(storage.get(10).has_value()) << "newest retained";
   // The budget survives recovery too.
-  DiskStorage reopened(dir.path, options);
-  EXPECT_LE(reopened.stats().bytes, options.max_bytes);
+  obs::MetricsRegistry reopened_registry;
+  DiskStorage reopened(dir.path, options, &reopened_registry);
+  EXPECT_LE(test::gauge(reopened_registry.snapshot(), "phes_store_bytes"),
+            static_cast<std::int64_t>(options.max_bytes));
   EXPECT_TRUE(reopened.get(10).has_value());
 }
 
@@ -455,10 +471,12 @@ TEST(DiskStorage, SalvagesPayloadWhoseFinishEventNeverMadeTheJournal) {
                         std::ios::trunc | std::ios::binary);
     index << "{\"event\": \"add\", \"id\": 4, \"name\": \"m\"}\n";
   }
-  DiskStorage reopened(dir.path);
+  obs::MetricsRegistry registry;
+  DiskStorage reopened(dir.path, {}, &registry);
   // The intact payload must be salvaged, never overwritten as lost.
-  EXPECT_EQ(reopened.stats().lost, 0u);
-  EXPECT_EQ(reopened.stats().recovered, 1u);
+  const auto metrics = registry.snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_store_lost_total"), 0u);
+  EXPECT_EQ(test::counter(metrics, "phes_store_recovered_total"), 1u);
   EXPECT_EQ(reopened.state(4), JobState::kDone);
   EXPECT_EQ(job_json(reopened.get(4)->result), payload_json);
 }
@@ -475,8 +493,10 @@ TEST(DiskStorage, ToleratesATornJournalTail) {
                         std::ios::app | std::ios::binary);
     index << "{\"event\": \"finish\", \"id\": 2, \"na";
   }
-  DiskStorage reopened(dir.path);
-  EXPECT_EQ(reopened.stats().recovered, 1u);
+  obs::MetricsRegistry registry;
+  DiskStorage reopened(dir.path, {}, &registry);
+  EXPECT_EQ(test::counter(registry.snapshot(), "phes_store_recovered_total"),
+            1u);
   EXPECT_TRUE(reopened.get(1).has_value());
 }
 
@@ -503,9 +523,9 @@ TEST(ResultStoreDurable, LifecycleSpillsTerminalRecordsToDisk) {
   EXPECT_EQ(reopened.get(1)->result.status(), "enforced");
   EXPECT_EQ(reopened.get(2)->state, JobState::kCancelled);
   EXPECT_TRUE(reopened.get(2)->result.cancelled);
-  const auto counts = reopened.state_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kDone)], 1u);
-  EXPECT_EQ(counts[static_cast<std::size_t>(JobState::kCancelled)], 1u);
+  const auto summaries = reopened.summaries();
+  EXPECT_EQ(test::count_state(summaries, JobState::kDone), 1u);
+  EXPECT_EQ(test::count_state(summaries, JobState::kCancelled), 1u);
 }
 
 TEST(ResultStoreDurable, SummariesMergeLiveAndStoredAscending) {

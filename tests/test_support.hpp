@@ -1,7 +1,8 @@
 #pragma once
 // Shared helpers for the PHES test suite: random matrices, spectrum
-// comparison, and the seeded synthetic-model fixtures used by the
-// engine/pipeline/server tests and the session-reuse bench.
+// comparison, the seeded synthetic-model fixtures used by the
+// engine/pipeline/server tests and the session-reuse bench, and
+// metrics-snapshot readers.
 
 #include <unistd.h>
 
@@ -20,6 +21,8 @@
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/macromodel/samples.hpp"
+#include "phes/server/storage.hpp"
+#include "phes/util/metrics.hpp"
 #include "phes/util/rng.hpp"
 #include "phes/util/sync.hpp"
 
@@ -234,6 +237,30 @@ struct TempDir {
   }
   std::string path;
 };
+
+/// A counter or gauge of a metrics snapshot; an unregistered name reads
+/// 0, like an instrument that never moved.
+inline std::uint64_t counter(const obs::MetricsSnapshot& snapshot,
+                             const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+inline std::int64_t gauge(const obs::MetricsSnapshot& snapshot,
+                          const std::string& name) {
+  const auto it = snapshot.gauges.find(name);
+  return it == snapshot.gauges.end() ? 0 : it->second;
+}
+
+/// How many of `summaries` are in `state`.
+inline std::size_t count_state(
+    const std::vector<server::JobSummary>& summaries,
+    server::JobState state) {
+  return static_cast<std::size_t>(
+      std::count_if(summaries.begin(), summaries.end(),
+                    [state](const server::JobSummary& s) {
+                      return s.state == state;
+                    }));
+}
 
 /// Blocks one specific job when it starts `gate_stage`, until the test
 /// releases it — the deterministic "in flight" hook for the server

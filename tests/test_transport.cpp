@@ -190,9 +190,9 @@ TEST(TransportMatrix, BitIdenticalAcrossAllFourSubmissionRoutes) {
   EXPECT_EQ(via_inline.sample_count, oneshot.sample_count);
   EXPECT_EQ(via_inline.name, "golden.s2p");
 
-  const auto stats = transport.stats();
-  EXPECT_EQ(stats.auth_failures, 0u);
-  EXPECT_GE(stats.accepted, 2u);
+  const auto metrics = jobs.metrics_snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_transport_auth_failures_total"), 0u);
+  EXPECT_GE(test::counter(metrics, "phes_transport_accepted_total"), 2u);
 
   transport.stop();
   jobs.shutdown(true);
@@ -268,8 +268,9 @@ TEST(TransportAuth, MissingAndWrongTokensAreRefused) {
     EXPECT_NE(response.find("\"ok\": true"), std::string::npos);
   }
 
-  const auto stats = transport.stats();
-  EXPECT_EQ(stats.auth_failures, 2u);
+  EXPECT_EQ(test::counter(jobs.metrics_snapshot(),
+                          "phes_transport_auth_failures_total"),
+            2u);
   transport.stop();
   jobs.shutdown(true);
 }
@@ -317,9 +318,10 @@ TEST(TransportAuth, PreAuthConnectionsCannotBufferLargeLines) {
   EXPECT_EQ(tail, 0) << "server must close the flooding pre-auth peer";
   ::close(fd);
 
-  const auto stats = transport.stats();
-  EXPECT_EQ(stats.oversized_lines, 1u);
-  EXPECT_EQ(stats.auth_failures, 1u);
+  const auto metrics = jobs.metrics_snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_transport_oversized_lines_total"),
+            1u);
+  EXPECT_EQ(test::counter(metrics, "phes_transport_auth_failures_total"), 1u);
   transport.stop();
   jobs.shutdown(true);
 }
@@ -419,10 +421,10 @@ TEST(TransportRobustness, FrameSplitAcrossManyWakeupsIsReassembled) {
 
   // Two requests + a partial third in one write: both complete frames
   // are answered, the tail waits for its terminator.
-  raw.send_bytes("{\"op\": \"ping\"}\n{\"op\": \"stats\"}\n{\"op\": ");
+  raw.send_bytes("{\"op\": \"ping\"}\n{\"op\": \"metrics\"}\n{\"op\": ");
   EXPECT_NE(raw.read_response_line().find("\"op\": \"ping\""),
             std::string::npos);
-  EXPECT_NE(raw.read_response_line().find("\"queue\""), std::string::npos);
+  EXPECT_NE(raw.read_response_line().find("\"counters\""), std::string::npos);
   raw.send_bytes("\"ping\"}\n");
   EXPECT_NE(raw.read_response_line().find("\"op\": \"ping\""),
             std::string::npos);
@@ -460,9 +462,11 @@ TEST(TransportRobustness, OversizedLineGetsErrorResponseNotDisconnect) {
   EXPECT_NE(raw.read_response_line().find("\"op\": \"ping\""),
             std::string::npos);
 
-  const auto stats = transport.stats();
-  EXPECT_EQ(stats.oversized_lines, 2u);
-  EXPECT_EQ(stats.open_connections, 1u) << "connection must survive";
+  const auto metrics = jobs.metrics_snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_transport_oversized_lines_total"),
+            2u);
+  EXPECT_EQ(test::gauge(metrics, "phes_transport_open_connections"), 1)
+      << "connection must survive";
 
   transport.stop();
   jobs.shutdown(true);

@@ -97,7 +97,7 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
           ids[c * kJobsPerClient + j] = response.uint_or("id", 0);
           // Interleave cheap ops so the loop multiplexes read+write
           // traffic across all 16 connections, not just submits.
-          (void)client.request("{\"op\": \"stats\"}");
+          (void)client.request("{\"op\": \"metrics\"}");
           (void)client.request(
               "{\"op\": \"status\", \"id\": " +
               std::to_string(ids[c * kJobsPerClient + j]) + "}");
@@ -135,15 +135,15 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
   }
   EXPECT_EQ(done, kTotal);
 
-  const auto stats = transport.stats();
-  EXPECT_EQ(stats.accepted, kClients);
-  EXPECT_EQ(stats.auth_failures, 0u);
+  const auto metrics = jobs.metrics_snapshot();
+  EXPECT_EQ(test::counter(metrics, "phes_transport_accepted_total"),
+            kClients);
+  EXPECT_EQ(test::counter(metrics, "phes_transport_auth_failures_total"), 0u);
   // Every client issued 3 ops per job on one multiplexed loop.
-  EXPECT_GE(stats.requests, kTotal * 3u);
-
-  const auto server_stats = jobs.stats();
-  EXPECT_EQ(server_stats.submitted, kTotal);
-  EXPECT_GT(server_stats.pool.pool_hits, 0u)
+  EXPECT_GE(test::counter(metrics, "phes_transport_requests_total"),
+            kTotal * 3u);
+  EXPECT_EQ(test::counter(metrics, "phes_jobs_submitted_total"), kTotal);
+  EXPECT_GT(test::counter(metrics, "phes_session_pool_hits_total"), 0u)
       << "inline TCP jobs must share pooled sessions too";
 
   transport.stop();
@@ -188,8 +188,9 @@ TEST(TransportStress, AuthStormDoesNotWedgeTheLoop) {
 
   EXPECT_EQ(served.load(), kThreads * kItersPerThread / 2);
   EXPECT_EQ(refused.load(), kThreads * kItersPerThread / 2);
-  const auto stats = transport.stats();
-  EXPECT_EQ(stats.auth_failures, refused.load());
+  EXPECT_EQ(test::counter(jobs.metrics_snapshot(),
+                          "phes_transport_auth_failures_total"),
+            refused.load());
 
   transport.stop();
   jobs.shutdown(true);
