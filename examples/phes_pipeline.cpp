@@ -37,7 +37,7 @@
 //         wait <id> [--timeout s]       shutdown [--no-drain]
 //         replay <id> | replay --all [--state S --model H
 //                                     --from N --to N]
-//         campaign <id> [--csv | --table]
+//         campaign <id> [--table]
 //       `submit --inline` sends the file's contents in the request
 //       payload (submit_inline op) — the server needs no access to the
 //       client's filesystem.  `metrics --prom` converts the server's
@@ -48,24 +48,23 @@
 //       optional filters) back into fresh jobs and starts a tracked
 //       campaign; `campaign <id>` reports its progress with a per-job
 //       delta against the stored baseline (bit-identical /
-//       numerically-changed / state-changed), renderable as CSV or an
-//       ASCII table locally.
+//       numerically-changed / state-changed), renderable as an ASCII
+//       table locally.
 //
 // Flags:
 //   --poles <n>          VF poles per column            (default 12)
-//   --vf-iters <n>       VF pole-relocation sweeps      (default 12)
+//   --vf-iters <n>       VF pole-relocation sweeps      (default 12,
+//                        at most vf::kMaxIterations = 100)
 //   --threads <n>        total hardware budget          (default auto)
 //   --jobs <n>           concurrent jobs override       (default auto)
 //   --solver-threads <n> per-job solver threads override(default auto)
 //   --stop-after <stage> load|fit|realize|characterize|enforce|verify
 //   --summary-json <path> write the machine-readable JSON summary
-//   --summary-csv <path>  write the one-row-per-job CSV summary
-//   --no-warm-start      disable session warm starts (cold re-solves)
 //   --verbose            per-stage timing breakdown per job
 // serve/batch flags (the batch runner shares sessions the same way):
 //   --queue <n>          queue capacity / backpressure bound (default 64)
-//   --no-share-sessions  one private session per job (no cross-job pool)
-//   --pool-sessions <n>  idle sessions kept per the pool (default 16)
+//   --pool-sessions <n>  idle sessions kept per the pool (default 16;
+//                        0 drops every session a job returns)
 //   --pool-mb <n>        idle session memory budget in MiB (default 256)
 //   --tcp <host:port>    additional TCP listener (serve only)
 //   --auth-token-file <f> shared token for the TCP auth handshake
@@ -73,7 +72,6 @@
 //   --retain-records <n> in-memory finished-record cap (default 4096)
 //   --retain-mb <n>      disk retention byte budget (0 = unbounded)
 //   --retain-ttl <s>     disk retention TTL in seconds (0 = forever)
-//   --dispatch-workers <n> off-loop protocol handlers (0 = inline)
 //   --trace-file <path>  append one NDJSON trace event per finished job
 //   --slow-job-ms <n>    log a stderr stage breakdown for jobs slower
 //                        than this (0 = off)
@@ -125,11 +123,9 @@ struct CliOptions {
   pipeline::JobOptions job{};
   pipeline::BatchOptions batch{};
   std::string summary_json;  ///< empty => no JSON summary file
-  std::string summary_csv;   ///< empty => no CSV summary file
   bool verbose = false;
   // serve-only
   std::size_t queue_capacity = 64;
-  bool share_sessions = true;
   std::size_t pool_sessions = 16;
   std::size_t pool_mb = 256;
   std::string tcp_endpoint;      ///< "HOST:PORT"; empty => no TCP listener
@@ -138,7 +134,6 @@ struct CliOptions {
   std::size_t retain_records = 4096;
   std::size_t retain_mb = 0;     ///< disk byte budget (0 = unbounded)
   double retain_ttl = 0.0;       ///< disk TTL seconds (0 = forever)
-  std::size_t dispatch_workers = 2;
   std::string trace_file;    ///< NDJSON job-trace sink (serve only)
   double slow_job_ms = 0.0;  ///< stderr stage breakdown threshold
   // client-only
@@ -153,13 +148,11 @@ struct CliOptions {
   std::string model_filter;     ///< replay --model (input content hash)
   std::uint64_t from_id = 0;    ///< replay --from (0 = unbounded)
   std::uint64_t to_id = 0;      ///< replay --to (0 = unbounded)
-  bool campaign_csv = false;    ///< campaign: render the report as CSV
   bool campaign_table = false;  ///< campaign: render as an ASCII table
   // Which job flags were explicitly passed: a client submit sends only
   // those, so the rest fall back to the serve-side job defaults.
   bool poles_set = false;
   bool vf_iters_set = false;
-  bool warm_start_set = false;
   bool stop_after_set = false;
 };
 
@@ -181,25 +174,23 @@ int usage() {
                "  phes_pipeline client <endpoint> replay --all "
                "[--state S --model H --from N --to N]\n"
                "  phes_pipeline client <endpoint> campaign <id> "
-               "[--csv|--table]\n"
+               "[--table]\n"
                "  (<endpoint> = socket path | tcp:HOST:PORT)\n"
                "flags: --poles N --vf-iters N --threads N --jobs N\n"
                "       --solver-threads N --stop-after STAGE\n"
-               "       --summary-json PATH --summary-csv PATH\n"
-               "       --no-warm-start --verbose\n"
-               "serve/batch: --queue N --no-share-sessions "
-               "--pool-sessions N\n"
+               "       --summary-json PATH --verbose\n"
+               "serve/batch: --queue N --pool-sessions N\n"
                "       --pool-mb N --tcp HOST:PORT --auth-token-file "
                "FILE\n"
                "serve: --data-dir DIR --retain-records N --retain-mb N\n"
-               "       --retain-ttl SECONDS --dispatch-workers N\n"
+               "       --retain-ttl SECONDS\n"
                "       --trace-file PATH --slow-job-ms N\n"
                "client: --timeout SECONDS --poll-ms N (wait), "
                "--no-drain (shutdown),\n"
                "        --inline (submit), --auth-token-file FILE (tcp)\n"
                "        --all --state S --model H --from N --to N "
                "(replay),\n"
-               "        --csv --table (campaign)\n"
+               "        --table (campaign)\n"
                "wait exit codes: 0 done, 1 failed, 3 cancelled, "
                "4 timeout\n");
   return 2;
@@ -267,17 +258,10 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       cli.stop_after_set = true;
     } else if (flag == "--summary-json") {
       cli.summary_json = value();
-    } else if (flag == "--summary-csv") {
-      cli.summary_csv = value();
-    } else if (flag == "--no-warm-start") {
-      cli.job.session.warm_start = false;
-      cli.warm_start_set = true;
     } else if (flag == "--verbose") {
       cli.verbose = true;
     } else if (flag == "--queue") {
       cli.queue_capacity = parse_count(value(), "--queue");
-    } else if (flag == "--no-share-sessions") {
-      cli.share_sessions = false;
     } else if (flag == "--pool-sessions") {
       cli.pool_sessions = parse_count(value(), "--pool-sessions");
     } else if (flag == "--pool-mb") {
@@ -301,8 +285,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
             std::string("--retain-ttl: expected seconds, got '") + text +
             "'");
       }
-    } else if (flag == "--dispatch-workers") {
-      cli.dispatch_workers = parse_count(value(), "--dispatch-workers");
     } else if (flag == "--trace-file") {
       cli.trace_file = value();
     } else if (flag == "--slow-job-ms") {
@@ -330,8 +312,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       cli.from_id = parse_count(value(), "--from");
     } else if (flag == "--to") {
       cli.to_id = parse_count(value(), "--to");
-    } else if (flag == "--csv") {
-      cli.campaign_csv = true;
     } else if (flag == "--table") {
       cli.campaign_table = true;
     } else if (flag == "--timeout") {
@@ -394,39 +374,24 @@ int run_batch(std::vector<pipeline::PipelineJob> jobs,
   for (auto& job : jobs) job.options = cli.job;
 
   pipeline::BatchOptions batch = cli.batch;
-  // --no-warm-start jobs bypass the pool (a pooled session could hand
-  // them another job's hot cache), so report the batch as unpooled
-  // rather than printing an all-zero pool footer.
-  batch.share_sessions =
-      cli.share_sessions && cli.job.session.warm_start;
   batch.pool.max_idle_sessions = cli.pool_sessions;
   batch.pool.memory_budget_bytes = cli.pool_mb << 20;
-  // Pooled sessions are configured at pool level: session flags must
-  // reach them through the pool's session options.
-  batch.pool.session = cli.job.session;
 
   const pipeline::BatchRunner runner(batch);
   const auto plan = runner.plan_for(jobs.size());
   std::printf("running %zu job(s): %zu concurrent x %zu solver thread(s), "
-              "sessions %s\n",
-              jobs.size(), plan.job_workers, plan.solver_threads,
-              batch.share_sessions ? "pooled" : "private");
+              "sessions pooled\n",
+              jobs.size(), plan.job_workers, plan.solver_threads);
 
   const auto outcome = runner.run_all(std::move(jobs));
   const auto& results = outcome.results;
   for (const auto& r : results) print_job_detail(r, cli.verbose);
 
   std::printf("\n");
-  pipeline::summary_table(results,
-                          batch.share_sessions ? &outcome.pool : nullptr)
-      .print(std::cout);
+  pipeline::summary_table(results, &outcome.pool).print(std::cout);
   if (!cli.summary_json.empty()) {
     pipeline::write_summary_json_file(results, cli.summary_json);
     std::printf("wrote JSON summary to %s\n", cli.summary_json.c_str());
-  }
-  if (!cli.summary_csv.empty()) {
-    pipeline::write_summary_csv_file(results, cli.summary_csv);
-    std::printf("wrote CSV summary to %s\n", cli.summary_csv.c_str());
   }
   const std::size_t ok = pipeline::count_succeeded(results);
   std::printf("\n%zu/%zu job(s) succeeded\n", ok, results.size());
@@ -480,12 +445,8 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   options.queue_capacity = cli.queue_capacity;
   options.workers = cli.batch.job_workers;
   options.solver_threads = cli.batch.solver_threads;
-  options.share_sessions = cli.share_sessions;
   options.pool.max_idle_sessions = cli.pool_sessions;
   options.pool.memory_budget_bytes = cli.pool_mb << 20;
-  // Pooled sessions are configured at pool level: --no-warm-start etc.
-  // must reach them through the pool's session options.
-  options.pool.session = cli.job.session;
   options.job_defaults = cli.job;
   options.max_finished_records = cli.retain_records;
   options.data_dir = cli.data_dir;
@@ -527,9 +488,7 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
     transports.push_back(std::make_unique<server::TcpTransport>(
         tcp.host, tcp.port, read_token_file(cli.auth_token_file)));
   }
-  server::TransportLimits limits;
-  limits.dispatch_workers = cli.dispatch_workers;
-  server::TransportServer transport(server, std::move(transports), limits);
+  server::TransportServer transport(server, std::move(transports));
   transport.start();
 
   std::signal(SIGINT, handle_signal);
@@ -541,9 +500,9 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
     endpoints += t->endpoint();
   }
   std::printf("phes_pipeline serving on %s (%zu worker(s) x %zu solver "
-              "thread(s), queue %zu, sessions %s)\n",
+              "thread(s), queue %zu, sessions pooled)\n",
               endpoints.c_str(), server.workers(), server.solver_threads(),
-              cli.queue_capacity, cli.share_sessions ? "pooled" : "private");
+              cli.queue_capacity);
   std::fflush(stdout);
 
   // Block until a client sends the shutdown op, or a signal arrives
@@ -590,10 +549,6 @@ std::string options_json_from(const CliOptions& cli) {
   }
   if (cli.vf_iters_set) {
     add("\"vf_iters\": " + std::to_string(cli.job.fit.iterations));
-  }
-  if (cli.warm_start_set) {
-    add(std::string("\"warm_start\": ") +
-        (cli.job.session.warm_start ? "true" : "false"));
   }
   if (cli.stop_after_set) {
     add("\"stop_after\": \"" +
@@ -741,7 +696,7 @@ int cmd_client(const std::string& endpoint_spec, const std::string& op,
     }
   }
 
-  if (op == "campaign" && (cli.campaign_csv || cli.campaign_table)) {
+  if (op == "campaign" && cli.campaign_table) {
     // Render the campaign report locally — same philosophy as `metrics
     // --prom`: the server speaks one format (NDJSON), the client
     // reshapes it.
@@ -758,53 +713,30 @@ int cmd_client(const std::string& endpoint_spec, const std::string& op,
       return v != nullptr && !v->is_null() ? v->as_string()
                                            : std::string("pending");
     };
-    if (cli.campaign_csv) {
-      std::printf("source,replay,name,delta,before,after\n");
-      for (const auto& job : jobs->items()) {
-        // Commas/quotes in job names (file paths) get RFC-4180 quoting.
-        std::string name = job.string_or("name", "");
-        if (name.find_first_of(",\"\n") != std::string::npos) {
-          std::string quoted = "\"";
-          for (const char c : name) {
-            if (c == '"') quoted += '"';
-            quoted += c;
-          }
-          quoted += '"';
-          name = quoted;
-        }
-        std::printf("%llu,%llu,%s,%s,%s,%s\n",
-                    static_cast<unsigned long long>(job.uint_or("source", 0)),
-                    static_cast<unsigned long long>(job.uint_or("id", 0)),
-                    name.c_str(), cell(job, "delta").c_str(),
-                    job.string_or("before", "").c_str(),
-                    cell(job, "after").c_str());
-      }
-    } else {
-      util::Table table(
-          {"source", "replay", "name", "delta", "before", "after"});
-      for (const auto& job : jobs->items()) {
-        table.add_row({std::to_string(job.uint_or("source", 0)),
-                       std::to_string(job.uint_or("id", 0)),
-                       job.string_or("name", ""), cell(job, "delta"),
-                       job.string_or("before", ""), cell(job, "after")});
-      }
-      table.print(std::cout);
-      const server::JsonValue* deltas = json.find("deltas");
-      std::printf("\ncampaign %llu: %llu/%llu classified (%s), deltas: "
-                  "%llu identical, %llu numeric, %llu state, "
-                  "%llu skipped\n",
-                  static_cast<unsigned long long>(json.uint_or("campaign", 0)),
-                  static_cast<unsigned long long>(json.uint_or("completed", 0)),
-                  static_cast<unsigned long long>(json.uint_or("total", 0)),
-                  json.bool_or("done", false) ? "done" : "running",
-                  static_cast<unsigned long long>(
-                      deltas ? deltas->uint_or("identical", 0) : 0),
-                  static_cast<unsigned long long>(
-                      deltas ? deltas->uint_or("numeric", 0) : 0),
-                  static_cast<unsigned long long>(
-                      deltas ? deltas->uint_or("state", 0) : 0),
-                  static_cast<unsigned long long>(json.uint_or("skipped", 0)));
+    util::Table table(
+        {"source", "replay", "name", "delta", "before", "after"});
+    for (const auto& job : jobs->items()) {
+      table.add_row({std::to_string(job.uint_or("source", 0)),
+                     std::to_string(job.uint_or("id", 0)),
+                     job.string_or("name", ""), cell(job, "delta"),
+                     job.string_or("before", ""), cell(job, "after")});
     }
+    table.print(std::cout);
+    const server::JsonValue* deltas = json.find("deltas");
+    std::printf("\ncampaign %llu: %llu/%llu classified (%s), deltas: "
+                "%llu identical, %llu numeric, %llu state, "
+                "%llu skipped\n",
+                static_cast<unsigned long long>(json.uint_or("campaign", 0)),
+                static_cast<unsigned long long>(json.uint_or("completed", 0)),
+                static_cast<unsigned long long>(json.uint_or("total", 0)),
+                json.bool_or("done", false) ? "done" : "running",
+                static_cast<unsigned long long>(
+                    deltas ? deltas->uint_or("identical", 0) : 0),
+                static_cast<unsigned long long>(
+                    deltas ? deltas->uint_or("numeric", 0) : 0),
+                static_cast<unsigned long long>(
+                    deltas ? deltas->uint_or("state", 0) : 0),
+                static_cast<unsigned long long>(json.uint_or("skipped", 0)));
     return 0;
   }
 

@@ -106,19 +106,12 @@ struct SessionStats {
   std::size_t factorizations = 0;  ///< shift-invert operators built
 };
 
-struct SessionOptions {
-  /// Seed re-solves from the previous outcome (band + shifts).
-  bool warm_start = true;
-};
-
 class SolverSession {
  public:
   /// Owns `realization` as its model snapshot (revision 0).
-  explicit SolverSession(macromodel::SimoRealization realization,
-                         SessionOptions options = {});
+  explicit SolverSession(macromodel::SimoRealization realization);
   /// Convenience: realize a pole-residue model into the session.
-  explicit SolverSession(const macromodel::PoleResidueModel& model,
-                         SessionOptions options = {});
+  explicit SolverSession(const macromodel::PoleResidueModel& model);
 
   SolverSession(const SolverSession&) = delete;
   SolverSession& operator=(const SolverSession&) = delete;
@@ -153,7 +146,6 @@ class SolverSession {
 
  private:
   macromodel::SimoRealization realization_;
-  SessionOptions options_;
   std::uint64_t revision_ = 0;
   ShiftFactorizationCache cache_;
   WarmStart warm_;

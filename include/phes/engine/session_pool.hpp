@@ -62,8 +62,6 @@ struct SessionPoolOptions {
   /// Budget for *idle* sessions; checked-out sessions are never evicted.
   std::size_t max_idle_sessions = 16;
   std::size_t memory_budget_bytes = 256u << 20;
-  /// Options for sessions the pool creates.
-  SessionOptions session{};
 };
 
 struct SessionPoolStats {

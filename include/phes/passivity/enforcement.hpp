@@ -7,8 +7,9 @@
 // Each iteration:
 //  1. characterize: run the Hamiltonian eigensolver -> crossings ->
 //     violation bands with their peaks;
-//  2. linearize: at each constraint frequency w*, for each singular
-//     value sigma_i > 1 with triplet (u_i, sigma_i, v_i),
+//  2. linearize: at each band's peak frequency w* (the min-norm step
+//     flattens the whole hump, so one sample per band suffices), for
+//     each singular value sigma_i > 1 with triplet (u_i, sigma_i, v_i),
 //       delta sigma_i = Re( u_i^H  DeltaC  Phi(j w*) v_i ),
 //     Phi(s) = (sI - A)^{-1} B, which is linear in DeltaC;
 //  3. correct: the minimum-norm DeltaC driving each violating sigma_i
@@ -41,13 +42,6 @@ struct EnforcementOptions {
   /// Enforced ceiling is 1 - margin; a small buffer keeps the next
   /// characterization from finding grazing crossings again.
   double margin = 2e-3;
-  /// Extra constraint samples per violation band (besides the peak).
-  /// The peak alone usually suffices (the min-norm step flattens the
-  /// whole hump); interior samples help on very wide bands but make the
-  /// dual system ill-conditioned, so they are off by default.
-  std::size_t extra_samples_per_band = 0;
-  /// Tikhonov ridge on the dual Gram system (conditioning guard).
-  double ridge = 1e-10;
   core::SolverOptions solver{};
 };
 

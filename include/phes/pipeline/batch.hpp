@@ -37,18 +37,16 @@ struct BatchOptions {
   /// Explicit overrides; 0 => derive from the plan.
   std::size_t job_workers = 0;
   std::size_t solver_threads = 0;
-  /// Share solver sessions across the batch's jobs through an
-  /// engine::SessionPool keyed by model content hash, so directory
-  /// batches with duplicate models get the job server's cross-job
-  /// factorization-cache hits.  The pool resets warm-start records on
-  /// return, keeping pooled results bit-identical to private-session
-  /// runs; jobs whose own options disable warm starts bypass the pool.
-  bool share_sessions = true;
+  /// Budgets of the engine::SessionPool the batch's jobs share, keyed
+  /// by model content hash, so directory batches with duplicate models
+  /// get the job server's cross-job factorization-cache hits.  The pool
+  /// resets warm-start records on return, keeping pooled results
+  /// bit-identical to private-session runs (run_pipeline(job) alone).
+  /// `pool.max_idle_sessions = 0` drops every returned session.
   engine::SessionPoolOptions pool{};
 };
 
-/// A batch's results plus the shared session pool's counters (all
-/// zeros when session sharing was off).
+/// A batch's results plus the shared session pool's counters.
 struct BatchOutcome {
   std::vector<PipelineResult> results;
   engine::SessionPoolStats pool;

@@ -53,10 +53,6 @@ struct JobOptions {
   vf::VectorFittingOptions fit{};
   core::SolverOptions solver{};
   passivity::EnforcementOptions enforcement{};
-  /// Solver-session tuning (factorization cache, warm starts).  One
-  /// session is created per job and threaded through characterize ->
-  /// enforce -> verify.
-  engine::SessionOptions session{};
   /// Run stages up to and including this one, then stop.
   Stage stop_after = Stage::kVerify;
 };
@@ -192,11 +188,8 @@ struct PipelineResult {
 /// the hook-free overload.
 struct PipelineContext {
   /// Cross-job session pool: the realize stage checks the fitted model
-  /// out of this pool instead of building a private session (the
-  /// pool's SessionOptions apply, not JobOptions::session).  The lease
-  /// is returned when the job finishes.  Exception: a job whose own
-  /// session options disable warm starts runs on a private cold
-  /// session — it must not inherit another job's hot cache.
+  /// out of this pool instead of building a private session.  The
+  /// lease is returned when the job finishes.
   engine::SessionPool* session_pool = nullptr;
   /// Cooperative cancellation, polled at every stage boundary; a set
   /// flag stops the job before its next stage (result.cancelled).

@@ -1,15 +1,14 @@
 #pragma once
-// Machine-readable batch reporting: JSON and CSV renderings of a batch
+// Machine-readable batch reporting: the JSON rendering of a batch
 // run's per-job results (status, timings, fit quality, violation-band
 // counts, and the solver-session reuse statistics), for CI trend
 // tracking of the paper-replication benchmarks next to the ASCII table.
 //
-// The JSON document is
+// The document is
 //   { "jobs": [ {...}, ... ],
 //     "summary": { "jobs": N, "succeeded": K, ... } }
-// and the CSV is one header row plus one row per job with the same
-// fields flattened.  Both are written with plain stream output — no
-// third-party serializer, no locale dependence.
+// written with plain stream output — no third-party serializer, no
+// locale dependence.
 
 #include <iosfwd>
 #include <string>
@@ -55,14 +54,10 @@ void write_job_json(const PipelineResult& result, std::ostream& os,
 
 void write_summary_json(const std::vector<PipelineResult>& results,
                         std::ostream& os);
-void write_summary_csv(const std::vector<PipelineResult>& results,
-                       std::ostream& os);
 
-/// File-writing convenience wrappers; throw std::runtime_error when the
-/// path cannot be opened.
+/// File-writing convenience wrapper; throws std::runtime_error when the
+/// path cannot be opened or written.
 void write_summary_json_file(const std::vector<PipelineResult>& results,
                              const std::string& path);
-void write_summary_csv_file(const std::vector<PipelineResult>& results,
-                            const std::string& path);
 
 }  // namespace phes::pipeline

@@ -7,8 +7,7 @@
 //   {"op":"auth","token":"..."}   (first line on a TCP connection;
 //                                  accepted as a no-op elsewhere)
 //   {"op":"submit","path":"m.s2p","name":"m",
-//    "options":{"poles":12,"vf_iters":12,"stop_after":"verify",
-//               "warm_start":true}}
+//    "options":{"poles":12,"vf_iters":12,"stop_after":"verify"}}
 //   {"op":"submit_inline","payload":"<file contents>","ports":2,
 //    "format":"touchstone","filename":"m.s2p","name":"m",
 //    "options":{...}}             (no shared filesystem needed; the

@@ -47,8 +47,8 @@ struct ServerOptions {
   std::size_t workers = 0;
   /// Solver threads handed to every job; 0 => from the same plan.
   std::size_t solver_threads = 0;
-  /// Pool sessions across jobs by model content hash.
-  bool share_sessions = true;
+  /// Budgets of the session pool every job checks its model out of
+  /// (keyed by model content hash).
   engine::SessionPoolOptions pool{};
   /// Finished-record retention cap of the in-memory result store
   /// (ignored when data_dir selects the disk backend).

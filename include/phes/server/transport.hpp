@@ -22,13 +22,14 @@
 // response and the rest of that line is discarded — the connection
 // survives.
 //
-// Request handling runs OFF the loop thread on a small DispatchPool
-// (server/dispatch.hpp): the loop frames a line, hands it to the pool,
-// and keeps serving every other connection; the completed response is
-// re-queued to the loop through the eventfd wakeup and written from
-// the loop thread (workers never touch sockets).  A submit blocked on
-// a full admission queue therefore stalls only its own connection (and
-// one pool worker) — status/metrics/ping stay live.  Two refinements:
+// Request handling runs OFF the loop thread on a two-worker
+// DispatchPool (server/dispatch.hpp): the loop frames a line, hands it
+// to the pool, and keeps serving every other connection; the completed
+// response is re-queued to the loop through the eventfd wakeup and
+// written from the loop thread (workers never touch sockets).  A submit
+// blocked on a full admission queue therefore stalls only its own
+// connection (and one pool worker) — status/metrics/ping stay live,
+// even with both workers blocked.  Two refinements:
 //   - fast path: cheap ops (ping/status/result/cancel/metrics/auth/
 //     shutdown) on a connection with nothing in flight are answered
 //     inline on the loop — no pool round-trip;
@@ -37,7 +38,6 @@
 //     pending queue, and a connection that pipelines past
 //     max_pipelined_requests has its read interest parked until the
 //     backlog drains (flow control, not disconnect).
-// dispatch_workers = 0 restores the PR 4 inline-handling behavior.
 
 #include <atomic>
 #include <chrono>
@@ -146,13 +146,6 @@ struct TransportLimits {
   /// backpressure of the old thread-per-connection model, restored as
   /// a hard cap: past it the connection is dropped.
   std::size_t max_pending_out_bytes = 16u << 20;
-  /// Off-loop protocol handlers.  Sizing: each worker can absorb one
-  /// submit blocked on admission backpressure while the loop keeps
-  /// polling; 2 is enough for liveness, more only helps when many
-  /// connections block on submits at once.  0 = handle every request
-  /// inline on the loop (the PR 4 behavior: one blocked submit stalls
-  /// every connection).
-  std::size_t dispatch_workers = 2;
   /// Bound on the dispatch pool's task queue; with per-connection
   /// single-flight this only fills when more than this many
   /// connections have a request in flight — excess requests get a
@@ -231,9 +224,6 @@ class TransportServer {
   /// Frame + dispatch everything complete in conn.in.
   void process_buffer(Connection& conn);
   void handle_line(Connection& conn, const std::string& line);
-  /// Run one request inline on the loop thread and answer it
-  /// (including the shutdown ack/flush/close sequence).
-  void handle_inline(Connection& conn, const std::string& line);
   /// Answer a finished outcome on the loop thread (shutdown included).
   void finish_outcome(Connection& conn, const RequestOutcome& outcome);
   /// Feed the connection's pending frames to the pool (one in flight).
@@ -277,7 +267,7 @@ class TransportServer {
   std::unordered_map<std::uint64_t, int> token_to_fd_;
   std::uint64_t next_token_ = 0;
 
-  std::unique_ptr<DispatchPool> dispatch_pool_;  ///< null when inline
+  std::unique_ptr<DispatchPool> dispatch_pool_;  ///< built by start()
   util::Mutex completions_mutex_;
   std::deque<std::pair<std::uint64_t, RequestOutcome>> completions_
       PHES_GUARDED_BY(completions_mutex_);

@@ -45,16 +45,17 @@
 
 namespace phes::vf {
 
+/// Largest accepted VectorFittingOptions::iterations.  A column whose
+/// poles never settle runs every requested sweep, and a fit cannot be
+/// cancelled mid-stage, so the sweep count is bounded at the input:
+/// 8x the default, above every value the repo uses.
+inline constexpr std::size_t kMaxIterations = 100;
+
 struct VectorFittingOptions {
   std::size_t num_poles = 16;   ///< states per column (pairs count twice)
-  std::size_t iterations = 12;  ///< pole-relocation sweeps
-  bool enforce_stability = true;
-  /// Initial poles: -damping*beta +- j*beta, beta log-spaced over the
-  /// sample band.
-  double initial_pole_damping = 0.01;
-  /// Stop early when the largest relative pole movement drops below
-  /// this threshold.
-  double pole_tol = 1e-8;
+  /// Pole-relocation sweeps, 1..kMaxIterations; a column stops early
+  /// once its poles stop moving.
+  std::size_t iterations = 12;
   /// Worker threads for the independent per-column fits (columns carry
   /// disjoint pole sets and residues, so they parallelize exactly).
   /// 0 or 1 => serial; the pipeline substitutes its per-job solver
@@ -70,7 +71,8 @@ struct VectorFittingResult {
 };
 
 /// Fit a rational macromodel to tabulated frequency samples.
-/// Throws std::invalid_argument on inconsistent samples or options.
+/// Throws std::invalid_argument on inconsistent samples or options
+/// (including iterations outside 1..kMaxIterations).
 [[nodiscard]] VectorFittingResult vector_fit(
     const macromodel::FrequencySamples& samples,
     const VectorFittingOptions& options);

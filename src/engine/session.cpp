@@ -20,15 +20,11 @@ constexpr std::size_t kCacheCapacity = 64;
 
 }  // namespace
 
-SolverSession::SolverSession(macromodel::SimoRealization realization,
-                             SessionOptions options)
-    : realization_(std::move(realization)),
-      options_(options),
-      cache_(kCacheCapacity) {}
+SolverSession::SolverSession(macromodel::SimoRealization realization)
+    : realization_(std::move(realization)), cache_(kCacheCapacity) {}
 
-SolverSession::SolverSession(const macromodel::PoleResidueModel& model,
-                             SessionOptions options)
-    : SolverSession(macromodel::SimoRealization(model), options) {}
+SolverSession::SolverSession(const macromodel::PoleResidueModel& model)
+    : SolverSession(macromodel::SimoRealization(model)) {}
 
 void SolverSession::update_residues(const la::RealMatrix& c) {
   util::check(c.rows() == realization_.c().rows() &&
@@ -86,8 +82,7 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   };
 
   core::WarmStartSeeds seeds;
-  const bool warm = options_.warm_start && warm_.valid;
-  if (warm) {
+  if (warm_.valid) {
     if (warm_.revision == revision_) {
       // Unchanged model: the recorded solve counts as the confirmation
       // restart of each replayed disk, so min_restarts drops to 1 for

@@ -160,8 +160,7 @@ SessionLease SessionPool::checkout(macromodel::SimoRealization realization) {
     entry = std::make_unique<Entry>();
     entry->hash = hash;
     entry->baseline_c = realization.c();
-    entry->session = std::make_unique<SolverSession>(std::move(realization),
-                                                     options_.session);
+    entry->session = std::make_unique<SolverSession>(std::move(realization));
     entry->clean_revision = entry->session->revision();
   }
 

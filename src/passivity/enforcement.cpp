@@ -17,6 +17,10 @@ using la::Complex;
 using la::ComplexVector;
 using la::RealMatrix;
 
+// Tikhonov ridge on the dual Gram system (conditioning guard), relative
+// to the Gram diagonal's largest entry when that exceeds 1.
+constexpr double kRidge = 1e-8;
+
 // One linearized constraint <DeltaC, G> = target at a frequency.
 struct Constraint {
   RealMatrix g;         // p x n gradient matrix
@@ -108,19 +112,11 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
       break;
     }
 
-    // Collect constraints: the peak of each band plus a few interior
-    // samples (wide bands need more than one touch point).
+    // Collect constraints at the peak of each band.
     std::vector<Constraint> constraints;
     for (const auto& band : report.bands) {
       add_constraints_at(realization, band.omega_peak, ceiling,
                          &constraints);
-      for (std::size_t s = 0; s < opt.extra_samples_per_band; ++s) {
-        const double t = (static_cast<double>(s) + 1.0) /
-                         (static_cast<double>(opt.extra_samples_per_band) +
-                          1.0);
-        const double w = band.omega_lo + t * (band.omega_hi - band.omega_lo);
-        add_constraints_at(realization, w, ceiling, &constraints);
-      }
     }
     if (constraints.empty()) {
       // Crossings exist but every sampled sigma is already below the
@@ -130,7 +126,7 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
       break;
     }
 
-    // Near-parallel constraints (adjacent samples of one narrow band)
+    // Near-parallel constraints (the peaks of adjacent narrow bands)
     // make the dual Gram system numerically singular and the dual
     // variables explode.  Deduplicate by Gram-Schmidt on vec(G):
     // constraints whose gradient is nearly in the span of the kept ones
@@ -184,7 +180,7 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     }
     double diag_max = 0.0;
     for (std::size_t a = 0; a < m; ++a) diag_max = std::max(diag_max, gram(a, a));
-    const double ridge = std::max(opt.ridge, 1e-8) * std::max(1.0, diag_max);
+    const double ridge = kRidge * std::max(1.0, diag_max);
     for (std::size_t a = 0; a < m; ++a) gram(a, a) += ridge;
     la::RealVector rhs(m);
     for (std::size_t a = 0; a < m; ++a) rhs[a] = kept[a].target;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <memory>
 #include <thread>
 #include <utility>
 
@@ -62,12 +61,9 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
   // rebuilding.  Concurrent duplicates still get distinct sessions —
   // checkout is exclusive — so reuse shows up when duplicates
   // serialize, exactly like the job server.
-  std::unique_ptr<engine::SessionPool> sessions;
-  if (options_.share_sessions) {
-    sessions = std::make_unique<engine::SessionPool>(options_.pool);
-  }
+  engine::SessionPool sessions(options_.pool);
   PipelineContext context;
-  context.session_pool = sessions.get();
+  context.session_pool = &sessions;
 
   util::ThreadPool pool(plan.job_workers);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -85,7 +81,7 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
     });
   }
   pool.wait_idle();
-  if (sessions != nullptr) outcome.pool = sessions->stats();
+  outcome.pool = sessions.stats();
   return outcome;
 }
 

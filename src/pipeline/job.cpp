@@ -114,8 +114,6 @@ std::string write_job_spec_json(const PipelineJob& job) {
   // job_options_from), under the same keys.
   os << ", \"options\": {\"poles\": " << job.options.fit.num_poles
      << ", \"vf_iters\": " << job.options.fit.iterations
-     << ", \"warm_start\": "
-     << (job.options.session.warm_start ? "true" : "false")
      << ", \"stop_after\": \"" << stage_name(job.options.stop_after)
      << "\"}}";
   return os.str();
@@ -149,8 +147,6 @@ PipelineJob read_job_spec_json(const std::string& text,
         options->uint_or("poles", job.options.fit.num_poles));
     job.options.fit.iterations = static_cast<std::size_t>(
         options->uint_or("vf_iters", job.options.fit.iterations));
-    job.options.session.warm_start =
-        options->bool_or("warm_start", job.options.session.warm_start);
     if (const util::JsonValue* stop = options->find("stop_after")) {
       try {
         job.options.stop_after = parse_stage(stop->as_string());
@@ -308,18 +304,14 @@ PipelineResult run_pipeline(const PipelineJob& job,
   // -- realize (structured SIMO state space) ---------------------------
   if (!run_stage(Stage::kRealize, [&] {
         macromodel::SimoRealization realization(fit.model);
-        // A job that explicitly asks for cold solves gets a private
-        // session: a pooled one is configured at pool level and could
-        // hand this job another job's warm cache.
-        if (context.session_pool != nullptr &&
-            job.options.session.warm_start) {
+        if (context.session_pool != nullptr) {
           lease = context.session_pool->checkout(std::move(realization));
           session = &lease.session();
           result.session_reused = lease.reused();
           session_base = session->stats();
         } else {
           owned_session = std::make_unique<engine::SolverSession>(
-              std::move(realization), job.options.session);
+              std::move(realization));
           session = owned_session.get();
         }
       })) {

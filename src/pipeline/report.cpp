@@ -284,77 +284,18 @@ void write_summary_json(const std::vector<PipelineResult>& results,
      << ", \"total_seconds\": " << fmt(seconds) << " }\n}\n";
 }
 
-void write_summary_csv(const std::vector<PipelineResult>& results,
-                       std::ostream& os) {
-  os << "job,id,status,ok,cancelled,ports,order,fit_rms,bands_initial,"
-        "bands_final,enforce_iterations,cache_hits,cache_misses,"
-        "cache_evictions,factorizations,solves,warm_solves,dense_solves,"
-        "dense_reuses,session_reused,total_matvecs,"
-        "seconds_load,seconds_fit,seconds_realize,seconds_characterize,"
-        "seconds_enforce,seconds_verify,seconds_total\n";
-  for (const auto& r : results) {
-    const bool characterized = stage_ran(r, Stage::kCharacterize);
-    const bool verified = stage_ran(r, Stage::kVerify);
-    // Commas/quotes in job names (file paths) get RFC-4180 quoting.
-    std::string name = r.name;
-    if (name.find_first_of(",\"\n") != std::string::npos) {
-      std::string quoted = "\"";
-      for (const char c : name) {
-        if (c == '"') quoted += '"';
-        quoted += c;
-      }
-      quoted += '"';
-      name = quoted;
-    }
-    os << name << ',' << r.id << ',' << r.status() << ',' << (r.ok ? 1 : 0)
-       << ',' << (r.cancelled ? 1 : 0) << ','
-       << r.ports << ',' << r.order << ',' << fmt(r.fit_rms) << ','
-       << (characterized ? std::to_string(r.initial_report.bands.size())
-                         : std::string())
-       << ','
-       << (verified ? std::to_string(r.final_report.bands.size())
-                    : std::string())
-       << ',' << r.enforcement.iterations << ',' << r.session.cache.hits
-       << ',' << r.session.cache.misses << ','
-       << r.session.cache.evictions << ',' << r.session.factorizations
-       << ',' << r.session.solves << ',' << r.session.warm_solves << ','
-       << r.session.dense_solves << ',' << r.session.dense_reuses << ','
-       << (r.session_reused ? 1 : 0) << ',' << job_matvecs(r);
-    for (const Stage stage : kAllStages) {
-      os << ',' << fmt(stage_seconds(r, stage));
-    }
-    os << ',' << fmt(r.total_seconds) << '\n';
-  }
-}
-
-namespace {
-
-template <typename Writer>
-void write_file(const std::vector<PipelineResult>& results,
-                const std::string& path, Writer writer, const char* what) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error(std::string("cannot open ") + what +
-                             " summary file '" + path + "'");
-  }
-  writer(results, os);
-  os.flush();
-  if (!os) {
-    throw std::runtime_error(std::string("failed writing ") + what +
-                             " summary file '" + path + "'");
-  }
-}
-
-}  // namespace
-
 void write_summary_json_file(const std::vector<PipelineResult>& results,
                              const std::string& path) {
-  write_file(results, path, &write_summary_json, "JSON");
-}
-
-void write_summary_csv_file(const std::vector<PipelineResult>& results,
-                            const std::string& path) {
-  write_file(results, path, &write_summary_csv, "CSV");
+  std::ofstream os(path);
+  if (!os) {
+    throw std::runtime_error("cannot open JSON summary file '" + path + "'");
+  }
+  write_summary_json(results, os);
+  os.flush();
+  if (!os) {
+    throw std::runtime_error("failed writing JSON summary file '" + path +
+                             "'");
+  }
 }
 
 }  // namespace phes::pipeline

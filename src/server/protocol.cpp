@@ -66,8 +66,6 @@ pipeline::JobOptions job_options_from(const JobServer& server,
         options->uint_or("poles", result.fit.num_poles));
     result.fit.iterations = static_cast<std::size_t>(
         options->uint_or("vf_iters", result.fit.iterations));
-    result.session.warm_start =
-        options->bool_or("warm_start", result.session.warm_start);
     if (const JsonValue* stop = options->find("stop_after")) {
       result.stop_after = pipeline::parse_stage(stop->as_string());
     }

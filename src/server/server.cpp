@@ -254,7 +254,7 @@ void JobServer::run_one(QueuedJob item) {
   }
 
   pipeline::PipelineContext context;
-  if (options_.share_sessions) context.session_pool = &session_pool_;
+  context.session_pool = &session_pool_;
   context.cancel = flag.get();
   context.on_stage_start = [this, id](pipeline::Stage stage) {
     store_.set_stage(id, stage);

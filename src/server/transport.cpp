@@ -47,6 +47,12 @@ constexpr std::size_t kPreAuthMaxLineBytes = 4096;
 /// the pool without a speculative parse.
 constexpr std::size_t kFastPathMaxBytes = 4096;
 
+/// Off-loop protocol handlers.  Each worker can absorb one submit
+/// blocked on admission backpressure while the loop keeps polling; 2 is
+/// enough for liveness, more only helps when many connections block on
+/// submits at once.
+constexpr std::size_t kDispatchWorkers = 2;
+
 /// Ops safe to answer inline on the loop: everything except the
 /// submits and `replay`, which admit jobs and can block on admission
 /// backpressure.
@@ -284,21 +290,19 @@ void TransportServer::start() {
     epoll_fd_ = wake_fd_ = reserve_fd_ = -1;
     throw;
   }
-  if (limits_.dispatch_workers > 0) {
-    dispatch_pool_ = std::make_unique<DispatchPool>(
-        limits_.dispatch_workers, limits_.dispatch_queue_capacity,
-        [this](const std::string& line) {
-          return handle_request(server_, line);
-        },
-        [this](std::uint64_t token, RequestOutcome outcome) {
-          {
-            util::MutexLock lock(completions_mutex_);
-            completions_.emplace_back(token, std::move(outcome));
-          }
-          notify_loop();
-        },
-        &server_.metrics_registry());
-  }
+  dispatch_pool_ = std::make_unique<DispatchPool>(
+      kDispatchWorkers, limits_.dispatch_queue_capacity,
+      [this](const std::string& line) {
+        return handle_request(server_, line);
+      },
+      [this](std::uint64_t token, RequestOutcome outcome) {
+        {
+          util::MutexLock lock(completions_mutex_);
+          completions_.emplace_back(token, std::move(outcome));
+        }
+        notify_loop();
+      },
+      &server_.metrics_registry());
   started_ = true;
   loop_thread_ = std::thread([this] { loop(); });
 }
@@ -311,7 +315,7 @@ void TransportServer::stop() {
     if (loop_thread_.joinable()) loop_thread_.join();
     // Join the pool before closing fds: workers may still push
     // completions and poke the (still-open) eventfd while finishing.
-    if (dispatch_pool_) dispatch_pool_->stop();
+    dispatch_pool_->stop();
     for (auto& [fd, conn] : connections_) {
       ::shutdown(fd, SHUT_RDWR);
       ::close(fd);
@@ -539,12 +543,6 @@ void TransportServer::handle_line(Connection& conn, const std::string& line) {
     return;
   }
   requests_ctr_->add();
-  if (!dispatch_pool_) {
-    // Inline mode (dispatch_workers == 0): a submit hitting a full
-    // queue blocks the loop here until a worker frees a slot.
-    handle_inline(conn, line);
-    return;
-  }
   // Fast path: cheap ops on an idle connection skip the pool — but
   // never overtake a queued request (per-connection response order).
   // The line is parsed once here and the document reused by the
@@ -579,11 +577,6 @@ void TransportServer::handle_line(Connection& conn, const std::string& line) {
     conn.paused = true;  // park the read side; drain resumes it
     update_epoll(conn);
   }
-}
-
-void TransportServer::handle_inline(Connection& conn,
-                                    const std::string& line) {
-  finish_outcome(conn, handle_request(server_, line));
 }
 
 void TransportServer::finish_outcome(Connection& conn,

@@ -21,6 +21,14 @@ using la::ComplexVector;
 using la::RealMatrix;
 using la::RealVector;
 
+// Initial poles: -kInitialPoleDamping * beta +- j beta, beta log-spaced
+// over the sample band.
+constexpr double kInitialPoleDamping = 0.01;
+
+// A column stops iterating once the largest relative pole movement
+// drops below this threshold.
+constexpr double kPoleTol = 1e-8;
+
 // Pole set during the iteration: reals (Im == 0) and pair
 // representatives (Im > 0).  The basis size equals
 // n_real + 2 * n_pairs.
@@ -34,8 +42,7 @@ struct PoleSet {
 };
 
 // Initial poles: log-spaced weakly damped pairs over the band.
-PoleSet initial_poles(std::size_t num_poles, double w_lo, double w_hi,
-                      double damping) {
+PoleSet initial_poles(std::size_t num_poles, double w_lo, double w_hi) {
   PoleSet set;
   const std::size_t n_pairs = num_poles / 2;
   const double lo = std::max(w_lo, 1e-6 * w_hi);
@@ -45,7 +52,7 @@ PoleSet initial_poles(std::size_t num_poles, double w_lo, double w_hi,
                          : static_cast<double>(i) /
                                static_cast<double>(n_pairs - 1);
     const double beta = lo * std::pow(w_hi / lo, t);
-    set.pair_poles.emplace_back(-damping * beta, beta);
+    set.pair_poles.emplace_back(-kInitialPoleDamping * beta, beta);
   }
   if (num_poles % 2 == 1) {
     set.real_poles.push_back(-std::sqrt(lo * w_hi));
@@ -69,9 +76,9 @@ void eval_basis(const PoleSet& poles, double w, Complex* phi) {
 }
 
 // Pole relocation: zeros of sigma(s) = 1 + sum r~_b phi_b(s), computed
-// as eig(A_p - b_p c~^T) (vectfit3 formulation).
-PoleSet relocate_poles(const PoleSet& poles, const RealVector& sigma_coeffs,
-                       bool enforce_stability) {
+// as eig(A_p - b_p c~^T) (vectfit3 formulation), with any Re >= 0 zero
+// flipped into the left half-plane.
+PoleSet relocate_poles(const PoleSet& poles, const RealVector& sigma_coeffs) {
   const std::size_t nb = poles.basis_size();
   RealMatrix a(nb, nb);
   RealVector b(nb, 0.0);
@@ -102,7 +109,7 @@ PoleSet relocate_poles(const PoleSet& poles, const RealVector& sigma_coeffs,
   for (const Complex& z : zeros) scale = std::max(scale, std::abs(z));
   for (const Complex& z : zeros) {
     Complex pole = z;
-    if (enforce_stability && pole.real() >= 0.0) {
+    if (pole.real() >= 0.0) {
       pole = Complex(-std::max(pole.real(), 1e-12 * scale), pole.imag());
     }
     if (std::abs(pole.imag()) <= imag_tol * std::max(scale, 1.0)) {
@@ -201,6 +208,10 @@ VectorFittingResult vector_fit_with(
                   std::to_string(p) + "-port fit (need at least " +
                   std::to_string(min_samples) + ")");
   util::check(opt.iterations >= 1, "vector_fit: need >= 1 iteration");
+  util::check(opt.iterations <= kMaxIterations,
+              "vector_fit: " + std::to_string(opt.iterations) +
+                  " iterations exceed the limit of " +
+                  std::to_string(kMaxIterations));
 
   const double w_lo = samples.omega.front();
   const double w_hi = samples.omega.back();
@@ -214,8 +225,7 @@ VectorFittingResult vector_fit_with(
   // and the d column), so they run verbatim on worker threads.
   const auto fit_column = [&](std::size_t col) {
     std::size_t iterations_used = 0;
-    PoleSet poles = initial_poles(opt.num_poles, w_lo, w_hi,
-                                  opt.initial_pole_damping);
+    PoleSet poles = initial_poles(opt.num_poles, w_lo, w_hi);
 
     // ---- sigma iterations: relocate poles -----------------------------
     for (std::size_t it = 0; it < opt.iterations; ++it) {
@@ -226,8 +236,7 @@ VectorFittingResult vector_fit_with(
       }
       const RealVector sigma_coeffs = sigma_solve(samples, col, phi, nb);
 
-      PoleSet new_poles =
-          relocate_poles(poles, sigma_coeffs, opt.enforce_stability);
+      PoleSet new_poles = relocate_poles(poles, sigma_coeffs);
       if (new_poles.basis_size() != poles.basis_size()) {
         // Pole count drifted (conjugate-pair collapse); keep iterating
         // with whatever structure came back.
@@ -238,7 +247,7 @@ VectorFittingResult vector_fit_with(
       const double movement = pole_movement(poles, new_poles);
       poles = std::move(new_poles);
       iterations_used = std::max(iterations_used, it + 1);
-      if (movement < opt.pole_tol) break;
+      if (movement < kPoleTol) break;
     }
 
     // ---- final residue identification (sigma == 1) --------------------

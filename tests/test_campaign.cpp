@@ -163,6 +163,54 @@ TEST(Campaign, ReplayAllAfterRestartIsBitIdentical) {
       registry.counter("phes_campaign_delta_identical_total").value(), 2u);
 }
 
+TEST(Campaign, LegacyWarmStartSpecReplaysBitIdentical) {
+  // A store written before warm starts became unconditional holds
+  // input specs with a "warm_start" option.  Replay ignores the key and
+  // reproduces the stored result bit for bit.
+  TempDir dir("campaign_legacy");
+  {
+    obs::MetricsRegistry registry;
+    JobServer jobs(campaign_options(dir.path, &registry));
+    const std::uint64_t id =
+        submit_inline(jobs, touchstone_payload(31), "legacy");
+    ASSERT_TRUE(jobs.wait(id, 300.0));
+    ASSERT_EQ(jobs.status(id)->state, JobState::kDone);
+  }
+  const fs::path spec_path = fs::path(dir.path) / "inputs" / "job-1.json";
+  std::string spec;
+  {
+    std::ifstream in(spec_path, std::ios::binary);
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    spec = contents.str();
+  }
+  const std::string key = "\"vf_iters\": 12";
+  const std::size_t at = spec.find(key);
+  ASSERT_NE(at, std::string::npos) << spec;
+  spec.insert(at + key.size(), ", \"warm_start\": false");
+  {
+    std::ofstream out(spec_path, std::ios::trunc | std::ios::binary);
+    out << spec;
+  }
+
+  obs::MetricsRegistry registry;
+  JobServer jobs(campaign_options(dir.path, &registry));
+  const auto ack =
+      JsonValue::parse(request(jobs, "{\"op\": \"replay\", \"all\": true}"));
+  ASSERT_TRUE(ack.bool_or("ok", false)) << ack.string_or("error", "");
+  ASSERT_EQ(ack.uint_or("replayed", 0), 1u);
+  EXPECT_EQ(ack.uint_or("skipped", 99), 0u);
+  const std::vector<std::uint64_t> ids = replay_ids(ack);
+  ASSERT_EQ(ids.size(), 1u);
+  ASSERT_TRUE(jobs.wait(ids[0], 300.0));
+  const auto status =
+      JsonValue::parse(request(jobs, "{\"op\": \"campaign\", \"id\": 1}"));
+  const JsonValue* deltas = status.find("deltas");
+  ASSERT_NE(deltas, nullptr);
+  EXPECT_EQ(deltas->uint_or("identical", 0), 1u);
+  EXPECT_EQ(deltas->uint_or("state", 99), 0u);
+}
+
 TEST(Campaign, SingleIdReplayTracksOneCampaign) {
   // No data_dir: the in-memory backend keeps input specs too, so
   // replay works without a restart in the picture.

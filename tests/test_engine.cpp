@@ -29,7 +29,6 @@
 namespace phes {
 namespace {
 
-using engine::SessionOptions;
 using engine::ShiftFactorizationCache;
 using engine::SolverSession;
 using la::Complex;

@@ -235,14 +235,18 @@ TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
     }
   }
 
-  // Same batch with sharing off: private sessions, no pool activity.
-  pipeline::BatchOptions isolated = options;
-  isolated.share_sessions = false;
-  const auto cold = pipeline::BatchRunner(isolated).run_all(jobs);
-  EXPECT_EQ(cold.pool.checkouts, 0u);
-  for (const auto& r : cold.results) {
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_FALSE(r.session_reused);
+  // Oracle: each job alone on a private session.  Pooling must not
+  // move a bit of the crossing set or of the deterministic record.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto isolated = run_pipeline(jobs[i]);
+    ASSERT_TRUE(isolated.ok) << isolated.error;
+    EXPECT_FALSE(isolated.session_reused);
+    EXPECT_EQ(outcome.results[i].initial_report.crossings,
+              isolated.initial_report.crossings)
+        << "job " << i;
+    EXPECT_EQ(pipeline::result_signature(outcome.results[i]),
+              pipeline::result_signature(isolated))
+        << "job " << i;
   }
   // The summary table gains a pool footer row when stats are passed.
   const auto table =
@@ -306,16 +310,7 @@ TEST(Pipeline, BatchRunsAllJobsAndIsolatesFailures) {
   EXPECT_EQ(table.rows(), 3u);
 }
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream ss(line);
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.emplace_back();
-  return cells;
-}
-
-TEST(Pipeline, SummaryJsonAndCsvAreWrittenAndParseable) {
+TEST(Pipeline, SummaryJsonIsWrittenAndParseable) {
   std::vector<PipelineJob> jobs(2);
   jobs[0] = make_job(non_passive_samples(7));
   jobs[0].name = "full-job";
@@ -328,7 +323,6 @@ TEST(Pipeline, SummaryJsonAndCsvAreWrittenAndParseable) {
   const auto results = pipeline::BatchRunner(options).run(jobs);
   ASSERT_EQ(pipeline::count_succeeded(results), 2u);
 
-  // --- JSON ---
   const std::string json_path = "/tmp/phes_summary_test.json";
   pipeline::write_summary_json_file(results, json_path);
   std::ifstream jf(json_path);
@@ -350,40 +344,6 @@ TEST(Pipeline, SummaryJsonAndCsvAreWrittenAndParseable) {
             std::string::npos);
   // A fit-only job reports no characterize products.
   EXPECT_NE(json.find("\"bands_initial\": null"), std::string::npos);
-
-  // --- CSV ---
-  const std::string csv_path = "/tmp/phes_summary_test.csv";
-  pipeline::write_summary_csv_file(results, csv_path);
-  std::ifstream cf(csv_path);
-  ASSERT_TRUE(cf.good());
-  std::string header_line;
-  ASSERT_TRUE(std::getline(cf, header_line));
-  const auto header = split_csv_line(header_line);
-  std::size_t hits_col = header.size();
-  std::size_t status_col = header.size();
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == "cache_hits") hits_col = i;
-    if (header[i] == "status") status_col = i;
-  }
-  ASSERT_LT(hits_col, header.size());
-  ASSERT_LT(status_col, header.size());
-
-  std::string row;
-  std::size_t rows = 0;
-  while (std::getline(cf, row)) {
-    const auto cells = split_csv_line(row);
-    ASSERT_EQ(cells.size(), header.size()) << row;
-    if (rows == 0) {
-      EXPECT_EQ(cells[status_col], "enforced");
-      EXPECT_EQ(cells[hits_col],
-                std::to_string(results[0].session.cache.hits));
-    } else {
-      EXPECT_EQ(cells[status_col], "stopped@fit");
-      EXPECT_EQ(cells[hits_col], "0");
-    }
-    ++rows;
-  }
-  EXPECT_EQ(rows, 2u);
 }
 
 TEST(Pipeline, SummaryTableHasCacheColumn) {

@@ -261,16 +261,18 @@ TEST(Protocol, MalformedAndUnknownRequests) {
   jobs.shutdown(false);
 }
 
-TEST(Protocol, LegacyKernelOptionIsIgnored) {
-  // Older clients could send "kernel": "reference".  The solver has one
-  // kernel path now, so the key is an unknown option like any other:
-  // the job must run as if it were absent.
+TEST(Protocol, RemovedOptionsAreIgnored) {
+  // Older clients could send "kernel": "reference" or "warm_start":
+  // false.  The solver has one kernel path and always warm-starts now,
+  // so both keys are unknown options like any other: the job must run
+  // as if they were absent.
   JobServer jobs(deterministic_server_options());
   const std::string path =
       server::json_quote(test::fixture_path("golden.s2p"));
   std::vector<std::uint64_t> ids;
   for (const char* options :
-       {"{\"poles\": 12}", "{\"poles\": 12, \"kernel\": \"reference\"}"}) {
+       {"{\"poles\": 12}", "{\"poles\": 12, \"kernel\": \"reference\"}",
+        "{\"poles\": 12, \"warm_start\": false}"}) {
     const auto outcome = server::handle_request(
         jobs, "{\"op\": \"submit\", \"path\": " + path +
                   ", \"options\": " + options + "}");
@@ -280,11 +282,37 @@ TEST(Protocol, LegacyKernelOptionIsIgnored) {
     ASSERT_TRUE(jobs.wait(ids.back(), 300.0));
   }
   const auto plain = jobs.result(ids[0]);
-  const auto legacy = jobs.result(ids[1]);
   ASSERT_TRUE(plain && plain->ok) << (plain ? plain->error : "missing");
-  ASSERT_TRUE(legacy && legacy->ok) << (legacy ? legacy->error : "missing");
-  EXPECT_EQ(pipeline::result_signature(*legacy),
-            pipeline::result_signature(*plain));
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    const auto legacy = jobs.result(ids[i]);
+    ASSERT_TRUE(legacy && legacy->ok) << (legacy ? legacy->error : "missing");
+    EXPECT_EQ(pipeline::result_signature(*legacy),
+              pipeline::result_signature(*plain))
+        << "submit " << i;
+  }
+  jobs.shutdown(true);
+}
+
+TEST(Protocol, OverlongFitFailsAtFitInsteadOfPinningAWorker) {
+  // A fit cannot be cancelled mid-stage, so an unbounded sweep count
+  // would hold a worker for as long as it asks.  The fit rejects it at
+  // the input and the job ends failed@fit at once.
+  JobServer jobs(deterministic_server_options());
+  const auto outcome = server::handle_request(
+      jobs, "{\"op\": \"submit\", \"path\": " +
+                server::json_quote(test::fixture_path("golden.s2p")) +
+                ", \"options\": {\"vf_iters\": 1000000000}}");
+  const auto json = JsonValue::parse(outcome.response);
+  ASSERT_TRUE(json.bool_or("ok", false)) << outcome.response;
+  const std::uint64_t id = json.uint_or("id", 0);
+  ASSERT_TRUE(jobs.wait(id, 60.0));
+  const auto record = jobs.status(id);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->state, JobState::kFailed);
+  EXPECT_EQ(record->result.status(), "failed@fit");
+  EXPECT_NE(record->result.error.find("iterations exceed the limit"),
+            std::string::npos)
+      << record->result.error;
   jobs.shutdown(true);
 }
 

@@ -3,7 +3,7 @@
 // every connection of the server.  Determinism comes from the
 // StageGate observer (a job provably parked inside a stage keeps the
 // single worker busy) plus JobQueue's push_waits counter (a submit
-// provably blocked in admission).  With both pinned, status/ping/stats
+// provably blocked in admission).  With both pinned, status/ping/metrics
 // round-trips on other connections MUST complete while the submit
 // stays blocked — and per-connection response ordering MUST hold for
 // requests queued behind the blocked submit on the same connection.
@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -83,9 +84,10 @@ void reach_pressure_point(JobServer& jobs, StageGate& gate) {
   ASSERT_EQ(test::gauge(jobs.metrics_snapshot(), "phes_queue_depth"), 1);
 }
 
-void wait_for_blocked_push(JobServer& jobs) {
+/// Wait until `count` submits have provably blocked in admission.
+void wait_for_blocked_push(JobServer& jobs, std::uint64_t count = 1) {
   while (test::counter(jobs.metrics_snapshot(),
-                       "phes_queue_push_waits_total") == 0) {
+                       "phes_queue_push_waits_total") < count) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -239,7 +241,6 @@ TEST(ServerDispatch, OverloadedDispatchQueueRejectsInsteadOfStalling) {
   jobs.set_stage_observer(std::ref(gate));
   const std::string socket_path = unique_socket_path("overload");
   server::TransportLimits limits;
-  limits.dispatch_workers = 1;
   limits.dispatch_queue_capacity = 1;
   TransportServer transport(
       jobs, std::make_unique<UnixTransport>(socket_path), limits);
@@ -247,28 +248,30 @@ TEST(ServerDispatch, OverloadedDispatchQueueRejectsInsteadOfStalling) {
 
   reach_pressure_point(jobs, gate);
 
-  // Submit A occupies the single pool worker (blocked in admission).
-  auto ack_a = std::async(std::launch::async, [&] {
-    server::Client a(socket_path);
-    return a.request(kBlockedSubmit);
-  });
-  wait_for_blocked_push(jobs);
-  // Submit B fills the one-slot task queue.
-  auto ack_b = std::async(std::launch::async, [&] {
-    server::Client b(socket_path);
-    return b.request(kBlockedSubmit);
-  });
+  const auto blocked_submit = [&] {
+    return std::async(std::launch::async, [&] {
+      server::Client client(socket_path);
+      return client.request(kBlockedSubmit);
+    });
+  };
+  // Submits A and B occupy both pool workers (blocked in admission).
+  auto ack_a = blocked_submit();
+  wait_for_blocked_push(jobs, 1);
+  auto ack_b = blocked_submit();
+  wait_for_blocked_push(jobs, 2);
+  // Submit C fills the one-slot task queue.
+  auto ack_c = blocked_submit();
   while (test::gauge(jobs.metrics_snapshot(), "phes_dispatch_queue_depth") ==
          0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Submit C finds the pool full: answered with an overload error
+  // Submit D finds the pool full: answered with an overload error
   // immediately — the loop never stalls and the connection survives.
-  server::Client c(socket_path);
-  const std::string rejected = c.request(kBlockedSubmit);
+  server::Client d(socket_path);
+  const std::string rejected = d.request(kBlockedSubmit);
   EXPECT_NE(rejected.find("server overloaded"), std::string::npos)
       << rejected;
-  EXPECT_NE(c.request("{\"op\": \"ping\"}").find("\"ok\": true"),
+  EXPECT_NE(d.request("{\"op\": \"ping\"}").find("\"ok\": true"),
             std::string::npos);
   EXPECT_GE(test::counter(jobs.metrics_snapshot(),
                           "phes_transport_rejected_total"),
@@ -277,34 +280,7 @@ TEST(ServerDispatch, OverloadedDispatchQueueRejectsInsteadOfStalling) {
   gate.release();
   EXPECT_TRUE(JsonValue::parse(ack_a.get()).bool_or("ok", false));
   EXPECT_TRUE(JsonValue::parse(ack_b.get()).bool_or("ok", false));
-  transport.stop();
-  jobs.shutdown(true);
-}
-
-TEST(ServerDispatch, InlineModeStillServesEverything) {
-  // dispatch_workers = 0 restores PR 4 semantics; the protocol must
-  // behave identically when nothing blocks.
-  JobServer jobs(pressure_options());
-  const std::string socket_path = unique_socket_path("inlinemode");
-  server::TransportLimits limits;
-  limits.dispatch_workers = 0;
-  TransportServer transport(
-      jobs, std::make_unique<UnixTransport>(socket_path), limits);
-  transport.start();
-
-  server::Client client(socket_path);
-  EXPECT_NE(client.request("{\"op\": \"ping\"}").find("\"ok\": true"),
-            std::string::npos);
-  const auto metrics_json =
-      JsonValue::parse(client.request("{\"op\": \"metrics\"}"));
-  ASSERT_TRUE(metrics_json.bool_or("ok", false));
-  const auto metrics =
-      obs::MetricsSnapshot::from_json(*metrics_json.find("metrics"));
-  // No dispatch pool: its instruments are never registered, and the
-  // transport hands it nothing.
-  EXPECT_EQ(metrics.counters.count("phes_dispatch_completed_total"), 0u);
-  EXPECT_EQ(test::counter(metrics, "phes_transport_dispatched_total"), 0u);
-
+  EXPECT_TRUE(JsonValue::parse(ack_c.get()).bool_or("ok", false));
   transport.stop();
   jobs.shutdown(true);
 }

@@ -223,7 +223,6 @@ TEST(JobSpec, RoundTripsPathAndInlineJobs) {
   job.input_ports = 2;
   job.options.fit.num_poles = 9;
   job.options.fit.iterations = 5;
-  job.options.session.warm_start = false;
   job.options.stop_after = Stage::kCharacterize;
   const std::string spec = pipeline::write_job_spec_json(job);
   const pipeline::PipelineJob back = pipeline::read_job_spec_json(spec);
@@ -232,7 +231,6 @@ TEST(JobSpec, RoundTripsPathAndInlineJobs) {
   EXPECT_EQ(back.input_ports, 2u);
   EXPECT_EQ(back.options.fit.num_poles, 9u);
   EXPECT_EQ(back.options.fit.iterations, 5u);
-  EXPECT_FALSE(back.options.session.warm_start);
   EXPECT_EQ(back.options.stop_after, Stage::kCharacterize);
   EXPECT_EQ(pipeline::input_content_hash(back),
             pipeline::input_content_hash(job));
@@ -253,6 +251,21 @@ TEST(JobSpec, ToleratesUnknownFieldsAndRejectsInputlessSpecs) {
   ASSERT_EQ(spec.front(), '{');
   spec = "{\"spec_version\": 99, \"future\": true, " + spec.substr(1);
   EXPECT_EQ(pipeline::read_job_spec_json(spec).input_path, "m.s2p");
+
+  // Stores written before warm starts became unconditional carry a
+  // "warm_start" option: ignored like any unknown key, never written
+  // back, and every other option survives.
+  const std::string legacy =
+      "{\"spec_version\": 1, \"input_path\": \"/models/a.s2p\", "
+      "\"options\": {\"poles\": 9, \"vf_iters\": 5, \"warm_start\": "
+      "false, \"stop_after\": \"characterize\"}}";
+  const pipeline::PipelineJob back = pipeline::read_job_spec_json(legacy);
+  EXPECT_EQ(back.input_path, "/models/a.s2p");
+  EXPECT_EQ(back.options.fit.num_poles, 9u);
+  EXPECT_EQ(back.options.fit.iterations, 5u);
+  EXPECT_EQ(back.options.stop_after, Stage::kCharacterize);
+  EXPECT_EQ(pipeline::write_job_spec_json(back).find("warm_start"),
+            std::string::npos);
 
   // A samples-direct job has nothing to replay: the writer returns an
   // empty spec and the reader refuses an inputless document.

@@ -141,6 +141,14 @@ TEST(VectorFitting, RejectsBadInputs) {
   opt = VectorFittingOptions{};
   opt.iterations = 0;
   EXPECT_THROW(vector_fit(samples, opt), std::invalid_argument);
+  // The sweep count is bounded: a column that never settles runs every
+  // requested sweep, and a fit cannot be cancelled.
+  opt.iterations = vf::kMaxIterations + 1;
+  EXPECT_THROW(vector_fit(samples, opt), std::invalid_argument);
+  opt.iterations = 1000000000;
+  EXPECT_THROW(vector_fit(samples, opt), std::invalid_argument);
+  opt.iterations = vf::kMaxIterations;
+  EXPECT_NO_THROW((void)vector_fit(samples, opt));
   // Too few samples for the unknown count.
   const auto tiny = sample_model(ref, 0.2, 20.0, 3);
   opt = VectorFittingOptions{};

@@ -19,6 +19,12 @@ Checks (each failure is one line on stdout; exit 1 if any fired):
                     util/sync.hpp: every mutex in the tree must be a
                     phes::util one so the thread-safety analysis sees
                     it.  (See README "Static analysis".)
+  5. cli-flags      Every flag phes_pipeline's parse_flags accepts
+                    (`flag == "--x"`) is listed in the file's header
+                    comment, in usage() and in README.md, and every
+                    flag those three name is one parse_flags accepts.
+                    README lines that run cmake or ctest are skipped:
+                    their flags belong to those tools.
 
 Run from anywhere: paths resolve relative to this file's repo root.
 """
@@ -221,19 +227,64 @@ def check_sync_layer(errors: list[str]) -> None:
                     )
 
 
+# ---- check 5: phes_pipeline flags vs header comment, usage(), README ---
+
+CLI_SOURCE = Path("examples/phes_pipeline.cpp")
+PARSED_FLAG_RE = re.compile(r'\bflag == "(--[a-z0-9-]+)"')
+FLAG_RE = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
+OTHER_TOOL_RE = re.compile(r"\b(?:cmake|ctest)\b")
+
+
+def cli_flag_surfaces(source: str) -> dict[str, set[str]]:
+    """Flags named by each documentation surface of the CLI."""
+    lines = source.splitlines()
+    header = itertools.takewhile(lambda l: l.startswith("//"), lines)
+    header_flags = set(FLAG_RE.findall("\n".join(header)))
+    usage_match = re.search(r"int usage\(\) \{(.*?)\n\}", source, re.S)
+    usage_flags = (set(FLAG_RE.findall(usage_match.group(1)))
+                   if usage_match else set())
+    readme_flags: set[str] = set()
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if not OTHER_TOOL_RE.search(line):
+            readme_flags.update(FLAG_RE.findall(line))
+    return {
+        f"the header comment of {CLI_SOURCE}": header_flags,
+        f"usage() in {CLI_SOURCE}": usage_flags,
+        "README.md": readme_flags,
+    }
+
+
+def check_cli_flags(errors: list[str]) -> None:
+    source = (ROOT / CLI_SOURCE).read_text(encoding="utf-8")
+    parsed = set(PARSED_FLAG_RE.findall(source))
+    if not parsed:
+        errors.append(f"cli-flags: no flags found in {CLI_SOURCE} "
+                      "(extraction pattern broke?)")
+        return
+    for surface, named in cli_flag_surfaces(source).items():
+        for flag in sorted(parsed - named):
+            errors.append(f"cli-flags: '{flag}' is parsed but missing "
+                          f"from {surface}")
+        for flag in sorted(named - parsed):
+            errors.append(f"cli-flags: {surface} names '{flag}', which "
+                          "parse_flags does not accept")
+
+
 def main() -> int:
     errors: list[str] = []
     check_metrics(errors)
     check_protocol_ops(errors)
     check_protocol_docs(errors)
     check_sync_layer(errors)
+    check_cli_flags(errors)
     if errors:
         for err in errors:
             print(err)
         print(f"\n{len(errors)} invariant violation(s).")
         return 1
     print("lint_invariants: all invariants hold "
-          "(metrics-docs, protocol-ops, protocol-docs, sync-layer).")
+          "(metrics-docs, protocol-ops, protocol-docs, sync-layer, "
+          "cli-flags).")
     return 0
 
 
