@@ -105,10 +105,6 @@ class IntervalScheduler {
     return tentative_.empty() && in_flight_ == 0;
   }
 
-  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
-  [[nodiscard]] std::size_t tentative_count() const noexcept {
-    return tentative_.size();
-  }
   /// Number of tentative shifts deleted by the cover rule without ever
   /// being processed (the source of superlinear speedups, Sec. V).
   [[nodiscard]] std::size_t shifts_eliminated() const noexcept {

@@ -25,12 +25,7 @@ struct LambdaMaxEstimate {
 
 /// Estimate (a safe upper bound of) the Hamiltonian spectral radius,
 /// reporting the matrix-vector products spent.
-[[nodiscard]] LambdaMaxEstimate estimate_lambda_max_counted(
-    const macromodel::SimoRealization& realization,
-    const LambdaMaxOptions& options, util::Rng& rng);
-
-/// Estimate (a safe upper bound of) the Hamiltonian spectral radius.
-[[nodiscard]] double estimate_lambda_max(
+[[nodiscard]] LambdaMaxEstimate estimate_lambda_max(
     const macromodel::SimoRealization& realization,
     const LambdaMaxOptions& options, util::Rng& rng);
 

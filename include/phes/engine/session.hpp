@@ -135,13 +135,11 @@ class SolverSession {
   /// factorizations routed through the cache.
   [[nodiscard]] core::SolverResult solve(const core::SolverOptions& options);
 
-  [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] SessionStats stats() const;
   /// Approximate resident memory: the realization's matrices plus the
   /// cached factorizations (each a 2p x 2p complex LU).  Used by
   /// SessionPool's eviction budget; not an allocator-exact figure.
   [[nodiscard]] std::size_t approx_memory_bytes() const;
-  [[nodiscard]] const WarmStart& warm_start() const noexcept { return warm_; }
   void clear_warm_start() { warm_ = WarmStart{}; }
 
  private:

@@ -59,9 +59,6 @@ class ShiftFactorizationCache {
   /// Drop everything (counters are kept).
   void clear() PHES_EXCLUDES(mutex_);
 
-  [[nodiscard]] bool contains(std::uint64_t revision, la::Complex theta) const
-      PHES_EXCLUDES(mutex_);
-
   [[nodiscard]] CacheStats stats() const PHES_EXCLUDES(mutex_);
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 

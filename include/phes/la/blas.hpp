@@ -54,19 +54,6 @@ inline void scaled_ssq_of(const Complex& v, double& scale,
 // Level 1: vector kernels
 // ---------------------------------------------------------------------------
 
-/// y += alpha * x
-template <typename T>
-void axpy(T alpha, std::span<const T> x, std::span<T> y) {
-  util::check(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-/// x *= alpha
-template <typename T>
-void scal(T alpha, std::span<T> x) noexcept {
-  for (auto& v : x) v *= alpha;
-}
-
 /// Euclidean inner product; conjugates the first argument for complex
 /// scalars (i.e. x^H y), matching BLAS dotc.
 template <typename T>
@@ -96,14 +83,6 @@ template <typename T>
   double scale = 0.0, ssq = 1.0;
   for (const auto& v : x) detail::scaled_ssq_of(v, scale, ssq);
   return scale * std::sqrt(ssq);
-}
-
-/// Infinity norm of a vector.
-template <typename T>
-[[nodiscard]] double inf_norm(std::span<const T> x) noexcept {
-  double m = 0.0;
-  for (const auto& v : x) m = std::max(m, std::abs(v));
-  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -140,48 +119,6 @@ template <typename T>
   }
   return y;
 }
-
-/// y = A^T x — column-oriented traversal of the row-major store.
-/// NOTE: this is the plain transpose for every scalar type.  For
-/// Complex it does NOT conjugate A (dotu-style semantics, BLAS geru /
-/// "gemv with trans='T'"); use `dot` when the conjugated product x^H y
-/// is intended.  Rows are paired so each pass over y absorbs two
-/// updates; within each y[j] the adds stay in ascending i order, so
-/// results are bit-identical to the plain loop.
-template <typename T>
-[[nodiscard]] std::vector<T> gemv_transposed(const Matrix<T>& a,
-                                             std::span<const T> x) {
-  util::check(a.rows() == x.size(), "gemv_transposed: shape mismatch");
-  const std::size_t m = a.rows(), n = a.cols();
-  std::vector<T> y(n, T{});
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const T* r0 = a.row_ptr(i);
-    const T* r1 = a.row_ptr(i + 1);
-    const T x0 = x[i];
-    const T x1 = x[i + 1];
-    for (std::size_t j = 0; j < n; ++j) {
-      T acc = y[j];
-      acc += r0[j] * x0;
-      acc += r1[j] * x1;
-      y[j] = acc;
-    }
-  }
-  if (i < m) {
-    const T* row = a.row_ptr(i);
-    const T xi = x[i];
-    for (std::size_t j = 0; j < n; ++j) y[j] += row[j] * xi;
-  }
-  return y;
-}
-
-/// Mixed-precision convenience: y = A x with real A and complex x.
-[[nodiscard]] ComplexVector gemv_real_complex(const RealMatrix& a,
-                                              std::span<const Complex> x);
-
-/// y = A^T x with real A and complex x.
-[[nodiscard]] ComplexVector gemv_transposed_real_complex(
-    const RealMatrix& a, std::span<const Complex> x);
 
 // ---------------------------------------------------------------------------
 // Level 3: matrix-matrix products
@@ -226,18 +163,6 @@ template <typename T>
     }
   }
   return std::sqrt(acc);
-}
-
-/// Max absolute entry.
-template <typename T>
-[[nodiscard]] double max_abs(const Matrix<T>& a) noexcept {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      m = std::max(m, std::abs(a(i, j)));
-    }
-  }
-  return m;
 }
 
 }  // namespace phes::la

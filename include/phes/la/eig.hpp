@@ -1,5 +1,5 @@
 #pragma once
-// Complex eigensolvers.
+// Complex Hessenberg eigensolver.
 //
 // The Arnoldi process projects the shifted-and-inverted Hamiltonian onto
 // a d-dimensional Krylov basis, giving a small complex upper-Hessenberg
@@ -44,13 +44,5 @@ struct ComplexEigResult {
 /// Entries below the first subdiagonal are ignored.
 [[nodiscard]] ComplexEigResult hessenberg_eig(ComplexMatrix h,
                                               bool want_vectors);
-
-/// Eigenpairs of a general complex matrix (Householder reduction to
-/// Hessenberg form followed by hessenberg_eig).
-[[nodiscard]] ComplexEigResult complex_eig(ComplexMatrix a,
-                                           bool want_vectors);
-
-/// Eigenvalues of a general complex matrix.
-[[nodiscard]] ComplexVector complex_eigenvalues(ComplexMatrix a);
 
 }  // namespace phes::la

@@ -41,7 +41,6 @@ class LuFactorization {
       if (piv != k) {
         for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));
         std::swap(perm_[k], perm_[piv]);
-        sign_ = -sign_;
       }
       const T pivot = lu_(k, k);
       for (std::size_t i = k + 1; i < n; ++i) {
@@ -128,26 +127,9 @@ class LuFactorization {
     return x;
   }
 
-  /// Determinant (product of pivots times permutation sign).
-  [[nodiscard]] T determinant() const {
-    T det = static_cast<T>(sign_);
-    for (std::size_t i = 0; i < order(); ++i) det *= lu_(i, i);
-    return det;
-  }
-
-  /// Smallest pivot magnitude — a cheap conditioning indicator.
-  [[nodiscard]] double min_pivot_magnitude() const noexcept {
-    double m = std::abs(lu_(0, 0));
-    for (std::size_t i = 1; i < order(); ++i) {
-      m = std::min(m, std::abs(lu_(i, i)));
-    }
-    return m;
-  }
-
  private:
   Matrix<T> lu_;
   std::vector<std::size_t> perm_;
-  int sign_ = 1;
 };
 
 /// Convenience one-shot solve: x = A^{-1} b.

@@ -68,10 +68,6 @@ class Matrix {
     return m;
   }
 
-  static Matrix zero(std::size_t rows, std::size_t cols) {
-    return Matrix(rows, cols);
-  }
-
   /// Copy of column j as a vector.
   [[nodiscard]] std::vector<T> col(std::size_t j) const {
     std::vector<T> v(rows_);
@@ -87,23 +83,6 @@ class Matrix {
   void set_col(std::size_t j, const std::vector<T>& v) {
     util::check(v.size() == rows_, "Matrix::set_col: size mismatch");
     for (std::size_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
-  }
-
-  void set_row(std::size_t i, const std::vector<T>& v) {
-    util::check(v.size() == cols_, "Matrix::set_row: size mismatch");
-    for (std::size_t j = 0; j < cols_; ++j) (*this)(i, j) = v[j];
-  }
-
-  /// Copy of the sub-block with rows [r0, r0+nr) and cols [c0, c0+nc).
-  [[nodiscard]] Matrix block(std::size_t r0, std::size_t c0, std::size_t nr,
-                             std::size_t nc) const {
-    util::check(r0 + nr <= rows_ && c0 + nc <= cols_,
-                "Matrix::block: out of range");
-    Matrix b(nr, nc);
-    for (std::size_t i = 0; i < nr; ++i) {
-      for (std::size_t j = 0; j < nc; ++j) b(i, j) = (*this)(r0 + i, c0 + j);
-    }
-    return b;
   }
 
   /// Writes `b` into this matrix with its (0,0) at (r0, c0).
@@ -176,15 +155,6 @@ template <typename T>
     for (std::size_t j = 0; j < a.cols(); ++j) c(i, j) = Complex(a(i, j), 0.0);
   }
   return c;
-}
-
-/// Real part of a complex matrix.
-[[nodiscard]] inline RealMatrix real_part(const ComplexMatrix& a) {
-  RealMatrix r(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) r(i, j) = a(i, j).real();
-  }
-  return r;
 }
 
 }  // namespace phes::la

@@ -45,9 +45,6 @@ class QrFactorization {
   /// Minimum-residual solution of min ||A x - b||_2 (x has n entries).
   [[nodiscard]] RealVector solve(RealVector b) const;
 
-  /// Explicit thin Q (m x n) — mainly for tests.
-  [[nodiscard]] RealMatrix thin_q() const;
-
   /// Explicit R (n x n upper triangular).
   [[nodiscard]] RealMatrix r() const;
 

@@ -1,8 +1,9 @@
 #pragma once
 // Real Schur decomposition via the Francis implicit double-shift QR
-// algorithm.  This is the full-spectrum dense baseline the paper's
-// Sec. III dismisses as O(n^3): we implement it both to cross-validate
-// the selective Krylov solver and to regenerate the scaling ablation.
+// algorithm.  This is the full-spectrum dense solve the paper's
+// Sec. III dismisses as O(n^3) for large models.  It is the dense
+// route's eigensolver (core::solve_dense, models of order up to
+// engine::kDenseMaxOrder) and vector fitting's pole relocation.
 
 #include <vector>
 
@@ -24,9 +25,5 @@ struct RealSchurResult {
 
 /// Eigenvalues only (Hessenberg + Francis QR, real_schur(a).eigenvalues).
 [[nodiscard]] ComplexVector real_eigenvalues(RealMatrix a);
-
-/// Eigenvalues of a quasi-upper-triangular matrix (helper, exposed for
-/// tests).
-[[nodiscard]] ComplexVector quasi_triangular_eigenvalues(const RealMatrix& t);
 
 }  // namespace phes::la

@@ -34,9 +34,4 @@ struct FrequencySamples {
                                             double omega_max,
                                             std::size_t count);
 
-/// Worst-case relative fit error  max_k ||Ha(jw_k) - Hb(jw_k)||_F /
-/// max_k ||Hb(jw_k)||_F between a model and reference samples.
-[[nodiscard]] double max_relative_error(const PoleResidueModel& model,
-                                        const FrequencySamples& reference);
-
 }  // namespace phes::macromodel

@@ -1,5 +1,5 @@
 #pragma once
-// Plain-text persistence for tabulated frequency responses — the
+// Plain-text reader for tabulated frequency responses — the
 // interchange format between a field solver / VNA export and the
 // Vector Fitting front end.  Format (self-describing header):
 //
@@ -18,18 +18,13 @@
 
 namespace phes::macromodel {
 
-/// Serialize samples to a stream.  Throws on inconsistent input.
-void save_samples(const FrequencySamples& samples, std::ostream& os);
-
 /// Parse samples from a stream.  Throws std::runtime_error with a
 /// "samples_io: line N:" prefix on malformed content: zero ports or
 /// points, non-finite or non-numeric values, non-increasing
 /// frequencies, and truncated records are all rejected.
 [[nodiscard]] FrequencySamples load_samples(std::istream& is);
 
-/// File-path convenience wrappers.
-void save_samples_file(const FrequencySamples& samples,
-                       const std::string& path);
+/// File-path convenience wrapper; errors are prefixed with the path.
 [[nodiscard]] FrequencySamples load_samples_file(const std::string& path);
 
 }  // namespace phes::macromodel

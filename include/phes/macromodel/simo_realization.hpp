@@ -22,7 +22,6 @@
 #include "phes/la/types.hpp"
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/macromodel/statespace.hpp"
-#include "phes/util/check.hpp"
 
 namespace phes::macromodel {
 
@@ -55,75 +54,6 @@ class SimoRealization {
   /// Largest pole magnitude.
   [[nodiscard]] double max_pole_magnitude() const noexcept;
 
-  // -- Structured kernels (templated over real/complex scalar) ----------
-
-  /// y = A x.
-  template <typename T>
-  void apply_a(std::span<const T> x, std::span<T> y) const {
-    util::check(x.size() == order_ && y.size() == order_,
-                "SimoRealization::apply_a: size mismatch");
-    for (const auto& blk : blocks_) {
-      if (blk.is_pair) {
-        const T x1 = x[blk.state], x2 = x[blk.state + 1];
-        y[blk.state] = blk.alpha * x1 + blk.beta * x2;
-        y[blk.state + 1] = -blk.beta * x1 + blk.alpha * x2;
-      } else {
-        y[blk.state] = blk.alpha * x[blk.state];
-      }
-    }
-  }
-
-  /// y = A^T x.
-  template <typename T>
-  void apply_at(std::span<const T> x, std::span<T> y) const {
-    util::check(x.size() == order_ && y.size() == order_,
-                "SimoRealization::apply_at: size mismatch");
-    for (const auto& blk : blocks_) {
-      if (blk.is_pair) {
-        const T x1 = x[blk.state], x2 = x[blk.state + 1];
-        y[blk.state] = blk.alpha * x1 - blk.beta * x2;
-        y[blk.state + 1] = blk.beta * x1 + blk.alpha * x2;
-      } else {
-        y[blk.state] = blk.alpha * x[blk.state];
-      }
-    }
-  }
-
-  /// y = (A - s I)^{-1} x with complex s.  O(n).
-  void solve_a_minus(Complex s, std::span<const Complex> x,
-                     std::span<Complex> y) const;
-
-  /// y = (A^T - s I)^{-1} x with complex s.  O(n).
-  void solve_at_minus(Complex s, std::span<const Complex> x,
-                      std::span<Complex> y) const;
-
-  /// x = B u (scatter each port input into its column's blocks).
-  template <typename T>
-  void apply_b(std::span<const T> u, std::span<T> x) const {
-    util::check(u.size() == ports() && x.size() == order_,
-                "SimoRealization::apply_b: size mismatch");
-    for (auto& v : x) v = T{};
-    for (const auto& blk : blocks_) {
-      x[blk.state] = u[blk.column];  // pair second state stays 0
-    }
-  }
-
-  /// u = B^T x.
-  template <typename T>
-  void apply_bt(std::span<const T> x, std::span<T> u) const {
-    util::check(u.size() == ports() && x.size() == order_,
-                "SimoRealization::apply_bt: size mismatch");
-    for (auto& v : u) v = T{};
-    for (const auto& blk : blocks_) {
-      u[blk.column] += x[blk.state];
-    }
-  }
-
-  /// y = C x (dense p x n product).
-  void apply_c(std::span<const Complex> x, std::span<Complex> y) const;
-  /// x = C^T y.
-  void apply_ct(std::span<const Complex> y, std::span<Complex> x) const;
-
   /// Fast transfer-matrix evaluation H(s) = D + C (sI - A)^{-1} B using
   /// the block structure.  O(n p).
   [[nodiscard]] ComplexMatrix eval(Complex s) const;
@@ -136,12 +66,9 @@ class SimoRealization {
   void resolvent_b(Complex s, std::span<const Complex> v,
                    std::span<Complex> z) const;
 
-  /// Expand to a dense {A, B, C, D} model (tests / dense baselines).
+  /// Expand to a dense {A, B, C, D} model: the input of the dense
+  /// Hamiltonian that core::solve_dense eigensolves.
   [[nodiscard]] StateSpaceModel to_dense() const;
-
-  /// Convert back to pole-residue form (inverse of the constructor);
-  /// used after enforcement perturbs C.
-  [[nodiscard]] PoleResidueModel to_pole_residue() const;
 
  private:
   std::size_t order_ = 0;

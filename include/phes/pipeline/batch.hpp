@@ -58,15 +58,12 @@ class BatchRunner {
 
   /// Run all jobs, J at a time; per-job failures are captured on their
   /// results (one bad input never aborts the batch).  Results come back
-  /// in job order.  Each job's SolverOptions.threads is overwritten
-  /// with the planned per-job solver thread count.
-  [[nodiscard]] std::vector<PipelineResult> run(
-      std::vector<PipelineJob> jobs) const;
-
-  /// run() plus the session-pool statistics of the batch.
+  /// in job order, next to the session-pool statistics of the batch.
+  /// Each job's SolverOptions.threads is overwritten with the planned
+  /// per-job solver thread count.
   [[nodiscard]] BatchOutcome run_all(std::vector<PipelineJob> jobs) const;
 
-  /// The split run() will use for `job_count` jobs.
+  /// The split run_all() will use for `job_count` jobs.
   [[nodiscard]] ParallelismPlan plan_for(std::size_t job_count) const;
 
  private:

@@ -60,7 +60,5 @@ class Client {
 /// response.
 [[nodiscard]] std::string round_trip(const Endpoint& endpoint,
                                      const std::string& line);
-[[nodiscard]] std::string round_trip(const std::string& socket_path,
-                                     const std::string& line);
 
 }  // namespace phes::server

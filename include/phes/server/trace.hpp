@@ -100,10 +100,6 @@ class TraceStore {
   [[nodiscard]] std::optional<JobTrace> get(std::uint64_t id) const
       PHES_EXCLUDES(mutex_);
   [[nodiscard]] std::size_t size() const PHES_EXCLUDES(mutex_);
-  [[nodiscard]] bool file_open() const PHES_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return file_ok_;
-  }
 
  private:
   const std::size_t capacity_;

@@ -107,7 +107,7 @@ class UnixTransport final : public Transport {
 };
 
 /// AF_INET listener with a shared-token auth handshake.  `port` 0
-/// binds an ephemeral port; bound_port() reports the actual one after
+/// binds an ephemeral port; endpoint() names the actual one after
 /// open_listener().
 class TcpTransport final : public Transport {
  public:
@@ -122,7 +122,6 @@ class TcpTransport final : public Transport {
     return token_;
   }
   [[nodiscard]] std::string endpoint() const override;
-  [[nodiscard]] std::uint16_t bound_port() const noexcept { return bound_; }
 
  private:
   std::string host_;

@@ -7,10 +7,8 @@
 //   - Allocation-free hot path: components look handles up ONCE
 //     (registration takes a shard mutex) and then mutate plain atomics;
 //     observe()/add() never allocate, never lock.
-//   - Snapshot/merge: snapshot() produces a plain-data MetricsSnapshot
-//     that can be serialized (JSON / Prometheus text exposition) and
-//     merged across processes — the future fleet coordinator aggregates
-//     N backend snapshots with MetricsSnapshot::merge.
+//   - Snapshot: snapshot() produces a plain-data MetricsSnapshot that
+//     serializes to JSON and to the Prometheus text exposition.
 //   - Kill switch: set_enabled(false) turns every instrument created by
 //     the registry into a relaxed-load-and-return no-op, so the
 //     overhead of observability can be measured (bench_metrics_overhead)
@@ -22,9 +20,9 @@
 //
 // Ownership: instruments are owned by their registry and live as long
 // as it does; handles returned by counter()/gauge()/histogram() are
-// stable for the registry's lifetime.  MetricsRegistry::global() is the
-// process-wide default; the JobServer owns a registry per instance so
-// tests running several servers in one process see isolated counters.
+// stable for the registry's lifetime.  The JobServer owns a registry
+// per instance, so tests running several servers in one process see
+// isolated counters.
 
 #include <array>
 #include <atomic>
@@ -108,21 +106,16 @@ class Gauge {
   const std::atomic<bool>* enabled_ = nullptr;
 };
 
-/// Plain-data view of a Histogram (or a merge of several).  `counts`
-/// has bounds.size() + 1 entries: counts[i] is the number of
-/// observations with value <= bounds[i] (and > bounds[i-1]); the last
-/// entry is the +Inf overflow bucket.  Buckets are NOT cumulative here
-/// — to_prometheus() accumulates them into the `le` convention.
+/// Plain-data view of a Histogram.  `counts` has bounds.size() + 1
+/// entries: counts[i] is the number of observations with value <=
+/// bounds[i] (and > bounds[i-1]); the last entry is the +Inf overflow
+/// bucket.  Buckets are NOT cumulative here — to_prometheus()
+/// accumulates them into the `le` convention.
 struct HistogramSnapshot {
   std::vector<double> bounds;
   std::vector<std::uint64_t> counts;
   std::uint64_t count = 0;
   double sum = 0.0;
-
-  /// Fold another snapshot in.  Bounds must match exactly (aggregating
-  /// fleets must agree on bucket layout); throws std::runtime_error
-  /// otherwise.
-  void merge(const HistogramSnapshot& other);
 };
 
 /// Fixed-bucket histogram: upper bounds are chosen at registration and
@@ -152,17 +145,11 @@ class Histogram {
   const std::atomic<bool>* enabled_ = nullptr;
 };
 
-/// Everything a registry knows, as plain data: serialize it, merge it,
-/// ship it to a coordinator.
+/// Everything a registry knows, as plain data to serialize.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-
-  /// Fold another snapshot in: counters and gauges add, histograms
-  /// merge bucket-wise (throws std::runtime_error on a bucket-layout
-  /// mismatch for the same name).
-  void merge(const MetricsSnapshot& other);
 
   /// One-line JSON object:
   ///   {"counters": {...}, "gauges": {...},
@@ -211,9 +198,6 @@ class MetricsRegistry {
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
   }
-
-  /// Process-wide default registry for hosts that do not own one.
-  [[nodiscard]] static MetricsRegistry& global();
 
  private:
   static constexpr std::size_t kShards = 8;

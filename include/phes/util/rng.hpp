@@ -72,9 +72,6 @@ class Rng {
   /// Standard normal deviate (Marsaglia polar method).
   double normal() noexcept;
 
-  /// Uniform integer in [0, n).
-  std::uint64_t below(std::uint64_t n) noexcept { return (*this)() % n; }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

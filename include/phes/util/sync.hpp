@@ -11,8 +11,8 @@
 // that rule repo-wide.
 //
 // Off Clang the macros expand to nothing and the wrappers are
-// zero-overhead shims over std::mutex / std::shared_mutex /
-// std::condition_variable, so GCC builds are unchanged.
+// zero-overhead shims over std::mutex / std::condition_variable, so GCC
+// builds are unchanged.
 //
 // Usage map (see README "Static analysis" for the full cheatsheet):
 //   util::Mutex mu;                       // a capability
@@ -33,7 +33,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---- Clang Thread Safety Analysis attribute macros --------------------
 //
@@ -60,15 +59,9 @@
 /// Function acquires the capability (exclusive) and holds it on return.
 #define PHES_ACQUIRE(...) \
   PHES_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-/// Function acquires the capability in shared (reader) mode.
-#define PHES_ACQUIRE_SHARED(...) \
-  PHES_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 /// Function releases the (exclusively held) capability.
 #define PHES_RELEASE(...) \
   PHES_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-/// Function releases the shared-held capability.
-#define PHES_RELEASE_SHARED(...) \
-  PHES_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 /// Function releases the capability whichever mode it was acquired in
 /// (scoped-guard destructors).
 #define PHES_RELEASE_GENERIC(...) \
@@ -76,15 +69,6 @@
 /// Caller must hold the capability exclusively; callee does not change it.
 #define PHES_REQUIRES(...) \
   PHES_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-/// Caller must hold the capability at least shared.
-#define PHES_REQUIRES_SHARED(...) \
-  PHES_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-/// Function tries to acquire; first arg is the success return value.
-#define PHES_TRY_ACQUIRE(...) \
-  PHES_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-/// Shared-mode try-acquire; first arg is the success return value.
-#define PHES_TRY_ACQUIRE_SHARED(...) \
-  PHES_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 /// Caller must NOT hold the capability (deadlock prevention).
 #define PHES_EXCLUDES(...) PHES_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 /// Runtime assertion that the capability is held (escape hatch for
@@ -112,9 +96,6 @@ class PHES_CAPABILITY("mutex") Mutex {
 
   void lock() PHES_ACQUIRE() { m_.lock(); }
   void unlock() PHES_RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool try_lock() PHES_TRY_ACQUIRE(true) {
-    return m_.try_lock();
-  }
 
   /// No-op whose annotation tells the analysis "the caller holds this
   /// mutex here" — for lambda predicates and callbacks invoked under a
@@ -124,30 +105,6 @@ class PHES_CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
   std::mutex m_;
-};
-
-/// Annotated reader/writer mutex.
-class PHES_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() PHES_ACQUIRE() { m_.lock(); }
-  void unlock() PHES_RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool try_lock() PHES_TRY_ACQUIRE(true) {
-    return m_.try_lock();
-  }
-  void lock_shared() PHES_ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() PHES_RELEASE_SHARED() { m_.unlock_shared(); }
-  [[nodiscard]] bool try_lock_shared() PHES_TRY_ACQUIRE_SHARED(true) {
-    return m_.try_lock_shared();
-  }
-
-  void assert_held() const PHES_ASSERT_CAPABILITY(this) {}
-
- private:
-  std::shared_mutex m_;
 };
 
 /// Scoped exclusive lock over Mutex — the std::lock_guard of this
@@ -164,36 +121,6 @@ class PHES_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive lock over SharedMutex.
-class PHES_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) PHES_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterLock() PHES_RELEASE_GENERIC() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) lock over SharedMutex.
-class PHES_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) PHES_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() PHES_RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable bound to util::Mutex.  Every wait names the mutex

@@ -33,10 +33,6 @@ class ThreadPool {
   /// running tasks) has completed.
   void wait_idle() PHES_EXCLUDES(mutex_);
 
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
-
  private:
   void worker_loop() PHES_EXCLUDES(mutex_);
 

@@ -8,7 +8,7 @@
 
 namespace phes::core {
 
-LambdaMaxEstimate estimate_lambda_max_counted(
+LambdaMaxEstimate estimate_lambda_max(
     const macromodel::SimoRealization& realization,
     const LambdaMaxOptions& opt, util::Rng& rng) {
   const hamiltonian::ImplicitHamiltonianOp op(realization);
@@ -31,11 +31,6 @@ LambdaMaxEstimate estimate_lambda_max_counted(
   best = std::max(best, realization.max_pole_magnitude());
   est.omega_max = best * opt.safety_factor;
   return est;
-}
-
-double estimate_lambda_max(const macromodel::SimoRealization& realization,
-                           const LambdaMaxOptions& opt, util::Rng& rng) {
-  return estimate_lambda_max_counted(realization, opt, rng).omega_max;
 }
 
 }  // namespace phes::core

@@ -63,7 +63,7 @@ SolverResult ParallelHamiltonianEigensolver::solve(
     } else {
       util::Rng rng(opt.seed, kLambdaStreamSalt);
       const LambdaMaxEstimate est =
-          estimate_lambda_max_counted(realization_, opt.lambda_max, rng);
+          estimate_lambda_max(realization_, opt.lambda_max, rng);
       band_hi = est.omega_max;
       lambda_matvecs = est.matvecs;
       util::require(band_hi > band_lo,

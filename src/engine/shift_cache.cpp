@@ -65,12 +65,6 @@ void ShiftFactorizationCache::clear() {
   lru_.clear();
 }
 
-bool ShiftFactorizationCache::contains(std::uint64_t revision,
-                                       la::Complex theta) const {
-  util::MutexLock lock(mutex_);
-  return entries_.count(Key{revision, theta.real(), theta.imag()}) > 0;
-}
-
 CacheStats ShiftFactorizationCache::stats() const {
   util::MutexLock lock(mutex_);
   return CacheStats{hits_, misses_, evictions_, entries_.size()};

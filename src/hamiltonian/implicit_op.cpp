@@ -126,21 +126,31 @@ void ImplicitHamiltonianOp::apply(std::span<const Complex> x,
   la::kernels::gemv_t_planes(c, p, n, wre, wim, ctwre, ctwim);
 
   // Fused block sweep:  y1 = A x1 - B t,  y2 = C^T w - A^T x2.
+  // Real and imaginary parts are computed as separate doubles: a real
+  // factor scales each part of a complex value, so every part sees the
+  // same operations in the same order as the std::complex expression
+  // (alpha * xa + beta * xb - t, ...), bit for bit.  std::complex
+  // temporaries here make GCC pack them through the stack, where each
+  // packed reload stalls on store forwarding.
   for (const auto& blk : realization_.blocks()) {
     const std::size_t s = blk.state;
-    const Complex t_col(r_sol(blk.column, 0), r_sol(blk.column, 1));
+    const double a = blk.alpha, b = blk.beta;
+    const double tr = r_sol(blk.column, 0), ti = r_sol(blk.column, 1);
     if (blk.is_pair) {
-      const Complex xa = x1[s], xb = x1[s + 1];
-      y1[s] = blk.alpha * xa + blk.beta * xb - t_col;
-      y1[s + 1] = -blk.beta * xa + blk.alpha * xb;
-      const Complex za = x2[s], zb = x2[s + 1];
-      y2[s] = Complex(ctwre[s], ctwim[s]) -
-              (blk.alpha * za - blk.beta * zb);
-      y2[s + 1] = Complex(ctwre[s + 1], ctwim[s + 1]) -
-                  (blk.beta * za + blk.alpha * zb);
+      const double xar = x1[s].real(), xai = x1[s].imag();
+      const double xbr = x1[s + 1].real(), xbi = x1[s + 1].imag();
+      y1[s] = Complex(a * xar + b * xbr - tr, a * xai + b * xbi - ti);
+      y1[s + 1] = Complex(-b * xar + a * xbr, -b * xai + a * xbi);
+      const double zar = x2[s].real(), zai = x2[s].imag();
+      const double zbr = x2[s + 1].real(), zbi = x2[s + 1].imag();
+      y2[s] = Complex(ctwre[s] - (a * zar - b * zbr),
+                      ctwim[s] - (a * zai - b * zbi));
+      y2[s + 1] = Complex(ctwre[s + 1] - (b * zar + a * zbr),
+                          ctwim[s + 1] - (b * zai + a * zbi));
     } else {
-      y1[s] = blk.alpha * x1[s] - t_col;
-      y2[s] = Complex(ctwre[s], ctwim[s]) - blk.alpha * x2[s];
+      y1[s] = Complex(a * x1[s].real() - tr, a * x1[s].imag() - ti);
+      y2[s] = Complex(ctwre[s] - a * x2[s].real(),
+                      ctwim[s] - a * x2[s].imag());
     }
   }
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "phes/la/blas.hpp"
-#include "phes/la/hessenberg.hpp"
 #include "phes/util/check.hpp"
 
 namespace phes::la {
@@ -240,33 +239,6 @@ ComplexEigResult hessenberg_eig(ComplexMatrix h, bool want_vectors) {
     }
   }
   return result;
-}
-
-ComplexEigResult complex_eig(ComplexMatrix a, bool want_vectors) {
-  util::check(a.is_square(), "complex_eig: matrix must be square");
-  if (!want_vectors) {
-    auto [h, q] = hessenberg_reduce(std::move(a), false);
-    return hessenberg_eig(std::move(h), false);
-  }
-  auto [h, q] = hessenberg_reduce(std::move(a), true);
-  ComplexEigResult res = hessenberg_eig(std::move(h), true);
-  // Map eigenvectors back through the Hessenberg similarity: v = Q v_h.
-  ComplexMatrix mapped = gemm(q, res.vectors);
-  // Renormalize columns.
-  for (std::size_t j = 0; j < mapped.cols(); ++j) {
-    auto v = mapped.col(j);
-    const double nv = nrm2<Complex>(v);
-    if (nv > 0.0) {
-      for (auto& vi : v) vi /= nv;
-    }
-    mapped.set_col(j, v);
-  }
-  res.vectors = std::move(mapped);
-  return res;
-}
-
-ComplexVector complex_eigenvalues(ComplexMatrix a) {
-  return complex_eig(std::move(a), false).values;
 }
 
 }  // namespace phes::la

@@ -81,27 +81,6 @@ RealVector QrFactorization::solve(RealVector b) const {
   return x;
 }
 
-RealMatrix QrFactorization::thin_q() const {
-  const std::size_t m = qr_.rows(), n = qr_.cols();
-  // Accumulate Q by applying reflectors to the first n identity columns.
-  RealMatrix q(m, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    RealVector e(m, 0.0);
-    e[j] = 1.0;
-    // Apply H_{n-1} ... H_0 in reverse to get Q e_j.
-    for (std::size_t kk = n; kk-- > 0;) {
-      if (tau_[kk] == 0.0) continue;
-      double s = e[kk];
-      for (std::size_t i = kk + 1; i < m; ++i) s += qr_(i, kk) * e[i];
-      s *= tau_[kk];
-      e[kk] -= s;
-      for (std::size_t i = kk + 1; i < m; ++i) e[i] -= s * qr_(i, kk);
-    }
-    q.set_col(j, e);
-  }
-  return q;
-}
-
 RealMatrix QrFactorization::r() const {
   const std::size_t n = qr_.cols();
   RealMatrix r(n, n);

@@ -86,8 +86,8 @@ void francis_step(RealMatrix& h, std::size_t l, std::size_t m, double sum,
   }
 }
 
-}  // namespace
-
+// Eigenvalues of a quasi-upper-triangular matrix: its 1x1 diagonal
+// entries and the closed-form pairs of its 2x2 blocks.
 ComplexVector quasi_triangular_eigenvalues(const RealMatrix& t) {
   const std::size_t n = t.rows();
   ComplexVector lambda;
@@ -117,6 +117,8 @@ ComplexVector quasi_triangular_eigenvalues(const RealMatrix& t) {
   }
   return lambda;
 }
+
+}  // namespace
 
 RealSchurResult real_schur(RealMatrix a) {
   util::check(a.is_square(), "real_schur: matrix must be square");

@@ -1,9 +1,7 @@
 #include "phes/macromodel/samples.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "phes/la/blas.hpp"
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/util/check.hpp"
 
@@ -39,24 +37,6 @@ FrequencySamples sample_model(const PoleResidueModel& model, double omega_min,
     out.h.push_back(model.eval(w));
   }
   return out;
-}
-
-double max_relative_error(const PoleResidueModel& model,
-                          const FrequencySamples& reference) {
-  double worst = 0.0;
-  double scale = 0.0;
-  for (std::size_t k = 0; k < reference.count(); ++k) {
-    const auto hm = model.eval(reference.omega[k]);
-    double err = 0.0;
-    for (std::size_t i = 0; i < hm.rows(); ++i) {
-      for (std::size_t j = 0; j < hm.cols(); ++j) {
-        err += std::norm(hm(i, j) - reference.h[k](i, j));
-      }
-    }
-    worst = std::max(worst, std::sqrt(err));
-    scale = std::max(scale, la::frobenius_norm(reference.h[k]));
-  }
-  return scale > 0.0 ? worst / scale : worst;
 }
 
 }  // namespace phes::macromodel

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <sstream>
 #include <vector>
@@ -100,26 +99,6 @@ constexpr std::size_t kMaxPoints = 100'000'000;
 
 }  // namespace
 
-void save_samples(const FrequencySamples& samples, std::ostream& os) {
-  samples.check_consistency();
-  const std::size_t p = samples.ports();
-  os << "# phes-samples v1\n";
-  os << "ports " << p << '\n';
-  os << "points " << samples.count() << '\n';
-  os << std::setprecision(17);
-  for (std::size_t k = 0; k < samples.count(); ++k) {
-    os << "omega " << samples.omega[k] << '\n';
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < p; ++j) {
-        const auto& h = samples.h[k](i, j);
-        os << h.real() << ' ' << h.imag();
-        os << (j + 1 < p ? ' ' : '\n');
-      }
-    }
-  }
-  util::require(os.good(), "save_samples: stream write failed");
-}
-
 FrequencySamples load_samples(std::istream& is) {
   Tokenizer tok(is);
 
@@ -159,13 +138,6 @@ FrequencySamples load_samples(std::istream& is) {
   }
   out.check_consistency();
   return out;
-}
-
-void save_samples_file(const FrequencySamples& samples,
-                       const std::string& path) {
-  std::ofstream os(path);
-  util::require(os.is_open(), "save_samples_file: cannot open " + path);
-  save_samples(samples, os);
 }
 
 FrequencySamples load_samples_file(const std::string& path) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "phes/util/check.hpp"
+
 namespace phes::macromodel {
 
 SimoRealization::SimoRealization(const PoleResidueModel& model)
@@ -49,68 +51,6 @@ double SimoRealization::max_pole_magnitude() const noexcept {
     m = std::max(m, std::hypot(blk.alpha, blk.beta));
   }
   return m;
-}
-
-void SimoRealization::solve_a_minus(Complex s, std::span<const Complex> x,
-                                    std::span<Complex> y) const {
-  util::check(x.size() == order_ && y.size() == order_,
-              "SimoRealization::solve_a_minus: size mismatch");
-  for (const auto& blk : blocks_) {
-    if (blk.is_pair) {
-      // Solve [[alpha-s, beta], [-beta, alpha-s]] y = x in closed form.
-      const Complex g = Complex(blk.alpha, 0.0) - s;
-      const Complex det = g * g + blk.beta * blk.beta;
-      const Complex x1 = x[blk.state], x2 = x[blk.state + 1];
-      y[blk.state] = (g * x1 - blk.beta * x2) / det;
-      y[blk.state + 1] = (blk.beta * x1 + g * x2) / det;
-    } else {
-      y[blk.state] = x[blk.state] / (Complex(blk.alpha, 0.0) - s);
-    }
-  }
-}
-
-void SimoRealization::solve_at_minus(Complex s, std::span<const Complex> x,
-                                     std::span<Complex> y) const {
-  util::check(x.size() == order_ && y.size() == order_,
-              "SimoRealization::solve_at_minus: size mismatch");
-  for (const auto& blk : blocks_) {
-    if (blk.is_pair) {
-      // A^T block is [[alpha, -beta], [beta, alpha]].
-      const Complex g = Complex(blk.alpha, 0.0) - s;
-      const Complex det = g * g + blk.beta * blk.beta;
-      const Complex x1 = x[blk.state], x2 = x[blk.state + 1];
-      y[blk.state] = (g * x1 + blk.beta * x2) / det;
-      y[blk.state + 1] = (-blk.beta * x1 + g * x2) / det;
-    } else {
-      y[blk.state] = x[blk.state] / (Complex(blk.alpha, 0.0) - s);
-    }
-  }
-}
-
-void SimoRealization::apply_c(std::span<const Complex> x,
-                              std::span<Complex> y) const {
-  util::check(x.size() == order_ && y.size() == ports(),
-              "SimoRealization::apply_c: size mismatch");
-  const std::size_t p = ports();
-  for (std::size_t i = 0; i < p; ++i) {
-    const double* row = c_.row_ptr(i);
-    Complex acc{};
-    for (std::size_t j = 0; j < order_; ++j) acc += row[j] * x[j];
-    y[i] = acc;
-  }
-}
-
-void SimoRealization::apply_ct(std::span<const Complex> y,
-                               std::span<Complex> x) const {
-  util::check(y.size() == ports() && x.size() == order_,
-              "SimoRealization::apply_ct: size mismatch");
-  const std::size_t p = ports();
-  for (auto& v : x) v = Complex{};
-  for (std::size_t i = 0; i < p; ++i) {
-    const double* row = c_.row_ptr(i);
-    const Complex yi = y[i];
-    for (std::size_t j = 0; j < order_; ++j) x[j] += row[j] * yi;
-  }
 }
 
 ComplexMatrix SimoRealization::eval(Complex s) const {
@@ -176,30 +116,6 @@ StateSpaceModel SimoRealization::to_dense() const {
     }
   }
   return ss;
-}
-
-PoleResidueModel SimoRealization::to_pole_residue() const {
-  const std::size_t p = ports();
-  std::vector<PoleResidueColumn> columns(p);
-  for (const auto& blk : blocks_) {
-    if (blk.is_pair) {
-      ComplexPoleTerm t;
-      t.pole = Complex(blk.alpha, blk.beta);
-      t.residue.resize(p);
-      for (std::size_t i = 0; i < p; ++i) {
-        t.residue[i] =
-            Complex(0.5 * c_(i, blk.state), 0.5 * c_(i, blk.state + 1));
-      }
-      columns[blk.column].complex_terms.push_back(std::move(t));
-    } else {
-      RealPoleTerm t;
-      t.pole = blk.alpha;
-      t.residue.resize(p);
-      for (std::size_t i = 0; i < p; ++i) t.residue[i] = c_(i, blk.state);
-      columns[blk.column].real_terms.push_back(std::move(t));
-    }
-  }
-  return PoleResidueModel(d_, std::move(columns));
 }
 
 }  // namespace phes::macromodel

@@ -40,11 +40,6 @@ ParallelismPlan BatchRunner::plan_for(std::size_t job_count) const {
   return plan;
 }
 
-std::vector<PipelineResult> BatchRunner::run(
-    std::vector<PipelineJob> jobs) const {
-  return run_all(std::move(jobs)).results;
-}
-
 BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
   BatchOutcome outcome;
   outcome.results.resize(jobs.size());

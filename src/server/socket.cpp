@@ -185,10 +185,4 @@ std::string round_trip(const Endpoint& endpoint, const std::string& line) {
   return client.request(line);
 }
 
-std::string round_trip(const std::string& socket_path,
-                       const std::string& line) {
-  Client client(socket_path);
-  return client.request(line);
-}
-
 }  // namespace phes::server

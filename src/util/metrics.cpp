@@ -93,32 +93,7 @@ std::vector<double> Histogram::default_latency_bounds() {
           0.1,  0.25,   0.5,  1.0,  2.5,    5.0,  10.0, 30.0,   60.0};
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (bounds != other.bounds) {
-    throw std::runtime_error(
-        "HistogramSnapshot::merge: bucket layouts differ");
-  }
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    counts[i] += other.counts[i];
-  }
-  count += other.count;
-  sum += other.sum;
-}
-
 // ---- MetricsSnapshot --------------------------------------------------
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) gauges[name] += value;
-  for (const auto& [name, hist] : other.histograms) {
-    const auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms.emplace(name, hist);
-    } else {
-      it->second.merge(hist);
-    }
-  }
-}
 
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream os;
@@ -263,11 +238,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     }
   }
   return s;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 }  // namespace phes::obs

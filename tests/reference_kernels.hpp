@@ -25,7 +25,9 @@
 //
 // The factorizations (the 2p x 2p SMW matrix K, R = D^T D - I and
 // S = D D^T - I) are built from the public SimoRealization API exactly
-// as the library constructors build them.
+// as the library constructors build them, and the operators apply A, B
+// and C through the straight-line realization kernels (apply_a,
+// apply_b, apply_c, solve_a_minus, ...) defined first below.
 
 #include <algorithm>
 #include <cmath>
@@ -47,6 +49,139 @@
 #include "phes/util/check.hpp"
 
 namespace phes::test {
+
+// ---- Straight-line SimoRealization kernels ------------------------------
+// A x, A^T x, B u, B^T x, (A - s I)^{-1} x, (A^T - s I)^{-1} x, C x and
+// C^T y, one pole block (or one row of C) at a time, over the public
+// blocks() / c() of a realization.  The library's operators fuse these
+// into split-plane tables; the oracles below and test_transient's
+// time stepper call them directly.
+
+/// y = A x.
+template <typename T>
+void apply_a(const macromodel::SimoRealization& r, std::span<const T> x,
+             std::span<T> y) {
+  util::check(x.size() == r.order() && y.size() == r.order(),
+              "apply_a: size mismatch");
+  for (const auto& blk : r.blocks()) {
+    if (blk.is_pair) {
+      const T x1 = x[blk.state], x2 = x[blk.state + 1];
+      y[blk.state] = blk.alpha * x1 + blk.beta * x2;
+      y[blk.state + 1] = -blk.beta * x1 + blk.alpha * x2;
+    } else {
+      y[blk.state] = blk.alpha * x[blk.state];
+    }
+  }
+}
+
+/// y = A^T x.
+template <typename T>
+void apply_at(const macromodel::SimoRealization& r, std::span<const T> x,
+              std::span<T> y) {
+  util::check(x.size() == r.order() && y.size() == r.order(),
+              "apply_at: size mismatch");
+  for (const auto& blk : r.blocks()) {
+    if (blk.is_pair) {
+      const T x1 = x[blk.state], x2 = x[blk.state + 1];
+      y[blk.state] = blk.alpha * x1 - blk.beta * x2;
+      y[blk.state + 1] = blk.beta * x1 + blk.alpha * x2;
+    } else {
+      y[blk.state] = blk.alpha * x[blk.state];
+    }
+  }
+}
+
+/// x = B u (scatter each port input into its column's blocks).
+template <typename T>
+void apply_b(const macromodel::SimoRealization& r, std::span<const T> u,
+             std::span<T> x) {
+  util::check(u.size() == r.ports() && x.size() == r.order(),
+              "apply_b: size mismatch");
+  for (auto& v : x) v = T{};
+  for (const auto& blk : r.blocks()) {
+    x[blk.state] = u[blk.column];  // pair second state stays 0
+  }
+}
+
+/// u = B^T x.
+template <typename T>
+void apply_bt(const macromodel::SimoRealization& r, std::span<const T> x,
+              std::span<T> u) {
+  util::check(u.size() == r.ports() && x.size() == r.order(),
+              "apply_bt: size mismatch");
+  for (auto& v : u) v = T{};
+  for (const auto& blk : r.blocks()) {
+    u[blk.column] += x[blk.state];
+  }
+}
+
+/// y = (A - s I)^{-1} x with complex s.  O(n).
+inline void solve_a_minus(const macromodel::SimoRealization& r, la::Complex s,
+                          std::span<const la::Complex> x,
+                          std::span<la::Complex> y) {
+  util::check(x.size() == r.order() && y.size() == r.order(),
+              "solve_a_minus: size mismatch");
+  for (const auto& blk : r.blocks()) {
+    if (blk.is_pair) {
+      // Solve [[alpha-s, beta], [-beta, alpha-s]] y = x in closed form.
+      const la::Complex g = la::Complex(blk.alpha, 0.0) - s;
+      const la::Complex det = g * g + blk.beta * blk.beta;
+      const la::Complex x1 = x[blk.state], x2 = x[blk.state + 1];
+      y[blk.state] = (g * x1 - blk.beta * x2) / det;
+      y[blk.state + 1] = (blk.beta * x1 + g * x2) / det;
+    } else {
+      y[blk.state] = x[blk.state] / (la::Complex(blk.alpha, 0.0) - s);
+    }
+  }
+}
+
+/// y = (A^T - s I)^{-1} x with complex s.  O(n).
+inline void solve_at_minus(const macromodel::SimoRealization& r,
+                           la::Complex s, std::span<const la::Complex> x,
+                           std::span<la::Complex> y) {
+  util::check(x.size() == r.order() && y.size() == r.order(),
+              "solve_at_minus: size mismatch");
+  for (const auto& blk : r.blocks()) {
+    if (blk.is_pair) {
+      // A^T block is [[alpha, -beta], [beta, alpha]].
+      const la::Complex g = la::Complex(blk.alpha, 0.0) - s;
+      const la::Complex det = g * g + blk.beta * blk.beta;
+      const la::Complex x1 = x[blk.state], x2 = x[blk.state + 1];
+      y[blk.state] = (g * x1 + blk.beta * x2) / det;
+      y[blk.state + 1] = (-blk.beta * x1 + g * x2) / det;
+    } else {
+      y[blk.state] = x[blk.state] / (la::Complex(blk.alpha, 0.0) - s);
+    }
+  }
+}
+
+/// y = C x (dense p x n product).
+inline void apply_c(const macromodel::SimoRealization& r,
+                    std::span<const la::Complex> x,
+                    std::span<la::Complex> y) {
+  util::check(x.size() == r.order() && y.size() == r.ports(),
+              "apply_c: size mismatch");
+  for (std::size_t i = 0; i < r.ports(); ++i) {
+    const double* row = r.c().row_ptr(i);
+    la::Complex acc{};
+    for (std::size_t j = 0; j < r.order(); ++j) acc += row[j] * x[j];
+    y[i] = acc;
+  }
+}
+
+/// x = C^T y.
+inline void apply_ct(const macromodel::SimoRealization& r,
+                     std::span<const la::Complex> y,
+                     std::span<la::Complex> x) {
+  util::check(y.size() == r.ports() && x.size() == r.order(),
+              "apply_ct: size mismatch");
+  for (auto& v : x) v = la::Complex{};
+  for (std::size_t i = 0; i < r.ports(); ++i) {
+    const double* row = r.c().row_ptr(i);
+    const la::Complex yi = y[i];
+    for (std::size_t j = 0; j < r.order(); ++j) x[j] += row[j] * yi;
+  }
+}
 
 /// Solve with a real LU against a complex right-hand side by splitting
 /// real and imaginary parts (two independent solves).
@@ -103,16 +238,16 @@ class ReferenceSmwOp final : public hamiltonian::ComplexLinearOperator {
 
     // G x with G = blkdiag((A - theta I)^{-1}, -(A^T + theta I)^{-1}).
     la::ComplexVector g1(n), g2(n);
-    realization_.solve_a_minus(theta_, x.subspan(0, n), g1);
-    realization_.solve_at_minus(-theta_, x.subspan(n, n), g2);
+    solve_a_minus(realization_, theta_, x.subspan(0, n), g1);
+    solve_at_minus(realization_, -theta_, x.subspan(n, n), g2);
     for (auto& v : g2) v = -v;
 
     // w = V G x = [C g1; B^T g2].
     la::ComplexVector w(2 * p);
     {
       la::ComplexVector w1(p), w2(p);
-      realization_.apply_c(g1, w1);
-      realization_.apply_bt<Complex>(g2, w2);
+      apply_c(realization_, g1, w1);
+      apply_bt<Complex>(realization_, g2, w2);
       for (std::size_t i = 0; i < p; ++i) {
         w[i] = w1[i];
         w[p + i] = w2[i];
@@ -128,10 +263,10 @@ class ReferenceSmwOp final : public hamiltonian::ComplexLinearOperator {
       la::ComplexVector z1(z.begin(), z.begin() + static_cast<long>(p));
       la::ComplexVector z2(z.begin() + static_cast<long>(p), z.end());
       la::ComplexVector bz(n), ctz(n);
-      realization_.apply_b<Complex>(z1, bz);
-      realization_.apply_ct(z2, ctz);
-      realization_.solve_a_minus(theta_, bz, u1);
-      realization_.solve_at_minus(-theta_, ctz, u2);
+      apply_b<Complex>(realization_, z1, bz);
+      apply_ct(realization_, z2, ctz);
+      solve_a_minus(realization_, theta_, bz, u1);
+      solve_at_minus(realization_, -theta_, ctz, u2);
       for (auto& v : u2) v = -v;
     }
 
@@ -196,8 +331,8 @@ class ReferenceImplicitOp final : public hamiltonian::ComplexLinearOperator {
 
     // u = C x1, v = B^T x2 (p-vectors).
     la::ComplexVector u(p), v(p);
-    realization_.apply_c(x1, u);
-    realization_.apply_bt<Complex>(x2, v);
+    apply_c(realization_, x1, u);
+    apply_bt<Complex>(realization_, x2, v);
 
     // t = R^{-1} (D^T u + v).
     la::ComplexVector dtu(p, Complex{});
@@ -209,9 +344,9 @@ class ReferenceImplicitOp final : public hamiltonian::ComplexLinearOperator {
     const auto t = reference_solve_real_lu(r_lu_, dtu);
 
     // y1 = A x1 - B t.
-    realization_.apply_a<Complex>(x1, y1);
+    apply_a<Complex>(realization_, x1, y1);
     la::ComplexVector bt(n);
-    realization_.apply_b<Complex>(t, bt);
+    apply_b<Complex>(realization_, t, bt);
     for (std::size_t i = 0; i < n; ++i) y1[i] -= bt[i];
 
     // w = S^{-1} u + D R^{-1} v;  y2 = C^T w - A^T x2.
@@ -224,9 +359,9 @@ class ReferenceImplicitOp final : public hamiltonian::ComplexLinearOperator {
       w[i] = s_inv_u[i] + acc;
     }
     la::ComplexVector ctw(n);
-    realization_.apply_ct(w, ctw);
+    apply_ct(realization_, w, ctw);
     la::ComplexVector atx2(n);
-    realization_.apply_at<Complex>(x2, atx2);
+    apply_at<Complex>(realization_, x2, atx2);
     for (std::size_t i = 0; i < n; ++i) y2[i] = ctw[i] - atx2[i];
   }
 
@@ -364,8 +499,8 @@ inline core::ArnoldiResult reference_arnoldi(
 
 /// la::QrFactorization as it was before the row sweeps: the
 /// constructor builds the factor column at a time, each trailing column
-/// j walking down the rows.  solve, thin_q and r are the library's own,
-/// unchanged, so the three outputs compare the factorizations bit for
+/// j walking down the rows.  solve and r are the library's own,
+/// unchanged, so the two outputs compare the factorizations bit for
 /// bit.
 class ReferenceQr {
  public:
@@ -416,25 +551,6 @@ class ReferenceQr {
       x[ii] = acc / qr_(ii, ii);
     }
     return x;
-  }
-
-  [[nodiscard]] la::RealMatrix thin_q() const {
-    const std::size_t m = qr_.rows(), n = qr_.cols();
-    la::RealMatrix q(m, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      la::RealVector e(m, 0.0);
-      e[j] = 1.0;
-      for (std::size_t kk = n; kk-- > 0;) {
-        if (tau_[kk] == 0.0) continue;
-        double s = e[kk];
-        for (std::size_t i = kk + 1; i < m; ++i) s += qr_(i, kk) * e[i];
-        s *= tau_[kk];
-        e[kk] -= s;
-        for (std::size_t i = kk + 1; i < m; ++i) e[i] -= s * qr_(i, kk);
-      }
-      q.set_col(j, e);
-    }
-    return q;
   }
 
   [[nodiscard]] la::RealMatrix r() const {

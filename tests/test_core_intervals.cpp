@@ -39,10 +39,11 @@ TEST(Intervals, CoverRuleRetiresInterval) {
   // the tentative shift of [2,4] (at 4? no: N=2 => second interval is
   // the right extremum with shift 4, not swallowed by [-2.5, 2.5]).
   s.complete(*t1, 2.5, {});
-  EXPECT_EQ(s.tentative_count(), 1u);
+  EXPECT_EQ(s.shifts_eliminated(), 0u);
   auto t2 = s.acquire();
   ASSERT_TRUE(t2);
   EXPECT_DOUBLE_EQ(t2->shift, 4.0);
+  EXPECT_FALSE(s.acquire());  // [2,4] was the one tentative interval left
   // Its interval was partially covered; remaining is [2.5, 4].
   EXPECT_NEAR(t2->lo, 2.5, 1e-12);
   s.complete(*t2, 1.6, {});

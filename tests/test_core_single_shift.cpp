@@ -10,11 +10,11 @@
 #include <cmath>
 
 #include "phes/core/single_shift.hpp"
-#include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
+#include "hamiltonian_analysis.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -109,7 +109,7 @@ TEST(SingleShift, FindsKnownCrossingsNearShift) {
   // Place the shift exactly at a known imaginary eigenvalue; it must be
   // returned.
   const Truth truth = make_truth(1.08, 777);
-  const auto freqs = hamiltonian::extract_imaginary_frequencies(
+  const auto freqs = test::extract_imaginary_frequencies(
       truth.spectrum, 1e-8, truth.scale);
   ASSERT_FALSE(freqs.empty());
   const double w0 = freqs[freqs.size() / 2];

@@ -12,12 +12,12 @@
 #include "phes/core/lambda_max.hpp"
 #include "phes/core/solver.hpp"
 #include "phes/engine/session.hpp"
-#include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/passivity/characterization.hpp"
+#include "hamiltonian_analysis.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -49,7 +49,7 @@ Fixture make_fixture(double peak, std::uint64_t seed,
   const auto spectrum = la::real_eigenvalues(std::move(m));
   const double scale = model.max_pole_magnitude();
   auto truth =
-      hamiltonian::extract_imaginary_frequencies(spectrum, 1e-8, scale);
+      test::extract_imaginary_frequencies(spectrum, 1e-8, scale);
   return {std::move(model), std::move(simo), std::move(truth), scale};
 }
 
@@ -209,7 +209,7 @@ TEST(Solver, LambdaMaxBoundsSpectralRadius) {
 
   util::Rng rng(3);
   core::LambdaMaxOptions lopt;
-  const double est = core::estimate_lambda_max(fx.simo, lopt, rng);
+  const double est = core::estimate_lambda_max(fx.simo, lopt, rng).omega_max;
   EXPECT_GE(est, rho * 0.999);  // upper bound (with safety factor)
   EXPECT_LE(est, rho * 2.0);    // not wildly pessimistic
 }

@@ -7,13 +7,13 @@
 #include <cmath>
 
 #include "phes/core/solver.hpp"
-#include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/la/svd.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/macromodel/simo_realization.hpp"
+#include "hamiltonian_analysis.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -26,7 +26,7 @@ using macromodel::SimoRealization;
 
 la::RealVector dense_truth(const SimoRealization& simo, double scale) {
   const auto m = hamiltonian::build_scattering_hamiltonian(simo.to_dense());
-  return hamiltonian::extract_imaginary_frequencies(
+  return test::extract_imaginary_frequencies(
       la::real_eigenvalues(m), 1e-8, scale);
 }
 

@@ -91,9 +91,13 @@ TEST(ShiftCache, EvictsLeastRecentlyUsedFirst) {
 
   EXPECT_EQ(cache.stats().entries, 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.contains(0, ta));
-  EXPECT_FALSE(cache.contains(0, tb));
-  EXPECT_TRUE(cache.contains(0, tc));
+  // A and C are still cached (hits); B was evicted (a miss).
+  (void)cache.acquire(0, ta, [&] { return build_op(simo, ta); });
+  (void)cache.acquire(0, tc, [&] { return build_op(simo, tc); });
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  (void)cache.acquire(0, tb, [&] { return build_op(simo, tb); });
+  EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(ShiftCache, RevisionInvalidationDropsStaleEntries) {
@@ -105,9 +109,12 @@ TEST(ShiftCache, RevisionInvalidationDropsStaleEntries) {
   (void)cache.acquire(0, ta, [&] { return build_op(simo, ta); });
   (void)cache.acquire(1, tb, [&] { return build_op(simo, tb); });
   cache.invalidate_before(1);
-  EXPECT_FALSE(cache.contains(0, ta));
-  EXPECT_TRUE(cache.contains(1, tb));
   EXPECT_EQ(cache.stats().entries, 1u);
+  // The revision-1 entry survives (a hit); revision 0 is gone (a miss).
+  (void)cache.acquire(1, tb, [&] { return build_op(simo, tb); });
+  EXPECT_EQ(cache.stats().hits, 1u);
+  (void)cache.acquire(0, ta, [&] { return build_op(simo, ta); });
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 TEST(ShiftCache, ConcurrentAcquireIsSafeAndCoherent) {
@@ -235,17 +242,18 @@ TEST(Session, UpdateResiduesBumpsRevisionAndInvalidates) {
   core::SolverOptions opt;
   opt.threads = 1;
   (void)session.solve(opt);
-  ASSERT_GT(session.cache_stats().entries, 0u);
+  ASSERT_GT(session.stats().cache.entries, 0u);
   ASSERT_EQ(session.revision(), 0u);
 
   la::RealMatrix c = session.realization().c();
   c *= 0.99;
   session.update_residues(c);
   EXPECT_EQ(session.revision(), 1u);
-  EXPECT_EQ(session.cache_stats().entries, 0u);  // stale ops purged
-  // The warm-start record survives the revision bump.
-  EXPECT_TRUE(session.warm_start().valid);
-  EXPECT_EQ(session.warm_start().revision, 0u);
+  EXPECT_EQ(session.stats().cache.entries, 0u);  // stale ops purged
+  // The warm-start record survives the revision bump: the next solve
+  // consumes it.
+  EXPECT_TRUE(session.solve(opt).warm_started);
+  EXPECT_EQ(session.stats().warm_solves, 1u);
 }
 
 TEST(Session, ExplicitBandLimitNeverBecomesADefaultBandHint) {
@@ -343,7 +351,6 @@ TEST(Session, SmallModelTakesTheDenseRoute) {
   EXPECT_EQ(stats.warm_solves, 0u);
   EXPECT_EQ(stats.factorizations, 0u);
   EXPECT_EQ(stats.cache.entries, 0u);
-  EXPECT_FALSE(session.warm_start().valid);
 }
 
 // ---- dense-result memo ---------------------------------------------------

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/hamiltonian/implicit_op.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
@@ -21,6 +20,7 @@
 #include "phes/la/svd.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
+#include "hamiltonian_analysis.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -66,7 +66,7 @@ TEST(DenseHamiltonian, SpectrumHasQuadrupleSymmetry) {
   const SimoRealization simo(model);
   const RealMatrix m = build_scattering_hamiltonian(simo.to_dense());
   const auto spectrum = la::real_eigenvalues(m);
-  EXPECT_TRUE(hamiltonian::has_hamiltonian_symmetry(spectrum, 1e-6));
+  EXPECT_TRUE(test::has_hamiltonian_symmetry(spectrum, 1e-6));
 }
 
 TEST(DenseHamiltonian, RejectsNonAsymptoticallyPassiveD) {
@@ -87,7 +87,7 @@ TEST(DenseHamiltonian, ImaginaryEigenvaluesAreSingularValueCrossings) {
   const auto spectrum = la::real_eigenvalues(m);
   const double scale = model.max_pole_magnitude();
   const auto freqs =
-      hamiltonian::extract_imaginary_frequencies(spectrum, 1e-8, scale);
+      test::extract_imaginary_frequencies(spectrum, 1e-8, scale);
   ASSERT_FALSE(freqs.empty()) << "peak gain 1.06 must produce crossings";
   for (double w : freqs) {
     const auto sigma = la::complex_singular_values(model.eval(w));
@@ -102,7 +102,7 @@ TEST(DenseHamiltonian, PassiveModelHasNoImaginaryEigenvalues) {
   const SimoRealization simo(model);
   const RealMatrix m = build_scattering_hamiltonian(simo.to_dense());
   const auto spectrum = la::real_eigenvalues(m);
-  const auto freqs = hamiltonian::extract_imaginary_frequencies(
+  const auto freqs = test::extract_imaginary_frequencies(
       spectrum, 1e-8, model.max_pole_magnitude());
   EXPECT_TRUE(freqs.empty());
 }
@@ -119,7 +119,7 @@ TEST(ImplicitOp, MatchesDenseHamiltonian) {
   for (auto& v : x) v = Complex(rng.normal(), rng.normal());
   op.apply(x, y);
   const auto y_ref =
-      la::gemv_real_complex(m, std::span<const Complex>(x));
+      la::gemv(la::to_complex(m), std::span<const Complex>(x));
   double worst = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) {
     worst = std::max(worst, std::abs(y[i] - y_ref[i]));
@@ -187,16 +187,16 @@ TEST(Analysis, ExtractImaginaryFrequencies) {
       Complex(1.0, 3.0),  Complex(1e-12, 5.0), Complex(-1e-12, -5.0),
       Complex(-0.5, 0.0)};
   const auto freqs =
-      hamiltonian::extract_imaginary_frequencies(spectrum, 1e-8, 1.0);
+      test::extract_imaginary_frequencies(spectrum, 1e-8, 1.0);
   ASSERT_EQ(freqs.size(), 2u);
   EXPECT_NEAR(freqs[0], 2.0, 1e-12);
   EXPECT_NEAR(freqs[1], 5.0, 1e-12);
 }
 
 TEST(Analysis, SymmetryDetector) {
-  EXPECT_TRUE(hamiltonian::has_hamiltonian_symmetry(
+  EXPECT_TRUE(test::has_hamiltonian_symmetry(
       {Complex(1.0, 2.0), Complex(-1.0, 2.0)}, 1e-12));
-  EXPECT_FALSE(hamiltonian::has_hamiltonian_symmetry(
+  EXPECT_FALSE(test::has_hamiltonian_symmetry(
       {Complex(1.0, 2.0), Complex(1.0, -2.0)}, 1e-12));
 }
 

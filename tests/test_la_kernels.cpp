@@ -1,11 +1,8 @@
 // Kernel-layer tests: the one kernel path against its oracles.
 //
-//  - the always-on blocked BLAS paths (gemv, gemv_transposed,
-//    solve_many, the mixed real/complex products) are BIT-identical to
-//    the naive loops they replaced;
+//  - the always-on blocked BLAS paths (gemv, solve_many) are
+//    BIT-identical to the naive loops they replaced;
 //  - nrm2 survives entries near DBL_MAX / DBL_MIN (scaled rescue pass);
-//  - gemv_transposed on Complex applies the plain (dotu-style)
-//    transpose, without conjugation — regression for the old doc bug;
 //  - the split-plane Hessenberg QR (la::hessenberg_eig) is BIT-identical
 //    to the interleaved std::complex loop it replaced, kept below
 //    verbatim as reference_hessenberg_eig, on random, Arnoldi-derived
@@ -13,7 +10,7 @@
 //    exceptional-shift) Hessenbergs;
 //  - the row-sweep Householder QR (la::QrFactorization) is BIT-identical
 //    to the column-at-a-time loop it replaced (reference_qr in
-//    reference_kernels.hpp) in r(), thin_q() and solve(), on square,
+//    reference_kernels.hpp) in r() and solve(), on square,
 //    tall random and vector_fit sigma-shaped systems, through the
 //    tau = 0 path and with signed zeros;
 //  - core::form_ritz_vector and core::lock_vector, which spell the
@@ -131,62 +128,6 @@ TEST(BlockedBlasTest, GemvBitIdenticalToNaive) {
   }
 }
 
-TEST(BlockedBlasTest, GemvTransposedBitIdenticalToNaive) {
-  util::Rng rng(22);
-  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{5, 7},
-                            {6, 7},
-                            {1, 9},
-                            {16, 4}}) {
-    ComplexMatrix a = test::random_complex_matrix(m, n, rng);
-    const ComplexVector x = random_complex_vector(m, rng);
-    const ComplexVector y =
-        la::gemv_transposed(a, std::span<const Complex>(x));
-    ASSERT_EQ(y.size(), n);
-    // Naive loop in the SAME i-ascending order the kernel guarantees.
-    ComplexVector expect(n, Complex{});
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) expect[j] += a(i, j) * x[i];
-    }
-    for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(y[j], expect[j]);
-  }
-}
-
-TEST(BlockedBlasTest, GemvTransposedComplexDoesNotConjugate) {
-  // Regression: the doc used to call this "(real)"; the kernel is the
-  // plain dotu-style transpose for Complex — no conjugation of A.
-  ComplexMatrix a(2, 1);
-  a(0, 0) = Complex(0.0, 1.0);
-  a(1, 0) = Complex(2.0, -3.0);
-  const ComplexVector x{Complex(1.0, 0.0), Complex(0.0, 1.0)};
-  const ComplexVector y =
-      la::gemv_transposed(a, std::span<const Complex>(x));
-  // y[0] = i*1 + (2-3i)*i = i + 2i + 3 = 3 + 3i.  Conjugating A would
-  // give -i*1 + (2+3i)*i = -i + 2i - 3 = -3 + i instead.
-  ASSERT_EQ(y.size(), 1u);
-  EXPECT_EQ(y[0], Complex(3.0, 3.0));
-}
-
-TEST(BlockedBlasTest, MixedRealComplexProductsBitIdentical) {
-  util::Rng rng(23);
-  for (std::size_t m : {4u, 5u}) {
-    const RealMatrix a = test::random_real_matrix(m, 7, rng);
-    const ComplexVector x = random_complex_vector(7, rng);
-    const ComplexVector xt = random_complex_vector(m, rng);
-    const ComplexVector y = la::gemv_real_complex(a, x);
-    const ComplexVector yt = la::gemv_transposed_real_complex(a, xt);
-    for (std::size_t i = 0; i < m; ++i) {
-      Complex acc{};
-      for (std::size_t j = 0; j < 7; ++j) acc += a(i, j) * x[j];
-      EXPECT_EQ(y[i], acc);
-    }
-    ComplexVector expect(7, Complex{});
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < 7; ++j) expect[j] += a(i, j) * xt[i];
-    }
-    for (std::size_t j = 0; j < 7; ++j) EXPECT_EQ(yt[j], expect[j]);
-  }
-}
-
 TEST(SolveManyTest, BitIdenticalToColumnwiseSolve) {
   util::Rng rng(31);
   // Real R/S-shaped systems and the complex 2p x 2p SMW kernel shape.
@@ -281,7 +222,8 @@ TEST(TunedKernelsTest, PlaneKernelsMatchInterleaved) {
   la::kernels::split_planes(x.data(), n, xre.data(), xim.data());
   la::kernels::gemv_planes(a.row_ptr(0), m, n, xre.data(), xim.data(),
                            yre.data(), yim.data());
-  const ComplexVector y_ref = la::gemv_real_complex(a, x);
+  const ComplexVector y_ref =
+      la::gemv(la::to_complex(a), std::span<const Complex>(x));
   for (std::size_t i = 0; i < m; ++i) {
     EXPECT_NEAR(std::abs(Complex(yre[i], yim[i]) - y_ref[i]), 0.0,
                 1e-12 * n);
@@ -291,7 +233,8 @@ TEST(TunedKernelsTest, PlaneKernelsMatchInterleaved) {
   la::kernels::split_planes(xt.data(), m, tre.data(), tim.data());
   la::kernels::gemv_t_planes(a.row_ptr(0), m, n, tre.data(), tim.data(),
                              zre.data(), zim.data());
-  const ComplexVector z_ref = la::gemv_transposed_real_complex(a, xt);
+  const ComplexVector z_ref = la::gemv(la::to_complex(la::transpose(a)),
+                                       std::span<const Complex>(xt));
   ComplexVector z(n);
   la::kernels::merge_planes(zre.data(), zim.data(), n, z.data());
   for (std::size_t j = 0; j < n; ++j) {
@@ -728,14 +671,13 @@ bool same_bits(const RealVector& a, const RealVector& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-// memcmp equality of r(), thin_q() and solve(b) between the library
+// memcmp equality of r() and solve(b) between the library
 // and reference_qr.  A rank-deficient `a` must make both solves throw.
 void expect_qr_bitwise(const RealMatrix& a, const std::string& label,
                        util::Rng& rng, bool full_rank = true) {
   const la::QrFactorization got(a);
   const test::ReferenceQr ref = test::reference_qr(a);
   EXPECT_TRUE(same_bits(got.r(), ref.r())) << label << " r()";
-  EXPECT_TRUE(same_bits(got.thin_q(), ref.thin_q())) << label << " thin_q()";
   const RealVector b = random_real_vector(a.rows(), rng);
   if (full_rank) {
     EXPECT_TRUE(same_bits(got.solve(b), ref.solve(b))) << label << " solve()";

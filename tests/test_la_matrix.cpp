@@ -41,20 +41,18 @@ TEST(Matrix, Identity) {
   }
 }
 
-TEST(Matrix, BlockExtractAndInsert) {
-  RealMatrix m{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
-  const RealMatrix b = m.block(1, 1, 2, 2);
-  EXPECT_DOUBLE_EQ(b(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(b(1, 1), 9.0);
+TEST(Matrix, BlockInsert) {
+  const RealMatrix b{{5, 6}, {8, 9}};
   RealMatrix target(4, 4);
   target.set_block(2, 2, b);
   EXPECT_DOUBLE_EQ(target(2, 2), 5.0);
   EXPECT_DOUBLE_EQ(target(3, 3), 9.0);
+  EXPECT_DOUBLE_EQ(target(1, 1), 0.0);
 }
 
 TEST(Matrix, BlockOutOfRangeThrows) {
   RealMatrix m(2, 2);
-  EXPECT_THROW(m.block(1, 1, 2, 2), std::invalid_argument);
+  EXPECT_THROW(m.set_block(1, 1, RealMatrix(2, 2)), std::invalid_argument);
 }
 
 TEST(Matrix, Arithmetic) {
@@ -102,16 +100,6 @@ TEST(Blas, GemvMatchesManual) {
   EXPECT_DOUBLE_EQ(y[2], -1.0);
 }
 
-TEST(Blas, GemvTransposedMatchesExplicitTranspose) {
-  util::Rng rng(42);
-  const RealMatrix a = test::random_real_matrix(7, 5, rng);
-  la::RealVector x(7);
-  for (auto& v : x) v = rng.normal();
-  const auto y1 = la::gemv_transposed(a, std::span<const double>(x));
-  const auto y2 = la::gemv(la::transpose(a), std::span<const double>(x));
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
-}
-
 TEST(Blas, GemmAssociativityProperty) {
   util::Rng rng(7);
   const RealMatrix a = test::random_real_matrix(4, 6, rng);
@@ -129,25 +117,11 @@ TEST(Blas, GemmIdentity) {
   EXPECT_LT(test::max_abs_diff(a, prod), 1e-15);
 }
 
-TEST(Blas, MixedRealComplexGemv) {
-  util::Rng rng(11);
-  const RealMatrix a = test::random_real_matrix(4, 4, rng);
-  la::ComplexVector x(4);
-  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
-  const auto y1 = la::gemv_real_complex(a, std::span<const Complex>(x));
-  const auto y2 = la::gemv(la::to_complex(a), std::span<const Complex>(x));
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(std::abs(y1[i] - y2[i]), 0.0, 1e-12);
-  }
-}
-
 TEST(Blas, Norms) {
   la::RealVector v{3.0, 4.0};
   EXPECT_DOUBLE_EQ(la::nrm2<double>(v), 5.0);
-  EXPECT_DOUBLE_EQ(la::inf_norm<double>(v), 4.0);
   RealMatrix m{{3.0, 0.0}, {0.0, 4.0}};
   EXPECT_DOUBLE_EQ(la::frobenius_norm(m), 5.0);
-  EXPECT_DOUBLE_EQ(la::max_abs(m), 4.0);
 }
 
 TEST(Blas, ShapeMismatchThrows) {

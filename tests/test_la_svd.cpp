@@ -75,7 +75,7 @@ class HermitianProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(HermitianProperty, DecompositionResidual) {
   util::Rng rng(500 + static_cast<std::uint64_t>(GetParam()));
-  const std::size_t n = 2 + rng.below(12);
+  const std::size_t n = 2 + test::below(rng, 12);
   const ComplexMatrix a = test::random_hermitian_matrix(n, rng);
   const auto eig = la::hermitian_eig(a, true);
   // A v_j == lambda_j v_j

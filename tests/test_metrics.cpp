@@ -78,47 +78,6 @@ TEST(Metrics, HistogramFirstRegistrationWins) {
   EXPECT_EQ(again.bounds(), (std::vector<double>{1.0, 2.0}));
 }
 
-TEST(Metrics, HistogramSnapshotMerge) {
-  MetricsRegistry registry;
-  obs::Histogram& a = registry.histogram("a", {1.0, 2.0});
-  obs::Histogram& b = registry.histogram("b", {1.0, 2.0});
-  a.observe(0.5);
-  a.observe(3.0);
-  b.observe(1.5);
-
-  HistogramSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.count, 3u);
-  EXPECT_DOUBLE_EQ(merged.sum, 5.0);
-  EXPECT_EQ(merged.counts, (std::vector<std::uint64_t>{1, 1, 1}));
-
-  obs::Histogram& c = registry.histogram("c", {1.0, 2.0, 3.0});
-  HistogramSnapshot mismatched = a.snapshot();
-  EXPECT_THROW(mismatched.merge(c.snapshot()), std::runtime_error);
-}
-
-TEST(Metrics, SnapshotMergeAcrossRegistries) {
-  // The fleet-aggregation path: two independent registries with
-  // overlapping and disjoint names fold into one snapshot.
-  MetricsRegistry r1;
-  MetricsRegistry r2;
-  r1.counter("shared").add(2);
-  r2.counter("shared").add(3);
-  r1.counter("only_1").add(1);
-  r2.gauge("depth").set(7);
-  r1.histogram("lat", {1.0}).observe(0.5);
-  r2.histogram("lat", {1.0}).observe(2.0);
-
-  MetricsSnapshot merged = r1.snapshot();
-  merged.merge(r2.snapshot());
-  EXPECT_EQ(merged.counters.at("shared"), 5u);
-  EXPECT_EQ(merged.counters.at("only_1"), 1u);
-  EXPECT_EQ(merged.gauges.at("depth"), 7);
-  EXPECT_EQ(merged.histograms.at("lat").count, 2u);
-  EXPECT_EQ(merged.histograms.at("lat").counts,
-            (std::vector<std::uint64_t>{1, 1}));
-}
-
 TEST(Metrics, ConcurrentWritersSnapshotConsistency) {
   // Hammer one registry from several threads (registration first-touch
   // included) while the main thread snapshots concurrently; the final

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "phes/engine/session.hpp"
-#include "phes/hamiltonian/analysis.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/io/touchstone.hpp"
 #include "phes/la/schur.hpp"
@@ -17,8 +16,9 @@
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/passivity/characterization.hpp"
 #include "phes/passivity/enforcement.hpp"
-#include "phes/passivity/sweep.hpp"
 #include "phes/vf/vector_fitting.hpp"
+#include "hamiltonian_analysis.hpp"
+#include "sampling_sweep.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -28,7 +28,6 @@ using engine::SolverSession;
 using macromodel::SimoRealization;
 using passivity::characterize_passivity;
 using passivity::enforce_passivity;
-using passivity::sampling_passivity_check;
 
 macromodel::PoleResidueModel make_model(double peak, std::uint64_t seed,
                                         std::size_t states = 36,
@@ -98,11 +97,11 @@ TEST(Sweep, AgreesWithHamiltonianCharacterization) {
   const auto report = characterize_passivity(session, sopt);
   ASSERT_FALSE(report.crossings.empty());
 
-  passivity::SweepOptions sw;
+  test::SweepOptions sw;
   sw.omega_min = 1e-3 * model.max_pole_magnitude();
   sw.omega_max = 1.2 * model.max_pole_magnitude();
   sw.initial_grid = 2048;  // dense enough to resolve every band
-  const auto sweep = sampling_passivity_check(simo, sw);
+  const auto sweep = test::sampling_passivity_check(simo, sw);
   EXPECT_FALSE(sweep.passive);
 
   // Every sweep-estimated crossing matches a Hamiltonian crossing.
@@ -117,10 +116,10 @@ TEST(Sweep, AgreesWithHamiltonianCharacterization) {
 TEST(Sweep, PassiveModelPasses) {
   const auto model = make_model(0.7, 5);
   const SimoRealization simo(model);
-  passivity::SweepOptions sw;
+  test::SweepOptions sw;
   sw.omega_min = 0.01;
   sw.omega_max = 1.2 * model.max_pole_magnitude();
-  const auto sweep = sampling_passivity_check(simo, sw);
+  const auto sweep = test::sampling_passivity_check(simo, sw);
   EXPECT_TRUE(sweep.passive);
   EXPECT_LT(sweep.worst_sigma, 1.0);
   EXPECT_TRUE(sweep.estimated_crossings.empty());
@@ -129,10 +128,41 @@ TEST(Sweep, PassiveModelPasses) {
 TEST(Sweep, RejectsBadOptions) {
   const auto model = make_model(0.8, 6, 20, 2);
   const SimoRealization simo(model);
-  passivity::SweepOptions sw;
+  test::SweepOptions sw;
   sw.omega_min = 1.0;
   sw.omega_max = 1.0;
-  EXPECT_THROW(sampling_passivity_check(simo, sw), std::invalid_argument);
+  EXPECT_THROW(test::sampling_passivity_check(simo, sw),
+               std::invalid_argument);
+}
+
+// The reported worst_omega is where worst_sigma was sampled, also when
+// the peak is found by bisection rather than on the grid.  One port,
+// D = 0.5 and one lightly damped pair at w0 = 10: |H| peaks near
+// 0.5 + 0.07 / 0.1 = 1.2 at w0 and exceeds 1 for roughly
+// |w - w0| < 0.077.  The grid {w0 - 0.18, w0 - 0.04, w0 + 0.10} sees the
+// band only at its middle sample, on the rising shoulder (sigma about
+// 1.13); the first bisection point of the bracketed upper crossing,
+// w0 + 0.03, is nearer the peak (about 1.16).
+TEST(Sweep, WorstOmegaIsWhereWorstSigmaWasSampled) {
+  const double w0 = 10.0;
+  macromodel::PoleResidueColumn column;
+  column.complex_terms.push_back(
+      {la::Complex(-0.1, w0), {la::Complex(0.07, 0.0)}});
+  const macromodel::PoleResidueModel model(la::RealMatrix{{0.5}}, {column});
+  const SimoRealization simo(model);
+
+  test::SweepOptions sw;
+  sw.omega_min = w0 - 0.18;
+  sw.omega_max = w0 + 0.10;
+  sw.initial_grid = 3;
+  const auto sweep = test::sampling_passivity_check(simo, sw);
+  ASSERT_FALSE(sweep.passive);
+  const double mid_sigma = la::complex_spectral_norm(simo.eval(w0 - 0.04));
+  ASSERT_GT(mid_sigma, 1.0);  // the grid saw the band ...
+  ASSERT_GT(sweep.worst_sigma, mid_sigma);  // ... bisection its peak
+  EXPECT_EQ(la::complex_spectral_norm(simo.eval(sweep.worst_omega)),
+            sweep.worst_sigma)
+      << "worst sigma " << sweep.worst_sigma << " at " << sweep.worst_omega;
 }
 
 class EnforcementProperty : public ::testing::TestWithParam<int> {};
@@ -154,17 +184,17 @@ TEST_P(EnforcementProperty, MakesModelPassiveWithSmallPerturbation) {
   // Independent verification via dense Hamiltonian spectrum.
   const auto m = hamiltonian::build_scattering_hamiltonian(simo.to_dense());
   const auto spectrum = la::real_eigenvalues(m);
-  const auto freqs = hamiltonian::extract_imaginary_frequencies(
+  const auto freqs = test::extract_imaginary_frequencies(
       spectrum, 1e-8, model.max_pole_magnitude());
   EXPECT_TRUE(freqs.empty()) << freqs.size()
                              << " crossings remain after enforcement";
 
   // And via sampling.
-  passivity::SweepOptions sw;
+  test::SweepOptions sw;
   sw.omega_min = 1e-3 * model.max_pole_magnitude();
   sw.omega_max = 1.3 * model.max_pole_magnitude();
   sw.initial_grid = 1024;
-  const auto sweep = sampling_passivity_check(simo, sw);
+  const auto sweep = test::sampling_passivity_check(simo, sw);
   EXPECT_TRUE(sweep.passive)
       << "worst sigma " << sweep.worst_sigma << " at " << sweep.worst_omega;
 }

@@ -13,7 +13,6 @@
 #include "phes/engine/session.hpp"
 #include "phes/io/touchstone.hpp"
 #include "phes/macromodel/samples.hpp"
-#include "phes/macromodel/samples_io.hpp"
 #include "phes/pipeline/batch.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/pipeline/report.hpp"
@@ -112,7 +111,7 @@ TEST(Pipeline, LoadFailureIsCapturedNotThrown) {
 TEST(Pipeline, LoadDispatchesOnExtension) {
   const auto samples = non_passive_samples(11);
   io::save_touchstone_file(samples, "/tmp/phes_pipeline_in.s2p", {});
-  macromodel::save_samples_file(samples, "/tmp/phes_pipeline_in.txt");
+  test::save_samples_file(samples, "/tmp/phes_pipeline_in.txt");
 
   const auto from_ts = pipeline::load_input("/tmp/phes_pipeline_in.s2p");
   const auto from_txt = pipeline::load_input("/tmp/phes_pipeline_in.txt");
@@ -164,7 +163,7 @@ TEST(Pipeline, InlineTextInputMatchesThePathRoute) {
 
   // The phes-samples text format goes through the same inline route.
   std::ostringstream samples_text;
-  macromodel::save_samples(samples, samples_text);
+  test::save_samples(samples, samples_text);
   const auto parsed = pipeline::parse_input_text(
       samples_text.str(), pipeline::InputFormat::kSamples, 0);
   EXPECT_EQ(parsed.count(), samples.count());
@@ -293,7 +292,7 @@ TEST(Pipeline, BatchRunsAllJobsAndIsolatesFailures) {
   pipeline::BatchOptions options;
   options.total_threads = 2;
   const pipeline::BatchRunner runner(options);
-  const auto results = runner.run(jobs);
+  const auto results = runner.run_all(jobs).results;
 
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].name, "file-job");  // order preserved
@@ -320,7 +319,7 @@ TEST(Pipeline, SummaryJsonIsWrittenAndParseable) {
 
   pipeline::BatchOptions options;
   options.total_threads = 2;
-  const auto results = pipeline::BatchRunner(options).run(jobs);
+  const auto results = pipeline::BatchRunner(options).run_all(jobs).results;
   ASSERT_EQ(pipeline::count_succeeded(results), 2u);
 
   const std::string json_path = "/tmp/phes_summary_test.json";

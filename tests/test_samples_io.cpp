@@ -14,7 +14,7 @@ namespace {
 
 using macromodel::load_samples;
 using macromodel::sample_model;
-using macromodel::save_samples;
+using test::save_samples;
 
 macromodel::FrequencySamples make_samples() {
   macromodel::SyntheticModelSpec spec;
@@ -126,7 +126,7 @@ TEST(SamplesIo, ErrorsCarryLineNumbers) {
 TEST(SamplesIo, FileRoundTrip) {
   const auto original = make_samples();
   const std::string path = "/tmp/phes_samples_io_test.txt";
-  macromodel::save_samples_file(original, path);
+  test::save_samples_file(original, path);
   const auto loaded = macromodel::load_samples_file(path);
   EXPECT_EQ(loaded.count(), original.count());
   EXPECT_THROW(macromodel::load_samples_file("/nonexistent/path.txt"),

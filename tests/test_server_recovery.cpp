@@ -73,9 +73,7 @@ struct Generation {
     transport->start();
     unix_endpoint.kind = Endpoint::Kind::kUnix;
     unix_endpoint.path = socket_path;
-    tcp_endpoint.kind = Endpoint::Kind::kTcp;
-    tcp_endpoint.host = "127.0.0.1";
-    tcp_endpoint.port = tcp_ptr->bound_port();
+    tcp_endpoint = server::parse_endpoint(tcp_ptr->endpoint());
     tcp_endpoint.token = kToken;
   }
 

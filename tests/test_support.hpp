@@ -1,16 +1,20 @@
 #pragma once
 // Shared helpers for the PHES test suite: random matrices, spectrum
-// comparison, the seeded synthetic-model fixtures used by the
-// engine/pipeline/server tests and the session-reuse bench, and
-// metrics-snapshot readers.
+// comparison, model-vs-samples error, the phes-samples writer, the
+// seeded synthetic-model fixtures used by the engine/pipeline/server
+// tests and the session-reuse bench, and metrics-snapshot readers.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iomanip>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/macromodel/samples.hpp"
 #include "phes/server/storage.hpp"
+#include "phes/util/check.hpp"
 #include "phes/util/metrics.hpp"
 #include "phes/util/rng.hpp"
 #include "phes/util/sync.hpp"
@@ -33,6 +38,12 @@ using la::ComplexMatrix;
 using la::ComplexVector;
 using la::RealMatrix;
 using la::RealVector;
+
+/// Uniform integer in [0, n) (modulo reduction: slightly biased, which
+/// the seeded problem-size draws do not care about).
+inline std::uint64_t below(util::Rng& rng, std::uint64_t n) {
+  return rng() % n;
+}
 
 /// Random real matrix with i.i.d. standard normal entries.
 inline RealMatrix random_real_matrix(std::size_t rows, std::size_t cols,
@@ -124,6 +135,58 @@ double max_abs_diff(const la::Matrix<T>& a, const la::Matrix<T>& b) {
     }
   }
   return worst;
+}
+
+/// Worst-case relative fit error  max_k ||Ha(jw_k) - Hb(jw_k)||_F /
+/// max_k ||Hb(jw_k)||_F between a model and reference samples.
+inline double max_relative_error(
+    const macromodel::PoleResidueModel& model,
+    const macromodel::FrequencySamples& reference) {
+  double worst = 0.0;
+  double scale = 0.0;
+  for (std::size_t k = 0; k < reference.count(); ++k) {
+    const auto hm = model.eval(reference.omega[k]);
+    double err = 0.0;
+    for (std::size_t i = 0; i < hm.rows(); ++i) {
+      for (std::size_t j = 0; j < hm.cols(); ++j) {
+        err += std::norm(hm(i, j) - reference.h[k](i, j));
+      }
+    }
+    worst = std::max(worst, std::sqrt(err));
+    scale = std::max(scale, la::frobenius_norm(reference.h[k]));
+  }
+  return scale > 0.0 ? worst / scale : worst;
+}
+
+/// Write samples in the phes-samples v1 text format that
+/// macromodel::load_samples reads (%.17g values, so a round trip is
+/// exact).  Throws on inconsistent input.
+inline void save_samples(const macromodel::FrequencySamples& samples,
+                         std::ostream& os) {
+  samples.check_consistency();
+  const std::size_t p = samples.ports();
+  os << "# phes-samples v1\n";
+  os << "ports " << p << '\n';
+  os << "points " << samples.count() << '\n';
+  os << std::setprecision(17);
+  for (std::size_t k = 0; k < samples.count(); ++k) {
+    os << "omega " << samples.omega[k] << '\n';
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        const auto& h = samples.h[k](i, j);
+        os << h.real() << ' ' << h.imag();
+        os << (j + 1 < p ? ' ' : '\n');
+      }
+    }
+  }
+  util::require(os.good(), "save_samples: stream write failed");
+}
+
+inline void save_samples_file(const macromodel::FrequencySamples& samples,
+                              const std::string& path) {
+  std::ofstream os(path);
+  util::require(os.is_open(), "save_samples_file: cannot open " + path);
+  save_samples(samples, os);
 }
 
 /// Set-compare two sorted frequency lists within an absolute tolerance.

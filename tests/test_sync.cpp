@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 #include "phes/util/sync.hpp"
 #include "phes/util/thread_pool.hpp"
@@ -207,47 +206,6 @@ TEST(CondVarTest, TimedWaitReportsTimeout) {
   util::CondVar cv;
   util::MutexLock lock(mu);
   EXPECT_EQ(cv.wait_for(mu, 5ms), std::cv_status::timeout);
-}
-
-// SharedMutex smoke under TSAN: writers are mutually exclusive with
-// readers, and the reader path really is shared (two readers hold it
-// at once, proven with a rendezvous).
-TEST(SharedMutexTest, ReadersShareWritersExclude) {
-  struct State {
-    util::SharedMutex mu;
-    long value PHES_GUARDED_BY(mu) = 0;
-  } st;
-
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&st] {
-      for (int i = 0; i < 1000; ++i) {
-        util::WriterLock lock(st.mu);
-        ++st.value;
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  {
-    util::ReaderLock lock(st.mu);
-    EXPECT_EQ(st.value, 4000);
-  }
-
-  // Two readers inside the lock at the same time: each waits for the
-  // other while still holding its ReaderLock, which deadlocks unless
-  // the reader side is genuinely shared.
-  std::atomic<int> inside{0};
-  auto reader = [&] {
-    util::ReaderLock lock(st.mu);
-    inside.fetch_add(1, std::memory_order_acq_rel);
-    while (inside.load(std::memory_order_acquire) < 2) {
-      std::this_thread::yield();
-    }
-    EXPECT_EQ(st.value, 4000);
-  };
-  std::thread r1(reader), r2(reader);
-  r1.join();
-  r2.join();
 }
 
 }  // namespace

@@ -16,19 +16,19 @@
 #include "phes/la/svd.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
-#include "phes/macromodel/transient.hpp"
 #include "phes/passivity/characterization.hpp"
 #include "phes/passivity/enforcement.hpp"
 #include "test_support.hpp"
+#include "transient_simulation.hpp"
 
 namespace phes {
 namespace {
 
-using macromodel::EnergyGainOptions;
-using macromodel::measure_energy_gain;
-using macromodel::simulate_terminated;
 using macromodel::SimoRealization;
-using macromodel::TransientOptions;
+using test::EnergyGainOptions;
+using test::measure_energy_gain;
+using test::simulate_terminated;
+using test::TransientOptions;
 
 macromodel::PoleResidueModel make_model(double peak, std::uint64_t seed,
                                         std::size_t states = 24,

@@ -154,12 +154,10 @@ TEST(TransportMatrix, BitIdenticalAcrossAllFourSubmissionRoutes) {
   transports.push_back(std::move(tcp));
   TransportServer transport(jobs, std::move(transports));
   transport.start();
-  ASSERT_GT(tcp_ptr->bound_port(), 0u);
-
-  Endpoint tcp_endpoint;
-  tcp_endpoint.kind = Endpoint::Kind::kTcp;
-  tcp_endpoint.host = "127.0.0.1";
-  tcp_endpoint.port = tcp_ptr->bound_port();
+  // Port 0 bound an ephemeral port; endpoint() names the actual one.
+  Endpoint tcp_endpoint = server::parse_endpoint(tcp_ptr->endpoint());
+  ASSERT_EQ(tcp_endpoint.kind, Endpoint::Kind::kTcp);
+  ASSERT_GT(tcp_endpoint.port, 0u);
   tcp_endpoint.token = token;
 
   const std::string submit_by_path =
@@ -239,10 +237,7 @@ TEST(TransportAuth, MissingAndWrongTokensAreRefused) {
   TransportServer transport(jobs, std::move(tcp));
   transport.start();
 
-  Endpoint endpoint;
-  endpoint.kind = Endpoint::Kind::kTcp;
-  endpoint.host = "127.0.0.1";
-  endpoint.port = tcp_ptr->bound_port();
+  Endpoint endpoint = server::parse_endpoint(tcp_ptr->endpoint());
 
   {
     // No token: the first non-auth op is refused and the connection is
@@ -287,7 +282,7 @@ TEST(TransportAuth, PreAuthConnectionsCannotBufferLargeLines) {
   // otherwise N tokenless connections could park N x 8 MiB of buffer.
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(tcp_ptr->bound_port());
+  addr.sin_port = htons(server::parse_endpoint(tcp_ptr->endpoint()).port);
   ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -480,10 +475,7 @@ TEST(TransportRobustness, ShutdownOverTcpAcksThenSignalsOwner) {
   TransportServer transport(jobs, std::move(tcp));
   transport.start();
 
-  Endpoint endpoint;
-  endpoint.kind = Endpoint::Kind::kTcp;
-  endpoint.host = "127.0.0.1";
-  endpoint.port = tcp_ptr->bound_port();
+  Endpoint endpoint = server::parse_endpoint(tcp_ptr->endpoint());
   endpoint.token = token;
   server::Client client(endpoint);
   const std::string ack =

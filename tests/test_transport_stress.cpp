@@ -32,10 +32,7 @@ using server::TcpTransport;
 using server::TransportServer;
 
 Endpoint tcp_endpoint(const TcpTransport& tcp, std::string token) {
-  Endpoint endpoint;
-  endpoint.kind = Endpoint::Kind::kTcp;
-  endpoint.host = "127.0.0.1";
-  endpoint.port = tcp.bound_port();
+  Endpoint endpoint = server::parse_endpoint(tcp.endpoint());
   endpoint.token = std::move(token);
   return endpoint;
 }

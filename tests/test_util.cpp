@@ -98,7 +98,6 @@ TEST(ThreadPool, TasksCanSubmitTasks) {
 
 TEST(ThreadPool, ZeroRequestedStillWorks) {
   util::ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
   std::atomic<bool> ran{false};
   pool.submit([&] { ran = true; });
   pool.wait_idle();

@@ -10,9 +10,9 @@
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/samples.hpp"
 #include "phes/macromodel/simo_realization.hpp"
-#include "phes/passivity/sweep.hpp"
 #include "phes/vf/vector_fitting.hpp"
 #include "reference_kernels.hpp"
+#include "sampling_sweep.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -53,7 +53,7 @@ TEST(VectorFitting, FitErrorMatchesIndependentEvaluation) {
   VectorFittingOptions opt;
   opt.num_poles = 8;
   const auto fit = vector_fit(samples, opt);
-  const double err = macromodel::max_relative_error(fit.model, samples);
+  const double err = test::max_relative_error(fit.model, samples);
   EXPECT_LT(err, 1e-4);
 }
 
@@ -246,11 +246,11 @@ TEST(VectorFitting, EndToEndPipelineWithPassivityCheck) {
   ASSERT_LT(fit.rms_error, 1e-4);
 
   const macromodel::SimoRealization simo(fit.model);
-  passivity::SweepOptions sw;
+  test::SweepOptions sw;
   sw.omega_min = 0.05;
   sw.omega_max = 1.5 * fit.model.max_pole_magnitude();
   sw.initial_grid = 512;
-  const auto sweep = passivity::sampling_passivity_check(simo, sw);
+  const auto sweep = test::sampling_passivity_check(simo, sw);
   // The reference peaks above 1, and an accurate fit must reproduce it.
   EXPECT_FALSE(sweep.passive);
   EXPECT_GT(sweep.worst_sigma, 1.0);

@@ -1,24 +1,111 @@
-#include "phes/macromodel/transient.hpp"
+#pragma once
+// Time-domain co-simulation of a scattering macromodel terminated by
+// resistive loads — the experiment behind the paper's motivation:
+// "Non-passive macromodels do not guarantee the global stability of
+// transient simulations, due to their ability to amplify the energy
+// they are fed with" (Sec. I).
+//
+// The macromodel is the scattering relation b = H(s) a between incident
+// waves a and reflected waves b (reference impedance Z0).  Terminating
+// every port with a resistor R_k and source e_k closes the loop:
+//
+//   a = Gamma b + c,   Gamma = diag((R_k - Z0)/(R_k + Z0)),
+//                      c_k   = e_k * sqrt(Z0) / (R_k + Z0) * ...
+//
+// (the exact source scaling is irrelevant for the stability question;
+// we drive with a unit incident-wave pulse).  With H in state-space
+// form the closed loop is
+//
+//   dx/dt = A x + B a,   b = C x + D a,   a = Gamma b + c
+//   =>  dx/dt = (A + B Gamma K C) x + B (I + Gamma K D - ...) ...
+//
+// solved here by the trapezoidal rule (the integrator SPICE-class
+// solvers use), which is A-stable: any blow-up observed is a property
+// of the model, not of the integrator.  A passive model terminated by
+// passive loads can only dissipate the injected energy; a non-passive
+// model can amplify it, and for |Gamma| close to 1 the closed loop has
+// right-half-plane poles.
+//
+// Test oracle, header-only: test_transient checks the Hamiltonian
+// passivity verdict against these simulations.  A x and B u come from
+// the straight-line realization kernels of reference_kernels.hpp.
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <functional>
+#include <span>
 
 #include "phes/la/blas.hpp"
 #include "phes/la/lu.hpp"
+#include "phes/la/types.hpp"
+#include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/check.hpp"
+#include "reference_kernels.hpp"
 
-namespace phes::macromodel {
+namespace phes::test {
 
-namespace {
+struct TransientOptions {
+  double dt = 1e-3;            ///< time step (in the model's time units)
+  std::size_t steps = 20000;   ///< number of trapezoidal steps
+  /// Reflection coefficient of every termination (|gamma| <= 1 is a
+  /// passive load; gamma = -1 is a short, 0 a match, +1 an open).
+  double termination_gamma = -0.95;
+  /// Optional per-port reflection coefficients; overrides
+  /// termination_gamma when non-empty (size p, each |gamma_k| <= 1).
+  la::RealVector termination_gammas;
+  /// Width of the raised-cosine incident pulse on port 0.
+  double pulse_width = 1.0;
+  /// Declare blow-up when the state norm exceeds this multiple of the
+  /// peak norm observed during the pulse.
+  double blowup_factor = 1e6;
+};
+
+struct TransientResult {
+  bool blew_up = false;      ///< state norm exceeded the blow-up bound
+  double peak_state_norm = 0.0;
+  double final_state_norm = 0.0;
+  /// Total incident / reflected wave energy at the ports (trapezoidal
+  /// accumulation of |a|^2 and |b|^2); a passive model in a passive
+  /// termination cannot sustain reflected_energy > incident_energy.
+  double incident_energy = 0.0;
+  double reflected_energy = 0.0;
+  std::size_t steps_run = 0;
+};
+
+/// Open-loop (matched termination) energy-gain measurement: drive the
+/// incident waves with a windowed sinusoid a(t) = Re(v e^{jwt}) and
+/// integrate reflected vs incident energy.  For v equal to the right
+/// singular vector of H(jw) the measured gain converges (long windows)
+/// to sigma(H(jw))^2 — the time-domain face of the frequency-domain
+/// passivity test, used to cross-validate the Hamiltonian
+/// characterization.
+struct EnergyGainOptions {
+  double omega = 1.0;              ///< drive frequency (rad/s)
+  la::ComplexVector port_vector;   ///< complex p-vector (defaults e_0)
+  std::size_t cycles = 200;        ///< sinusoid cycles to integrate
+  std::size_t steps_per_cycle = 64;
+  double ramp_fraction = 0.1;      ///< raised-cosine turn-on fraction
+};
+
+struct EnergyGainResult {
+  double incident_energy = 0.0;
+  double reflected_energy = 0.0;
+  /// reflected / incident — compare with sigma(H(jw))^2.
+  double gain = 0.0;
+};
+
+namespace detail {
 
 using la::RealMatrix;
 using la::RealVector;
+using macromodel::SimoRealization;
 
-constexpr double kPi = 3.14159265358979323846;
+
+inline constexpr double kPi = 3.14159265358979323846;
 
 // Real block-diagonal solve y = (I - h A)^{-1} x, O(n).
-void solve_identity_minus_ha(const SimoRealization& r, double h,
+inline void solve_identity_minus_ha(const SimoRealization& r, double h,
                              std::span<const double> x,
                              std::span<double> y) {
   for (const auto& blk : r.blocks()) {
@@ -36,27 +123,8 @@ void solve_identity_minus_ha(const SimoRealization& r, double h,
   }
 }
 
-// Real A x, B a, C x kernels on double vectors.
-void apply_a_real(const SimoRealization& r, std::span<const double> x,
-                  std::span<double> y) {
-  for (const auto& blk : r.blocks()) {
-    if (blk.is_pair) {
-      const double x1 = x[blk.state], x2 = x[blk.state + 1];
-      y[blk.state] = blk.alpha * x1 + blk.beta * x2;
-      y[blk.state + 1] = -blk.beta * x1 + blk.alpha * x2;
-    } else {
-      y[blk.state] = blk.alpha * x[blk.state];
-    }
-  }
-}
-
-void apply_b_real(const SimoRealization& r, std::span<const double> u,
-                  std::span<double> x) {
-  std::fill(x.begin(), x.end(), 0.0);
-  for (const auto& blk : r.blocks()) x[blk.state] = u[blk.column];
-}
-
-void apply_c_real(const SimoRealization& r, std::span<const double> x,
+// Real C x on double vectors.
+inline void apply_c_real(const SimoRealization& r, std::span<const double> x,
                   std::span<double> y) {
   const std::size_t p = r.ports(), n = r.order();
   for (std::size_t i = 0; i < p; ++i) {
@@ -70,7 +138,7 @@ void apply_c_real(const SimoRealization& r, std::span<const double> x,
 // Shared trapezoidal core for the closed loop
 //   dx/dt = A x + B a,  b = C x + D a,  a = Gamma b + c(t),
 // Gamma = diag(gammas).  `source` fills c(t).
-TransientResult run_trapezoidal(
+inline TransientResult run_trapezoidal(
     const SimoRealization& r, const RealVector& gammas, double dt,
     std::size_t steps, double blowup_factor, double pulse_span,
     const std::function<void(double, std::span<double>)>& source) {
@@ -133,8 +201,8 @@ TransientResult run_trapezoidal(
   RealVector ax(n), ba(n);
   auto rhs_field = [&](std::span<const double> x, RealVector& out) {
     waves(x);
-    apply_a_real(r, x, ax);
-    apply_b_real(r, a, ba);
+    apply_a<double>(r, x, ax);
+    apply_b<double>(r, a, ba);
     for (std::size_t i = 0; i < n; ++i) out[i] = ax[i] + ba[i];
   };
 
@@ -157,7 +225,7 @@ TransientResult run_trapezoidal(
     {
       // B_hat c = B W c.
       const auto wc = w_lu.solve(c);
-      apply_b_real(r, wc, ba);
+      apply_b<double>(r, wc, ba);
       for (std::size_t i = 0; i < n; ++i) rhs[i] += h * ba[i];
     }
 
@@ -190,15 +258,18 @@ TransientResult run_trapezoidal(
   return res;
 }
 
-}  // namespace
+}  // namespace detail
 
-TransientResult simulate_terminated(const SimoRealization& realization,
-                                    const TransientOptions& opt) {
+/// Simulate the resistively-terminated macromodel driven by one pulse.
+/// O(steps * n * p) using the structured realization.
+inline TransientResult simulate_terminated(
+    const macromodel::SimoRealization& realization,
+    const TransientOptions& opt) {
   util::check(opt.dt > 0.0 && opt.steps > 0,
               "simulate_terminated: invalid time grid");
   util::check(opt.pulse_width > 0.0,
               "simulate_terminated: pulse width must be positive");
-  RealVector gammas = opt.termination_gammas;
+  la::RealVector gammas = opt.termination_gammas;
   if (gammas.empty()) {
     gammas.assign(realization.ports(), opt.termination_gamma);
   }
@@ -212,14 +283,15 @@ TransientResult simulate_terminated(const SimoRealization& realization,
   const double tw = opt.pulse_width;
   auto source = [&](double t, std::span<double> c) {
     std::fill(c.begin(), c.end(), 0.0);
-    if (t < tw) c[0] = 0.5 * (1.0 - std::cos(2.0 * kPi * t / tw));
+    if (t < tw) c[0] = 0.5 * (1.0 - std::cos(2.0 * detail::kPi * t / tw));
   };
-  return run_trapezoidal(realization, gammas, opt.dt, opt.steps,
-                         opt.blowup_factor, tw, source);
+  return detail::run_trapezoidal(realization, gammas, opt.dt, opt.steps,
+                                 opt.blowup_factor, tw, source);
 }
 
-EnergyGainResult measure_energy_gain(const SimoRealization& realization,
-                                     const EnergyGainOptions& opt) {
+inline EnergyGainResult measure_energy_gain(
+    const macromodel::SimoRealization& realization,
+    const EnergyGainOptions& opt) {
   util::check(opt.omega > 0.0, "measure_energy_gain: omega must be > 0");
   util::check(opt.cycles >= 2 && opt.steps_per_cycle >= 16,
               "measure_energy_gain: need >= 2 cycles, >= 16 steps/cycle");
@@ -231,23 +303,23 @@ EnergyGainResult measure_energy_gain(const SimoRealization& realization,
   }
   util::check(v.size() == p, "measure_energy_gain: port vector size");
 
-  const double period = 2.0 * kPi / opt.omega;
+  const double period = 2.0 * detail::kPi / opt.omega;
   const double dt = period / static_cast<double>(opt.steps_per_cycle);
   const std::size_t steps = opt.cycles * opt.steps_per_cycle;
   const double ramp = opt.ramp_fraction * static_cast<double>(steps) * dt;
 
   auto source = [&](double t, std::span<double> c) {
     double window = 1.0;
-    if (t < ramp) window = 0.5 * (1.0 - std::cos(kPi * t / ramp));
+    if (t < ramp) window = 0.5 * (1.0 - std::cos(detail::kPi * t / ramp));
     for (std::size_t i = 0; i < c.size(); ++i) {
       c[i] = window *
              (v[i] * std::exp(la::Complex(0.0, opt.omega * t))).real();
     }
   };
   // gamma = 0: matched loads, a == c.
-  const RealVector matched(p, 0.0);
-  const TransientResult tr =
-      run_trapezoidal(realization, matched, dt, steps, 1e30, ramp, source);
+  const la::RealVector matched(p, 0.0);
+  const TransientResult tr = detail::run_trapezoidal(
+      realization, matched, dt, steps, 1e30, ramp, source);
 
   EnergyGainResult res;
   res.incident_energy = tr.incident_energy;
@@ -258,4 +330,4 @@ EnergyGainResult measure_energy_gain(const SimoRealization& realization,
   return res;
 }
 
-}  // namespace phes::macromodel
+}  // namespace phes::test

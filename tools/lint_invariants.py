@@ -25,6 +25,15 @@ Checks (each failure is one line on stdout; exit 1 if any fired):
                     flag those three name is one parse_flags accepts.
                     README lines that run cmake or ctest are skipped:
                     their flags belong to those tools.
+  6. prod-callers   Every function declared in include/phes has a
+                    caller in production code: a whole-word use in
+                    src/, examples/ or bench/ (or in an inline body in
+                    include/), other than its own declaration and
+                    definition.  Constructors, destructors, operators,
+                    overrides and deleted functions are exempt; test
+                    seams sit on PROD_CALLERS_ALLOW with a reason, and
+                    a stale entry fires too.  The scan works on names,
+                    so it cannot tell overloads apart.
 
 Run from anywhere: paths resolve relative to this file's repo root.
 """
@@ -270,6 +279,285 @@ def check_cli_flags(errors: list[str]) -> None:
                           "parse_flags does not accept")
 
 
+# ---- check 6: every public function has a production caller ----------
+#
+# A name-based scan, not a C++ parser: comments, literals and
+# preprocessor lines are blanked, then braces are tracked to tell
+# namespace and class scopes (where functions are declared) from
+# function bodies and initializers (where they are used).
+
+PUBLIC_HEADERS = Path("include/phes")
+# Production code.  Inline bodies in include/ count too: they compile
+# into whichever production caller uses them.
+CALLER_DIRS = ("src", "examples", "bench", "include")
+
+# Test seams: public functions only tests call, kept on purpose.
+# Name -> why.  Keep it short; each entry must still name a declared
+# function that has no production caller.
+PROD_CALLERS_ALLOW = {
+    "assert_held": "thread-safety analysis hook for lambda predicates "
+                   "(sync.hpp contract); only test_sync's predicates "
+                   "touch guarded fields today",
+}
+
+NOT_FUNCTIONS = {
+    "if", "for", "while", "switch", "return", "sizeof", "alignof",
+    "alignas", "decltype", "noexcept", "static_assert", "requires",
+    "throw", "catch", "new", "delete", "void", "int", "double", "bool",
+    "char", "auto", "explicit", "typeid",
+}
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+MACRO_NAME_RE = re.compile(r"\b[A-Z][A-Z0-9_]*\b")
+ACCESS_RE = re.compile(r"\b(?:public|private|protected)\s*:(?!:)")
+
+
+def blank_match(m: re.Match) -> str:
+    return " " * len(m.group(0))
+
+
+def blank_code(text: str) -> str:
+    """Comments, string/char literals and preprocessor lines replaced by
+    spaces; newlines stay, so offsets and line numbers are kept."""
+    out = list(text)
+    n = len(text)
+
+    def blank(a: int, b: int) -> None:
+        for k in range(a, b):
+            if out[k] != "\n":
+                out[k] = " "
+
+    i, line_start = 0, True
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line_start = True
+            i += 1
+            continue
+        if line_start and c == "#":
+            j = i
+            while j < n and not (text[j] == "\n" and text[j - 1] != "\\"):
+                j += 1
+            blank(i, j)
+            i = j
+            continue
+        if not c.isspace():
+            line_start = False
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+        elif text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            j = n if j < 0 else j + 2
+        elif text.startswith('R"', i) and not (
+                i and (text[i - 1].isalnum() or text[i - 1] == "_")):
+            m = re.match(r'R"([^(\s]*)\(', text[i:])
+            end = text.find(")" + m.group(1) + '"', i) if m else -1
+            j = n if end < 0 else end + len(m.group(1)) + 2
+        elif c == '"' or (c == "'" and not is_digit_separator(text, i)):
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            j += 1
+        else:
+            i += 1
+            continue
+        blank(i, min(j, n))
+        i = j
+    return "".join(out)
+
+
+def is_digit_separator(text: str, i: int) -> bool:
+    """True for the ' of 100'000 (not a character literal)."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in ".'"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
+def matching(code: str, i: int, open_c: str, close_c: str) -> int:
+    depth = 0
+    for k in range(i, len(code)):
+        if code[k] == open_c:
+            depth += 1
+        elif code[k] == close_c:
+            depth -= 1
+            if depth == 0:
+                return k
+    return len(code) - 1
+
+
+def strip_macros(stmt: str) -> str:
+    """All-caps annotation macros (PHES_EXCLUDES(mu_), ...) blanked."""
+    out = stmt
+    for m in reversed(list(MACRO_NAME_RE.finditer(stmt))):
+        end = m.end()
+        k = end
+        while k < len(stmt) and stmt[k].isspace():
+            k += 1
+        if k < len(stmt) and stmt[k] == "(":
+            end = matching(stmt, k, "(", ")") + 1
+        out = out[:m.start()] + " " * (end - m.start()) + out[end:]
+    return out
+
+
+def strip_template_head(stmt: str) -> str:
+    """Blank leading `template <...>` heads (offsets are kept)."""
+    while True:
+        m = re.match(r"\s*template\s*<", stmt)
+        if not m:
+            return stmt
+        end = matching(stmt, m.end() - 1, "<", ">")
+        stmt = " " * (end + 1) + stmt[end + 1:]
+
+
+def declarator(stmt: str) -> tuple[str, int, bool] | None:
+    """(name, offset, exempt) of the function a declaration statement
+    declares, or None.  Exempt: operators, destructors, overrides and
+    deleted functions."""
+    stmt = strip_template_head(strip_macros(stmt))
+    if re.match(r"\s*(?:using|typedef|static_assert)\b", stmt):
+        return None
+    angles = 0
+    k = 0
+    while k < len(stmt):
+        c = stmt[k]
+        if c == "(" and angles == 0:
+            operator = re.search(r"\boperator\b", stmt[:k])
+            if operator:
+                return "operator", operator.start(), True
+            m = re.search(r"(~?)([A-Za-z_]\w*)\s*$", stmt[:k])
+            if m and m.group(2) in NOT_FUNCTIONS:
+                k = matching(stmt, k, "(", ")") + 1  # decltype(...) etc.
+                continue
+            if not m:
+                return None
+            tail = stmt[matching(stmt, k, "(", ")") + 1:]
+            exempt = bool(m.group(1)) or bool(
+                re.search(r"\boverride\b|=\s*delete\b", tail))
+            return m.group(2), m.start(2), exempt
+        if c == "<" and k and (stmt[k - 1].isalnum() or stmt[k - 1] in "_ "):
+            operator = re.search(r"\boperator\s*$", stmt[:k])
+            if operator:
+                return "operator", operator.start(), True
+            angles += 1
+        elif c == ">" and angles:
+            angles -= 1
+        elif c == "=" and angles == 0:
+            return None  # a variable with an initializer
+        k += 1
+    return None
+
+
+def scan_scopes(code: str):
+    """Function declarations at namespace/class scope, as
+    (name, offset, exempt, enclosing class name or None), and the brace
+    blocks outside them, as (start, end, function name or None)."""
+    decls, blocks = [], []
+    scopes: list[str | None] = [None]
+    start = parens = 0
+    i = 0
+    while i < len(code):
+        c = code[i]
+        if c == "(":
+            parens += 1
+        elif c == ")":
+            parens -= 1
+        elif c == ";" and parens == 0:
+            d = declarator(ACCESS_RE.sub(blank_match, code[start:i]))
+            if d:
+                decls.append((d[0], start + d[1], d[2], scopes[-1]))
+            start = i + 1
+        elif c == "}":
+            if len(scopes) > 1:
+                scopes.pop()
+            start, parens = i + 1, 0
+        elif c == "{":
+            stmt = ACCESS_RE.sub(blank_match, code[start:i])
+            head = strip_template_head(strip_macros(stmt))
+            d = declarator(stmt)
+            kind = re.search(r"\b(namespace|enum|class|struct|union)\b",
+                             head)
+            if parens == 0 and kind and kind.group(1) == "namespace":
+                scopes.append(None)
+                start = i + 1
+            elif parens == 0 and kind and kind.group(1) != "enum" and (
+                    d is None or "(" not in head[:kind.start()]):
+                name = re.match(r"\s*(?:\[\[.*?\]\]\s*)?([A-Za-z_]\w*)",
+                                head[kind.end():])
+                scopes.append(name.group(1) if name else "")
+                start = i + 1
+            else:
+                end = matching(code, i, "{", "}")
+                prev = stmt.rstrip()[-1:]
+                after = stmt[stmt.find(")", d[1]) + 1:] if d else ""
+                member_init = bool(re.search(r"(?<!:):(?!:)", after)) and (
+                    prev.isalnum() or prev in "_>")
+                if d is None or parens > 0 or member_init:
+                    blocks.append((i, end, None))  # the statement goes on
+                else:
+                    decls.append((d[0], start + d[1], d[2], scopes[-1]))
+                    blocks.append((i, end, d[0]))
+                    start, parens = end + 1, 0
+                i = end
+        i += 1
+    return decls, blocks
+
+
+def public_functions() -> list[tuple[Path, int, str]]:
+    found = []
+    for path in sorted((ROOT / PUBLIC_HEADERS).rglob("*.hpp")):
+        code = blank_code(path.read_text(encoding="utf-8"))
+        for name, offset, exempt, cls in scan_scopes(code)[0]:
+            if exempt or name == cls:  # constructors are exempt too
+                continue
+            line = code.count("\n", 0, offset) + 1
+            found.append((path.relative_to(ROOT), line, name))
+    return found
+
+
+def production_uses() -> set[str]:
+    """Every name used in production code other than as the declared
+    name of a declaration or definition (or inside its own body)."""
+    used: set[str] = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.[ch]pp")):
+            code = blank_code(path.read_text(encoding="utf-8"))
+            decls, blocks = scan_scopes(code)
+            declared_at = {offset for _, offset, _, _ in decls}
+            bodies: dict[str, list[tuple[int, int]]] = {}
+            for a, b, own in blocks:
+                if own:
+                    bodies.setdefault(own, []).append((a, b))
+            for m in IDENT_RE.finditer(code):
+                name = m.group(0)
+                if m.start() in declared_at or any(
+                        a < m.start() < b for a, b in bodies.get(name, ())):
+                    continue  # a declaration, or recursion
+                used.add(name)
+    return used
+
+
+def check_prod_callers(errors: list[str]) -> None:
+    functions = public_functions()
+    if not functions:
+        errors.append("prod-callers: no functions found in include/phes "
+                      "(extraction pattern broke?)")
+        return
+    used = production_uses()
+    declared = {name for _, _, name in functions}
+    for rel, line, name in functions:
+        if name not in used and name not in PROD_CALLERS_ALLOW:
+            errors.append(f"prod-callers: {rel}:{line}: '{name}' has no "
+                          "caller in src/, examples/ or bench/")
+    for name in sorted(PROD_CALLERS_ALLOW):
+        if name not in declared:
+            errors.append(f"prod-callers: allow-list entry '{name}' names "
+                          "no function declared in include/phes")
+        elif name in used:
+            errors.append(f"prod-callers: allow-list entry '{name}' has a "
+                          "production caller now; drop the entry")
+
+
 def main() -> int:
     errors: list[str] = []
     check_metrics(errors)
@@ -277,6 +565,7 @@ def main() -> int:
     check_protocol_docs(errors)
     check_sync_layer(errors)
     check_cli_flags(errors)
+    check_prod_callers(errors)
     if errors:
         for err in errors:
             print(err)
@@ -284,7 +573,7 @@ def main() -> int:
         return 1
     print("lint_invariants: all invariants hold "
           "(metrics-docs, protocol-ops, protocol-docs, sync-layer, "
-          "cli-flags).")
+          "cli-flags, prod-callers).")
     return 0
 
 
