@@ -71,7 +71,7 @@ int main() {
       opt.seed = 13;
       core::SolverResult dense, one, four;
       const double dense_s = best_of(
-          3, [&] { return core::solve_dense(realization, opt); }, dense);
+          3, [&] { return core::solve_dense(realization); }, dense);
       const core::ParallelHamiltonianEigensolver solver(realization);
       opt.threads = 1;
       const double one_s =

@@ -10,12 +10,6 @@
 
 namespace phes::core {
 
-struct LambdaMaxOptions {
-  std::size_t krylov_dim = 40;
-  std::size_t restarts = 3;
-  double safety_factor = 1.05;  ///< Ritz values underestimate |lambda|max
-};
-
 /// Estimate plus its cost, so callers (and warm-started re-solves that
 /// skip the estimate) can account for the Arnoldi work it spends.
 struct LambdaMaxEstimate {
@@ -24,9 +18,10 @@ struct LambdaMaxEstimate {
 };
 
 /// Estimate (a safe upper bound of) the Hamiltonian spectral radius,
-/// reporting the matrix-vector products spent.
+/// reporting the matrix-vector products spent: the largest Ritz value
+/// of 3 Arnoldi runs of dimension 40, at least the largest pole
+/// magnitude, times 1.05 (Ritz values underestimate |lambda|max).
 [[nodiscard]] LambdaMaxEstimate estimate_lambda_max(
-    const macromodel::SimoRealization& realization,
-    const LambdaMaxOptions& options, util::Rng& rng);
+    const macromodel::SimoRealization& realization, util::Rng& rng);
 
 }  // namespace phes::core

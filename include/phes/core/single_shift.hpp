@@ -32,15 +32,19 @@
 
 namespace phes::core {
 
+/// Relative eigenvalue dedup radius: eigenvalues closer than
+/// kClusterTol * scale are one eigenvalue, both when S locks Ritz
+/// values and when the solver merges the disks' reports into Omega.
+inline constexpr double kClusterTol = 1e-7;
+
+/// The solver's `min_restarts`; a disk the recorded solve of the same
+/// model already certified is re-confirmed with 1.
+inline constexpr std::size_t kMinRestarts = 2;
+
 /// Tuning knobs of S; defaults follow the paper (d = 60, n_theta = 4-6).
 struct SingleShiftOptions {
   std::size_t krylov_dim = 60;      ///< d, Krylov subspace cap
   std::size_t eigs_per_shift = 6;   ///< n_theta
-  double ritz_tol = 1e-9;           ///< relative residual acceptance
-  std::size_t max_restarts = 10;
-  std::size_t min_restarts = 2;     ///< confirmation restarts
-  double radius_safety = 0.9;       ///< margin vs. unconverged Ritz dist
-  double cluster_tol = 1e-7;        ///< relative eigenvalue dedup radius
 };
 
 /// Result of one S invocation.
@@ -54,19 +58,17 @@ struct SingleShiftResult {
   std::size_t factorizations = 0;
 };
 
-/// Run S(j*omega_center, rho0) on the realization's Hamiltonian.
-/// `rng` supplies the random restart vectors; pass a stream keyed by the
-/// shift id for scheduling-independent reproducibility.
+/// Run S(j*omega_center, rho0) on the realization's Hamiltonian with
+/// at least `min_restarts` restarts.  `rng` supplies the random restart
+/// vectors; pass a stream keyed by the shift id for
+/// scheduling-independent reproducibility.  The shift-invert operator
+/// is requested through `factory` (e.g. an
+/// engine::ShiftFactorizationCache); an empty factory builds it
+/// directly.
 [[nodiscard]] SingleShiftResult single_shift_iteration(
     const macromodel::SimoRealization& realization, double omega_center,
-    double rho0, const SingleShiftOptions& options, util::Rng& rng);
-
-/// Same iteration, but the shift-invert operator is requested through
-/// `factory` (e.g. an engine::ShiftFactorizationCache) instead of built
-/// from scratch.  An empty factory falls back to direct construction.
-[[nodiscard]] SingleShiftResult single_shift_iteration(
-    const macromodel::SimoRealization& realization, double omega_center,
-    double rho0, const SingleShiftOptions& options, util::Rng& rng,
+    double rho0, const SingleShiftOptions& options,
+    std::size_t min_restarts, util::Rng& rng,
     const hamiltonian::ShiftInvertFactory& factory);
 
 }  // namespace phes::core

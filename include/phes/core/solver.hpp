@@ -8,12 +8,17 @@
 // dynamic shift-scheduling strategy of Sec. IV.  A static
 // pre-distributed-grid scheduler — the strawman the paper dismisses —
 // is included for the scalability ablation.
+//
+// The search band is always [0, |lambda|max] (Sec. IV-A).  The paper's
+// fixed settings are constants: kappa = 2 initial intervals per thread,
+// the Eq. 23 overlap alpha = 1.05, intervals thinner than 1e-9 of the
+// band count as covered, and an eigenvalue is purely imaginary when
+// |Re lambda| <= 1e-6 |lambda|.
 
 #include <cstdint>
 #include <vector>
 
 #include "phes/core/intervals.hpp"
-#include "phes/core/lambda_max.hpp"
 #include "phes/core/single_shift.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/types.hpp"
@@ -30,22 +35,9 @@ enum class SchedulingMode {
 /// Solver configuration; defaults follow the paper's reported settings.
 struct SolverOptions {
   std::size_t threads = 1;
-  /// N = kappa * threads initial intervals, kappa >= 2 (Sec. IV-A).
-  std::size_t kappa = 2;
-  /// Initial-radius overlap factor alpha >~ 1 (Eq. 23).
-  double alpha = 1.05;
-  double omega_min = 0.0;
-  /// Upper band edge; <= 0 requests the |lambda_max| estimate.
-  double omega_max = 0.0;
   SingleShiftOptions shift{};
-  LambdaMaxOptions lambda_max{};
   SchedulingMode scheduling = SchedulingMode::kDynamic;
   std::uint64_t seed = 1;
-  /// Relative |Re lambda| threshold for "purely imaginary".
-  double imag_tol = 1e-6;
-  /// Band-relative resolution: intervals thinner than
-  /// resolution * (omega_max - omega_min) count as covered.
-  double resolution = 1e-9;
 };
 
 /// Per-shift execution record (diagnostics and scheduling ablations).
@@ -66,8 +58,8 @@ struct SolverResult {
   bool passive = false;
   /// All (deduplicated) eigenvalues found in the certified disks.
   la::ComplexVector eigenvalues;
-  double omega_min = 0.0;
-  double omega_max = 0.0;
+  double omega_min = 0.0;  ///< searched band [omega_min, omega_max];
+  double omega_max = 0.0;  ///< omega_min is always 0
   double seconds = 0.0;
   std::size_t shifts_processed = 0;
   std::size_t shifts_eliminated = 0;  ///< dropped by the cover rule
@@ -100,8 +92,8 @@ struct WarmStartSeeds {
   /// a same-revision re-solve starts each disk at its proven size
   /// instead of re-deriving it from the interval width.
   la::RealVector radii;
-  /// Known band edge from the previous solve; > omega_min skips the
-  /// |lambda|max Arnoldi estimate when no explicit omega_max is set.
+  /// Known band edge from the previous solve; > 0 replaces the
+  /// |lambda|max Arnoldi estimate.
   double band_hint = 0.0;
 };
 
@@ -114,42 +106,40 @@ struct SolveContext {
   /// Scheduler seeding; nullptr => the paper's uniform startup grid.
   const WarmStartSeeds* seeds = nullptr;
   /// Confirmation re-solve of an unchanged model: intervals that carry
-  /// a previously certified radius (rho0 > 0) run with min_restarts
-  /// capped at 1 — the recorded solve already paid their
-  /// explicit-restart insurance.  Fresh fill/mop-up intervals keep the
-  /// full restart policy.
+  /// a previously certified radius (rho0 > 0) run with a restart floor
+  /// of 1 instead of kMinRestarts — the recorded solve already paid
+  /// their explicit-restart insurance.  Fresh fill/mop-up intervals
+  /// keep the full restart policy.
   bool confirm_seeded = false;
 };
 
 /// The exact seed plan solve() will hand the scheduler for `options`
-/// on band [band_lo, band_hi] — the single source of truth for the
-/// seed filter, exposed so engine::SolverSession can prefetch
+/// on band [0, band_hi] — the single source of truth for the seed
+/// filter, exposed so engine::SolverSession can prefetch
 /// factorizations for bitwise-identical shift keys.  Empty when the
 /// scheduling mode or seed set yields no seeded startup.
 [[nodiscard]] SeedPlan planned_seeds(const SolverOptions& options,
-                                     double band_lo, double band_hi,
+                                     double band_hi,
                                      const WarmStartSeeds& seeds);
 
 /// The crossing filter both solver routes share.  Sorts and
-/// deduplicates `result.eigenvalues` (within shift.cluster_tol *
-/// scale), keeps the numerically imaginary ones (|Re lambda| <=
-/// imag_tol * |lambda|) as the sorted, deduplicated crossings |Im
-/// lambda|, and sets `passive` and `shifts_processed`.  The scale is
-/// max(max pole magnitude of `realization`, band_hi).
-void finalize_crossings(SolverResult& result, const SolverOptions& options,
+/// deduplicates `result.eigenvalues` (within kClusterTol * scale),
+/// keeps the numerically imaginary ones (|Re lambda| <= 1e-6 *
+/// |lambda|) as the sorted, deduplicated crossings |Im lambda|, and
+/// sets `passive` and `shifts_processed`.  The scale is max(max pole
+/// magnitude of `realization`, band_hi).
+void finalize_crossings(SolverResult& result,
                         const macromodel::SimoRealization& realization,
                         double band_hi);
 
 /// The dense route: the full spectrum of the explicit 2n x 2n
 /// scattering Hamiltonian (hamiltonian::build_scattering_hamiltonian +
-/// la::real_eigenvalues, O(n^3)), restricted to the caller's band
-/// omega_min <= Im lambda (<= omega_max when omega_max > omega_min)
-/// and passed through finalize_crossings.  A default band reports the
-/// exact spectral radius as omega_max.  Single-threaded; the scheduler
-/// options (threads, shifts, seed) do not apply.
+/// la::real_eigenvalues, O(n^3)), restricted to Im lambda >= 0 and
+/// passed through finalize_crossings.  Reports the exact spectral
+/// radius as omega_max.  Single-threaded and deterministic; no solver
+/// option applies.
 [[nodiscard]] SolverResult solve_dense(
-    const macromodel::SimoRealization& realization,
-    const SolverOptions& options);
+    const macromodel::SimoRealization& realization);
 
 class ParallelHamiltonianEigensolver {
  public:
@@ -170,7 +160,6 @@ class ParallelHamiltonianEigensolver {
   [[nodiscard]] SolverResult run_scheduler(IntervalScheduler scheduler,
                                            const SolverOptions& options,
                                            const SolveContext& context,
-                                           double band_lo,
                                            double band_hi) const;
 
   /// Static strawman: every grid shift is processed unconditionally
@@ -178,7 +167,6 @@ class ParallelHamiltonianEigensolver {
   /// a dynamic pass so the result stays complete.
   [[nodiscard]] SolverResult run_static_grid(const SolverOptions& options,
                                              const SolveContext& context,
-                                             double band_lo,
                                              double band_hi) const;
 
   const macromodel::SimoRealization& realization_;

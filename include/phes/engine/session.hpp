@@ -29,19 +29,17 @@
 // sends them through core::solve_dense, which costs less than one
 // Krylov characterization there and leaves no factorization or
 // warm-start record behind.  Their reuse is a one-entry memo of the
-// last dense result instead, keyed on (revision, omega_min, omega_max,
-// imag_tol, shift.cluster_tol) compared bitwise — the only inputs
-// solve_dense and finalize_crossings read.  The dense eigensolve is
-// deterministic, so a same-key re-solve (enforcement's first round
-// after characterize, verify after the last round, a pooled repeat of
-// an unchanged model) returns the stored result bit for bit and counts
-// as a dense reuse, not a dense solve.  update_residues bumps the
+// last dense result instead, keyed on the revision alone: solve_dense
+// reads no solver option.  The dense eigensolve is deterministic, so a
+// same-revision re-solve (enforcement's first round after
+// characterize, verify after the last round, a pooled repeat of an
+// unchanged model) returns the stored result bit for bit and counts as
+// a dense reuse, not a dense solve.  update_residues bumps the
 // revision, so perturbed rounds and pool restores always recompute.
 // The Krylov route has no such memo: its same-revision re-solve draws
 // new start vectors, a genuine second certificate.  A session's order
 // never changes, so one session always takes the same route.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -80,13 +78,9 @@ inline constexpr std::size_t kDenseMaxOrder = 192;
 struct WarmStart {
   bool valid = false;
   std::uint64_t revision = 0;  ///< revision the record was captured at
-  double omega_min = 0.0;      ///< band of the recorded solve
-  double omega_max = 0.0;      ///< band edge (doubles as |lambda|max est.)
-  /// True when omega_max came from a default-band search (the
-  /// |lambda|max estimate or a hint derived from it).  An explicit
-  /// caller-set omega_max must never become a later default solve's
-  /// band hint — it may truncate the search.
-  bool default_band = false;
+  /// Upper band edge of the recorded solve: the |lambda|max estimate or
+  /// a hint derived from it, reused as the next solve's band hint.
+  double omega_max = 0.0;
   la::RealVector crossings;    ///< previous Omega
   la::RealVector shift_centers;  ///< previous certified disk centers
   la::RealVector shift_radii;    ///< certified radii, parallel to centers
@@ -100,8 +94,8 @@ struct SessionStats {
   std::size_t warm_solves = 0;     ///< solves that consumed a warm start
   std::size_t dense_solves = 0;    ///< dense eigensolves that ran
   /// Dense solves answered from the session's memo of its last dense
-  /// result (same revision and key): solves == dense_solves +
-  /// dense_reuses on a dense-route session.
+  /// result (same revision): solves == dense_solves + dense_reuses on
+  /// a dense-route session.
   std::size_t dense_reuses = 0;
   std::size_t factorizations = 0;  ///< shift-invert operators built
 };
@@ -129,7 +123,7 @@ class SolverSession {
   void update_residues(const la::RealMatrix& c);
 
   /// Run the eigensolver on the current snapshot: core::solve_dense at
-  /// order <= kDenseMaxOrder (or its memoized result on a same-key
+  /// order <= kDenseMaxOrder (or its memoized result on a same-revision
   /// re-solve; `seconds` is then the lookup time), otherwise the Krylov
   /// solver warm-started from the previous outcome and with
   /// factorizations routed through the cache.
@@ -157,12 +151,10 @@ class SolverSession {
   std::size_t warm_solves_ = 0;
   std::size_t dense_solves_ = 0;
   std::size_t dense_reuses_ = 0;
-  /// One-entry memo of the last dense result.  Key: the revision and
-  /// the bits of the only SolverOptions fields solve_dense and
-  /// finalize_crossings read (omega_min, omega_max, imag_tol,
-  /// shift.cluster_tol).
+  /// One-entry memo of the last dense result and the revision it was
+  /// computed at.
   struct DenseMemo {
-    std::array<std::uint64_t, 5> key{};
+    std::uint64_t revision = 0;
     core::SolverResult result;
   };
   std::optional<DenseMemo> dense_memo_;

@@ -56,11 +56,7 @@ class ShiftFactorizationCache {
   /// operators against the old C matrix are invalid).
   void invalidate_before(std::uint64_t revision) PHES_EXCLUDES(mutex_);
 
-  /// Drop everything (counters are kept).
-  void clear() PHES_EXCLUDES(mutex_);
-
   [[nodiscard]] CacheStats stats() const PHES_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   struct Key {

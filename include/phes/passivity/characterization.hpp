@@ -36,12 +36,12 @@ struct PassivityReport {
   core::SolverResult solver;         ///< the eigensolver diagnostics
 };
 
-/// Classify the bands delimited by `crossings` by sampling sigma_max,
-/// then locate each violating band's peak with `samples_per_band`
-/// points plus golden-section refinement.
+/// Classify the bands delimited by `crossings` by sampling sigma_max at
+/// 24 points per band, then locate each violating band's peak by
+/// golden-section refinement around the worst sample.
 [[nodiscard]] std::vector<ViolationBand> classify_bands(
     const macromodel::SimoRealization& realization,
-    const la::RealVector& crossings, std::size_t samples_per_band = 24);
+    const la::RealVector& crossings);
 
 /// Session-based characterization: run the eigensolver through
 /// `session` (shift-factorization cache + warm-started scheduling),

@@ -13,9 +13,11 @@
 //       delta sigma_i = Re( u_i^H  DeltaC  Phi(j w*) v_i ),
 //     Phi(s) = (sI - A)^{-1} B, which is linear in DeltaC;
 //  3. correct: the minimum-norm DeltaC driving each violating sigma_i
-//     to 1 - margin solves a small dual Gram system.  The norm is
-//     damping-weighted, sum_j ||DeltaC(:, j)||^2 / |Re p_j| over the
-//     states j: up to a constant, the diagonal of each state's
+//     to 1 - margin solves a small dual Gram system (margin 2e-3: the
+//     buffer keeps the next characterization from finding grazing
+//     crossings again).  The norm is damping-weighted,
+//     sum_j ||DeltaC(:, j)||^2 / |Re p_j| over the states j: up to a
+//     constant, the diagonal of each state's
 //     controllability Gramian, so an energy-norm step (Grivet-Talocia,
 //     arXiv 1706.06395).  The Frobenius norm prices a residue change
 //     the same at every pole, although near a pole it moves the
@@ -37,13 +39,8 @@
 
 namespace phes::passivity {
 
-struct EnforcementOptions {
-  std::size_t max_iterations = 25;
-  /// Enforced ceiling is 1 - margin; a small buffer keeps the next
-  /// characterization from finding grazing crossings again.
-  double margin = 2e-3;
-  core::SolverOptions solver{};
-};
+/// Perturbation rounds enforce_passivity runs at most.
+inline constexpr std::size_t kMaxEnforcementRounds = 25;
 
 struct EnforcementIterate {
   std::size_t violation_bands = 0;
@@ -71,13 +68,14 @@ struct EnforcementResult {
 };
 
 /// Session-based enforcement: perturb the residues of the model owned
-/// by `session` until passive (or the iteration budget runs out).  Each
-/// round re-characterizes through the session, so rounds 2..k are
-/// warm-started from the previous crossing set and the final
-/// confirmation re-uses the cached factorizations.  Requires
-/// sigma_max(D) < 1.  The perturbed model stays in the session
-/// (session.realization()).
+/// by `session` until passive (or kMaxEnforcementRounds run out).  Each
+/// round re-characterizes through the session with `solver_options`,
+/// so rounds 2..k are warm-started from the previous crossing set and
+/// the final confirmation re-uses the cached factorizations.  Throws
+/// std::invalid_argument unless sigma_max(D) < 1 - margin.  The
+/// perturbed model stays in the session (session.realization()).
 [[nodiscard]] EnforcementResult enforce_passivity(
-    engine::SolverSession& session, const EnforcementOptions& options);
+    engine::SolverSession& session,
+    const core::SolverOptions& solver_options);
 
 }  // namespace phes::passivity

@@ -52,7 +52,6 @@ enum class Stage {
 struct JobOptions {
   vf::VectorFittingOptions fit{};
   core::SolverOptions solver{};
-  passivity::EnforcementOptions enforcement{};
   /// Run stages up to and including this one, then stop.
   Stage stop_after = Stage::kVerify;
 };

@@ -77,7 +77,6 @@ class JobQueue {
   void close() PHES_EXCLUDES(mutex_);
 
   [[nodiscard]] std::size_t size() const PHES_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool closed() const PHES_EXCLUDES(mutex_);
   [[nodiscard]] Stats stats() const PHES_EXCLUDES(mutex_);
 

@@ -18,9 +18,7 @@ class WallTimer {
 
   WallTimer() noexcept : start_{Clock::now()} {}
 
-  void reset() noexcept { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or last reset().
+  /// Elapsed seconds since construction.
   [[nodiscard]] double seconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

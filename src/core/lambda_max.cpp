@@ -8,16 +8,24 @@
 
 namespace phes::core {
 
+namespace {
+
+constexpr std::size_t kKrylovDim = 40;
+constexpr std::size_t kRestarts = 3;
+// Ritz values underestimate |lambda|max.
+constexpr double kSafetyFactor = 1.05;
+
+}  // namespace
+
 LambdaMaxEstimate estimate_lambda_max(
-    const macromodel::SimoRealization& realization,
-    const LambdaMaxOptions& opt, util::Rng& rng) {
+    const macromodel::SimoRealization& realization, util::Rng& rng) {
   const hamiltonian::ImplicitHamiltonianOp op(realization);
   const std::size_t dim = op.dim();
-  const std::size_t d = std::min(opt.krylov_dim, dim - 1);
+  const std::size_t d = std::min(kKrylovDim, dim - 1);
 
   LambdaMaxEstimate est;
   double best = 0.0;
-  for (std::size_t r = 0; r < std::max<std::size_t>(opt.restarts, 1); ++r) {
+  for (std::size_t r = 0; r < kRestarts; ++r) {
     const auto v0 = random_start_vector(dim, rng);
     const auto ar = arnoldi(op, v0, d, {});
     est.matvecs += ar.matvecs;
@@ -29,7 +37,7 @@ LambdaMaxEstimate estimate_lambda_max(
   // dynamic part of H(jw) is active, i.e. within the pole band, so
   // never search less than the largest pole magnitude.
   best = std::max(best, realization.max_pole_magnitude());
-  est.omega_max = best * opt.safety_factor;
+  est.omega_max = best * kSafetyFactor;
   return est;
 }
 

@@ -18,6 +18,13 @@ using hamiltonian::SmwShiftInvertOp;
 using la::Complex;
 using la::ComplexVector;
 
+// Relative residual acceptance of a Ritz pair.
+constexpr double kRitzTol = 1e-9;
+constexpr std::size_t kMaxRestarts = 10;
+// Margin of the certified radius below the distance estimate of the
+// nearest unconverged Ritz value.
+constexpr double kRadiusSafety = 0.9;
+
 struct LockedEig {
   Complex lambda{};
   double distance = 0.0;  ///< |lambda - theta|
@@ -27,15 +34,8 @@ struct LockedEig {
 
 SingleShiftResult single_shift_iteration(
     const macromodel::SimoRealization& realization, double omega_center,
-    double rho0, const SingleShiftOptions& opt, util::Rng& rng) {
-  return single_shift_iteration(realization, omega_center, rho0, opt, rng,
-                                hamiltonian::ShiftInvertFactory{});
-}
-
-SingleShiftResult single_shift_iteration(
-    const macromodel::SimoRealization& realization, double omega_center,
-    double rho0, const SingleShiftOptions& opt, util::Rng& rng,
-    const hamiltonian::ShiftInvertFactory& factory) {
+    double rho0, const SingleShiftOptions& opt, std::size_t min_restarts,
+    util::Rng& rng, const hamiltonian::ShiftInvertFactory& factory) {
   util::check(rho0 > 0.0, "single_shift_iteration: rho0 must be positive");
   util::check(opt.eigs_per_shift >= 1 && opt.krylov_dim > opt.eigs_per_shift,
               "single_shift_iteration: need krylov_dim > eigs_per_shift >= 1");
@@ -86,12 +86,12 @@ SingleShiftResult single_shift_iteration(
 
   const auto already_locked = [&](Complex lambda) {
     for (const auto& le : locked) {
-      if (std::abs(le.lambda - lambda) <= opt.cluster_tol * scale) return true;
+      if (std::abs(le.lambda - lambda) <= kClusterTol * scale) return true;
     }
     return false;
   };
 
-  for (std::size_t restart = 0; restart < opt.max_restarts; ++restart) {
+  for (std::size_t restart = 0; restart < kMaxRestarts; ++restart) {
     if (locked_vectors.size() + 2 >= dim) {
       // The locked subspace nearly exhausts the whole space: every
       // reachable eigenvalue has converged.
@@ -118,7 +118,7 @@ SingleShiftResult single_shift_iteration(
       const double mu_abs = std::abs(p.value);
       if (mu_abs < 1e3 * la::kEps / rho0) continue;  // numerically zero
       const double dist = 1.0 / mu_abs;
-      const bool converged = p.residual <= opt.ritz_tol * mu_abs;
+      const bool converged = p.residual <= kRitzTol * mu_abs;
       if (!converged) {
         // A potential eigenvalue this close is not yet certain: the
         // clean radius must stay below its distance estimate.
@@ -151,9 +151,9 @@ SingleShiftResult single_shift_iteration(
       }
     }
     // Certificate cap: nothing unseen may hide inside the disk.
-    rho = std::min(rho, opt.radius_safety * unconverged_limit);
+    rho = std::min(rho, kRadiusSafety * unconverged_limit);
 
-    if (restart + 1 >= opt.min_restarts && new_in_disk == 0) break;
+    if (restart + 1 >= min_restarts && new_in_disk == 0) break;
   }
 
   result.radius = rho;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "phes/core/lambda_max.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/util/check.hpp"
@@ -20,22 +21,29 @@ constexpr std::uint64_t kShiftStreamSalt = 0x5348494654ULL;   // "SHIFT"
 constexpr std::uint64_t kStaticStreamSalt = 0x53544154ULL;    // "STAT"
 constexpr std::uint64_t kLambdaStreamSalt = 0x4c4d4158ULL;    // "LMAX"
 
+// N = kKappa * threads initial intervals, kappa >= 2 (Sec. IV-A).
+constexpr std::size_t kKappa = 2;
+// Initial-radius overlap factor alpha >~ 1 (Eq. 23).
+constexpr double kAlpha = 1.05;
+// Intervals thinner than kResolution * band count as covered.
+constexpr double kResolution = 1e-9;
+// Relative |Re lambda| threshold for "purely imaginary".
+constexpr double kImagTol = 1e-6;
+
 }  // namespace
 
 ParallelHamiltonianEigensolver::ParallelHamiltonianEigensolver(
     const macromodel::SimoRealization& realization)
     : realization_(realization) {}
 
-SeedPlan planned_seeds(const SolverOptions& opt, double band_lo,
-                       double band_hi, const WarmStartSeeds& seeds) {
-  if (seeds.shifts.empty() || band_hi <= band_lo ||
+SeedPlan planned_seeds(const SolverOptions& opt, double band_hi,
+                       const WarmStartSeeds& seeds) {
+  if (seeds.shifts.empty() || band_hi <= 0.0 ||
       opt.scheduling != SchedulingMode::kDynamic) {
     return {};
   }
-  const double min_width =
-      std::max(opt.resolution * (band_hi - band_lo), 1e-300);
-  return plan_seeds(band_lo, band_hi, seeds.shifts, seeds.radii,
-                    8.0 * min_width);
+  return plan_seeds(0.0, band_hi, seeds.shifts, seeds.radii,
+                    8.0 * std::max(kResolution * band_hi, 1e-300));
 }
 
 SolverResult ParallelHamiltonianEigensolver::solve(
@@ -46,41 +54,33 @@ SolverResult ParallelHamiltonianEigensolver::solve(
 SolverResult ParallelHamiltonianEigensolver::solve(
     const SolverOptions& opt, const SolveContext& ctx) const {
   util::check(opt.threads >= 1, "solve: need at least one thread");
-  util::check(opt.kappa >= 2, "solve: kappa must be >= 2 (Sec. IV-A)");
-  util::check(opt.alpha >= 1.0, "solve: alpha must be >= 1 (Eq. 23)");
 
   util::WallTimer timer;
 
-  double band_lo = opt.omega_min;
-  double band_hi = opt.omega_max;
+  double band_hi = 0.0;
   std::size_t lambda_matvecs = 0;
   bool warm_started = false;
-  if (band_hi <= band_lo) {
-    if (ctx.seeds != nullptr && ctx.seeds->band_hint > band_lo) {
-      // Warm start: the previous solve already paid for the band edge.
-      band_hi = ctx.seeds->band_hint;
-      warm_started = true;
-    } else {
-      util::Rng rng(opt.seed, kLambdaStreamSalt);
-      const LambdaMaxEstimate est =
-          estimate_lambda_max(realization_, opt.lambda_max, rng);
-      band_hi = est.omega_max;
-      lambda_matvecs = est.matvecs;
-      util::require(band_hi > band_lo,
-                    "solve: could not establish a positive search band");
-    }
+  if (ctx.seeds != nullptr && ctx.seeds->band_hint > 0.0) {
+    // Warm start: the previous solve already paid for the band edge.
+    band_hi = ctx.seeds->band_hint;
+    warm_started = true;
+  } else {
+    util::Rng rng(opt.seed, kLambdaStreamSalt);
+    const LambdaMaxEstimate est = estimate_lambda_max(realization_, rng);
+    band_hi = est.omega_max;
+    lambda_matvecs = est.matvecs;
+    util::require(band_hi > 0.0,
+                  "solve: could not establish a positive search band");
   }
 
-  const std::size_t n_intervals =
-      std::max<std::size_t>(2, opt.kappa * opt.threads);
-  const double min_width =
-      std::max(opt.resolution * (band_hi - band_lo), 1e-300);
+  const std::size_t n_intervals = kKappa * opt.threads;
+  const double min_width = std::max(kResolution * band_hi, 1e-300);
 
   // Warm-start seeds become the startup intervals (dynamic mode only —
   // the static-grid strawman keeps its uniform grid by definition).
   SeedPlan seeds;
   if (ctx.seeds != nullptr) {
-    seeds = planned_seeds(opt, band_lo, band_hi, *ctx.seeds);
+    seeds = planned_seeds(opt, band_hi, *ctx.seeds);
   }
 
   SolverResult result;
@@ -88,19 +88,18 @@ SolverResult ParallelHamiltonianEigensolver::solve(
     if (!seeds.shifts.empty()) {
       warm_started = true;
       IntervalScheduler sched(
-          seeded_partition(band_lo, band_hi, seeds, n_intervals, min_width),
-          band_lo, band_hi, min_width);
-      result = run_scheduler(std::move(sched), opt, ctx, band_lo, band_hi);
+          seeded_partition(0.0, band_hi, seeds, n_intervals, min_width),
+          0.0, band_hi, min_width);
+      result = run_scheduler(std::move(sched), opt, ctx, band_hi);
       result.seeded_shifts = seeds.shifts.size();
     } else {
-      IntervalScheduler sched(band_lo, band_hi, n_intervals, min_width);
-      result = run_scheduler(std::move(sched), opt, ctx, band_lo, band_hi);
+      IntervalScheduler sched(0.0, band_hi, n_intervals, min_width);
+      result = run_scheduler(std::move(sched), opt, ctx, band_hi);
     }
   } else {
-    result = run_static_grid(opt, ctx, band_lo, band_hi);
+    result = run_static_grid(opt, ctx, band_hi);
   }
 
-  result.omega_min = band_lo;
   result.omega_max = band_hi;
   result.lambda_max_matvecs = lambda_matvecs;
   result.total_matvecs += lambda_matvecs;
@@ -111,14 +110,13 @@ SolverResult ParallelHamiltonianEigensolver::solve(
 
 SolverResult ParallelHamiltonianEigensolver::run_scheduler(
     IntervalScheduler sched, const SolverOptions& opt,
-    const SolveContext& ctx, double band_lo, double band_hi) const {
+    const SolveContext& ctx, double band_hi) const {
   SolverResult result;
 
   util::Mutex mutex;
   util::CondVar cv;
   std::size_t failures = 0;
-  const double min_width =
-      std::max(opt.resolution * (band_hi - band_lo), 1e-300);
+  const double min_width = std::max(kResolution * band_hi, 1e-300);
 
   // The worker holds the lock around the scheduler and drops it for the
   // shift iteration; the explicit lock()/unlock() calls are balanced on
@@ -140,22 +138,20 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
       // starts from its previously certified radius instead.
       const double rho0 = std::max(
           task->rho0 > 0.0 ? task->rho0
-                           : opt.alpha * 0.5 * (task->hi - task->lo),
+                           : kAlpha * 0.5 * (task->hi - task->lo),
           2.0 * min_width);
-      SingleShiftOptions shift_opt = opt.shift;
-      if (ctx.confirm_seeded && task->rho0 > 0.0) {
-        // This disk was certified for this exact model by the recorded
-        // solve; one fresh randomized restart re-confirms it.
-        shift_opt.min_restarts =
-            std::min<std::size_t>(shift_opt.min_restarts, 1);
-      }
+      // A disk the recorded solve certified for this exact model is
+      // re-confirmed by one fresh randomized restart.
+      const std::size_t min_restarts =
+          ctx.confirm_seeded && task->rho0 > 0.0 ? 1 : kMinRestarts;
       util::Rng rng(opt.seed, kShiftStreamSalt ^ task->id);
       util::WallTimer shift_timer;
       SingleShiftResult sres;
       bool ok = true;
       try {
         sres = single_shift_iteration(realization_, task->shift, rho0,
-                                      shift_opt, rng, ctx.factory);
+                                      opt.shift, min_restarts, rng,
+                                      ctx.factory);
       } catch (const std::exception&) {
         ok = false;
       }
@@ -206,20 +202,17 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
   result.disks = sched.disks();
   la::ComplexVector all = sched.all_eigenvalues();
   result.eigenvalues = std::move(all);
-  finalize_crossings(result, opt, realization_, band_hi);
+  finalize_crossings(result, realization_, band_hi);
   return result;
 }
 
 SolverResult ParallelHamiltonianEigensolver::run_static_grid(
-    const SolverOptions& opt, const SolveContext& ctx, double band_lo,
+    const SolverOptions& opt, const SolveContext& ctx,
     double band_hi) const {
   SolverResult result;
-  const std::size_t n_shifts =
-      std::max<std::size_t>(2, opt.kappa * opt.threads);
-  const double width =
-      (band_hi - band_lo) / static_cast<double>(n_shifts);
-  const double min_width =
-      std::max(opt.resolution * (band_hi - band_lo), 1e-300);
+  const std::size_t n_shifts = kKappa * opt.threads;
+  const double width = band_hi / static_cast<double>(n_shifts);
+  const double min_width = std::max(kResolution * band_hi, 1e-300);
 
   // Phase 1: process every grid shift unconditionally, in parallel.
   std::vector<ShiftRecord> records(n_shifts);
@@ -230,16 +223,17 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n_shifts) return;
-      const double lo = band_lo + width * static_cast<double>(i);
+      const double lo = width * static_cast<double>(i);
       const double hi = (i + 1 == n_shifts) ? band_hi : lo + width;
       const double center = 0.5 * (lo + hi);
-      const double rho0 = std::max(opt.alpha * 0.5 * (hi - lo),
+      const double rho0 = std::max(kAlpha * 0.5 * (hi - lo),
                                    2.0 * min_width);
       util::Rng rng(opt.seed, kStaticStreamSalt ^ i);
       util::WallTimer t;
       try {
         outcomes[i] = single_shift_iteration(realization_, center, rho0,
-                                             opt.shift, rng, ctx.factory);
+                                             opt.shift, kMinRestarts, rng,
+                                             ctx.factory);
       } catch (const std::exception&) {
         failures.fetch_add(1);
         outcomes[i].radius = 2.0 * min_width;
@@ -284,7 +278,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   }
   std::sort(covered.begin(), covered.end());
   std::vector<TentativeInterval> gaps;
-  double cursor = band_lo;
+  double cursor = 0.0;
   for (const auto& [lo, hi] : covered) {
     if (lo > cursor + min_width) {
       TentativeInterval iv;
@@ -304,9 +298,8 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   }
 
   if (!gaps.empty()) {
-    IntervalScheduler mop(std::move(gaps), band_lo, band_hi, min_width);
-    SolverResult phase2 =
-        run_scheduler(std::move(mop), opt, ctx, band_lo, band_hi);
+    IntervalScheduler mop(std::move(gaps), 0.0, band_hi, min_width);
+    SolverResult phase2 = run_scheduler(std::move(mop), opt, ctx, band_hi);
     for (const auto& rec : phase2.shift_log) {
       result.shift_log.push_back(rec);
       result.total_matvecs += rec.matvecs;
@@ -321,11 +314,11 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   }
   result.eigenvalues = std::move(all);
   result.shifts_eliminated = 0;  // the static grid never skips work
-  finalize_crossings(result, opt, realization_, band_hi);
+  finalize_crossings(result, realization_, band_hi);
   return result;
 }
 
-void finalize_crossings(SolverResult& result, const SolverOptions& opt,
+void finalize_crossings(SolverResult& result,
                         const macromodel::SimoRealization& realization,
                         double band_hi) {
   const double scale = std::max(realization.max_pole_magnitude(), band_hi);
@@ -338,7 +331,7 @@ void finalize_crossings(SolverResult& result, const SolverOptions& opt,
   la::ComplexVector dedup;
   for (const auto& lambda : all) {
     if (dedup.empty() ||
-        std::abs(lambda - dedup.back()) > opt.shift.cluster_tol * scale) {
+        std::abs(lambda - dedup.back()) > kClusterTol * scale) {
       dedup.push_back(lambda);
     }
   }
@@ -346,15 +339,14 @@ void finalize_crossings(SolverResult& result, const SolverOptions& opt,
   la::RealVector crossings;
   for (const auto& lambda : dedup) {
     const double mag = std::max(std::abs(lambda), scale * 1e-12);
-    if (std::abs(lambda.real()) <= opt.imag_tol * mag) {
+    if (std::abs(lambda.real()) <= kImagTol * mag) {
       crossings.push_back(std::abs(lambda.imag()));
     }
   }
   std::sort(crossings.begin(), crossings.end());
   la::RealVector unique;
   for (double w : crossings) {
-    if (unique.empty() ||
-        w - unique.back() > opt.shift.cluster_tol * scale) {
+    if (unique.empty() || w - unique.back() > kClusterTol * scale) {
       unique.push_back(w);
     }
   }
@@ -365,31 +357,22 @@ void finalize_crossings(SolverResult& result, const SolverOptions& opt,
   result.shifts_processed = result.shift_log.size();
 }
 
-SolverResult solve_dense(const macromodel::SimoRealization& realization,
-                         const SolverOptions& opt) {
+SolverResult solve_dense(const macromodel::SimoRealization& realization) {
   util::WallTimer timer;
   const la::ComplexVector spectrum = la::real_eigenvalues(
       hamiltonian::build_scattering_hamiltonian(realization.to_dense()));
 
-  const bool explicit_band = opt.omega_max > opt.omega_min;
-  double band_hi = opt.omega_max;
-  if (!explicit_band) {
-    band_hi = 0.0;
-    for (const auto& lambda : spectrum) {
-      band_hi = std::max(band_hi, std::abs(lambda));
-    }
+  double band_hi = 0.0;
+  for (const auto& lambda : spectrum) {
+    band_hi = std::max(band_hi, std::abs(lambda));
   }
 
   SolverResult result;
   result.dense = true;
   for (const auto& lambda : spectrum) {
-    if (lambda.imag() >= opt.omega_min &&
-        (!explicit_band || lambda.imag() <= band_hi)) {
-      result.eigenvalues.push_back(lambda);
-    }
+    if (lambda.imag() >= 0.0) result.eigenvalues.push_back(lambda);
   }
-  finalize_crossings(result, opt, realization, band_hi);
-  result.omega_min = opt.omega_min;
+  finalize_crossings(result, realization, band_hi);
   result.omega_max = band_hi;
   result.seconds = timer.seconds();
   return result;

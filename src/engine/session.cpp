@@ -1,7 +1,6 @@
 #include "phes/engine/session.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -46,24 +45,21 @@ void SolverSession::update_residues(const la::RealMatrix& c) {
 core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   if (realization_.order() <= kDenseMaxOrder) {
     // Small model: one dense eigensolve beats the Krylov search.  The
-    // dense eigensolve is deterministic, so a repeat on the same
-    // revision and key (verify after enforce, enforcement's round 0
-    // after characterize) is answered from the memo, bit for bit.
+    // dense eigensolve is deterministic and reads no option, so a
+    // repeat on the same revision (verify after enforce, enforcement's
+    // round 0 after characterize) is answered from the memo, bit for
+    // bit.
     util::WallTimer timer;
-    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-    const std::array<std::uint64_t, 5> key{
-        revision_, bits(opt.omega_min), bits(opt.omega_max),
-        bits(opt.imag_tol), bits(opt.shift.cluster_tol)};
     ++solves_;
-    if (dense_memo_ && dense_memo_->key == key) {
+    if (dense_memo_ && dense_memo_->revision == revision_) {
       ++dense_reuses_;
       core::SolverResult result = dense_memo_->result;
       result.seconds = timer.seconds();
       return result;
     }
-    core::SolverResult result = core::solve_dense(realization_, opt);
+    core::SolverResult result = core::solve_dense(realization_);
     ++dense_solves_;
-    dense_memo_ = DenseMemo{key, result};
+    dense_memo_ = DenseMemo{revision_, result};
     return result;
   }
 
@@ -85,21 +81,16 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   if (warm_.valid) {
     if (warm_.revision == revision_) {
       // Unchanged model: the recorded solve counts as the confirmation
-      // restart of each replayed disk, so min_restarts drops to 1 for
-      // the seeded intervals only (fresh mop-up intervals keep the
+      // restart of each replayed disk, so the restart floor drops to 1
+      // for the seeded intervals only (fresh mop-up intervals keep the
       // full restart insurance).
       ctx.confirm_seeded = true;
     }
-    // The band only transfers when this solve searches a default band
-    // (no explicit upper limit), the record's edge itself came from a
-    // default-band search over the same lower edge, AND the residues
-    // have not drifted enough to move the spectral radius materially
-    // since the edge was last estimated (the |lambda|max estimate
-    // carries a 1.05 safety factor).
-    if (opt.omega_max <= opt.omega_min && warm_.default_band &&
-        opt.omega_min == warm_.omega_min && residue_drift_ < 0.05) {
-      seeds.band_hint = warm_.omega_max;
-    }
+    // The band edge transfers unless the residues have drifted enough
+    // to move the spectral radius materially since the edge was last
+    // estimated (the |lambda|max estimate carries a 1.05 safety
+    // factor).
+    if (residue_drift_ < 0.05) seeds.band_hint = warm_.omega_max;
     // Same revision: re-solve the identical model — the previous disk
     // plan (centers AND certified radii) is proven and the
     // factorizations are still resident.  New revision: the crossings
@@ -114,25 +105,21 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
       // cluster, so thin them to cluster representatives — redundant
       // seeds cost a full Arnoldi run each before the cover rule can
       // drop them.
-      const double band_guess =
-          std::max(seeds.band_hint, warm_.omega_max) - opt.omega_min;
-      seeds.shifts = core::plan_seeds(opt.omega_min,
-                                      opt.omega_min + band_guess * 1.01,
+      const double band_guess = std::max(seeds.band_hint, warm_.omega_max);
+      seeds.shifts = core::plan_seeds(0.0, band_guess * 1.01,
                                       warm_.crossings, {},
                                       0.02 * band_guess)
                          .shifts;
     }
     ctx.seeds = &seeds;
 
-    const double band_hi =
-        opt.omega_max > opt.omega_min ? opt.omega_max : seeds.band_hint;
-    if (band_hi > opt.omega_min) {
+    if (seeds.band_hint > 0.0) {
       // Pre-build the factorizations the scheduler will ask for first,
       // so seeded startup intervals begin with cache hits.
       // planned_seeds is the solver's own filter, so the prefetched
       // cache keys match the scheduler's requests bitwise.
       const core::SeedPlan kept =
-          core::planned_seeds(opt, opt.omega_min, band_hi, seeds);
+          core::planned_seeds(opt, seeds.band_hint, seeds);
       // Prefetch is best-effort: a build failure of any kind (singular
       // shift, allocation, precondition) is left for the solve proper
       // to surface — never let it escape a worker thread.
@@ -183,9 +170,7 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   // Record this outcome for the next solve (survives residue updates).
   warm_.valid = true;
   warm_.revision = revision_;
-  warm_.omega_min = result.omega_min;
   warm_.omega_max = result.omega_max;
-  warm_.default_band = opt.omega_max <= opt.omega_min;
   warm_.crossings = result.crossings;
   warm_.shift_centers.clear();
   warm_.shift_radii.clear();

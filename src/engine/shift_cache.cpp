@@ -59,12 +59,6 @@ void ShiftFactorizationCache::invalidate_before(std::uint64_t revision) {
   }
 }
 
-void ShiftFactorizationCache::clear() {
-  util::MutexLock lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-}
-
 CacheStats ShiftFactorizationCache::stats() const {
   util::MutexLock lock(mutex_);
   return CacheStats{hits_, misses_, evictions_, entries_.size()};

@@ -5,11 +5,13 @@
 
 #include "phes/engine/session.hpp"
 #include "phes/la/svd.hpp"
-#include "phes/util/check.hpp"
 
 namespace phes::passivity {
 
 namespace {
+
+// Coarse sigma_max samples per band, before the peak refinement.
+constexpr std::size_t kSamplesPerBand = 24;
 
 double sigma_max_at(const macromodel::SimoRealization& r, double omega) {
   return la::complex_spectral_norm(r.eval(omega));
@@ -48,10 +50,9 @@ double golden_peak(const macromodel::SimoRealization& r, double lo,
 
 std::vector<ViolationBand> classify_bands(
     const macromodel::SimoRealization& realization,
-    const la::RealVector& crossings, std::size_t samples_per_band) {
+    const la::RealVector& crossings) {
   std::vector<ViolationBand> bands;
   if (crossings.empty()) return bands;
-  util::check(samples_per_band >= 2, "classify_bands: need >= 2 samples");
 
   // Segment boundaries: [0, w1], [w1, w2], ..., [wk, 1.5 wk].
   // Beyond the last crossing sigma_max tends to sigma_max(D) < 1, so the
@@ -68,9 +69,9 @@ std::vector<ViolationBand> classify_bands(
     // Classify by the worst of a coarse scan (a single midpoint sample
     // can miss a multi-hump band interior).
     double coarse_peak = 0.0, coarse_at = 0.5 * (lo + hi);
-    for (std::size_t i = 0; i < samples_per_band; ++i) {
+    for (std::size_t i = 0; i < kSamplesPerBand; ++i) {
       const double t = (static_cast<double>(i) + 0.5) /
-                       static_cast<double>(samples_per_band);
+                       static_cast<double>(kSamplesPerBand);
       const double w = lo + t * (hi - lo);
       const double sigma = sigma_max_at(realization, w);
       if (sigma > coarse_peak) {
@@ -84,7 +85,7 @@ std::vector<ViolationBand> classify_bands(
     band.omega_lo = lo;
     band.omega_hi = hi;
     // Refine the peak within one coarse cell around the best sample.
-    const double cell = (hi - lo) / static_cast<double>(samples_per_band);
+    const double cell = (hi - lo) / static_cast<double>(kSamplesPerBand);
     const double ref_lo = std::max(lo, coarse_at - cell);
     const double ref_hi = std::min(hi, coarse_at + cell);
     band.omega_peak = golden_peak(realization, ref_lo, ref_hi,

@@ -20,6 +20,8 @@ using la::RealMatrix;
 // Tikhonov ridge on the dual Gram system (conditioning guard), relative
 // to the Gram diagonal's largest entry when that exceeds 1.
 constexpr double kRidge = 1e-8;
+// Enforced ceiling is 1 - kMargin.
+constexpr double kMargin = 2e-3;
 
 // One linearized constraint <DeltaC, G> = target at a frequency.
 struct Constraint {
@@ -57,13 +59,11 @@ void add_constraints_at(const macromodel::SimoRealization& r, double w,
 }  // namespace
 
 EnforcementResult enforce_passivity(engine::SolverSession& session,
-                                    const EnforcementOptions& opt) {
-  util::check(opt.margin > 0.0 && opt.margin < 0.5,
-              "enforce_passivity: margin must lie in (0, 0.5)");
+                                    const core::SolverOptions& solver_opt) {
   {
     const auto sigma_d =
         la::real_singular_values(session.realization().d());
-    util::check(sigma_d.empty() || sigma_d.front() < 1.0 - opt.margin,
+    util::check(sigma_d.empty() || sigma_d.front() < 1.0 - kMargin,
                 "enforce_passivity: requires sigma_max(D) < 1 - margin");
   }
 
@@ -73,7 +73,7 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
   macromodel::SimoRealization realization = session.realization();
   const RealMatrix c_initial = realization.c();
   const double c_initial_norm = la::frobenius_norm(c_initial);
-  const double ceiling = 1.0 - opt.margin;
+  const double ceiling = 1.0 - kMargin;
   // Energy-norm weights: the step minimizes
   // sum_j ||DeltaC(:, j)||^2 / |Re p_j|, so state column j enters the
   // dual Gram sums and the step with the factor |alpha| of its block.
@@ -95,9 +95,9 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     result.cache_misses += solver.cache_misses;
   };
 
-  for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxEnforcementRounds; ++iter) {
     const PassivityReport report =
-        characterize_passivity(session, opt.solver);
+        characterize_passivity(session, solver_opt);
     EnforcementIterate it;
     it.violation_bands = report.bands.size();
     for (const auto& band : report.bands) {
@@ -246,12 +246,12 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     result.iterations = iter + 1;
   }
 
-  if (!result.success && result.iterations < opt.max_iterations) {
+  if (!result.success && result.iterations < kMaxEnforcementRounds) {
     // Loop ended via the grazing-violation break; verify once more.
     // Same revision as the round that broke out, so the factorization
     // cache serves this confirmation almost for free.
     const PassivityReport final_report =
-        characterize_passivity(session, opt.solver);
+        characterize_passivity(session, solver_opt);
     EnforcementIterate confirm;
     record_cost(confirm, final_report.solver);
     result.success = final_report.passive;

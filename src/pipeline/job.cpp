@@ -331,13 +331,11 @@ PipelineResult run_pipeline(const PipelineJob& job,
   if (!run_stage(Stage::kEnforce, [&] {
         if (result.initial_report.passive) return;
         result.enforcement_run = true;
-        auto options = job.options.enforcement;
-        options.solver = job.options.solver;
         result.enforcement =
-            passivity::enforce_passivity(*session, options);
+            passivity::enforce_passivity(*session, job.options.solver);
         util::require(result.enforcement.success,
                       "enforcement did not converge within " +
-                          std::to_string(options.max_iterations) +
+                          std::to_string(passivity::kMaxEnforcementRounds) +
                           " iterations");
       })) {
     stamp_session_stats();

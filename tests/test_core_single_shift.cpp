@@ -20,6 +20,7 @@
 namespace phes {
 namespace {
 
+using core::kMinRestarts;
 using core::single_shift_iteration;
 using core::SingleShiftOptions;
 using la::Complex;
@@ -53,7 +54,7 @@ void check_contract(const Truth& truth, double omega_center, double rho0,
   SingleShiftOptions opt;
   util::Rng rng(rng_seed);
   const auto res = single_shift_iteration(truth.simo, omega_center, rho0,
-                                          opt, rng);
+                                          opt, kMinRestarts, rng, {});
   ASSERT_GT(res.radius, 0.0);
   const Complex theta(0.0, omega_center);
   const double tol = 1e-6 * truth.scale;
@@ -116,8 +117,8 @@ TEST(SingleShift, FindsKnownCrossingsNearShift) {
 
   SingleShiftOptions opt;
   util::Rng rng(5);
-  const auto res = single_shift_iteration(truth.simo, w0,
-                                          0.1 * truth.scale, opt, rng);
+  const auto res = single_shift_iteration(
+      truth.simo, w0, 0.1 * truth.scale, opt, kMinRestarts, rng, {});
   double best = 1e300;
   for (const Complex& lambda : res.eigenvalues) {
     best = std::min(best, std::abs(lambda - Complex(0.0, w0)));
@@ -133,8 +134,9 @@ TEST(SingleShift, ShrinkRuleCapsReportedCount) {
   SingleShiftOptions opt;
   opt.eigs_per_shift = 4;
   util::Rng rng(6);
-  const auto res = single_shift_iteration(truth.simo, 0.5 * truth.scale,
-                                          10.0 * truth.scale, opt, rng);
+  const auto res =
+      single_shift_iteration(truth.simo, 0.5 * truth.scale,
+                             10.0 * truth.scale, opt, kMinRestarts, rng, {});
   EXPECT_LE(res.eigenvalues.size(), 4u);
   // And the certificate still holds.
   const Complex theta(0.0, 0.5 * truth.scale);
@@ -167,7 +169,7 @@ TEST(SingleShift, EmptyDiskOnPassiveQuietRegion) {
   const double w = 0.5 * model.max_pole_magnitude();
   const auto res =
       single_shift_iteration(simo, w, 0.01 * model.max_pole_magnitude(),
-                             opt, rng);
+                             opt, kMinRestarts, rng, {});
   EXPECT_GT(res.radius, 0.0);
   EXPECT_TRUE(res.eigenvalues.empty());
 }
@@ -176,14 +178,14 @@ TEST(SingleShift, RejectsBadArguments) {
   const Truth truth = make_truth(1.05, 1234, 20, 2);
   SingleShiftOptions opt;
   util::Rng rng(1);
-  EXPECT_THROW(
-      single_shift_iteration(truth.simo, 1.0, 0.0, opt, rng),
-      std::invalid_argument);
+  EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 0.0, opt,
+                                      kMinRestarts, rng, {}),
+               std::invalid_argument);
   opt.eigs_per_shift = 60;
   opt.krylov_dim = 60;
-  EXPECT_THROW(
-      single_shift_iteration(truth.simo, 1.0, 1.0, opt, rng),
-      std::invalid_argument);
+  EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 1.0, opt,
+                                      kMinRestarts, rng, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -152,30 +152,6 @@ TEST(EdgeCases, GrazingSpectrumJustBelowThreshold) {
   EXPECT_EQ(res.crossings.size(), truth.size());
 }
 
-TEST(EdgeCases, NarrowExplicitBandAroundOneCrossing) {
-  macromodel::SyntheticModelSpec spec;
-  spec.ports = 3;
-  spec.states = 36;
-  spec.target_peak_gain = 1.08;
-  spec.seed = 31;
-  const auto model = macromodel::make_synthetic_model(spec);
-  const SimoRealization simo(model);
-  const auto truth = dense_truth(simo, model.max_pole_magnitude());
-  ASSERT_GE(truth.size(), 2u);
-  const double target = truth[truth.size() / 2];
-
-  core::ParallelHamiltonianEigensolver solver(simo);
-  core::SolverOptions opt;
-  opt.threads = 2;
-  opt.omega_min = target * 0.98;
-  opt.omega_max = target * 1.02;
-  const auto res = solver.solve(opt);
-  // The targeted crossing must be found.
-  double best = 1e300;
-  for (double w : res.crossings) best = std::min(best, std::abs(w - target));
-  EXPECT_LT(best, 1e-5 * model.max_pole_magnitude());
-}
-
 TEST(EdgeCases, SeedChangesNotResult) {
   macromodel::SyntheticModelSpec spec;
   spec.ports = 3;

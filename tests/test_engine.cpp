@@ -3,16 +3,14 @@
 // SolverSession contract — cold solves bit-identical to the classic
 // API, warm re-solves finding the same crossing set cheaper, and the
 // enforcement loop's re-characterizations hitting the cache — plus the
-// dense route's one-entry result memo: a same-key re-solve is served
-// bit for bit, anything that can change the answer recomputes.
+// dense route's one-entry result memo: a same-revision re-solve is
+// served bit for bit, a residue update recomputes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -256,23 +254,6 @@ TEST(Session, UpdateResiduesBumpsRevisionAndInvalidates) {
   EXPECT_EQ(session.stats().warm_solves, 1u);
 }
 
-TEST(Session, ExplicitBandLimitNeverBecomesADefaultBandHint) {
-  // A caller-truncated band must not cap a later default-band solve.
-  const auto model = make_model(1.06, 46, kKrylovOrder, 2);
-  SolverSession session(model);
-  core::SolverOptions narrow;
-  narrow.threads = 1;
-  narrow.omega_max = 0.5 * model.max_pole_magnitude();
-  (void)session.solve(narrow);
-
-  core::SolverOptions full;
-  full.threads = 1;
-  const auto res = session.solve(full);
-  EXPECT_GT(res.lambda_max_matvecs, 0u)
-      << "explicit omega_max leaked into the default-band search";
-  EXPECT_GT(res.omega_max, narrow.omega_max);
-}
-
 TEST(Session, LargeResidueDriftReestimatesTheBand) {
   // The band hint must not go stale: a large cumulative residue change
   // forces a fresh |lambda|max estimate instead of trusting the edge
@@ -306,9 +287,9 @@ TEST(Session, EnforcementRecharacterizationsHitTheCache) {
   const auto model = make_model(1.15, 70, kKrylovOrder);
   SolverSession session(model);
 
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 1;
-  const auto result = passivity::enforce_passivity(session, eopt);
+  core::SolverOptions opt;
+  opt.threads = 1;
+  const auto result = passivity::enforce_passivity(session, opt);
   EXPECT_TRUE(result.success);
   ASSERT_GE(result.history.size(), 3u)
       << "model enforced too quickly; pick a stronger violation";
@@ -384,7 +365,7 @@ TEST(DenseMemo, SameKeyResolveIsBitIdenticalAndCountedAsReuse) {
   EXPECT_EQ(session.stats().dense_solves, 1u);
   EXPECT_EQ(session.stats().dense_reuses, 1u);
   // The served result is the one a cold solve computes.
-  EXPECT_TRUE(same_bits(second, core::solve_dense(session.realization(), opt)));
+  EXPECT_TRUE(same_bits(second, core::solve_dense(session.realization())));
 }
 
 TEST(DenseMemo, UpdateResiduesRecomputes) {
@@ -405,72 +386,31 @@ TEST(DenseMemo, UpdateResiduesRecomputes) {
   const auto perturbed = session.solve(opt);
   EXPECT_EQ(session.stats().dense_solves, 3u);
   EXPECT_TRUE(
-      same_bits(perturbed, core::solve_dense(session.realization(), opt)));
+      same_bits(perturbed, core::solve_dense(session.realization())));
   // The new revision is memoized in turn.
   (void)session.solve(opt);
   EXPECT_EQ(session.stats().dense_reuses, 1u);
 }
 
-TEST(DenseMemo, EachKeyFieldRecomputes) {
-  const auto model = make_model(1.07, 22);
-  const SimoRealization simo(model);
-  const std::vector<std::pair<std::string,
-                              std::function<void(core::SolverOptions&)>>>
-      keys = {
-          {"omega_min", [](core::SolverOptions& o) { o.omega_min = 0.5; }},
-          {"omega_max", [](core::SolverOptions& o) { o.omega_max = 40.0; }},
-          {"imag_tol", [](core::SolverOptions& o) { o.imag_tol = 1e-4; }},
-          {"cluster_tol",
-           [](core::SolverOptions& o) { o.shift.cluster_tol = 1e-5; }},
-          // Bitwise key: -0.0 == 0.0 numerically, but it is another key.
-          {"omega_min sign",
-           [](core::SolverOptions& o) { o.omega_min = -0.0; }},
-      };
-  for (const auto& [name, change] : keys) {
-    SolverSession session{SimoRealization(simo)};
-    core::SolverOptions opt;
-    (void)session.solve(opt);
-    core::SolverOptions changed = opt;
-    change(changed);
-    const auto res = session.solve(changed);
-    EXPECT_EQ(session.stats().dense_solves, 2u) << name;
-    EXPECT_EQ(session.stats().dense_reuses, 0u) << name;
-    EXPECT_TRUE(same_bits(res, core::solve_dense(simo, changed))) << name;
-    // Switching back misses too: the memo holds one entry.
-    (void)session.solve(opt);
-    EXPECT_EQ(session.stats().dense_solves, 3u) << name;
-  }
-}
-
 TEST(DenseMemo, NonKeyFieldsDoNotChangeTheDenseResult) {
-  // solve_dense reads only the key fields: varying every other field
-  // gives the same bits cold, which is what lets the memo serve them.
+  // solve_dense reads no solver option: a same-revision re-solve with
+  // every remaining field changed is served from the memo, and the
+  // served bits are the cold dense result.
   const auto model = make_model(1.07, 23);
   const SimoRealization simo(model);
-  const core::SolverOptions base;
-  const auto reference = core::solve_dense(simo, base);
+  const auto reference = core::solve_dense(simo);
   ASSERT_FALSE(reference.crossings.empty());
 
+  const core::SolverOptions base;
   core::SolverOptions other = base;
   other.threads = 4;
-  other.kappa = 5;
-  other.alpha = 1.3;
   other.seed = 99;
-  other.resolution = 1e-5;
   other.scheduling = core::SchedulingMode::kStaticGrid;
-  other.lambda_max.krylov_dim = 17;
-  other.lambda_max.restarts = 1;
-  other.lambda_max.safety_factor = 1.5;
   other.shift.krylov_dim = 20;
   other.shift.eigs_per_shift = 2;
-  other.shift.ritz_tol = 1e-6;
-  other.shift.max_restarts = 3;
-  other.shift.min_restarts = 1;
-  other.shift.radius_safety = 0.5;
-  EXPECT_TRUE(same_bits(core::solve_dense(simo, other), reference));
 
   SolverSession session{SimoRealization(simo)};
-  (void)session.solve(base);
+  EXPECT_TRUE(same_bits(session.solve(base), reference));
   const auto served = session.solve(other);
   EXPECT_EQ(session.stats().dense_reuses, 1u);
   EXPECT_TRUE(same_bits(served, reference));

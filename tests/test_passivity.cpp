@@ -172,9 +172,9 @@ TEST_P(EnforcementProperty, MakesModelPassiveWithSmallPerturbation) {
       make_model(1.05 + 0.01 * GetParam(), 100 + GetParam());
   SolverSession session(model);
 
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 2;
-  const auto result = enforce_passivity(session, eopt);
+  core::SolverOptions sopt;
+  sopt.threads = 2;
+  const auto result = enforce_passivity(session, sopt);
   const SimoRealization& simo = session.realization();
   EXPECT_TRUE(result.success) << "not passive after "
                               << result.iterations << " iterations";
@@ -204,9 +204,9 @@ INSTANTIATE_TEST_SUITE_P(Violations, EnforcementProperty,
 
 TEST(Enforcement, PassiveInputIsANoop) {
   SolverSession session(make_model(0.8, 200));
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 2;
-  const auto result = enforce_passivity(session, eopt);
+  core::SolverOptions sopt;
+  sopt.threads = 2;
+  const auto result = enforce_passivity(session, sopt);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.iterations, 0u);
   EXPECT_DOUBLE_EQ(result.relative_model_change, 0.0);
@@ -215,9 +215,9 @@ TEST(Enforcement, PassiveInputIsANoop) {
 TEST(Enforcement, PreservesPoles) {
   SolverSession session(make_model(1.06, 201));
   const auto blocks_before = session.realization().blocks();
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 2;
-  (void)enforce_passivity(session, eopt);
+  core::SolverOptions sopt;
+  sopt.threads = 2;
+  (void)enforce_passivity(session, sopt);
   const auto& blocks_after = session.realization().blocks();
   ASSERT_EQ(blocks_before.size(), blocks_after.size());
   for (std::size_t i = 0; i < blocks_before.size(); ++i) {
@@ -230,9 +230,9 @@ TEST(Enforcement, AccuracyIsTracked) {
   // The relative model change must reflect the actual C perturbation.
   SolverSession session(make_model(1.05, 202));
   const auto c_before = session.realization().c();
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 2;
-  const auto result = enforce_passivity(session, eopt);
+  core::SolverOptions sopt;
+  sopt.threads = 2;
+  const auto result = enforce_passivity(session, sopt);
   const auto diff = session.realization().c() - c_before;
   const double expected =
       la::frobenius_norm(diff) / la::frobenius_norm(c_before);
@@ -263,22 +263,29 @@ TEST_P(GenEnforcementRegression, CertifiesWithinTheRoundBudget) {
   SolverSession session(vf::vector_fit(samples, fit_opt).model);
   ASSERT_FALSE(characterize_passivity(session, core::SolverOptions{}).passive);
 
-  const passivity::EnforcementOptions eopt;
-  const auto result = enforce_passivity(session, eopt);
+  const auto result = enforce_passivity(session, core::SolverOptions{});
   EXPECT_TRUE(result.success) << "case" << i + 1 << ".s4p not passive after "
                               << result.iterations << " rounds";
-  EXPECT_LE(result.iterations, eopt.max_iterations);
+  EXPECT_LE(result.iterations, passivity::kMaxEnforcementRounds);
   EXPECT_TRUE(characterize_passivity(session, core::SolverOptions{}).passive);
 }
 
 INSTANTIATE_TEST_SUITE_P(GenMembers, GenEnforcementRegression,
                          ::testing::Values(404, 476, 917, 1136));
 
-TEST(Enforcement, RejectsBadMargin) {
-  SolverSession session(make_model(1.05, 203, 20, 2));
-  passivity::EnforcementOptions eopt;
-  eopt.margin = 0.0;
-  EXPECT_THROW(enforce_passivity(session, eopt), std::invalid_argument);
+TEST(Enforcement, RejectsDirectCouplingAboveTheCeiling) {
+  // sigma_max(H(jw)) tends to sigma_max(D) as w grows, and perturbing
+  // C never changes D: with sigma_max(D) >= 1 - margin the enforced
+  // ceiling is out of reach, so the precondition rejects the model.
+  macromodel::SyntheticModelSpec spec;
+  spec.ports = 2;
+  spec.states = 20;
+  spec.target_peak_gain = 1.05;
+  spec.seed = 203;
+  spec.d_norm = 0.999;
+  SolverSession session(macromodel::make_synthetic_model(spec));
+  EXPECT_THROW((void)enforce_passivity(session, core::SolverOptions{}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -186,10 +186,9 @@ TEST(Transient, EnforcementRemovesInstability) {
   }
   ASSERT_FALSE(bad_gammas.empty()) << "no destabilizing termination";
 
-  passivity::EnforcementOptions eopt;
-  eopt.solver.threads = 2;
-  eopt.max_iterations = 40;
-  const auto enf = passivity::enforce_passivity(session, eopt);
+  core::SolverOptions sopt;
+  sopt.threads = 2;
+  const auto enf = passivity::enforce_passivity(session, sopt);
   ASSERT_TRUE(enf.success);
   EXPECT_FALSE(has_rhp_pole(simo, bad_gammas));
 

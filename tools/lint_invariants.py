@@ -33,7 +33,11 @@ Checks (each failure is one line on stdout; exit 1 if any fired):
                     overrides and deleted functions are exempt; test
                     seams sit on PROD_CALLERS_ALLOW with a reason, and
                     a stale entry fires too.  The scan works on names,
-                    so it cannot tell overloads apart.
+                    so it cannot tell overloads apart, and a member
+                    passes whenever anything else in production code
+                    uses its name: an uncalled `clear`, `capacity` or
+                    `reset` hides behind std containers, smart
+                    pointers and constructor parameters of that name.
 
 Run from anywhere: paths resolve relative to this file's repo root.
 """
