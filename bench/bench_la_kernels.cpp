@@ -9,6 +9,12 @@
 //   - 2p x 2p complex LU factor + fused multi-RHS solve (the SMW
 //     kernel), with a correctness check of solve_many against the
 //     column-wise solve;
+//   - one d = 60 CGS2 Arnoldi at Table I case 1's shape (the
+//     SmwShiftInvertOp of the n = 1000, p = 20 surrogate, dim 2000)
+//     with 0 and 6 locked vectors: core::arnoldi on plane rows against
+//     the interleaved oracle interleaved_arnoldi of
+//     tests/reference_kernels.hpp, whose h and basis it must reproduce
+//     bit for bit (both timings printed, no timing gate);
 //   - gemm on residue-matrix shapes;
 //   - vector_fit's sigma least squares: the per-output 400x26 block
 //     [Phi, 1 | -H_i Phi | H_i] of the fast solve (12 poles, 200
@@ -27,7 +33,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
@@ -40,6 +48,7 @@
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/rng.hpp"
 #include "phes/util/timer.hpp"
+#include "bench_support.hpp"
 #include "reference_kernels.hpp"
 #include "test_support.hpp"
 
@@ -194,6 +203,53 @@ int main() {
         "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"smw_lu\","
         "\"p\":%zu,\"factor_seconds\":%.6f,\"solve4_seconds\":%.6f}\n",
         p, factor_sec, solve_sec);
+  }
+
+  // CGS2 Arnoldi at Table I case 1's shape, plane rows against the
+  // interleaved oracle.  The 6 locked vectors are Ritz vectors of a
+  // first run, locked as the single-shift iteration locks them.
+  {
+    const macromodel::SimoRealization realization(
+        bench::build_case_model(bench::table1_cases().front()));
+    const hamiltonian::SmwShiftInvertOp op(realization,
+                                           la::Complex(0.0, 50.0));
+    util::Rng rng(9);
+    std::vector<core::PlaneVector> locked;
+    {
+      const auto first =
+          core::arnoldi(op, core::random_start_vector(op.dim(), rng), 60, {});
+      for (const auto& pair : core::ritz_pairs(first, false)) {
+        if (locked.size() == 6) break;
+        core::lock_vector(locked, core::form_ritz_vector(first, pair));
+      }
+    }
+    expect(locked.size() == 6, "cgs2_arnoldi locks 6 Ritz vectors");
+    const la::ComplexVector v0 = core::random_start_vector(op.dim(), rng);
+    for (const std::size_t nl : {std::size_t{0}, locked.size()}) {
+      const std::span<const core::PlaneVector> lk(locked.data(), nl);
+      const std::vector<la::ComplexVector> ref_locked = test::from_planes(lk);
+      core::ArnoldiResult ar;
+      test::ReferenceArnoldi ref;
+      const double sec =
+          best_seconds(3, [&] { ar = core::arnoldi(op, v0, 60, lk); });
+      const double ref_sec = best_seconds(
+          3, [&] { ref = test::interleaved_arnoldi(op, v0, 60, ref_locked); });
+      const test::ReferenceArnoldi got = test::to_reference(ar);
+      expect(ar.steps == 60 && got.steps == ref.steps &&
+                 got.matvecs == ref.matvecs &&
+                 got.h.size() == ref.h.size() &&
+                 std::memcmp(got.h.data(), ref.h.data(),
+                             ref.h.size() * sizeof(la::Complex)) == 0 &&
+                 got.v_rows.size() == ref.v_rows.size() &&
+                 std::memcmp(got.v_rows.data(), ref.v_rows.data(),
+                             ref.v_rows.size() * sizeof(la::Complex)) == 0,
+             "cgs2_arnoldi is bit-identical to the interleaved oracle");
+      std::printf(
+          "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"cgs2_arnoldi\","
+          "\"dim\":%zu,\"d\":60,\"locked\":%zu,\"seconds\":%.6f,"
+          "\"interleaved_seconds\":%.6f,\"speedup\":%.3f}\n",
+          op.dim(), nl, sec, ref_sec, ref_sec / sec);
+    }
   }
 
   // gemm on residue-matrix shapes.

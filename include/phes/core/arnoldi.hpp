@@ -9,6 +9,13 @@
 // deflation" of [9].  The Galerkin projection returns the (d+1) x d
 // Hessenberg matrix whose eigenpairs approximate the operator's
 // dominant eigenpairs.
+//
+// Every full-space vector of the process (the basis, the locked set,
+// Ritz vectors and the working vector) is stored as a plane row
+// (la/kernels.hpp): re(x) followed by im(x), so the Gram-Schmidt,
+// Ritz and locking loops run on contiguous doubles.  The operator
+// still sees interleaved vectors; each step merges one basis row into
+// an interleaved scratch for op.apply and splits the result.
 
 #include <span>
 #include <vector>
@@ -24,11 +31,17 @@ using la::Complex;
 using la::ComplexMatrix;
 using la::ComplexVector;
 
+/// A complex vector of length dim as one plane row: 2 * dim doubles,
+/// the real parts followed by the imaginary parts.
+using PlaneVector = std::vector<double>;
+
 /// Output of one Arnoldi run.
 struct ArnoldiResult {
-  /// (steps+1) x dim basis, one orthonormal vector per ROW (contiguous
-  /// rows keep the Gram-Schmidt inner loops cache-friendly).
-  ComplexMatrix v_rows;
+  /// The (d+1) orthonormal basis vectors as plane rows in one
+  /// allocation: row k is [re(dim) | im(dim)] at offset 2 * dim * k.
+  /// Rows past `steps` stay zero (a breakdown stops the run early).
+  std::vector<double> basis;
+  std::size_t dim = 0;  ///< operator dimension (length of a basis vector)
   ComplexMatrix h;    ///< (steps+1) x steps Hessenberg projection
   std::size_t steps = 0;  ///< completed steps (< d on lucky breakdown)
   std::size_t matvecs = 0;
@@ -46,22 +59,24 @@ struct RitzPair {
   Complex value{};       ///< eigenvalue of the *operator* (e.g. mu)
   double residual = 0.0; ///< ||Op x - mu x|| estimate
   ComplexVector coords;  ///< unit-norm eigenvector y of H_d (length d)
-  ComplexVector vector;  ///< Ritz vector V_d y in the full space (unit
-                         ///< norm); empty unless requested
+  PlaneVector vector;    ///< Ritz vector V_d y in the full space (unit
+                         ///< norm, plane row); empty unless requested
 };
 
 /// Run `d` Arnoldi steps from start vector v0 (need not be normalized).
-/// `locked` vectors are deflated: the basis is kept orthogonal to them.
-/// Throws std::invalid_argument on dimension mismatches.
+/// `locked` vectors (plane rows of length 2 * dim) are deflated: the
+/// basis is kept orthogonal to them.  Throws std::invalid_argument on
+/// dimension mismatches.
 ///
 /// Orthogonalization is blocked classical Gram-Schmidt with a full
 /// reorthogonalization pass (CGS2, "twice is enough"): all projections
 /// against the un-updated w are computed with the row-paired
-/// multi-accumulator dot kernels, then subtracted en bloc.
+/// multi-accumulator plane-row dot kernels (locked rows paired among
+/// themselves, then basis rows), then subtracted en bloc.
 [[nodiscard]] ArnoldiResult arnoldi(
     const hamiltonian::ComplexLinearOperator& op,
     std::span<const Complex> v0, std::size_t d,
-    std::span<const ComplexVector> locked);
+    std::span<const PlaneVector> locked);
 
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the
@@ -72,17 +87,18 @@ struct RitzPair {
                                                bool want_vectors);
 
 /// The unit-norm full-space Ritz vector V_d y of `pair` (a pair of `ar`
-/// returned by ritz_pairs), bit-identical to the `vector` that
-/// ritz_pairs(ar, true) fills in.
-[[nodiscard]] ComplexVector form_ritz_vector(const ArnoldiResult& ar,
-                                             const RitzPair& pair);
+/// returned by ritz_pairs) as a plane row, bit-identical to the
+/// `vector` that ritz_pairs(ar, true) fills in.
+[[nodiscard]] PlaneVector form_ritz_vector(const ArnoldiResult& ar,
+                                           const RitzPair& pair);
 
 /// Append `v` to the locked set after two modified Gram-Schmidt passes
 /// against it and normalization, so the set stays orthonormal (a raw
 /// set of Ritz vectors is not, and deflating with it produces spurious
 /// Ritz values).  A direction already represented (residual norm below
 /// 1e-8) is dropped; returns whether `v` was appended.
-bool lock_vector(std::vector<ComplexVector>& locked, const ComplexVector& v);
+/// `v` and the locked vectors are plane rows.
+bool lock_vector(std::vector<PlaneVector>& locked, const PlaneVector& v);
 
 /// Random complex start vector of unit norm.
 [[nodiscard]] ComplexVector random_start_vector(std::size_t dim,

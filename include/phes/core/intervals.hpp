@@ -42,18 +42,18 @@ struct SeedPlan {
   la::RealVector radii;   ///< parallel to shifts, or empty
 };
 
-/// Sort the seeds, drop those outside (omega_min, omega_max), and merge
+/// Sort the seeds, drop those outside (0, omega_max), and merge
 /// seeds closer than `min_gap` (the survivor is the first of each
 /// cluster).  `radii` may be empty or parallel to `shifts`; kept radii
 /// stay paired.  Kept shift values are returned EXACTLY as given —
 /// warm-start prefetching relies on bitwise-equal shifts for its cache
 /// keys.
-[[nodiscard]] SeedPlan plan_seeds(double omega_min, double omega_max,
+[[nodiscard]] SeedPlan plan_seeds(double omega_max,
                                   const la::RealVector& shifts,
                                   const la::RealVector& radii,
                                   double min_gap);
 
-/// Warm-start startup rule: partition [omega_min, omega_max] so that
+/// Warm-start startup rule: partition [0, omega_max] so that
 /// every seed is the tentative shift of its own interval (boundaries at
 /// midpoints between consecutive seeds), then split the widest
 /// intervals until at least `n_intervals` exist so every solver thread
@@ -62,28 +62,27 @@ struct SeedPlan {
 /// Seed intervals are queued first — the previous solve's shifts are
 /// the most informative, so they are processed before fill-in work.
 [[nodiscard]] std::vector<TentativeInterval> seeded_partition(
-    double omega_min, double omega_max, const SeedPlan& plan,
+    double omega_max, const SeedPlan& plan,
     std::size_t n_intervals, double min_width);
 
 /// Shift-queue state machine.  Invariants (checked in tests):
 ///  - tentative intervals never overlap each other or in-flight ones;
 ///  - an interval is handed out at most once (Eq. 20);
-///  - at termination the certified disks cover [omega_min, omega_max]
+///  - at termination the certified disks cover [0, omega_max]
 ///    up to the configured resolution.
 class IntervalScheduler {
  public:
-  /// Subdivide [omega_min, omega_max] into n_intervals = kappa * threads
+  /// Subdivide [0, omega_max] into n_intervals = kappa * threads
   /// pieces with shifts per the paper's startup rule: first interval's
-  /// shift at omega_min, last at omega_max, others centered; queue
+  /// shift at 0, last at omega_max, others centered; queue
   /// ordered so the band extrema are processed first (Eqs. 13-15).
-  IntervalScheduler(double omega_min, double omega_max,
-                    std::size_t n_intervals, double min_interval_width);
+  IntervalScheduler(double omega_max, std::size_t n_intervals,
+                    double min_interval_width);
 
   /// Start from an explicit set of disjoint intervals (used by the
   /// static-grid baseline to mop up coverage gaps).  Queue order is the
   /// given order; ids are reassigned.
   IntervalScheduler(std::vector<TentativeInterval> intervals,
-                    double omega_min, double omega_max,
                     double min_interval_width);
 
   /// Pops the next free tentative interval (Eq. 20); nullopt when the
@@ -113,8 +112,6 @@ class IntervalScheduler {
   [[nodiscard]] const std::vector<CompletedDisk>& disks() const noexcept {
     return completed_;
   }
-  [[nodiscard]] double omega_min() const noexcept { return omega_min_; }
-  [[nodiscard]] double omega_max() const noexcept { return omega_max_; }
 
   /// All eigenvalues from all completed disks (duplicates possible when
   /// disks overlap; callers cluster).
@@ -122,8 +119,6 @@ class IntervalScheduler {
 
  private:
   std::uint64_t next_id_ = 0;
-  double omega_min_ = 0.0;
-  double omega_max_ = 0.0;
   double min_width_ = 0.0;
   std::deque<TentativeInterval> tentative_;
   std::vector<CompletedDisk> completed_;

@@ -1,8 +1,9 @@
 #pragma once
 // Blocked, SIMD-friendly compute kernels of the solve path: blocked
-// complex row reductions (the CGS2 orthogonalization in core::arnoldi)
-// and split real/imag-plane products of a real matrix with a complex
-// vector (the C / C^T / D / D^T products of the Hamiltonian operators).
+// complex row reductions on split real/imag planes (the CGS2
+// orthogonalization in core::arnoldi) and split-plane products of a
+// real matrix with a complex vector (the C / C^T / D / D^T products of
+// the Hamiltonian operators).
 //
 // There is one kernel path.  The transforms in this file and in the
 // operators that use them reorder floating-point reductions (multiple
@@ -10,9 +11,10 @@
 // fused multi-RHS solves), so results differ from straight-line loops
 // at rounding level; tests/reference_kernels.hpp keeps those loops as
 // the test oracle.  Order-preserving transforms (la/blas.hpp blocked
-// products, la::hessenberg_eig) are bit-identical to the loops they
-// replaced.  Either way the results are deterministic: bit-identical
-// across runs and thread counts.
+// products, la::hessenberg_eig, the plane-row kernels below against
+// the interleaved kernels they replaced) are bit-identical to the
+// loops they replaced.  Either way the results are deterministic:
+// bit-identical across runs and thread counts.
 //
 // The kernels here are deliberately free-standing (raw pointers +
 // strides) so the operators can point them at matrix rows, locked
@@ -26,31 +28,44 @@ namespace phes::la {
 
 namespace kernels {
 
-// ---- blocked complex row kernels (tuned Gram-Schmidt) -----------------
+// ---- plane-row complex kernels (blocked Gram-Schmidt) -----------------
 //
-// `rows` is the first row of a row-major pack with leading dimension
-// `stride`; row j is rows + j * stride.  The *_ptrs variants take an
+// A complex vector x of length `dim` is a PLANE ROW: 2 * dim doubles,
+// re(x) in [0, dim) followed by im(x) in [dim, 2 * dim).  The planes
+// keep every inner loop contiguous over doubles, so the SSE2 baseline
+// vectorizes the axpy sweeps without the unpck shuffles an interleaved
+// std::complex layout needs, and the dot kernels with fewer of them.
+// `rows` is the first row of a pack with leading dimension `stride`
+// doubles; row j is rows + j * stride.  The *_ptrs variants take an
 // array of row pointers instead (locked Ritz vectors live in separate
 // allocations).
+//
+// Rows are processed in pairs sharing one pass over w; a pair keeps
+// one accumulator per row for even and one for odd i, a lone last row
+// one accumulator per i mod 4 summed as (r0 + r1) + (r2 + r3), and
+// tail elements go to accumulator 0.
 
 /// proj[j] = sum_i conj(row_j[i]) * w[i]  for j in [0, count).
-/// Blocked over rows so each load of w feeds several dot products, with
-/// split re/im accumulators to break the serial addition chain.
-void dotc_rows(const Complex* rows, std::size_t stride, std::size_t count,
-               const Complex* w, std::size_t dim, Complex* proj);
+void dotc_rows(const double* rows, std::size_t stride, std::size_t count,
+               const double* w, std::size_t dim, Complex* proj);
 
 /// Same reduction over an array of row pointers.
-void dotc_ptrs(const Complex* const* rows, std::size_t count,
-               const Complex* w, std::size_t dim, Complex* proj);
+void dotc_ptrs(const double* const* rows, std::size_t count,
+               const double* w, std::size_t dim, Complex* proj);
 
-/// w -= sum_j coeffs[j] * row_j  for j in [0, count), blocked so each
-/// store of w absorbs several rank-1 updates.
-void axpy_rows(const Complex* rows, std::size_t stride, std::size_t count,
-               const Complex* coeffs, Complex* w, std::size_t dim);
+/// w -= sum_j coeffs[j] * row_j  for j in [0, count); each element of a
+/// row pair is updated as w - t0 - t1, so each store of w absorbs two
+/// rank-1 updates.
+void axpy_rows(const double* rows, std::size_t stride, std::size_t count,
+               const Complex* coeffs, double* w, std::size_t dim);
 
 /// Same update over an array of row pointers.
-void axpy_ptrs(const Complex* const* rows, std::size_t count,
-               const Complex* coeffs, Complex* w, std::size_t dim);
+void axpy_ptrs(const double* const* rows, std::size_t count,
+               const Complex* coeffs, double* w, std::size_t dim);
+
+/// Euclidean norm of a plane row, bit-identical to la::nrm2 of the
+/// interleaved vector (same sum order, same scaled rescue pass).
+[[nodiscard]] double nrm2_plane(const double* x, std::size_t dim) noexcept;
 
 // ---- split-plane real-matrix kernels ----------------------------------
 //

@@ -12,41 +12,39 @@ namespace phes::core {
 
 namespace {
 
-// Orthogonalize `w` against rows [0, count) of `v_rows` and against all
-// locked vectors, accumulating projection coefficients for the basis
-// rows into `coeffs` (length >= count).  One blocked classical
-// Gram-Schmidt pass: ALL projections are taken against the un-updated
-// w (one reduction sweep through the row-paired multi-accumulator dot
-// kernels), then subtracted en bloc.  Callers run it twice (CGS2),
-// which restores the orthogonality quality of reorthogonalized MGS.
-void cgs_pass(const ComplexMatrix& v_rows, std::size_t count,
-              std::span<const ComplexVector> locked, ComplexVector& w,
-              Complex* coeffs, std::vector<Complex>& proj,
-              std::vector<const Complex*>& locked_ptrs) {
-  const std::size_t dim = w.size();
+// Orthogonalize the plane row `w` against basis rows [0, count) of
+// `basis` and against all locked vectors, accumulating projection
+// coefficients for the basis rows into `coeffs` (length >= count).
+// One blocked classical Gram-Schmidt pass: ALL projections are taken
+// against the un-updated w (one reduction sweep through the row-paired
+// multi-accumulator dot kernels), then subtracted en bloc.  Callers run
+// it twice (CGS2), which restores the orthogonality quality of
+// reorthogonalized MGS.
+void cgs_pass(const double* basis, std::size_t count,
+              std::span<const double* const> locked, double* w,
+              std::size_t dim, Complex* coeffs, std::vector<Complex>& proj) {
   const std::size_t nl = locked.size();
   proj.resize(nl + count);
   if (nl > 0) {
-    locked_ptrs.resize(nl);
-    for (std::size_t i = 0; i < nl; ++i) locked_ptrs[i] = locked[i].data();
-    la::kernels::dotc_ptrs(locked_ptrs.data(), nl, w.data(), dim,
-                           proj.data());
+    la::kernels::dotc_ptrs(locked.data(), nl, w, dim, proj.data());
   }
   if (count > 0) {
-    la::kernels::dotc_rows(v_rows.row_ptr(0), v_rows.cols(), count, w.data(),
-                           dim, proj.data() + nl);
+    la::kernels::dotc_rows(basis, 2 * dim, count, w, dim, proj.data() + nl);
   }
-  if (nl > 0) {
-    la::kernels::axpy_ptrs(locked_ptrs.data(), nl, proj.data(), w.data(),
-                           dim);
-  }
+  if (nl > 0) la::kernels::axpy_ptrs(locked.data(), nl, proj.data(), w, dim);
   if (count > 0) {
-    la::kernels::axpy_rows(v_rows.row_ptr(0), v_rows.cols(), count,
-                           proj.data() + nl, w.data(), dim);
+    la::kernels::axpy_rows(basis, 2 * dim, count, proj.data() + nl, w, dim);
   }
   if (coeffs != nullptr) {
     for (std::size_t j = 0; j < count; ++j) coeffs[j] += proj[nl + j];
   }
+}
+
+// dst = src / norm on a plane row: std::complex / double divides both
+// parts by norm, so this is bit for bit the interleaved division.
+void scale_into(const double* src, double norm, std::size_t dim,
+                double* dst) {
+  for (std::size_t i = 0; i < 2 * dim; ++i) dst[i] = src[i] / norm;
 }
 
 }  // namespace
@@ -61,12 +59,13 @@ ComplexVector random_start_vector(std::size_t dim, util::Rng& rng) {
 
 ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
                       std::span<const Complex> v0, std::size_t d,
-                      std::span<const ComplexVector> locked) {
+                      std::span<const PlaneVector> locked) {
   const std::size_t dim = op.dim();
   util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
   util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
   for (const auto& lv : locked) {
-    util::check(lv.size() == dim, "arnoldi: locked vector dimension mismatch");
+    util::check(lv.size() == 2 * dim,
+                "arnoldi: locked vector dimension mismatch");
   }
 
   // The Krylov space lives in the orthogonal complement of the locked
@@ -78,40 +77,49 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
   const std::size_t d_eff = std::min(d, available - 1);
 
   ArnoldiResult res;
-  res.v_rows = ComplexMatrix(d_eff + 1, dim);
+  res.dim = dim;
+  res.basis.assign((d_eff + 1) * 2 * dim, 0.0);
   res.h = ComplexMatrix(d_eff + 1, d_eff);
+  double* const basis = res.basis.data();
 
   // Scratch lives outside the passes so a run allocates at most once.
   std::vector<Complex> proj;
-  std::vector<const Complex*> locked_ptrs;
+  std::vector<const double*> locked_rows(locked.size());
+  for (std::size_t i = 0; i < locked.size(); ++i) {
+    locked_rows[i] = locked[i].data();
+  }
+  const std::span<const double* const> lrows(locked_rows);
+  std::vector<double> w(2 * dim);
 
   // Normalize (and deflate) the start vector.
-  {
-    ComplexVector w(v0.begin(), v0.end());
-    cgs_pass(res.v_rows, 0, locked, w, nullptr, proj, locked_ptrs);
-    cgs_pass(res.v_rows, 0, locked, w, nullptr, proj, locked_ptrs);
-    const double norm = la::nrm2<Complex>(w);
-    util::require(norm > 1e-10,
-                  "arnoldi: start vector lies in the locked subspace");
-    Complex* row0 = res.v_rows.row_ptr(0);
-    for (std::size_t i = 0; i < dim; ++i) row0[i] = w[i] / norm;
-  }
+  la::kernels::split_planes(v0.data(), dim, w.data(), w.data() + dim);
+  cgs_pass(basis, 0, lrows, w.data(), dim, nullptr, proj);
+  cgs_pass(basis, 0, lrows, w.data(), dim, nullptr, proj);
+  const double norm0 = la::kernels::nrm2_plane(w.data(), dim);
+  util::require(norm0 > 1e-10,
+                "arnoldi: start vector lies in the locked subspace");
+  scale_into(w.data(), norm0, dim, basis);
 
-  ComplexVector w(dim);
+  // The operator reads and writes interleaved vectors.
+  ComplexVector x(dim);
+  ComplexVector y(dim);
   std::vector<Complex> coeffs(d_eff + 1);
   for (std::size_t k = 0; k < d_eff; ++k) {
     // w = Op v_k.
-    op.apply(std::span<const Complex>(res.v_rows.row_ptr(k), dim), w);
+    const double* vk = basis + 2 * dim * k;
+    la::kernels::merge_planes(vk, vk + dim, dim, x.data());
+    op.apply(x, y);
     ++res.matvecs;
-    const double norm_before = la::nrm2<Complex>(w);
+    la::kernels::split_planes(y.data(), dim, w.data(), w.data() + dim);
+    const double norm_before = la::kernels::nrm2_plane(w.data(), dim);
 
     // Two orthogonalization passes (CGS2, "twice is enough").
     std::fill(coeffs.begin(), coeffs.end(), Complex{});
-    cgs_pass(res.v_rows, k + 1, locked, w, coeffs.data(), proj, locked_ptrs);
-    cgs_pass(res.v_rows, k + 1, locked, w, coeffs.data(), proj, locked_ptrs);
+    cgs_pass(basis, k + 1, lrows, w.data(), dim, coeffs.data(), proj);
+    cgs_pass(basis, k + 1, lrows, w.data(), dim, coeffs.data(), proj);
     for (std::size_t j = 0; j <= k; ++j) res.h(j, k) = coeffs[j];
 
-    const double norm = la::nrm2<Complex>(w);
+    const double norm = la::kernels::nrm2_plane(w.data(), dim);
     res.steps = k + 1;
     // Relative breakdown test: when Op v_k lies (numerically) in the
     // span already built, the subspace is invariant — stop rather than
@@ -121,8 +129,7 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
       break;
     }
     res.h(k + 1, k) = Complex(norm, 0.0);
-    Complex* next = res.v_rows.row_ptr(k + 1);
-    for (std::size_t i = 0; i < dim; ++i) next[i] = w[i] / norm;
+    scale_into(w.data(), norm, dim, basis + 2 * dim * (k + 1));
   }
   return res;
 }
@@ -156,61 +163,65 @@ std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
   return pairs;
 }
 
-ComplexVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
+PlaneVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
   const std::size_t d = ar.steps;
   util::check(pair.coords.size() == d,
               "form_ritz_vector: pair does not belong to this Arnoldi run");
-  const std::size_t dim = ar.v_rows.cols();
-  ComplexVector x(dim, Complex{});
+  const std::size_t dim = ar.dim;
+  PlaneVector x(2 * dim, 0.0);
+  double* xr = x.data();
+  double* xi = x.data() + dim;
   // x += v * y spelled out as std::complex evaluates it for finite
   // values, (ac - bd, ad + bc): the same bits without the NaN-recovery
   // call that keeps the complex product from vectorizing.
-  double* xd = reinterpret_cast<double*>(x.data());
   for (std::size_t row = 0; row < d; ++row) {
     const Complex yc = pair.coords[row];
     if (yc == Complex{}) continue;
     const double c = yc.real();
     const double s = yc.imag();
-    const double* vr = reinterpret_cast<const double*>(ar.v_rows.row_ptr(row));
-    for (std::size_t i = 0; i < 2 * dim; i += 2) {
+    const double* vr = ar.basis.data() + 2 * dim * row;
+    const double* vi = vr + dim;
+    for (std::size_t i = 0; i < dim; ++i) {
       const double a = vr[i];
-      const double b = vr[i + 1];
-      xd[i] += a * c - b * s;
-      xd[i + 1] += a * s + b * c;
+      const double b = vi[i];
+      xr[i] += a * c - b * s;
+      xi[i] += a * s + b * c;
     }
   }
-  const double norm = la::nrm2<Complex>(x);
-  if (norm > 0.0) {
-    for (auto& e : x) e /= norm;
-  }
+  const double norm = la::kernels::nrm2_plane(x.data(), dim);
+  if (norm > 0.0) scale_into(x.data(), norm, dim, x.data());
   return x;
 }
 
-bool lock_vector(std::vector<ComplexVector>& locked, const ComplexVector& v) {
-  ComplexVector w = v;
-  const std::size_t n2 = 2 * w.size();
-  double* wd = reinterpret_cast<double*>(w.data());
+bool lock_vector(std::vector<PlaneVector>& locked, const PlaneVector& v) {
+  PlaneVector w = v;
+  const std::size_t dim = w.size() / 2;
+  double* wr = w.data();
+  double* wi = w.data() + dim;
   // Complex products spelled out as std::complex evaluates them for
   // finite values: conj(q) * w = (ac + bd, ad - bc) and p * q =
   // (ac - bd, ad + bc), in the same loop order — the same bits.
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& q : locked) {
-      const double* qd = reinterpret_cast<const double*>(q.data());
+      const double* qr = q.data();
+      const double* qi = q.data() + dim;
       double pr = 0.0;
       double pi = 0.0;
-      for (std::size_t i = 0; i < n2; i += 2) {
-        pr += qd[i] * wd[i] + qd[i + 1] * wd[i + 1];
-        pi += qd[i] * wd[i + 1] - qd[i + 1] * wd[i];
+      for (std::size_t i = 0; i < dim; ++i) {
+        pr += qr[i] * wr[i] + qi[i] * wi[i];
+        pi += qr[i] * wi[i] - qi[i] * wr[i];
       }
-      for (std::size_t i = 0; i < n2; i += 2) {
-        wd[i] -= pr * qd[i] - pi * qd[i + 1];
-        wd[i + 1] -= pr * qd[i + 1] + pi * qd[i];
+      for (std::size_t i = 0; i < dim; ++i) {
+        const double a = qr[i];
+        const double b = qi[i];
+        wr[i] -= pr * a - pi * b;
+        wi[i] -= pr * b + pi * a;
       }
     }
   }
-  const double norm = la::nrm2<Complex>(w);
+  const double norm = la::kernels::nrm2_plane(w.data(), dim);
   if (norm < 1e-8) return false;  // direction already represented
-  for (auto& x : w) x /= norm;
+  scale_into(w.data(), norm, dim, w.data());
   locked.push_back(std::move(w));
   return true;
 }

@@ -7,8 +7,7 @@
 
 namespace phes::core {
 
-SeedPlan plan_seeds(double omega_min, double omega_max,
-                    const la::RealVector& shifts,
+SeedPlan plan_seeds(double omega_max, const la::RealVector& shifts,
                     const la::RealVector& radii, double min_gap) {
   util::check(radii.empty() || radii.size() == shifts.size(),
               "plan_seeds: radii must be empty or parallel to shifts");
@@ -20,7 +19,7 @@ SeedPlan plan_seeds(double omega_min, double omega_max,
   SeedPlan plan;
   for (const std::size_t i : order) {
     const double w = shifts[i];
-    if (w <= omega_min || w >= omega_max) continue;
+    if (w <= 0.0 || w >= omega_max) continue;
     if (!plan.shifts.empty() && w - plan.shifts.back() < min_gap) continue;
     plan.shifts.push_back(w);
     if (!radii.empty()) plan.radii.push_back(radii[i]);
@@ -28,13 +27,12 @@ SeedPlan plan_seeds(double omega_min, double omega_max,
   return plan;
 }
 
-std::vector<TentativeInterval> seeded_partition(double omega_min,
-                                                double omega_max,
+std::vector<TentativeInterval> seeded_partition(double omega_max,
                                                 const SeedPlan& plan,
                                                 std::size_t n_intervals,
                                                 double min_width) {
   const la::RealVector& seeds = plan.shifts;
-  util::check(omega_max > omega_min, "seeded_partition: empty band");
+  util::check(omega_max > 0.0, "seeded_partition: empty band");
   util::check(min_width > 0.0, "seeded_partition: resolution must be > 0");
   util::check(!seeds.empty(), "seeded_partition: need at least one seed");
   util::check(plan.radii.empty() || plan.radii.size() == seeds.size(),
@@ -44,7 +42,7 @@ std::vector<TentativeInterval> seeded_partition(double omega_min,
   std::vector<TentativeInterval> seeded(seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     auto& iv = seeded[i];
-    iv.lo = i == 0 ? omega_min : 0.5 * (seeds[i - 1] + seeds[i]);
+    iv.lo = i == 0 ? 0.0 : 0.5 * (seeds[i - 1] + seeds[i]);
     iv.hi = i + 1 == seeds.size() ? omega_max
                                   : 0.5 * (seeds[i] + seeds[i + 1]);
     iv.shift = seeds[i];  // exact: prefetched cache keys must match
@@ -91,25 +89,22 @@ std::vector<TentativeInterval> seeded_partition(double omega_min,
   return all;
 }
 
-IntervalScheduler::IntervalScheduler(double omega_min, double omega_max,
+IntervalScheduler::IntervalScheduler(double omega_max,
                                      std::size_t n_intervals,
                                      double min_interval_width)
-    : omega_min_(omega_min),
-      omega_max_(omega_max),
-      min_width_(min_interval_width) {
-  util::check(omega_max > omega_min, "IntervalScheduler: empty band");
+    : min_width_(min_interval_width) {
+  util::check(omega_max > 0.0, "IntervalScheduler: empty band");
   util::check(n_intervals >= 2, "IntervalScheduler: need >= 2 intervals");
   util::check(min_interval_width > 0.0,
               "IntervalScheduler: resolution must be positive");
 
   // Equal subdivision; shifts centered except at the band extrema
   // (paper Sec. IV-A).
-  const double width = (omega_max - omega_min) /
-                       static_cast<double>(n_intervals);
+  const double width = omega_max / static_cast<double>(n_intervals);
   std::vector<TentativeInterval> initial(n_intervals);
   for (std::size_t nu = 0; nu < n_intervals; ++nu) {
     auto& iv = initial[nu];
-    iv.lo = omega_min + width * static_cast<double>(nu);
+    iv.lo = width * static_cast<double>(nu);
     iv.hi = (nu + 1 == n_intervals) ? omega_max : iv.lo + width;
     if (nu == 0) {
       iv.shift = iv.lo;
@@ -129,11 +124,8 @@ IntervalScheduler::IntervalScheduler(double omega_min, double omega_max,
 }
 
 IntervalScheduler::IntervalScheduler(std::vector<TentativeInterval> intervals,
-                                     double omega_min, double omega_max,
                                      double min_interval_width)
-    : omega_min_(omega_min),
-      omega_max_(omega_max),
-      min_width_(min_interval_width) {
+    : min_width_(min_interval_width) {
   util::check(min_interval_width > 0.0,
               "IntervalScheduler: resolution must be positive");
   for (auto& iv : intervals) {

@@ -78,7 +78,7 @@ SingleShiftResult single_shift_iteration(
   // vectors produces spurious Ritz values.  Orthonormalizing preserves
   // the span (an approximately invariant subspace), which is all the
   // deflation needs.
-  std::vector<ComplexVector> locked_vectors;
+  std::vector<PlaneVector> locked_vectors;
   double rho = rho0;
   // Distance estimate of the nearest eigenvalue the process has seen but
   // not yet converged; caps the certified radius.

@@ -42,7 +42,7 @@ SeedPlan planned_seeds(const SolverOptions& opt, double band_hi,
       opt.scheduling != SchedulingMode::kDynamic) {
     return {};
   }
-  return plan_seeds(0.0, band_hi, seeds.shifts, seeds.radii,
+  return plan_seeds(band_hi, seeds.shifts, seeds.radii,
                     8.0 * std::max(kResolution * band_hi, 1e-300));
 }
 
@@ -88,12 +88,12 @@ SolverResult ParallelHamiltonianEigensolver::solve(
     if (!seeds.shifts.empty()) {
       warm_started = true;
       IntervalScheduler sched(
-          seeded_partition(0.0, band_hi, seeds, n_intervals, min_width),
-          0.0, band_hi, min_width);
+          seeded_partition(band_hi, seeds, n_intervals, min_width),
+          min_width);
       result = run_scheduler(std::move(sched), opt, ctx, band_hi);
       result.seeded_shifts = seeds.shifts.size();
     } else {
-      IntervalScheduler sched(0.0, band_hi, n_intervals, min_width);
+      IntervalScheduler sched(band_hi, n_intervals, min_width);
       result = run_scheduler(std::move(sched), opt, ctx, band_hi);
     }
   } else {
@@ -298,7 +298,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   }
 
   if (!gaps.empty()) {
-    IntervalScheduler mop(std::move(gaps), 0.0, band_hi, min_width);
+    IntervalScheduler mop(std::move(gaps), min_width);
     SolverResult phase2 = run_scheduler(std::move(mop), opt, ctx, band_hi);
     for (const auto& rec : phase2.shift_log) {
       result.shift_log.push_back(rec);

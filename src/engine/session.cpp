@@ -106,9 +106,8 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
       // seeds cost a full Arnoldi run each before the cover rule can
       // drop them.
       const double band_guess = std::max(seeds.band_hint, warm_.omega_max);
-      seeds.shifts = core::plan_seeds(0.0, band_guess * 1.01,
-                                      warm_.crossings, {},
-                                      0.02 * band_guess)
+      seeds.shifts = core::plan_seeds(band_guess * 1.01, warm_.crossings,
+                                      {}, 0.02 * band_guess)
                          .shifts;
     }
     ctx.seeds = &seeds;

@@ -13,10 +13,13 @@
 // in order, so test_la_kernels demands memcmp equality with it, and
 // bench_la_kernels times it against la::least_squares.
 //
-// reference_form_ritz_vector and reference_lock_vector are the
-// std::complex loops behind core::form_ritz_vector and
-// core::lock_vector; the library spells each product out in the same
-// order, so test_la_kernels demands memcmp equality with them.
+// interleaved_arnoldi is core::arnoldi as it ran on interleaved
+// std::complex storage (blocked CGS2 through the row-paired interleaved
+// dot/axpy kernels), and reference_form_ritz_vector and
+// reference_lock_vector are the std::complex loops behind
+// core::form_ritz_vector and core::lock_vector.  The library runs the
+// same operations in the same order on plane rows, so test_la_kernels
+// and bench_la_kernels demand memcmp equality with them.
 //
 // reference_dense_sigma_solve is the dense sigma least squares that
 // vf::detail::fast_sigma_solve replaced.  The fast form eliminates the
@@ -372,6 +375,237 @@ class ReferenceImplicitOp final : public hamiltonian::ComplexLinearOperator {
   la::RealMatrix d_;
 };
 
+/// Dense matrix wrapped as an operator (test double): any dimension,
+/// odd ones included.
+class DenseOp final : public hamiltonian::ComplexLinearOperator {
+ public:
+  explicit DenseOp(la::ComplexMatrix m) : m_(std::move(m)) {}
+  [[nodiscard]] std::size_t dim() const noexcept override {
+    return m_.rows();
+  }
+  void apply(std::span<const la::Complex> x,
+             std::span<la::Complex> y) const override {
+    const auto r = la::gemv(m_, x);
+    std::copy(r.begin(), r.end(), y.begin());
+  }
+
+ private:
+  la::ComplexMatrix m_;
+};
+
+/// An Arnoldi run on interleaved storage, as the oracles below return
+/// it: (steps+1) x dim basis, one orthonormal vector per row.
+struct ReferenceArnoldi {
+  la::ComplexMatrix v_rows;
+  la::ComplexMatrix h;  ///< (steps+1) x steps Hessenberg projection
+  std::size_t steps = 0;
+  std::size_t matvecs = 0;
+};
+
+/// An interleaved vector as a plane row (re parts, then im parts).
+inline core::PlaneVector to_planes(std::span<const la::Complex> x) {
+  core::PlaneVector p(2 * x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    p[i] = x[i].real();
+    p[x.size() + i] = x[i].imag();
+  }
+  return p;
+}
+
+/// A plane row as an interleaved vector.
+inline la::ComplexVector from_planes(std::span<const double> p) {
+  const std::size_t dim = p.size() / 2;
+  la::ComplexVector x(dim);
+  for (std::size_t i = 0; i < dim; ++i) x[i] = {p[i], p[dim + i]};
+  return x;
+}
+
+inline std::vector<core::PlaneVector> to_planes(
+    std::span<const la::ComplexVector> xs) {
+  std::vector<core::PlaneVector> out;
+  for (const auto& x : xs) out.push_back(to_planes(x));
+  return out;
+}
+
+inline std::vector<la::ComplexVector> from_planes(
+    std::span<const core::PlaneVector> ps) {
+  std::vector<la::ComplexVector> out;
+  for (const auto& p : ps) out.push_back(from_planes(p));
+  return out;
+}
+
+/// The library's plane-row result in the oracles' interleaved form.
+inline ReferenceArnoldi to_reference(const core::ArnoldiResult& ar) {
+  ReferenceArnoldi r;
+  const std::size_t rows = ar.dim == 0 ? 0 : ar.basis.size() / (2 * ar.dim);
+  r.v_rows = la::ComplexMatrix(rows, ar.dim);
+  for (std::size_t k = 0; k < rows; ++k) {
+    const la::ComplexVector row = from_planes(std::span<const double>(
+        ar.basis.data() + 2 * ar.dim * k, 2 * ar.dim));
+    std::copy(row.begin(), row.end(), r.v_rows.row_ptr(k));
+  }
+  r.h = ar.h;
+  r.steps = ar.steps;
+  r.matvecs = ar.matvecs;
+  return r;
+}
+
+// ---- Interleaved CGS2 Arnoldi: the bitwise oracle -----------------------
+// core::arnoldi and its la::kernels dot/axpy kernels as they ran on
+// interleaved std::complex storage: the kernels kept verbatim, the loop
+// shared with the MGS2 oracle below.  The plane-row library keeps
+// every accumulator, pairing and operation order, so test_la_kernels
+// and bench_la_kernels demand memcmp equality in h, basis, steps and
+// matvecs.
+
+/// conj(v)*w with accumulators by i mod 4, summed (r0+r1)+(r2+r3).
+inline la::Complex interleaved_dotc_one(const la::Complex* v,
+                                        const la::Complex* w,
+                                        std::size_t dim) {
+  double re0 = 0.0, im0 = 0.0, re1 = 0.0, im1 = 0.0;
+  double re2 = 0.0, im2 = 0.0, re3 = 0.0, im3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= dim; i += 4) {
+    const double vr0 = v[i].real(), vi0 = v[i].imag();
+    const double wr0 = w[i].real(), wi0 = w[i].imag();
+    re0 += vr0 * wr0 + vi0 * wi0;
+    im0 += vr0 * wi0 - vi0 * wr0;
+    const double vr1 = v[i + 1].real(), vi1 = v[i + 1].imag();
+    const double wr1 = w[i + 1].real(), wi1 = w[i + 1].imag();
+    re1 += vr1 * wr1 + vi1 * wi1;
+    im1 += vr1 * wi1 - vi1 * wr1;
+    const double vr2 = v[i + 2].real(), vi2 = v[i + 2].imag();
+    const double wr2 = w[i + 2].real(), wi2 = w[i + 2].imag();
+    re2 += vr2 * wr2 + vi2 * wi2;
+    im2 += vr2 * wi2 - vi2 * wr2;
+    const double vr3 = v[i + 3].real(), vi3 = v[i + 3].imag();
+    const double wr3 = w[i + 3].real(), wi3 = w[i + 3].imag();
+    re3 += vr3 * wr3 + vi3 * wi3;
+    im3 += vr3 * wi3 - vi3 * wr3;
+  }
+  for (; i < dim; ++i) {
+    const double vr = v[i].real(), vi = v[i].imag();
+    const double wr = w[i].real(), wi = w[i].imag();
+    re0 += vr * wr + vi * wi;
+    im0 += vr * wi - vi * wr;
+  }
+  return {(re0 + re1) + (re2 + re3), (im0 + im1) + (im2 + im3)};
+}
+
+/// proj[0..1] for a row pair: per row one accumulator for even and one
+/// for odd i.
+inline void interleaved_dotc_two(const la::Complex* v0,
+                                 const la::Complex* v1,
+                                 const la::Complex* w, std::size_t dim,
+                                 la::Complex* proj) {
+  double re0 = 0.0, im0 = 0.0, re1 = 0.0, im1 = 0.0;
+  double re2 = 0.0, im2 = 0.0, re3 = 0.0, im3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 2 <= dim; i += 2) {
+    const double wr0 = w[i].real(), wi0 = w[i].imag();
+    const double wr1 = w[i + 1].real(), wi1 = w[i + 1].imag();
+    double vr = v0[i].real(), vi = v0[i].imag();
+    re0 += vr * wr0 + vi * wi0;
+    im0 += vr * wi0 - vi * wr0;
+    vr = v0[i + 1].real(), vi = v0[i + 1].imag();
+    re1 += vr * wr1 + vi * wi1;
+    im1 += vr * wi1 - vi * wr1;
+    vr = v1[i].real(), vi = v1[i].imag();
+    re2 += vr * wr0 + vi * wi0;
+    im2 += vr * wi0 - vi * wr0;
+    vr = v1[i + 1].real(), vi = v1[i + 1].imag();
+    re3 += vr * wr1 + vi * wi1;
+    im3 += vr * wi1 - vi * wr1;
+  }
+  for (; i < dim; ++i) {
+    const double wr = w[i].real(), wi = w[i].imag();
+    double vr = v0[i].real(), vi = v0[i].imag();
+    re0 += vr * wr + vi * wi;
+    im0 += vr * wi - vi * wr;
+    vr = v1[i].real(), vi = v1[i].imag();
+    re2 += vr * wr + vi * wi;
+    im2 += vr * wi - vi * wr;
+  }
+  proj[0] = {re0 + re1, im0 + im1};
+  proj[1] = {re2 + re3, im2 + im3};
+}
+
+/// w -= c0 * v0 + c1 * v1 in one pass over w.
+inline void interleaved_axpy_two(const la::Complex* v0, la::Complex c0,
+                                 const la::Complex* v1, la::Complex c1,
+                                 la::Complex* w, std::size_t dim) {
+  const double c0r = c0.real(), c0i = c0.imag();
+  const double c1r = c1.real(), c1i = c1.imag();
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double v0r = v0[i].real(), v0i = v0[i].imag();
+    const double v1r = v1[i].real(), v1i = v1[i].imag();
+    const double wr = w[i].real() - (c0r * v0r - c0i * v0i) -
+                      (c1r * v1r - c1i * v1i);
+    const double wi = w[i].imag() - (c0r * v0i + c0i * v0r) -
+                      (c1r * v1i + c1i * v1r);
+    w[i] = {wr, wi};
+  }
+}
+
+inline void interleaved_axpy_one(const la::Complex* v, la::Complex c,
+                                 la::Complex* w, std::size_t dim) {
+  const double cr = c.real(), ci = c.imag();
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double vr = v[i].real(), vi = v[i].imag();
+    w[i] = {w[i].real() - (cr * vr - ci * vi),
+            w[i].imag() - (cr * vi + ci * vr)};
+  }
+}
+
+/// proj[j] = conj(row_j) . w over row pointers, rows paired.
+inline void interleaved_dotc_ptrs(const la::Complex* const* rows,
+                                  std::size_t count, const la::Complex* w,
+                                  std::size_t dim, la::Complex* proj) {
+  std::size_t j = 0;
+  for (; j + 2 <= count; j += 2) {
+    interleaved_dotc_two(rows[j], rows[j + 1], w, dim, proj + j);
+  }
+  if (j < count) proj[j] = interleaved_dotc_one(rows[j], w, dim);
+}
+
+/// w -= sum_j coeffs[j] * row_j over row pointers, rows paired.
+inline void interleaved_axpy_ptrs(const la::Complex* const* rows,
+                                  std::size_t count,
+                                  const la::Complex* coeffs, la::Complex* w,
+                                  std::size_t dim) {
+  std::size_t j = 0;
+  for (; j + 2 <= count; j += 2) {
+    interleaved_axpy_two(rows[j], coeffs[j], rows[j + 1], coeffs[j + 1], w,
+                         dim);
+  }
+  if (j < count) interleaved_axpy_one(rows[j], coeffs[j], w, dim);
+}
+
+/// One blocked CGS pass of `w` against the locked vectors (paired among
+/// themselves) and rows [0, count) of `v_rows` (paired among
+/// themselves): every projection against the un-updated w, then all
+/// subtracted; basis-row projections accumulate into `coeffs`.
+inline void interleaved_cgs_pass(const la::ComplexMatrix& v_rows,
+                                 std::size_t count,
+                                 std::span<const la::ComplexVector> locked,
+                                 la::ComplexVector& w, la::Complex* coeffs) {
+  const std::size_t dim = w.size();
+  const std::size_t nl = locked.size();
+  std::vector<la::Complex> proj(nl + count);
+  std::vector<const la::Complex*> locked_ptrs(nl);
+  for (std::size_t i = 0; i < nl; ++i) locked_ptrs[i] = locked[i].data();
+  std::vector<const la::Complex*> rows(count);
+  for (std::size_t j = 0; j < count; ++j) rows[j] = v_rows.row_ptr(j);
+  interleaved_dotc_ptrs(locked_ptrs.data(), nl, w.data(), dim, proj.data());
+  interleaved_dotc_ptrs(rows.data(), count, w.data(), dim,
+                        proj.data() + nl);
+  interleaved_axpy_ptrs(locked_ptrs.data(), nl, proj.data(), w.data(), dim);
+  interleaved_axpy_ptrs(rows.data(), count, proj.data() + nl, w.data(), dim);
+  if (coeffs != nullptr) {
+    for (std::size_t j = 0; j < count; ++j) coeffs[j] += proj[nl + j];
+  }
+}
+
 /// One modified Gram-Schmidt pass of `w` against every locked vector
 /// and rows [0, count) of `v_rows`, vector at a time with immediate
 /// subtraction; basis-row projections accumulate into `coeffs`.
@@ -396,9 +630,90 @@ inline void reference_mgs_pass(const la::ComplexMatrix& v_rows,
   }
 }
 
-/// core::form_ritz_vector with std::complex products.
+/// The Arnoldi loop shared by both oracles, over interleaved storage,
+/// with `pass` as the orthogonalization (run twice per vector): same
+/// contract and breakdown test as core::arnoldi.
+template <typename Pass>
+ReferenceArnoldi interleaved_arnoldi_loop(
+    const hamiltonian::ComplexLinearOperator& op,
+    std::span<const la::Complex> v0, std::size_t d,
+    std::span<const la::ComplexVector> locked, Pass pass) {
+  using la::Complex;
+  const std::size_t dim = op.dim();
+  util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
+  util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
+  for (const auto& lv : locked) {
+    util::check(lv.size() == dim, "arnoldi: locked vector dimension mismatch");
+  }
+
+  const std::size_t available = dim - locked.size();
+  util::check(available >= 2, "arnoldi: locked subspace leaves no room");
+  const std::size_t d_eff = std::min(d, available - 1);
+
+  ReferenceArnoldi res;
+  res.v_rows = la::ComplexMatrix(d_eff + 1, dim);
+  res.h = la::ComplexMatrix(d_eff + 1, d_eff);
+
+  // Normalize (and deflate) the start vector.
+  {
+    la::ComplexVector w(v0.begin(), v0.end());
+    pass(res.v_rows, 0, locked, w, nullptr);
+    pass(res.v_rows, 0, locked, w, nullptr);
+    const double norm = la::nrm2<Complex>(w);
+    util::require(norm > 1e-10,
+                  "arnoldi: start vector lies in the locked subspace");
+    Complex* row0 = res.v_rows.row_ptr(0);
+    for (std::size_t i = 0; i < dim; ++i) row0[i] = w[i] / norm;
+  }
+
+  la::ComplexVector w(dim);
+  std::vector<Complex> coeffs(d_eff + 1);
+  for (std::size_t k = 0; k < d_eff; ++k) {
+    op.apply(std::span<const Complex>(res.v_rows.row_ptr(k), dim), w);
+    ++res.matvecs;
+    const double norm_before = la::nrm2<Complex>(w);
+
+    std::fill(coeffs.begin(), coeffs.end(), Complex{});
+    pass(res.v_rows, k + 1, locked, w, coeffs.data());
+    pass(res.v_rows, k + 1, locked, w, coeffs.data());
+    for (std::size_t j = 0; j <= k; ++j) res.h(j, k) = coeffs[j];
+
+    const double norm = la::nrm2<Complex>(w);
+    res.steps = k + 1;
+    if (norm <= 1e-10 * std::max(norm_before, 1e-300)) {
+      res.h(k + 1, k) = Complex{};
+      break;
+    }
+    res.h(k + 1, k) = Complex(norm, 0.0);
+    Complex* next = res.v_rows.row_ptr(k + 1);
+    for (std::size_t i = 0; i < dim; ++i) next[i] = w[i] / norm;
+  }
+  return res;
+}
+
+/// core::arnoldi as it ran on interleaved storage: blocked CGS2 through
+/// the interleaved kernels.  Bit-identical to the library.
+inline ReferenceArnoldi interleaved_arnoldi(
+    const hamiltonian::ComplexLinearOperator& op,
+    std::span<const la::Complex> v0, std::size_t d,
+    std::span<const la::ComplexVector> locked) {
+  return interleaved_arnoldi_loop(op, v0, d, locked, &interleaved_cgs_pass);
+}
+
+/// core::arnoldi with MGS plus one reorthogonalization pass (MGS2) in
+/// place of blocked CGS2: same contract, same breakdown test.  Agrees
+/// with the library to rounding.
+inline ReferenceArnoldi reference_arnoldi(
+    const hamiltonian::ComplexLinearOperator& op,
+    std::span<const la::Complex> v0, std::size_t d,
+    std::span<const la::ComplexVector> locked) {
+  return interleaved_arnoldi_loop(op, v0, d, locked, &reference_mgs_pass);
+}
+
+/// core::form_ritz_vector with std::complex products, on an interleaved
+/// basis.
 inline la::ComplexVector reference_form_ritz_vector(
-    const core::ArnoldiResult& ar, const core::RitzPair& pair) {
+    const ReferenceArnoldi& ar, const core::RitzPair& pair) {
   using la::Complex;
   const std::size_t d = ar.steps;
   const std::size_t dim = ar.v_rows.cols();
@@ -417,7 +732,7 @@ inline la::ComplexVector reference_form_ritz_vector(
 }
 
 /// core::lock_vector with std::complex products (the MGS2 lambda of
-/// the single-shift iteration).
+/// the single-shift iteration), on interleaved vectors.
 inline bool reference_lock_vector(std::vector<la::ComplexVector>& locked,
                                   const la::ComplexVector& v) {
   using la::Complex;
@@ -436,65 +751,6 @@ inline bool reference_lock_vector(std::vector<la::ComplexVector>& locked,
   for (auto& x : w) x /= norm;
   locked.push_back(std::move(w));
   return true;
-}
-
-/// core::arnoldi with MGS plus one reorthogonalization pass (MGS2) in
-/// place of blocked CGS2: same contract, same breakdown test.
-inline core::ArnoldiResult reference_arnoldi(
-    const hamiltonian::ComplexLinearOperator& op,
-    std::span<const la::Complex> v0, std::size_t d,
-    std::span<const la::ComplexVector> locked) {
-  using la::Complex;
-  const std::size_t dim = op.dim();
-  util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
-  util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
-  for (const auto& lv : locked) {
-    util::check(lv.size() == dim, "arnoldi: locked vector dimension mismatch");
-  }
-
-  const std::size_t available = dim - locked.size();
-  util::check(available >= 2, "arnoldi: locked subspace leaves no room");
-  const std::size_t d_eff = std::min(d, available - 1);
-
-  core::ArnoldiResult res;
-  res.v_rows = la::ComplexMatrix(d_eff + 1, dim);
-  res.h = la::ComplexMatrix(d_eff + 1, d_eff);
-
-  // Normalize (and deflate) the start vector.
-  {
-    la::ComplexVector w(v0.begin(), v0.end());
-    reference_mgs_pass(res.v_rows, 0, locked, w, nullptr);
-    reference_mgs_pass(res.v_rows, 0, locked, w, nullptr);
-    const double norm = la::nrm2<Complex>(w);
-    util::require(norm > 1e-10,
-                  "arnoldi: start vector lies in the locked subspace");
-    Complex* row0 = res.v_rows.row_ptr(0);
-    for (std::size_t i = 0; i < dim; ++i) row0[i] = w[i] / norm;
-  }
-
-  la::ComplexVector w(dim);
-  std::vector<Complex> coeffs(d_eff + 1);
-  for (std::size_t k = 0; k < d_eff; ++k) {
-    op.apply(std::span<const Complex>(res.v_rows.row_ptr(k), dim), w);
-    ++res.matvecs;
-    const double norm_before = la::nrm2<Complex>(w);
-
-    std::fill(coeffs.begin(), coeffs.end(), Complex{});
-    reference_mgs_pass(res.v_rows, k + 1, locked, w, coeffs.data());
-    reference_mgs_pass(res.v_rows, k + 1, locked, w, coeffs.data());
-    for (std::size_t j = 0; j <= k; ++j) res.h(j, k) = coeffs[j];
-
-    const double norm = la::nrm2<Complex>(w);
-    res.steps = k + 1;
-    if (norm <= 1e-10 * std::max(norm_before, 1e-300)) {
-      res.h(k + 1, k) = Complex{};
-      break;
-    }
-    res.h(k + 1, k) = Complex(norm, 0.0);
-    Complex* next = res.v_rows.row_ptr(k + 1);
-    for (std::size_t i = 0; i < dim; ++i) next[i] = w[i] / norm;
-  }
-  return res;
 }
 
 /// la::QrFactorization as it was before the row sweeps: the

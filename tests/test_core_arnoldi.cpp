@@ -9,6 +9,7 @@
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/operators.hpp"
 #include "phes/la/blas.hpp"
+#include "reference_kernels.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -21,22 +22,7 @@ using la::Complex;
 using la::ComplexMatrix;
 using la::ComplexVector;
 
-/// Dense matrix wrapped as an implicit operator (test double).
-class DenseOp final : public hamiltonian::ComplexLinearOperator {
- public:
-  explicit DenseOp(ComplexMatrix m) : m_(std::move(m)) {}
-  [[nodiscard]] std::size_t dim() const noexcept override {
-    return m_.rows();
-  }
-  void apply(std::span<const Complex> x,
-             std::span<Complex> y) const override {
-    const auto r = la::gemv(m_, x);
-    std::copy(r.begin(), r.end(), y.begin());
-  }
-
- private:
-  ComplexMatrix m_;
-};
+using test::DenseOp;
 
 ComplexMatrix diagonal_matrix(const ComplexVector& d) {
   ComplexMatrix m(d.size(), d.size());
@@ -50,11 +36,12 @@ TEST(Arnoldi, BasisIsOrthonormal) {
   const auto v0 = core::random_start_vector(30, rng);
   const auto ar = arnoldi(op, v0, 12, {});
   ASSERT_EQ(ar.steps, 12u);
+  const ComplexMatrix v = test::to_reference(ar).v_rows;
   for (std::size_t i = 0; i <= 12; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       Complex g{};
       for (std::size_t k = 0; k < 30; ++k) {
-        g += std::conj(ar.v_rows(i, k)) * ar.v_rows(j, k);
+        g += std::conj(v(i, k)) * v(j, k);
       }
       const double expected = (i == j) ? 1.0 : 0.0;
       EXPECT_NEAR(std::abs(g), expected, 1e-10) << i << "," << j;
@@ -70,14 +57,15 @@ TEST(Arnoldi, HessenbergRelationHolds) {
   const auto v0 = core::random_start_vector(25, rng);
   const std::size_t d = 10;
   const auto ar = arnoldi(op, v0, d, {});
+  const ComplexMatrix v = test::to_reference(ar).v_rows;
   for (std::size_t j = 0; j < d; ++j) {
     ComplexVector vj(25), av(25);
-    for (std::size_t i = 0; i < 25; ++i) vj[i] = ar.v_rows(j, i);
+    for (std::size_t i = 0; i < 25; ++i) vj[i] = v(j, i);
     op.apply(vj, av);
     for (std::size_t i = 0; i < 25; ++i) {
       Complex rec{};
       for (std::size_t k = 0; k <= d; ++k) {
-        rec += ar.v_rows(k, i) * ar.h(k, j);
+        rec += v(k, i) * ar.h(k, j);
       }
       EXPECT_NEAR(std::abs(rec - av[i]), 0.0, 1e-9);
     }
@@ -130,7 +118,7 @@ TEST(Arnoldi, DeflationFindsSecondEigenvalue) {
               1e-9);
 
   // Lock it; second run must converge the next eigenvalue as dominant.
-  std::vector<ComplexVector> locked{pairs1.front().vector};
+  std::vector<core::PlaneVector> locked{pairs1.front().vector};
   auto ar2 = arnoldi(op, core::random_start_vector(15, rng), 12, locked);
   auto pairs2 = ritz_pairs(ar2, false);
   EXPECT_NEAR(std::abs(pairs2.front().value - second) / std::abs(second),
@@ -160,11 +148,11 @@ TEST(Arnoldi, RitzVectorsAreBuiltOnlyOnRequest) {
                           ar.steps * sizeof(Complex)),
               0);
     // The on-demand vector is bit for bit the eager one.
-    const ComplexVector x = form_ritz_vector(ar, lazy[j]);
-    ASSERT_EQ(x.size(), 40u);
-    ASSERT_EQ(eager[j].vector.size(), 40u);
+    const core::PlaneVector x = form_ritz_vector(ar, lazy[j]);
+    ASSERT_EQ(x.size(), 80u);
+    ASSERT_EQ(eager[j].vector.size(), 80u);
     EXPECT_EQ(std::memcmp(x.data(), eager[j].vector.data(),
-                          x.size() * sizeof(Complex)),
+                          x.size() * sizeof(double)),
               0)
         << "pair " << j;
   }
@@ -179,7 +167,7 @@ TEST(Arnoldi, StartVectorInLockedSubspaceThrows) {
   ComplexVector diag{Complex(1, 0), Complex(2, 0), Complex(3, 0)};
   const DenseOp op(diagonal_matrix(diag));
   ComplexVector e0{Complex(1, 0), Complex(0, 0), Complex(0, 0)};
-  std::vector<ComplexVector> locked{e0};
+  const std::vector<core::PlaneVector> locked{test::to_planes(e0)};
   EXPECT_THROW(arnoldi(op, e0, 2, locked), std::runtime_error);
 }
 

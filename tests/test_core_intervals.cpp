@@ -19,7 +19,7 @@ using core::TentativeInterval;
 
 TEST(Intervals, StartupOrderProcessesExtremaFirst) {
   // Paper Eqs. 13-15: theta^_1 = theta~_1, theta^_2 = theta~_N.
-  IntervalScheduler s(0.0, 8.0, 4, 1e-9);
+  IntervalScheduler s(8.0, 4, 1e-9);
   const auto t1 = s.acquire();
   const auto t2 = s.acquire();
   ASSERT_TRUE(t1 && t2);
@@ -32,7 +32,7 @@ TEST(Intervals, StartupOrderProcessesExtremaFirst) {
 }
 
 TEST(Intervals, CoverRuleRetiresInterval) {
-  IntervalScheduler s(0.0, 4.0, 2, 1e-9);
+  IntervalScheduler s(4.0, 2, 1e-9);
   auto t1 = s.acquire();  // [0,2], shift 0
   ASSERT_TRUE(t1);
   // A disk of radius 2.5 around shift 0 covers [0,2] fully and swallows
@@ -51,7 +51,7 @@ TEST(Intervals, CoverRuleRetiresInterval) {
 }
 
 TEST(Intervals, SwallowedTentativeShiftsAreEliminated) {
-  IntervalScheduler s(0.0, 10.0, 5, 1e-9);
+  IntervalScheduler s(10.0, 5, 1e-9);
   auto t1 = s.acquire();  // [0,2] shift 0
   ASSERT_TRUE(t1);
   // Huge disk covering [0, 10]: all remaining tentative shifts die.
@@ -62,7 +62,7 @@ TEST(Intervals, SwallowedTentativeShiftsAreEliminated) {
 
 TEST(Intervals, SplitRuleSpawnsCenteredShifts) {
   // Paper Eqs. 25-28 and Fig. 5.
-  IntervalScheduler s(0.0, 8.0, 2, 1e-9);
+  IntervalScheduler s(8.0, 2, 1e-9);
   auto t1 = s.acquire();        // [0,4], shift 0
   ASSERT_TRUE(t1);
   s.complete(*t1, 0.5, {});     // covers [0, 0.5] only
@@ -99,7 +99,7 @@ TEST(Intervals, SplitRuleSpawnsCenteredShifts) {
 }
 
 TEST(Intervals, TinyPortionsAreDropped) {
-  IntervalScheduler s(0.0, 1.0, 2, 0.1);  // coarse resolution
+  IntervalScheduler s(1.0, 2, 0.1);  // coarse resolution
   auto t1 = s.acquire();
   ASSERT_TRUE(t1);
   // Disk leaves only a 0.05-wide sliver: below resolution, dropped.
@@ -111,7 +111,7 @@ TEST(Intervals, TinyPortionsAreDropped) {
 }
 
 TEST(Intervals, TerminationRequiresInFlightCompletion) {
-  IntervalScheduler s(0.0, 2.0, 2, 1e-9);
+  IntervalScheduler s(2.0, 2, 1e-9);
   auto t1 = s.acquire();
   auto t2 = s.acquire();
   ASSERT_TRUE(t1 && t2);
@@ -125,7 +125,7 @@ TEST(Intervals, TerminationRequiresInFlightCompletion) {
 
 TEST(Intervals, TentativeIntervalsStayDisjoint) {
   // Invariant behind the paper's free-interval pick rule (Eq. 20).
-  IntervalScheduler s(0.0, 16.0, 8, 1e-9);
+  IntervalScheduler s(16.0, 8, 1e-9);
   std::vector<TentativeInterval> seen;
   // Drive a random-ish schedule: acquire two, complete with varied radii.
   for (int round = 0; round < 50 && !s.done(); ++round) {
@@ -152,7 +152,7 @@ TEST(Intervals, FullBandIsCoveredAtTermination) {
   // Property: whatever radii the single-shift runs return, the union of
   // completed disks covers the band up to the resolution.
   util::Rng rng(7);
-  IntervalScheduler s(0.0, 10.0, 4, 1e-6);
+  IntervalScheduler s(10.0, 4, 1e-6);
   int guard = 0;
   while (!s.done() && guard++ < 10000) {
     auto t = s.acquire();
@@ -184,12 +184,12 @@ TEST(Intervals, ExplicitIntervalConstructorValidates) {
   bad[0].lo = 0.0;
   bad[0].hi = 1.0;
   bad[0].shift = 2.0;  // outside
-  EXPECT_THROW(IntervalScheduler(std::move(bad), 0.0, 1.0, 1e-9),
+  EXPECT_THROW(IntervalScheduler(std::move(bad), 1e-9),
                std::invalid_argument);
 }
 
 TEST(Intervals, EigenvalueAggregation) {
-  IntervalScheduler s(0.0, 2.0, 2, 1e-9);
+  IntervalScheduler s(2.0, 2, 1e-9);
   auto t1 = s.acquire();
   auto t2 = s.acquire();
   s.complete(*t1, 5.0, {la::Complex(0.0, 1.0)});
