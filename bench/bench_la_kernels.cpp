@@ -15,6 +15,11 @@
 //     the interleaved oracle interleaved_arnoldi of
 //     tests/reference_kernels.hpp, whose h and basis it must reproduce
 //     bit for bit (both timings printed, no timing gate);
+//   - the CGS2 kernels alone on that run's dim 2000 x 60-row basis:
+//     dotc_rows and axpy_rows throughput in GF/s (8 flops per row
+//     element), with dotc_rows checked bit for bit against its
+//     scalar-accumulator oracle (scalar_dotc_rows) and axpy_rows
+//     against the interleaved kernels (no timing gate);
 //   - gemm on residue-matrix shapes;
 //   - vector_fit's sigma least squares: the per-output 400x26 block
 //     [Phi, 1 | -H_i Phi | H_i] of the fast solve (12 poles, 200
@@ -41,6 +46,7 @@
 #include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/blas.hpp"
 #include "phes/la/eig.hpp"
+#include "phes/la/kernels.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/la/qr.hpp"
 #include "phes/la/svd.hpp"
@@ -218,7 +224,7 @@ int main() {
     {
       const auto first =
           core::arnoldi(op, core::random_start_vector(op.dim(), rng), 60, {});
-      for (const auto& pair : core::ritz_pairs(first, false)) {
+      for (const auto& pair : core::ritz_pairs(first)) {
         if (locked.size() == 6) break;
         core::lock_vector(locked, core::form_ritz_vector(first, pair));
       }
@@ -250,6 +256,60 @@ int main() {
           "\"interleaved_seconds\":%.6f,\"speedup\":%.3f}\n",
           op.dim(), nl, sec, ref_sec, ref_sec / sec);
     }
+
+    // The CGS2 kernels alone on that basis: one dotc_rows and one
+    // axpy_rows sweep of w over all 60 rows, 8 flops per row element
+    // each.  dotc_rows must match its scalar-accumulator oracle and
+    // axpy_rows the interleaved kernels, bit for bit.
+    const core::ArnoldiResult ar = core::arnoldi(op, v0, 60, {});
+    const std::size_t dim = op.dim();
+    const std::size_t rows = 60;
+    const core::PlaneVector w = test::to_planes(
+        core::random_start_vector(dim, rng));
+    std::vector<la::Complex> proj(rows), ref_proj(rows);
+    la::kernels::dotc_rows(ar.basis.data(), 2 * dim, rows, w.data(), dim,
+                           proj.data());
+    test::scalar_dotc_rows(ar.basis.data(), 2 * dim, rows, w.data(), dim,
+                           ref_proj.data());
+    expect(std::memcmp(proj.data(), ref_proj.data(),
+                       rows * sizeof(la::Complex)) == 0,
+           "dotc_rows is bit-identical to the scalar oracle");
+    core::PlaneVector w2 = w;
+    la::kernels::axpy_rows(ar.basis.data(), 2 * dim, rows, proj.data(),
+                           w2.data(), dim);
+    const test::ReferenceArnoldi ref_basis = test::to_reference(ar);
+    std::vector<const la::Complex*> iptrs(rows);
+    for (std::size_t j = 0; j < rows; ++j) {
+      iptrs[j] = ref_basis.v_rows.row_ptr(j);
+    }
+    la::ComplexVector wi = test::from_planes(w);
+    test::interleaved_axpy_ptrs(iptrs.data(), rows, proj.data(), wi.data(),
+                                dim);
+    const core::PlaneVector wi_planes = test::to_planes(wi);
+    expect(std::memcmp(w2.data(), wi_planes.data(),
+                       2 * dim * sizeof(double)) == 0,
+           "axpy_rows is bit-identical to the interleaved oracle");
+
+    // Each timed sample is `sweeps` calls, so it spans milliseconds.
+    const int sweeps = 200;
+    const double dot_sec = best_seconds(5, [&] {
+      for (int r = 0; r < sweeps; ++r) {
+        la::kernels::dotc_rows(ar.basis.data(), 2 * dim, rows, w.data(), dim,
+                               proj.data());
+      }
+    });
+    const double axpy_sec = best_seconds(5, [&] {
+      for (int r = 0; r < sweeps; ++r) {
+        la::kernels::axpy_rows(ar.basis.data(), 2 * dim, rows,
+                               ref_proj.data(), w2.data(), dim);
+      }
+    });
+    const double flops = 8.0 * static_cast<double>(dim * rows) * sweeps;
+    std::printf(
+        "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"plane_rows\","
+        "\"dim\":%zu,\"rows\":%zu,\"dotc_gflops\":%.2f,"
+        "\"axpy_gflops\":%.2f}\n",
+        dim, rows, flops / dot_sec * 1e-9, flops / axpy_sec * 1e-9);
   }
 
   // gemm on residue-matrix shapes.

@@ -51,16 +51,13 @@ struct ArnoldiResult {
 ///
 /// The full-space Ritz vector x = V_d y costs d * dim complex
 /// multiply-adds, far more than the d x d eigensolve that yields y, and
-/// callers need it only for the few pairs they lock.  So a pair always
-/// carries its projected eigenvector y (`coords`, length d) and builds
-/// `vector` only on request: ritz_pairs(ar, true) for every pair, or
-/// form_ritz_vector(ar, pair) for one.  Both produce the same bits.
+/// callers need it only for the few pairs they lock.  So a pair carries
+/// only its projected eigenvector y (`coords`, length d);
+/// form_ritz_vector(ar, pair) builds x for the pairs that need it.
 struct RitzPair {
   Complex value{};       ///< eigenvalue of the *operator* (e.g. mu)
   double residual = 0.0; ///< ||Op x - mu x|| estimate
   ComplexVector coords;  ///< unit-norm eigenvector y of H_d (length d)
-  PlaneVector vector;    ///< Ritz vector V_d y in the full space (unit
-                         ///< norm, plane row); empty unless requested
 };
 
 /// Run `d` Arnoldi steps from start vector v0 (need not be normalized).
@@ -81,14 +78,13 @@ struct RitzPair {
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the
 /// shift).  Residuals use the h(d+1,d) * |last component| bound.
-/// Every pair carries `coords`; `vector` is filled only when
-/// `want_vectors` is set.
-[[nodiscard]] std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar,
-                                               bool want_vectors);
+[[nodiscard]] std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar);
 
 /// The unit-norm full-space Ritz vector V_d y of `pair` (a pair of `ar`
-/// returned by ritz_pairs) as a plane row, bit-identical to the
-/// `vector` that ritz_pairs(ar, true) fills in.
+/// returned by ritz_pairs) as a plane row.  Rows of V_d whose
+/// coefficient is exactly zero are skipped; the others are added in
+/// ascending row order.  A pair whose coordinates are all zero yields
+/// the zero vector.
 [[nodiscard]] PlaneVector form_ritz_vector(const ArnoldiResult& ar,
                                            const RitzPair& pair);
 

@@ -12,8 +12,9 @@
 // at rounding level; tests/reference_kernels.hpp keeps those loops as
 // the test oracle.  Order-preserving transforms (la/blas.hpp blocked
 // products, la::hessenberg_eig, the plane-row kernels below against
-// the interleaved kernels they replaced) are bit-identical to the
-// loops they replaced.  Either way the results are deterministic:
+// the interleaved kernels they replaced, the two-lane vector
+// accumulators below against their scalar loops) are bit-identical to
+// the loops they replaced.  Either way the results are deterministic:
 // bit-identical across runs and thread counts.
 //
 // The kernels here are deliberately free-standing (raw pointers +
@@ -32,18 +33,31 @@ namespace kernels {
 //
 // A complex vector x of length `dim` is a PLANE ROW: 2 * dim doubles,
 // re(x) in [0, dim) followed by im(x) in [dim, 2 * dim).  The planes
-// keep every inner loop contiguous over doubles, so the SSE2 baseline
-// vectorizes the axpy sweeps without the unpck shuffles an interleaved
-// std::complex layout needs, and the dot kernels with fewer of them.
-// `rows` is the first row of a pack with leading dimension `stride`
-// doubles; row j is rows + j * stride.  The *_ptrs variants take an
-// array of row pointers instead (locked Ritz vectors live in separate
-// allocations).
+// keep every inner loop contiguous over doubles, so the axpy sweeps
+// vectorize without the unpck shuffles an interleaved std::complex
+// layout needs.  `rows` is the first row of a pack with leading
+// dimension `stride` doubles; row j is rows + j * stride.  The *_ptrs
+// variants take an array of row pointers instead (locked Ritz vectors
+// live in separate allocations).
 //
 // Rows are processed in pairs sharing one pass over w; a pair keeps
 // one accumulator per row for even and one for odd i, a lone last row
 // one accumulator per i mod 4 summed as (r0 + r1) + (r2 + r3), and
 // tail elements go to accumulator 0.
+//
+// The dot kernels (and gemv_planes below) hold those accumulators as
+// the lanes of two-double vectors (GCC/Clang vector extensions, one
+// SSE2 register on x86-64): lane l is accumulator l, so each vector
+// operation is the scalar operations on its lanes, in the same order.
+// Loads go through memcpy and are unaligned, because rows, w and
+// matrix rows start at any double offset.  The results are bit for bit
+// those of the scalar loops (tests/reference_kernels.hpp keeps them as
+// the oracle): nothing is reassociated, and the x86-64 baseline has no
+// FMA, so no multiply-add is contracted in either form.  Written as
+// scalars, GCC's SLP vectorizer cannot build the pair kernel's
+// reduction groups and falls back to lane gathers and transposes.
+// Explicit vectors stay in src/la/kernels.cpp (lint check
+// simd-confined).
 
 /// proj[j] = sum_i conj(row_j[i]) * w[i]  for j in [0, count).
 void dotc_rows(const double* rows, std::size_t stride, std::size_t count,
@@ -74,7 +88,9 @@ void axpy_ptrs(const double* const* rows, std::size_t count,
 // doubles — the interleaved-complex layout defeats vectorization of
 // the real-matrix products in apply_c / apply_ct.
 
-/// yre/yim = A xre/xim (A row-major m x n; y has length m).
+/// yre/yim = A xre/xim (A row-major m x n; y has length m).  Each row
+/// keeps one accumulator for even and one for odd j (the two lanes of
+/// a vector, as above), the odd-n tail going to the even one.
 void gemv_planes(const double* a, std::size_t m, std::size_t n,
                  const double* xre, const double* xim, double* yre,
                  double* yim);

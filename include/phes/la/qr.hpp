@@ -37,7 +37,12 @@ namespace phes::la {
 class QrFactorization {
  public:
   /// Factors A in place.  Throws std::invalid_argument if m < n.
-  explicit QrFactorization(RealMatrix a);
+  // Starts on a 64-byte boundary.  Its row sweeps are vector fitting's
+  // hot loops, and their speed depends on where they fall relative to
+  // 64-byte boundaries: whenever code linked before them grew or
+  // shrank, they moved with it and the serving workloads' verdict
+  // times moved by 5-13 %.  A fixed start keeps their offsets fixed.
+  __attribute__((aligned(64))) explicit QrFactorization(RealMatrix a);
 
   [[nodiscard]] std::size_t rows() const noexcept { return qr_.rows(); }
   [[nodiscard]] std::size_t cols() const noexcept { return qr_.cols(); }

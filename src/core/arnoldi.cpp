@@ -134,7 +134,7 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
   return res;
 }
 
-std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
+std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar) {
   const std::size_t d = ar.steps;
   std::vector<RitzPair> pairs;
   if (d == 0) return pairs;
@@ -153,7 +153,6 @@ std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar, bool want_vectors) {
     p.value = eig.values[j];
     p.coords = eig.vectors.col(j);
     p.residual = beta * std::abs(p.coords[d - 1]);
-    if (want_vectors) p.vector = form_ritz_vector(ar, p);
     pairs.push_back(std::move(p));
   }
   std::sort(pairs.begin(), pairs.end(), [](const RitzPair& a,
@@ -173,13 +172,34 @@ PlaneVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
   double* xi = x.data() + dim;
   // x += v * y spelled out as std::complex evaluates it for finite
   // values, (ac - bd, ad + bc): the same bits without the NaN-recovery
-  // call that keeps the complex product from vectorizing.
+  // call that keeps the complex product from vectorizing.  Rows with a
+  // nonzero coefficient go two per pass over x as (x + t0) + t1, the
+  // order of adding them one at a time with half the loads and stores
+  // of x.
+  std::vector<std::size_t> rows;
   for (std::size_t row = 0; row < d; ++row) {
-    const Complex yc = pair.coords[row];
-    if (yc == Complex{}) continue;
-    const double c = yc.real();
-    const double s = yc.imag();
-    const double* vr = ar.basis.data() + 2 * dim * row;
+    if (pair.coords[row] != Complex{}) rows.push_back(row);
+  }
+  std::size_t k = 0;
+  for (; k + 2 <= rows.size(); k += 2) {
+    const double c0 = pair.coords[rows[k]].real();
+    const double s0 = pair.coords[rows[k]].imag();
+    const double c1 = pair.coords[rows[k + 1]].real();
+    const double s1 = pair.coords[rows[k + 1]].imag();
+    const double* v0r = ar.basis.data() + 2 * dim * rows[k];
+    const double* v0i = v0r + dim;
+    const double* v1r = ar.basis.data() + 2 * dim * rows[k + 1];
+    const double* v1i = v1r + dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double a0 = v0r[i], b0 = v0i[i], a1 = v1r[i], b1 = v1i[i];
+      xr[i] = (xr[i] + (a0 * c0 - b0 * s0)) + (a1 * c1 - b1 * s1);
+      xi[i] = (xi[i] + (a0 * s0 + b0 * c0)) + (a1 * s1 + b1 * c1);
+    }
+  }
+  if (k < rows.size()) {
+    const double c = pair.coords[rows[k]].real();
+    const double s = pair.coords[rows[k]].imag();
+    const double* vr = ar.basis.data() + 2 * dim * rows[k];
     const double* vi = vr + dim;
     for (std::size_t i = 0; i < dim; ++i) {
       const double a = vr[i];

@@ -29,7 +29,7 @@ LambdaMaxEstimate estimate_lambda_max(
     const auto v0 = random_start_vector(dim, rng);
     const auto ar = arnoldi(op, v0, d, {});
     est.matvecs += ar.matvecs;
-    for (const auto& p : ritz_pairs(ar, false)) {
+    for (const auto& p : ritz_pairs(ar)) {
       best = std::max(best, std::abs(p.value));
     }
   }

@@ -111,7 +111,7 @@ SingleShiftResult single_shift_iteration(
     ++result.restarts;
 
     // Ritz vectors are built below only for the pairs that get locked.
-    const auto pairs = ritz_pairs(ar, false);
+    const auto pairs = ritz_pairs(ar);
     std::size_t new_in_disk = 0;
     unconverged_limit = std::numeric_limits<double>::infinity();
     for (const auto& p : pairs) {

@@ -1,6 +1,7 @@
 #include "phes/la/kernels.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "phes/la/blas.hpp"
@@ -11,34 +12,53 @@ namespace kernels {
 
 namespace {
 
+// Two doubles in one 16-byte vector (one SSE2 register on x86-64).
+// Each lane is one of the scalar accumulators the loops below were
+// written with: lane l of a row's vector is the accumulator of index
+// l, so vector arithmetic runs the same operations in the same order,
+// and the final lane sums are spelled out in the scalar order.
+typedef double v2d __attribute__((vector_size(16)));
+
+// Unaligned load of p[0..1]; rows start at any double offset.
+inline v2d load2(const double* p) {
+  v2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 // One conj(v)*w dot product of a plane row with four independent re/im
-// accumulator pairs, one per i mod 4: the serial add chain is the
-// latency bottleneck of the straight-line Gram-Schmidt, and four
-// chains keep the FP pipes busy.
+// accumulator pairs, one per i mod 4 (lanes of the 01 and 23 vectors):
+// the serial add chain is the latency bottleneck of the straight-line
+// Gram-Schmidt, and four chains keep the FP pipes busy.
 inline Complex dotc_one(const double* v, const double* w, std::size_t dim) {
   const double* vr = v;
   const double* vi = v + dim;
   const double* wr = w;
   const double* wi = w + dim;
-  double re[4] = {0.0, 0.0, 0.0, 0.0};
-  double im[4] = {0.0, 0.0, 0.0, 0.0};
+  v2d re01 = {0.0, 0.0}, re23 = {0.0, 0.0};
+  v2d im01 = {0.0, 0.0}, im23 = {0.0, 0.0};
   std::size_t i = 0;
   for (; i + 4 <= dim; i += 4) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      re[l] += vr[i + l] * wr[i + l] + vi[i + l] * wi[i + l];
-      im[l] += vr[i + l] * wi[i + l] - vi[i + l] * wr[i + l];
-    }
+    const v2d a01 = load2(vr + i), b01 = load2(vi + i);
+    const v2d c01 = load2(wr + i), d01 = load2(wi + i);
+    const v2d a23 = load2(vr + i + 2), b23 = load2(vi + i + 2);
+    const v2d c23 = load2(wr + i + 2), d23 = load2(wi + i + 2);
+    re01 += a01 * c01 + b01 * d01;
+    im01 += a01 * d01 - b01 * c01;
+    re23 += a23 * c23 + b23 * d23;
+    im23 += a23 * d23 - b23 * c23;
   }
   for (; i < dim; ++i) {
-    re[0] += vr[i] * wr[i] + vi[i] * wi[i];
-    im[0] += vr[i] * wi[i] - vi[i] * wr[i];
+    re01[0] += vr[i] * wr[i] + vi[i] * wi[i];
+    im01[0] += vr[i] * wi[i] - vi[i] * wr[i];
   }
-  return {(re[0] + re[1]) + (re[2] + re[3]),
-          (im[0] + im[1]) + (im[2] + im[3])};
+  return {(re01[0] + re01[1]) + (re23[0] + re23[1]),
+          (im01[0] + im01[1]) + (im23[0] + im23[1])};
 }
 
 // proj[0..1] for a pair of plane rows sharing one pass over w.  Each
-// row keeps one accumulator for even and one for odd i.
+// row keeps one accumulator for even and one for odd i: lanes 0 and 1
+// of its re and im vectors.
 inline void dotc_two(const double* v0, const double* v1, const double* w,
                      std::size_t dim, Complex* proj) {
   const double* v0r = v0;
@@ -47,17 +67,17 @@ inline void dotc_two(const double* v0, const double* v1, const double* w,
   const double* v1i = v1 + dim;
   const double* wr = w;
   const double* wi = w + dim;
-  double re0[2] = {0.0, 0.0}, im0[2] = {0.0, 0.0};
-  double re1[2] = {0.0, 0.0}, im1[2] = {0.0, 0.0};
+  v2d re0 = {0.0, 0.0}, im0 = {0.0, 0.0};
+  v2d re1 = {0.0, 0.0}, im1 = {0.0, 0.0};
   std::size_t i = 0;
   for (; i + 2 <= dim; i += 2) {
-    for (std::size_t l = 0; l < 2; ++l) {
-      const double a = wr[i + l], b = wi[i + l];
-      re0[l] += v0r[i + l] * a + v0i[i + l] * b;
-      im0[l] += v0r[i + l] * b - v0i[i + l] * a;
-      re1[l] += v1r[i + l] * a + v1i[i + l] * b;
-      im1[l] += v1r[i + l] * b - v1i[i + l] * a;
-    }
+    const v2d a = load2(wr + i), b = load2(wi + i);
+    const v2d x0 = load2(v0r + i), y0 = load2(v0i + i);
+    const v2d x1 = load2(v1r + i), y1 = load2(v1i + i);
+    re0 += x0 * a + y0 * b;
+    im0 += x0 * b - y0 * a;
+    re1 += x1 * a + y1 * b;
+    im1 += x1 * b - y1 * a;
   }
   for (; i < dim; ++i) {
     const double a = wr[i], b = wi[i];
@@ -169,20 +189,20 @@ void gemv_planes(const double* a, std::size_t m, std::size_t n,
                  double* yim) {
   for (std::size_t i = 0; i < m; ++i) {
     const double* row = a + i * n;
-    double r0 = 0.0, r1 = 0.0, m0 = 0.0, m1 = 0.0;
+    // Lanes 0 and 1: the even-j and odd-j accumulators.
+    v2d r = {0.0, 0.0}, im = {0.0, 0.0};
     std::size_t j = 0;
     for (; j + 2 <= n; j += 2) {
-      r0 += row[j] * xre[j];
-      m0 += row[j] * xim[j];
-      r1 += row[j + 1] * xre[j + 1];
-      m1 += row[j + 1] * xim[j + 1];
+      const v2d aj = load2(row + j);
+      r += aj * load2(xre + j);
+      im += aj * load2(xim + j);
     }
     for (; j < n; ++j) {
-      r0 += row[j] * xre[j];
-      m0 += row[j] * xim[j];
+      r[0] += row[j] * xre[j];
+      im[0] += row[j] * xim[j];
     }
-    yre[i] = r0 + r1;
-    yim[i] = m0 + m1;
+    yre[i] = r[0] + r[1];
+    yim[i] = im[0] + im[1];
   }
 }
 

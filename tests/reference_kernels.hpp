@@ -21,6 +21,11 @@
 // same operations in the same order on plane rows, so test_la_kernels
 // and bench_la_kernels demand memcmp equality with them.
 //
+// scalar_dotc_rows and scalar_gemv_planes are the plane-row kernels
+// as written with scalar accumulators, before those accumulators
+// became the lanes of two-double vectors; the library must match them
+// bit for bit too.
+//
 // reference_dense_sigma_solve is the dense sigma least squares that
 // vf::detail::fast_sigma_solve replaced.  The fast form eliminates the
 // residues exactly, so test_vf compares whole fits against it to
@@ -708,6 +713,108 @@ inline ReferenceArnoldi reference_arnoldi(
     std::span<const la::Complex> v0, std::size_t d,
     std::span<const la::ComplexVector> locked) {
   return interleaved_arnoldi_loop(op, v0, d, locked, &reference_mgs_pass);
+}
+
+// ---- Scalar plane-row kernels: the bitwise oracle of the vector ones ----
+// la::kernels' dotc_rows and gemv_planes as they were written with
+// scalar accumulators, kept verbatim (dotc_ptrs runs the same pair and
+// lone-row kernels as dotc_rows).  The library holds
+// the same accumulators as the lanes of two-double vectors, so
+// test_la_kernels and bench_la_kernels demand memcmp equality.
+
+/// conj(v)*w on plane rows with accumulators by i mod 4, summed
+/// (r0+r1)+(r2+r3).
+inline la::Complex scalar_dotc_one(const double* v, const double* w,
+                                   std::size_t dim) {
+  const double* vr = v;
+  const double* vi = v + dim;
+  const double* wr = w;
+  const double* wi = w + dim;
+  double re[4] = {0.0, 0.0, 0.0, 0.0};
+  double im[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= dim; i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      re[l] += vr[i + l] * wr[i + l] + vi[i + l] * wi[i + l];
+      im[l] += vr[i + l] * wi[i + l] - vi[i + l] * wr[i + l];
+    }
+  }
+  for (; i < dim; ++i) {
+    re[0] += vr[i] * wr[i] + vi[i] * wi[i];
+    im[0] += vr[i] * wi[i] - vi[i] * wr[i];
+  }
+  return {(re[0] + re[1]) + (re[2] + re[3]),
+          (im[0] + im[1]) + (im[2] + im[3])};
+}
+
+/// proj[0..1] for a pair of plane rows: per row one accumulator for
+/// even and one for odd i.
+inline void scalar_dotc_two(const double* v0, const double* v1,
+                            const double* w, std::size_t dim,
+                            la::Complex* proj) {
+  const double* v0r = v0;
+  const double* v0i = v0 + dim;
+  const double* v1r = v1;
+  const double* v1i = v1 + dim;
+  const double* wr = w;
+  const double* wi = w + dim;
+  double re0[2] = {0.0, 0.0}, im0[2] = {0.0, 0.0};
+  double re1[2] = {0.0, 0.0}, im1[2] = {0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 2 <= dim; i += 2) {
+    for (std::size_t l = 0; l < 2; ++l) {
+      const double a = wr[i + l], b = wi[i + l];
+      re0[l] += v0r[i + l] * a + v0i[i + l] * b;
+      im0[l] += v0r[i + l] * b - v0i[i + l] * a;
+      re1[l] += v1r[i + l] * a + v1i[i + l] * b;
+      im1[l] += v1r[i + l] * b - v1i[i + l] * a;
+    }
+  }
+  for (; i < dim; ++i) {
+    const double a = wr[i], b = wi[i];
+    re0[0] += v0r[i] * a + v0i[i] * b;
+    im0[0] += v0r[i] * b - v0i[i] * a;
+    re1[0] += v1r[i] * a + v1i[i] * b;
+    im1[0] += v1r[i] * b - v1i[i] * a;
+  }
+  proj[0] = {re0[0] + re0[1], im0[0] + im0[1]};
+  proj[1] = {re1[0] + re1[1], im1[0] + im1[1]};
+}
+
+/// la::kernels::dotc_rows with the scalar kernels.
+inline void scalar_dotc_rows(const double* rows, std::size_t stride,
+                             std::size_t count, const double* w,
+                             std::size_t dim, la::Complex* proj) {
+  std::size_t j = 0;
+  for (; j + 2 <= count; j += 2) {
+    scalar_dotc_two(rows + j * stride, rows + (j + 1) * stride, w, dim,
+                    proj + j);
+  }
+  if (j < count) proj[j] = scalar_dotc_one(rows + j * stride, w, dim);
+}
+
+/// yre/yim = A xre/xim with per-row accumulators for even and odd j.
+inline void scalar_gemv_planes(const double* a, std::size_t m,
+                               std::size_t n, const double* xre,
+                               const double* xim, double* yre,
+                               double* yim) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* row = a + i * n;
+    double r0 = 0.0, r1 = 0.0, m0 = 0.0, m1 = 0.0;
+    std::size_t j = 0;
+    for (; j + 2 <= n; j += 2) {
+      r0 += row[j] * xre[j];
+      m0 += row[j] * xim[j];
+      r1 += row[j + 1] * xre[j + 1];
+      m1 += row[j + 1] * xim[j + 1];
+    }
+    for (; j < n; ++j) {
+      r0 += row[j] * xre[j];
+      m0 += row[j] * xim[j];
+    }
+    yre[i] = r0 + r1;
+    yim[i] = m0 + m1;
+  }
 }
 
 /// core::form_ritz_vector with std::complex products, on an interleaved

@@ -83,7 +83,7 @@ TEST(Arnoldi, FindsDominantEigenvalueOfDiagonal) {
   const DenseOp op(diagonal_matrix(diag));
   const auto v0 = core::random_start_vector(20, rng);
   const auto ar = arnoldi(op, v0, 15, {});
-  const auto pairs = ritz_pairs(ar, false);
+  const auto pairs = ritz_pairs(ar);
   ASSERT_FALSE(pairs.empty());
   // pairs[0] is the largest-|value| Ritz value; must match diag.back().
   EXPECT_NEAR(std::abs(pairs.front().value - diag.back()), 0.0, 1e-8);
@@ -97,7 +97,7 @@ TEST(Arnoldi, LuckyBreakdownOnLowRankStart) {
   ComplexVector v0{Complex(1.0, 0.0), Complex(0.0, 0.0)};
   const auto ar = arnoldi(op, v0, 1, {});
   EXPECT_EQ(ar.steps, 1u);
-  const auto pairs = ritz_pairs(ar, false);
+  const auto pairs = ritz_pairs(ar);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_NEAR(std::abs(pairs[0].value - Complex(2.0, 0.0)), 0.0, 1e-12);
 }
@@ -113,53 +113,52 @@ TEST(Arnoldi, DeflationFindsSecondEigenvalue) {
 
   // First run: converge the dominant eigenpair.
   auto ar1 = arnoldi(op, core::random_start_vector(15, rng), 12, {});
-  auto pairs1 = ritz_pairs(ar1, true);
+  const auto pairs1 = ritz_pairs(ar1);
   ASSERT_NEAR(std::abs(pairs1.front().value - top) / std::abs(top), 0.0,
               1e-9);
 
   // Lock it; second run must converge the next eigenvalue as dominant.
-  std::vector<core::PlaneVector> locked{pairs1.front().vector};
+  std::vector<core::PlaneVector> locked{
+      form_ritz_vector(ar1, pairs1.front())};
   auto ar2 = arnoldi(op, core::random_start_vector(15, rng), 12, locked);
-  auto pairs2 = ritz_pairs(ar2, false);
+  auto pairs2 = ritz_pairs(ar2);
   EXPECT_NEAR(std::abs(pairs2.front().value - second) / std::abs(second),
               0.0, 1e-8);
 }
 
-TEST(Arnoldi, RitzVectorsAreBuiltOnlyOnRequest) {
+TEST(Arnoldi, RitzVectorsAreFormedFromCoords) {
   util::Rng rng(5);
   const DenseOp op(test::random_complex_matrix(40, 40, rng));
   const auto ar = arnoldi(op, core::random_start_vector(40, rng), 20, {});
   ASSERT_EQ(ar.steps, 20u);
-  const auto lazy = ritz_pairs(ar, false);
-  const auto eager = ritz_pairs(ar, true);
-  ASSERT_EQ(lazy.size(), 20u);
-  ASSERT_EQ(eager.size(), lazy.size());
-  for (std::size_t j = 0; j < lazy.size(); ++j) {
-    // Without the request no full-space vector exists, only H_d's
-    // eigenvector coordinates.
-    EXPECT_TRUE(lazy[j].vector.empty());
-    ASSERT_EQ(lazy[j].coords.size(), ar.steps);
-    EXPECT_NEAR(la::nrm2<Complex>(lazy[j].coords), 1.0, 1e-12);
-    // Same pairs in the same order either way.
-    EXPECT_EQ(lazy[j].value, eager[j].value);
-    EXPECT_EQ(lazy[j].residual, eager[j].residual);
-    ASSERT_EQ(eager[j].coords.size(), ar.steps);
-    EXPECT_EQ(std::memcmp(lazy[j].coords.data(), eager[j].coords.data(),
-                          ar.steps * sizeof(Complex)),
-              0);
-    // The on-demand vector is bit for bit the eager one.
-    const core::PlaneVector x = form_ritz_vector(ar, lazy[j]);
+  const auto pairs = ritz_pairs(ar);
+  ASSERT_EQ(pairs.size(), 20u);
+  const ComplexMatrix v = test::to_reference(ar).v_rows;
+  for (std::size_t j = 0; j < pairs.size(); ++j) {
+    // A pair carries only H_d's eigenvector coordinates.
+    ASSERT_EQ(pairs[j].coords.size(), ar.steps);
+    EXPECT_NEAR(la::nrm2<Complex>(pairs[j].coords), 1.0, 1e-12);
+    // form_ritz_vector builds V_d y, unit norm, the same bits each call.
+    const core::PlaneVector x = form_ritz_vector(ar, pairs[j]);
     ASSERT_EQ(x.size(), 80u);
-    ASSERT_EQ(eager[j].vector.size(), 80u);
-    EXPECT_EQ(std::memcmp(x.data(), eager[j].vector.data(),
+    EXPECT_EQ(std::memcmp(x.data(), form_ritz_vector(ar, pairs[j]).data(),
                           x.size() * sizeof(double)),
               0)
         << "pair " << j;
+    const ComplexVector xc = test::from_planes(x);
+    EXPECT_NEAR(la::nrm2<Complex>(xc), 1.0, 1e-12);
+    // V_d^H x recovers y: the basis is orthonormal and x = V_d y / |y|.
+    for (std::size_t k = 0; k < ar.steps; ++k) {
+      Complex g{};
+      for (std::size_t i = 0; i < 40; ++i) g += std::conj(v(k, i)) * xc[i];
+      EXPECT_NEAR(std::abs(g - pairs[j].coords[k]), 0.0, 1e-10)
+          << "pair " << j << ", row " << k;
+    }
   }
   // A pair from a different-length run is rejected.
   const auto short_ar =
       arnoldi(op, core::random_start_vector(40, rng), 5, {});
-  EXPECT_THROW((void)form_ritz_vector(short_ar, lazy.front()),
+  EXPECT_THROW((void)form_ritz_vector(short_ar, pairs.front()),
                std::invalid_argument);
 }
 

@@ -18,11 +18,16 @@
 //    they replaced (interleaved_arnoldi in reference_kernels.hpp) in h,
 //    basis, steps and matvecs, for every dim mod 4, 0-3 locked vectors
 //    and a breakdown run;
+//  - the two-lane vector dot and gemv kernels (dotc_rows, dotc_ptrs,
+//    gemv_planes) are BIT-identical to the scalar-accumulator loops
+//    they were written from (scalar_dotc_rows / scalar_gemv_planes in
+//    reference_kernels.hpp) for dims 1-9 and 36-39, 1-5 rows and
+//    matrices of 1-21 rows;
 //  - core::form_ritz_vector and core::lock_vector, which spell the
 //    complex products out on plane rows, are BIT-identical to the
 //    std::complex loops they replaced (reference_form_ritz_vector /
 //    reference_lock_vector) on the Ritz pairs and locking sequences of
-//    real Arnoldi runs;
+//    real Arnoldi runs and on coefficients with exact zeros;
 //  - the library operators (ImplicitHamiltonianOp, SmwShiftInvertOp,
 //    arnoldi CGS2) agree with the straight-line oracle loops of
 //    reference_kernels.hpp to rounding on the solver's real shapes, and
@@ -297,6 +302,60 @@ TEST(TunedKernelsTest, PlaneKernelsMatchInterleaved) {
   la::kernels::merge_planes(zre.data(), zim.data(), n, z.data());
   for (std::size_t j = 0; j < n; ++j) {
     EXPECT_NEAR(std::abs(z[j] - z_ref[j]), 0.0, 1e-12 * m);
+  }
+}
+
+// ---- two-lane vector kernels = their scalar loops, bit for bit -------
+
+TEST(VectorKernelsBitwiseTest, DotcMatchesScalarOracle) {
+  // Every dim parity and dim mod 4 (the pair and lone-row tails, and
+  // dims below one vector iteration), every row count up to two pairs
+  // plus a lone row.  The rows start one double and w three doubles
+  // into their buffers, so their real planes sit off 16-byte
+  // boundaries.
+  util::Rng rng(43);
+  for (const std::size_t dim :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 36u, 37u, 38u, 39u}) {
+    for (std::size_t count = 1; count <= 5; ++count) {
+      const std::string label =
+          "dim=" + std::to_string(dim) + " count=" + std::to_string(count);
+      const RealVector buf = random_real_vector(1 + count * 2 * dim, rng);
+      const double* rows = buf.data() + 1;
+      const RealVector wbuf = random_real_vector(3 + 2 * dim, rng);
+      const double* w = wbuf.data() + 3;
+      std::vector<const double*> ptrs(count);
+      for (std::size_t j = 0; j < count; ++j) ptrs[j] = rows + j * 2 * dim;
+
+      std::vector<Complex> ref(count), got(count), got_ptrs(count);
+      test::scalar_dotc_rows(rows, 2 * dim, count, w, dim, ref.data());
+      la::kernels::dotc_rows(rows, 2 * dim, count, w, dim, got.data());
+      la::kernels::dotc_ptrs(ptrs.data(), count, w, dim, got_ptrs.data());
+      EXPECT_TRUE(same_bits(got.data(), ref.data(), count)) << label;
+      EXPECT_TRUE(same_bits(got_ptrs.data(), ref.data(), count)) << label;
+    }
+  }
+}
+
+TEST(VectorKernelsBitwiseTest, GemvPlanesMatchesScalarOracle) {
+  // Every row count the solver's C and D products see for up to 21
+  // ports, with odd and even row lengths (the odd-j tail), from an
+  // unaligned matrix and unaligned planes.
+  util::Rng rng(44);
+  for (std::size_t m = 1; m <= 21; ++m) {
+    for (const std::size_t n : {1u, 2u, 3u, 8u, 21u, 40u, 41u}) {
+      const std::string label =
+          "m=" + std::to_string(m) + " n=" + std::to_string(n);
+      const RealVector abuf = random_real_vector(1 + m * n, rng);
+      const RealVector xbuf = random_real_vector(1 + 2 * n, rng);
+      const double* a = abuf.data() + 1;
+      const double* xre = xbuf.data() + 1;
+      const double* xim = xre + n;
+      std::vector<double> yre(m), yim(m), rre(m), rim(m);
+      la::kernels::gemv_planes(a, m, n, xre, xim, yre.data(), yim.data());
+      test::scalar_gemv_planes(a, m, n, xre, xim, rre.data(), rim.data());
+      EXPECT_TRUE(same_bits(yre.data(), rre.data(), m)) << label;
+      EXPECT_TRUE(same_bits(yim.data(), rim.data(), m)) << label;
+    }
   }
 }
 
@@ -827,7 +886,7 @@ TEST(RitzLockBitwiseTest, FormAndLockMatchReference) {
     const ComplexVector v0 = core::random_start_vector(dim, rng);
     const auto ar = core::arnoldi(op, v0, 30, locked);
     const test::ReferenceArnoldi ref_ar = test::to_reference(ar);
-    const auto pairs = core::ritz_pairs(ar, false);
+    const auto pairs = core::ritz_pairs(ar);
     for (const auto& pair : pairs) {
       const core::PlaneVector x = core::form_ritz_vector(ar, pair);
       ASSERT_TRUE(same_plane_bits(
@@ -886,6 +945,46 @@ TEST(RitzLockBitwiseTest, RandomAndSignedZeroInputsMatchReference) {
   }
 }
 
+TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
+  // form_ritz_vector adds the nonzero-coefficient rows two at a time;
+  // exact zeros (either sign) must drop out of the pairing at even,
+  // odd and adjacent positions, leaving an odd or even number of rows,
+  // and an all-zero pair takes the norm == 0 path.
+  util::Rng rng(63);
+  core::ArnoldiResult ar;
+  ar.steps = 12;
+  ar.dim = 37;
+  for (std::size_t r = 0; r <= ar.steps; ++r) {
+    const core::PlaneVector row =
+        test::to_planes(random_complex_vector(ar.dim, rng));
+    ar.basis.insert(ar.basis.end(), row.begin(), row.end());
+  }
+  const test::ReferenceArnoldi ref_ar = test::to_reference(ar);
+  const std::vector<std::vector<std::size_t>> zero_sets = {
+      {0, 3, 6, 7, 10},  // even, odd and adjacent: 7 rows remain
+      {1, 2, 11},        // adjacent and the last row: 9 rows remain
+      {5},               // 11 rows remain
+      {},                // 12 rows remain
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11},  // one lone row remains
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},  // all zero
+  };
+  for (const auto& zeros : zero_sets) {
+    core::RitzPair pair;
+    pair.coords = random_complex_vector(ar.steps, rng);
+    for (std::size_t k = 0; k < zeros.size(); ++k) {
+      pair.coords[zeros[k]] =
+          k % 2 == 0 ? Complex{} : Complex(-0.0, -0.0);
+    }
+    const core::PlaneVector x = core::form_ritz_vector(ar, pair);
+    EXPECT_TRUE(same_plane_bits(
+        x, test::to_planes(test::reference_form_ritz_vector(ref_ar, pair))))
+        << zeros.size() << " zero coefficient(s)";
+    if (zeros.size() == ar.steps) {
+      EXPECT_EQ(x, core::PlaneVector(2 * ar.dim, 0.0));
+    }
+  }
+}
+
 // ---- plane-row CGS2 Arnoldi: bitwise oracle ---------------------------
 
 // memcmp equality of core::arnoldi and the interleaved CGS2 loop it
@@ -923,7 +1022,7 @@ std::vector<ComplexVector> locked_from_ritz(
   const auto ar = core::arnoldi(
       op, core::random_start_vector(op.dim(), rng),
       std::min<std::size_t>(12, op.dim() - 2), {});
-  for (const auto& pair : core::ritz_pairs(ar, false)) {
+  for (const auto& pair : core::ritz_pairs(ar)) {
     if (locked.size() == count) break;
     core::lock_vector(locked, core::form_ritz_vector(ar, pair));
   }

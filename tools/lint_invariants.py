@@ -38,6 +38,12 @@ Checks (each failure is one line on stdout; exit 1 if any fired):
                     uses its name: an uncalled `clear`, `capacity` or
                     `reset` hides behind std containers, smart
                     pointers and constructor parameters of that name.
+  7. simd-confined  GCC/Clang vector types (`vector_size`) and SIMD
+                    intrinsics headers (`<*intrin.h>`, `<arm_neon.h>`)
+                    appear only in src/la/kernels.cpp, so "one kernel
+                    path" stays checkable: every explicitly vectorized
+                    loop is in that file, with its scalar loop in
+                    tests/reference_kernels.hpp as the oracle.
 
 Run from anywhere: paths resolve relative to this file's repo root.
 """
@@ -218,26 +224,34 @@ BANNED_RE = re.compile(
 SYNC_HPP = Path("include/phes/util/sync.hpp")
 
 
-def check_sync_layer(errors: list[str]) -> None:
+def check_confined(errors: list[str], check: str, pattern: re.Pattern,
+                   home: Path, advice: str) -> None:
+    """`pattern` may match C++ code (line comments stripped) only in
+    `home`."""
     for directory in ("src", "include", "tests", "bench", "examples"):
         base = ROOT / directory
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*.[ch]pp")):
             rel = path.relative_to(ROOT)
-            if rel == SYNC_HPP:
+            if rel == home:
                 continue
             for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1
             ):
                 code = line.split("//", 1)[0]
-                match = BANNED_RE.search(code)
+                match = pattern.search(code)
                 if match:
                     errors.append(
-                        f"sync-layer: {rel}:{lineno}: {match.group(0)} — "
-                        "use phes::util::Mutex/MutexLock/CondVar from "
-                        "phes/util/sync.hpp"
+                        f"{check}: {rel}:{lineno}: {match.group(0)} — "
+                        f"{advice}"
                     )
+
+
+def check_sync_layer(errors: list[str]) -> None:
+    check_confined(errors, "sync-layer", BANNED_RE, SYNC_HPP,
+                   "use phes::util::Mutex/MutexLock/CondVar from "
+                   "phes/util/sync.hpp")
 
 
 # ---- check 5: phes_pipeline flags vs header comment, usage(), README ---
@@ -562,6 +576,19 @@ def check_prod_callers(errors: list[str]) -> None:
                           "production caller now; drop the entry")
 
 
+# ---- check 7: explicit SIMD only in the kernel file -------------------
+
+SIMD_RE = re.compile(
+    r"\bvector_size\b|<\s*\w*intrin\.h\s*>|<\s*arm_neon\.h\s*>"
+)
+SIMD_HOME = Path("src/la/kernels.cpp")
+
+
+def check_simd_confined(errors: list[str]) -> None:
+    check_confined(errors, "simd-confined", SIMD_RE, SIMD_HOME,
+                   f"explicit SIMD belongs in {SIMD_HOME}")
+
+
 def main() -> int:
     errors: list[str] = []
     check_metrics(errors)
@@ -570,6 +597,7 @@ def main() -> int:
     check_sync_layer(errors)
     check_cli_flags(errors)
     check_prod_callers(errors)
+    check_simd_confined(errors)
     if errors:
         for err in errors:
             print(err)
@@ -577,7 +605,7 @@ def main() -> int:
         return 1
     print("lint_invariants: all invariants hold "
           "(metrics-docs, protocol-ops, protocol-docs, sync-layer, "
-          "cli-flags, prod-callers).")
+          "cli-flags, prod-callers, simd-confined).")
     return 0
 
 
