@@ -22,6 +22,11 @@
 //    stops once a fresh (deflated, re-randomized) restart adds nothing
 //    new inside the disk — the explicit-restart insurance of [9]
 //    against unlucky start vectors.
+//
+// Converged Ritz vectors become deflation vectors (an orthonormalized
+// locked set) only for the next restart's Arnoldi run.  The final
+// restart therefore reports its converged pairs but builds no
+// deflation vectors from them.
 
 #include <cstdint>
 

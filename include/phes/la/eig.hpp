@@ -21,6 +21,9 @@
 // (x*y = (xr*yr - xi*yi, xr*yi + xi*yr); a real factor scales each
 // part), e.g. t_k <- c*t_k + s*t_k1 becomes
 //   re: c*t1r + (sr*t2r - si*t2i),   im: c*t1i + (sr*t2i + si*t2r).
+// The deflation scan settles most rows on cheap |re|, |im| bounds
+// before the exact |sub| <= kEps * ref test; the bounds are
+// conservative, so every decision is the exact test's.
 // For finite input, eigenvalues and eigenvectors are therefore
 // bit-identical to the old code on any build that does not contract
 // a*b + c into a fused multiply-add (the project's flags do not enable

@@ -13,9 +13,10 @@
 // the test oracle.  Order-preserving transforms (la/blas.hpp blocked
 // products, la::hessenberg_eig, the plane-row kernels below against
 // the interleaved kernels they replaced, the two-lane vector
-// accumulators below against their scalar loops) are bit-identical to
-// the loops they replaced.  Either way the results are deterministic:
-// bit-identical across runs and thread counts.
+// accumulators and the four-row gemv passes below against their
+// scalar loops) are bit-identical to the loops they replaced.  Either
+// way the results are deterministic: bit-identical across runs and
+// thread counts.
 //
 // The kernels here are deliberately free-standing (raw pointers +
 // strides) so the operators can point them at matrix rows, locked
@@ -90,13 +91,17 @@ void axpy_ptrs(const double* const* rows, std::size_t count,
 
 /// yre/yim = A xre/xim (A row-major m x n; y has length m).  Each row
 /// keeps one accumulator for even and one for odd j (the two lanes of
-/// a vector, as above), the odd-n tail going to the even one.
+/// a vector, as above), the odd-n tail going to the even one.  Rows go
+/// four per pass over x, then the remaining rows one at a time; each
+/// row's sums are those of a pass of its own.
 void gemv_planes(const double* a, std::size_t m, std::size_t n,
                  const double* xre, const double* xim, double* yre,
                  double* yim);
 
-/// yre/yim = A^T xre/xim (y has length n).  Rows are blocked so each
-/// pass over y absorbs several rows' updates.
+/// yre/yim = A^T xre/xim (y has length n).  Rows go four per pass over
+/// y, each element updated as (y + (t0 + t1)) + (t2 + t3) — the order
+/// of two passes of two rows, y + (t0 + t1) — then a two-row pass and
+/// a lone row (y + t0) for the remainder.
 void gemv_t_planes(const double* a, std::size_t m, std::size_t n,
                    const double* xre, const double* xim, double* yre,
                    double* yim);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "phes/core/arnoldi.hpp"
 #include "phes/hamiltonian/implicit_op.hpp"
+#include "phes/la/eig.hpp"
 
 namespace phes::core {
 
@@ -29,8 +31,16 @@ LambdaMaxEstimate estimate_lambda_max(
     const auto v0 = random_start_vector(dim, rng);
     const auto ar = arnoldi(op, v0, d, {});
     est.matvecs += ar.matvecs;
-    for (const auto& p : ritz_pairs(ar)) {
-      best = std::max(best, std::abs(p.value));
+    // Only |Ritz value| is read: eigenvalues of the square projection
+    // H_d without eigenvectors (the values are the same bits either
+    // way).
+    const std::size_t steps = ar.steps;
+    la::ComplexMatrix hd(steps, steps);
+    for (std::size_t i = 0; i < steps; ++i) {
+      for (std::size_t j = 0; j < steps; ++j) hd(i, j) = ar.h(i, j);
+    }
+    for (const Complex& mu : la::hessenberg_eig(std::move(hd), false).values) {
+      best = std::max(best, std::abs(mu));
     }
   }
   // Safeguard floor: unit-threshold crossings can only occur where the

@@ -110,8 +110,8 @@ SingleShiftResult single_shift_iteration(
     result.matvecs += ar.matvecs;
     ++result.restarts;
 
-    // Ritz vectors are built below only for the pairs that get locked.
     const auto pairs = ritz_pairs(ar);
+    std::vector<const RitzPair*> newly_locked;
     std::size_t new_in_disk = 0;
     unconverged_limit = std::numeric_limits<double>::infinity();
     for (const auto& p : pairs) {
@@ -128,8 +128,20 @@ SingleShiftResult single_shift_iteration(
       const Complex lambda = theta + 1.0 / p.value;
       if (already_locked(lambda)) continue;
       locked.push_back({lambda, std::abs(lambda - theta)});
-      lock_vector(locked_vectors, form_ritz_vector(ar, p));
+      newly_locked.push_back(&p);
       if (locked.back().distance <= rho * 1.0000001) ++new_in_disk;
+    }
+
+    // Deflation vectors are read only by a later restart's Arnoldi, so
+    // the final restart forms none.  Its locked eigenvalues and the
+    // radius below do not depend on them.
+    const bool another_restart =
+        !(restart + 1 >= min_restarts && new_in_disk == 0) &&
+        restart + 1 < kMaxRestarts;
+    if (another_restart) {
+      for (const RitzPair* p : newly_locked) {
+        lock_vector(locked_vectors, form_ritz_vector(ar, *p));
+      }
     }
 
     std::sort(locked.begin(), locked.end(),
@@ -153,7 +165,7 @@ SingleShiftResult single_shift_iteration(
     // Certificate cap: nothing unseen may hide inside the disk.
     rho = std::min(rho, kRadiusSafety * unconverged_limit);
 
-    if (restart + 1 >= min_restarts && new_in_disk == 0) break;
+    if (!another_restart) break;
   }
 
   result.radius = rho;

@@ -62,18 +62,28 @@ SmwShiftInvertOp::SmwShiftInvertOp(
 
 namespace {
 
-/// Apply a frozen resolvent table:  y = T x  block by block.
+/// Apply a frozen resolvent table:  y = T x  block by block.  Each
+/// complex product is written out the way std::complex evaluates it
+/// for finite values, (ac - bd, ad + bc), so the bits are those of
+/// `c11 * x1 + c12 * x2` without the NaN-recovery call that keeps the
+/// std::complex product out of line.
 template <typename Table>
 void apply_table(const Table& table, std::span<const la::Complex> x,
                  la::Complex* y) {
   for (const auto& blk : table) {
     const std::size_t s = blk.state;
+    const double ar = blk.c11.real(), ai = blk.c11.imag();
+    const double x1r = x[s].real(), x1i = x[s].imag();
     if (blk.is_pair) {
-      const la::Complex x1 = x[s], x2 = x[s + 1];
-      y[s] = blk.c11 * x1 + blk.c12 * x2;
-      y[s + 1] = -blk.c12 * x1 + blk.c11 * x2;
+      const double br = blk.c12.real(), bi = blk.c12.imag();
+      const double nbr = -br, nbi = -bi;  // -c12
+      const double x2r = x[s + 1].real(), x2i = x[s + 1].imag();
+      y[s] = {(ar * x1r - ai * x1i) + (br * x2r - bi * x2i),
+              (ar * x1i + ai * x1r) + (br * x2i + bi * x2r)};
+      y[s + 1] = {(nbr * x1r - nbi * x1i) + (ar * x2r - ai * x2i),
+                  (nbr * x1i + nbi * x1r) + (ar * x2i + ai * x2r)};
     } else {
-      y[s] = blk.c11 * x[s];
+      y[s] = {ar * x1r - ai * x1i, ar * x1i + ai * x1r};
     }
   }
 }

@@ -115,9 +115,37 @@ ComplexEigResult hessenberg_eig(ComplexMatrix h, bool want_vectors) {
     std::size_t iter = 0, total_iter = 0;
     const std::size_t max_total = 60 * n;
     while (true) {
-      // Deflation scan.
+      // Deflation scan.  Most rows fail the test by a wide margin, and
+      // cheap |re|, |im| bounds settle those without the three hypot
+      // calls of the exact test.  The bounds cannot change its outcome:
+      //  - hypot(re, im) >= max(|re|, |im|) >= 0.5 * max, so the
+      //    computed `sub` is at least `half_max`;
+      //  - |z| <= |re| + |im|, and computed hypots and sums are
+      //    faithfully rounded (within an ulp of the exact value), so
+      //    twice the summed |re| + |im| of the two diagonal entries is
+      //    at least the computed `ref`: the factor 2 dwarfs the few
+      //    ulps of rounding on either side;
+      //  - rounded products are monotone, so `bound` >= kEps * ref.
+      // A skip therefore means sub > kEps * ref, the exact test's
+      // verdict (a NaN `sub`, which std::max may hide, makes the exact
+      // test skip as well).  A bound that overflows, underflows to 0
+      // (this covers ref == 0, which the exact test replaces by
+      // norm_scale) or is NaN fails `bound > 0.0 && half_max > bound`
+      // and falls through to the exact test.
       std::size_t l = m;
       while (l > 0) {
+        const std::size_t sl = l * n + (l - 1);
+        const std::size_t da = (l - 1) * n + (l - 1);
+        const std::size_t db = l * n + l;
+        const double half_max =
+            0.5 * std::max(std::abs(t.re[sl]), std::abs(t.im[sl]));
+        const double bound =
+            kEps * (2.0 * ((std::abs(t.re[da]) + std::abs(t.im[da])) +
+                           (std::abs(t.re[db]) + std::abs(t.im[db]))));
+        if (bound > 0.0 && half_max > bound) {
+          --l;
+          continue;
+        }
         const double sub = std::abs(t.at(l, l - 1));
         double ref = std::abs(t.at(l - 1, l - 1)) + std::abs(t.at(l, l));
         if (ref == 0.0) ref = norm_scale;

@@ -126,6 +126,39 @@ inline void axpy_one(const double* v, Complex c, double* w,
   }
 }
 
+// y[r] = row_r . x on planes for the R consecutive rows of `a`
+// (length n each), sharing one pass over x.  Each row keeps one
+// accumulator for even and one for odd j (lanes 0 and 1 of its re and
+// im vectors), the odd-n tail going to the even one.
+template <std::size_t R>
+inline void gemv_rows(const double* a, std::size_t n, const double* xre,
+                      const double* xim, double* yre, double* yim) {
+  v2d re[R], im[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    re[r] = v2d{0.0, 0.0};
+    im[r] = v2d{0.0, 0.0};
+  }
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    const v2d xr = load2(xre + j), xi = load2(xim + j);
+    for (std::size_t r = 0; r < R; ++r) {
+      const v2d aj = load2(a + r * n + j);
+      re[r] += aj * xr;
+      im[r] += aj * xi;
+    }
+  }
+  for (; j < n; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      re[r][0] += a[r * n + j] * xre[j];
+      im[r][0] += a[r * n + j] * xim[j];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    yre[r] = re[r][0] + re[r][1];
+    yim[r] = im[r][0] + im[r][1];
+  }
+}
+
 }  // namespace
 
 void dotc_rows(const double* rows, std::size_t stride, std::size_t count,
@@ -187,22 +220,13 @@ double nrm2_plane(const double* x, std::size_t dim) noexcept {
 void gemv_planes(const double* a, std::size_t m, std::size_t n,
                  const double* xre, const double* xim, double* yre,
                  double* yim) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* row = a + i * n;
-    // Lanes 0 and 1: the even-j and odd-j accumulators.
-    v2d r = {0.0, 0.0}, im = {0.0, 0.0};
-    std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const v2d aj = load2(row + j);
-      r += aj * load2(xre + j);
-      im += aj * load2(xim + j);
-    }
-    for (; j < n; ++j) {
-      r[0] += row[j] * xre[j];
-      im[0] += row[j] * xim[j];
-    }
-    yre[i] = r[0] + r[1];
-    yim[i] = im[0] + im[1];
+  // Four rows per pass over x, then the remaining rows one at a time.
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    gemv_rows<4>(a + i * n, n, xre, xim, yre + i, yim + i);
+  }
+  for (; i < m; ++i) {
+    gemv_rows<1>(a + i * n, n, xre, xim, yre + i, yim + i);
   }
 }
 
@@ -213,8 +237,27 @@ void gemv_t_planes(const double* a, std::size_t m, std::size_t n,
     yre[j] = 0.0;
     yim[j] = 0.0;
   }
+  // Four rows per pass over y as (y + (t0 + t1)) + (t2 + t3): the sums
+  // of two two-row passes, in their order, with half the loads and
+  // stores of y.
   std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
+  for (; i + 4 <= m; i += 4) {
+    const double* r0 = a + i * n;
+    const double* r1 = r0 + n;
+    const double* r2 = r1 + n;
+    const double* r3 = r2 + n;
+    const double xr0 = xre[i], xi0 = xim[i];
+    const double xr1 = xre[i + 1], xi1 = xim[i + 1];
+    const double xr2 = xre[i + 2], xi2 = xim[i + 2];
+    const double xr3 = xre[i + 3], xi3 = xim[i + 3];
+    for (std::size_t j = 0; j < n; ++j) {
+      yre[j] = (yre[j] + (r0[j] * xr0 + r1[j] * xr1)) +
+               (r2[j] * xr2 + r3[j] * xr3);
+      yim[j] = (yim[j] + (r0[j] * xi0 + r1[j] * xi1)) +
+               (r2[j] * xi2 + r3[j] * xi3);
+    }
+  }
+  if (i + 2 <= m) {
     const double* r0 = a + i * n;
     const double* r1 = r0 + n;
     const double xr0 = xre[i], xi0 = xim[i];
@@ -223,6 +266,7 @@ void gemv_t_planes(const double* a, std::size_t m, std::size_t n,
       yre[j] += r0[j] * xr0 + r1[j] * xr1;
       yim[j] += r0[j] * xi0 + r1[j] * xi1;
     }
+    i += 2;
   }
   if (i < m) {
     const double* r0 = a + i * n;

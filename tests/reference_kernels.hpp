@@ -23,8 +23,14 @@
 //
 // scalar_dotc_rows and scalar_gemv_planes are the plane-row kernels
 // as written with scalar accumulators, before those accumulators
-// became the lanes of two-double vectors; the library must match them
-// bit for bit too.
+// became the lanes of two-double vectors, and scalar_gemv_t_planes is
+// the two-rows-per-pass C^T product before it took four; the library
+// must match them bit for bit too.  TableSmwOp is
+// hamiltonian::SmwShiftInvertOp as it ran on those kernels with
+// std::complex resolvent-table products, and reference_single_shift is
+// core::single_shift_iteration as it ran when every restart, the last
+// one included, locked its converged Ritz vectors; test_la_kernels and
+// test_core_single_shift demand memcmp equality with them.
 //
 // reference_dense_sigma_solve is the dense sigma least squares that
 // vf::detail::fast_sigma_solve replaced.  The fast form eliminates the
@@ -41,13 +47,19 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <limits>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "phes/core/arnoldi.hpp"
+#include "phes/core/single_shift.hpp"
 #include "phes/hamiltonian/operators.hpp"
+#include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/blas.hpp"
+#include "phes/la/kernels.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/la/matrix.hpp"
 #include "phes/la/qr.hpp"
@@ -55,6 +67,7 @@
 #include "phes/macromodel/samples.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/check.hpp"
+#include "phes/util/rng.hpp"
 
 namespace phes::test {
 
@@ -219,6 +232,24 @@ inline la::RealMatrix reference_gram_minus_identity(const la::RealMatrix& d,
   return g;
 }
 
+/// The SMW kernel K = [ -H(theta)  -I ;  I  H(-theta)^T ].
+inline la::ComplexMatrix smw_kernel(
+    const macromodel::SimoRealization& realization, la::Complex theta) {
+  const std::size_t p = realization.ports();
+  const la::ComplexMatrix h_pos = realization.eval(theta);
+  const la::ComplexMatrix h_neg = realization.eval(-theta);
+  la::ComplexMatrix k(2 * p, 2 * p);
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      k(i, j) = -h_pos(i, j);
+      k(p + i, p + j) = h_neg(j, i);
+    }
+    k(i, p + i) = la::Complex(-1.0, 0.0);
+    k(p + i, i) = la::Complex(1.0, 0.0);
+  }
+  return k;
+}
+
 /// (M - theta I)^{-1} x through the SMW closed form, with a complex
 /// division per pole block and interleaved-complex C / C^T products.
 /// Oracle for hamiltonian::SmwShiftInvertOp.
@@ -289,24 +320,6 @@ class ReferenceSmwOp final : public hamiltonian::ComplexLinearOperator {
   const macromodel::SimoRealization& realization_;
   la::Complex theta_;
   la::LuFactorization<la::Complex> k_lu_;  ///< 2p x 2p kernel K
-
-  // K = [ -H(theta)  -I ;  I  H(-theta)^T ].
-  static la::ComplexMatrix smw_kernel(
-      const macromodel::SimoRealization& realization, la::Complex theta) {
-    const std::size_t p = realization.ports();
-    const la::ComplexMatrix h_pos = realization.eval(theta);
-    const la::ComplexMatrix h_neg = realization.eval(-theta);
-    la::ComplexMatrix k(2 * p, 2 * p);
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = 0; j < p; ++j) {
-        k(i, j) = -h_pos(i, j);
-        k(p + i, p + j) = h_neg(j, i);
-      }
-      k(i, p + i) = la::Complex(-1.0, 0.0);
-      k(p + i, i) = la::Complex(1.0, 0.0);
-    }
-    return k;
-  }
 };
 
 /// y = M x with six independent R^{-1} / S^{-1} solves and separate
@@ -817,6 +830,149 @@ inline void scalar_gemv_planes(const double* a, std::size_t m,
   }
 }
 
+/// yre/yim = A^T xre/xim with two rows per pass over y, each element
+/// updated as y + (t0 + t1), and a lone last row as y + t0.
+inline void scalar_gemv_t_planes(const double* a, std::size_t m,
+                                 std::size_t n, const double* xre,
+                                 const double* xim, double* yre,
+                                 double* yim) {
+  for (std::size_t j = 0; j < n; ++j) {
+    yre[j] = 0.0;
+    yim[j] = 0.0;
+  }
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    const double* r0 = a + i * n;
+    const double* r1 = r0 + n;
+    const double xr0 = xre[i], xi0 = xim[i];
+    const double xr1 = xre[i + 1], xi1 = xim[i + 1];
+    for (std::size_t j = 0; j < n; ++j) {
+      yre[j] += r0[j] * xr0 + r1[j] * xr1;
+      yim[j] += r0[j] * xi0 + r1[j] * xi1;
+    }
+  }
+  if (i < m) {
+    const double* r0 = a + i * n;
+    const double xr0 = xre[i], xi0 = xim[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      yre[j] += r0[j] * xr0;
+      yim[j] += r0[j] * xi0;
+    }
+  }
+}
+
+/// hamiltonian::SmwShiftInvertOp with its resolvent tables applied
+/// through std::complex products and its C / C^T products through
+/// scalar_gemv_planes / scalar_gemv_t_planes: the apply before the
+/// four-row passes and the written-out table products.  The tables and
+/// K are built as the library constructor builds them.
+class TableSmwOp final : public hamiltonian::ComplexLinearOperator {
+ public:
+  /// Keeps a reference to `realization`; the caller guarantees it
+  /// outlives the operator.
+  TableSmwOp(const macromodel::SimoRealization& realization,
+             la::Complex theta)
+      : realization_(realization), k_lu_(smw_kernel(realization, theta)) {
+    using la::Complex;
+    for (const auto& blk : realization.blocks()) {
+      TableBlock pb{blk.state, blk.is_pair, {}, {}};
+      TableBlock qb{blk.state, blk.is_pair, {}, {}};
+      if (blk.is_pair) {
+        const Complex g = Complex(blk.alpha, 0.0) - theta;
+        const Complex det = g * g + blk.beta * blk.beta;
+        pb.c11 = g / det;
+        pb.c12 = -blk.beta / det;
+        const Complex gq = Complex(blk.alpha, 0.0) + theta;
+        const Complex detq = gq * gq + blk.beta * blk.beta;
+        qb.c11 = -gq / detq;
+        qb.c12 = -blk.beta / detq;
+      } else {
+        pb.c11 = 1.0 / (Complex(blk.alpha, 0.0) - theta);
+        qb.c11 = -1.0 / (Complex(blk.alpha, 0.0) + theta);
+      }
+      p_table_.push_back(pb);
+      q_table_.push_back(qb);
+    }
+  }
+
+  [[nodiscard]] std::size_t dim() const noexcept override {
+    return 2 * realization_.order();
+  }
+
+  void apply(std::span<const la::Complex> x,
+             std::span<la::Complex> y) const override {
+    using la::Complex;
+    const std::size_t n = realization_.order();
+    const std::size_t p = realization_.ports();
+    util::check(x.size() == 2 * n && y.size() == 2 * n,
+                "TableSmwOp::apply: size mismatch");
+    la::ComplexVector g1(n), g2(n), w(2 * p), bz(n), ctz(n), u1(n), u2(n);
+    std::vector<double> planes(2 * n + 2 * p);
+    double* re = planes.data();
+    double* im = re + n;
+    double* pre = im + n;
+    double* pim = pre + p;
+
+    apply_table(p_table_, x.subspan(0, n), g1.data());
+    apply_table(q_table_, x.subspan(n, n), g2.data());
+
+    const double* c = realization_.c().row_ptr(0);
+    la::kernels::split_planes(g1.data(), n, re, im);
+    scalar_gemv_planes(c, p, n, re, im, pre, pim);
+    for (std::size_t i = 0; i < p; ++i) {
+      w[i] = Complex(pre[i], pim[i]);
+      w[p + i] = Complex{};
+    }
+    for (const auto& blk : realization_.blocks()) {
+      w[p + blk.column] += g2[blk.state];
+    }
+
+    const la::ComplexVector z = k_lu_.solve(w);
+
+    for (std::size_t i = 0; i < n; ++i) bz[i] = Complex{};
+    for (const auto& blk : realization_.blocks()) {
+      bz[blk.state] = z[blk.column];
+    }
+    la::kernels::split_planes(z.data() + p, p, pre, pim);
+    scalar_gemv_t_planes(c, p, n, pre, pim, re, im);
+    la::kernels::merge_planes(re, im, n, ctz.data());
+    apply_table(p_table_, {bz.data(), n}, u1.data());
+    apply_table(q_table_, {ctz.data(), n}, u2.data());
+
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = g1[i] - u1[i];
+      y[n + i] = g2[i] - u2[i];
+    }
+  }
+
+ private:
+  struct TableBlock {
+    std::size_t state = 0;
+    bool is_pair = false;
+    la::Complex c11{};
+    la::Complex c12{};
+  };
+
+  static void apply_table(const std::vector<TableBlock>& table,
+                          std::span<const la::Complex> x, la::Complex* y) {
+    for (const auto& blk : table) {
+      const std::size_t s = blk.state;
+      if (blk.is_pair) {
+        const la::Complex x1 = x[s], x2 = x[s + 1];
+        y[s] = blk.c11 * x1 + blk.c12 * x2;
+        y[s + 1] = -blk.c12 * x1 + blk.c11 * x2;
+      } else {
+        y[s] = blk.c11 * x[s];
+      }
+    }
+  }
+
+  const macromodel::SimoRealization& realization_;
+  la::LuFactorization<la::Complex> k_lu_;  ///< 2p x 2p kernel K
+  std::vector<TableBlock> p_table_;  ///< (A - theta I)^{-1}
+  std::vector<TableBlock> q_table_;  ///< -(A^T + theta I)^{-1}
+};
+
 /// core::form_ritz_vector with std::complex products, on an interleaved
 /// basis.
 inline la::ComplexVector reference_form_ritz_vector(
@@ -858,6 +1014,118 @@ inline bool reference_lock_vector(std::vector<la::ComplexVector>& locked,
   for (auto& x : w) x /= norm;
   locked.push_back(std::move(w));
   return true;
+}
+
+/// core::single_shift_iteration as it ran before the final restart
+/// stopped building deflation vectors: every restart, the last one
+/// included, forms and locks the Ritz vector of each newly locked pair
+/// as soon as the pair is accepted.  kRitzTol, kMaxRestarts and
+/// kRadiusSafety repeat the library's file-local constants.  Operators
+/// are built directly (no factory).
+inline core::SingleShiftResult reference_single_shift(
+    const macromodel::SimoRealization& realization, double omega_center,
+    double rho0, const core::SingleShiftOptions& opt,
+    std::size_t min_restarts, util::Rng& rng) {
+  using core::kClusterTol;
+  using hamiltonian::SmwShiftInvertOp;
+  using la::Complex;
+  constexpr double kRitzTol = 1e-9;
+  constexpr std::size_t kMaxRestarts = 10;
+  constexpr double kRadiusSafety = 0.9;
+  struct LockedEig {
+    Complex lambda{};
+    double distance = 0.0;
+  };
+
+  const double scale =
+      std::max({std::abs(omega_center), realization.max_pole_magnitude(),
+                1e-30});
+  core::SingleShiftResult result;
+  Complex theta(0.0, omega_center);
+  std::shared_ptr<const SmwShiftInvertOp> op;
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    try {
+      op = std::make_shared<const SmwShiftInvertOp>(realization, theta);
+      ++result.factorizations;
+      break;
+    } catch (const std::runtime_error&) {
+      theta += Complex(0.0, scale * 1e-9 * static_cast<double>(attempt + 1));
+    }
+  }
+  util::require(op != nullptr, "reference_single_shift: singular kernel");
+
+  const std::size_t dim = op->dim();
+  const std::size_t d = std::min(opt.krylov_dim, dim - 1);
+  std::vector<LockedEig> locked;
+  std::vector<core::PlaneVector> locked_vectors;
+  double rho = rho0;
+  double unconverged_limit = std::numeric_limits<double>::infinity();
+  const auto already_locked = [&](Complex lambda) {
+    for (const auto& le : locked) {
+      if (std::abs(le.lambda - lambda) <= kClusterTol * scale) return true;
+    }
+    return false;
+  };
+
+  for (std::size_t restart = 0; restart < kMaxRestarts; ++restart) {
+    if (locked_vectors.size() + 2 >= dim) break;
+    const la::ComplexVector v0 = core::random_start_vector(dim, rng);
+    core::ArnoldiResult ar;
+    try {
+      ar = core::arnoldi(*op, v0, d, locked_vectors);
+    } catch (const std::runtime_error&) {
+      ++result.restarts;
+      break;
+    }
+    result.matvecs += ar.matvecs;
+    ++result.restarts;
+
+    const auto pairs = core::ritz_pairs(ar);
+    std::size_t new_in_disk = 0;
+    unconverged_limit = std::numeric_limits<double>::infinity();
+    for (const auto& p : pairs) {
+      const double mu_abs = std::abs(p.value);
+      if (mu_abs < 1e3 * la::kEps / rho0) continue;
+      const double dist = 1.0 / mu_abs;
+      const bool converged = p.residual <= kRitzTol * mu_abs;
+      if (!converged) {
+        unconverged_limit = std::min(unconverged_limit, dist);
+        continue;
+      }
+      const Complex lambda = theta + 1.0 / p.value;
+      if (already_locked(lambda)) continue;
+      locked.push_back({lambda, std::abs(lambda - theta)});
+      core::lock_vector(locked_vectors, core::form_ritz_vector(ar, p));
+      if (locked.back().distance <= rho * 1.0000001) ++new_in_disk;
+    }
+
+    std::sort(locked.begin(), locked.end(),
+              [](const LockedEig& a, const LockedEig& b) {
+                return a.distance < b.distance;
+              });
+
+    rho = rho0;
+    if (!locked.empty()) {
+      if (locked.size() > opt.eigs_per_shift) {
+        const double inner = locked[opt.eigs_per_shift - 1].distance;
+        const double outer = locked[opt.eigs_per_shift].distance;
+        rho = std::min(rho, 0.5 * (inner + outer));
+      } else if (locked.back().distance > rho) {
+        rho = locked.back().distance * 1.0000001;
+      }
+    }
+    rho = std::min(rho, kRadiusSafety * unconverged_limit);
+
+    if (restart + 1 >= min_restarts && new_in_disk == 0) break;
+  }
+
+  result.radius = rho;
+  for (const auto& le : locked) {
+    if (le.distance <= rho * 1.0000001) {
+      result.eigenvalues.push_back(le.lambda);
+    }
+  }
+  return result;
 }
 
 /// la::QrFactorization as it was before the row sweeps: the

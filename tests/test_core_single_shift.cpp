@@ -3,11 +3,17 @@
 // S returns ({lambda_k}, rho) such that {lambda_k} are ALL eigenvalues
 // of M inside the disk C(j*omega_center, rho) — soundness (each
 // returned value is an eigenvalue) and completeness (none is missed).
+// SingleShiftBitwiseTest holds S to the loop it replaced
+// (reference_single_shift in reference_kernels.hpp), which also locked
+// the final restart's Ritz vectors: eigenvalues, radius, restarts and
+// matvecs must match exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "phes/core/single_shift.hpp"
 #include "phes/hamiltonian/dense.hpp"
@@ -15,6 +21,7 @@
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "hamiltonian_analysis.hpp"
+#include "reference_kernels.hpp"
 #include "test_support.hpp"
 
 namespace phes {
@@ -186,6 +193,70 @@ TEST(SingleShift, RejectsBadArguments) {
   EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 1.0, opt,
                                       kMinRestarts, rng, {}),
                std::invalid_argument);
+}
+
+// memcmp equality of S and the loop it replaced on one shift; returns
+// the reference's restart count.
+std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
+                                        double omega, double rho0,
+                                        std::size_t krylov_dim,
+                                        std::size_t min_restarts) {
+  const std::string label = "omega=" + std::to_string(omega) +
+                            " rho0=" + std::to_string(rho0) +
+                            " d=" + std::to_string(krylov_dim) +
+                            " min_restarts=" + std::to_string(min_restarts);
+  SingleShiftOptions opt;
+  opt.krylov_dim = krylov_dim;
+  util::Rng rng_got(31), rng_ref(31);
+  const auto got = single_shift_iteration(simo, omega, rho0, opt,
+                                          min_restarts, rng_got, {});
+  const auto ref = test::reference_single_shift(simo, omega, rho0, opt,
+                                                min_restarts, rng_ref);
+  EXPECT_EQ(got.restarts, ref.restarts) << label;
+  EXPECT_EQ(got.matvecs, ref.matvecs) << label;
+  EXPECT_EQ(got.factorizations, ref.factorizations) << label;
+  EXPECT_EQ(std::memcmp(&got.radius, &ref.radius, sizeof(double)), 0)
+      << label;
+  EXPECT_EQ(got.eigenvalues.size(), ref.eigenvalues.size()) << label;
+  if (got.eigenvalues.size() == ref.eigenvalues.size() &&
+      !ref.eigenvalues.empty()) {
+    EXPECT_EQ(std::memcmp(got.eigenvalues.data(), ref.eigenvalues.data(),
+                          ref.eigenvalues.size() * sizeof(Complex)),
+              0)
+        << label;
+  }
+  return ref.restarts;
+}
+
+TEST(SingleShiftBitwiseTest, MatchesLockEveryRestartLoop) {
+  // A 4-port, order-220 model (operator dimension 440), shifts across
+  // its band at two initial radii.  Restart floors 1 and 2 are the two
+  // the solver uses; every run there stops after two restarts (a fresh
+  // restart finds nothing new in the disk, as at every shift of Table I
+  // cases 1 and 2), so its first restart's deflation vectors are read
+  // and its second's are not.  Floor 3 adds runs whose middle restart
+  // is non-final too: its vectors must still be built for the third.
+  // At d = 30 some middle restarts lock pairs the first one missed, so
+  // the third restart really reads them.
+  const auto model = test::synthetic_model(1.1, 2024, 220, 4);
+  const SimoRealization simo(model);
+  const double scale = model.max_pole_magnitude();
+  std::size_t max_restarts = 0;
+  for (const std::size_t min_restarts : {std::size_t{1}, kMinRestarts,
+                                         kMinRestarts + 1}) {
+    for (const std::size_t krylov_dim : {60u, 30u}) {
+      for (const double frac : {0.05, 0.3, 0.55, 0.8}) {
+        for (const double rel_rho : {0.02, 0.1}) {
+          max_restarts = std::max(
+              max_restarts,
+              expect_single_shift_bitwise(simo, frac * scale,
+                                          rel_rho * scale, krylov_dim,
+                                          min_restarts));
+        }
+      }
+    }
+  }
+  EXPECT_GE(max_restarts, 3u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 //    to the interleaved std::complex loop it replaced, kept below
 //    verbatim as reference_hessenberg_eig, on random, Arnoldi-derived
 //    and branch-forcing (deflating, repeated-eigenvalue,
-//    exceptional-shift) Hessenbergs;
+//    exceptional-shift) Hessenbergs, and on the inputs that probe the
+//    bounded deflation scan (zero diagonals, subdiagonals at the
+//    deflation threshold, entries near 1e+-300, NaN);
 //  - the row-sweep Householder QR (la::QrFactorization) is BIT-identical
 //    to the column-at-a-time loop it replaced (reference_qr in
 //    reference_kernels.hpp) in r() and solve(), on square,
@@ -22,7 +24,11 @@
 //    gemv_planes) are BIT-identical to the scalar-accumulator loops
 //    they were written from (scalar_dotc_rows / scalar_gemv_planes in
 //    reference_kernels.hpp) for dims 1-9 and 36-39, 1-5 rows and
-//    matrices of 1-21 rows;
+//    matrices of 1-21 rows, and the four-row gemv_t_planes to its
+//    two-row loop (scalar_gemv_t_planes) for 1-21 rows;
+//  - SmwShiftInvertOp::apply, with its written-out table products and
+//    four-row C / C^T passes, is BIT-identical to the std::complex
+//    apply it replaced (TableSmwOp in reference_kernels.hpp);
 //  - core::form_ritz_vector and core::lock_vector, which spell the
 //    complex products out on plane rows, are BIT-identical to the
 //    std::complex loops they replaced (reference_form_ritz_vector /
@@ -359,6 +365,54 @@ TEST(VectorKernelsBitwiseTest, GemvPlanesMatchesScalarOracle) {
   }
 }
 
+TEST(VectorKernelsBitwiseTest, GemvTPlanesMatchesScalarOracle) {
+  // Row counts 1-21 cover the four-row blocks and every tail (a
+  // two-row pass, a lone row, both), with odd and even row lengths,
+  // from an unaligned matrix and unaligned planes.
+  util::Rng rng(45);
+  for (std::size_t m = 1; m <= 21; ++m) {
+    for (const std::size_t n : {1u, 2u, 3u, 8u, 21u, 40u, 41u}) {
+      const std::string label =
+          "m=" + std::to_string(m) + " n=" + std::to_string(n);
+      const RealVector abuf = random_real_vector(1 + m * n, rng);
+      const RealVector xbuf = random_real_vector(1 + 2 * m, rng);
+      const double* a = abuf.data() + 1;
+      const double* xre = xbuf.data() + 1;
+      const double* xim = xre + m;
+      std::vector<double> yre(n), yim(n), rre(n), rim(n);
+      la::kernels::gemv_t_planes(a, m, n, xre, xim, yre.data(), yim.data());
+      test::scalar_gemv_t_planes(a, m, n, xre, xim, rre.data(), rim.data());
+      EXPECT_TRUE(same_bits(yre.data(), rre.data(), n)) << label;
+      EXPECT_TRUE(same_bits(yim.data(), rim.data(), n)) << label;
+    }
+  }
+}
+
+TEST(SmwApplyBitwiseTest, MatchesStdComplexTableApply) {
+  // Port counts with every row count mod 4 of the C / C^T passes (3, 5,
+  // 20, 21), an odd order (one real pole at least, so both table block
+  // kinds run), shifts across the band and repeated applies.
+  for (const std::size_t p : {3u, 5u, 20u, 21u}) {
+    const auto model = test::synthetic_model(1.08, 600 + p, 47, p);
+    const macromodel::SimoRealization realization(model);
+    ASSERT_EQ(realization.order() % 2, 1u);
+    util::Rng rng(p);
+    for (const double omega : {0.7, 3.3, 8.9}) {
+      const Complex theta(0.0, omega);
+      const hamiltonian::SmwShiftInvertOp op(realization, theta);
+      const test::TableSmwOp ref(realization, theta);
+      for (int rep = 0; rep < 2; ++rep) {
+        const ComplexVector x = random_complex_vector(op.dim(), rng);
+        ComplexVector y(op.dim()), yr(op.dim());
+        op.apply(x, y);
+        ref.apply(x, yr);
+        EXPECT_TRUE(same_bits(y.data(), yr.data(), y.size()))
+            << "p=" << p << " omega=" << omega << " rep=" << rep;
+      }
+    }
+  }
+}
+
 // ---- library operators vs. the reference oracle on solver shapes ------
 
 double rel_diff(const ComplexVector& a, const ComplexVector& b) {
@@ -519,6 +573,7 @@ TEST(BackendEquivalenceTest, ArnoldiDeflationWorksOnTunedBackend) {
 struct ReferenceBranches {
   std::size_t exceptional_shifts = 0;
   std::size_t perturbed_denoms = 0;
+  std::size_t zero_refs = 0;  ///< deflation tests that used norm_scale
 };
 
 struct ReferenceGivens {
@@ -580,7 +635,10 @@ la::ComplexEigResult reference_hessenberg_eig(
       while (l > 0) {
         const double sub = std::abs(t(l, l - 1));
         double ref = std::abs(t(l - 1, l - 1)) + std::abs(t(l, l));
-        if (ref == 0.0) ref = norm_scale;
+        if (ref == 0.0) {
+          ref = norm_scale;
+          if (branches != nullptr) ++branches->zero_refs;
+        }
         if (sub <= la::kEps * ref) {
           t(l, l - 1) = Complex{};
           break;
@@ -784,6 +842,122 @@ TEST(HessenbergEigBitwiseTest, CyclicShiftTakesExceptionalShifts) {
     expect_hessenberg_eig_bitwise(h, "cyclic n=" + std::to_string(n),
                                   &branches);
     EXPECT_GT(branches.exceptional_shifts, 0u) << "n=" << n;
+  }
+}
+
+// The bounded deflation scan skips a row on cheap |re|, |im| bounds and
+// falls back to the exact hypot test otherwise.  These inputs sit on
+// and around the test's threshold and on the bounds' failure modes;
+// each must reach the reference's outcome.
+
+TEST(HessenbergEigBitwiseTest, ZeroDiagonalPairTakesNormScalePath) {
+  // Zero trailing diagonal pairs: the exact test's ref is 0 and falls
+  // back to norm_scale (the bound is 0 and must not decide).  One
+  // subdiagonal is far below kEps * norm_scale (deflates), the other
+  // is O(1) (does not).
+  util::Rng rng(51);
+  for (const double sub : {1e-20, 0.7}) {
+    ComplexMatrix h = random_hessenberg(9, rng);
+    h(7, 7) = Complex{};
+    h(8, 8) = Complex{};
+    h(8, 7) = Complex(sub, -0.5 * sub);
+    ReferenceBranches branches;
+    expect_hessenberg_eig_bitwise(h, "zero diagonal pair sub=" +
+                                         std::to_string(sub),
+                                  &branches);
+    EXPECT_GT(branches.zero_refs, 0u) << "sub=" << sub;
+  }
+}
+
+TEST(HessenbergEigBitwiseTest, SubdiagonalsAtDeflationThreshold) {
+  // Subdiagonals set to factor * kEps * ref (ref = |t(l-1,l-1)| +
+  // |t(l,l)|, as the scan computes it) with a complex phase, so the
+  // exact test lands just inside (0.25), on (1) and just outside (4)
+  // the threshold, and the bounds decide the wide cases (16, 64).
+  util::Rng rng(52);
+  for (const double factor : {0.25, 1.0, 4.0, 16.0, 64.0}) {
+    ComplexMatrix h = random_hessenberg(14, rng);
+    for (const std::size_t l : {3u, 7u, 13u}) {
+      const double ref = std::abs(h(l - 1, l - 1)) + std::abs(h(l, l));
+      h(l, l - 1) = factor * la::kEps * ref * Complex(0.6, 0.8);
+    }
+    expect_hessenberg_eig_bitwise(h, "threshold factor=" +
+                                         std::to_string(factor));
+  }
+}
+
+// The library and the reference either both throw or both return the
+// same values and vectors, where a NaN matches any NaN (the contract is
+// bit-identity for finite input).
+void expect_same_outcome(const ComplexMatrix& h, const std::string& label) {
+  const auto same = [](const Complex* a, const Complex* b, std::size_t n) {
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+      const double x = reinterpret_cast<const double*>(a)[i];
+      const double y = reinterpret_cast<const double*>(b)[i];
+      if (std::isnan(x) && std::isnan(y)) continue;
+      if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+    }
+    return true;
+  };
+  for (const bool want_vectors : {false, true}) {
+    la::ComplexEigResult got, ref;
+    bool got_threw = false, ref_threw = false;
+    try {
+      got = la::hessenberg_eig(h, want_vectors);
+    } catch (const std::runtime_error&) {
+      got_threw = true;
+    }
+    try {
+      ref = reference_hessenberg_eig(h, want_vectors);
+    } catch (const std::runtime_error&) {
+      ref_threw = true;
+    }
+    ASSERT_EQ(got_threw, ref_threw) << label;
+    if (ref_threw) continue;
+    ASSERT_EQ(got.values.size(), ref.values.size()) << label;
+    EXPECT_TRUE(same(got.values.data(), ref.values.data(), ref.values.size()))
+        << label << " values, want_vectors=" << want_vectors;
+    ASSERT_EQ(got.vectors.rows(), ref.vectors.rows()) << label;
+    const std::size_t entries = ref.vectors.rows() * ref.vectors.cols();
+    if (entries == 0) continue;
+    EXPECT_TRUE(same(got.vectors.data(), ref.vectors.data(), entries))
+        << label << " vectors, want_vectors=" << want_vectors;
+  }
+}
+
+TEST(HessenbergEigBitwiseTest, ExtremeMagnitudesMatchReference) {
+  // Near 1e+300 the bounds' sums and the doubled sum overflow; near
+  // 1e-300 kEps * bound underflows.  Both fall back to the exact test.
+  // Mixed scales put huge diagonals next to tiny subdiagonals and the
+  // reverse.
+  util::Rng rng(53);
+  for (const double s : {1e300, 1e-300}) {
+    ComplexMatrix h = random_hessenberg(8, rng);
+    for (std::size_t i = 0; i < 8; ++i) {
+      for (std::size_t j = 0; j < 8; ++j) h(i, j) *= s;
+    }
+    expect_same_outcome(h, "uniform scale=" + std::to_string(s));
+  }
+  for (const double s : {1e300, 1e-300}) {
+    ComplexMatrix h = random_hessenberg(8, rng);
+    for (std::size_t i = 0; i < 8; ++i) h(i, i) *= s;
+    for (std::size_t i = 1; i < 8; ++i) h(i, i - 1) /= s;
+    expect_same_outcome(h, "diagonal scale=" + std::to_string(s));
+  }
+}
+
+TEST(HessenbergEigBitwiseTest, NanEntryMatchesReference) {
+  // A NaN on the subdiagonal (where std::max may hide it from the
+  // bound), on the diagonal (NaN bound) and above the diagonal.
+  util::Rng rng(54);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [i, j, nan_im] :
+       {std::tuple{5u, 4u, false}, std::tuple{5u, 4u, true},
+        std::tuple{3u, 3u, false}, std::tuple{1u, 6u, true}}) {
+    ComplexMatrix h = random_hessenberg(8, rng);
+    h(i, j) = nan_im ? Complex(h(i, j).real(), nan) : Complex(nan, 0.5);
+    expect_same_outcome(h, "nan at (" + std::to_string(i) + "," +
+                               std::to_string(j) + ")");
   }
 }
 
