@@ -23,7 +23,8 @@ namespace phes::bench {
 
 /// One Table I benchmark case: the paper's (n, p, Nl) plus the reported
 /// timings, and the synthetic-substitute knobs that land the surrogate
-/// model in the same regime (see DESIGN.md "Substitutions").
+/// model in the same regime.  The surrogates stand in for the paper's
+/// proprietary IBM packaging models, which are not available.
 struct CaseSpec {
   int id;
   std::size_t n;

@@ -3,10 +3,11 @@
 // eigenvalues Nl, single-thread serial time tau1, 16-thread mean and
 // worst-case times, and the speedup factor eta16.
 //
-// The models are synthetic surrogates with the paper's (n, p) — see
-// DESIGN.md; absolute times and Nl differ from the paper (different
-// hardware and data), the shape to check is: seconds-scale parallel
-// characterization of thousand-state models with order-10x speedups.
+// The models are synthetic surrogates with the paper's (n, p), standing
+// in for its proprietary IBM packaging models; absolute times and Nl
+// differ from the paper (different hardware and data), the shape to
+// check is: seconds-scale parallel characterization of thousand-state
+// models with order-10x speedups.
 //
 // Env knobs: PHES_BENCH_RUNS, PHES_BENCH_THREADS, PHES_BENCH_CASES,
 // PHES_PAPER_PROTOCOL (see bench_support.hpp).

@@ -1,8 +1,7 @@
 #pragma once
 // BLAS-like dense kernels (level 1-3) over Matrix<T> and std::vector<T>.
 //
-// Plain loops, cache-aware ikj ordering for gemm; OpenMP parallelizes the
-// outer loop when the product is large enough to amortize fork/join.
+// Plain single-threaded loops, cache-aware ikj ordering for gemm.
 
 #include <cmath>
 #include <complex>
@@ -140,7 +139,6 @@ void gemm_into(const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c) {
                   c.cols() == b.cols(),
               "gemm_into: shape mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-#pragma omp parallel for schedule(static) if (m * n * k > 1u << 20)
   for (std::size_t i = 0; i < m; ++i) {
     T* ci = c.row_ptr(i);
     for (std::size_t j = 0; j < n; ++j) ci[j] = T{};

@@ -8,9 +8,6 @@
 // the band, damping (how close Hamiltonian eigenvalues sit to the
 // imaginary axis), and the peak gain max_w sigma_max(H(jw)) which
 // controls whether/how many unit-singular-value crossings exist.
-//
-// DESIGN.md documents this substitution; EXPERIMENTS.md records the
-// measured crossing counts next to the paper's.
 
 #include <cstdint>
 

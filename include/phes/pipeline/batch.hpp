@@ -3,11 +3,12 @@
 // workloads" layer over pipeline/job.hpp.
 //
 // Parallelism is two-level, mirroring how the paper's eigensolver is
-// deployed in practice: J jobs run concurrently on util::ThreadPool
-// workers, and each job's Hamiltonian characterization itself uses T
-// solver threads.  plan_parallelism() splits a hardware budget between
-// the levels, preferring job-level parallelism (independent jobs scale
-// embarrassingly; intra-solver speedup saturates, paper Fig. 6).
+// deployed in practice: J jobs run concurrently (util::parallel_for
+// over the job list), and each job's Hamiltonian characterization
+// itself uses T solver threads.  plan_parallelism() splits a hardware
+// budget between the levels, preferring job-level parallelism
+// (independent jobs scale embarrassingly; intra-solver speedup
+// saturates, paper Fig. 6).
 
 #include <cstddef>
 #include <string>

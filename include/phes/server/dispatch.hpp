@@ -28,12 +28,11 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "phes/server/protocol.hpp"
 #include "phes/util/metrics.hpp"
 #include "phes/util/sync.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes::server {
 
@@ -92,7 +91,7 @@ class DispatchPool {
   obs::Histogram* queue_wait_ = nullptr;
   obs::Histogram* handle_time_ = nullptr;
 
-  std::vector<std::thread> workers_;
+  util::ThreadGroup workers_;
 };
 
 }  // namespace phes::server

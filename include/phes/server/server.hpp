@@ -2,8 +2,8 @@
 // phes::server::JobServer — the long-lived service core over the batch
 // pipeline.
 //
-// A bounded JobQueue (admission + backpressure) feeds a persistent
-// util::ThreadPool of workers; each worker runs jobs through
+// A bounded JobQueue (admission + backpressure) feeds a fixed
+// util::ThreadGroup of worker loops; each worker runs jobs through
 // pipeline::run_pipeline with a PipelineContext that wires in
 //  - the cross-job engine::SessionPool (jobs over the same model hash
 //    share a SolverSession and its shift-factorization cache),
@@ -35,7 +35,7 @@
 #include "phes/server/trace.hpp"
 #include "phes/util/metrics.hpp"
 #include "phes/util/sync.hpp"
-#include "phes/util/thread_pool.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes::server {
 
@@ -238,7 +238,7 @@ class JobServer {
   util::CondVar finished_cv_;
 
   /// Declared last: destroyed (joined) first, while queue/store live.
-  util::ThreadPool pool_;
+  util::ThreadGroup workers_;
 };
 
 }  // namespace phes::server

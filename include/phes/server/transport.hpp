@@ -46,7 +46,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -55,6 +54,7 @@
 #include "phes/server/protocol.hpp"
 #include "phes/util/metrics.hpp"
 #include "phes/util/sync.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes::server {
 
@@ -257,7 +257,7 @@ class TransportServer {
   /// connection under EMFILE/ENFILE (else the level-triggered listener
   /// event busy-spins the loop).
   int reserve_fd_ = -1;
-  std::thread loop_thread_;
+  util::ThreadGroup loop_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 

@@ -1,11 +1,11 @@
 #pragma once
 // Deterministic, splittable pseudo-random number generation.
 //
-// The solver's reproducibility story (DESIGN.md §5) requires that every
-// single-shift Arnoldi iteration draw its random start vectors from a
-// stream keyed by (global seed, shift id), independent of which thread
-// happens to execute it.  xoshiro256** seeded through SplitMix64 gives
-// high-quality, cheap, dependency-free streams.
+// Every single-shift Arnoldi iteration draws its random start vectors
+// from a stream keyed by (global seed, shift id), so a solve's results
+// do not depend on which thread happens to run which shift.
+// xoshiro256** seeded through SplitMix64 gives high-quality, cheap,
+// dependency-free streams.
 
 #include <array>
 #include <cstdint>

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "phes/core/lambda_max.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/util/check.hpp"
 #include "phes/util/sync.hpp"
+#include "phes/util/threads.hpp"
 #include "phes/util/timer.hpp"
 
 namespace phes::core {
@@ -184,16 +184,9 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
     cv.notify_all();
   };
 
-  if (opt.threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(opt.threads);
-    for (std::size_t t = 0; t < opt.threads; ++t) {
-      pool.emplace_back(worker, t);
-    }
-    for (auto& th : pool) th.join();
-  }
+  // One scheduler loop per thread; at one thread it runs inline.
+  util::parallel_for(opt.threads, opt.threads,
+                     [&](std::size_t, std::size_t tid) { worker(tid); });
 
   util::require(failures == 0,
                 "solve: one or more single-shift iterations failed");
@@ -217,45 +210,32 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
   // Phase 1: process every grid shift unconditionally, in parallel.
   std::vector<ShiftRecord> records(n_shifts);
   std::vector<SingleShiftResult> outcomes(n_shifts);
-  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> failures{0};
-  auto worker = [&](std::size_t tid) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n_shifts) return;
-      const double lo = width * static_cast<double>(i);
-      const double hi = (i + 1 == n_shifts) ? band_hi : lo + width;
-      const double center = 0.5 * (lo + hi);
-      const double rho0 = std::max(kAlpha * 0.5 * (hi - lo),
-                                   2.0 * min_width);
-      util::Rng rng(opt.seed, kStaticStreamSalt ^ i);
-      util::WallTimer t;
-      try {
-        outcomes[i] = single_shift_iteration(realization_, center, rho0,
-                                             opt.shift, kMinRestarts, rng,
-                                             ctx.factory);
-      } catch (const std::exception&) {
-        failures.fetch_add(1);
-        outcomes[i].radius = 2.0 * min_width;
-      }
-      records[i] = {center,
-                    outcomes[i].radius,
-                    outcomes[i].eigenvalues.size(),
-                    outcomes[i].restarts,
-                    outcomes[i].matvecs,
-                    t.seconds(),
-                    tid};
+  util::parallel_for(opt.threads, n_shifts, [&](std::size_t i,
+                                                std::size_t tid) {
+    const double lo = width * static_cast<double>(i);
+    const double hi = (i + 1 == n_shifts) ? band_hi : lo + width;
+    const double center = 0.5 * (lo + hi);
+    const double rho0 = std::max(kAlpha * 0.5 * (hi - lo),
+                                 2.0 * min_width);
+    util::Rng rng(opt.seed, kStaticStreamSalt ^ i);
+    util::WallTimer t;
+    try {
+      outcomes[i] = single_shift_iteration(realization_, center, rho0,
+                                           opt.shift, kMinRestarts, rng,
+                                           ctx.factory);
+    } catch (const std::exception&) {
+      failures.fetch_add(1);
+      outcomes[i].radius = 2.0 * min_width;
     }
-  };
-  if (opt.threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < opt.threads; ++t) {
-      pool.emplace_back(worker, t);
-    }
-    for (auto& th : pool) th.join();
-  }
+    records[i] = {center,
+                  outcomes[i].radius,
+                  outcomes[i].eigenvalues.size(),
+                  outcomes[i].restarts,
+                  outcomes[i].matvecs,
+                  t.seconds(),
+                  tid};
+  });
   util::require(failures.load() == 0,
                 "solve: one or more single-shift iterations failed");
 

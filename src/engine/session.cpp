@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "phes/la/blas.hpp"
 #include "phes/util/check.hpp"
+#include "phes/util/threads.hpp"
 #include "phes/util/timer.hpp"
 
 namespace phes::engine {
@@ -130,25 +130,10 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
       };
       // Factorizations are the dominant per-shift setup cost; build
       // them with the solve's thread budget, not serially.
-      const std::size_t workers =
-          std::min<std::size_t>(opt.threads, kept.shifts.size());
-      if (workers <= 1) {
-        for (double w : kept.shifts) prefetch_one(w);
-      } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t t = 0; t < workers; ++t) {
-          pool.emplace_back([&] {
-            for (;;) {
-              const std::size_t i = next.fetch_add(1);
-              if (i >= kept.shifts.size()) return;
-              prefetch_one(kept.shifts[i]);
-            }
-          });
-        }
-        for (auto& th : pool) th.join();
-      }
+      util::parallel_for(opt.threads, kept.shifts.size(),
+                         [&](std::size_t i, std::size_t) {
+                           prefetch_one(kept.shifts[i]);
+                         });
     }
   }
 

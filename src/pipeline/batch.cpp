@@ -5,7 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "phes/util/thread_pool.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes::pipeline {
 
@@ -60,22 +60,19 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
   PipelineContext context;
   context.session_pool = &sessions;
 
-  util::ThreadPool pool(plan.job_workers);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&jobs, &results, &context, i] {
-      try {
-        results[i] = run_pipeline(jobs[i], context);
-      } catch (const std::exception& e) {
-        // run_pipeline captures stage errors itself; this is the last
-        // line of defence (allocation failure and the like).
-        results[i].name = jobs[i].name.empty() ? jobs[i].input_path
-                                               : jobs[i].name;
-        results[i].ok = false;
-        results[i].error = e.what();
-      }
-    });
-  }
-  pool.wait_idle();
+  util::parallel_for(plan.job_workers, jobs.size(),
+                     [&](std::size_t i, std::size_t) {
+    try {
+      results[i] = run_pipeline(jobs[i], context);
+    } catch (const std::exception& e) {
+      // run_pipeline captures stage errors itself; this is the last
+      // line of defence (allocation failure and the like).
+      results[i].name = jobs[i].name.empty() ? jobs[i].input_path
+                                             : jobs[i].name;
+      results[i].ok = false;
+      results[i].error = e.what();
+    }
+  });
   outcome.pool = sessions.stats();
   return outcome;
 }

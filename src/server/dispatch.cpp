@@ -23,11 +23,8 @@ DispatchPool::DispatchPool(std::size_t workers, std::size_t queue_capacity,
   depth_ = &registry->gauge("phes_dispatch_queue_depth");
   queue_wait_ = &registry->histogram("phes_dispatch_queue_wait_seconds");
   handle_time_ = &registry->histogram("phes_dispatch_handle_seconds");
-  const std::size_t count = std::max<std::size_t>(1, workers);
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+  workers_.start(std::max<std::size_t>(1, workers),
+                 [this](std::size_t) { worker_loop(); });
 }
 
 DispatchPool::~DispatchPool() { stop(); }
@@ -80,9 +77,7 @@ void DispatchPool::stop() {
     depth_->set(0);
   }
   work_available_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  workers_.join();
 }
 
 }  // namespace phes::server

@@ -56,8 +56,7 @@ JobServer::JobServer(ServerOptions options, pipeline::ParallelismPlan plan)
       queue_(options_.queue_capacity, registry_),
       store_(make_storage(options_, registry_)),
       session_pool_(options_.pool, registry_),
-      campaigns_(*this, *registry_),
-      pool_(worker_count_) {
+      campaigns_(*this, *registry_) {
   jobs_submitted_ = &registry_->counter("phes_jobs_submitted_total");
   jobs_done_ = &registry_->counter("phes_jobs_done_total");
   jobs_failed_ = &registry_->counter("phes_jobs_failed_total");
@@ -73,9 +72,7 @@ JobServer::JobServer(ServerOptions options, pipeline::ParallelismPlan plan)
   // lifetime; new ids must continue above them, or a restart would
   // reissue an id that still names a stored result.
   next_id_.store(store_.max_seen_id() + 1, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < worker_count_; ++i) {
-    pool_.submit([this] { worker_loop(); });
-  }
+  workers_.start(worker_count_, [this](std::size_t) { worker_loop(); });
 }
 
 JobServer::~JobServer() { shutdown(true); }
@@ -219,7 +216,7 @@ void JobServer::shutdown(bool drain) {
   // Wake blocked producers/consumers; workers drain what remains (the
   // whole backlog when draining, nothing otherwise) and exit.
   queue_.close();
-  pool_.wait_idle();
+  workers_.join();
   notify_finished();
 }
 

@@ -304,7 +304,7 @@ void TransportServer::start() {
       },
       &server_.metrics_registry());
   started_ = true;
-  loop_thread_ = std::thread([this] { loop(); });
+  loop_thread_.start(1, [this](std::size_t) { loop(); });
 }
 
 void TransportServer::stop() {
@@ -312,7 +312,7 @@ void TransportServer::stop() {
   if (!stopping_.exchange(true)) {
     // The only cross-thread poke: the loop owns every other resource.
     notify_loop();
-    if (loop_thread_.joinable()) loop_thread_.join();
+    loop_thread_.join();
     // Join the pool before closing fds: workers may still push
     // completions and poke the (still-open) eventfd while finishing.
     dispatch_pool_->stop();

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <string>
 
 #include "phes/la/blas.hpp"
 #include "phes/la/qr.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/util/check.hpp"
-#include "phes/util/sync.hpp"
-#include "phes/util/thread_pool.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes::vf {
 
@@ -309,27 +307,9 @@ VectorFittingResult vector_fit_with(
     iterations_by_col[col] = iterations_used;
   };
 
-  const std::size_t workers = std::min<std::size_t>(
-      std::max<std::size_t>(opt.threads, 1), p);
-  if (workers <= 1) {
-    for (std::size_t col = 0; col < p; ++col) fit_column(col);
-  } else {
-    util::ThreadPool pool(workers);
-    util::Mutex error_mutex;
-    std::exception_ptr first_error;
-    for (std::size_t col = 0; col < p; ++col) {
-      pool.submit([&, col] {
-        try {
-          fit_column(col);
-        } catch (...) {
-          util::MutexLock lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    pool.wait_idle();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  util::parallel_for(opt.threads, p, [&](std::size_t col, std::size_t) {
+    fit_column(col);
+  });
   const std::size_t iterations_used =
       *std::max_element(iterations_by_col.begin(), iterations_by_col.end());
 

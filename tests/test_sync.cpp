@@ -1,17 +1,21 @@
 // Runtime contracts of the annotated sync layer (phes/util/sync.hpp)
-// and the ThreadPool built on it.  The negative-compile harness
-// (test_sync_negative) proves the *compile-time* contracts; this suite
+// and of the thread helper (phes/util/threads.hpp).  The
+// negative-compile harness (test_sync_negative) proves the
+// *compile-time* contracts; this suite
 // proves the runtime ones, and is part of the TSAN CI target so every
 // wait/notify path here is also exercised under the race detector.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "phes/util/sync.hpp"
-#include "phes/util/thread_pool.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes {
 namespace {
@@ -40,77 +44,71 @@ class Gate {
   bool open_ PHES_GUARDED_BY(mu_) = false;
 };
 
-// The documented shutdown contract: the destructor drains tasks that
-// are still queued when it runs — it must never drop them.  A single
-// worker is pinned inside a blocker while fifty tasks pile up behind
-// it; the pool is then destroyed with the blocker still blocked, so
-// the destructor provably begins with a non-empty queue.
-TEST(ThreadPoolTest, DestructorDrainsTasksStillQueuedAtShutdown) {
-  constexpr int kQueued = 50;
-  std::atomic<int> ran{0};
-  Gate release_blocker;
-  Gate destroying;
+// A fork-join failure surfaces once, and only after the whole group
+// is quiet: two indices throw, every other body sleeps briefly so
+// threads are still inside bodies when the first throw happens.
+TEST(ParallelForTest, RethrowsOneExceptionAfterEveryThreadJoined) {
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  int caught = 0;
+  try {
+    util::parallel_for(4, 64, [&](std::size_t i, std::size_t) {
+      started.fetch_add(1);
+      if (i == 5 || i == 6) {
+        finished.fetch_add(1);
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+      std::this_thread::sleep_for(2ms);
+      finished.fetch_add(1);
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    // Every body that started has returned or thrown: no thread is
+    // still running when the exception reaches the caller.
+    EXPECT_EQ(started.load(), finished.load());
+    const std::string what = e.what();
+    EXPECT_TRUE(what == "index 5" || what == "index 6") << what;
+  }
+  EXPECT_EQ(caught, 1);
 
-  // Unblocks the worker only once this thread has reached the pool's
-  // destructor, so shutdown begins with all kQueued tasks still queued.
-  std::thread releaser([&] {
-    destroying.wait_open();
-    release_blocker.open();
+  // Inline, the first throw ends the loop: later indices never run.
+  started = 0;
+  EXPECT_THROW(util::parallel_for(1, 64,
+                                  [&](std::size_t i, std::size_t) {
+                                    started.fetch_add(1);
+                                    if (i == 2) throw std::runtime_error("2");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(started.load(), 3);
+}
+
+TEST(ThreadGroupTest, JoinIsIdempotentAndTidsAreDistinct) {
+  util::ThreadGroup group;
+  std::array<std::atomic<int>, 3> seen{};
+  Gate go;
+  group.start(seen.size(), [&](std::size_t tid) {
+    go.wait_open();
+    seen[tid].fetch_add(1);
   });
-
-  {
-    util::ThreadPool pool(1);
-    pool.submit([&] {
-      release_blocker.wait_open();
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    for (int i = 0; i < kQueued; ++i) {
-      pool.submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    destroying.open();
-    // Destructor runs here: stopping_ is set while kQueued tasks wait
-    // behind the blocker.
-  }
-
-  releaser.join();
-  EXPECT_EQ(ran.load(), kQueued + 1);
+  go.open();
+  group.join();
+  for (const auto& count : seen) EXPECT_EQ(count.load(), 1);
+  group.join();  // nothing left to join: returns at once
+  group.start(1, [&](std::size_t tid) { seen[tid].fetch_add(1); });
+  group.join();
+  EXPECT_EQ(seen[0].load(), 2);
 }
 
-// Tasks submitted *by running tasks* after shutdown has begun are part
-// of the same drain guarantee (the scheduler's split rule relies on
-// this).
-TEST(ThreadPoolTest, DestructorDrainsTasksSubmittedByDrainingTasks) {
-  std::atomic<int> ran{0};
+TEST(ThreadGroupTest, DestructorJoins) {
+  std::atomic<int> done{0};
   {
-    util::ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&ran, &pool] {
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-  }
-  EXPECT_EQ(ran.load(), 16);
-}
-
-// wait_idle() means full quiescence: queue empty AND nothing in
-// flight, including work enqueued by the tasks themselves.
-TEST(ThreadPoolTest, WaitIdleCoversTasksSubmittedByTasks) {
-  util::ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&ran, &pool] {
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      ran.fetch_add(1, std::memory_order_relaxed);
+    util::ThreadGroup group;
+    group.start(3, [&](std::size_t) {
+      std::this_thread::sleep_for(10ms);
+      done.fetch_add(1);
     });
   }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
-
-  // The pool is still usable after an idle point.
-  pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 33);
+  EXPECT_EQ(done.load(), 3);
 }
 
 // Predicate wait must sit through notifies that arrive while the

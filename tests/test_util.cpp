@@ -1,17 +1,21 @@
-// Tests for the utility substrate: RNG streams, statistics, thread pool,
-// table printer.
+// Tests for the utility substrate: RNG streams, statistics,
+// parallel_for, table printer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "phes/util/rng.hpp"
 #include "phes/util/stats.hpp"
 #include "phes/util/table.hpp"
-#include "phes/util/thread_pool.hpp"
+#include "phes/util/threads.hpp"
 
 namespace phes {
 namespace {
@@ -71,37 +75,39 @@ TEST(Stats, SummarizeSpan) {
   EXPECT_EQ(s.count(), 3u);
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  util::ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+TEST(ParallelFor, VisitsEachIndexOnceWithTidsBelowThreadCount) {
+  for (std::size_t threads : {0, 1, 2, 4, 8}) {
+    for (std::size_t count : {0, 1, 3, 100}) {
+      const std::size_t used = std::max<std::size_t>(
+          1, std::min(threads, count));
+      std::vector<std::atomic<int>> visits(count);
+      std::atomic<std::size_t> bad_tids{0};
+      util::parallel_for(threads, count,
+                         [&](std::size_t i, std::size_t tid) {
+                           visits[i].fetch_add(1);
+                           if (tid >= used) bad_tids.fetch_add(1);
+                         });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(visits[i].load(), 1)
+            << "threads " << threads << ", count " << count << ", i " << i;
+      }
+      EXPECT_EQ(bad_tids.load(), 0u)
+          << "threads " << threads << ", count " << count;
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, TasksCanSubmitTasks) {
-  // The scheduler's split rule enqueues new shifts from inside a worker.
-  util::ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  pool.submit([&] {
-    counter.fetch_add(1);
-    pool.submit([&] {
-      counter.fetch_add(1);
-      pool.submit([&] { counter.fetch_add(1); });
+TEST(ParallelFor, OneThreadOrOneIndexRunsOnTheCallersThread) {
+  const auto caller = std::this_thread::get_id();
+  for (const auto& [threads, count] :
+       {std::pair<std::size_t, std::size_t>{0, 5}, {1, 5}, {8, 1}}) {
+    std::size_t on_caller = 0;  // plain: the body must run inline
+    util::parallel_for(threads, count, [&](std::size_t, std::size_t tid) {
+      EXPECT_EQ(tid, 0u);
+      if (std::this_thread::get_id() == caller) ++on_caller;
     });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPool, ZeroRequestedStillWorks) {
-  util::ThreadPool pool(0);
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
+    EXPECT_EQ(on_caller, count) << "threads " << threads;
+  }
 }
 
 TEST(Table, FormatsAlignedColumns) {

@@ -44,6 +44,15 @@ Checks (each failure is one line on stdout; exit 1 if any fired):
                     path" stays checkable: every explicitly vectorized
                     loop is in that file, with its scalar loop in
                     tests/reference_kernels.hpp as the oracle.
+  8. threads-confined
+                    `std::thread`/`std::jthread` objects, `#pragma omp`
+                    and `<omp.h>` appear in src/, include/ and
+                    examples/ only in src/util/threads.cpp, so every
+                    thread the program starts goes through
+                    util::ThreadGroup or util::parallel_for.
+                    `std::thread::hardware_concurrency` and
+                    `std::this_thread` stay allowed; test and bench
+                    harnesses keep their own client threads.
 
 Run from anywhere: paths resolve relative to this file's repo root.
 """
@@ -224,11 +233,15 @@ BANNED_RE = re.compile(
 SYNC_HPP = Path("include/phes/util/sync.hpp")
 
 
+ALL_SOURCE_DIRS = ("src", "include", "tests", "bench", "examples")
+
+
 def check_confined(errors: list[str], check: str, pattern: re.Pattern,
-                   home: Path, advice: str) -> None:
-    """`pattern` may match C++ code (line comments stripped) only in
-    `home`."""
-    for directory in ("src", "include", "tests", "bench", "examples"):
+                   home: Path, advice: str,
+                   directories: tuple[str, ...] = ALL_SOURCE_DIRS) -> None:
+    """`pattern` may match C++ code (line comments stripped) under
+    `directories` only in `home`."""
+    for directory in directories:
         base = ROOT / directory
         if not base.is_dir():
             continue
@@ -589,6 +602,21 @@ def check_simd_confined(errors: list[str]) -> None:
                    f"explicit SIMD belongs in {SIMD_HOME}")
 
 
+# ---- check 8: threads start only in the thread helper -----------------
+
+THREADS_RE = re.compile(
+    r"\bstd::j?thread\b(?!::)|#\s*pragma\s+omp\b|<\s*omp\.h\s*>"
+)
+THREADS_HOME = Path("src/util/threads.cpp")
+
+
+def check_threads_confined(errors: list[str]) -> None:
+    check_confined(errors, "threads-confined", THREADS_RE, THREADS_HOME,
+                   "start threads with util::ThreadGroup or "
+                   "util::parallel_for (phes/util/threads.hpp)",
+                   directories=("src", "include", "examples"))
+
+
 def main() -> int:
     errors: list[str] = []
     check_metrics(errors)
@@ -598,6 +626,7 @@ def main() -> int:
     check_cli_flags(errors)
     check_prod_callers(errors)
     check_simd_confined(errors)
+    check_threads_confined(errors)
     if errors:
         for err in errors:
             print(err)
@@ -605,7 +634,7 @@ def main() -> int:
         return 1
     print("lint_invariants: all invariants hold "
           "(metrics-docs, protocol-ops, protocol-docs, sync-layer, "
-          "cli-flags, prod-callers, simd-confined).")
+          "cli-flags, prod-callers, simd-confined, threads-confined).")
     return 0
 
 
