@@ -220,20 +220,22 @@ int main() {
     const hamiltonian::SmwShiftInvertOp op(realization,
                                            la::Complex(0.0, 50.0));
     util::Rng rng(9);
-    std::vector<core::PlaneVector> locked;
+    const std::size_t row = 2 * op.dim();
+    std::vector<double> locked;
     {
       const auto first =
           core::arnoldi(op, core::random_start_vector(op.dim(), rng), 60, {});
       for (const auto& pair : core::ritz_pairs(first)) {
-        if (locked.size() == 6) break;
+        if (locked.size() == 6 * row) break;
         core::lock_vector(locked, core::form_ritz_vector(first, pair));
       }
     }
-    expect(locked.size() == 6, "cgs2_arnoldi locks 6 Ritz vectors");
+    expect(locked.size() == 6 * row, "cgs2_arnoldi locks 6 Ritz vectors");
     const la::ComplexVector v0 = core::random_start_vector(op.dim(), rng);
-    for (const std::size_t nl : {std::size_t{0}, locked.size()}) {
-      const std::span<const core::PlaneVector> lk(locked.data(), nl);
-      const std::vector<la::ComplexVector> ref_locked = test::from_planes(lk);
+    for (const std::size_t nl : {std::size_t{0}, locked.size() / row}) {
+      const std::span<const double> lk(locked.data(), nl * row);
+      const std::vector<la::ComplexVector> ref_locked =
+          test::from_pack(lk, op.dim());
       core::ArnoldiResult ar;
       test::ReferenceArnoldi ref;
       const double sec =

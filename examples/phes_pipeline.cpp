@@ -521,11 +521,10 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
 
   const obs::MetricsSnapshot final_metrics = server.metrics_snapshot();
   std::printf("served %llu job(s); session pool: %llu checkout(s), %llu "
-              "reuse(s), %llu restore(s)\n",
+              "reuse(s)\n",
               counter(final_metrics, "phes_jobs_submitted_total"),
               counter(final_metrics, "phes_session_pool_checkouts_total"),
-              counter(final_metrics, "phes_session_pool_hits_total"),
-              counter(final_metrics, "phes_session_pool_restores_total"));
+              counter(final_metrics, "phes_session_pool_hits_total"));
   return 0;
 }
 

@@ -12,10 +12,14 @@
 //
 // Every full-space vector of the process (the basis, the locked set,
 // Ritz vectors and the working vector) is stored as a plane row
-// (la/kernels.hpp): re(x) followed by im(x), so the Gram-Schmidt,
-// Ritz and locking loops run on contiguous doubles.  The operator
-// still sees interleaved vectors; each step merges one basis row into
-// an interleaved scratch for op.apply and splits the result.
+// (la/kernels.hpp): re(x) followed by im(x).  The basis and the locked
+// set are packs of plane rows with row stride 2 * dim in one
+// allocation each, so the Gram-Schmidt passes, Ritz formation and the
+// locking update all run through the kernels' dotc_rows / axpy_rows on
+// contiguous doubles; only locking's projections stay a
+// single-accumulator loop.  The operator still sees interleaved
+// vectors; each step merges one basis row into an interleaved scratch
+// for op.apply and splits the result.
 
 #include <span>
 #include <vector>
@@ -61,9 +65,11 @@ struct RitzPair {
 };
 
 /// Run `d` Arnoldi steps from start vector v0 (need not be normalized).
-/// `locked` vectors (plane rows of length 2 * dim) are deflated: the
-/// basis is kept orthogonal to them.  Throws std::invalid_argument on
-/// dimension mismatches.
+/// `locked` is the locked set as lock_vector builds it: plane rows of
+/// length 2 * dim packed with row stride 2 * dim, the layout of
+/// ArnoldiResult::basis.  Its rows are deflated: the basis is kept
+/// orthogonal to them.  Throws std::invalid_argument on dimension
+/// mismatches (a pack that is not a whole number of rows).
 ///
 /// Orthogonalization is blocked classical Gram-Schmidt with a full
 /// reorthogonalization pass (CGS2, "twice is enough"): all projections
@@ -73,7 +79,7 @@ struct RitzPair {
 [[nodiscard]] ArnoldiResult arnoldi(
     const hamiltonian::ComplexLinearOperator& op,
     std::span<const Complex> v0, std::size_t d,
-    std::span<const PlaneVector> locked);
+    std::span<const double> locked);
 
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the
@@ -81,20 +87,21 @@ struct RitzPair {
 [[nodiscard]] std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar);
 
 /// The unit-norm full-space Ritz vector V_d y of `pair` (a pair of `ar`
-/// returned by ritz_pairs) as a plane row.  Rows of V_d whose
-/// coefficient is exactly zero are skipped; the others are added in
-/// ascending row order.  A pair whose coordinates are all zero yields
-/// the zero vector.
+/// returned by ritz_pairs) as a plane row: one axpy_rows sweep of
+/// x = 0 - sum_j (-y_j) v_j over the d basis rows, in ascending row
+/// order.  A pair whose coordinates are all zero yields the zero
+/// vector.
 [[nodiscard]] PlaneVector form_ritz_vector(const ArnoldiResult& ar,
                                            const RitzPair& pair);
 
-/// Append `v` to the locked set after two modified Gram-Schmidt passes
-/// against it and normalization, so the set stays orthonormal (a raw
-/// set of Ritz vectors is not, and deflating with it produces spurious
-/// Ritz values).  A direction already represented (residual norm below
-/// 1e-8) is dropped; returns whether `v` was appended.
-/// `v` and the locked vectors are plane rows.
-bool lock_vector(std::vector<PlaneVector>& locked, const PlaneVector& v);
+/// Append the plane row `v` to the locked set `locked` (a pack of plane
+/// rows of length v.size(), as arnoldi reads it) after two modified
+/// Gram-Schmidt passes against its rows and normalization, so the set
+/// stays orthonormal (a raw set of Ritz vectors is not, and deflating
+/// with it produces spurious Ritz values).  A direction already
+/// represented (residual norm below 1e-8) is dropped; returns whether
+/// `v` was appended.  `v` must not point into `locked`.
+bool lock_vector(std::vector<double>& locked, std::span<const double> v);
 
 /// Random complex start vector of unit norm.
 [[nodiscard]] ComplexVector random_start_vector(std::size_t dim,

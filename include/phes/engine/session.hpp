@@ -35,7 +35,8 @@
 // characterize, verify after the last round, a pooled repeat of an
 // unchanged model) returns the stored result bit for bit and counts as
 // a dense reuse, not a dense solve.  update_residues bumps the
-// revision, so perturbed rounds and pool restores always recompute.
+// revision, so perturbed rounds always recompute (and the session
+// pool drops a session whose revision moved).
 // The Krylov route has no such memo: its same-revision re-solve draws
 // new start vectors, a genuine second certificate.  A session's order
 // never changes, so one session always takes the same route.

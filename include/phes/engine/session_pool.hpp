@@ -19,10 +19,12 @@
 //    jobs reuse them.  A hash match is confirmed by an exact
 //    realization comparison, so a hash collision degrades to a pool
 //    miss, never to a wrong model.
-//  - Revision guard: enforcement perturbs the session's residues.  A
-//    session returned with a bumped revision is restored to the
-//    pristine residues captured at creation before it re-enters the
-//    pool, so the next job always sees the unperturbed model.
+//  - Only clean sessions are kept: enforcement perturbs the session's
+//    residues and bumps its revision, and a session returned at any
+//    revision but its first (0) is dropped, so the next job always sees
+//    the unperturbed model.  Restoring the residues would not pay: it
+//    purges the factorization cache and moves the dense memo's key, so
+//    a restored session is no warmer than a fresh one.
 //  - Determinism: the warm-start record is cleared on return.  A
 //    reused session then schedules the next job's solves exactly like
 //    a fresh one — cached factorizations change *cost*, never results,
@@ -68,8 +70,7 @@ struct SessionPoolStats {
   std::size_t checkouts = 0;
   std::size_t pool_hits = 0;  ///< checkouts served by an idle session
   std::size_t creations = 0;
-  std::size_t returns = 0;
-  std::size_t restores = 0;   ///< dirty sessions restored to baseline
+  std::size_t returns = 0;    ///< leases ended, dropped sessions included
   std::size_t evictions = 0;  ///< idle sessions dropped by the budgets
   std::size_t collisions = 0; ///< hash matches rejected by comparison
   std::size_t idle_sessions = 0;
@@ -80,7 +81,8 @@ struct SessionPoolStats {
 class SessionPool;
 
 /// Exclusive RAII lease of a pooled session; the destructor returns the
-/// session to the pool (restoring its residues, evicting over budget).
+/// session to the pool (dropping it if its revision moved, evicting
+/// over budget).
 /// The pool must outlive every lease.
 class SessionLease {
  public:
@@ -136,11 +138,6 @@ class SessionPool {
   struct Entry {
     std::uint64_t hash = 0;
     std::unique_ptr<SolverSession> session;
-    /// Pristine residues + the revision they correspond to; the
-    /// revision guard restores these when a job returns the session
-    /// with a different revision.
-    la::RealMatrix baseline_c;
-    std::uint64_t clean_revision = 0;
     std::size_t bytes = 0;
   };
 
@@ -161,7 +158,6 @@ class SessionPool {
   obs::Counter* hits_ = nullptr;
   obs::Counter* creations_ = nullptr;
   obs::Counter* returns_ = nullptr;
-  obs::Counter* restores_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Counter* collisions_ = nullptr;
   /// Written only under mutex_, so stats() reads consistent levels.

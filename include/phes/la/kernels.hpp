@@ -19,8 +19,8 @@
 // thread counts.
 //
 // The kernels here are deliberately free-standing (raw pointers +
-// strides) so the operators can point them at matrix rows, locked
-// Ritz vectors, and scratch planes without adapter copies.
+// strides) so the operators can point them at matrix rows, packs of
+// plane rows and scratch planes without adapter copies.
 
 #include <cstddef>
 
@@ -37,9 +37,10 @@ namespace kernels {
 // keep every inner loop contiguous over doubles, so the axpy sweeps
 // vectorize without the unpck shuffles an interleaved std::complex
 // layout needs.  `rows` is the first row of a pack with leading
-// dimension `stride` doubles; row j is rows + j * stride.  The *_ptrs
-// variants take an array of row pointers instead (locked Ritz vectors
-// live in separate allocations).
+// dimension `stride` doubles; row j is rows + j * stride.  Every
+// Krylov vector sum runs through the pair below: the CGS2 passes over
+// the Arnoldi basis and over the locked set (two packs of the same
+// layout), Ritz-vector formation and the locking update.
 //
 // Rows are processed in pairs sharing one pass over w; a pair keeps
 // one accumulator per row for even and one for odd i, a lone last row
@@ -64,18 +65,10 @@ namespace kernels {
 void dotc_rows(const double* rows, std::size_t stride, std::size_t count,
                const double* w, std::size_t dim, Complex* proj);
 
-/// Same reduction over an array of row pointers.
-void dotc_ptrs(const double* const* rows, std::size_t count,
-               const double* w, std::size_t dim, Complex* proj);
-
 /// w -= sum_j coeffs[j] * row_j  for j in [0, count); each element of a
 /// row pair is updated as w - t0 - t1, so each store of w absorbs two
 /// rank-1 updates.
 void axpy_rows(const double* rows, std::size_t stride, std::size_t count,
-               const Complex* coeffs, double* w, std::size_t dim);
-
-/// Same update over an array of row pointers.
-void axpy_ptrs(const double* const* rows, std::size_t count,
                const Complex* coeffs, double* w, std::size_t dim);
 
 /// Euclidean norm of a plane row, bit-identical to la::nrm2 of the

@@ -79,6 +79,9 @@ struct JobSummary {
   std::string status;  ///< PipelineResult::status(), terminal only
 };
 
+/// The summary of a record (status only once it is terminal).
+[[nodiscard]] JobSummary summarize(const JobRecord& record);
+
 /// Terminal-record backend.  Holds only records in a terminal state;
 /// queued/running records live in the ResultStore's own map.
 class Storage {

@@ -13,28 +13,22 @@ namespace phes::core {
 namespace {
 
 // Orthogonalize the plane row `w` against basis rows [0, count) of
-// `basis` and against all locked vectors, accumulating projection
-// coefficients for the basis rows into `coeffs` (length >= count).
-// One blocked classical Gram-Schmidt pass: ALL projections are taken
-// against the un-updated w (one reduction sweep through the row-paired
-// multi-accumulator dot kernels), then subtracted en bloc.  Callers run
-// it twice (CGS2), which restores the orthogonality quality of
-// reorthogonalized MGS.
-void cgs_pass(const double* basis, std::size_t count,
-              std::span<const double* const> locked, double* w,
-              std::size_t dim, Complex* coeffs, std::vector<Complex>& proj) {
-  const std::size_t nl = locked.size();
+// `basis` and against the `nl` rows of the locked pack, accumulating
+// projection coefficients for the basis rows into `coeffs` (length >=
+// count).  One blocked classical Gram-Schmidt pass: ALL projections are
+// taken against the un-updated w (one reduction sweep through the
+// row-paired multi-accumulator dot kernels), then subtracted en bloc.
+// Callers run it twice (CGS2), which restores the orthogonality
+// quality of reorthogonalized MGS.
+void cgs_pass(const double* basis, std::size_t count, const double* locked,
+              std::size_t nl, double* w, std::size_t dim, Complex* coeffs,
+              std::vector<Complex>& proj) {
+  const std::size_t stride = 2 * dim;
   proj.resize(nl + count);
-  if (nl > 0) {
-    la::kernels::dotc_ptrs(locked.data(), nl, w, dim, proj.data());
-  }
-  if (count > 0) {
-    la::kernels::dotc_rows(basis, 2 * dim, count, w, dim, proj.data() + nl);
-  }
-  if (nl > 0) la::kernels::axpy_ptrs(locked.data(), nl, proj.data(), w, dim);
-  if (count > 0) {
-    la::kernels::axpy_rows(basis, 2 * dim, count, proj.data() + nl, w, dim);
-  }
+  la::kernels::dotc_rows(locked, stride, nl, w, dim, proj.data());
+  la::kernels::dotc_rows(basis, stride, count, w, dim, proj.data() + nl);
+  la::kernels::axpy_rows(locked, stride, nl, proj.data(), w, dim);
+  la::kernels::axpy_rows(basis, stride, count, proj.data() + nl, w, dim);
   if (coeffs != nullptr) {
     for (std::size_t j = 0; j < count; ++j) coeffs[j] += proj[nl + j];
   }
@@ -59,20 +53,20 @@ ComplexVector random_start_vector(std::size_t dim, util::Rng& rng) {
 
 ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
                       std::span<const Complex> v0, std::size_t d,
-                      std::span<const PlaneVector> locked) {
+                      std::span<const double> locked) {
   const std::size_t dim = op.dim();
   util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
   util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
-  for (const auto& lv : locked) {
-    util::check(lv.size() == 2 * dim,
-                "arnoldi: locked vector dimension mismatch");
-  }
+  util::check(locked.size() % (2 * dim) == 0,
+              "arnoldi: locked set is not a pack of dim-length rows");
+  const std::size_t nl = locked.size() / (2 * dim);
+  const double* const lrows = locked.data();
 
   // The Krylov space lives in the orthogonal complement of the locked
   // subspace; never ask for more directions than exist there, or the
   // process runs past exhaustion on roundoff noise and manufactures
   // spurious "converged" Ritz pairs.
-  const std::size_t available = dim - locked.size();
+  const std::size_t available = dim - nl;
   util::check(available >= 2, "arnoldi: locked subspace leaves no room");
   const std::size_t d_eff = std::min(d, available - 1);
 
@@ -84,17 +78,12 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
 
   // Scratch lives outside the passes so a run allocates at most once.
   std::vector<Complex> proj;
-  std::vector<const double*> locked_rows(locked.size());
-  for (std::size_t i = 0; i < locked.size(); ++i) {
-    locked_rows[i] = locked[i].data();
-  }
-  const std::span<const double* const> lrows(locked_rows);
   std::vector<double> w(2 * dim);
 
   // Normalize (and deflate) the start vector.
   la::kernels::split_planes(v0.data(), dim, w.data(), w.data() + dim);
-  cgs_pass(basis, 0, lrows, w.data(), dim, nullptr, proj);
-  cgs_pass(basis, 0, lrows, w.data(), dim, nullptr, proj);
+  cgs_pass(basis, 0, lrows, nl, w.data(), dim, nullptr, proj);
+  cgs_pass(basis, 0, lrows, nl, w.data(), dim, nullptr, proj);
   const double norm0 = la::kernels::nrm2_plane(w.data(), dim);
   util::require(norm0 > 1e-10,
                 "arnoldi: start vector lies in the locked subspace");
@@ -115,8 +104,8 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
 
     // Two orthogonalization passes (CGS2, "twice is enough").
     std::fill(coeffs.begin(), coeffs.end(), Complex{});
-    cgs_pass(basis, k + 1, lrows, w.data(), dim, coeffs.data(), proj);
-    cgs_pass(basis, k + 1, lrows, w.data(), dim, coeffs.data(), proj);
+    cgs_pass(basis, k + 1, lrows, nl, w.data(), dim, coeffs.data(), proj);
+    cgs_pass(basis, k + 1, lrows, nl, w.data(), dim, coeffs.data(), proj);
     for (std::size_t j = 0; j <= k; ++j) res.h(j, k) = coeffs[j];
 
     const double norm = la::kernels::nrm2_plane(w.data(), dim);
@@ -167,82 +156,54 @@ PlaneVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
   util::check(pair.coords.size() == d,
               "form_ritz_vector: pair does not belong to this Arnoldi run");
   const std::size_t dim = ar.dim;
+  // x = 0 - sum_j (-y_j) v_j through axpy_rows: the same bits as adding
+  // y_j v_j in ascending row order.  Negation is exact, so each update
+  // x - (-t) equals x + t; and a zero coefficient adds a zero, which
+  // leaves x unchanged because x starts at +0 and a sum never turns
+  // into -0.
+  std::vector<Complex> neg(d);
+  for (std::size_t j = 0; j < d; ++j) neg[j] = -pair.coords[j];
   PlaneVector x(2 * dim, 0.0);
-  double* xr = x.data();
-  double* xi = x.data() + dim;
-  // x += v * y spelled out as std::complex evaluates it for finite
-  // values, (ac - bd, ad + bc): the same bits without the NaN-recovery
-  // call that keeps the complex product from vectorizing.  Rows with a
-  // nonzero coefficient go two per pass over x as (x + t0) + t1, the
-  // order of adding them one at a time with half the loads and stores
-  // of x.
-  std::vector<std::size_t> rows;
-  for (std::size_t row = 0; row < d; ++row) {
-    if (pair.coords[row] != Complex{}) rows.push_back(row);
-  }
-  std::size_t k = 0;
-  for (; k + 2 <= rows.size(); k += 2) {
-    const double c0 = pair.coords[rows[k]].real();
-    const double s0 = pair.coords[rows[k]].imag();
-    const double c1 = pair.coords[rows[k + 1]].real();
-    const double s1 = pair.coords[rows[k + 1]].imag();
-    const double* v0r = ar.basis.data() + 2 * dim * rows[k];
-    const double* v0i = v0r + dim;
-    const double* v1r = ar.basis.data() + 2 * dim * rows[k + 1];
-    const double* v1i = v1r + dim;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double a0 = v0r[i], b0 = v0i[i], a1 = v1r[i], b1 = v1i[i];
-      xr[i] = (xr[i] + (a0 * c0 - b0 * s0)) + (a1 * c1 - b1 * s1);
-      xi[i] = (xi[i] + (a0 * s0 + b0 * c0)) + (a1 * s1 + b1 * c1);
-    }
-  }
-  if (k < rows.size()) {
-    const double c = pair.coords[rows[k]].real();
-    const double s = pair.coords[rows[k]].imag();
-    const double* vr = ar.basis.data() + 2 * dim * rows[k];
-    const double* vi = vr + dim;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double a = vr[i];
-      const double b = vi[i];
-      xr[i] += a * c - b * s;
-      xi[i] += a * s + b * c;
-    }
-  }
+  la::kernels::axpy_rows(ar.basis.data(), 2 * dim, d, neg.data(), x.data(),
+                         dim);
   const double norm = la::kernels::nrm2_plane(x.data(), dim);
   if (norm > 0.0) scale_into(x.data(), norm, dim, x.data());
   return x;
 }
 
-bool lock_vector(std::vector<PlaneVector>& locked, const PlaneVector& v) {
-  PlaneVector w = v;
-  const std::size_t dim = w.size() / 2;
-  double* wr = w.data();
-  double* wi = w.data() + dim;
-  // Complex products spelled out as std::complex evaluates them for
-  // finite values: conj(q) * w = (ac + bd, ad - bc) and p * q =
-  // (ac - bd, ad + bc), in the same loop order — the same bits.
+bool lock_vector(std::vector<double>& locked, std::span<const double> v) {
+  const std::size_t stride = v.size();
+  const std::size_t dim = stride / 2;
+  const std::size_t nl = locked.size() / stride;
+  // The candidate is written in place as the pack's next row (amortized
+  // growth) and popped again if it is dropped.
+  locked.insert(locked.end(), v.begin(), v.end());
+  double* const w = locked.data() + nl * stride;
+  const double* const wr = w;
+  const double* const wi = w + dim;
+  // Each row's projection is a single-accumulator sum in ascending i,
+  // conj(q) * w spelled out as std::complex evaluates it for finite
+  // values, (ac + bd, ad - bc); the update is axpy_rows on one row.
   for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& q : locked) {
-      const double* qr = q.data();
-      const double* qi = q.data() + dim;
+    for (std::size_t j = 0; j < nl; ++j) {
+      const double* qr = locked.data() + j * stride;
+      const double* qi = qr + dim;
       double pr = 0.0;
       double pi = 0.0;
       for (std::size_t i = 0; i < dim; ++i) {
         pr += qr[i] * wr[i] + qi[i] * wi[i];
         pi += qr[i] * wi[i] - qi[i] * wr[i];
       }
-      for (std::size_t i = 0; i < dim; ++i) {
-        const double a = qr[i];
-        const double b = qi[i];
-        wr[i] -= pr * a - pi * b;
-        wi[i] -= pr * b + pi * a;
-      }
+      const Complex p(pr, pi);
+      la::kernels::axpy_rows(qr, stride, 1, &p, w, dim);
     }
   }
-  const double norm = la::kernels::nrm2_plane(w.data(), dim);
-  if (norm < 1e-8) return false;  // direction already represented
-  scale_into(w.data(), norm, dim, w.data());
-  locked.push_back(std::move(w));
+  const double norm = la::kernels::nrm2_plane(w, dim);
+  if (norm < 1e-8) {  // direction already represented
+    locked.resize(nl * stride);
+    return false;
+  }
+  scale_into(w, norm, dim, w);
   return true;
 }
 

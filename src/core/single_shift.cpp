@@ -77,8 +77,8 @@ SingleShiftResult single_shift_iteration(
   // non-orthogonal set is not a projector — deflating with raw Ritz
   // vectors produces spurious Ritz values.  Orthonormalizing preserves
   // the span (an approximately invariant subspace), which is all the
-  // deflation needs.
-  std::vector<PlaneVector> locked_vectors;
+  // deflation needs.  Its plane rows are packed with stride 2 * dim.
+  std::vector<double> locked_vectors;
   double rho = rho0;
   // Distance estimate of the nearest eigenvalue the process has seen but
   // not yet converged; caps the certified radius.
@@ -92,7 +92,7 @@ SingleShiftResult single_shift_iteration(
   };
 
   for (std::size_t restart = 0; restart < kMaxRestarts; ++restart) {
-    if (locked_vectors.size() + 2 >= dim) {
+    if (locked_vectors.size() / (2 * dim) + 2 >= dim) {
       // The locked subspace nearly exhausts the whole space: every
       // reachable eigenvalue has converged.
       break;
@@ -139,6 +139,10 @@ SingleShiftResult single_shift_iteration(
         !(restart + 1 >= min_restarts && new_in_disk == 0) &&
         restart + 1 < kMaxRestarts;
     if (another_restart) {
+      // One allocation per restart, sized to the batch: lock_vector
+      // then appends in place.
+      locked_vectors.reserve(locked_vectors.size() +
+                             newly_locked.size() * 2 * dim);
       for (const RitzPair* p : newly_locked) {
         lock_vector(locked_vectors, form_ritz_vector(ar, *p));
       }

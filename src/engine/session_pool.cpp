@@ -117,7 +117,6 @@ SessionPool::SessionPool(SessionPoolOptions options,
   hits_ = &registry->counter("phes_session_pool_hits_total");
   creations_ = &registry->counter("phes_session_pool_creations_total");
   returns_ = &registry->counter("phes_session_pool_returns_total");
-  restores_ = &registry->counter("phes_session_pool_restores_total");
   evictions_ = &registry->counter("phes_session_pool_evictions_total");
   collisions_ = &registry->counter("phes_session_pool_collisions_total");
   idle_sessions_gauge_ = &registry->gauge("phes_session_pool_idle_sessions");
@@ -159,9 +158,7 @@ SessionLease SessionPool::checkout(macromodel::SimoRealization realization) {
     // matrices and allocates its cache.
     entry = std::make_unique<Entry>();
     entry->hash = hash;
-    entry->baseline_c = realization.c();
     entry->session = std::make_unique<SolverSession>(std::move(realization));
-    entry->clean_revision = entry->session->revision();
   }
 
   SessionLease lease;
@@ -174,25 +171,24 @@ SessionLease SessionPool::checkout(macromodel::SimoRealization realization) {
 void SessionPool::give_back(Entry* raw) {
   std::unique_ptr<Entry> entry(raw);
 
-  // Revision guard: a job that perturbed the residues (enforcement)
-  // must not leak its perturbed model to the next job over this hash.
-  // The restore runs outside the pool lock (it walks a p x n matrix and
-  // purges the cache).
-  const bool restored = entry->session->revision() != entry->clean_revision;
-  if (restored) {
-    entry->session->update_residues(entry->baseline_c);
-    entry->clean_revision = entry->session->revision();
+  // A job that perturbed the residues (enforcement) moved the revision
+  // off 0.  Its session is dropped, outside the pool lock, so the next
+  // job over this hash never sees the perturbed model.
+  if (entry->session->revision() != 0) {
+    entry.reset();
+  } else {
+    entry->session->clear_warm_start();
+    entry->bytes = entry->session->approx_memory_bytes();
   }
-  entry->session->clear_warm_start();
-  entry->bytes = entry->session->approx_memory_bytes();
 
   util::MutexLock lock(mutex_);
   returns_->add();
-  if (restored) restores_->add();
   --leased_;
-  idle_bytes_ += entry->bytes;
-  idle_.push_front(std::move(entry));
-  evict_over_budget_locked();
+  if (entry != nullptr) {
+    idle_bytes_ += entry->bytes;
+    idle_.push_front(std::move(entry));
+    evict_over_budget_locked();
+  }
   publish_levels_locked();
 }
 
@@ -218,7 +214,6 @@ SessionPoolStats SessionPool::stats() const {
   s.pool_hits = hits_->value();
   s.creations = creations_->value();
   s.returns = returns_->value();
-  s.restores = restores_->value();
   s.evictions = evictions_->value();
   s.collisions = collisions_->value();
   s.idle_sessions = static_cast<std::size_t>(idle_sessions_gauge_->value());

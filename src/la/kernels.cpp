@@ -170,15 +170,6 @@ void dotc_rows(const double* rows, std::size_t stride, std::size_t count,
   if (j < count) proj[j] = dotc_one(rows + j * stride, w, dim);
 }
 
-void dotc_ptrs(const double* const* rows, std::size_t count,
-               const double* w, std::size_t dim, Complex* proj) {
-  std::size_t j = 0;
-  for (; j + 2 <= count; j += 2) {
-    dotc_two(rows[j], rows[j + 1], w, dim, proj + j);
-  }
-  if (j < count) proj[j] = dotc_one(rows[j], w, dim);
-}
-
 void axpy_rows(const double* rows, std::size_t stride, std::size_t count,
                const Complex* coeffs, double* w, std::size_t dim) {
   std::size_t j = 0;
@@ -187,15 +178,6 @@ void axpy_rows(const double* rows, std::size_t stride, std::size_t count,
              coeffs[j + 1], w, dim);
   }
   if (j < count) axpy_one(rows + j * stride, coeffs[j], w, dim);
-}
-
-void axpy_ptrs(const double* const* rows, std::size_t count,
-               const Complex* coeffs, double* w, std::size_t dim) {
-  std::size_t j = 0;
-  for (; j + 2 <= count; j += 2) {
-    axpy_two(rows[j], coeffs[j], rows[j + 1], coeffs[j + 1], w, dim);
-  }
-  if (j < count) axpy_one(rows[j], coeffs[j], w, dim);
 }
 
 double nrm2_plane(const double* x, std::size_t dim) noexcept {

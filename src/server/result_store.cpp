@@ -115,21 +115,6 @@ std::optional<JobState> ResultStore::state(std::uint64_t id) const {
   return storage_->state(id);
 }
 
-namespace {
-
-JobSummary summarize(const JobRecord& rec) {
-  JobSummary s;
-  s.id = rec.id;
-  s.name = rec.name;
-  s.state = rec.state;
-  s.stage = rec.stage;
-  s.stage_known = rec.stage_known;
-  if (is_terminal(rec.state)) s.status = rec.result.status();
-  return s;
-}
-
-}  // namespace
-
 std::optional<ResultStore::JobSummary> ResultStore::summary(
     std::uint64_t id) const {
   util::MutexLock lock(mutex_);
@@ -138,20 +123,24 @@ std::optional<ResultStore::JobSummary> ResultStore::summary(
   return storage_->summary(id);
 }
 
-std::vector<ResultStore::JobSummary> ResultStore::summaries() const {
-  util::MutexLock lock(mutex_);
-  // Merge the two ascending-id sequences (terminal ids and live ids
-  // can interleave: job 3 may finish while job 2 still runs).
-  std::vector<JobSummary> stored = storage_->summaries();
-  std::vector<JobSummary> out;
-  out.reserve(stored.size() + records_.size());
-  auto live = records_.begin();
+namespace {
+
+// Merge the live records and the storage's terminal ones, both in
+// ascending id order, into one ascending sequence (terminal ids and
+// live ids can interleave: job 3 may finish while job 2 still runs).
+// `from_live` turns a live record into an element.
+template <typename T, typename FromLive>
+std::vector<T> merge_by_id(const std::map<std::uint64_t, JobRecord>& live,
+                           std::vector<T> stored, FromLive from_live) {
+  std::vector<T> out;
+  out.reserve(stored.size() + live.size());
+  auto l = live.begin();
   auto done = stored.begin();
-  while (live != records_.end() || done != stored.end()) {
+  while (l != live.end() || done != stored.end()) {
     if (done == stored.end() ||
-        (live != records_.end() && live->first < done->id)) {
-      out.push_back(summarize(live->second));
-      ++live;
+        (l != live.end() && l->first < done->id)) {
+      out.push_back(from_live(l->second));
+      ++l;
     } else {
       out.push_back(std::move(*done));
       ++done;
@@ -160,24 +149,18 @@ std::vector<ResultStore::JobSummary> ResultStore::summaries() const {
   return out;
 }
 
+}  // namespace
+
+std::vector<ResultStore::JobSummary> ResultStore::summaries() const {
+  util::MutexLock lock(mutex_);
+  return merge_by_id(records_, storage_->summaries(),
+                     [](const JobRecord& rec) { return summarize(rec); });
+}
+
 std::vector<JobRecord> ResultStore::all() const {
   util::MutexLock lock(mutex_);
-  std::vector<JobRecord> stored = storage_->all();
-  std::vector<JobRecord> out;
-  out.reserve(stored.size() + records_.size());
-  auto live = records_.begin();
-  auto done = stored.begin();
-  while (live != records_.end() || done != stored.end()) {
-    if (done == stored.end() ||
-        (live != records_.end() && live->first < done->id)) {
-      out.push_back(live->second);
-      ++live;
-    } else {
-      out.push_back(std::move(*done));
-      ++done;
-    }
-  }
-  return out;
+  return merge_by_id(records_, storage_->all(),
+                     [](const JobRecord& rec) { return rec; });
 }
 
 std::size_t ResultStore::size() const {

@@ -127,9 +127,7 @@ std::optional<JobState> MemoryStorage::state(std::uint64_t id) const {
   return it->second.state;
 }
 
-namespace {
-
-JobSummary summarize_record(const JobRecord& rec) {
+JobSummary summarize(const JobRecord& rec) {
   JobSummary s;
   s.id = rec.id;
   s.name = rec.name;
@@ -140,18 +138,16 @@ JobSummary summarize_record(const JobRecord& rec) {
   return s;
 }
 
-}  // namespace
-
 std::optional<JobSummary> MemoryStorage::summary(std::uint64_t id) const {
   const auto it = records_.find(id);
   if (it == records_.end()) return std::nullopt;
-  return summarize_record(it->second);
+  return summarize(it->second);
 }
 
 std::vector<JobSummary> MemoryStorage::summaries() const {
   std::vector<JobSummary> out;
   out.reserve(records_.size());
-  for (const auto& [id, rec] : records_) out.push_back(summarize_record(rec));
+  for (const auto& [id, rec] : records_) out.push_back(summarize(rec));
   return out;
 }
 

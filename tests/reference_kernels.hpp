@@ -20,6 +20,12 @@
 // core::form_ritz_vector and core::lock_vector.  The library runs the
 // same operations in the same order on plane rows, so test_la_kernels
 // and bench_la_kernels demand memcmp equality with them.
+// plane_form_ritz_vector and plane_lock_vector are the same two
+// functions as they ran on plane rows before their vector sums moved
+// onto la::kernels::axpy_rows and the locked set into one pack (a
+// pair loop over the nonzero-coefficient rows, a written-out update
+// over separately allocated rows); test_la_kernels demands memcmp
+// equality with them too.
 //
 // scalar_dotc_rows and scalar_gemv_planes are the plane-row kernels
 // as written with scalar accumulators, before those accumulators
@@ -438,17 +444,24 @@ inline la::ComplexVector from_planes(std::span<const double> p) {
   return x;
 }
 
-inline std::vector<core::PlaneVector> to_planes(
-    std::span<const la::ComplexVector> xs) {
-  std::vector<core::PlaneVector> out;
-  for (const auto& x : xs) out.push_back(to_planes(x));
+/// Interleaved vectors of one length as a pack of plane rows, row j at
+/// offset 2 * dim * j: the locked-set layout core::arnoldi reads.
+inline std::vector<double> to_pack(std::span<const la::ComplexVector> xs) {
+  std::vector<double> out;
+  for (const auto& x : xs) {
+    const core::PlaneVector p = to_planes(x);
+    out.insert(out.end(), p.begin(), p.end());
+  }
   return out;
 }
 
-inline std::vector<la::ComplexVector> from_planes(
-    std::span<const core::PlaneVector> ps) {
+/// A pack of plane rows of length 2 * dim as interleaved vectors.
+inline std::vector<la::ComplexVector> from_pack(std::span<const double> pack,
+                                                std::size_t dim) {
   std::vector<la::ComplexVector> out;
-  for (const auto& p : ps) out.push_back(from_planes(p));
+  for (std::size_t off = 0; off + 2 * dim <= pack.size(); off += 2 * dim) {
+    out.push_back(from_planes(pack.subspan(off, 2 * dim)));
+  }
   return out;
 }
 
@@ -730,10 +743,9 @@ inline ReferenceArnoldi reference_arnoldi(
 
 // ---- Scalar plane-row kernels: the bitwise oracle of the vector ones ----
 // la::kernels' dotc_rows and gemv_planes as they were written with
-// scalar accumulators, kept verbatim (dotc_ptrs runs the same pair and
-// lone-row kernels as dotc_rows).  The library holds
-// the same accumulators as the lanes of two-double vectors, so
-// test_la_kernels and bench_la_kernels demand memcmp equality.
+// scalar accumulators, kept verbatim.  The library holds the same
+// accumulators as the lanes of two-double vectors, so test_la_kernels
+// and bench_la_kernels demand memcmp equality.
 
 /// conj(v)*w on plane rows with accumulators by i mod 4, summed
 /// (r0+r1)+(r2+r3).
@@ -1016,6 +1028,92 @@ inline bool reference_lock_vector(std::vector<la::ComplexVector>& locked,
   return true;
 }
 
+/// core::form_ritz_vector as it ran before it became one axpy_rows
+/// sweep: rows with a nonzero coefficient only, two per pass over x as
+/// (x + t0) + t1, the complex products spelled out as
+/// (ac - bd, ad + bc).  Bit-identical to the library.
+inline core::PlaneVector plane_form_ritz_vector(const core::ArnoldiResult& ar,
+                                                const core::RitzPair& pair) {
+  using la::Complex;
+  const std::size_t d = ar.steps;
+  const std::size_t dim = ar.dim;
+  core::PlaneVector x(2 * dim, 0.0);
+  double* xr = x.data();
+  double* xi = x.data() + dim;
+  std::vector<std::size_t> rows;
+  for (std::size_t row = 0; row < d; ++row) {
+    if (pair.coords[row] != Complex{}) rows.push_back(row);
+  }
+  std::size_t k = 0;
+  for (; k + 2 <= rows.size(); k += 2) {
+    const double c0 = pair.coords[rows[k]].real();
+    const double s0 = pair.coords[rows[k]].imag();
+    const double c1 = pair.coords[rows[k + 1]].real();
+    const double s1 = pair.coords[rows[k + 1]].imag();
+    const double* v0r = ar.basis.data() + 2 * dim * rows[k];
+    const double* v0i = v0r + dim;
+    const double* v1r = ar.basis.data() + 2 * dim * rows[k + 1];
+    const double* v1i = v1r + dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double a0 = v0r[i], b0 = v0i[i], a1 = v1r[i], b1 = v1i[i];
+      xr[i] = (xr[i] + (a0 * c0 - b0 * s0)) + (a1 * c1 - b1 * s1);
+      xi[i] = (xi[i] + (a0 * s0 + b0 * c0)) + (a1 * s1 + b1 * c1);
+    }
+  }
+  if (k < rows.size()) {
+    const double c = pair.coords[rows[k]].real();
+    const double s = pair.coords[rows[k]].imag();
+    const double* vr = ar.basis.data() + 2 * dim * rows[k];
+    const double* vi = vr + dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double a = vr[i];
+      const double b = vi[i];
+      xr[i] += a * c - b * s;
+      xi[i] += a * s + b * c;
+    }
+  }
+  const double norm = la::kernels::nrm2_plane(x.data(), dim);
+  if (norm > 0.0) {
+    for (double& e : x) e /= norm;
+  }
+  return x;
+}
+
+/// core::lock_vector as it ran on a set of separately allocated plane
+/// rows: per locked row a single-accumulator dot, then the update
+/// w -= p * q written out as (ac - bd, ad + bc).  Bit-identical to the
+/// library.
+inline bool plane_lock_vector(std::vector<core::PlaneVector>& locked,
+                              const core::PlaneVector& v) {
+  core::PlaneVector w = v;
+  const std::size_t dim = w.size() / 2;
+  double* wr = w.data();
+  double* wi = w.data() + dim;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : locked) {
+      const double* qr = q.data();
+      const double* qi = q.data() + dim;
+      double pr = 0.0;
+      double pi = 0.0;
+      for (std::size_t i = 0; i < dim; ++i) {
+        pr += qr[i] * wr[i] + qi[i] * wi[i];
+        pi += qr[i] * wi[i] - qi[i] * wr[i];
+      }
+      for (std::size_t i = 0; i < dim; ++i) {
+        const double a = qr[i];
+        const double b = qi[i];
+        wr[i] -= pr * a - pi * b;
+        wi[i] -= pr * b + pi * a;
+      }
+    }
+  }
+  const double norm = la::kernels::nrm2_plane(w.data(), dim);
+  if (norm < 1e-8) return false;  // direction already represented
+  for (double& e : w) e /= norm;
+  locked.push_back(std::move(w));
+  return true;
+}
+
 /// core::single_shift_iteration as it ran before the final restart
 /// stopped building deflation vectors: every restart, the last one
 /// included, forms and locks the Ritz vector of each newly locked pair
@@ -1057,7 +1155,7 @@ inline core::SingleShiftResult reference_single_shift(
   const std::size_t dim = op->dim();
   const std::size_t d = std::min(opt.krylov_dim, dim - 1);
   std::vector<LockedEig> locked;
-  std::vector<core::PlaneVector> locked_vectors;
+  std::vector<double> locked_vectors;
   double rho = rho0;
   double unconverged_limit = std::numeric_limits<double>::infinity();
   const auto already_locked = [&](Complex lambda) {
@@ -1068,7 +1166,7 @@ inline core::SingleShiftResult reference_single_shift(
   };
 
   for (std::size_t restart = 0; restart < kMaxRestarts; ++restart) {
-    if (locked_vectors.size() + 2 >= dim) break;
+    if (locked_vectors.size() / (2 * dim) + 2 >= dim) break;
     const la::ComplexVector v0 = core::random_start_vector(dim, rng);
     core::ArnoldiResult ar;
     try {

@@ -118,8 +118,7 @@ TEST(Arnoldi, DeflationFindsSecondEigenvalue) {
               1e-9);
 
   // Lock it; second run must converge the next eigenvalue as dominant.
-  std::vector<core::PlaneVector> locked{
-      form_ritz_vector(ar1, pairs1.front())};
+  const core::PlaneVector locked = form_ritz_vector(ar1, pairs1.front());
   auto ar2 = arnoldi(op, core::random_start_vector(15, rng), 12, locked);
   auto pairs2 = ritz_pairs(ar2);
   EXPECT_NEAR(std::abs(pairs2.front().value - second) / std::abs(second),
@@ -162,11 +161,82 @@ TEST(Arnoldi, RitzVectorsAreFormedFromCoords) {
                std::invalid_argument);
 }
 
+TEST(Arnoldi, LockVectorAppendsRowsToOnePack) {
+  // Accepted candidates become the pack's next row, orthonormal to the
+  // rows before; a dropped one leaves the pack as it was.  The pack
+  // grows geometrically, not by one reallocation per lock.
+  util::Rng rng(6);
+  const std::size_t dim = 50;
+  std::vector<double> locked;
+  std::size_t reallocations = 0;
+  for (std::size_t n = 0; n < 40; ++n) {
+    const double* before = locked.data();
+    ASSERT_TRUE(core::lock_vector(
+        locked, test::to_planes(core::random_start_vector(dim, rng))));
+    if (locked.data() != before) ++reallocations;
+    ASSERT_EQ(locked.size(), (n + 1) * 2 * dim);
+    const auto rows = test::from_pack(locked, dim);
+    for (std::size_t j = 0; j <= n; ++j) {
+      Complex g{};
+      for (std::size_t i = 0; i < dim; ++i) {
+        g += std::conj(rows[j][i]) * rows[n][i];
+      }
+      EXPECT_NEAR(std::abs(g - (j == n ? Complex(1.0) : Complex{})), 0.0,
+                  1e-12)
+          << "rows " << j << ", " << n;
+    }
+  }
+  EXPECT_LE(reallocations, 8u);
+  const std::vector<double> kept = locked;
+  const core::PlaneVector again(locked.begin() + 2 * dim * 7,
+                                locked.begin() + 2 * dim * 8);
+  EXPECT_FALSE(core::lock_vector(locked, again));
+  EXPECT_EQ(std::memcmp(locked.data(), kept.data(),
+                        kept.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(locked.size(), kept.size());
+}
+
+TEST(Arnoldi, PackedLockedSetMatchesInterleavedOracle) {
+  // The locked set as single_shift_iteration builds it (Ritz vectors of
+  // a first run through lock_vector, one pack) deflates exactly as the
+  // interleaved CGS2 loop does with separate vectors: every dim mod 4,
+  // 0-3 locked rows (a lone last row at 1 and 3).
+  util::Rng rng(7);
+  for (const std::size_t dim : {44u, 45u, 46u, 47u}) {
+    const DenseOp op(test::random_complex_matrix(dim, dim, rng));
+    const auto first = arnoldi(op, core::random_start_vector(dim, rng), 12, {});
+    const auto pairs = ritz_pairs(first);
+    std::vector<double> locked;
+    for (std::size_t nl = 0; nl <= 3; ++nl) {
+      if (nl > 0) {
+        ASSERT_TRUE(core::lock_vector(locked,
+                                      form_ritz_vector(first, pairs[nl - 1])));
+      }
+      ASSERT_EQ(locked.size(), nl * 2 * dim);
+      const ComplexVector v0 = core::random_start_vector(dim, rng);
+      const auto got = test::to_reference(arnoldi(op, v0, 20, locked));
+      const auto ref =
+          test::interleaved_arnoldi(op, v0, 20, test::from_pack(locked, dim));
+      ASSERT_EQ(got.steps, ref.steps);
+      EXPECT_EQ(got.matvecs, ref.matvecs);
+      EXPECT_EQ(std::memcmp(got.h.data(), ref.h.data(),
+                            ref.h.size() * sizeof(Complex)),
+                0)
+          << "dim " << dim << ", locked " << nl;
+      EXPECT_EQ(std::memcmp(got.v_rows.data(), ref.v_rows.data(),
+                            ref.v_rows.size() * sizeof(Complex)),
+                0)
+          << "dim " << dim << ", locked " << nl;
+    }
+  }
+}
+
 TEST(Arnoldi, StartVectorInLockedSubspaceThrows) {
   ComplexVector diag{Complex(1, 0), Complex(2, 0), Complex(3, 0)};
   const DenseOp op(diagonal_matrix(diag));
   ComplexVector e0{Complex(1, 0), Complex(0, 0), Complex(0, 0)};
-  const std::vector<core::PlaneVector> locked{test::to_planes(e0)};
+  const core::PlaneVector locked = test::to_planes(e0);
   EXPECT_THROW(arnoldi(op, e0, 2, locked), std::runtime_error);
 }
 
@@ -177,6 +247,9 @@ TEST(Arnoldi, DimensionChecks) {
   EXPECT_THROW(arnoldi(op, bad, 1, {}), std::invalid_argument);
   ComplexVector good(2, Complex(1.0, 0.0));
   EXPECT_THROW(arnoldi(op, good, 2, {}), std::invalid_argument);  // d >= dim
+  // A locked pack that is not a whole number of rows.
+  const std::vector<double> ragged(3, 0.0);
+  EXPECT_THROW(arnoldi(op, good, 1, ragged), std::invalid_argument);
 }
 
 TEST(Arnoldi, RandomStartVectorIsUnitNorm) {

@@ -433,7 +433,7 @@ TEST(DenseMemo, KrylovOrderSessionNeverReuses) {
   EXPECT_EQ(session.stats().dense_reuses, 0u);
 }
 
-TEST(DenseMemo, PoolRestoreMissesAndUnchangedReturnHits) {
+TEST(DenseMemo, PerturbedSessionIsDroppedAndUnchangedReturnHits) {
   const auto model = make_model(1.07, 25);
   const SimoRealization pristine(model);
   engine::SessionPool pool;
@@ -456,16 +456,18 @@ TEST(DenseMemo, PoolRestoreMissesAndUnchangedReturnHits) {
     lease.session().update_residues(c);
     (void)lease.session().solve(opt);
   }
-  EXPECT_EQ(pool.stats().restores, 1u);
+  // The perturbed session was dropped, not pooled.
+  EXPECT_EQ(pool.stats().returns, 2u);
+  EXPECT_EQ(pool.stats().idle_sessions, 0u);
   auto lease = pool.checkout(SimoRealization(pristine));
-  ASSERT_TRUE(lease.reused());
-  const auto before = lease.session().stats();
-  const auto restored = lease.session().solve(opt);
-  // The restore bumped the revision: recomputed, and the same bits as
-  // the pristine model's first solve.
-  EXPECT_EQ(lease.session().stats().dense_solves, before.dense_solves + 1);
-  EXPECT_EQ(lease.session().stats().dense_reuses, before.dense_reuses);
-  EXPECT_TRUE(same_bits(restored, cold));
+  EXPECT_FALSE(lease.reused());
+  EXPECT_EQ(lease.session().revision(), 0u);
+  const auto fresh = lease.session().solve(opt);
+  // A fresh session: recomputed, and the same bits as the pristine
+  // model's first solve.
+  EXPECT_EQ(lease.session().stats().dense_solves, 1u);
+  EXPECT_EQ(lease.session().stats().dense_reuses, 0u);
+  EXPECT_TRUE(same_bits(fresh, cold));
 }
 
 }  // namespace

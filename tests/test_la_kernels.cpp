@@ -20,8 +20,8 @@
 //    they replaced (interleaved_arnoldi in reference_kernels.hpp) in h,
 //    basis, steps and matvecs, for every dim mod 4, 0-3 locked vectors
 //    and a breakdown run;
-//  - the two-lane vector dot and gemv kernels (dotc_rows, dotc_ptrs,
-//    gemv_planes) are BIT-identical to the scalar-accumulator loops
+//  - the two-lane vector dot and gemv kernels (dotc_rows, gemv_planes)
+//    are BIT-identical to the scalar-accumulator loops
 //    they were written from (scalar_dotc_rows / scalar_gemv_planes in
 //    reference_kernels.hpp) for dims 1-9 and 36-39, 1-5 rows and
 //    matrices of 1-21 rows, and the four-row gemv_t_planes to its
@@ -29,10 +29,12 @@
 //  - SmwShiftInvertOp::apply, with its written-out table products and
 //    four-row C / C^T passes, is BIT-identical to the std::complex
 //    apply it replaced (TableSmwOp in reference_kernels.hpp);
-//  - core::form_ritz_vector and core::lock_vector, which spell the
-//    complex products out on plane rows, are BIT-identical to the
-//    std::complex loops they replaced (reference_form_ritz_vector /
-//    reference_lock_vector) on the Ritz pairs and locking sequences of
+//  - core::form_ritz_vector and core::lock_vector, whose vector sums run
+//    through axpy_rows on plane rows and the packed locked set, are
+//    BIT-identical to the std::complex loops they replaced
+//    (reference_form_ritz_vector / reference_lock_vector) and to their
+//    plane-row pair loop and written-out update (plane_form_ritz_vector
+//    / plane_lock_vector) on the Ritz pairs and locking sequences of
 //    real Arnoldi runs and on coefficients with exact zeros;
 //  - the library operators (ImplicitHamiltonianOp, SmwShiftInvertOp,
 //    arnoldi CGS2) agree with the straight-line oracle loops of
@@ -208,13 +210,11 @@ TEST(TunedKernelsTest, DotcAndAxpyMatchNaive) {
       const ComplexMatrix rows = test::random_complex_matrix(count, dim, rng);
       const ComplexVector w = random_complex_vector(dim, rng);
       std::vector<double> planes(count * 2 * dim);
-      std::vector<const double*> ptrs(count);
       std::vector<const Complex*> iptrs(count);
       for (std::size_t j = 0; j < count; ++j) {
         const auto p = test::to_planes(std::span<const Complex>(
             rows.row_ptr(j), dim));
         std::copy(p.begin(), p.end(), planes.begin() + j * 2 * dim);
-        ptrs[j] = planes.data() + j * 2 * dim;
         iptrs[j] = rows.row_ptr(j);
       }
       const core::PlaneVector wp = test::to_planes(w);
@@ -233,11 +233,6 @@ TEST(TunedKernelsTest, DotcAndAxpyMatchNaive) {
       test::interleaved_dotc_ptrs(iptrs.data(), count, w.data(), dim,
                                   iproj.data());
       EXPECT_TRUE(same_bits(proj.data(), iproj.data(), count)) << label;
-      // The *_ptrs variant sees the same rows through pointers.
-      std::vector<Complex> proj2(count);
-      la::kernels::dotc_ptrs(ptrs.data(), count, wp.data(), dim,
-                             proj2.data());
-      EXPECT_TRUE(same_bits(proj2.data(), proj.data(), count)) << label;
 
       core::PlaneVector w2 = wp;
       la::kernels::axpy_rows(planes.data(), 2 * dim, count, proj.data(),
@@ -254,10 +249,6 @@ TEST(TunedKernelsTest, DotcAndAxpyMatchNaive) {
       test::interleaved_axpy_ptrs(iptrs.data(), count, proj.data(),
                                   wi.data(), dim);
       EXPECT_TRUE(same_bits(w2c.data(), wi.data(), dim)) << label;
-      core::PlaneVector w3 = wp;
-      la::kernels::axpy_ptrs(ptrs.data(), count, proj.data(), w3.data(),
-                             dim);
-      EXPECT_TRUE(same_bits(w3.data(), w2.data(), 2 * dim)) << label;
 
       const double norm = la::kernels::nrm2_plane(wp.data(), dim);
       const double ref = la::nrm2<Complex>(w);
@@ -329,15 +320,11 @@ TEST(VectorKernelsBitwiseTest, DotcMatchesScalarOracle) {
       const double* rows = buf.data() + 1;
       const RealVector wbuf = random_real_vector(3 + 2 * dim, rng);
       const double* w = wbuf.data() + 3;
-      std::vector<const double*> ptrs(count);
-      for (std::size_t j = 0; j < count; ++j) ptrs[j] = rows + j * 2 * dim;
 
-      std::vector<Complex> ref(count), got(count), got_ptrs(count);
+      std::vector<Complex> ref(count), got(count);
       test::scalar_dotc_rows(rows, 2 * dim, count, w, dim, ref.data());
       la::kernels::dotc_rows(rows, 2 * dim, count, w, dim, got.data());
-      la::kernels::dotc_ptrs(ptrs.data(), count, w, dim, got_ptrs.data());
       EXPECT_TRUE(same_bits(got.data(), ref.data(), count)) << label;
-      EXPECT_TRUE(same_bits(got_ptrs.data(), ref.data(), count)) << label;
     }
   }
 }
@@ -552,7 +539,7 @@ TEST(BackendEquivalenceTest, ArnoldiDeflationWorksOnTunedBackend) {
   }
   const ComplexVector v0 = core::random_start_vector(dim, rng);
   const auto ar = test::to_reference(
-      core::arnoldi(op, v0, 20, test::to_planes(locked)));
+      core::arnoldi(op, v0, 20, test::to_pack(locked)));
   ASSERT_GE(ar.steps, 1u);
   for (std::size_t i = 0; i <= ar.steps; ++i) {
     for (const auto& q : locked) {
@@ -1037,50 +1024,86 @@ TEST(QrRowSweepBitwiseTest, NegativeZerosMatchReference) {
   expect_qr_bitwise(a, "negative zeros", rng);
 }
 
-// ---- Ritz formation and locking: bitwise oracle -----------------------
+// ---- Ritz formation and locking: bitwise oracles ---------------------
 
-bool same_plane_bits(const core::PlaneVector& a, const core::PlaneVector& b) {
+bool same_plane_bits(const std::vector<double>& a,
+                     const std::vector<double>& b) {
   return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
+}
+
+// Separately allocated plane rows as one pack, for comparison with the
+// library's locked set.
+std::vector<double> concat(const std::vector<core::PlaneVector>& rows) {
+  std::vector<double> out;
+  for (const auto& r : rows) out.insert(out.end(), r.begin(), r.end());
+  return out;
+}
+
+// form_ritz_vector against both of its oracles.
+::testing::AssertionResult ritz_vector_matches(
+    const core::ArnoldiResult& ar, const core::RitzPair& pair) {
+  const core::PlaneVector x = core::form_ritz_vector(ar, pair);
+  if (!same_plane_bits(x, test::plane_form_ritz_vector(ar, pair))) {
+    return ::testing::AssertionFailure() << "differs from the pair loop";
+  }
+  if (!same_plane_bits(x, test::to_planes(test::reference_form_ritz_vector(
+                              test::to_reference(ar), pair)))) {
+    return ::testing::AssertionFailure() << "differs from std::complex";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One lock_vector call on the pack against both oracles' sets: the
+// same verdict and, row for row, the same bits.
+::testing::AssertionResult lock_matches(
+    std::vector<double>& locked, std::vector<core::PlaneVector>& plane_locked,
+    std::vector<ComplexVector>& ref_locked, const core::PlaneVector& v) {
+  const bool took = core::lock_vector(locked, v);
+  if (took != test::plane_lock_vector(plane_locked, v) ||
+      took != test::reference_lock_vector(ref_locked, test::from_planes(v))) {
+    return ::testing::AssertionFailure() << "verdicts differ";
+  }
+  if (!same_plane_bits(locked, concat(plane_locked)) ||
+      !same_plane_bits(locked, test::to_pack(ref_locked))) {
+    return ::testing::AssertionFailure()
+           << "locked sets differ after " << ref_locked.size() << " rows";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(RitzLockBitwiseTest, FormAndLockMatchReference) {
   // A shift-inverted operator, as in the single-shift iteration: lock
-  // every Ritz vector of several restarts in turn, through both paths,
-  // and demand the same bits at every step (including the rejections
-  // of directions already represented).
+  // every Ritz vector of several restarts in turn, through all three
+  // paths, and demand the same bits at every step (including the
+  // rejections of directions already represented, which must leave the
+  // pack as it was).
   const auto model = test::synthetic_model(1.08, 2011, 64, 4);
   const macromodel::SimoRealization realization(model);
   const hamiltonian::SmwShiftInvertOp op(realization, Complex(0.0, 2.5));
   const std::size_t dim = op.dim();
   util::Rng rng(61);
-  std::vector<core::PlaneVector> locked;
+  std::vector<double> locked;
+  std::vector<core::PlaneVector> plane_locked;
   std::vector<ComplexVector> ref_locked;
-  std::size_t accepted = 0;
   for (int restart = 0; restart < 3; ++restart) {
     const ComplexVector v0 = core::random_start_vector(dim, rng);
     const auto ar = core::arnoldi(op, v0, 30, locked);
-    const test::ReferenceArnoldi ref_ar = test::to_reference(ar);
-    const auto pairs = core::ritz_pairs(ar);
-    for (const auto& pair : pairs) {
-      const core::PlaneVector x = core::form_ritz_vector(ar, pair);
-      ASSERT_TRUE(same_plane_bits(
-          x, test::to_planes(test::reference_form_ritz_vector(ref_ar, pair))))
+    for (const auto& pair : core::ritz_pairs(ar)) {
+      ASSERT_TRUE(ritz_vector_matches(ar, pair)) << "restart " << restart;
+      ASSERT_TRUE(lock_matches(locked, plane_locked, ref_locked,
+                               core::form_ritz_vector(ar, pair)))
           << "restart " << restart;
-      const bool took = core::lock_vector(locked, x);
-      ASSERT_EQ(took,
-                test::reference_lock_vector(ref_locked, test::from_planes(x)));
-      ASSERT_TRUE(
-          same_plane_bits(locked.back(), test::to_planes(ref_locked.back())))
-          << "restart " << restart << ", locked " << locked.size();
-      if (took) ++accepted;
-      // Re-locking a vector already in the set takes the rejection
-      // path through both.
-      ASSERT_FALSE(core::lock_vector(locked, locked.back()));
+      // Re-locking a row already in the set takes the rejection path
+      // through all three.
+      const core::PlaneVector last(locked.end() - 2 * dim, locked.end());
+      ASSERT_FALSE(core::lock_vector(locked, last));
+      ASSERT_FALSE(test::plane_lock_vector(plane_locked, last));
       ASSERT_FALSE(test::reference_lock_vector(ref_locked, ref_locked.back()));
+      ASSERT_TRUE(same_plane_bits(locked, concat(plane_locked)));
     }
   }
-  EXPECT_GT(accepted, 60u);
-  EXPECT_EQ(locked.size(), accepted);
+  EXPECT_GT(plane_locked.size(), 60u);
+  EXPECT_EQ(locked.size(), plane_locked.size() * 2 * dim);
 }
 
 TEST(RitzLockBitwiseTest, RandomAndSignedZeroInputsMatchReference) {
@@ -1101,29 +1124,28 @@ TEST(RitzLockBitwiseTest, RandomAndSignedZeroInputsMatchReference) {
   pair.coords = random_complex_vector(ar.steps, rng);
   pair.coords[3] = Complex{};
   pair.coords[5] = Complex(-0.0, 1.0);
-  EXPECT_TRUE(same_plane_bits(
-      core::form_ritz_vector(ar, pair),
-      test::to_planes(
-          test::reference_form_ritz_vector(test::to_reference(ar), pair))));
+  EXPECT_TRUE(ritz_vector_matches(ar, pair));
 
-  std::vector<core::PlaneVector> locked;
+  std::vector<double> locked;
+  std::vector<core::PlaneVector> plane_locked;
   std::vector<ComplexVector> ref_locked;
   for (int i = 0; i < 12; ++i) {
     ComplexVector v = random_complex_vector(33, rng);
     v[static_cast<std::size_t>(i)] = Complex(-0.0, -0.0);
-    ASSERT_EQ(core::lock_vector(locked, test::to_planes(v)),
-              test::reference_lock_vector(ref_locked, v));
-    ASSERT_TRUE(
-        same_plane_bits(locked.back(), test::to_planes(ref_locked.back())))
+    ASSERT_TRUE(lock_matches(locked, plane_locked, ref_locked,
+                             test::to_planes(v)))
         << i;
   }
+  EXPECT_EQ(plane_locked.size(), 12u);
 }
 
 TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
-  // form_ritz_vector adds the nonzero-coefficient rows two at a time;
-  // exact zeros (either sign) must drop out of the pairing at even,
-  // odd and adjacent positions, leaving an odd or even number of rows,
-  // and an all-zero pair takes the norm == 0 path.
+  // form_ritz_vector adds every basis row, two per pass, with negated
+  // coefficients; its oracles add only the nonzero-coefficient rows.
+  // Exact zeros (either sign) at even, odd and adjacent positions must
+  // be exact no-ops that shift the pairing, leaving an odd or even
+  // number of nonzero rows, and an all-zero pair takes the norm == 0
+  // path.
   util::Rng rng(63);
   core::ArnoldiResult ar;
   ar.steps = 12;
@@ -1133,12 +1155,13 @@ TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
         test::to_planes(random_complex_vector(ar.dim, rng));
     ar.basis.insert(ar.basis.end(), row.begin(), row.end());
   }
-  const test::ReferenceArnoldi ref_ar = test::to_reference(ar);
   const std::vector<std::vector<std::size_t>> zero_sets = {
       {0, 3, 6, 7, 10},  // even, odd and adjacent: 7 rows remain
       {1, 2, 11},        // adjacent and the last row: 9 rows remain
+      {4, 9},            // 10 rows remain
       {5},               // 11 rows remain
       {},                // 12 rows remain
+      {0, 2, 3, 4, 5, 6, 7, 9, 10, 11},  // rows 1 and 8 remain
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11},  // one lone row remains
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},  // all zero
   };
@@ -1149,12 +1172,11 @@ TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
       pair.coords[zeros[k]] =
           k % 2 == 0 ? Complex{} : Complex(-0.0, -0.0);
     }
-    const core::PlaneVector x = core::form_ritz_vector(ar, pair);
-    EXPECT_TRUE(same_plane_bits(
-        x, test::to_planes(test::reference_form_ritz_vector(ref_ar, pair))))
+    EXPECT_TRUE(ritz_vector_matches(ar, pair))
         << zeros.size() << " zero coefficient(s)";
     if (zeros.size() == ar.steps) {
-      EXPECT_EQ(x, core::PlaneVector(2 * ar.dim, 0.0));
+      EXPECT_EQ(core::form_ritz_vector(ar, pair),
+                core::PlaneVector(2 * ar.dim, 0.0));
     }
   }
 }
@@ -1168,7 +1190,7 @@ void expect_arnoldi_bitwise(const hamiltonian::ComplexLinearOperator& op,
                             const std::vector<ComplexVector>& locked,
                             const std::string& label) {
   const core::ArnoldiResult got =
-      core::arnoldi(op, v0, d, test::to_planes(locked));
+      core::arnoldi(op, v0, d, test::to_pack(locked));
   const test::ReferenceArnoldi ref =
       test::interleaved_arnoldi(op, v0, d, locked);
   ASSERT_EQ(got.steps, ref.steps) << label;
@@ -1192,15 +1214,15 @@ void expect_arnoldi_bitwise(const hamiltonian::ComplexLinearOperator& op,
 std::vector<ComplexVector> locked_from_ritz(
     const hamiltonian::ComplexLinearOperator& op, std::size_t count,
     util::Rng& rng) {
-  std::vector<core::PlaneVector> locked;
+  std::vector<double> locked;
   const auto ar = core::arnoldi(
       op, core::random_start_vector(op.dim(), rng),
       std::min<std::size_t>(12, op.dim() - 2), {});
   for (const auto& pair : core::ritz_pairs(ar)) {
-    if (locked.size() == count) break;
+    if (locked.size() == count * 2 * op.dim()) break;
     core::lock_vector(locked, core::form_ritz_vector(ar, pair));
   }
-  return test::from_planes(locked);
+  return test::from_pack(locked, op.dim());
 }
 
 TEST(PlaneArnoldiBitwiseTest, EveryDimModFourAndLockedCountMatches) {
@@ -1267,7 +1289,7 @@ TEST(PlaneArnoldiBitwiseTest, BreakdownRunMatches) {
     expect_arnoldi_bitwise(op, v0, 10, locked,
                            "breakdown locked=" +
                                std::to_string(locked.size()));
-    const auto ar = core::arnoldi(op, v0, 10, test::to_planes(locked));
+    const auto ar = core::arnoldi(op, v0, 10, test::to_pack(locked));
     EXPECT_EQ(ar.steps, 3u);
     EXPECT_EQ(ar.h(3, 2), Complex{});
   }

@@ -165,7 +165,7 @@ TEST(SessionPoolStress, ConcurrentCheckoutsOverTwoModelsStayExclusive) {
   EXPECT_EQ(stats.returns, stats.checkouts);
 }
 
-TEST(SessionPoolStress, RevisionGuardRestoresPristineResidues) {
+TEST(SessionPoolStress, RevisionGuardDropsPerturbedSessions) {
   const auto model = test::synthetic_model(1.05, 77, 20, 2);
   const SimoRealization pristine(model);
 
@@ -179,14 +179,22 @@ TEST(SessionPoolStress, RevisionGuardRestoresPristineResidues) {
     ASSERT_FALSE(
         engine::same_realization(lease.session().realization(), pristine));
   }
-  EXPECT_EQ(pool.stats().restores, 1u);
+  // The perturbed session never re-enters the pool.
+  EXPECT_EQ(pool.stats().returns, 1u);
+  EXPECT_EQ(pool.stats().idle_sessions, 0u);
+  EXPECT_EQ(pool.stats().idle_bytes, 0u);
 
-  // The next checkout over the same model must see pristine residues —
-  // and still match the hash (reuse, not a new session).
+  // The next checkout over the same model gets a fresh session with
+  // pristine residues; returned unchanged, that one is pooled.
+  {
+    auto lease = pool.checkout(SimoRealization(pristine));
+    EXPECT_FALSE(lease.reused());
+    EXPECT_TRUE(
+        engine::same_realization(lease.session().realization(), pristine));
+  }
+  EXPECT_EQ(pool.stats().idle_sessions, 1u);
   auto lease = pool.checkout(SimoRealization(pristine));
   EXPECT_TRUE(lease.reused());
-  EXPECT_TRUE(
-      engine::same_realization(lease.session().realization(), pristine));
 }
 
 TEST(SessionPoolStress, MemoryBudgetEvictsIdleSessions) {
