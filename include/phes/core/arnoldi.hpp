@@ -76,10 +76,15 @@ struct RitzPair {
 /// against the un-updated w are computed with the row-paired
 /// multi-accumulator plane-row dot kernels (locked rows paired among
 /// themselves, then basis rows), then subtracted en bloc.
+///
+/// `storage` becomes ArnoldiResult::basis: pass an earlier run's basis
+/// to reuse its allocation when it has the capacity (its contents are
+/// overwritten), so a sequence of runs at or below the first run's d
+/// allocates its basis once.
 [[nodiscard]] ArnoldiResult arnoldi(
     const hamiltonian::ComplexLinearOperator& op,
     std::span<const Complex> v0, std::size_t d,
-    std::span<const double> locked);
+    std::span<const double> locked, std::vector<double> storage = {});
 
 /// Ritz pairs of an Arnoldi result, sorted by descending |value|
 /// (for shift-inverted operators this is ascending distance from the

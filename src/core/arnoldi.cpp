@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "phes/la/blas.hpp"
 #include "phes/la/eig.hpp"
@@ -53,7 +54,8 @@ ComplexVector random_start_vector(std::size_t dim, util::Rng& rng) {
 
 ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
                       std::span<const Complex> v0, std::size_t d,
-                      std::span<const double> locked) {
+                      std::span<const double> locked,
+                      std::vector<double> storage) {
   const std::size_t dim = op.dim();
   util::check(v0.size() == dim, "arnoldi: start vector dimension mismatch");
   util::check(d >= 1 && d < dim, "arnoldi: need 1 <= d < dim");
@@ -72,6 +74,7 @@ ArnoldiResult arnoldi(const hamiltonian::ComplexLinearOperator& op,
 
   ArnoldiResult res;
   res.dim = dim;
+  res.basis = std::move(storage);
   res.basis.assign((d_eff + 1) * 2 * dim, 0.0);
   res.h = ComplexMatrix(d_eff + 1, d_eff);
   double* const basis = res.basis.data();

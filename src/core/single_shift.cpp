@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "phes/core/arnoldi.hpp"
@@ -69,6 +70,7 @@ SingleShiftResult single_shift_iteration(
 
   const std::size_t dim = op->dim();
   const std::size_t d = std::min(opt.krylov_dim, dim - 1);
+  const std::size_t d_confirm = std::min(kConfirmDim, d);
 
   std::vector<LockedEig> locked;
   // Deflation basis: an ORTHONORMALIZED basis of the span of converged
@@ -84,6 +86,8 @@ SingleShiftResult single_shift_iteration(
   // not yet converged; caps the certified radius.
   double unconverged_limit = std::numeric_limits<double>::infinity();
 
+  ArnoldiResult ar;
+
   const auto already_locked = [&](Complex lambda) {
     for (const auto& le : locked) {
       if (std::abs(le.lambda - lambda) <= kClusterTol * scale) return true;
@@ -98,9 +102,11 @@ SingleShiftResult single_shift_iteration(
       break;
     }
     const ComplexVector v0 = random_start_vector(dim, rng);
-    ArnoldiResult ar;
     try {
-      ar = arnoldi(*op, v0, d, locked_vectors);
+      // Restart 0 searches at d; every later restart is a confirmation
+      // at d_confirm that writes into restart 0's basis allocation.
+      ar = arnoldi(*op, v0, restart == 0 ? d : d_confirm, locked_vectors,
+                   std::move(ar.basis));
     } catch (const std::runtime_error&) {
       // Start vector collapsed into the locked subspace: the operator's
       // reachable space is exhausted — everything findable is found.

@@ -34,9 +34,10 @@
 // must match them bit for bit too.  TableSmwOp is
 // hamiltonian::SmwShiftInvertOp as it ran on those kernels with
 // std::complex resolvent-table products, and reference_single_shift is
-// core::single_shift_iteration as it ran when every restart, the last
-// one included, locked its converged Ritz vectors; test_la_kernels and
-// test_core_single_shift demand memcmp equality with them.
+// core::single_shift_iteration (with its restart sizes) as it ran when
+// every restart, the last one included, locked its converged Ritz
+// vectors; test_la_kernels and test_core_single_shift demand memcmp
+// equality with them.
 //
 // reference_dense_sigma_solve is the dense sigma least squares that
 // vf::detail::fast_sigma_solve replaced.  The fast form eliminates the
@@ -1117,9 +1118,12 @@ inline bool plane_lock_vector(std::vector<core::PlaneVector>& locked,
 /// core::single_shift_iteration as it ran before the final restart
 /// stopped building deflation vectors: every restart, the last one
 /// included, forms and locks the Ritz vector of each newly locked pair
-/// as soon as the pair is accepted.  kRitzTol, kMaxRestarts and
-/// kRadiusSafety repeat the library's file-local constants.  Operators
-/// are built directly (no factory).
+/// as soon as the pair is accepted.  It sizes its restarts by the
+/// library's rule (restart 0 at d, every later one at
+/// min(core::kConfirmDim, d)), so a mismatch isolates the deflation
+/// vectors the library skips.  Each restart allocates its own basis.
+/// kRitzTol, kMaxRestarts and kRadiusSafety repeat the library's
+/// file-local constants.  Operators are built directly (no factory).
 inline core::SingleShiftResult reference_single_shift(
     const macromodel::SimoRealization& realization, double omega_center,
     double rho0, const core::SingleShiftOptions& opt,
@@ -1154,6 +1158,7 @@ inline core::SingleShiftResult reference_single_shift(
 
   const std::size_t dim = op->dim();
   const std::size_t d = std::min(opt.krylov_dim, dim - 1);
+  const std::size_t d_confirm = std::min(core::kConfirmDim, d);
   std::vector<LockedEig> locked;
   std::vector<double> locked_vectors;
   double rho = rho0;
@@ -1170,7 +1175,8 @@ inline core::SingleShiftResult reference_single_shift(
     const la::ComplexVector v0 = core::random_start_vector(dim, rng);
     core::ArnoldiResult ar;
     try {
-      ar = core::arnoldi(*op, v0, d, locked_vectors);
+      ar = core::arnoldi(*op, v0, restart == 0 ? d : d_confirm,
+                         locked_vectors);
     } catch (const std::runtime_error&) {
       ++result.restarts;
       break;

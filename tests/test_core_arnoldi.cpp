@@ -232,6 +232,34 @@ TEST(Arnoldi, PackedLockedSetMatchesInterleavedOracle) {
   }
 }
 
+TEST(Arnoldi, ShorterRunReusesStorageBitForBit) {
+  // A confirmation run at a smaller d written into a longer run's basis
+  // (single_shift_iteration's restarts) keeps that allocation, and its
+  // h, basis, steps and matvecs are those of a fresh allocation.
+  util::Rng rng(8);
+  const std::size_t dim = 45;
+  const DenseOp op(test::random_complex_matrix(dim, dim, rng));
+  const auto first = arnoldi(op, core::random_start_vector(dim, rng), 30, {});
+  std::vector<double> locked;
+  ASSERT_TRUE(core::lock_vector(locked,
+                                form_ritz_vector(first, ritz_pairs(first)[0])));
+  const ComplexVector v0 = core::random_start_vector(dim, rng);
+  const auto fresh = arnoldi(op, v0, 12, locked);
+  std::vector<double> storage = first.basis;
+  const double* const block = storage.data();
+  const auto reused = arnoldi(op, v0, 12, locked, std::move(storage));
+  EXPECT_EQ(reused.basis.data(), block);
+  ASSERT_EQ(reused.basis.size(), fresh.basis.size());
+  EXPECT_EQ(reused.steps, fresh.steps);
+  EXPECT_EQ(reused.matvecs, fresh.matvecs);
+  EXPECT_EQ(std::memcmp(reused.basis.data(), fresh.basis.data(),
+                        fresh.basis.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(reused.h.data(), fresh.h.data(),
+                        fresh.h.size() * sizeof(Complex)),
+            0);
+}
+
 TEST(Arnoldi, StartVectorInLockedSubspaceThrows) {
   ComplexVector diag{Complex(1, 0), Complex(2, 0), Complex(3, 0)};
   const DenseOp op(diagonal_matrix(diag));

@@ -12,9 +12,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "phes/core/arnoldi.hpp"
 #include "phes/core/single_shift.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
@@ -195,6 +200,167 @@ TEST(SingleShift, RejectsBadArguments) {
                std::invalid_argument);
 }
 
+// ---- Planted miss: the d = kConfirmDim confirmation's insurance ------
+// Restart 0 is run with the right eigenvector of an eigenvalue lambda*
+// next to the shift appended to its locked set, so its deflated Krylov
+// space cannot contain lambda* (the compression of the operator to the
+// eigenvector's orthogonal complement has every eigenvalue but
+// lambda*'s).  Its converged pairs are locked as S locks them, and the
+// planted row is dropped again.  The confirmation then runs exactly as
+// S runs it: Arnoldi at kConfirmDim from a fresh random start vector,
+// then ritz_pairs.  It must either converge lambda* or leave an
+// unconverged Ritz value whose certificate cap 0.9 / |mu| excludes it.
+
+// Repeats single_shift.cpp's file-local acceptance constants.
+constexpr double kRitzTol = 1e-9;
+constexpr double kRadiusSafety = 0.9;
+
+// Unit right eigenvector of M for lambda by inverse iteration on a
+// shift-invert operator built next to lambda.
+ComplexVector right_eigenvector(const SimoRealization& simo, Complex lambda,
+                                double scale) {
+  const hamiltonian::SmwShiftInvertOp near(
+      simo, lambda + 1e-7 * scale * Complex(0.6, 0.8));
+  util::Rng rng(17);
+  ComplexVector x = core::random_start_vector(near.dim(), rng);
+  ComplexVector y(x.size());
+  for (int it = 0; it < 40; ++it) {
+    near.apply(x, y);
+    double norm = 0.0;
+    for (const Complex& e : y) norm += std::norm(e);
+    norm = std::sqrt(norm);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = y[i] / norm;
+  }
+  return x;
+}
+
+// Distance estimate 1/|mu| of the nearest unconverged Ritz value of
+// `ar`, as S caps its radius; `on_converged` sees each converged pair.
+template <typename F>
+double scan_ritz_pairs(const core::ArnoldiResult& ar, double rho0,
+                       F&& on_converged) {
+  double cap = std::numeric_limits<double>::infinity();
+  for (const auto& p : core::ritz_pairs(ar)) {
+    const double mu_abs = std::abs(p.value);
+    if (mu_abs < 1e3 * la::kEps / rho0) continue;
+    if (p.residual > kRitzTol * mu_abs) {
+      cap = std::min(cap, 1.0 / mu_abs);
+    } else {
+      on_converged(p);
+    }
+  }
+  return cap;
+}
+
+// Plants lambda*'s eigenvector into restart 0 at shift j*omega, then
+// runs the confirmation; returns the insurance branch that caught
+// lambda*: "converged", "capped" or "missed".
+std::string planted_miss(const Truth& truth, Complex lambda_star,
+                         double omega, std::uint64_t start_seed,
+                         const std::string& label) {
+  const std::size_t d = SingleShiftOptions{}.krylov_dim;
+  const double scale = truth.scale;
+  const Complex theta(0.0, omega);
+  const double star_dist = std::abs(lambda_star - theta);
+  const double rho0 = 2.0 * star_dist;
+  const hamiltonian::SmwShiftInvertOp op(truth.simo, theta);
+  const std::size_t dim = op.dim();
+
+  std::vector<double> locked =
+      test::to_planes(right_eigenvector(truth.simo, lambda_star, scale));
+
+  // Restart 0, blind to lambda*.
+  util::Rng rng(start_seed);
+  const core::ArnoldiResult ar0 = core::arnoldi(
+      op, core::random_start_vector(dim, rng), d, locked);
+  std::vector<Complex> found;
+  const double cap0 = scan_ritz_pairs(ar0, rho0, [&](const auto& p) {
+    const Complex lambda = theta + 1.0 / p.value;
+    EXPECT_GT(std::abs(lambda - lambda_star), 1e-6 * scale)
+        << label << ": restart 0 saw the planted eigenvalue";
+    if (std::none_of(found.begin(), found.end(), [&](Complex f) {
+          return std::abs(f - lambda) <= core::kClusterTol * scale;
+        })) {
+      found.push_back(lambda);
+      core::lock_vector(locked, core::form_ritz_vector(ar0, p));
+    }
+  });
+  locked.erase(locked.begin(),
+               locked.begin() + static_cast<std::ptrdiff_t>(2 * dim));
+
+  // The confirmation, as S runs it.
+  const core::ArnoldiResult ar1 =
+      core::arnoldi(op, core::random_start_vector(dim, rng),
+                    std::min(core::kConfirmDim, d), locked);
+  bool converged = false;
+  const double cap1 = scan_ritz_pairs(ar1, rho0, [&](const auto& p) {
+    if (std::abs(theta + 1.0 / p.value - lambda_star) <= 1e-6 * scale) {
+      converged = true;
+    }
+  });
+  const std::string outcome = converged ? "converged"
+                              : kRadiusSafety * cap1 < star_dist ? "capped"
+                                                                 : "missed";
+  std::printf(
+      "[planted-miss] %s restart0 locked %zu, restart0 cap %s lambda*: %s\n",
+      label.c_str(), found.size(),
+      kRadiusSafety * cap0 < star_dist ? "below" : "above", outcome.c_str());
+  return outcome;
+}
+
+TEST(SingleShiftPlantedMiss, ConfirmationConvergesOrCapsTheMissedEigenvalue) {
+  std::size_t cases = 0;
+  for (const auto& [seed, states, ports] :
+       {std::tuple<std::uint64_t, std::size_t, std::size_t>{3101, 40, 2},
+        {3102, 50, 3},
+        {3103, 60, 4}}) {
+    const Truth truth = make_truth(1.08, seed, states, ports);
+    const double scale = truth.scale;
+    // lambda*: the crossing in the middle of the band and the
+    // non-imaginary eigenvalue closest to the axis.
+    std::vector<Complex> stars;
+    const auto freqs =
+        test::extract_imaginary_frequencies(truth.spectrum, 1e-8, scale);
+    ASSERT_FALSE(freqs.empty()) << "seed " << seed;
+    stars.push_back(Complex(0.0, freqs[freqs.size() / 2]));
+    Complex off_axis(1e300, 0.0);
+    for (const Complex& mu : truth.spectrum) {
+      if (mu.real() > 1e-6 * scale && mu.imag() > 0.0 &&
+          mu.real() < off_axis.real()) {
+        off_axis = mu;
+      }
+    }
+    stars.push_back(off_axis);
+    for (const Complex& star : stars) {
+      // Nearest other eigenvalue, not counting the star's mirror
+      // -conj(lambda*), which sits at its distance from every shift.
+      double gap = 1e300;
+      for (const Complex& mu : truth.spectrum) {
+        if (std::abs(mu - star) > 1e-8 * scale &&
+            std::abs(mu + std::conj(star)) > 1e-8 * scale) {
+          gap = std::min(gap, std::abs(mu - star));
+        }
+      }
+      for (const double frac : {0.05, 0.3}) {
+        for (const std::uint64_t start_seed : {11u, 12u, 13u}) {
+          const double omega = star.imag() + frac * gap;
+          const std::string label =
+              "seed " + std::to_string(seed) + " order " +
+              std::to_string(states) + " ports " + std::to_string(ports) +
+              " lambda* (" + std::to_string(star.real()) + ", " +
+              std::to_string(star.imag()) + ") shift " +
+              std::to_string(omega) + " start " + std::to_string(start_seed);
+          EXPECT_NE(planted_miss(truth, star, omega, start_seed, label),
+                    "missed")
+              << label;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 36u);
+}
+
 // memcmp equality of S and the loop it replaced on one shift; returns
 // the reference's restart count.
 std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
@@ -229,29 +395,37 @@ std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
 }
 
 TEST(SingleShiftBitwiseTest, MatchesLockEveryRestartLoop) {
-  // A 4-port, order-220 model (operator dimension 440), shifts across
-  // its band at two initial radii.  Restart floors 1 and 2 are the two
-  // the solver uses; every run there stops after two restarts (a fresh
-  // restart finds nothing new in the disk, as at every shift of Table I
-  // cases 1 and 2), so its first restart's deflation vectors are read
-  // and its second's are not.  Floor 3 adds runs whose middle restart
-  // is non-final too: its vectors must still be built for the third.
-  // At d = 30 some middle restarts lock pairs the first one missed, so
-  // the third restart really reads them.
-  const auto model = test::synthetic_model(1.1, 2024, 220, 4);
-  const SimoRealization simo(model);
-  const double scale = model.max_pole_magnitude();
+  // Shifts across the band of two models at two initial radii.
+  // Restart floors 1 and 2 are the two the solver uses; every run there
+  // stops after two restarts (a fresh restart finds nothing new in the
+  // disk, as at every shift of Table I cases 1 and 2), so its first
+  // restart's deflation vectors are read and its second's are not.
+  // Floor 3 adds runs whose middle restart is non-final too: its
+  // vectors must still be built for the third.
+  //  - A 4-port, order-220 model (operator dimension 440): its
+  //    d = kConfirmDim middle restarts lock nothing restart 0 missed.
+  //  - A 2-port, order-24 model (dimension 48): restart 0 at d = 47
+  //    locks most of the space and the confirmation run covers the
+  //    rest, so the middle restart locks new pairs; the third
+  //    restart's Arnoldi length depends on their vectors.
   std::size_t max_restarts = 0;
-  for (const std::size_t min_restarts : {std::size_t{1}, kMinRestarts,
-                                         kMinRestarts + 1}) {
-    for (const std::size_t krylov_dim : {60u, 30u}) {
-      for (const double frac : {0.05, 0.3, 0.55, 0.8}) {
-        for (const double rel_rho : {0.02, 0.1}) {
-          max_restarts = std::max(
-              max_restarts,
-              expect_single_shift_bitwise(simo, frac * scale,
-                                          rel_rho * scale, krylov_dim,
-                                          min_restarts));
+  for (const auto& [seed, order, ports] :
+       {std::tuple<std::uint64_t, std::size_t, std::size_t>{2024, 220, 4},
+        {2050, 24, 2}}) {
+    const auto model = test::synthetic_model(1.1, seed, order, ports);
+    const SimoRealization simo(model);
+    const double scale = model.max_pole_magnitude();
+    for (const std::size_t min_restarts : {std::size_t{1}, kMinRestarts,
+                                           kMinRestarts + 1}) {
+      for (const std::size_t krylov_dim : {60u, 30u}) {
+        for (const double frac : {0.05, 0.3, 0.55, 0.8}) {
+          for (const double rel_rho : {0.02, 0.1}) {
+            max_restarts = std::max(
+                max_restarts,
+                expect_single_shift_bitwise(simo, frac * scale,
+                                            rel_rho * scale, krylov_dim,
+                                            min_restarts));
+          }
         }
       }
     }
