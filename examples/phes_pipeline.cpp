@@ -359,12 +359,9 @@ void print_job_detail(const pipeline::PipelineResult& r, bool verbose) {
                 r.enforcement.relative_model_change);
   }
   if (r.session.solves > 0) {
-    std::printf("    session: %zu solve(s) (%zu dense, %zu memo reuse(s), "
-                "%zu warm-started), "
-                "cache %zu hit / %zu miss, %zu factorization(s) built\n",
-                r.session.solves, r.session.dense_solves,
-                r.session.dense_reuses, r.session.warm_solves,
-                r.session.cache.hits, r.session.cache.misses,
+    std::printf("    session: %zu solve(s) (%zu dense, %zu memo reuse(s)), "
+                "%zu factorization(s) built\n",
+                r.session.solves, r.session.dense_solves, r.session.reuses,
                 r.session.factorizations);
   }
 }

@@ -21,11 +21,6 @@ struct TentativeInterval {
   double hi = 0.0;
   double shift = 0.0;       ///< in [lo, hi]
   std::uint64_t id = 0;     ///< stable id; also keys the RNG stream
-  /// Warm-start initial clean-disk radius; 0 lets the solver derive
-  /// rho0 from the interval width (Eq. 23).  A re-solve of an unchanged
-  /// model seeds each previous shift with its previously certified
-  /// radius so the disk plan reproduces without exploratory splits.
-  double rho0 = 0.0;
 };
 
 /// A certified clean disk produced by a completed single-shift run.
@@ -34,36 +29,6 @@ struct CompletedDisk {
   double radius = 0.0;
   la::ComplexVector eigenvalues;  ///< eigenvalues inside the disk
 };
-
-/// Warm-start seed plan: shift frequencies plus (optionally) the clean
-/// radii their disks certified last time.
-struct SeedPlan {
-  la::RealVector shifts;  ///< sorted, strictly inside the band
-  la::RealVector radii;   ///< parallel to shifts, or empty
-};
-
-/// Sort the seeds, drop those outside (0, omega_max), and merge
-/// seeds closer than `min_gap` (the survivor is the first of each
-/// cluster).  `radii` may be empty or parallel to `shifts`; kept radii
-/// stay paired.  Kept shift values are returned EXACTLY as given —
-/// warm-start prefetching relies on bitwise-equal shifts for its cache
-/// keys.
-[[nodiscard]] SeedPlan plan_seeds(double omega_max,
-                                  const la::RealVector& shifts,
-                                  const la::RealVector& radii,
-                                  double min_gap);
-
-/// Warm-start startup rule: partition [0, omega_max] so that
-/// every seed is the tentative shift of its own interval (boundaries at
-/// midpoints between consecutive seeds), then split the widest
-/// intervals until at least `n_intervals` exist so every solver thread
-/// finds startup work.  The plan must come from plan_seeds (sorted,
-/// in-band, separated); per-seed radii become the intervals' rho0.
-/// Seed intervals are queued first — the previous solve's shifts are
-/// the most informative, so they are processed before fill-in work.
-[[nodiscard]] std::vector<TentativeInterval> seeded_partition(
-    double omega_max, const SeedPlan& plan,
-    std::size_t n_intervals, double min_width);
 
 /// Shift-queue state machine.  Invariants (checked in tests):
 ///  - tentative intervals never overlap each other or in-flight ones;

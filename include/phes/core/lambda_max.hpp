@@ -10,8 +10,8 @@
 
 namespace phes::core {
 
-/// Estimate plus its cost, so callers (and warm-started re-solves that
-/// skip the estimate) can account for the Arnoldi work it spends.
+/// Estimate plus its cost, so callers can account for the Arnoldi work
+/// it spends.
 struct LambdaMaxEstimate {
   double omega_max = 0.0;
   std::size_t matvecs = 0;

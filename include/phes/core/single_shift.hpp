@@ -42,7 +42,6 @@
 
 #include <cstdint>
 
-#include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/types.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/rng.hpp"
@@ -54,8 +53,8 @@ namespace phes::core {
 /// values and when the solver merges the disks' reports into Omega.
 inline constexpr double kClusterTol = 1e-7;
 
-/// The solver's `min_restarts`; a disk the recorded solve of the same
-/// model already certified is re-confirmed with 1.
+/// The solver's `min_restarts` for every shift: restart 0 plus at
+/// least one confirmation run from a fresh random start vector.
 inline constexpr std::size_t kMinRestarts = 2;
 
 /// Krylov dimension of every restart after the first, clamped to d.
@@ -77,22 +76,18 @@ struct SingleShiftResult {
   double radius = 0.0;            ///< certified clean radius
   std::size_t restarts = 0;
   std::size_t matvecs = 0;
-  /// Shift-invert operators built locally (0 when a factory supplies
-  /// them — the factory's owner counts its own builds).
+  /// Shift-invert operators built (1; a nudged retry counts once).
   std::size_t factorizations = 0;
 };
 
 /// Run S(j*omega_center, rho0) on the realization's Hamiltonian with
 /// at least `min_restarts` restarts.  `rng` supplies the random restart
 /// vectors; pass a stream keyed by the shift id for
-/// scheduling-independent reproducibility.  The shift-invert operator
-/// is requested through `factory` (e.g. an
-/// engine::ShiftFactorizationCache); an empty factory builds it
-/// directly.
+/// scheduling-independent reproducibility.  Builds its own
+/// shift-invert operator.
 [[nodiscard]] SingleShiftResult single_shift_iteration(
     const macromodel::SimoRealization& realization, double omega_center,
     double rho0, const SingleShiftOptions& options,
-    std::size_t min_restarts, util::Rng& rng,
-    const hamiltonian::ShiftInvertFactory& factory);
+    std::size_t min_restarts, util::Rng& rng);
 
 }  // namespace phes::core

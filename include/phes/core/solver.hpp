@@ -20,7 +20,6 @@
 
 #include "phes/core/intervals.hpp"
 #include "phes/core/single_shift.hpp"
-#include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/types.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 
@@ -51,7 +50,9 @@ struct ShiftRecord {
   std::size_t thread = 0;
 };
 
-/// Solve outcome.
+/// Solve outcome.  engine::SolverSession answers a same-revision
+/// re-solve from its memo: this product with every work counter
+/// (shifts, matvecs, factorizations, shift_log) zeroed.
 struct SolverResult {
   /// Omega: sorted positive crossing frequencies (empty => passive).
   la::RealVector crossings;
@@ -64,63 +65,17 @@ struct SolverResult {
   std::size_t shifts_processed = 0;
   std::size_t shifts_eliminated = 0;  ///< dropped by the cover rule
   /// All matrix-vector products spent, including the |lambda|max band
-  /// estimate (a warm-started re-solve skips that estimate entirely).
+  /// estimate.
   std::size_t total_matvecs = 0;
   std::size_t lambda_max_matvecs = 0;  ///< band-estimate share of the total
   std::vector<ShiftRecord> shift_log;
   std::vector<CompletedDisk> disks;   ///< for coverage verification
-
-  // -- Session / warm-start diagnostics (engine::SolverSession) --------
-  bool warm_started = false;     ///< scheduler seeded from a prior solve
-  std::size_t seeded_shifts = 0; ///< seed intervals injected at startup
   std::size_t factorizations = 0;  ///< shift-invert operators built
-  std::size_t cache_hits = 0;      ///< factorization-cache hits
-  std::size_t cache_misses = 0;    ///< factorization-cache misses
 
-  /// Solved by the dense route (solve_dense): every shift, matvec,
-  /// factorization and cache counter above is zero.
+  /// Solved by the dense route (solve_dense): every shift, matvec and
+  /// factorization counter above is zero.
   bool dense = false;
 };
-
-/// Warm-start seeds for a re-solve (produced by engine::SolverSession
-/// from the previous outcome on the same model family).
-struct WarmStartSeeds {
-  /// Seed shift frequencies; each becomes a startup interval's
-  /// tentative shift (dynamic mode only).
-  la::RealVector shifts;
-  /// Previously certified clean radii, parallel to `shifts` (or empty):
-  /// a same-revision re-solve starts each disk at its proven size
-  /// instead of re-deriving it from the interval width.
-  la::RealVector radii;
-  /// Known band edge from the previous solve; > 0 replaces the
-  /// |lambda|max Arnoldi estimate.
-  double band_hint = 0.0;
-};
-
-/// Per-solve dependency hooks.  Default-constructed context reproduces
-/// the classic cold solve bit for bit.
-struct SolveContext {
-  /// Routes shift-invert construction (e.g. through a factorization
-  /// cache).  Empty => build one operator per shift from scratch.
-  hamiltonian::ShiftInvertFactory factory;
-  /// Scheduler seeding; nullptr => the paper's uniform startup grid.
-  const WarmStartSeeds* seeds = nullptr;
-  /// Confirmation re-solve of an unchanged model: intervals that carry
-  /// a previously certified radius (rho0 > 0) run with a restart floor
-  /// of 1 instead of kMinRestarts — the recorded solve already paid
-  /// their explicit-restart insurance.  Fresh fill/mop-up intervals
-  /// keep the full restart policy.
-  bool confirm_seeded = false;
-};
-
-/// The exact seed plan solve() will hand the scheduler for `options`
-/// on band [0, band_hi] — the single source of truth for the seed
-/// filter, exposed so engine::SolverSession can prefetch
-/// factorizations for bitwise-identical shift keys.  Empty when the
-/// scheduling mode or seed set yields no seeded startup.
-[[nodiscard]] SeedPlan planned_seeds(const SolverOptions& options,
-                                     double band_hi,
-                                     const WarmStartSeeds& seeds);
 
 /// The crossing filter both solver routes share.  Sorts and
 /// deduplicates `result.eigenvalues` (within kClusterTol * scale),
@@ -151,22 +106,15 @@ class ParallelHamiltonianEigensolver {
   /// on one instance are allowed (all state is per-call).
   [[nodiscard]] SolverResult solve(const SolverOptions& options) const;
 
-  /// Same search with per-solve hooks: a shift-invert factory (cache)
-  /// and warm-start scheduler seeds.
-  [[nodiscard]] SolverResult solve(const SolverOptions& options,
-                                   const SolveContext& context) const;
-
  private:
   [[nodiscard]] SolverResult run_scheduler(IntervalScheduler scheduler,
                                            const SolverOptions& options,
-                                           const SolveContext& context,
                                            double band_hi) const;
 
   /// Static strawman: every grid shift is processed unconditionally
   /// (no cover-rule elimination), then coverage gaps are finished with
   /// a dynamic pass so the result stays complete.
   [[nodiscard]] SolverResult run_static_grid(const SolverOptions& options,
-                                             const SolveContext& context,
                                              double band_hi) const;
 
   const macromodel::SimoRealization& realization_;

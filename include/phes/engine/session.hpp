@@ -6,47 +6,30 @@
 // re-characterize, 3-10 rounds on a typical non-passive model) and the
 // verify stage both re-run the eigensolver on a model that differs only
 // slightly — or not at all — from the one just solved.  A
-// SolverSession makes that reuse explicit: it owns a SimoRealization
-// snapshot, a thread-safe LRU ShiftFactorizationCache keyed on
-// (model revision, shift), and a WarmStart record of the previous
-// outcome that seeds the shift scheduler on re-solves:
+// SolverSession owns a SimoRealization snapshot, its revision (bumped
+// by every update_residues) and a one-entry memo of the last result and
+// the revision it was computed at.
 //
-//  - same revision (verify after enforce, confirmation re-solves): the
-//    startup shifts are the previous certified disk centers, every
-//    factorization comes back as a cache hit, and the |lambda|max band
-//    estimate is skipped;
-//  - after update_residues (next enforcement round): factorizations are
-//    invalidated (the operator reads C at apply time) but the
-//    warm-start seeds survive — the startup shifts are the previous
-//    crossing frequencies, exactly where the perturbed eigenvalues
-//    still cluster, and the band edge is reused.
-//
-// One session per job; solve() itself is not thread-safe (run solves
-// sequentially on a session), but the solver's worker threads share the
-// cache safely.
-//
-// Models of order <= kDenseMaxOrder skip all of the above: solve()
-// sends them through core::solve_dense, which costs less than one
-// Krylov characterization there and leaves no factorization or
-// warm-start record behind.  Their reuse is a one-entry memo of the
-// last dense result instead, keyed on the revision alone: solve_dense
-// reads no solver option.  The dense eigensolve is deterministic, so a
-// same-revision re-solve (enforcement's first round after
+// solve() answers a same-revision re-solve (enforcement's round 0 after
 // characterize, verify after the last round, a pooled repeat of an
-// unchanged model) returns the stored result bit for bit and counts as
-// a dense reuse, not a dense solve.  update_residues bumps the
-// revision, so perturbed rounds always recompute (and the session
-// pool drops a session whose revision moved).
-// The Krylov route has no such memo: its same-revision re-solve draws
-// new start vectors, a genuine second certificate.  A session's order
+// unchanged model) from the memo: the product of the stored run with
+// its work counters zeroed, since nothing ran.  Any other solve runs
+// cold — core::solve_dense at order <= kDenseMaxOrder, otherwise the
+// Krylov solver, ParallelHamiltonianEigensolver(realization).solve —
+// and replaces the memo.  Both routes are deterministic at one solver
+// thread (the Krylov start vectors come from `seed`), so at one thread
+// a memo answer is the bits a re-run would compute.  The memo key is
+// the revision alone: the product is a property of the model, so any
+// options are answered by the stored certificate.  A session's order
 // never changes, so one session always takes the same route.
+//
+// One session per job; solve() is not thread-safe (run solves
+// sequentially on a session).
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 
 #include "phes/core/solver.hpp"
-#include "phes/engine/shift_cache.hpp"
 #include "phes/la/matrix.hpp"
 #include "phes/macromodel/pole_residue.hpp"
 #include "phes/macromodel/simo_realization.hpp"
@@ -74,31 +57,21 @@ namespace phes::engine {
 /// on Krylov.
 inline constexpr std::size_t kDenseMaxOrder = 192;
 
-/// Outcome record of the session's most recent solve, kept across
-/// residue updates so the next characterization starts informed.
-struct WarmStart {
-  bool valid = false;
-  std::uint64_t revision = 0;  ///< revision the record was captured at
-  /// Upper band edge of the recorded solve: the |lambda|max estimate or
-  /// a hint derived from it, reused as the next solve's band hint.
-  double omega_max = 0.0;
-  la::RealVector crossings;    ///< previous Omega
-  la::RealVector shift_centers;  ///< previous certified disk centers
-  la::RealVector shift_radii;    ///< certified radii, parallel to centers
-};
-
 /// Aggregate session counters (surfaced per job by the pipeline).
 struct SessionStats {
-  CacheStats cache;
   std::uint64_t revision = 0;
-  std::size_t solves = 0;          ///< solver invocations on this session
-  std::size_t warm_solves = 0;     ///< solves that consumed a warm start
+  std::size_t solves = 0;          ///< solve() calls on this session
   std::size_t dense_solves = 0;    ///< dense eigensolves that ran
-  /// Dense solves answered from the session's memo of its last dense
-  /// result (same revision): solves == dense_solves + dense_reuses on
-  /// a dense-route session.
-  std::size_t dense_reuses = 0;
+  /// Solves answered from the memo (same revision): the eigensolves
+  /// that ran are solves - reuses.
+  std::size_t reuses = 0;
   std::size_t factorizations = 0;  ///< shift-invert operators built
+  // Always 0: kept only because bench/ledger/bench_ledger.cpp reads them.
+  struct {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+  } cache;
+  std::size_t warm_solves = 0;
 };
 
 class SolverSession {
@@ -118,47 +91,31 @@ class SolverSession {
   [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
 
   /// Replace the residue matrix C (what enforcement perturbs).  Bumps
-  /// the model revision and invalidates every cached factorization —
-  /// but deliberately keeps the warm-start record: the new model's
-  /// imaginary eigenvalues still cluster near the old crossings.
+  /// the model revision, so the next solve runs.
   void update_residues(const la::RealMatrix& c);
 
-  /// Run the eigensolver on the current snapshot: core::solve_dense at
-  /// order <= kDenseMaxOrder (or its memoized result on a same-revision
-  /// re-solve; `seconds` is then the lookup time), otherwise the Krylov
-  /// solver warm-started from the previous outcome and with
-  /// factorizations routed through the cache.
+  /// The eigensolver's product for the current snapshot: the memo's on
+  /// a same-revision re-solve (zero work counters, `seconds` is the
+  /// lookup time), otherwise a cold core::solve_dense at order <=
+  /// kDenseMaxOrder or a cold Krylov solve with `options`.
   [[nodiscard]] core::SolverResult solve(const core::SolverOptions& options);
 
   [[nodiscard]] SessionStats stats() const;
   /// Approximate resident memory: the realization's matrices plus the
-  /// cached factorizations (each a 2p x 2p complex LU).  Used by
-  /// SessionPool's eviction budget; not an allocator-exact figure.
+  /// memo.  Used by SessionPool's eviction budget; not an
+  /// allocator-exact figure.
   [[nodiscard]] std::size_t approx_memory_bytes() const;
-  void clear_warm_start() { warm_ = WarmStart{}; }
 
  private:
   macromodel::SimoRealization realization_;
   std::uint64_t revision_ = 0;
-  ShiftFactorizationCache cache_;
-  WarmStart warm_;
-  /// Cumulative relative C drift since the band edge was last
-  /// estimated; solve() refuses the warm band hint (and re-estimates)
-  /// once this is no longer small relative to the estimate's safety
-  /// factor, so the search band cannot go stale over many rounds.
-  double residue_drift_ = 0.0;
-  std::atomic<std::size_t> factorizations_{0};
-  std::size_t solves_ = 0;
-  std::size_t warm_solves_ = 0;
-  std::size_t dense_solves_ = 0;
-  std::size_t dense_reuses_ = 0;
-  /// One-entry memo of the last dense result and the revision it was
-  /// computed at.
-  struct DenseMemo {
+  SessionStats stats_;
+  /// The last result (work counters zeroed) and its revision.
+  struct Memo {
     std::uint64_t revision = 0;
     core::SolverResult result;
   };
-  std::optional<DenseMemo> dense_memo_;
+  std::optional<Memo> memo_;
 };
 
 }  // namespace phes::engine

@@ -6,12 +6,12 @@
 // near-identical jobs over the same macromodel: parameter sweeps of
 // enforcement options, repeated characterizations while a designer
 // iterates, batches regenerated from the same Touchstone sweep.  Each
-// such job realizes the same SimoRealization, so its shift-invert
-// factorizations are interchangeable — but a per-job SolverSession
-// (PR 2) throws them away when the job ends.  The pool keeps finished
-// jobs' sessions alive, keyed by a content hash of the realization, and
-// hands them to the next job over the same model: that job's solver
-// then starts with a hot ShiftFactorizationCache.
+// such job realizes the same SimoRealization, and a per-job
+// SolverSession throws its memo away when the job ends.  The pool
+// keeps finished jobs' sessions alive, keyed by a content hash of the
+// realization, and hands them to the next job over the same model:
+// that job's characterize and verify are then answered from the
+// session's memo, with no eigensolve.
 //
 // Correctness rules:
 //  - Checkout is exclusive (SolverSession::solve is not thread-safe);
@@ -23,14 +23,14 @@
 //    residues and bumps its revision, and a session returned at any
 //    revision but its first (0) is dropped, so the next job always sees
 //    the unperturbed model.  Restoring the residues would not pay: it
-//    purges the factorization cache and moves the dense memo's key, so
-//    a restored session is no warmer than a fresh one.
-//  - Determinism: the warm-start record is cleared on return.  A
-//    reused session then schedules the next job's solves exactly like
-//    a fresh one — cached factorizations change *cost*, never results,
-//    keeping pooled jobs bit-identical to one-shot runs.  A dense-route
-//    session keeps its dense-result memo across jobs; a hit returns the
-//    bits a fresh solve computes, so the rule holds.
+//    moves the memo's key, so a restored session is no warmer than a
+//    fresh one.
+//  - Determinism: a pooled session's memo holds the product of the
+//    unperturbed model.  On the dense route, and on the Krylov route at
+//    one solver thread with the same options, that is the bits a fresh
+//    session computes; otherwise a fresh Krylov solve may differ in
+//    the last ulp, and the pooled job reports the first job's
+//    certificate.
 //  - Idle sessions are evicted least-recently-used first once the pool
 //    exceeds its session-count or approximate-memory budget.
 //
@@ -98,8 +98,8 @@ class SessionLease {
   }
   /// Valid only while the lease holds an entry.
   [[nodiscard]] SolverSession& session() const;
-  /// True when the checkout was served by an idle pooled session (the
-  /// factorization cache may already be hot).
+  /// True when the checkout was served by an idle pooled session (its
+  /// memo may already hold the model's product).
   [[nodiscard]] bool reused() const noexcept { return reused_; }
 
   /// Return the session now (idempotent).

@@ -21,7 +21,6 @@
 // 2p x 2p LU); per apply O(n p) — the term that is "linear in the
 // number of macromodel states n" (paper Sec. III).
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -30,18 +29,6 @@
 #include "phes/macromodel/simo_realization.hpp"
 
 namespace phes::hamiltonian {
-
-class SmwShiftInvertOp;
-
-/// Pluggable construction of shift-and-invert operators.  The Krylov
-/// layers request (M - theta I)^{-1} through this hook, so a caller can
-/// route construction through a factorization cache
-/// (engine::ShiftFactorizationCache) instead of building from scratch.
-/// Like the direct constructor, a factory throws std::runtime_error
-/// when theta is (numerically) an eigenvalue of M; callers nudge the
-/// shift and retry.  An empty function means "build fresh per shift".
-using ShiftInvertFactory =
-    std::function<std::shared_ptr<const SmwShiftInvertOp>(Complex theta)>;
 
 class SmwShiftInvertOp final : public ComplexLinearOperator {
  public:

@@ -44,7 +44,7 @@ struct PassivityReport {
     const la::RealVector& crossings);
 
 /// Session-based characterization: run the eigensolver through
-/// `session` (shift-factorization cache + warm-started scheduling),
+/// `session` (answered from its memo on a same-revision re-solve),
 /// then classify the bands.  The enforcement loop and the pipeline
 /// thread one session through every characterize/enforce/verify stage
 /// of a job.

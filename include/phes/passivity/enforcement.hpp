@@ -46,12 +46,9 @@ struct EnforcementIterate {
   std::size_t violation_bands = 0;
   double worst_sigma = 0.0;
   double delta_c_norm = 0.0;  ///< Frobenius norm of this step's DeltaC
-  /// This round's characterization cost (warm-started rounds do fewer
-  /// matvecs and hit the factorization cache).
+  /// This round's characterization cost (0 when the session's memo
+  /// answered it: round 0 after characterize).
   std::size_t solver_matvecs = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  bool warm_started = false;
 };
 
 struct EnforcementResult {
@@ -63,15 +60,13 @@ struct EnforcementResult {
   // Aggregate characterization cost across all rounds.
   std::size_t characterizations = 0;
   std::size_t total_matvecs = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
 /// Session-based enforcement: perturb the residues of the model owned
 /// by `session` until passive (or kMaxEnforcementRounds run out).  Each
-/// round re-characterizes through the session with `solver_options`,
-/// so rounds 2..k are warm-started from the previous crossing set and
-/// the final confirmation re-uses the cached factorizations.  Throws
+/// round re-characterizes through the session with `solver_options`;
+/// round 0 re-reads the model the caller just characterized, so the
+/// session's memo answers it without an eigensolve.  Throws
 /// std::invalid_argument unless sigma_max(D) < 1 - margin.  The
 /// perturbed model stays in the session (session.realization()).
 [[nodiscard]] EnforcementResult enforce_passivity(

@@ -39,10 +39,8 @@ struct BatchOptions {
   std::size_t job_workers = 0;
   std::size_t solver_threads = 0;
   /// Budgets of the engine::SessionPool the batch's jobs share, keyed
-  /// by model content hash, so directory batches with duplicate models
-  /// get the job server's cross-job factorization-cache hits.  The pool
-  /// resets warm-start records on return, keeping pooled results
-  /// bit-identical to private-session runs (run_pipeline(job) alone).
+  /// by model content hash, so a directory batch's duplicate models are
+  /// answered from the first one's session memo, as on the job server.
   /// `pool.max_idle_sessions = 0` drops every returned session.
   engine::SessionPoolOptions pool{};
 };
@@ -74,7 +72,7 @@ class BatchRunner {
 /// Aggregate per-job results into a summary table (name, status, ports,
 /// order, bands before/after, fit error, timings).  With `pool`, a
 /// footer row surfaces the batch's session-pool reuse (checkouts,
-/// pool hits, aggregated cache hits/misses and dense-memo reuses).
+/// pool hits and memo reuses).
 [[nodiscard]] util::Table summary_table(
     const std::vector<PipelineResult>& results,
     const engine::SessionPoolStats* pool = nullptr);

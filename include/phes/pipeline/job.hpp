@@ -133,8 +133,8 @@ struct PipelineResult {
 
   /// Solver-session reuse statistics for this job.  When the job ran on
   /// a pooled session (PipelineContext::session_pool) these are deltas
-  /// over the job's lifetime, so cross-job cache hits are visible per
-  /// job; otherwise they are the whole (per-job) session's counters.
+  /// over the job's lifetime, so memo reuses are visible per job;
+  /// otherwise they are the whole (per-job) session's counters.
   engine::SessionStats session;
   /// The realize stage was served by an already-pooled session for the
   /// same model hash (cross-job sharing happened).

@@ -6,7 +6,7 @@
 // util::ThreadGroup of worker loops; each worker runs jobs through
 // pipeline::run_pipeline with a PipelineContext that wires in
 //  - the cross-job engine::SessionPool (jobs over the same model hash
-//    share a SolverSession and its shift-factorization cache),
+//    share a SolverSession and its result memo),
 //  - a per-job cancellation flag (polled at stage boundaries), and
 //  - a stage observer feeding the ResultStore's progress field.
 // Finished results land in the ResultStore keyed by job id, retrievable

@@ -41,13 +41,11 @@ struct StageSpan {
   double duration_ms = 0.0;
   std::uint64_t matvecs = 0;
   std::uint64_t factorizations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 };
 
 /// The full per-job record: queue wait, one span per executed stage in
 /// execution order, and the job-lifetime session counters (cross-stage
-/// cache behaviour, visible even when stages were skipped).
+/// memo reuse, visible even when stages were skipped).
 struct JobTrace {
   std::uint64_t id = 0;
   std::string name;
@@ -58,12 +56,9 @@ struct JobTrace {
   double total_ms = 0.0;
   std::vector<StageSpan> spans;
   std::uint64_t solves = 0;
-  std::uint64_t warm_solves = 0;
   std::uint64_t dense_solves = 0;
-  std::uint64_t dense_reuses = 0;  ///< dense solves served by the memo
+  std::uint64_t reuses = 0;  ///< solves served by the session's memo
   std::uint64_t factorizations = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 
   /// One-line JSON object (the NDJSON trace-file event and the
   /// `trace` op's payload).

@@ -6,8 +6,8 @@
 //    server's workers, the dispatch workers and the transport's event
 //    loop.
 //  - parallel_for: a fork-join over an index range, such as the shift
-//    scheduler's workers, the static grid, the session's factorization
-//    prefetch, vector fitting's columns and a batch's jobs.
+//    scheduler's workers, the static grid, vector fitting's columns
+//    and a batch's jobs.
 
 #include <cstddef>
 #include <functional>

@@ -7,88 +7,6 @@
 
 namespace phes::core {
 
-SeedPlan plan_seeds(double omega_max, const la::RealVector& shifts,
-                    const la::RealVector& radii, double min_gap) {
-  util::check(radii.empty() || radii.size() == shifts.size(),
-              "plan_seeds: radii must be empty or parallel to shifts");
-  std::vector<std::size_t> order(shifts.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return shifts[a] < shifts[b];
-  });
-  SeedPlan plan;
-  for (const std::size_t i : order) {
-    const double w = shifts[i];
-    if (w <= 0.0 || w >= omega_max) continue;
-    if (!plan.shifts.empty() && w - plan.shifts.back() < min_gap) continue;
-    plan.shifts.push_back(w);
-    if (!radii.empty()) plan.radii.push_back(radii[i]);
-  }
-  return plan;
-}
-
-std::vector<TentativeInterval> seeded_partition(double omega_max,
-                                                const SeedPlan& plan,
-                                                std::size_t n_intervals,
-                                                double min_width) {
-  const la::RealVector& seeds = plan.shifts;
-  util::check(omega_max > 0.0, "seeded_partition: empty band");
-  util::check(min_width > 0.0, "seeded_partition: resolution must be > 0");
-  util::check(!seeds.empty(), "seeded_partition: need at least one seed");
-  util::check(plan.radii.empty() || plan.radii.size() == seeds.size(),
-              "seeded_partition: radii must be empty or parallel");
-
-  // One interval per seed, boundaries at midpoints between neighbours.
-  std::vector<TentativeInterval> seeded(seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    auto& iv = seeded[i];
-    iv.lo = i == 0 ? 0.0 : 0.5 * (seeds[i - 1] + seeds[i]);
-    iv.hi = i + 1 == seeds.size() ? omega_max
-                                  : 0.5 * (seeds[i] + seeds[i + 1]);
-    iv.shift = seeds[i];  // exact: prefetched cache keys must match
-    if (!plan.radii.empty()) iv.rho0 = plan.radii[i];
-  }
-
-  // Split the widest intervals until the startup queue can feed every
-  // thread.  A split keeps the seed's exact shift in its half; the new
-  // half gets a centered shift.
-  std::vector<TentativeInterval> fill;
-  while (seeded.size() + fill.size() < n_intervals) {
-    std::vector<TentativeInterval>* widest_vec = &seeded;
-    std::size_t widest = 0;
-    double width = 0.0;
-    for (auto* vec : {&seeded, &fill}) {
-      for (std::size_t i = 0; i < vec->size(); ++i) {
-        const double w = (*vec)[i].hi - (*vec)[i].lo;
-        if (w > width) {
-          width = w;
-          widest = i;
-          widest_vec = vec;
-        }
-      }
-    }
-    if (width <= 8.0 * min_width) break;  // nothing left worth splitting
-    TentativeInterval& iv = (*widest_vec)[widest];
-    const double mid = 0.5 * (iv.lo + iv.hi);
-    TentativeInterval other;
-    if (iv.shift <= mid) {
-      other.lo = mid;
-      other.hi = iv.hi;
-      iv.hi = mid;
-    } else {
-      other.lo = iv.lo;
-      other.hi = mid;
-      iv.lo = mid;
-    }
-    other.shift = 0.5 * (other.lo + other.hi);
-    fill.push_back(other);
-  }
-
-  std::vector<TentativeInterval> all = std::move(seeded);
-  all.insert(all.end(), fill.begin(), fill.end());
-  return all;
-}
-
 IntervalScheduler::IntervalScheduler(double omega_max,
                                      std::size_t n_intervals,
                                      double min_interval_width)
@@ -202,7 +120,6 @@ void IntervalScheduler::complete(const TentativeInterval& interval,
         left.shift =
             keeps_shift ? iv.shift : 0.5 * (left.lo + left.hi);
         left.shift = std::clamp(left.shift, left.lo, left.hi);
-        left.rho0 = keeps_shift ? iv.rho0 : 0.0;
         left.id = next_id_++;
         kept.push_back(left);
       }
@@ -216,7 +133,6 @@ void IntervalScheduler::complete(const TentativeInterval& interval,
         right.shift =
             keeps_shift ? iv.shift : 0.5 * (right.lo + right.hi);
         right.shift = std::clamp(right.shift, right.lo, right.hi);
-        right.rho0 = keeps_shift ? iv.rho0 : 0.0;
         right.id = next_id_++;
         kept.push_back(right);
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -36,7 +37,7 @@ struct LockedEig {
 SingleShiftResult single_shift_iteration(
     const macromodel::SimoRealization& realization, double omega_center,
     double rho0, const SingleShiftOptions& opt, std::size_t min_restarts,
-    util::Rng& rng, const hamiltonian::ShiftInvertFactory& factory) {
+    util::Rng& rng) {
   util::check(rho0 > 0.0, "single_shift_iteration: rho0 must be positive");
   util::check(opt.eigs_per_shift >= 1 && opt.krylov_dim > opt.eigs_per_shift,
               "single_shift_iteration: need krylov_dim > eigs_per_shift >= 1");
@@ -47,24 +48,20 @@ SingleShiftResult single_shift_iteration(
 
   SingleShiftResult result;
 
-  // Acquire the shift-and-invert operator; if theta is numerically an
+  // Build the shift-and-invert operator; if theta is numerically an
   // eigenvalue the 2p x 2p kernel is singular — nudge and retry.
   Complex theta(0.0, omega_center);
-  std::shared_ptr<const SmwShiftInvertOp> op;
+  std::optional<SmwShiftInvertOp> op;
   for (int attempt = 0; attempt < 4; ++attempt) {
     try {
-      if (factory) {
-        op = factory(theta);
-      } else {
-        op = std::make_shared<const SmwShiftInvertOp>(realization, theta);
-        ++result.factorizations;
-      }
+      op.emplace(realization, theta);
+      ++result.factorizations;
       break;
     } catch (const std::runtime_error&) {
       theta += Complex(0.0, scale * 1e-9 * static_cast<double>(attempt + 1));
     }
   }
-  util::require(op != nullptr,
+  util::require(op.has_value(),
                 "single_shift_iteration: shift-invert kernel singular even "
                 "after nudging the shift");
 

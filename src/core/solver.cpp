@@ -36,81 +36,37 @@ ParallelHamiltonianEigensolver::ParallelHamiltonianEigensolver(
     const macromodel::SimoRealization& realization)
     : realization_(realization) {}
 
-SeedPlan planned_seeds(const SolverOptions& opt, double band_hi,
-                       const WarmStartSeeds& seeds) {
-  if (seeds.shifts.empty() || band_hi <= 0.0 ||
-      opt.scheduling != SchedulingMode::kDynamic) {
-    return {};
-  }
-  return plan_seeds(band_hi, seeds.shifts, seeds.radii,
-                    8.0 * std::max(kResolution * band_hi, 1e-300));
-}
-
 SolverResult ParallelHamiltonianEigensolver::solve(
     const SolverOptions& opt) const {
-  return solve(opt, SolveContext{});
-}
-
-SolverResult ParallelHamiltonianEigensolver::solve(
-    const SolverOptions& opt, const SolveContext& ctx) const {
   util::check(opt.threads >= 1, "solve: need at least one thread");
 
   util::WallTimer timer;
 
-  double band_hi = 0.0;
-  std::size_t lambda_matvecs = 0;
-  bool warm_started = false;
-  if (ctx.seeds != nullptr && ctx.seeds->band_hint > 0.0) {
-    // Warm start: the previous solve already paid for the band edge.
-    band_hi = ctx.seeds->band_hint;
-    warm_started = true;
-  } else {
-    util::Rng rng(opt.seed, kLambdaStreamSalt);
-    const LambdaMaxEstimate est = estimate_lambda_max(realization_, rng);
-    band_hi = est.omega_max;
-    lambda_matvecs = est.matvecs;
-    util::require(band_hi > 0.0,
-                  "solve: could not establish a positive search band");
-  }
-
-  const std::size_t n_intervals = kKappa * opt.threads;
-  const double min_width = std::max(kResolution * band_hi, 1e-300);
-
-  // Warm-start seeds become the startup intervals (dynamic mode only —
-  // the static-grid strawman keeps its uniform grid by definition).
-  SeedPlan seeds;
-  if (ctx.seeds != nullptr) {
-    seeds = planned_seeds(opt, band_hi, *ctx.seeds);
-  }
+  util::Rng rng(opt.seed, kLambdaStreamSalt);
+  const LambdaMaxEstimate est = estimate_lambda_max(realization_, rng);
+  const double band_hi = est.omega_max;
+  util::require(band_hi > 0.0,
+                "solve: could not establish a positive search band");
 
   SolverResult result;
   if (opt.scheduling == SchedulingMode::kDynamic) {
-    if (!seeds.shifts.empty()) {
-      warm_started = true;
-      IntervalScheduler sched(
-          seeded_partition(band_hi, seeds, n_intervals, min_width),
-          min_width);
-      result = run_scheduler(std::move(sched), opt, ctx, band_hi);
-      result.seeded_shifts = seeds.shifts.size();
-    } else {
-      IntervalScheduler sched(band_hi, n_intervals, min_width);
-      result = run_scheduler(std::move(sched), opt, ctx, band_hi);
-    }
+    const double min_width = std::max(kResolution * band_hi, 1e-300);
+    IntervalScheduler sched(band_hi, kKappa * opt.threads, min_width);
+    result = run_scheduler(std::move(sched), opt, band_hi);
   } else {
-    result = run_static_grid(opt, ctx, band_hi);
+    result = run_static_grid(opt, band_hi);
   }
 
   result.omega_max = band_hi;
-  result.lambda_max_matvecs = lambda_matvecs;
-  result.total_matvecs += lambda_matvecs;
-  result.warm_started = warm_started;
+  result.lambda_max_matvecs = est.matvecs;
+  result.total_matvecs += est.matvecs;
   result.seconds = timer.seconds();
   return result;
 }
 
 SolverResult ParallelHamiltonianEigensolver::run_scheduler(
     IntervalScheduler sched, const SolverOptions& opt,
-    const SolveContext& ctx, double band_hi) const {
+    double band_hi) const {
   SolverResult result;
 
   util::Mutex mutex;
@@ -134,24 +90,16 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
       mutex.unlock();
 
       // Initial radius per Eq. 23: alpha * half-width, slight overlap
-      // with the adjacent intervals; a warm-started seed interval
-      // starts from its previously certified radius instead.
-      const double rho0 = std::max(
-          task->rho0 > 0.0 ? task->rho0
-                           : kAlpha * 0.5 * (task->hi - task->lo),
-          2.0 * min_width);
-      // A disk the recorded solve certified for this exact model is
-      // re-confirmed by one fresh randomized restart.
-      const std::size_t min_restarts =
-          ctx.confirm_seeded && task->rho0 > 0.0 ? 1 : kMinRestarts;
+      // with the adjacent intervals.
+      const double rho0 =
+          std::max(kAlpha * 0.5 * (task->hi - task->lo), 2.0 * min_width);
       util::Rng rng(opt.seed, kShiftStreamSalt ^ task->id);
       util::WallTimer shift_timer;
       SingleShiftResult sres;
       bool ok = true;
       try {
         sres = single_shift_iteration(realization_, task->shift, rho0,
-                                      opt.shift, min_restarts, rng,
-                                      ctx.factory);
+                                      opt.shift, kMinRestarts, rng);
       } catch (const std::exception&) {
         ok = false;
       }
@@ -200,8 +148,7 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
 }
 
 SolverResult ParallelHamiltonianEigensolver::run_static_grid(
-    const SolverOptions& opt, const SolveContext& ctx,
-    double band_hi) const {
+    const SolverOptions& opt, double band_hi) const {
   SolverResult result;
   const std::size_t n_shifts = kKappa * opt.threads;
   const double width = band_hi / static_cast<double>(n_shifts);
@@ -222,8 +169,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
     util::WallTimer t;
     try {
       outcomes[i] = single_shift_iteration(realization_, center, rho0,
-                                           opt.shift, kMinRestarts, rng,
-                                           ctx.factory);
+                                           opt.shift, kMinRestarts, rng);
     } catch (const std::exception&) {
       failures.fetch_add(1);
       outcomes[i].radius = 2.0 * min_width;
@@ -279,7 +225,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
 
   if (!gaps.empty()) {
     IntervalScheduler mop(std::move(gaps), min_width);
-    SolverResult phase2 = run_scheduler(std::move(mop), opt, ctx, band_hi);
+    SolverResult phase2 = run_scheduler(std::move(mop), opt, band_hi);
     for (const auto& rec : phase2.shift_log) {
       result.shift_log.push_back(rec);
       result.total_matvecs += rec.matvecs;

@@ -155,7 +155,7 @@ SessionLease SessionPool::checkout(macromodel::SimoRealization realization) {
 
   if (entry == nullptr) {
     // Construct outside the lock: a fresh session copies the model's
-    // matrices and allocates its cache.
+    // matrices.
     entry = std::make_unique<Entry>();
     entry->hash = hash;
     entry->session = std::make_unique<SolverSession>(std::move(realization));
@@ -177,7 +177,6 @@ void SessionPool::give_back(Entry* raw) {
   if (entry->session->revision() != 0) {
     entry.reset();
   } else {
-    entry->session->clear_warm_start();
     entry->bytes = entry->session->approx_memory_bytes();
   }
 

@@ -86,13 +86,8 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
   const auto record_cost = [&result](EnforcementIterate& it,
                                      const core::SolverResult& solver) {
     it.solver_matvecs = solver.total_matvecs;
-    it.cache_hits = solver.cache_hits;
-    it.cache_misses = solver.cache_misses;
-    it.warm_started = solver.warm_started;
     ++result.characterizations;
     result.total_matvecs += solver.total_matvecs;
-    result.cache_hits += solver.cache_hits;
-    result.cache_misses += solver.cache_misses;
   };
 
   for (std::size_t iter = 0; iter < kMaxEnforcementRounds; ++iter) {
@@ -237,8 +232,8 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     // If even the smallest scale failed the test, the last (smallest)
     // step stays applied: slow progress beats stalling.
 
-    // Commit the accepted step: bump the session's model revision
-    // (invalidating factorizations, keeping the warm-start seeds).
+    // Commit the accepted step: bump the session's model revision, so
+    // the next round's characterization runs.
     session.update_residues(realization.c());
 
     it.delta_c_norm = step_norm * scale_step;
@@ -248,8 +243,8 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
 
   if (!result.success && result.iterations < kMaxEnforcementRounds) {
     // Loop ended via the grazing-violation break; verify once more.
-    // Same revision as the round that broke out, so the factorization
-    // cache serves this confirmation almost for free.
+    // Same revision as the round that broke out, so the session's memo
+    // answers with that round's verdict.
     const PassivityReport final_report =
         characterize_passivity(session, solver_opt);
     EnforcementIterate confirm;

@@ -52,8 +52,7 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
   }
 
   // Shared across the batch's jobs: duplicate models check the previous
-  // job's session (and its hot factorization cache) back out instead of
-  // rebuilding.  Concurrent duplicates still get distinct sessions —
+  // job's session (and its memo) back out instead of re-solving.  Concurrent duplicates still get distinct sessions —
   // checkout is exclusive — so reuse shows up when duplicates
   // serialize, exactly like the job server.
   engine::SessionPool sessions(options_.pool);
@@ -80,7 +79,7 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
 util::Table summary_table(const std::vector<PipelineResult>& results,
                           const engine::SessionPoolStats* pool) {
   util::Table table({"job", "status", "ports", "order", "fit rms",
-                     "bands", "after", "cache", "memo", "time [s]"});
+                     "bands", "after", "memo", "time [s]"});
   for (const auto& r : results) {
     const bool characterized =
         std::any_of(r.stage_timings.begin(), r.stage_timings.end(),
@@ -92,10 +91,8 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
                     [](const StageTiming& t) {
                       return t.stage == Stage::kVerify;
                     });
-    // Reuse at a glance: hits/misses of the job's factorization cache
-    // across characterize + enforce rounds + verify, and how many of
-    // its solves the dense-result memo answered.
-    const auto& cache = r.session.cache;
+    // Reuse at a glance: how many of the job's solves (characterize,
+    // enforce rounds, verify) the session's memo answered.
     table.add_row({
         r.name,
         r.status(),
@@ -104,10 +101,7 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
         r.order > 0 ? util::format_double(r.fit_rms) : "-",
         characterized ? std::to_string(r.initial_report.bands.size()) : "-",
         verified ? std::to_string(r.final_report.bands.size()) : "-",
-        characterized ? std::to_string(cache.hits) + "/" +
-                            std::to_string(cache.misses)
-                      : "-",
-        characterized ? std::to_string(r.session.dense_reuses) + "/" +
+        characterized ? std::to_string(r.session.reuses) + "/" +
                             std::to_string(r.session.solves)
                       : "-",
         util::format_double(r.total_seconds),
@@ -115,16 +109,12 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
   }
   if (pool != nullptr) {
     // Batch-level reuse at a glance: how many realize stages were
-    // served by an already-pooled session, and the cache totals.
-    std::size_t hits = 0;
-    std::size_t misses = 0;
+    // served by an already-pooled session, and the memo totals.
     std::size_t reuses = 0;
     std::size_t solves = 0;
     double seconds = 0.0;
     for (const auto& r : results) {
-      hits += r.session.cache.hits;
-      misses += r.session.cache.misses;
-      reuses += r.session.dense_reuses;
+      reuses += r.session.reuses;
       solves += r.session.solves;
       seconds += r.total_seconds;
     }
@@ -137,7 +127,6 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
         "-",
         "-",
         "-",
-        std::to_string(hits) + "/" + std::to_string(misses),
         std::to_string(reuses) + "/" + std::to_string(solves),
         util::format_double(seconds),
     });

@@ -192,14 +192,10 @@ namespace {
 engine::SessionStats stats_since(const engine::SessionStats& now,
                                  const engine::SessionStats& base) {
   engine::SessionStats d = now;
-  d.cache.hits -= base.cache.hits;
-  d.cache.misses -= base.cache.misses;
-  d.cache.evictions -= base.cache.evictions;
-  // `entries` and `revision` are gauges: keep the current values.
+  // `revision` is a gauge: keep the current value.
   d.solves -= base.solves;
-  d.warm_solves -= base.warm_solves;
   d.dense_solves -= base.dense_solves;
-  d.dense_reuses -= base.dense_reuses;
+  d.reuses -= base.reuses;
   d.factorizations -= base.factorizations;
   return d;
 }
@@ -216,9 +212,9 @@ PipelineResult run_pipeline(const PipelineJob& job,
   macromodel::FrequencySamples samples;
   vf::VectorFittingResult fit;
   // The solver session owns the realization and lives across the
-  // characterize -> enforce -> verify stages, so factorizations and
-  // warm-start seeds carry over; obtained in kRealize — either a
-  // private session, or a lease from the cross-job pool.
+  // characterize -> enforce -> verify stages, so its memo answers the
+  // re-solves of an unchanged revision; obtained in kRealize — either
+  // a private session, or a lease from the cross-job pool.
   std::unique_ptr<engine::SolverSession> owned_session;
   engine::SessionLease lease;
   engine::SolverSession* session = nullptr;
@@ -342,11 +338,9 @@ PipelineResult run_pipeline(const PipelineJob& job,
     return result;
   }
 
-  // -- verify (re-characterization of the final revision: a dense-route
-  // session answers it from its memo of the last enforcement round's
-  // solve, or of characterize when the model was already passive; a
-  // Krylov session re-solves warm-started from the factorization
-  // cache, a second certificate from new start vectors) ---------------
+  // -- verify (re-characterization of the final revision: the session
+  // answers it from its memo of the last enforcement round's solve, or
+  // of characterize when the model was already passive) ---------------
   if (!run_stage(Stage::kVerify, [&] {
         result.final_report = passivity::characterize_passivity(
             *session, job.options.solver);

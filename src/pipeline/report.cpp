@@ -109,14 +109,11 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
      << ", \"characterizations\": " << r.enforcement.characterizations
      << ", \"relative_model_change\": "
      << fmt(r.enforcement.relative_model_change) << " },\n";
-  os << pad << "  \"session\": { \"cache_hits\": " << r.session.cache.hits
-     << ", \"cache_misses\": " << r.session.cache.misses
-     << ", \"cache_evictions\": " << r.session.cache.evictions
-     << ", \"factorizations\": " << r.session.factorizations
+  os << pad << "  \"session\": { \"factorizations\": "
+     << r.session.factorizations
      << ", \"solves\": " << r.session.solves
-     << ", \"warm_solves\": " << r.session.warm_solves
      << ", \"dense_solves\": " << r.session.dense_solves
-     << ", \"dense_reuses\": " << r.session.dense_reuses
+     << ", \"reuses\": " << r.session.reuses
      << ", \"revision\": " << r.session.revision
      << ", \"reused\": " << (r.session_reused ? "true" : "false")
      << " },\n";
@@ -186,22 +183,17 @@ PipelineResult read_job_json(const std::string& text) {
         enf->number_or("relative_model_change", 0.0);
   }
   if (const util::JsonValue* session = doc.find("session")) {
-    r.session.cache.hits =
-        static_cast<std::size_t>(session->uint_or("cache_hits", 0));
-    r.session.cache.misses =
-        static_cast<std::size_t>(session->uint_or("cache_misses", 0));
-    r.session.cache.evictions =
-        static_cast<std::size_t>(session->uint_or("cache_evictions", 0));
     r.session.factorizations =
         static_cast<std::size_t>(session->uint_or("factorizations", 0));
     r.session.solves =
         static_cast<std::size_t>(session->uint_or("solves", 0));
-    r.session.warm_solves =
-        static_cast<std::size_t>(session->uint_or("warm_solves", 0));
     r.session.dense_solves =
         static_cast<std::size_t>(session->uint_or("dense_solves", 0));
-    r.session.dense_reuses =
-        static_cast<std::size_t>(session->uint_or("dense_reuses", 0));
+    // Records written before the Krylov route shared the memo call the
+    // reuses "dense_reuses" and carry cache and warm-start counters,
+    // which are ignored.
+    r.session.reuses = static_cast<std::size_t>(session->uint_or(
+        "reuses", session->uint_or("dense_reuses", 0)));
     r.session.revision =
         static_cast<std::size_t>(session->uint_or("revision", 0));
     r.session_reused = session->bool_or("reused", false);
@@ -267,20 +259,15 @@ void write_summary_json(const std::vector<PipelineResult>& results,
   os << "\n  ],\n";
 
   std::size_t succeeded = 0;
-  std::size_t hits = 0, misses = 0, warm = 0, reuses = 0;
+  std::size_t reuses = 0;
   double seconds = 0.0;
   for (const auto& r : results) {
     if (r.ok) ++succeeded;
-    hits += r.session.cache.hits;
-    misses += r.session.cache.misses;
-    warm += r.session.warm_solves;
-    reuses += r.session.dense_reuses;
+    reuses += r.session.reuses;
     seconds += r.total_seconds;
   }
   os << "  \"summary\": { \"jobs\": " << results.size()
-     << ", \"succeeded\": " << succeeded << ", \"cache_hits\": " << hits
-     << ", \"cache_misses\": " << misses << ", \"warm_solves\": " << warm
-     << ", \"dense_reuses\": " << reuses
+     << ", \"succeeded\": " << succeeded << ", \"reuses\": " << reuses
      << ", \"total_seconds\": " << fmt(seconds) << " }\n}\n";
 }
 

@@ -313,14 +313,11 @@ void JobServer::log_slow_job(const JobTrace& trace) const {
     os << ' ' << span.stage << '=' << span.duration_ms << "ms";
     if (span.matvecs > 0) {
       os << "(matvecs=" << span.matvecs
-         << ",cache=" << span.cache_hits << '/' << span.cache_misses
          << ",fact=" << span.factorizations << ')';
     }
   }
-  os << " session: solves=" << trace.solves << " warm=" << trace.warm_solves
-     << " dense=" << trace.dense_solves
-     << " dense_reuses=" << trace.dense_reuses
-     << " cache=" << trace.cache_hits << '/' << trace.cache_misses;
+  os << " session: solves=" << trace.solves
+     << " dense=" << trace.dense_solves << " reuses=" << trace.reuses;
   util::log_line("slow-job", os.str());
 }
 

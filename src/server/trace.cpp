@@ -35,9 +35,7 @@ std::string span_json(const StageSpan& span) {
      << "\", \"start_unix\": " << fmt_fixed(span.start_unix)
      << ", \"duration_ms\": " << fmt_fixed(span.duration_ms)
      << ", \"matvecs\": " << span.matvecs
-     << ", \"factorizations\": " << span.factorizations
-     << ", \"cache_hits\": " << span.cache_hits
-     << ", \"cache_misses\": " << span.cache_misses << "}";
+     << ", \"factorizations\": " << span.factorizations << "}";
   return os.str();
 }
 
@@ -56,12 +54,9 @@ std::string JobTrace::to_json() const {
     os << (i == 0 ? "" : ", ") << span_json(spans[i]);
   }
   os << "], \"session\": {\"solves\": " << solves
-     << ", \"warm_solves\": " << warm_solves
      << ", \"dense_solves\": " << dense_solves
-     << ", \"dense_reuses\": " << dense_reuses
-     << ", \"factorizations\": " << factorizations
-     << ", \"cache_hits\": " << cache_hits
-     << ", \"cache_misses\": " << cache_misses << "}}";
+     << ", \"reuses\": " << reuses
+     << ", \"factorizations\": " << factorizations << "}}";
   return os.str();
 }
 
@@ -82,19 +77,16 @@ JobTrace JobTrace::from_json(const util::JsonValue& v) {
       span.duration_ms = item.number_or("duration_ms", 0.0);
       span.matvecs = item.uint_or("matvecs", 0);
       span.factorizations = item.uint_or("factorizations", 0);
-      span.cache_hits = item.uint_or("cache_hits", 0);
-      span.cache_misses = item.uint_or("cache_misses", 0);
       t.spans.push_back(std::move(span));
     }
   }
   if (const util::JsonValue* session = v.find("session")) {
     t.solves = session->uint_or("solves", 0);
-    t.warm_solves = session->uint_or("warm_solves", 0);
     t.dense_solves = session->uint_or("dense_solves", 0);
-    t.dense_reuses = session->uint_or("dense_reuses", 0);
+    // Older traces call the reuses "dense_reuses" and carry cache and
+    // warm-start counters, which are ignored.
+    t.reuses = session->uint_or("reuses", session->uint_or("dense_reuses", 0));
     t.factorizations = session->uint_or("factorizations", 0);
-    t.cache_hits = session->uint_or("cache_hits", 0);
-    t.cache_misses = session->uint_or("cache_misses", 0);
   }
   return t;
 }
@@ -133,24 +125,17 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
       span.factorizations = result.session.factorizations > solver_builds
                                 ? result.session.factorizations - solver_builds
                                 : 0;
-      span.cache_hits = e.cache_hits;
-      span.cache_misses = e.cache_misses;
     }
     if (solver != nullptr) {
       span.matvecs = solver->total_matvecs;
       span.factorizations = solver->factorizations;
-      span.cache_hits = solver->cache_hits;
-      span.cache_misses = solver->cache_misses;
     }
     t.spans.push_back(std::move(span));
   }
   t.solves = result.session.solves;
-  t.warm_solves = result.session.warm_solves;
   t.dense_solves = result.session.dense_solves;
-  t.dense_reuses = result.session.dense_reuses;
+  t.reuses = result.session.reuses;
   t.factorizations = result.session.factorizations;
-  t.cache_hits = result.session.cache.hits;
-  t.cache_misses = result.session.cache.misses;
   return t;
 }
 

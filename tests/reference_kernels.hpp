@@ -1123,7 +1123,7 @@ inline bool plane_lock_vector(std::vector<core::PlaneVector>& locked,
 /// min(core::kConfirmDim, d)), so a mismatch isolates the deflation
 /// vectors the library skips.  Each restart allocates its own basis.
 /// kRitzTol, kMaxRestarts and kRadiusSafety repeat the library's
-/// file-local constants.  Operators are built directly (no factory).
+/// file-local constants.
 inline core::SingleShiftResult reference_single_shift(
     const macromodel::SimoRealization& realization, double omega_center,
     double rho0, const core::SingleShiftOptions& opt,

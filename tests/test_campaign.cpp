@@ -164,8 +164,8 @@ TEST(Campaign, ReplayAllAfterRestartIsBitIdentical) {
 }
 
 TEST(Campaign, LegacyWarmStartSpecReplaysBitIdentical) {
-  // A store written before warm starts became unconditional holds
-  // input specs with a "warm_start" option.  Replay ignores the key and
+  // A store written while the solver had a warm start holds input
+  // specs with a "warm_start" option.  Replay ignores the key and
   // reproduces the stored result bit for bit.
   TempDir dir("campaign_legacy");
   {

@@ -66,7 +66,7 @@ void check_contract(const Truth& truth, double omega_center, double rho0,
   SingleShiftOptions opt;
   util::Rng rng(rng_seed);
   const auto res = single_shift_iteration(truth.simo, omega_center, rho0,
-                                          opt, kMinRestarts, rng, {});
+                                          opt, kMinRestarts, rng);
   ASSERT_GT(res.radius, 0.0);
   const Complex theta(0.0, omega_center);
   const double tol = 1e-6 * truth.scale;
@@ -130,7 +130,7 @@ TEST(SingleShift, FindsKnownCrossingsNearShift) {
   SingleShiftOptions opt;
   util::Rng rng(5);
   const auto res = single_shift_iteration(
-      truth.simo, w0, 0.1 * truth.scale, opt, kMinRestarts, rng, {});
+      truth.simo, w0, 0.1 * truth.scale, opt, kMinRestarts, rng);
   double best = 1e300;
   for (const Complex& lambda : res.eigenvalues) {
     best = std::min(best, std::abs(lambda - Complex(0.0, w0)));
@@ -148,7 +148,7 @@ TEST(SingleShift, ShrinkRuleCapsReportedCount) {
   util::Rng rng(6);
   const auto res =
       single_shift_iteration(truth.simo, 0.5 * truth.scale,
-                             10.0 * truth.scale, opt, kMinRestarts, rng, {});
+                             10.0 * truth.scale, opt, kMinRestarts, rng);
   EXPECT_LE(res.eigenvalues.size(), 4u);
   // And the certificate still holds.
   const Complex theta(0.0, 0.5 * truth.scale);
@@ -181,7 +181,7 @@ TEST(SingleShift, EmptyDiskOnPassiveQuietRegion) {
   const double w = 0.5 * model.max_pole_magnitude();
   const auto res =
       single_shift_iteration(simo, w, 0.01 * model.max_pole_magnitude(),
-                             opt, kMinRestarts, rng, {});
+                             opt, kMinRestarts, rng);
   EXPECT_GT(res.radius, 0.0);
   EXPECT_TRUE(res.eigenvalues.empty());
 }
@@ -191,12 +191,12 @@ TEST(SingleShift, RejectsBadArguments) {
   SingleShiftOptions opt;
   util::Rng rng(1);
   EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 0.0, opt,
-                                      kMinRestarts, rng, {}),
+                                      kMinRestarts, rng),
                std::invalid_argument);
   opt.eigs_per_shift = 60;
   opt.krylov_dim = 60;
   EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 1.0, opt,
-                                      kMinRestarts, rng, {}),
+                                      kMinRestarts, rng),
                std::invalid_argument);
 }
 
@@ -375,7 +375,7 @@ std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
   opt.krylov_dim = krylov_dim;
   util::Rng rng_got(31), rng_ref(31);
   const auto got = single_shift_iteration(simo, omega, rho0, opt,
-                                          min_restarts, rng_got, {});
+                                          min_restarts, rng_got);
   const auto ref = test::reference_single_shift(simo, omega, rho0, opt,
                                                 min_restarts, rng_ref);
   EXPECT_EQ(got.restarts, ref.restarts) << label;
@@ -396,10 +396,10 @@ std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
 
 TEST(SingleShiftBitwiseTest, MatchesLockEveryRestartLoop) {
   // Shifts across the band of two models at two initial radii.
-  // Restart floors 1 and 2 are the two the solver uses; every run there
-  // stops after two restarts (a fresh restart finds nothing new in the
-  // disk, as at every shift of Table I cases 1 and 2), so its first
-  // restart's deflation vectors are read and its second's are not.
+  // Restart floor 2 is the solver's; every run at floors 1 and 2 stops
+  // after two restarts (a fresh restart finds nothing new in the disk,
+  // as at every shift of Table I cases 1 and 2), so its first restart's
+  // deflation vectors are read and its second's are not.
   // Floor 3 adds runs whose middle restart is non-final too: its
   // vectors must still be built for the third.
   //  - A 4-port, order-220 model (operator dimension 440): its

@@ -68,23 +68,43 @@ TEST(Pipeline, EndToEndEnforcesPassivity) {
   // One session carried the job: characterize, every enforcement
   // round's re-characterization, and verify.  The fitted model sits
   // below engine::kDenseMaxOrder, so each of those solves took the
-  // dense route: no factorizations, nothing to cache or warm-start.
-  // Enforcement's round 0 re-solves characterize's revision and verify
-  // the last round's, so the dense-result memo serves exactly two.
+  // dense route: no factorizations.  Enforcement's round 0 re-solves
+  // characterize's revision and verify the last round's, so the
+  // session's memo serves exactly two.
   ASSERT_LE(result.order, engine::kDenseMaxOrder);
   EXPECT_GE(result.enforcement.characterizations, 2u);
   EXPECT_EQ(result.session.solves,
             2 + result.enforcement.characterizations);
   EXPECT_EQ(result.session.dense_solves,
             result.enforcement.characterizations);
-  EXPECT_EQ(result.session.dense_reuses, 2u);
-  EXPECT_EQ(result.session.dense_solves + result.session.dense_reuses,
+  EXPECT_EQ(result.session.reuses, 2u);
+  EXPECT_EQ(result.session.dense_solves + result.session.reuses,
             result.session.solves);
-  EXPECT_EQ(result.session.warm_solves, 0u);
   EXPECT_EQ(result.session.factorizations, 0u);
-  EXPECT_EQ(result.session.cache.hits + result.session.cache.misses, 0u);
   EXPECT_TRUE(result.initial_report.solver.dense);
   EXPECT_TRUE(result.final_report.solver.dense);
+}
+
+TEST(Pipeline, KrylovJobRunsOneEigensolvePerRound) {
+  // A non-passive model fitted just above engine::kDenseMaxOrder takes
+  // the Krylov route.  At one thread, characterize and each perturbed
+  // round run an eigensolve; enforcement's round 0 and verify re-read
+  // a revision the session already solved, so its memo answers them.
+  PipelineJob job = make_job(test::gen_samples(2));  // 4 ports
+  job.options.fit.num_poles = 49;                    // order 196
+  job.options.solver.threads = 1;
+  const auto result = run_pipeline(job);
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_GT(result.order, engine::kDenseMaxOrder);
+  ASSERT_TRUE(result.enforcement_run);
+  EXPECT_EQ(result.status(), "enforced");
+  EXPECT_FALSE(result.initial_report.solver.dense);
+  EXPECT_EQ(result.session.dense_solves, 0u);
+  EXPECT_EQ(result.session.solves - result.session.reuses,
+            1 + result.enforcement.iterations);
+  EXPECT_GT(result.initial_report.solver.total_matvecs, 0u);
+  EXPECT_EQ(result.final_report.solver.total_matvecs, 0u);
+  EXPECT_TRUE(result.certified_passive);
 }
 
 TEST(Pipeline, StopAfterFitShortCircuits) {
@@ -218,9 +238,8 @@ TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
     ASSERT_LE(r.order, engine::kDenseMaxOrder);
     EXPECT_EQ(r.session.solves, 1u);
     EXPECT_EQ(r.session.dense_solves, i == 0 ? 1u : 0u) << "job " << i;
-    EXPECT_EQ(r.session.dense_reuses, i == 0 ? 0u : 1u) << "job " << i;
+    EXPECT_EQ(r.session.reuses, i == 0 ? 0u : 1u) << "job " << i;
     EXPECT_EQ(r.session.factorizations, 0u);
-    EXPECT_EQ(r.session.cache.hits + r.session.cache.misses, 0u);
   }
   // Pooled reuse must not change the numbers: all four crossing sets
   // agree bit for bit.
@@ -336,16 +355,16 @@ TEST(Pipeline, SummaryJsonIsWrittenAndParseable) {
   EXPECT_NE(json.find("\"status\": \"enforced\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"stopped@fit\""), std::string::npos);
   // The full job's session stats are reported verbatim.
-  const std::string hits_field =
-      "\"cache_hits\": " + std::to_string(results[0].session.cache.hits);
-  EXPECT_NE(json.find(hits_field), std::string::npos) << json;
+  const std::string reuses_field =
+      "\"reuses\": " + std::to_string(results[0].session.reuses);
+  EXPECT_NE(json.find(reuses_field), std::string::npos) << json;
   EXPECT_NE(json.find("\"summary\": { \"jobs\": 2, \"succeeded\": 2"),
             std::string::npos);
   // A fit-only job reports no characterize products.
   EXPECT_NE(json.find("\"bands_initial\": null"), std::string::npos);
 }
 
-TEST(Pipeline, SummaryTableHasCacheColumn) {
+TEST(Pipeline, SummaryTableHasMemoColumn) {
   auto job = make_job(non_passive_samples(7));
   job.options.stop_after = Stage::kCharacterize;
   const auto result = run_pipeline(job);
@@ -353,9 +372,9 @@ TEST(Pipeline, SummaryTableHasCacheColumn) {
   const auto table = pipeline::summary_table({result});
   std::ostringstream os;
   table.print(os);
-  EXPECT_NE(os.str().find("cache"), std::string::npos);
-  // A cold single characterization: all misses, zero hits.
-  EXPECT_NE(os.str().find("0/"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("memo"), std::string::npos);
+  // A cold single characterization: no memo reuse out of one solve.
+  EXPECT_NE(os.str().find("0/1"), std::string::npos) << os.str();
 }
 
 TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {
@@ -366,11 +385,11 @@ TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {
   EXPECT_FALSE(result.enforcement_run);
   EXPECT_TRUE(result.certified_passive);
   // Characterize runs the dense eigensolve; verify re-solves the same
-  // revision and is served by the session's dense-result memo.
+  // revision and is served by the session's memo.
   ASSERT_LE(result.order, engine::kDenseMaxOrder);
   EXPECT_EQ(result.session.solves, 2u);
   EXPECT_EQ(result.session.dense_solves, 1u);
-  EXPECT_EQ(result.session.dense_reuses, 1u);
+  EXPECT_EQ(result.session.reuses, 1u);
 }
 
 TEST(Pipeline, PooledRepeatOfPassiveModelRunsNoEigensolve) {
@@ -390,10 +409,10 @@ TEST(Pipeline, PooledRepeatOfPassiveModelRunsNoEigensolve) {
   EXPECT_EQ(second.status(), "passive");
   EXPECT_TRUE(second.session_reused);
   EXPECT_EQ(first.session.dense_solves, 1u);
-  EXPECT_EQ(first.session.dense_reuses, 1u);
+  EXPECT_EQ(first.session.reuses, 1u);
   EXPECT_EQ(second.session.solves, 2u);
   EXPECT_EQ(second.session.dense_solves, 0u);
-  EXPECT_EQ(second.session.dense_reuses, 2u);
+  EXPECT_EQ(second.session.reuses, 2u);
   EXPECT_EQ(second.initial_report.solver.eigenvalues,
             first.initial_report.solver.eigenvalues);
   EXPECT_EQ(second.final_report.solver.eigenvalues,

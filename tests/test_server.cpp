@@ -263,9 +263,9 @@ TEST(Protocol, MalformedAndUnknownRequests) {
 
 TEST(Protocol, RemovedOptionsAreIgnored) {
   // Older clients could send "kernel": "reference" or "warm_start":
-  // false.  The solver has one kernel path and always warm-starts now,
-  // so both keys are unknown options like any other: the job must run
-  // as if they were absent.
+  // false.  The solver has one kernel path and no warm start, so both
+  // keys are unknown options like any other: the job must run as if
+  // they were absent.
   JobServer jobs(deterministic_server_options());
   const std::string path =
       server::json_quote(test::fixture_path("golden.s2p"));
@@ -400,8 +400,8 @@ TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
   // Characterize-only jobs never bump the session revision, so the
   // second job checks the first job's session back out of the pool.
   // golden.s2p fits below engine::kDenseMaxOrder: both eigensolves
-  // take the dense route, so the shared session serves no cached
-  // factorization — the pool sharing itself is what is checked.
+  // take the dense route, so nothing is factorized — the pool sharing
+  // itself is what is checked.
   ServerOptions options = deterministic_server_options();
   options.workers = 1;
   JobServer jobs(options);
@@ -422,20 +422,19 @@ TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
   ASSERT_TRUE(r2 && r2->ok) << (r2 ? r2->error : "missing");
 
   // Fresh first session, pooled second one — same crossings, bit for
-  // bit, nothing factorized or cached.  The first job runs the dense
-  // eigensolve; the second, on the unchanged pooled session, is served
-  // by its dense-result memo.
+  // bit, nothing factorized.  The first job runs the dense eigensolve;
+  // the second, on the unchanged pooled session, is served by its
+  // memo.
   EXPECT_FALSE(r1->session_reused);
   EXPECT_TRUE(r2->session_reused);
   EXPECT_EQ(r1->session.dense_solves, 1u);
-  EXPECT_EQ(r1->session.dense_reuses, 0u);
+  EXPECT_EQ(r1->session.reuses, 0u);
   EXPECT_EQ(r2->session.dense_solves, 0u);
-  EXPECT_EQ(r2->session.dense_reuses, 1u);
+  EXPECT_EQ(r2->session.reuses, 1u);
   for (const auto& r : {*r1, *r2}) {
     ASSERT_LE(r.order, engine::kDenseMaxOrder);
     EXPECT_EQ(r.session.solves, 1u);
     EXPECT_EQ(r.session.factorizations, 0u);
-    EXPECT_EQ(r.session.cache.hits + r.session.cache.misses, 0u);
     EXPECT_TRUE(r.initial_report.solver.dense);
   }
   ASSERT_EQ(r1->initial_report.crossings.size(),

@@ -64,14 +64,10 @@ PipelineResult sample_result(std::uint64_t id) {
   r.enforcement.characterizations = 4;
   r.enforcement.relative_model_change = 0.00123456789;
   r.certified_passive = true;
-  r.session.cache.hits = 7;
-  r.session.cache.misses = 11;
-  r.session.cache.evictions = 1;
   r.session.factorizations = 13;
   r.session.solves = 5;
-  r.session.warm_solves = 4;
   r.session.dense_solves = 1;
-  r.session.dense_reuses = 2;
+  r.session.reuses = 2;
   r.session.revision = 3;
   r.session_reused = true;
   double t = 0.0123456789;
@@ -115,6 +111,24 @@ PipelineResult cancelled_result(std::uint64_t id) {
 
 using test::TempDir;
 
+/// `doc` as an older build wrote it: the session block also carries
+/// cache and warm-start counters and calls the reuses "dense_reuses".
+std::string older_job_json(std::string doc) {
+  const auto replace = [&doc](const std::string& from,
+                              const std::string& to) {
+    const std::size_t at = doc.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    doc.replace(at, from.size(), to);
+  };
+  replace("\"session\": { ",
+          "\"session\": { \"cache_hits\": 7, \"cache_misses\": 11, "
+          "\"cache_evictions\": 1, ");
+  replace(", \"dense_solves\": ",
+          ", \"warm_solves\": 4, \"dense_solves\": ");
+  replace("\"reuses\": ", "\"dense_reuses\": ");
+  return doc;
+}
+
 JobRecord make_record(PipelineResult result, JobState state) {
   JobRecord rec;
   rec.id = result.id;
@@ -137,6 +151,9 @@ TEST(ReportReader, RoundTripIsByteStableForAllResultShapes) {
     EXPECT_EQ(job_json(reread), once) << once;
     // And the reader is idempotent, not just write-stable.
     EXPECT_EQ(job_json(pipeline::read_job_json(job_json(reread))), once);
+    // A record an older build wrote reads back to the same result.
+    const std::string older = older_job_json(once);
+    EXPECT_EQ(job_json(pipeline::read_job_json(older)), once) << older;
   }
 }
 
@@ -161,24 +178,22 @@ TEST(ReportReader, ReconstructsSemanticFields) {
   EXPECT_EQ(reread.status(), "enforced");
   EXPECT_EQ(reread.initial_report.bands.size(), 2u);
   EXPECT_EQ(reread.stage_timings.size(), 6u);
-  EXPECT_EQ(reread.session.cache.hits, 7u);
   EXPECT_EQ(reread.session.dense_solves, 1u);
-  EXPECT_EQ(reread.session.dense_reuses, 2u);
+  EXPECT_EQ(reread.session.reuses, 2u);
   EXPECT_TRUE(reread.session_reused);
 
   // Records written before the dense route carry no "dense_solves",
-  // and those written before the dense-result memo no "dense_reuses".
+  // and those written before the dense-result memo no reuse count.
   std::string old_doc = job_json(sample_result(43));
   for (const std::string key :
-       {", \"dense_solves\": 1", ", \"dense_reuses\": 2"}) {
+       {", \"dense_solves\": 1", ", \"reuses\": 2"}) {
     const std::size_t key_at = old_doc.find(key);
     ASSERT_NE(key_at, std::string::npos) << key;
     old_doc.erase(key_at, key.size());
   }
   const PipelineResult old_record = pipeline::read_job_json(old_doc);
   EXPECT_EQ(old_record.session.dense_solves, 0u);
-  EXPECT_EQ(old_record.session.dense_reuses, 0u);
-  EXPECT_EQ(old_record.session.warm_solves, 4u);
+  EXPECT_EQ(old_record.session.reuses, 0u);
 
   const PipelineResult failed =
       pipeline::read_job_json(job_json(failed_result(9)));
@@ -252,7 +267,7 @@ TEST(JobSpec, ToleratesUnknownFieldsAndRejectsInputlessSpecs) {
   spec = "{\"spec_version\": 99, \"future\": true, " + spec.substr(1);
   EXPECT_EQ(pipeline::read_job_spec_json(spec).input_path, "m.s2p");
 
-  // Stores written before warm starts became unconditional carry a
+  // Stores written while the solver had a warm start carry a
   // "warm_start" option: ignored like any unknown key, never written
   // back, and every other option survives.
   const std::string legacy =

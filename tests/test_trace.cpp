@@ -41,8 +41,6 @@ JobTrace sample_trace(std::uint64_t id) {
   span.duration_ms = 800.25;
   span.matvecs = 1234;
   span.factorizations = 7;
-  span.cache_hits = 3;
-  span.cache_misses = 4;
   t.spans.push_back(span);
   span = StageSpan{};
   span.stage = "verify";
@@ -50,13 +48,36 @@ JobTrace sample_trace(std::uint64_t id) {
   span.duration_ms = 400.0;
   t.spans.push_back(span);
   t.solves = 9;
-  t.warm_solves = 5;
   t.dense_solves = 4;
-  t.dense_reuses = 3;
+  t.reuses = 3;
   t.factorizations = 7;
-  t.cache_hits = 11;
-  t.cache_misses = 6;
   return t;
+}
+
+/// `json` as an older build wrote it: spans and the session block also
+/// carry cache and warm-start counters, and the reuses are called
+/// "dense_reuses".
+std::string older_trace_json(std::string json) {
+  const auto replace_all = [&json](const std::string& from,
+                                   const std::string& to) {
+    for (std::size_t at = json.find(from); at != std::string::npos;
+         at = json.find(from, at + to.size())) {
+      json.replace(at, from.size(), to);
+    }
+  };
+  replace_all("\"factorizations\": 7}}",
+              "\"factorizations\": 7, \"cache_hits\": 11, "
+              "\"cache_misses\": 6}}");
+  replace_all("\"factorizations\": 7}",
+              "\"factorizations\": 7, \"cache_hits\": 3, "
+              "\"cache_misses\": 4}");
+  replace_all("\"factorizations\": 0}",
+              "\"factorizations\": 0, \"cache_hits\": 0, "
+              "\"cache_misses\": 0}");
+  replace_all(", \"dense_solves\": ",
+              ", \"warm_solves\": 5, \"dense_solves\": ");
+  replace_all("\"reuses\": ", "\"dense_reuses\": ");
+  return json;
 }
 
 TEST(JobTraceJson, RoundTripIsByteIdentical) {
@@ -65,39 +86,44 @@ TEST(JobTraceJson, RoundTripIsByteIdentical) {
   // NDJSON: one line, no raw newlines even with hostile names.
   EXPECT_EQ(json.find('\n'), std::string::npos);
 
-  const JobTrace parsed =
-      JobTrace::from_json(util::JsonValue::parse(json));
-  EXPECT_EQ(parsed.id, original.id);
-  EXPECT_EQ(parsed.name, original.name);
-  EXPECT_EQ(parsed.status, original.status);
-  ASSERT_EQ(parsed.spans.size(), original.spans.size());
-  EXPECT_EQ(parsed.spans[0].stage, "characterize");
-  EXPECT_EQ(parsed.spans[0].matvecs, 1234u);
-  EXPECT_EQ(parsed.spans[1].stage, "verify");
-  EXPECT_EQ(parsed.solves, 9u);
-  EXPECT_EQ(parsed.dense_solves, 4u);
-  EXPECT_EQ(parsed.dense_reuses, 3u);
-  // The contract from trace.hpp: parse -> rebuild -> serialize is
-  // byte-identical (fixed %.6f timestamp formatting at build time).
-  EXPECT_EQ(parsed.to_json(), json);
+  // A trace an older build wrote parses to the same trace.
+  const std::string older = older_trace_json(json);
+  ASSERT_NE(older.find("\"dense_reuses\": 3"), std::string::npos) << older;
+  ASSERT_NE(older.find("\"cache_misses\": 4"), std::string::npos) << older;
+  for (const std::string& input : {json, older}) {
+    const JobTrace parsed =
+        JobTrace::from_json(util::JsonValue::parse(input));
+    EXPECT_EQ(parsed.id, original.id);
+    EXPECT_EQ(parsed.name, original.name);
+    EXPECT_EQ(parsed.status, original.status);
+    ASSERT_EQ(parsed.spans.size(), original.spans.size());
+    EXPECT_EQ(parsed.spans[0].stage, "characterize");
+    EXPECT_EQ(parsed.spans[0].matvecs, 1234u);
+    EXPECT_EQ(parsed.spans[1].stage, "verify");
+    EXPECT_EQ(parsed.solves, 9u);
+    EXPECT_EQ(parsed.dense_solves, 4u);
+    EXPECT_EQ(parsed.reuses, 3u);
+    // The contract from trace.hpp: parse -> rebuild -> serialize is
+    // byte-identical (fixed %.6f timestamp formatting at build time).
+    EXPECT_EQ(parsed.to_json(), json) << input;
+  }
 }
 
 TEST(JobTraceJson, RecordWithoutDenseSolvesReadsZero) {
   // Traces written before the dense route existed carry no
-  // "dense_solves" key, and those before the dense-result memo no
-  // "dense_reuses"; they read as zero.
+  // "dense_solves" key, and those before the dense-result memo no reuse
+  // count; they read as zero.
   std::string json = sample_trace(42).to_json();
   for (const std::string key :
-       {", \"dense_solves\": 4", ", \"dense_reuses\": 3"}) {
+       {", \"dense_solves\": 4", ", \"reuses\": 3"}) {
     const std::size_t at = json.find(key);
     ASSERT_NE(at, std::string::npos) << json;
     json.erase(at, key.size());
   }
   const JobTrace parsed = JobTrace::from_json(util::JsonValue::parse(json));
   EXPECT_EQ(parsed.dense_solves, 0u);
-  EXPECT_EQ(parsed.dense_reuses, 0u);
+  EXPECT_EQ(parsed.reuses, 0u);
   EXPECT_EQ(parsed.solves, 9u);
-  EXPECT_EQ(parsed.warm_solves, 5u);
 }
 
 TEST(TraceStore, RingEvictsOldestAndFindsNewest) {
@@ -158,21 +184,13 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   };
   result.initial_report.solver.total_matvecs = 100;
   result.initial_report.solver.factorizations = 3;
-  result.initial_report.solver.cache_hits = 1;
-  result.initial_report.solver.cache_misses = 2;
   result.enforcement.total_matvecs = 250;
-  result.enforcement.cache_hits = 3;
-  result.enforcement.cache_misses = 2;
   result.final_report.solver.total_matvecs = 40;
   result.final_report.solver.factorizations = 1;
-  result.final_report.solver.cache_hits = 5;
   result.session.solves = 8;
   result.session.factorizations = 9;
-  result.session.warm_solves = 6;
   result.session.dense_solves = 2;
-  result.session.dense_reuses = 5;
-  result.session.cache.hits = 9;
-  result.session.cache.misses = 4;
+  result.session.reuses = 5;
 
   const JobTrace trace =
       server::build_job_trace(result, 1000.0, 1000.5, 500.0);
@@ -184,25 +202,19 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   EXPECT_EQ(trace.spans[1].stage, "characterize");
   EXPECT_EQ(trace.spans[1].matvecs, 100u);
   EXPECT_EQ(trace.spans[1].factorizations, 3u);
-  EXPECT_EQ(trace.spans[1].cache_misses, 2u);
   // Enforce: the rounds' aggregate, and the session's factorizations
   // that the characterize (3) and verify (1) solves did not build.
   EXPECT_EQ(trace.spans[2].stage, "enforce");
   EXPECT_EQ(trace.spans[2].matvecs, 250u);
   EXPECT_EQ(trace.spans[2].factorizations, 5u);
-  EXPECT_EQ(trace.spans[2].cache_hits, 3u);
-  EXPECT_EQ(trace.spans[2].cache_misses, 2u);
   EXPECT_EQ(trace.spans[3].stage, "verify");
   EXPECT_EQ(trace.spans[3].matvecs, 40u);
   EXPECT_EQ(trace.spans[3].factorizations, 1u);
-  EXPECT_EQ(trace.spans[3].cache_hits, 5u);
   // Span start = job start + the stage's offset into the run.
   EXPECT_NEAR(trace.spans[1].start_unix, 1000.6, 1e-6);
   EXPECT_EQ(trace.solves, 8u);
-  EXPECT_EQ(trace.warm_solves, 6u);
   EXPECT_EQ(trace.dense_solves, 2u);
-  EXPECT_EQ(trace.dense_reuses, 5u);
-  EXPECT_EQ(trace.cache_hits, 9u);
+  EXPECT_EQ(trace.reuses, 5u);
 }
 
 // ---- trace op integration ---------------------------------------------
@@ -252,7 +264,7 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
   // no shifts, no factorizations.  It is non-passive, so the job ran
   // characterize + enforce's re-characterizations + verify.  Two of
   // those repeat a solve of the same revision and are served by the
-  // session's dense-result memo: enforcement's round 0 (characterize's
+  // session's memo: enforcement's round 0 (characterize's
   // model) and verify (the last round's model).
   const auto result = jobs.result(id);
   ASSERT_TRUE(result.has_value());
@@ -260,8 +272,8 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
   ASSERT_LE(result->order, engine::kDenseMaxOrder);
   EXPECT_EQ(trace.solves, 2 + result->enforcement.characterizations);
   EXPECT_EQ(trace.dense_solves, result->enforcement.characterizations);
-  EXPECT_EQ(trace.dense_reuses, 2u);
-  EXPECT_EQ(trace.dense_solves + trace.dense_reuses, trace.solves);
+  EXPECT_EQ(trace.reuses, 2u);
+  EXPECT_EQ(trace.dense_solves + trace.reuses, trace.solves);
   EXPECT_EQ(trace.factorizations, 0u);
   for (const StageSpan& span : trace.spans) {
     EXPECT_EQ(span.matvecs, 0u) << span.stage;
