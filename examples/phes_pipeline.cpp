@@ -16,10 +16,10 @@
 //       into <dir> so `batch` has something to chew on.
 //   phes_pipeline serve <socket> [flags]
 //       Long-lived job server: bounded queue with backpressure,
-//       persistent workers, cross-job session pool keyed by model hash,
-//       result store.  Listens on the AF_UNIX socket, plus a TCP
-//       endpoint with `--tcp HOST:PORT --auth-token-file FILE` (remote
-//       clients authenticate with the shared token).  All connections
+//       persistent workers (one solver session per job), result
+//       store.  Listens on the AF_UNIX socket, plus a TCP endpoint
+//       with `--tcp HOST:PORT --auth-token-file FILE` (remote clients
+//       authenticate with the shared token).  All connections
 //       are served by one epoll event loop; request handling runs on a
 //       small dispatch pool so status polls stay live while submits
 //       block on backpressure.  With `--data-dir DIR`, finished results
@@ -61,12 +61,9 @@
 //   --stop-after <stage> load|fit|realize|characterize|enforce|verify
 //   --summary-json <path> write the machine-readable JSON summary
 //   --verbose            per-stage timing breakdown per job
-// serve/batch flags (the batch runner shares sessions the same way):
+// serve/client flags:
 //   --queue <n>          queue capacity / backpressure bound (default 64)
-//   --pool-sessions <n>  idle sessions kept per the pool (default 16;
-//                        0 drops every session a job returns)
-//   --pool-mb <n>        idle session memory budget in MiB (default 256)
-//   --tcp <host:port>    additional TCP listener (serve only)
+//   --tcp <host:port>    additional TCP listener
 //   --auth-token-file <f> shared token for the TCP auth handshake
 //   --data-dir <dir>     durable result storage + crash recovery
 //   --retain-records <n> in-memory finished-record cap (default 4096)
@@ -126,8 +123,6 @@ struct CliOptions {
   bool verbose = false;
   // serve-only
   std::size_t queue_capacity = 64;
-  std::size_t pool_sessions = 16;
-  std::size_t pool_mb = 256;
   std::string tcp_endpoint;      ///< "HOST:PORT"; empty => no TCP listener
   std::string auth_token_file;   ///< shared token for the TCP handshake
   std::string data_dir;          ///< empty => in-memory result store
@@ -179,10 +174,8 @@ int usage() {
                "flags: --poles N --vf-iters N --threads N --jobs N\n"
                "       --solver-threads N --stop-after STAGE\n"
                "       --summary-json PATH --verbose\n"
-               "serve/batch: --queue N --pool-sessions N\n"
-               "       --pool-mb N --tcp HOST:PORT --auth-token-file "
-               "FILE\n"
-               "serve: --data-dir DIR --retain-records N --retain-mb N\n"
+               "serve: --queue N --tcp HOST:PORT --auth-token-file FILE\n"
+               "       --data-dir DIR --retain-records N --retain-mb N\n"
                "       --retain-ttl SECONDS\n"
                "       --trace-file PATH --slow-job-ms N\n"
                "client: --timeout SECONDS --poll-ms N (wait), "
@@ -262,10 +255,6 @@ CliOptions parse_flags(int argc, char** argv, int first) {
       cli.verbose = true;
     } else if (flag == "--queue") {
       cli.queue_capacity = parse_count(value(), "--queue");
-    } else if (flag == "--pool-sessions") {
-      cli.pool_sessions = parse_count(value(), "--pool-sessions");
-    } else if (flag == "--pool-mb") {
-      cli.pool_mb = parse_count(value(), "--pool-mb");
     } else if (flag == "--tcp") {
       cli.tcp_endpoint = value();
     } else if (flag == "--auth-token-file") {
@@ -370,22 +359,17 @@ int run_batch(std::vector<pipeline::PipelineJob> jobs,
               const CliOptions& cli) {
   for (auto& job : jobs) job.options = cli.job;
 
-  pipeline::BatchOptions batch = cli.batch;
-  batch.pool.max_idle_sessions = cli.pool_sessions;
-  batch.pool.memory_budget_bytes = cli.pool_mb << 20;
-
-  const pipeline::BatchRunner runner(batch);
+  const pipeline::BatchRunner runner(cli.batch);
   const auto plan = runner.plan_for(jobs.size());
-  std::printf("running %zu job(s): %zu concurrent x %zu solver thread(s), "
-              "sessions pooled\n",
+  std::printf("running %zu job(s): %zu concurrent x %zu solver "
+              "thread(s)\n",
               jobs.size(), plan.job_workers, plan.solver_threads);
 
-  const auto outcome = runner.run_all(std::move(jobs));
-  const auto& results = outcome.results;
+  const auto results = runner.run_all(std::move(jobs));
   for (const auto& r : results) print_job_detail(r, cli.verbose);
 
   std::printf("\n");
-  pipeline::summary_table(results, &outcome.pool).print(std::cout);
+  pipeline::summary_table(results).print(std::cout);
   if (!cli.summary_json.empty()) {
     pipeline::write_summary_json_file(results, cli.summary_json);
     std::printf("wrote JSON summary to %s\n", cli.summary_json.c_str());
@@ -442,8 +426,6 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   options.queue_capacity = cli.queue_capacity;
   options.workers = cli.batch.job_workers;
   options.solver_threads = cli.batch.solver_threads;
-  options.pool.max_idle_sessions = cli.pool_sessions;
-  options.pool.memory_budget_bytes = cli.pool_mb << 20;
   options.job_defaults = cli.job;
   options.max_finished_records = cli.retain_records;
   options.data_dir = cli.data_dir;
@@ -497,7 +479,7 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
     endpoints += t->endpoint();
   }
   std::printf("phes_pipeline serving on %s (%zu worker(s) x %zu solver "
-              "thread(s), queue %zu, sessions pooled)\n",
+              "thread(s), queue %zu)\n",
               endpoints.c_str(), server.workers(), server.solver_threads(),
               cli.queue_capacity);
   std::fflush(stdout);
@@ -517,11 +499,8 @@ int cmd_serve(const std::string& socket_path, const CliOptions& cli) {
   transport.stop();
 
   const obs::MetricsSnapshot final_metrics = server.metrics_snapshot();
-  std::printf("served %llu job(s); session pool: %llu checkout(s), %llu "
-              "reuse(s)\n",
-              counter(final_metrics, "phes_jobs_submitted_total"),
-              counter(final_metrics, "phes_session_pool_checkouts_total"),
-              counter(final_metrics, "phes_session_pool_hits_total"));
+  std::printf("served %llu job(s)\n",
+              counter(final_metrics, "phes_jobs_submitted_total"));
   return 0;
 }
 

@@ -11,14 +11,14 @@
 // the revision it was computed at.
 //
 // solve() answers a same-revision re-solve (enforcement's round 0 after
-// characterize, verify after the last round, a pooled repeat of an
-// unchanged model) from the memo: the product of the stored run with
-// its work counters zeroed, since nothing ran.  Any other solve runs
-// cold — core::solve_dense at order <= kDenseMaxOrder, otherwise the
-// Krylov solver, ParallelHamiltonianEigensolver(realization).solve —
-// and replaces the memo.  Both routes are deterministic at one solver
-// thread (the Krylov start vectors come from `seed`), so at one thread
-// a memo answer is the bits a re-run would compute.  The memo key is
+// characterize, verify after the last round) from the memo: the
+// product of the stored run with its work counters zeroed, since
+// nothing ran.  Any other solve runs cold — core::solve_dense at order
+// <= kDenseMaxOrder, otherwise the Krylov solver,
+// ParallelHamiltonianEigensolver(realization).solve — and replaces the
+// memo.  Both routes are deterministic at one solver thread (the
+// Krylov start vectors come from `seed`), so at one thread a memo
+// answer is the bits a re-run would compute.  The memo key is
 // the revision alone: the product is a property of the model, so any
 // options are answered by the stored certificate.  A session's order
 // never changes, so one session always takes the same route.
@@ -101,10 +101,6 @@ class SolverSession {
   [[nodiscard]] core::SolverResult solve(const core::SolverOptions& options);
 
   [[nodiscard]] SessionStats stats() const;
-  /// Approximate resident memory: the realization's matrices plus the
-  /// memo.  Used by SessionPool's eviction budget; not an
-  /// allocator-exact figure.
-  [[nodiscard]] std::size_t approx_memory_bytes() const;
 
  private:
   macromodel::SimoRealization realization_;

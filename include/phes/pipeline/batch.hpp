@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "phes/engine/session_pool.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/util/table.hpp"
 
@@ -38,29 +37,19 @@ struct BatchOptions {
   /// Explicit overrides; 0 => derive from the plan.
   std::size_t job_workers = 0;
   std::size_t solver_threads = 0;
-  /// Budgets of the engine::SessionPool the batch's jobs share, keyed
-  /// by model content hash, so a directory batch's duplicate models are
-  /// answered from the first one's session memo, as on the job server.
-  /// `pool.max_idle_sessions = 0` drops every returned session.
-  engine::SessionPoolOptions pool{};
-};
-
-/// A batch's results plus the shared session pool's counters.
-struct BatchOutcome {
-  std::vector<PipelineResult> results;
-  engine::SessionPoolStats pool;
 };
 
 class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {});
 
-  /// Run all jobs, J at a time; per-job failures are captured on their
-  /// results (one bad input never aborts the batch).  Results come back
-  /// in job order, next to the session-pool statistics of the batch.
-  /// Each job's SolverOptions.threads is overwritten with the planned
+  /// Run all jobs, J at a time, each on its own solver session;
+  /// per-job failures are captured on their results (one bad input
+  /// never aborts the batch).  Results come back in job order.  Each
+  /// job's SolverOptions.threads is overwritten with the planned
   /// per-job solver thread count.
-  [[nodiscard]] BatchOutcome run_all(std::vector<PipelineJob> jobs) const;
+  [[nodiscard]] std::vector<PipelineResult> run_all(
+      std::vector<PipelineJob> jobs) const;
 
   /// The split run_all() will use for `job_count` jobs.
   [[nodiscard]] ParallelismPlan plan_for(std::size_t job_count) const;
@@ -70,12 +59,9 @@ class BatchRunner {
 };
 
 /// Aggregate per-job results into a summary table (name, status, ports,
-/// order, bands before/after, fit error, timings).  With `pool`, a
-/// footer row surfaces the batch's session-pool reuse (checkouts,
-/// pool hits and memo reuses).
+/// order, bands before/after, fit error, memo reuses, timings).
 [[nodiscard]] util::Table summary_table(
-    const std::vector<PipelineResult>& results,
-    const engine::SessionPoolStats* pool = nullptr);
+    const std::vector<PipelineResult>& results);
 
 /// Count of jobs that ran to their stop point without a stage failure.
 [[nodiscard]] std::size_t count_succeeded(

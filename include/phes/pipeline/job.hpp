@@ -26,10 +26,6 @@
 #include "phes/passivity/enforcement.hpp"
 #include "phes/vf/vector_fitting.hpp"
 
-namespace phes::engine {
-class SessionPool;
-}  // namespace phes::engine
-
 namespace phes::pipeline {
 
 /// Pipeline stages in execution order.
@@ -131,13 +127,9 @@ struct PipelineResult {
   /// model as passive.
   bool certified_passive = false;
 
-  /// Solver-session reuse statistics for this job.  When the job ran on
-  /// a pooled session (PipelineContext::session_pool) these are deltas
-  /// over the job's lifetime, so memo reuses are visible per job;
-  /// otherwise they are the whole (per-job) session's counters.
+  /// The job's solver-session counters (one session per job).
   engine::SessionStats session;
-  /// The realize stage was served by an already-pooled session for the
-  /// same model hash (cross-job sharing happened).
+  // Always false: kept only because bench/ledger/bench_ledger.cpp reads it.
   bool session_reused = false;
 
   /// Compact status: "passive" | "enforced" | "not-passive" |
@@ -186,10 +178,6 @@ struct PipelineResult {
 /// stage machine.  Default-constructed, run_pipeline behaves exactly as
 /// the hook-free overload.
 struct PipelineContext {
-  /// Cross-job session pool: the realize stage checks the fitted model
-  /// out of this pool instead of building a private session.  The
-  /// lease is returned when the job finishes.
-  engine::SessionPool* session_pool = nullptr;
   /// Cooperative cancellation, polled at every stage boundary; a set
   /// flag stops the job before its next stage (result.cancelled).
   const std::atomic<bool>* cancel = nullptr;
@@ -203,8 +191,8 @@ struct PipelineContext {
 /// allocation failure and similar catastrophes propagate.)
 [[nodiscard]] PipelineResult run_pipeline(const PipelineJob& job);
 
-/// Hooked variant: same stage machine with a session pool, cooperative
-/// cancellation, and a stage observer (see PipelineContext).
+/// Hooked variant: same stage machine with cooperative cancellation and
+/// a stage observer (see PipelineContext).
 [[nodiscard]] PipelineResult run_pipeline(const PipelineJob& job,
                                           const PipelineContext& context);
 

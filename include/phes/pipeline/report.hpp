@@ -44,12 +44,12 @@ void write_job_json(const PipelineResult& result, std::ostream& os,
 [[nodiscard]] PipelineResult read_job_json(const std::string& text);
 
 /// Canonical single-line JSON of a result's *deterministic* fields —
-/// what two runs of the same job on the same build must agree on, per
-/// the session-pool determinism guarantee.  Excludes everything that
-/// legitimately varies run to run: wall-clock timings, session reuse
-/// counters, matvec totals, and the job id.  Campaign replay classifies
-/// a replayed job against its stored record by comparing signatures:
-/// equal => bit-identical output.
+/// what two runs of the same job on the same build must agree on (both
+/// solver routes are deterministic at one solver thread).  Excludes
+/// everything that legitimately varies run to run: wall-clock timings,
+/// session counters, matvec totals, and the job id.  Campaign replay
+/// classifies a replayed job against its stored record by comparing
+/// signatures: equal => bit-identical output.
 [[nodiscard]] std::string result_signature(const PipelineResult& result);
 
 void write_summary_json(const std::vector<PipelineResult>& results,

@@ -33,8 +33,8 @@
 // the terminal state reported by status/result is authoritative.
 // `metrics` dumps the server's obs::MetricsRegistry — every layer's
 // counters, gauges and histograms (transport, dispatch, queue, workers,
-// session pool, store, campaigns; see README "Observability" for the
-// name reference).  It is the server's one stats surface.
+// store, campaigns; see README "Observability" for the name
+// reference).  It is the server's one stats surface.
 // `replay` resolves stored records (one id, or `all` narrowed by the
 // optional state/model/from/to filters) back into fresh jobs through
 // the normal admission path and answers with a campaign id plus the

@@ -5,10 +5,10 @@
 // A bounded JobQueue (admission + backpressure) feeds a fixed
 // util::ThreadGroup of worker loops; each worker runs jobs through
 // pipeline::run_pipeline with a PipelineContext that wires in
-//  - the cross-job engine::SessionPool (jobs over the same model hash
-//    share a SolverSession and its result memo),
 //  - a per-job cancellation flag (polled at stage boundaries), and
 //  - a stage observer feeding the ResultStore's progress field.
+// Every job owns one SolverSession for its lifetime; a resubmitted
+// model is solved again (a finished verdict is re-read with `result`).
 // Finished results land in the ResultStore keyed by job id, retrievable
 // via the NDJSON protocol (server/protocol.hpp) or in-process.
 //
@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "phes/engine/session_pool.hpp"
 #include "phes/pipeline/batch.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/server/campaign.hpp"
@@ -47,9 +46,6 @@ struct ServerOptions {
   std::size_t workers = 0;
   /// Solver threads handed to every job; 0 => from the same plan.
   std::size_t solver_threads = 0;
-  /// Budgets of the session pool every job checks its model out of
-  /// (keyed by model content hash).
-  engine::SessionPoolOptions pool{};
   /// Finished-record retention cap of the in-memory result store
   /// (ignored when data_dir selects the disk backend).
   std::size_t max_finished_records = 4096;
@@ -137,12 +133,6 @@ class JobServer {
   [[nodiscard]] std::size_t solver_threads() const noexcept {
     return solver_threads_;
   }
-  /// The cross-job session pool; its counters are the registry's
-  /// phes_session_pool_* instruments.
-  [[nodiscard]] const engine::SessionPool& session_pool() const noexcept {
-    return session_pool_;
-  }
-
   /// The registry every layer of this server reports into (the
   /// server-owned one unless ServerOptions::registry was set).
   [[nodiscard]] obs::MetricsRegistry& metrics_registry() const noexcept {
@@ -193,15 +183,14 @@ class JobServer {
   std::size_t worker_count_ = 1;
   std::size_t solver_threads_ = 1;
 
-  /// Declared before queue_/store_/session_pool_: all three register
-  /// instruments in the registry during construction.
+  /// Declared before queue_/store_: both register instruments in the
+  /// registry during construction.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_ = nullptr;
   TraceStore traces_;
 
   JobQueue queue_;
   ResultStore store_;
-  engine::SessionPool session_pool_;
   /// Declared after store_: start() reads stored records, and the
   /// runner resolves its phes_campaign_* instruments from registry_.
   CampaignRunner campaigns_;

@@ -13,8 +13,8 @@
 //     the registry into a relaxed-load-and-return no-op, so the
 //     overhead of observability can be measured (bench_metrics_overhead)
 //     and disabled outright.  The in-process stats views
-//     (JobQueue::stats, SessionPool::stats) read registry instruments,
-//     so disabling the registry also freezes them.  Compiling with
+//     (JobQueue::stats) read registry instruments, so disabling the
+//     registry also freezes them.  Compiling with
 //     -DPHES_DISABLE_METRICS removes the instrument bodies entirely
 //     (perf builds; `metrics` and those views then report zeros).
 //

@@ -53,24 +53,6 @@ core::SolverResult SolverSession::solve(const core::SolverOptions& opt) {
   return result;
 }
 
-std::size_t SolverSession::approx_memory_bytes() const {
-  const std::size_t n = realization_.order();
-  const std::size_t p = realization_.ports();
-  // Realization: C (p x n), D (p x p), pole blocks.
-  std::size_t bytes =
-      (p * n + p * p) * sizeof(double) +
-      realization_.blocks().size() * sizeof(macromodel::SimoBlock);
-  if (memo_) {
-    const core::SolverResult& r = memo_->result;
-    bytes += r.crossings.size() * sizeof(double) +
-             r.eigenvalues.size() * sizeof(la::Complex);
-    for (const core::CompletedDisk& d : r.disks) {
-      bytes += sizeof(d) + d.eigenvalues.size() * sizeof(la::Complex);
-    }
-  }
-  return bytes;
-}
-
 SessionStats SolverSession::stats() const {
   SessionStats s = stats_;
   s.revision = revision_;

@@ -83,13 +83,6 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     if (blk.is_pair) column_weight[blk.state + 1] = std::abs(blk.alpha);
   }
 
-  const auto record_cost = [&result](EnforcementIterate& it,
-                                     const core::SolverResult& solver) {
-    it.solver_matvecs = solver.total_matvecs;
-    ++result.characterizations;
-    result.total_matvecs += solver.total_matvecs;
-  };
-
   for (std::size_t iter = 0; iter < kMaxEnforcementRounds; ++iter) {
     const PassivityReport report =
         characterize_passivity(session, solver_opt);
@@ -98,7 +91,9 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     for (const auto& band : report.bands) {
       it.worst_sigma = std::max(it.worst_sigma, band.sigma_peak);
     }
-    record_cost(it, report.solver);
+    it.solver_matvecs = report.solver.total_matvecs;
+    ++result.characterizations;
+    result.total_matvecs += report.solver.total_matvecs;
 
     if (report.passive) {
       result.success = true;
@@ -115,7 +110,9 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     }
     if (constraints.empty()) {
       // Crossings exist but every sampled sigma is already below the
-      // ceiling: grazing violations; declare as converged as we can get.
+      // ceiling: grazing violations leave no constraint for the Gram
+      // solve, so stop here (success stays false: this revision's
+      // characterization was not passive).
       result.iterations = iter;
       result.history.push_back(it);
       break;
@@ -239,17 +236,6 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     it.delta_c_norm = step_norm * scale_step;
     result.history.push_back(it);
     result.iterations = iter + 1;
-  }
-
-  if (!result.success && result.iterations < kMaxEnforcementRounds) {
-    // Loop ended via the grazing-violation break; verify once more.
-    // Same revision as the round that broke out, so the session's memo
-    // answers with that round's verdict.
-    const PassivityReport final_report =
-        characterize_passivity(session, solver_opt);
-    EnforcementIterate confirm;
-    record_cost(confirm, final_report.solver);
-    result.success = final_report.passive;
   }
 
   const RealMatrix diff = session.realization().c() - c_initial;

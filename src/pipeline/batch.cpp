@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <thread>
-#include <utility>
 
 #include "phes/util/threads.hpp"
 
@@ -40,29 +39,20 @@ ParallelismPlan BatchRunner::plan_for(std::size_t job_count) const {
   return plan;
 }
 
-BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
-  BatchOutcome outcome;
-  outcome.results.resize(jobs.size());
-  if (jobs.empty()) return outcome;
-  auto& results = outcome.results;
+std::vector<PipelineResult> BatchRunner::run_all(
+    std::vector<PipelineJob> jobs) const {
+  std::vector<PipelineResult> results(jobs.size());
+  if (jobs.empty()) return results;
 
   const ParallelismPlan plan = plan_for(jobs.size());
   for (auto& job : jobs) {
     job.options.solver.threads = plan.solver_threads;
   }
 
-  // Shared across the batch's jobs: duplicate models check the previous
-  // job's session (and its memo) back out instead of re-solving.  Concurrent duplicates still get distinct sessions —
-  // checkout is exclusive — so reuse shows up when duplicates
-  // serialize, exactly like the job server.
-  engine::SessionPool sessions(options_.pool);
-  PipelineContext context;
-  context.session_pool = &sessions;
-
   util::parallel_for(plan.job_workers, jobs.size(),
                      [&](std::size_t i, std::size_t) {
     try {
-      results[i] = run_pipeline(jobs[i], context);
+      results[i] = run_pipeline(jobs[i]);
     } catch (const std::exception& e) {
       // run_pipeline captures stage errors itself; this is the last
       // line of defence (allocation failure and the like).
@@ -72,12 +62,10 @@ BatchOutcome BatchRunner::run_all(std::vector<PipelineJob> jobs) const {
       results[i].error = e.what();
     }
   });
-  outcome.pool = sessions.stats();
-  return outcome;
+  return results;
 }
 
-util::Table summary_table(const std::vector<PipelineResult>& results,
-                          const engine::SessionPoolStats* pool) {
+util::Table summary_table(const std::vector<PipelineResult>& results) {
   util::Table table({"job", "status", "ports", "order", "fit rms",
                      "bands", "after", "memo", "time [s]"});
   for (const auto& r : results) {
@@ -105,30 +93,6 @@ util::Table summary_table(const std::vector<PipelineResult>& results,
                             std::to_string(r.session.solves)
                       : "-",
         util::format_double(r.total_seconds),
-    });
-  }
-  if (pool != nullptr) {
-    // Batch-level reuse at a glance: how many realize stages were
-    // served by an already-pooled session, and the memo totals.
-    std::size_t reuses = 0;
-    std::size_t solves = 0;
-    double seconds = 0.0;
-    for (const auto& r : results) {
-      reuses += r.session.reuses;
-      solves += r.session.solves;
-      seconds += r.total_seconds;
-    }
-    table.add_row({
-        "(session pool)",
-        std::to_string(pool->pool_hits) + "/" +
-            std::to_string(pool->checkouts) + " reused",
-        "-",
-        "-",
-        "-",
-        "-",
-        "-",
-        std::to_string(reuses) + "/" + std::to_string(solves),
-        util::format_double(seconds),
     });
   }
   return table;

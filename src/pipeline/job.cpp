@@ -4,12 +4,9 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
-#include "phes/engine/session_pool.hpp"
 #include "phes/io/touchstone.hpp"
 #include "phes/macromodel/samples_io.hpp"
-#include "phes/macromodel/simo_realization.hpp"
 #include "phes/pipeline/report.hpp"
 #include "phes/util/check.hpp"
 #include "phes/util/json.hpp"
@@ -186,22 +183,6 @@ PipelineResult run_pipeline(const PipelineJob& job) {
   return run_pipeline(job, PipelineContext{});
 }
 
-namespace {
-
-/// Per-job view of a (possibly shared, cumulative) session's counters.
-engine::SessionStats stats_since(const engine::SessionStats& now,
-                                 const engine::SessionStats& base) {
-  engine::SessionStats d = now;
-  // `revision` is a gauge: keep the current value.
-  d.solves -= base.solves;
-  d.dense_solves -= base.dense_solves;
-  d.reuses -= base.reuses;
-  d.factorizations -= base.factorizations;
-  return d;
-}
-
-}  // namespace
-
 PipelineResult run_pipeline(const PipelineJob& job,
                             const PipelineContext& context) {
   PipelineResult result;
@@ -213,12 +194,8 @@ PipelineResult run_pipeline(const PipelineJob& job,
   vf::VectorFittingResult fit;
   // The solver session owns the realization and lives across the
   // characterize -> enforce -> verify stages, so its memo answers the
-  // re-solves of an unchanged revision; obtained in kRealize — either
-  // a private session, or a lease from the cross-job pool.
-  std::unique_ptr<engine::SolverSession> owned_session;
-  engine::SessionLease lease;
-  engine::SolverSession* session = nullptr;
-  engine::SessionStats session_base;  ///< pooled counters at checkout
+  // re-solves of an unchanged revision; built in kRealize.
+  std::unique_ptr<engine::SolverSession> session;
 
   // Runs `body` as `stage`, recording its wall time; returns false when
   // the job was cancelled, the stage threw (the pipeline stops), or the
@@ -271,12 +248,9 @@ PipelineResult run_pipeline(const PipelineJob& job,
   }
 
   // Stage bodies return early via run_stage; capture whatever session
-  // statistics exist so partial runs still report their reuse.  Pooled
-  // sessions carry counters from previous jobs, so report the delta.
+  // statistics exist so partial runs still report their reuse.
   const auto stamp_session_stats = [&] {
-    if (session != nullptr) {
-      result.session = stats_since(session->stats(), session_base);
-    }
+    if (session != nullptr) result.session = session->stats();
   };
 
   // -- fit (vector fitting) --------------------------------------------
@@ -299,17 +273,7 @@ PipelineResult run_pipeline(const PipelineJob& job,
 
   // -- realize (structured SIMO state space) ---------------------------
   if (!run_stage(Stage::kRealize, [&] {
-        macromodel::SimoRealization realization(fit.model);
-        if (context.session_pool != nullptr) {
-          lease = context.session_pool->checkout(std::move(realization));
-          session = &lease.session();
-          result.session_reused = lease.reused();
-          session_base = session->stats();
-        } else {
-          owned_session = std::make_unique<engine::SolverSession>(
-              std::move(realization));
-          session = owned_session.get();
-        }
+        session = std::make_unique<engine::SolverSession>(fit.model);
       })) {
     return result;
   }

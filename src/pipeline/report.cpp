@@ -114,9 +114,7 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
      << ", \"solves\": " << r.session.solves
      << ", \"dense_solves\": " << r.session.dense_solves
      << ", \"reuses\": " << r.session.reuses
-     << ", \"revision\": " << r.session.revision
-     << ", \"reused\": " << (r.session_reused ? "true" : "false")
-     << " },\n";
+     << ", \"revision\": " << r.session.revision << " },\n";
   os << pad << "  \"total_matvecs\": " << job_matvecs(r) << ",\n";
   os << pad << "  \"stage_seconds\": {";
   bool first = true;
@@ -190,13 +188,13 @@ PipelineResult read_job_json(const std::string& text) {
     r.session.dense_solves =
         static_cast<std::size_t>(session->uint_or("dense_solves", 0));
     // Records written before the Krylov route shared the memo call the
-    // reuses "dense_reuses" and carry cache and warm-start counters,
-    // which are ignored.
+    // reuses "dense_reuses" and carry cache and warm-start counters;
+    // records of builds with a cross-job session pool carry "reused".
+    // Those are ignored.
     r.session.reuses = static_cast<std::size_t>(session->uint_or(
         "reuses", session->uint_or("dense_reuses", 0)));
     r.session.revision =
         static_cast<std::size_t>(session->uint_or("revision", 0));
-    r.session_reused = session->bool_or("reused", false);
   }
   // The serialized total is a sum over three solver runs; attributing
   // it all to the initial report keeps job_matvecs() stable.

@@ -55,7 +55,6 @@ JobServer::JobServer(ServerOptions options, pipeline::ParallelismPlan plan)
       traces_(options_.trace_capacity, options_.trace_file),
       queue_(options_.queue_capacity, registry_),
       store_(make_storage(options_, registry_)),
-      session_pool_(options_.pool, registry_),
       campaigns_(*this, *registry_) {
   jobs_submitted_ = &registry_->counter("phes_jobs_submitted_total");
   jobs_done_ = &registry_->counter("phes_jobs_done_total");
@@ -251,7 +250,6 @@ void JobServer::run_one(QueuedJob item) {
   }
 
   pipeline::PipelineContext context;
-  context.session_pool = &session_pool_;
   context.cancel = flag.get();
   context.on_stage_start = [this, id](pipeline::Stage stage) {
     store_.set_stage(id, stage);

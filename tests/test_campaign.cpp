@@ -245,6 +245,49 @@ TEST(Campaign, SingleIdReplayTracksOneCampaign) {
             std::string::npos);
 }
 
+TEST(Campaign, LiveReplayOfPassiveJobRunsItsOwnEigensolve) {
+  // A replay on the server that ran the source job is a regression
+  // check, not a cache read: the replayed job fits and solves again on
+  // its own session (one dense eigensolve, verify the memo reuse) and
+  // is classified bit-identical against the stored record.
+  TempDir dir("campaign_live");
+  obs::MetricsRegistry registry;
+  JobServer jobs(campaign_options(dir.path, &registry));
+
+  const std::uint64_t source =
+      submit_inline(jobs, touchstone_payload(5), "passive");
+  ASSERT_TRUE(jobs.wait(source, 300.0));
+  const auto stored = jobs.result(source);
+  ASSERT_TRUE(stored.has_value());
+  ASSERT_EQ(stored->status(), "passive");
+
+  const auto ack = JsonValue::parse(request(
+      jobs, "{\"op\": \"replay\", \"id\": " + std::to_string(source) + "}"));
+  ASSERT_TRUE(ack.bool_or("ok", false)) << ack.string_or("error", "");
+  const std::vector<std::uint64_t> ids = replay_ids(ack);
+  ASSERT_EQ(ids.size(), 1u);
+  ASSERT_TRUE(jobs.wait(ids[0], 300.0));
+
+  const auto replayed = jobs.result(ids[0]);
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(replayed->status(), "passive");
+  for (const auto* r : {&*stored, &*replayed}) {
+    EXPECT_EQ(r->session.solves, 2u);
+    EXPECT_EQ(r->session.dense_solves, 1u);
+    EXPECT_EQ(r->session.reuses, 1u);
+  }
+  EXPECT_EQ(pipeline::result_signature(*replayed),
+            pipeline::result_signature(*stored));
+
+  const auto status =
+      JsonValue::parse(request(jobs, "{\"op\": \"campaign\", \"id\": 1}"));
+  ASSERT_TRUE(status.bool_or("ok", false));
+  const JsonValue* deltas = status.find("deltas");
+  ASSERT_NE(deltas, nullptr);
+  EXPECT_EQ(deltas->uint_or("identical", 0), 1u);
+  EXPECT_EQ(deltas->uint_or("state", 99), 0u);
+}
+
 TEST(Campaign, ReplayRejectsUnknownUnfinishedAndMissingSelector) {
   obs::MetricsRegistry registry;
   ServerOptions options = campaign_options("", &registry);

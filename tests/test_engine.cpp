@@ -2,8 +2,8 @@
 // bit-identical to the classic API, before and after a residue update,
 // and the dense route for small models — plus the session's one-entry
 // result memo on both routes: a same-revision re-solve is served with
-// the stored product's bits and zero work, a residue update
-// recomputes, and an unchanged pooled session runs no eigensolve.
+// the stored product's bits and zero work, and a residue update
+// recomputes.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "phes/core/solver.hpp"
 #include "phes/engine/session.hpp"
-#include "phes/engine/session_pool.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/passivity/characterization.hpp"
@@ -190,46 +189,6 @@ TEST_P(SessionMemo, OptionsDoNotChangeTheServedResult) {
   const auto served = session.solve(other);
   EXPECT_EQ(session.stats().reuses, 1u);
   EXPECT_TRUE(same_bits(served, reference));
-}
-
-TEST_P(SessionMemo, PerturbedSessionIsDroppedAndUnchangedReturnHits) {
-  const SimoRealization pristine(model(25));
-  engine::SessionPool pool;
-  core::SolverOptions opt;
-  core::SolverResult cold;
-  {
-    auto lease = pool.checkout(SimoRealization(pristine));
-    cold = lease.session().solve(opt);
-  }
-  {
-    // Unchanged model back out of the pool: the memo serves it, and
-    // no eigensolve runs.
-    auto lease = pool.checkout(SimoRealization(pristine));
-    ASSERT_TRUE(lease.reused());
-    const auto before = lease.session().stats();
-    const auto served = lease.session().solve(opt);
-    EXPECT_TRUE(same_bits(served, cold));
-    EXPECT_EQ(served.total_matvecs, 0u);
-    EXPECT_EQ(lease.session().stats().reuses, before.reuses + 1);
-    EXPECT_EQ(eigensolves(lease.session()), 1u);
-    // Perturb the residues the way enforcement would.
-    la::RealMatrix c = lease.session().realization().c();
-    c *= 0.9;
-    lease.session().update_residues(c);
-    (void)lease.session().solve(opt);
-  }
-  // The perturbed session was dropped, not pooled.
-  EXPECT_EQ(pool.stats().returns, 2u);
-  EXPECT_EQ(pool.stats().idle_sessions, 0u);
-  auto lease = pool.checkout(SimoRealization(pristine));
-  EXPECT_FALSE(lease.reused());
-  EXPECT_EQ(lease.session().revision(), 0u);
-  const auto fresh = lease.session().solve(opt);
-  // A fresh session: recomputed, and the same bits as the pristine
-  // model's first solve.
-  EXPECT_EQ(eigensolves(lease.session()), 1u);
-  EXPECT_EQ(lease.session().stats().reuses, 0u);
-  EXPECT_TRUE(same_bits(fresh, cold));
 }
 
 INSTANTIATE_TEST_SUITE_P(

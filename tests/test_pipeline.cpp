@@ -201,16 +201,16 @@ TEST(Pipeline, InlineTextInputMatchesThePathRoute) {
   EXPECT_EQ(failed.failed_stage, Stage::kLoad);
 }
 
-TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
-  // Four jobs over ONE model, one worker: jobs serialize, so jobs 2-4
-  // must check the first job's session back out of the batch pool.
-  // The model sits below engine::kDenseMaxOrder, so each job's one
-  // eigensolve is dense and builds no factorization to share.
+TEST(Pipeline, BatchDuplicateModelsEachRunTheirOwnSolve) {
+  // Four jobs over ONE model, one worker: jobs serialize, and each one
+  // builds its own session and runs its own eigensolve — nothing is
+  // shared across jobs.  The model sits below engine::kDenseMaxOrder,
+  // so that eigensolve is dense and builds no factorization.
   const auto samples = non_passive_samples(7, 20);
   std::vector<PipelineJob> jobs;
   for (int i = 0; i < 4; ++i) {
     PipelineJob job = make_job(samples);
-    job.name = "dup-" + std::to_string(i);
+    job.name = "dup";  // the signature carries the name
     job.options.fit.num_poles = 10;
     job.options.stop_after = Stage::kCharacterize;
     jobs.push_back(std::move(job));
@@ -219,60 +219,34 @@ TEST(Pipeline, BatchSessionPoolSharesAcrossDuplicateModels) {
   pipeline::BatchOptions options;
   options.job_workers = 1;
   options.solver_threads = 1;
-  const pipeline::BatchRunner runner(options);
-  const auto outcome = runner.run_all(jobs);
+  const auto results = pipeline::BatchRunner(options).run_all(jobs);
 
-  ASSERT_EQ(outcome.results.size(), 4u);
-  for (const auto& r : outcome.results) ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(outcome.pool.checkouts, 4u);
-  EXPECT_EQ(outcome.pool.creations, 1u);
-  EXPECT_EQ(outcome.pool.pool_hits, 3u) << "duplicate models must share";
-  EXPECT_FALSE(outcome.results[0].session_reused);
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_TRUE(outcome.results[i].session_reused);
-  }
-  // The first job runs the dense eigensolve; the three pooled repeats
-  // of the unchanged model are served by the session's memo.
-  for (std::size_t i = 0; i < outcome.results.size(); ++i) {
-    const auto& r = outcome.results[i];
+  ASSERT_EQ(results.size(), 4u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& r = results[i];
+    ASSERT_TRUE(r.ok) << r.error;
     ASSERT_LE(r.order, engine::kDenseMaxOrder);
+    EXPECT_FALSE(r.session_reused);
     EXPECT_EQ(r.session.solves, 1u);
-    EXPECT_EQ(r.session.dense_solves, i == 0 ? 1u : 0u) << "job " << i;
-    EXPECT_EQ(r.session.reuses, i == 0 ? 0u : 1u) << "job " << i;
+    EXPECT_EQ(r.session.dense_solves, 1u) << "job " << i;
+    EXPECT_EQ(r.session.reuses, 0u) << "job " << i;
     EXPECT_EQ(r.session.factorizations, 0u);
+    // Same model, same deterministic product: equal signatures and
+    // bit-identical crossings.
+    EXPECT_EQ(pipeline::result_signature(r),
+              pipeline::result_signature(results[0]))
+        << "job " << i;
+    EXPECT_EQ(r.initial_report.crossings, results[0].initial_report.crossings)
+        << "job " << i;
   }
-  // Pooled reuse must not change the numbers: all four crossing sets
-  // agree bit for bit.
-  for (int i = 1; i < 4; ++i) {
-    ASSERT_EQ(outcome.results[i].initial_report.crossings.size(),
-              outcome.results[0].initial_report.crossings.size());
-    for (std::size_t k = 0;
-         k < outcome.results[i].initial_report.crossings.size(); ++k) {
-      EXPECT_DOUBLE_EQ(outcome.results[i].initial_report.crossings[k],
-                       outcome.results[0].initial_report.crossings[k]);
-    }
-  }
-
-  // Oracle: each job alone on a private session.  Pooling must not
-  // move a bit of the crossing set or of the deterministic record.
+  // Oracle: each job alone through run_pipeline gives the same record.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto isolated = run_pipeline(jobs[i]);
     ASSERT_TRUE(isolated.ok) << isolated.error;
-    EXPECT_FALSE(isolated.session_reused);
-    EXPECT_EQ(outcome.results[i].initial_report.crossings,
-              isolated.initial_report.crossings)
-        << "job " << i;
-    EXPECT_EQ(pipeline::result_signature(outcome.results[i]),
+    EXPECT_EQ(pipeline::result_signature(results[i]),
               pipeline::result_signature(isolated))
         << "job " << i;
   }
-  // The summary table gains a pool footer row when stats are passed.
-  const auto table =
-      pipeline::summary_table(outcome.results, &outcome.pool);
-  std::ostringstream rendered;
-  table.print(rendered);
-  EXPECT_NE(rendered.str().find("(session pool)"), std::string::npos);
-  EXPECT_NE(rendered.str().find("3/4 reused"), std::string::npos);
 }
 
 TEST(Pipeline, ParallelismPlanSplitsTheBudget) {
@@ -311,7 +285,7 @@ TEST(Pipeline, BatchRunsAllJobsAndIsolatesFailures) {
   pipeline::BatchOptions options;
   options.total_threads = 2;
   const pipeline::BatchRunner runner(options);
-  const auto results = runner.run_all(jobs).results;
+  const auto results = runner.run_all(jobs);
 
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].name, "file-job");  // order preserved
@@ -338,7 +312,7 @@ TEST(Pipeline, SummaryJsonIsWrittenAndParseable) {
 
   pipeline::BatchOptions options;
   options.total_threads = 2;
-  const auto results = pipeline::BatchRunner(options).run_all(jobs).results;
+  const auto results = pipeline::BatchRunner(options).run_all(jobs);
   ASSERT_EQ(pipeline::count_succeeded(results), 2u);
 
   const std::string json_path = "/tmp/phes_summary_test.json";
@@ -392,31 +366,28 @@ TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {
   EXPECT_EQ(result.session.reuses, 1u);
 }
 
-TEST(Pipeline, PooledRepeatOfPassiveModelRunsNoEigensolve) {
+TEST(Pipeline, RepeatOfPassiveModelRunsItsOwnEigensolve) {
   // Two full runs over one passive model, one worker: the second job
-  // checks out the first job's unchanged session, whose memo serves
-  // both its characterize and its verify solve — same bits.
+  // builds its own session, so it runs the same one dense eigensolve
+  // (verify is the memo reuse) and gets the same bits.
   const auto samples = test::passive_samples(21);
   std::vector<PipelineJob> jobs(2, make_job(samples));
   pipeline::BatchOptions options;
   options.job_workers = 1;
   options.solver_threads = 1;
-  const auto outcome = pipeline::BatchRunner(options).run_all(jobs);
-  ASSERT_EQ(outcome.results.size(), 2u);
-  const auto& first = outcome.results[0];
-  const auto& second = outcome.results[1];
-  ASSERT_TRUE(first.ok && second.ok);
-  EXPECT_EQ(second.status(), "passive");
-  EXPECT_TRUE(second.session_reused);
-  EXPECT_EQ(first.session.dense_solves, 1u);
-  EXPECT_EQ(first.session.reuses, 1u);
-  EXPECT_EQ(second.session.solves, 2u);
-  EXPECT_EQ(second.session.dense_solves, 0u);
-  EXPECT_EQ(second.session.reuses, 2u);
-  EXPECT_EQ(second.initial_report.solver.eigenvalues,
-            first.initial_report.solver.eigenvalues);
-  EXPECT_EQ(second.final_report.solver.eigenvalues,
-            first.final_report.solver.eigenvalues);
+  const auto results = pipeline::BatchRunner(options).run_all(jobs);
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.status(), "passive");
+    EXPECT_EQ(r.session.solves, 2u);
+    EXPECT_EQ(r.session.dense_solves, 1u);
+    EXPECT_EQ(r.session.reuses, 1u);
+  }
+  EXPECT_EQ(results[1].initial_report.solver.eigenvalues,
+            results[0].initial_report.solver.eigenvalues);
+  EXPECT_EQ(results[1].final_report.solver.eigenvalues,
+            results[0].final_report.solver.eigenvalues);
 }
 
 TEST(Pipeline, CancellationStopsAtStageBoundary) {

@@ -64,7 +64,7 @@ ServerOptions deterministic_server_options() {
 
 /// Field-by-field bitwise comparison of the numerical products of two
 /// pipeline runs (ids and timings legitimately differ; session
-/// counters depend on pooling and are asserted separately).
+/// counters are asserted separately).
 void expect_bit_identical(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.status(), b.status());
@@ -333,9 +333,8 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
       jobs, std::make_unique<server::UnixTransport>(socket_path));
   transport.start();
 
-  // Two successive submissions of the same file over the socket.
-  // Enforcement moves the first job's session revision, so the pool
-  // drops that session and the second job starts on a fresh one.
+  // Two successive submissions of the same file over the socket; each
+  // job runs on its own session.
   server::Client client(socket_path);
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 2; ++i) {
@@ -347,8 +346,6 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
     const std::uint64_t id = json.uint_or("id", 0);
     ASSERT_GT(id, 0u);
     ids.push_back(id);
-    // Serialize the pair so the second checkout comes after the first
-    // session's return.
     ASSERT_TRUE(jobs.wait(id, 300.0));
   }
 
@@ -359,11 +356,6 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
     ASSERT_TRUE(result.has_value());
     expect_bit_identical(*result, oneshot);
   }
-  const auto first = jobs.result(ids[0]);
-  const auto second = jobs.result(ids[1]);
-  EXPECT_FALSE(first->session_reused);
-  EXPECT_FALSE(second->session_reused) << "a perturbed session is dropped";
-
   // The socket-facing result op returns the machine-readable record.
   const std::string result_line = client.request(
       "{\"op\": \"result\", \"id\": " + std::to_string(ids[1]) + "}");
@@ -371,7 +363,6 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
   EXPECT_NE(result_line.find("\"status\": \"enforced\""), std::string::npos);
   EXPECT_NE(result_line.find("\"certified_passive\": true"),
             std::string::npos);
-  EXPECT_NE(result_line.find("\"reused\": false"), std::string::npos);
   EXPECT_EQ(result_line.find('\n'), std::string::npos) << "NDJSON: one line";
 
   // status (single + all) and metrics over the same connection.
@@ -381,10 +372,7 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
   const std::string all_line = client.request("{\"op\": \"status\"}");
   EXPECT_NE(all_line.find("\"jobs\": ["), std::string::npos);
   const std::string metrics_line = client.request("{\"op\": \"metrics\"}");
-  EXPECT_NE(metrics_line.find("\"phes_session_pool_hits_total\": 0"),
-            std::string::npos)
-      << metrics_line;
-  EXPECT_NE(metrics_line.find("\"phes_session_pool_idle_sessions\": 0"),
+  EXPECT_NE(metrics_line.find("\"phes_jobs_done_total\": 2"),
             std::string::npos)
       << metrics_line;
 
@@ -396,18 +384,17 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
   transport.stop();
 }
 
-TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
-  // Characterize-only jobs never bump the session revision, so the
-  // second job checks the first job's session back out of the pool.
-  // golden.s2p fits below engine::kDenseMaxOrder: both eigensolves
-  // take the dense route, so nothing is factorized — the pool sharing
-  // itself is what is checked.
+TEST(ServerIntegration, RepeatCharacterizationRunsItsOwnEigensolve) {
+  // A passive model, characterize-only, submitted twice to one server:
+  // nothing is shared across jobs, so each job builds its own session
+  // and runs its own (dense) eigensolve, with the same crossings bit
+  // for bit.  golden.s4p fits below engine::kDenseMaxOrder.
   ServerOptions options = deterministic_server_options();
   options.workers = 1;
   JobServer jobs(options);
 
   PipelineJob job;
-  job.input_path = test::fixture_path("golden.s2p");
+  job.input_path = test::fixture_path("golden.s4p");
   job.options = deterministic_options();
   job.options.stop_after = Stage::kCharacterize;
 
@@ -421,60 +408,18 @@ TEST(ServerIntegration, CrossJobCacheHitsOnRepeatCharacterization) {
   ASSERT_TRUE(r1 && r1->ok) << (r1 ? r1->error : "missing");
   ASSERT_TRUE(r2 && r2->ok) << (r2 ? r2->error : "missing");
 
-  // Fresh first session, pooled second one — same crossings, bit for
-  // bit, nothing factorized.  The first job runs the dense eigensolve;
-  // the second, on the unchanged pooled session, is served by its
-  // memo.
-  EXPECT_FALSE(r1->session_reused);
-  EXPECT_TRUE(r2->session_reused);
-  EXPECT_EQ(r1->session.dense_solves, 1u);
-  EXPECT_EQ(r1->session.reuses, 0u);
-  EXPECT_EQ(r2->session.dense_solves, 0u);
-  EXPECT_EQ(r2->session.reuses, 1u);
   for (const auto& r : {*r1, *r2}) {
     ASSERT_LE(r.order, engine::kDenseMaxOrder);
+    EXPECT_TRUE(r.initial_report.passive);
     EXPECT_EQ(r.session.solves, 1u);
+    EXPECT_EQ(r.session.dense_solves, 1u);
+    EXPECT_EQ(r.session.reuses, 0u);
     EXPECT_EQ(r.session.factorizations, 0u);
     EXPECT_TRUE(r.initial_report.solver.dense);
   }
-  ASSERT_EQ(r1->initial_report.crossings.size(),
-            r2->initial_report.crossings.size());
-  for (std::size_t i = 0; i < r1->initial_report.crossings.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1->initial_report.crossings[i],
-                     r2->initial_report.crossings[i]);
-  }
-
-  // The metrics op serves the pool's own bookkeeping: every
-  // phes_session_pool_* value equals SessionPool::stats().
-  const auto response =
-      JsonValue::parse(server::handle_request(jobs, "{\"op\": \"metrics\"}")
-                           .response);
-  const auto metrics = obs::MetricsSnapshot::from_json(
-      *response.find("metrics"));
-  const auto pool = jobs.session_pool().stats();
-  EXPECT_EQ(pool.checkouts, 2u);
-  EXPECT_EQ(pool.pool_hits, 1u);
-  EXPECT_EQ(pool.creations, 1u);
-  EXPECT_EQ(test::counter(metrics, "phes_session_pool_checkouts_total"),
-            pool.checkouts);
-  EXPECT_EQ(test::counter(metrics, "phes_session_pool_hits_total"),
-            pool.pool_hits);
-  EXPECT_EQ(test::counter(metrics, "phes_session_pool_creations_total"),
-            pool.creations);
-  EXPECT_EQ(test::counter(metrics, "phes_session_pool_returns_total"),
-            pool.returns);
-  EXPECT_EQ(test::counter(metrics, "phes_session_pool_evictions_total"),
-            pool.evictions);
-  EXPECT_EQ(test::counter(metrics, "phes_session_pool_collisions_total"),
-            pool.collisions);
-  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_idle_sessions"),
-            static_cast<std::int64_t>(pool.idle_sessions));
-  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_leased_sessions"),
-            static_cast<std::int64_t>(pool.leased_sessions));
-  EXPECT_EQ(test::gauge(metrics, "phes_session_pool_idle_bytes"),
-            static_cast<std::int64_t>(pool.idle_bytes));
-  EXPECT_EQ(pool.idle_sessions, 1u);
-  EXPECT_GT(pool.idle_bytes, 0u);
+  EXPECT_EQ(r1->initial_report.crossings, r2->initial_report.crossings);
+  EXPECT_EQ(r1->initial_report.solver.eigenvalues,
+            r2->initial_report.solver.eigenvalues);
   jobs.shutdown(true);
 }
 

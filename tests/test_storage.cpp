@@ -69,7 +69,6 @@ PipelineResult sample_result(std::uint64_t id) {
   r.session.dense_solves = 1;
   r.session.reuses = 2;
   r.session.revision = 3;
-  r.session_reused = true;
   double t = 0.0123456789;
   for (const Stage stage :
        {Stage::kLoad, Stage::kFit, Stage::kRealize, Stage::kCharacterize,
@@ -180,7 +179,16 @@ TEST(ReportReader, ReconstructsSemanticFields) {
   EXPECT_EQ(reread.stage_timings.size(), 6u);
   EXPECT_EQ(reread.session.dense_solves, 1u);
   EXPECT_EQ(reread.session.reuses, 2u);
-  EXPECT_TRUE(reread.session_reused);
+
+  // Records of builds with a cross-job session pool carry a "reused"
+  // flag in the session block; it is ignored.
+  std::string pooled_doc = job_json(sample_result(44));
+  const std::string revision_key = ", \"revision\": 3";
+  const std::size_t revision_at = pooled_doc.find(revision_key);
+  ASSERT_NE(revision_at, std::string::npos);
+  pooled_doc.insert(revision_at + revision_key.size(), ", \"reused\": true");
+  EXPECT_EQ(job_json(pipeline::read_job_json(pooled_doc)),
+            job_json(sample_result(44)));
 
   // Records written before the dense route carry no "dense_solves",
   // and those written before the dense-result memo no reuse count.

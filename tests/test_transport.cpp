@@ -167,8 +167,8 @@ TEST(TransportMatrix, BitIdenticalAcrossAllFourSubmissionRoutes) {
       "\"payload\": " +
       server::json_quote(slurp_file(fixture)) + "}";
 
-  // Route 2: UNIX submit-by-path.  Jobs run sequentially so pooled
-  // sessions can be reused — reuse must never change the bits.
+  // Route 2: UNIX submit-by-path.  Jobs run sequentially, each on its
+  // own session — the route must never change the bits.
   server::Client unix_client(socket_path);
   const PipelineResult via_unix =
       submit_and_wait(jobs, unix_client, submit_by_path);

@@ -140,8 +140,6 @@ TEST(TransportStress, SixteenConcurrentTcpClientsOnOneEventLoop) {
   EXPECT_GE(test::counter(metrics, "phes_transport_requests_total"),
             kTotal * 3u);
   EXPECT_EQ(test::counter(metrics, "phes_jobs_submitted_total"), kTotal);
-  EXPECT_GT(test::counter(metrics, "phes_session_pool_hits_total"), 0u)
-      << "inline TCP jobs must share pooled sessions too";
 
   transport.stop();
   jobs.shutdown(true);
