@@ -1,6 +1,6 @@
 // Ablation C — full dense eigensolution vs selective Krylov extraction
 // (paper Sec. III), and the dense/Krylov crossover behind
-// engine::kDenseMaxOrder.
+// core::kDenseMaxOrder.
 //
 // "a standard full eigensolution scales as the third power of the
 // problem size. This fact prevents an efficient characterization for
@@ -21,7 +21,6 @@
 #include <iostream>
 
 #include "phes/core/solver.hpp"
-#include "phes/engine/session.hpp"
 #include "phes/macromodel/generator.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "phes/util/table.hpp"
@@ -104,7 +103,7 @@ int main() {
           ports, n, dense_s, one_s, four_s, dense.crossings.size(),
           one.crossings.size(), four.crossings.size(),
           agree ? "true" : "false",
-          n <= engine::kDenseMaxOrder ? "true" : "false");
+          n <= core::kDenseMaxOrder ? "true" : "false");
       std::fflush(stdout);
     }
   }
@@ -114,8 +113,8 @@ int main() {
   std::printf(
       "\nShape check vs paper: the dense route grows ~8x per doubling of "
       "n (O(n^3)) while the selective solver grows roughly linearly;\n"
-      "SolverSession sends orders <= kDenseMaxOrder = %zu through the "
+      "core::solve sends orders <= kDenseMaxOrder = %zu through the "
       "dense route.\n",
-      engine::kDenseMaxOrder);
+      core::kDenseMaxOrder);
   return disagreements == 0 ? 0 : 1;
 }

@@ -16,7 +16,7 @@
 //       into <dir> so `batch` has something to chew on.
 //   phes_pipeline serve <socket> [flags]
 //       Long-lived job server: bounded queue with backpressure,
-//       persistent workers (one solver session per job), result
+//       persistent workers (jobs share nothing), result
 //       store.  Listens on the AF_UNIX socket, plus a TCP endpoint
 //       with `--tcp HOST:PORT --auth-token-file FILE` (remote clients
 //       authenticate with the shared token).  All connections
@@ -348,9 +348,9 @@ void print_job_detail(const pipeline::PipelineResult& r, bool verbose) {
                 r.enforcement.relative_model_change);
   }
   if (r.session.solves > 0) {
-    std::printf("    session: %zu solve(s) (%zu dense, %zu memo reuse(s)), "
+    std::printf("    eigensolves: %zu run (%zu dense), "
                 "%zu factorization(s) built\n",
-                r.session.solves, r.session.dense_solves, r.session.reuses,
+                r.session.solves, r.session.dense_solves,
                 r.session.factorizations);
   }
 }

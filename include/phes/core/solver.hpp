@@ -50,9 +50,7 @@ struct ShiftRecord {
   std::size_t thread = 0;
 };
 
-/// Solve outcome.  engine::SolverSession answers a same-revision
-/// re-solve from its memo: this product with every work counter
-/// (shifts, matvecs, factorizations, shift_log) zeroed.
+/// Solve outcome.
 struct SolverResult {
   /// Omega: sorted positive crossing frequencies (empty => passive).
   la::RealVector crossings;
@@ -82,7 +80,11 @@ struct SolverResult {
 /// keeps the numerically imaginary ones (|Re lambda| <= 1e-6 *
 /// |lambda|) as the sorted, deduplicated crossings |Im lambda|, and
 /// sets `passive` and `shifts_processed`.  The scale is max(max pole
-/// magnitude of `realization`, band_hi).
+/// magnitude of `realization`, band_hi).  A candidate whose Hamiltonian
+/// mirror -Re lambda + j Im lambda is another deduplicated eigenvalue
+/// is one of a complex pair near the axis, not a crossing: a simple
+/// imaginary eigenvalue is its own mirror, which deduplication has
+/// already merged with it.
 void finalize_crossings(SolverResult& result,
                         const macromodel::SimoRealization& realization,
                         double band_hi);
@@ -95,6 +97,35 @@ void finalize_crossings(SolverResult& result,
 /// option applies.
 [[nodiscard]] SolverResult solve_dense(
     const macromodel::SimoRealization& realization);
+
+/// Largest state order that solve() sends through the dense route
+/// instead of the Krylov solver.  Measured by
+/// bench/ablation_full_vs_selective (cold solves, best of 3, 4-core
+/// x86-64, GCC 12 Release), p = 4 / p = 16, milliseconds:
+///
+///     order   dense         Krylov 1 thread   Krylov 4 threads
+///        48     1.2 /   1.4     90 /  76         124 /  39
+///        96    13   /  18      196 / 187         203 / 107
+///       144    39   /  38      390 / 350         111 / 127
+///       192   127   / 133      577 / 601         183 / 186
+///       256   507   / 512      868 / 860         237 / 242
+///       384  1432   / 1382    1405 / 1330        462 / 388
+///
+/// Krylov at 4 threads wins from between 192 and 256 on; both routes
+/// find the same crossings at every point.  A second run repeated the
+/// 192 and 256 rows within 20 %; 4-thread Krylov below order 144 varied
+/// up to 3x (41 ms at order 48, p = 4).  Every served `phes_pipeline
+/// gen` model (order 24-48) is dense; the paper's n = 1000 cases stay
+/// on Krylov.
+inline constexpr std::size_t kDenseMaxOrder = 192;
+
+/// The one solve entry point: solve_dense at order <= kDenseMaxOrder,
+/// otherwise ParallelHamiltonianEigensolver(realization).solve(options).
+/// Both routes are deterministic at one solver thread (the Krylov start
+/// vectors come from `options.seed`).
+[[nodiscard]] SolverResult solve(
+    const macromodel::SimoRealization& realization,
+    const SolverOptions& options);
 
 class ParallelHamiltonianEigensolver {
  public:

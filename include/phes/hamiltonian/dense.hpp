@@ -11,8 +11,8 @@
 // has a purely imaginary eigenvalue j*w exactly where some singular
 // value of H(jw) touches 1.  The dense form is O(n^2) storage and its
 // full eigensolution O(n^3): it is the solver's dense route
-// (core::solve_dense, taken by engine::SolverSession for models of
-// order <= engine::kDenseMaxOrder) and the tests' ground truth.  The
+// (core::solve_dense, taken by core::solve for models of order <=
+// core::kDenseMaxOrder) and the tests' ground truth.  The
 // Krylov solver above that order only ever applies M implicitly.
 
 #include "phes/la/matrix.hpp"

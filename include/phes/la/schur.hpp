@@ -3,7 +3,7 @@
 // algorithm.  This is the full-spectrum dense solve the paper's
 // Sec. III dismisses as O(n^3) for large models.  It is the dense
 // route's eigensolver (core::solve_dense, models of order up to
-// engine::kDenseMaxOrder) and vector fitting's pole relocation.
+// core::kDenseMaxOrder) and vector fitting's pole relocation.
 
 #include <vector>
 

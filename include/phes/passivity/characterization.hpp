@@ -3,8 +3,8 @@
 // a full qualification of the model (paper Sec. II).
 //
 // The crossings partition the frequency axis into segments where the
-// singular values of H(jw) stay on one side of 1; sampling sigma_max at
-// one interior point per segment classifies each as compliant or
+// singular values of H(jw) stay on one side of 1; the worst of 24
+// sigma_max samples per segment classifies each as compliant or
 // violating, and the violating ones are searched for their worst peak
 // (the input the enforcement step needs).
 
@@ -13,10 +13,6 @@
 #include "phes/core/solver.hpp"
 #include "phes/la/types.hpp"
 #include "phes/macromodel/simo_realization.hpp"
-
-namespace phes::engine {
-class SolverSession;
-}  // namespace phes::engine
 
 namespace phes::passivity {
 
@@ -43,13 +39,11 @@ struct PassivityReport {
     const macromodel::SimoRealization& realization,
     const la::RealVector& crossings);
 
-/// Session-based characterization: run the eigensolver through
-/// `session` (answered from its memo on a same-revision re-solve),
-/// then classify the bands.  The enforcement loop and the pipeline
-/// thread one session through every characterize/enforce/verify stage
-/// of a job.
+/// Run the eigensolver on `realization` (core::solve: the dense route
+/// at order <= core::kDenseMaxOrder, Krylov above), then classify the
+/// bands.
 [[nodiscard]] PassivityReport characterize_passivity(
-    engine::SolverSession& session,
+    const macromodel::SimoRealization& realization,
     const core::SolverOptions& solver_options);
 
 }  // namespace phes::passivity

@@ -46,8 +46,8 @@ struct EnforcementIterate {
   std::size_t violation_bands = 0;
   double worst_sigma = 0.0;
   double delta_c_norm = 0.0;  ///< Frobenius norm of this step's DeltaC
-  /// This round's characterization cost (0 when the session's memo
-  /// answered it: round 0 after characterize).
+  /// This round's characterization cost (0 in round 0, which reads
+  /// the caller's report).
   std::size_t solver_matvecs = 0;
 };
 
@@ -57,20 +57,24 @@ struct EnforcementResult {
   std::vector<EnforcementIterate> history;
   /// ||C_final - C_initial||_F / ||C_initial||_F — model perturbation.
   double relative_model_change = 0.0;
-  // Aggregate characterization cost across all rounds.
+  /// Rounds characterized, round 0 included: the eigensolves that ran
+  /// are characterizations - 1.
   std::size_t characterizations = 0;
+  // Aggregate cost of those eigensolves.
   std::size_t total_matvecs = 0;
+  std::size_t factorizations = 0;
+  /// The last round's report: passive, with no crossings, on success.
+  PassivityReport final_report;
 };
 
-/// Session-based enforcement: perturb the residues of the model owned
-/// by `session` until passive (or kMaxEnforcementRounds run out).  Each
-/// round re-characterizes through the session with `solver_options`;
-/// round 0 re-reads the model the caller just characterized, so the
-/// session's memo answers it without an eigensolve.  Throws
-/// std::invalid_argument unless sigma_max(D) < 1 - margin.  The
-/// perturbed model stays in the session (session.realization()).
+/// Perturb the residues of `realization` in place until passive (or
+/// kMaxEnforcementRounds run out).  Round 0 reads `initial_report`, the
+/// caller's characterization of `realization`, without solving; every
+/// later round re-characterizes with `solver_options`.  Throws
+/// std::invalid_argument unless sigma_max(D) < 1 - margin.
 [[nodiscard]] EnforcementResult enforce_passivity(
-    engine::SolverSession& session,
+    macromodel::SimoRealization& realization,
+    const PassivityReport& initial_report,
     const core::SolverOptions& solver_options);
 
 }  // namespace phes::passivity

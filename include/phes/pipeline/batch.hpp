@@ -43,7 +43,7 @@ class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {});
 
-  /// Run all jobs, J at a time, each on its own solver session;
+  /// Run all jobs, J at a time, sharing nothing between them;
   /// per-job failures are captured on their results (one bad input
   /// never aborts the batch).  Results come back in job order.  Each
   /// job's SolverOptions.threads is overwritten with the planned
@@ -59,7 +59,7 @@ class BatchRunner {
 };
 
 /// Aggregate per-job results into a summary table (name, status, ports,
-/// order, bands before/after, fit error, memo reuses, timings).
+/// order, bands before/after, fit error, eigensolves run, timings).
 [[nodiscard]] util::Table summary_table(
     const std::vector<PipelineResult>& results);
 

@@ -5,7 +5,13 @@
 //   load -> fit (vector fitting) -> realize (SIMO state space)
 //        -> characterize (parallel Hamiltonian eigensolver)
 //        -> enforce (iterative residue perturbation, skipped when the
-//           model is already passive) -> verify (re-characterization)
+//           model is already passive)
+//        -> verify (sampling check of the final report's certificate)
+//
+// Each stage hands its report on to the next: enforcement's round 0
+// reads characterize's report, and verify samples H(jw) at the points
+// the final report vouches for (verify_certificate) instead of solving
+// again, so a job runs 1 + enforcement.iterations eigensolves.
 //
 // Each stage is timed, and a throwing stage is captured as a structured
 // failure on the result instead of escaping mid-batch — the contract
@@ -20,7 +26,7 @@
 #include <vector>
 
 #include "phes/core/solver.hpp"
-#include "phes/engine/session.hpp"
+#include "phes/macromodel/simo_realization.hpp"
 #include "phes/macromodel/samples.hpp"
 #include "phes/passivity/characterization.hpp"
 #include "phes/passivity/enforcement.hpp"
@@ -84,6 +90,20 @@ struct PipelineJob {
   std::uint64_t id = 0;
 };
 
+/// A job's eigensolver work, summed over its stages (the record's
+/// "session" block).
+struct SolveCounts {
+  std::size_t solves = 0;          ///< eigensolves that ran
+  std::size_t dense_solves = 0;    ///< of which on the dense route
+  std::size_t factorizations = 0;  ///< shift-invert operators built
+  // Always 0: kept only because bench/ledger/bench_ledger.cpp reads them.
+  struct {
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+  } cache;
+  std::size_t warm_solves = 0;
+};
+
 /// Wall-clock record of one completed stage.
 struct StageTiming {
   Stage stage = Stage::kLoad;
@@ -121,14 +141,16 @@ struct PipelineResult {
   passivity::PassivityReport initial_report;  ///< characterize output
   bool enforcement_run = false;  ///< false when already passive
   passivity::EnforcementResult enforcement;
-  passivity::PassivityReport final_report;  ///< verify output
+  /// The report verify checked: enforcement's last one, or
+  /// characterize's when the model was already passive, with zero work
+  /// counters (verify runs no eigensolve).
+  passivity::PassivityReport final_report;
 
-  /// True when the verify stage re-certified the (possibly perturbed)
-  /// model as passive.
+  /// True when the final report is passive and verify's sampling check
+  /// agreed with it.
   bool certified_passive = false;
 
-  /// The job's solver-session counters (one session per job).
-  engine::SessionStats session;
+  SolveCounts session;
   // Always false: kept only because bench/ledger/bench_ledger.cpp reads it.
   bool session_reused = false;
 
@@ -160,6 +182,19 @@ struct PipelineResult {
 /// input: the inline payload bytes when present, else the input path.
 /// The replay filter's "model" key matches against this.
 [[nodiscard]] std::string input_content_hash(const PipelineJob& job);
+
+/// The verify stage's check of a certificate, sharing no arithmetic with
+/// the eigensolve.  At every crossing of `report`, H(jw) must have a
+/// singular value within 1e-6 of 1; sigma_max(H(jw)) must be below 1 at
+/// w = 0, between consecutive crossings, at the searched band edge
+/// `report.solver.omega_max` and at the `omega_peak` of every band in
+/// `characterized_bands` (what characterize found before enforcement).
+/// Throws std::runtime_error naming the first disagreement.  Call it
+/// only with a passive report: a violating one fails by definition.
+void verify_certificate(
+    const macromodel::SimoRealization& realization,
+    const passivity::PassivityReport& report,
+    const std::vector<passivity::ViolationBand>& characterized_bands);
 
 /// Load a samples file, dispatching on extension: ".sNp"/".snp" is
 /// parsed as Touchstone, anything else as the phes-samples text format.

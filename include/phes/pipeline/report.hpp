@@ -1,7 +1,7 @@
 #pragma once
 // Machine-readable batch reporting: the JSON rendering of a batch
 // run's per-job results (status, timings, fit quality, violation-band
-// counts, and the solver-session reuse statistics), for CI trend
+// counts, and the eigensolve counts), for CI trend
 // tracking of the paper-replication benchmarks next to the ASCII table.
 //
 // The document is
@@ -15,6 +15,10 @@
 #include <vector>
 
 #include "phes/pipeline/job.hpp"
+
+namespace phes::util {
+class JsonValue;
+}  // namespace phes::util
 
 namespace phes::pipeline {
 
@@ -42,6 +46,12 @@ void write_job_json(const PipelineResult& result, std::ostream& os,
 /// identical to the pre-restart one.  Throws std::runtime_error on
 /// malformed input.
 [[nodiscard]] PipelineResult read_job_json(const std::string& text);
+
+/// The eigensolves a job record's or job trace's "session" block
+/// counts.  Older builds also counted the solves a per-job result memo
+/// answered, which ran no eigensolve, and wrote them as "reuses"
+/// (earlier "dense_reuses"); those are subtracted.
+[[nodiscard]] std::size_t read_session_solves(const util::JsonValue& session);
 
 /// Canonical single-line JSON of a result's *deterministic* fields —
 /// what two runs of the same job on the same build must agree on (both

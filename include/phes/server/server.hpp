@@ -7,8 +7,8 @@
 // pipeline::run_pipeline with a PipelineContext that wires in
 //  - a per-job cancellation flag (polled at stage boundaries), and
 //  - a stage observer feeding the ResultStore's progress field.
-// Every job owns one SolverSession for its lifetime; a resubmitted
-// model is solved again (a finished verdict is re-read with `result`).
+// Nothing is shared across jobs: a resubmitted model is solved again
+// (a finished verdict is re-read with `result`).
 // Finished results land in the ResultStore keyed by job id, retrievable
 // via the NDJSON protocol (server/protocol.hpp) or in-process.
 //

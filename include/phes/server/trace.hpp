@@ -1,7 +1,7 @@
 #pragma once
 // Per-job stage tracing: one span per pipeline stage, assembled when a
 // job finishes from the PipelineResult the stage machine already
-// produces (stage timings, SolverResult counters, session deltas) plus
+// produces (stage timings, SolverResult counters, eigensolve counts) plus
 // the admission/start timestamps the server carries on the queue item.
 //
 // Traces answer the question the aggregate histograms cannot: "where
@@ -44,8 +44,8 @@ struct StageSpan {
 };
 
 /// The full per-job record: queue wait, one span per executed stage in
-/// execution order, and the job-lifetime session counters (cross-stage
-/// memo reuse, visible even when stages were skipped).
+/// execution order, and the job's eigensolve counts
+/// (PipelineResult::session).
 struct JobTrace {
   std::uint64_t id = 0;
   std::string name;
@@ -57,7 +57,6 @@ struct JobTrace {
   std::vector<StageSpan> spans;
   std::uint64_t solves = 0;
   std::uint64_t dense_solves = 0;
-  std::uint64_t reuses = 0;  ///< solves served by the session's memo
   std::uint64_t factorizations = 0;
 
   /// One-line JSON object (the NDJSON trace-file event and the

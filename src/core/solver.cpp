@@ -263,11 +263,18 @@ void finalize_crossings(SolverResult& result,
   }
 
   la::RealVector crossings;
-  for (const auto& lambda : dedup) {
+  for (std::size_t i = 0; i < dedup.size(); ++i) {
+    const la::Complex lambda = dedup[i];
     const double mag = std::max(std::abs(lambda), scale * 1e-12);
-    if (std::abs(lambda.real()) <= kImagTol * mag) {
-      crossings.push_back(std::abs(lambda.imag()));
+    if (std::abs(lambda.real()) > kImagTol * mag) continue;
+    // A complex pair straddling the axis passes the test above; its
+    // other half sits at the mirror -Re lambda + j Im lambda.
+    const la::Complex mirror(-lambda.real(), lambda.imag());
+    bool paired = false;
+    for (std::size_t j = 0; j < dedup.size() && !paired; ++j) {
+      paired = j != i && std::abs(dedup[j] - mirror) <= kClusterTol * scale;
     }
+    if (!paired) crossings.push_back(std::abs(lambda.imag()));
   }
   std::sort(crossings.begin(), crossings.end());
   la::RealVector unique;
@@ -281,6 +288,14 @@ void finalize_crossings(SolverResult& result,
   result.passive = result.crossings.empty();
   result.eigenvalues = std::move(dedup);
   result.shifts_processed = result.shift_log.size();
+}
+
+SolverResult solve(const macromodel::SimoRealization& realization,
+                   const SolverOptions& options) {
+  // Small model: one dense eigensolve beats the Krylov search.
+  return realization.order() <= kDenseMaxOrder
+             ? solve_dense(realization)
+             : ParallelHamiltonianEigensolver(realization).solve(options);
 }
 
 SolverResult solve_dense(const macromodel::SimoRealization& realization) {

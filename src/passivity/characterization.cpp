@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "phes/engine/session.hpp"
 #include "phes/la/svd.hpp"
 
 namespace phes::passivity {
@@ -100,12 +99,12 @@ std::vector<ViolationBand> classify_bands(
 }
 
 PassivityReport characterize_passivity(
-    engine::SolverSession& session,
+    const macromodel::SimoRealization& realization,
     const core::SolverOptions& solver_options) {
   PassivityReport report;
-  report.solver = session.solve(solver_options);
+  report.solver = core::solve(realization, solver_options);
   report.crossings = report.solver.crossings;
-  report.bands = classify_bands(session.realization(), report.crossings);
+  report.bands = classify_bands(realization, report.crossings);
   report.passive = report.bands.empty();
   return report;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "phes/engine/session.hpp"
 #include "phes/la/blas.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/la/svd.hpp"
@@ -58,19 +57,16 @@ void add_constraints_at(const macromodel::SimoRealization& r, double w,
 
 }  // namespace
 
-EnforcementResult enforce_passivity(engine::SolverSession& session,
+EnforcementResult enforce_passivity(macromodel::SimoRealization& realization,
+                                    const PassivityReport& initial_report,
                                     const core::SolverOptions& solver_opt) {
   {
-    const auto sigma_d =
-        la::real_singular_values(session.realization().d());
+    const auto sigma_d = la::real_singular_values(realization.d());
     util::check(sigma_d.empty() || sigma_d.front() < 1.0 - kMargin,
                 "enforce_passivity: requires sigma_max(D) < 1 - margin");
   }
 
   EnforcementResult result;
-  // Scratch copy for candidate-step evaluation; its C is kept in sync
-  // with the session (which owns the authoritative model).
-  macromodel::SimoRealization realization = session.realization();
   const RealMatrix c_initial = realization.c();
   const double c_initial_norm = la::frobenius_norm(c_initial);
   const double ceiling = 1.0 - kMargin;
@@ -83,17 +79,21 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     if (blk.is_pair) column_weight[blk.state + 1] = std::abs(blk.alpha);
   }
 
+  result.final_report = initial_report;
   for (std::size_t iter = 0; iter < kMaxEnforcementRounds; ++iter) {
-    const PassivityReport report =
-        characterize_passivity(session, solver_opt);
     EnforcementIterate it;
+    if (iter > 0) {
+      result.final_report = characterize_passivity(realization, solver_opt);
+      it.solver_matvecs = result.final_report.solver.total_matvecs;
+      result.total_matvecs += it.solver_matvecs;
+      result.factorizations += result.final_report.solver.factorizations;
+    }
+    const PassivityReport& report = result.final_report;
     it.violation_bands = report.bands.size();
     for (const auto& band : report.bands) {
       it.worst_sigma = std::max(it.worst_sigma, band.sigma_peak);
     }
-    it.solver_matvecs = report.solver.total_matvecs;
     ++result.characterizations;
-    result.total_matvecs += report.solver.total_matvecs;
 
     if (report.passive) {
       result.success = true;
@@ -229,16 +229,12 @@ EnforcementResult enforce_passivity(engine::SolverSession& session,
     // If even the smallest scale failed the test, the last (smallest)
     // step stays applied: slow progress beats stalling.
 
-    // Commit the accepted step: bump the session's model revision, so
-    // the next round's characterization runs.
-    session.update_residues(realization.c());
-
     it.delta_c_norm = step_norm * scale_step;
     result.history.push_back(it);
     result.iterations = iter + 1;
   }
 
-  const RealMatrix diff = session.realization().c() - c_initial;
+  const RealMatrix diff = realization.c() - c_initial;
   result.relative_model_change =
       c_initial_norm > 0.0 ? la::frobenius_norm(diff) / c_initial_norm : 0.0;
   return result;

@@ -67,7 +67,7 @@ std::vector<PipelineResult> BatchRunner::run_all(
 
 util::Table summary_table(const std::vector<PipelineResult>& results) {
   util::Table table({"job", "status", "ports", "order", "fit rms",
-                     "bands", "after", "memo", "time [s]"});
+                     "bands", "after", "solves", "time [s]"});
   for (const auto& r : results) {
     const bool characterized =
         std::any_of(r.stage_timings.begin(), r.stage_timings.end(),
@@ -79,8 +79,8 @@ util::Table summary_table(const std::vector<PipelineResult>& results) {
                     [](const StageTiming& t) {
                       return t.stage == Stage::kVerify;
                     });
-    // Reuse at a glance: how many of the job's solves (characterize,
-    // enforce rounds, verify) the session's memo answered.
+    // Work at a glance: the eigensolves the job ran (characterize and
+    // every enforcement round after the first).
     table.add_row({
         r.name,
         r.status(),
@@ -89,9 +89,7 @@ util::Table summary_table(const std::vector<PipelineResult>& results) {
         r.order > 0 ? util::format_double(r.fit_rms) : "-",
         characterized ? std::to_string(r.initial_report.bands.size()) : "-",
         verified ? std::to_string(r.final_report.bands.size()) : "-",
-        characterized ? std::to_string(r.session.reuses) + "/" +
-                            std::to_string(r.session.solves)
-                      : "-",
+        characterized ? std::to_string(r.session.solves) : "-",
         util::format_double(r.total_seconds),
     });
   }

@@ -1,11 +1,14 @@
 #include "phes/pipeline/job.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "phes/io/touchstone.hpp"
+#include "phes/la/svd.hpp"
 #include "phes/macromodel/samples_io.hpp"
 #include "phes/pipeline/report.hpp"
 #include "phes/util/check.hpp"
@@ -156,6 +159,42 @@ PipelineJob read_job_spec_json(const std::string& text,
   return job;
 }
 
+void verify_certificate(
+    const macromodel::SimoRealization& realization,
+    const passivity::PassivityReport& report,
+    const std::vector<passivity::ViolationBand>& characterized_bands) {
+  // The tolerance of the crossing oracle the performance ledger applies
+  // to every solve.
+  constexpr double kUnitSigmaTol = 1e-6;
+  std::ostringstream why;
+  for (const double w : report.crossings) {
+    double nearest = 1e300;
+    for (const double s : la::complex_singular_values(realization.eval(w))) {
+      nearest = std::min(nearest, std::abs(s - 1.0));
+    }
+    if (nearest > kUnitSigmaTol) {
+      why << "no unit singular value at crossing w = " << w
+          << " (nearest is " << nearest << " from 1)";
+      throw std::runtime_error(why.str());
+    }
+  }
+  const auto require_below_one = [&](const char* where, double w) {
+    const double sigma = la::complex_spectral_norm(realization.eval(w));
+    if (sigma < 1.0) return;
+    why << "sigma_max = " << sigma << " >= 1 at " << where << " w = " << w;
+    throw std::runtime_error(why.str());
+  };
+  require_below_one("DC", 0.0);
+  for (std::size_t k = 0; k + 1 < report.crossings.size(); ++k) {
+    require_below_one("midpoint",
+                      0.5 * (report.crossings[k] + report.crossings[k + 1]));
+  }
+  require_below_one("band edge", report.solver.omega_max);
+  for (const passivity::ViolationBand& band : characterized_bands) {
+    require_below_one("characterized peak", band.omega_peak);
+  }
+}
+
 macromodel::FrequencySamples load_input(const std::string& path) {
   if (io::is_touchstone_path(path)) {
     return io::load_touchstone_file(path).samples;
@@ -192,10 +231,8 @@ PipelineResult run_pipeline(const PipelineJob& job,
   const util::WallTimer total_timer;
   macromodel::FrequencySamples samples;
   vf::VectorFittingResult fit;
-  // The solver session owns the realization and lives across the
-  // characterize -> enforce -> verify stages, so its memo answers the
-  // re-solves of an unchanged revision; built in kRealize.
-  std::unique_ptr<engine::SolverSession> session;
+  // Built in kRealize; enforcement perturbs its residues in place.
+  std::optional<macromodel::SimoRealization> realization;
 
   // Runs `body` as `stage`, recording its wall time; returns false when
   // the job was cancelled, the stage threw (the pipeline stops), or the
@@ -247,12 +284,6 @@ PipelineResult run_pipeline(const PipelineJob& job,
     return result;
   }
 
-  // Stage bodies return early via run_stage; capture whatever session
-  // statistics exist so partial runs still report their reuse.
-  const auto stamp_session_stats = [&] {
-    if (session != nullptr) result.session = session->stats();
-  };
-
   // -- fit (vector fitting) --------------------------------------------
   if (!run_stage(Stage::kFit, [&] {
         auto fit_options = job.options.fit;
@@ -273,7 +304,7 @@ PipelineResult run_pipeline(const PipelineJob& job,
 
   // -- realize (structured SIMO state space) ---------------------------
   if (!run_stage(Stage::kRealize, [&] {
-        session = std::make_unique<engine::SolverSession>(fit.model);
+        realization.emplace(fit.model);
       })) {
     return result;
   }
@@ -281,9 +312,12 @@ PipelineResult run_pipeline(const PipelineJob& job,
   // -- characterize (parallel Hamiltonian eigensolver) -----------------
   if (!run_stage(Stage::kCharacterize, [&] {
         result.initial_report = passivity::characterize_passivity(
-            *session, job.options.solver);
+            *realization, job.options.solver);
+        const core::SolverResult& solver = result.initial_report.solver;
+        result.session.solves = 1;
+        result.session.dense_solves = solver.dense ? 1 : 0;
+        result.session.factorizations = solver.factorizations;
       })) {
-    stamp_session_stats();
     return result;
   }
 
@@ -291,29 +325,45 @@ PipelineResult run_pipeline(const PipelineJob& job,
   if (!run_stage(Stage::kEnforce, [&] {
         if (result.initial_report.passive) return;
         result.enforcement_run = true;
-        result.enforcement =
-            passivity::enforce_passivity(*session, job.options.solver);
+        result.enforcement = passivity::enforce_passivity(
+            *realization, result.initial_report, job.options.solver);
+        // Round 0 read the initial report; every later round solved on
+        // the initial solve's route (the order never changes).
+        const std::size_t solves = result.enforcement.characterizations - 1;
+        result.session.solves += solves;
+        if (result.initial_report.solver.dense) {
+          result.session.dense_solves += solves;
+        }
+        result.session.factorizations += result.enforcement.factorizations;
         util::require(result.enforcement.success,
                       "enforcement did not converge within " +
                           std::to_string(passivity::kMaxEnforcementRounds) +
                           " iterations");
       })) {
-    stamp_session_stats();
     return result;
   }
 
-  // -- verify (re-characterization of the final revision: the session
-  // answers it from its memo of the last enforcement round's solve, or
-  // of characterize when the model was already passive) ---------------
+  // -- verify (sampling check of the final report; no eigensolve) ------
   if (!run_stage(Stage::kVerify, [&] {
-        result.final_report = passivity::characterize_passivity(
-            *session, job.options.solver);
+        result.final_report = result.enforcement_run
+                                  ? result.enforcement.final_report
+                                  : result.initial_report;
+        core::SolverResult& solver = result.final_report.solver;
+        solver.seconds = 0.0;
+        solver.shifts_processed = 0;
+        solver.shifts_eliminated = 0;
+        solver.total_matvecs = 0;
+        solver.lambda_max_matvecs = 0;
+        solver.shift_log.clear();
+        solver.factorizations = 0;
+        if (result.final_report.passive) {
+          verify_certificate(*realization, result.final_report,
+                             result.initial_report.bands);
+        }
         result.certified_passive = result.final_report.passive;
       })) {
-    stamp_session_stats();
     return result;
   }
-  stamp_session_stats();
 
   // Normally unreachable: stop_after == kVerify exits inside run_stage
   // above.  Guard anyway (e.g. an out-of-range stop_after cast).

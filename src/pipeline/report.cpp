@@ -112,9 +112,7 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
   os << pad << "  \"session\": { \"factorizations\": "
      << r.session.factorizations
      << ", \"solves\": " << r.session.solves
-     << ", \"dense_solves\": " << r.session.dense_solves
-     << ", \"reuses\": " << r.session.reuses
-     << ", \"revision\": " << r.session.revision << " },\n";
+     << ", \"dense_solves\": " << r.session.dense_solves << " },\n";
   os << pad << "  \"total_matvecs\": " << job_matvecs(r) << ",\n";
   os << pad << "  \"stage_seconds\": {";
   bool first = true;
@@ -127,6 +125,13 @@ void write_job_json(const PipelineResult& r, std::ostream& os,
   os << " },\n";
   os << pad << "  \"total_seconds\": " << fmt(r.total_seconds) << "\n";
   os << pad << "}";
+}
+
+std::size_t read_session_solves(const util::JsonValue& session) {
+  const std::uint64_t reuses =
+      session.uint_or("reuses", session.uint_or("dense_reuses", 0));
+  const std::uint64_t solves = session.uint_or("solves", 0);
+  return static_cast<std::size_t>(solves > reuses ? solves - reuses : 0);
 }
 
 PipelineResult read_job_json(const std::string& text) {
@@ -183,18 +188,11 @@ PipelineResult read_job_json(const std::string& text) {
   if (const util::JsonValue* session = doc.find("session")) {
     r.session.factorizations =
         static_cast<std::size_t>(session->uint_or("factorizations", 0));
-    r.session.solves =
-        static_cast<std::size_t>(session->uint_or("solves", 0));
+    // Older builds' "revision", cache and warm-start counters and the
+    // cross-job pool's "reused" are ignored.
+    r.session.solves = read_session_solves(*session);
     r.session.dense_solves =
         static_cast<std::size_t>(session->uint_or("dense_solves", 0));
-    // Records written before the Krylov route shared the memo call the
-    // reuses "dense_reuses" and carry cache and warm-start counters;
-    // records of builds with a cross-job session pool carry "reused".
-    // Those are ignored.
-    r.session.reuses = static_cast<std::size_t>(session->uint_or(
-        "reuses", session->uint_or("dense_reuses", 0)));
-    r.session.revision =
-        static_cast<std::size_t>(session->uint_or("revision", 0));
   }
   // The serialized total is a sum over three solver runs; attributing
   // it all to the initial report keeps job_matvecs() stable.
@@ -257,15 +255,13 @@ void write_summary_json(const std::vector<PipelineResult>& results,
   os << "\n  ],\n";
 
   std::size_t succeeded = 0;
-  std::size_t reuses = 0;
   double seconds = 0.0;
   for (const auto& r : results) {
     if (r.ok) ++succeeded;
-    reuses += r.session.reuses;
     seconds += r.total_seconds;
   }
   os << "  \"summary\": { \"jobs\": " << results.size()
-     << ", \"succeeded\": " << succeeded << ", \"reuses\": " << reuses
+     << ", \"succeeded\": " << succeeded
      << ", \"total_seconds\": " << fmt(seconds) << " }\n}\n";
 }
 

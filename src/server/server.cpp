@@ -315,7 +315,7 @@ void JobServer::log_slow_job(const JobTrace& trace) const {
     }
   }
   os << " session: solves=" << trace.solves
-     << " dense=" << trace.dense_solves << " reuses=" << trace.reuses;
+     << " dense=" << trace.dense_solves;
   util::log_line("slow-job", os.str());
 }
 

@@ -55,7 +55,6 @@ std::string JobTrace::to_json() const {
   }
   os << "], \"session\": {\"solves\": " << solves
      << ", \"dense_solves\": " << dense_solves
-     << ", \"reuses\": " << reuses
      << ", \"factorizations\": " << factorizations << "}}";
   return os.str();
 }
@@ -81,11 +80,9 @@ JobTrace JobTrace::from_json(const util::JsonValue& v) {
     }
   }
   if (const util::JsonValue* session = v.find("session")) {
-    t.solves = session->uint_or("solves", 0);
+    // Older traces' cache and warm-start counters are ignored.
+    t.solves = pipeline::read_session_solves(*session);
     t.dense_solves = session->uint_or("dense_solves", 0);
-    // Older traces call the reuses "dense_reuses" and carry cache and
-    // warm-start counters, which are ignored.
-    t.reuses = session->uint_or("reuses", session->uint_or("dense_reuses", 0));
     t.factorizations = session->uint_or("factorizations", 0);
   }
   return t;
@@ -109,22 +106,16 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
     span.duration_ms = round_fixed(timing.seconds * 1e3);
     // The eigensolver stages carry their SolverResult's counters: the
     // characterize stage produced the initial report, verify the final
-    // one.  Enforce carries its rounds' aggregate, and the session's
-    // factorizations that neither of the other two solves built.
+    // one (zero: verify runs no eigensolve).  Enforce carries its
+    // rounds' aggregate.
     const core::SolverResult* solver = nullptr;
     if (timing.stage == pipeline::Stage::kCharacterize) {
       solver = &result.initial_report.solver;
     } else if (timing.stage == pipeline::Stage::kVerify) {
       solver = &result.final_report.solver;
     } else if (timing.stage == pipeline::Stage::kEnforce) {
-      const passivity::EnforcementResult& e = result.enforcement;
-      const std::size_t solver_builds =
-          result.initial_report.solver.factorizations +
-          result.final_report.solver.factorizations;
-      span.matvecs = e.total_matvecs;
-      span.factorizations = result.session.factorizations > solver_builds
-                                ? result.session.factorizations - solver_builds
-                                : 0;
+      span.matvecs = result.enforcement.total_matvecs;
+      span.factorizations = result.enforcement.factorizations;
     }
     if (solver != nullptr) {
       span.matvecs = solver->total_matvecs;
@@ -134,7 +125,6 @@ JobTrace build_job_trace(const pipeline::PipelineResult& result,
   }
   t.solves = result.session.solves;
   t.dense_solves = result.session.dense_solves;
-  t.reuses = result.session.reuses;
   t.factorizations = result.session.factorizations;
   return t;
 }

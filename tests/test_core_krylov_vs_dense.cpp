@@ -1,6 +1,6 @@
-// Krylov vs dense property test above engine::kDenseMaxOrder.
+// Krylov vs dense property test above core::kDenseMaxOrder.
 //
-// The session sends models of order <= kDenseMaxOrder to the dense
+// core::solve sends models of order <= kDenseMaxOrder to the dense
 // route, where DenseRoute (test_core_solver) checks the two solvers
 // against each other.  Above that order production runs the Krylov
 // solver alone.  Here a seeded set of make_synthetic_model cases at
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "phes/core/solver.hpp"
-#include "phes/engine/session.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 #include "test_support.hpp"
 
@@ -52,7 +51,7 @@ class KrylovVsDense : public ::testing::TestWithParam<KrylovCase> {};
 TEST_P(KrylovVsDense, OmegaMatchesDenseAtOneAndFourThreads) {
   const KrylovCase c = GetParam();
   SCOPED_TRACE(::testing::PrintToString(c));
-  ASSERT_GT(c.order, engine::kDenseMaxOrder);
+  ASSERT_GT(c.order, core::kDenseMaxOrder);
   const auto model = test::synthetic_model(c.peak, c.seed, c.order, c.ports);
   const macromodel::SimoRealization simo(model);
 

@@ -1,17 +1,18 @@
 // Integration tests for the parallel Hamiltonian eigensolver: the
 // crossing set Omega must match the dense-Schur ground truth for any
 // thread count and both scheduling modes.  The DenseRoute suite checks
-// the session's dense route (orders <= engine::kDenseMaxOrder) against
-// cold Krylov solves over a seeded grid of models.
+// core::solve's dense route (orders <= core::kDenseMaxOrder) against
+// cold Krylov solves over a seeded grid of models, and the Routes suite
+// checks which route core::solve takes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "phes/core/lambda_max.hpp"
 #include "phes/core/solver.hpp"
-#include "phes/engine/session.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/la/schur.hpp"
 #include "phes/macromodel/generator.hpp"
@@ -198,7 +199,7 @@ TEST(Solver, RejectsBadOptions) {
   EXPECT_THROW(solver.solve(opt), std::invalid_argument);
 }
 
-// ---- DenseRoute: the session's dense route vs cold Krylov solves -------
+// ---- DenseRoute: core::solve's dense route vs cold Krylov solves -------
 
 struct DenseCase {
   std::size_t ports;
@@ -218,7 +219,7 @@ std::vector<DenseCase> dense_cases() {
   for (std::size_t ports : {1u, 2u, 4u, 8u}) {
     for (std::size_t order : {std::size_t{12}, std::size_t{24},
                               std::size_t{48}, std::size_t{96},
-                              engine::kDenseMaxOrder}) {
+                              core::kDenseMaxOrder}) {
       for (double peak : {0.9, 0.999, 1.02, 1.1}) {
         ++seed;
         if (order < 2 * ports) continue;  // generator: 2 states per port
@@ -240,8 +241,7 @@ TEST_P(DenseRoute, MatchesColdKrylovSolve) {
 
   SolverOptions opt;
   opt.threads = 2;
-  engine::SolverSession session{SimoRealization(simo)};
-  const auto dense = session.solve(opt);
+  const auto dense = core::solve(simo, opt);
   ASSERT_TRUE(dense.dense);
   EXPECT_EQ(dense.total_matvecs, 0u);
   EXPECT_EQ(dense.shifts_processed, 0u);
@@ -266,15 +266,65 @@ TEST(DenseRouteBoundary, SelectedByOrderAtTheConstant) {
   core::SolverOptions opt;
   opt.threads = 2;
   for (const std::size_t order :
-       {engine::kDenseMaxOrder, engine::kDenseMaxOrder + 1}) {
+       {core::kDenseMaxOrder, core::kDenseMaxOrder + 1}) {
     SCOPED_TRACE("seed 1200, order " + std::to_string(order) + ", 1 port");
-    engine::SolverSession session(test::synthetic_model(1.05, 1200, order, 1));
-    ASSERT_EQ(session.realization().order(), order);
-    const auto res = session.solve(opt);
-    EXPECT_EQ(res.dense, order <= engine::kDenseMaxOrder);
-    EXPECT_EQ(session.stats().dense_solves, res.dense ? 1u : 0u);
+    const SimoRealization simo(test::synthetic_model(1.05, 1200, order, 1));
+    ASSERT_EQ(simo.order(), order);
+    const auto res = core::solve(simo, opt);
+    EXPECT_EQ(res.dense, order <= core::kDenseMaxOrder);
     EXPECT_EQ(res.total_matvecs == 0, res.dense);
   }
+}
+
+// ---- Routes: what core::solve runs ----------------------------------------
+
+bool same_bits(const core::SolverResult& a, const core::SolverResult& b) {
+  const auto bits_equal = [](const auto& x, const auto& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
+  };
+  return bits_equal(a.crossings, b.crossings) &&
+         bits_equal(a.eigenvalues, b.eigenvalues) &&
+         a.passive == b.passive && a.dense == b.dense &&
+         a.disks.size() == b.disks.size() &&
+         std::memcmp(&a.omega_min, &b.omega_min, sizeof(double)) == 0 &&
+         std::memcmp(&a.omega_max, &b.omega_max, sizeof(double)) == 0;
+}
+
+TEST(Routes, ColdSolveMatchesClassicApiBitForBit) {
+  // Above kDenseMaxOrder, core::solve is the Krylov solver on the same
+  // realization: once on the model as given, once after a residue
+  // update like one enforcement step.
+  SimoRealization simo(
+      test::synthetic_model(1.07, 20, core::kDenseMaxOrder + 8));
+  core::SolverOptions opt;
+  opt.threads = 1;
+  for (int step = 0; step < 2; ++step) {
+    if (step == 1) simo.c() *= 0.995;
+    const auto classic = ParallelHamiltonianEigensolver(simo).solve(opt);
+    const auto routed = core::solve(simo, opt);
+    EXPECT_TRUE(same_bits(routed, classic)) << "step " << step;
+    EXPECT_EQ(routed.total_matvecs, classic.total_matvecs);
+    EXPECT_EQ(routed.shifts_processed, classic.shifts_processed);
+    EXPECT_EQ(routed.factorizations, classic.factorizations);
+  }
+}
+
+TEST(Routes, SmallModelTakesTheDenseRoute) {
+  // At or below kDenseMaxOrder every solve is dense, whatever the
+  // options: no shifts, no matvecs, no factorizations.
+  const SimoRealization simo(test::synthetic_model(1.07, 20));
+  ASSERT_LE(simo.order(), core::kDenseMaxOrder);
+  core::SolverOptions opt;
+  opt.threads = 2;
+  const auto res = core::solve(simo, opt);
+  EXPECT_TRUE(res.dense);
+  EXPECT_FALSE(res.passive);
+  EXPECT_EQ(res.total_matvecs, 0u);
+  EXPECT_EQ(res.shifts_processed, 0u);
+  EXPECT_EQ(res.factorizations, 0u);
+  EXPECT_TRUE(same_bits(res, core::solve_dense(simo)));
 }
 
 }  // namespace

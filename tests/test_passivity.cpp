@@ -7,7 +7,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "phes/engine/session.hpp"
 #include "phes/hamiltonian/dense.hpp"
 #include "phes/io/touchstone.hpp"
 #include "phes/la/schur.hpp"
@@ -24,7 +23,6 @@
 namespace phes {
 namespace {
 
-using engine::SolverSession;
 using macromodel::SimoRealization;
 using passivity::characterize_passivity;
 using passivity::enforce_passivity;
@@ -40,13 +38,19 @@ macromodel::PoleResidueModel make_model(double peak, std::uint64_t seed,
   return macromodel::make_synthetic_model(spec);
 }
 
+// Characterize `simo`, then enforce from that report, as the pipeline
+// does.
+passivity::EnforcementResult characterize_and_enforce(
+    SimoRealization& simo, const core::SolverOptions& opt) {
+  return enforce_passivity(simo, characterize_passivity(simo, opt), opt);
+}
+
 TEST(Characterization, NonPassiveModelYieldsViolationBands) {
   const auto model = make_model(1.08, 1);
-  SolverSession session(model);
-  const SimoRealization& simo = session.realization();
+  const SimoRealization simo(model);
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(session, sopt);
+  const auto report = characterize_passivity(simo, sopt);
   ASSERT_FALSE(report.passive);
   ASSERT_FALSE(report.bands.empty());
   for (const auto& band : report.bands) {
@@ -61,20 +65,20 @@ TEST(Characterization, NonPassiveModelYieldsViolationBands) {
 }
 
 TEST(Characterization, PassiveModelHasNoBands) {
-  SolverSession session(make_model(0.8, 2));
+  const SimoRealization simo(make_model(0.8, 2));
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(session, sopt);
+  const auto report = characterize_passivity(simo, sopt);
   EXPECT_TRUE(report.passive);
   EXPECT_TRUE(report.bands.empty());
   EXPECT_TRUE(report.crossings.empty());
 }
 
 TEST(Characterization, BandsAreDelimitedByCrossings) {
-  SolverSession session(make_model(1.06, 3));
+  const SimoRealization simo(make_model(1.06, 3));
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(session, sopt);
+  const auto report = characterize_passivity(simo, sopt);
   ASSERT_FALSE(report.bands.empty());
   for (const auto& band : report.bands) {
     // Band edges must be crossings (or the 0 / 1.5*wmax sentinels).
@@ -90,11 +94,10 @@ TEST(Characterization, BandsAreDelimitedByCrossings) {
 
 TEST(Sweep, AgreesWithHamiltonianCharacterization) {
   const auto model = make_model(1.07, 4);
-  SolverSession session(model);
-  const SimoRealization& simo = session.realization();
+  const SimoRealization simo(model);
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = characterize_passivity(session, sopt);
+  const auto report = characterize_passivity(simo, sopt);
   ASSERT_FALSE(report.crossings.empty());
 
   test::SweepOptions sw;
@@ -170,12 +173,11 @@ class EnforcementProperty : public ::testing::TestWithParam<int> {};
 TEST_P(EnforcementProperty, MakesModelPassiveWithSmallPerturbation) {
   const auto model =
       make_model(1.05 + 0.01 * GetParam(), 100 + GetParam());
-  SolverSession session(model);
+  SimoRealization simo(model);
 
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto result = enforce_passivity(session, sopt);
-  const SimoRealization& simo = session.realization();
+  const auto result = characterize_and_enforce(simo, sopt);
   EXPECT_TRUE(result.success) << "not passive after "
                               << result.iterations << " iterations";
   EXPECT_LT(result.relative_model_change, 0.5);
@@ -203,22 +205,27 @@ INSTANTIATE_TEST_SUITE_P(Violations, EnforcementProperty,
                          ::testing::Range(0, 4));
 
 TEST(Enforcement, PassiveInputIsANoop) {
-  SolverSession session(make_model(0.8, 200));
+  SimoRealization simo(make_model(0.8, 200));
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto result = enforce_passivity(session, sopt);
+  const auto result = characterize_and_enforce(simo, sopt);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.iterations, 0u);
   EXPECT_DOUBLE_EQ(result.relative_model_change, 0.0);
+  // Round 0 read the caller's report: nothing was solved.
+  EXPECT_EQ(result.characterizations, 1u);
+  EXPECT_EQ(result.total_matvecs, 0u);
+  EXPECT_EQ(result.factorizations, 0u);
+  EXPECT_TRUE(result.final_report.passive);
 }
 
 TEST(Enforcement, PreservesPoles) {
-  SolverSession session(make_model(1.06, 201));
-  const auto blocks_before = session.realization().blocks();
+  SimoRealization simo(make_model(1.06, 201));
+  const auto blocks_before = simo.blocks();
   core::SolverOptions sopt;
   sopt.threads = 2;
-  (void)enforce_passivity(session, sopt);
-  const auto& blocks_after = session.realization().blocks();
+  (void)characterize_and_enforce(simo, sopt);
+  const auto& blocks_after = simo.blocks();
   ASSERT_EQ(blocks_before.size(), blocks_after.size());
   for (std::size_t i = 0; i < blocks_before.size(); ++i) {
     EXPECT_DOUBLE_EQ(blocks_before[i].alpha, blocks_after[i].alpha);
@@ -228,50 +235,89 @@ TEST(Enforcement, PreservesPoles) {
 
 TEST(Enforcement, AccuracyIsTracked) {
   // The relative model change must reflect the actual C perturbation.
-  SolverSession session(make_model(1.05, 202));
-  const auto c_before = session.realization().c();
+  SimoRealization simo(make_model(1.05, 202));
+  const auto c_before = simo.c();
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto result = enforce_passivity(session, sopt);
-  const auto diff = session.realization().c() - c_before;
+  const auto result = characterize_and_enforce(simo, sopt);
+  const auto diff = simo.c() - c_before;
   const double expected =
       la::frobenius_norm(diff) / la::frobenius_norm(c_before);
   EXPECT_NEAR(result.relative_model_change, expected, 1e-12);
 }
 
-// phes_pipeline gen members whose 12-pole fits carry surplus poles
-// with relative damping near 1e-4 (4 ports at order 24 or 36: 6 or 9
-// true states per column).  A Frobenius-minimal step excites those
-// poles, and enforcement ping-pongs between two peaks until its rounds
-// run out: case918 did so under the dense sigma solve, the other three
-// under the fast one.  The damping-weighted step must certify all four.
-class GenEnforcementRegression
-    : public ::testing::TestWithParam<std::size_t> {};
+// phes_pipeline gen members, fitted as `batch --poles` does:
+//  - 404, 476, 917 and 1136 at 12 poles carry surplus poles with
+//    relative damping near 1e-4 (4 ports at order 24 or 36: 6 or 9 true
+//    states per column).  A Frobenius-minimal step excites those poles,
+//    and enforcement ping-pongs between two peaks until its rounds run
+//    out: case918 did so under the dense sigma solve, the other three
+//    under the fast one.  The damping-weighted step must certify all
+//    four.
+//  - 296 at 10 poles (order 40) and 124 at 16 poles (order 48) carry a
+//    complex Hamiltonian pair close enough to the axis to pass the
+//    |Re lambda| <= 1e-6 |lambda| test: +-2.2e-6 + 20.27j and
+//    +-1.3e-5 + 15.93j.  There the nearest singular value of H(jw) is
+//    about 0.5 away from 1, so neither pair is a crossing.
+// Every crossing of the initial and the enforced model must pass the
+// unit-sigma oracle.
+struct GenFit {
+  std::size_t member;
+  std::size_t poles;
+};
+
+void PrintTo(const GenFit& g, std::ostream* os) {
+  *os << "gen member " << g.member << " at " << g.poles << " poles";
+}
+
+class GenEnforcementRegression : public ::testing::TestWithParam<GenFit> {};
 
 TEST_P(GenEnforcementRegression, CertifiesWithinTheRoundBudget) {
-  const std::size_t i = GetParam();
-  // Exactly as `phes_pipeline gen` builds member i (i mod 3 == 2: 4
-  // ports, DB format), written and read back as Touchstone.
+  const GenFit g = GetParam();
+  // Exactly as `phes_pipeline gen` writes member i (i mod 3 selects the
+  // RI, MA or DB format), read back as Touchstone.
+  const io::TouchstoneFormat formats[] = {io::TouchstoneFormat::kRI,
+                                          io::TouchstoneFormat::kMA,
+                                          io::TouchstoneFormat::kDB};
+  const std::size_t ports = 2 + g.member % 3;
   std::stringstream file;
   io::TouchstoneMetadata meta;
-  meta.format = io::TouchstoneFormat::kDB;
-  io::save_touchstone(test::gen_samples(i), file, meta);
-  const auto samples = io::load_touchstone(file, 4).samples;
+  meta.format = formats[g.member % 3];
+  io::save_touchstone(test::gen_samples(g.member), file, meta);
+  const auto samples = io::load_touchstone(file, ports).samples;
 
   vf::VectorFittingOptions fit_opt;
-  fit_opt.num_poles = 12;
-  SolverSession session(vf::vector_fit(samples, fit_opt).model);
-  ASSERT_FALSE(characterize_passivity(session, core::SolverOptions{}).passive);
+  fit_opt.num_poles = g.poles;
+  SimoRealization simo(vf::vector_fit(samples, fit_opt).model);
+  const auto unit_sigma_error = [&](double w) {
+    double nearest = 1e300;
+    for (const double s : la::complex_singular_values(simo.eval(w))) {
+      nearest = std::min(nearest, std::abs(s - 1.0));
+    }
+    return nearest;
+  };
+  const auto initial = characterize_passivity(simo, core::SolverOptions{});
+  ASSERT_FALSE(initial.passive);
+  for (const double w : initial.crossings) {
+    EXPECT_LE(unit_sigma_error(w), 1e-6) << "initial crossing at w = " << w;
+  }
 
-  const auto result = enforce_passivity(session, core::SolverOptions{});
-  EXPECT_TRUE(result.success) << "case" << i + 1 << ".s4p not passive after "
+  const auto result =
+      enforce_passivity(simo, initial, core::SolverOptions{});
+  EXPECT_TRUE(result.success) << "case" << g.member + 1 << " not passive after "
                               << result.iterations << " rounds";
   EXPECT_LE(result.iterations, passivity::kMaxEnforcementRounds);
-  EXPECT_TRUE(characterize_passivity(session, core::SolverOptions{}).passive);
+  EXPECT_TRUE(result.final_report.passive);
+  for (const double w : result.final_report.crossings) {
+    EXPECT_LE(unit_sigma_error(w), 1e-6) << "final crossing at w = " << w;
+  }
+  EXPECT_TRUE(characterize_passivity(simo, core::SolverOptions{}).passive);
 }
 
 INSTANTIATE_TEST_SUITE_P(GenMembers, GenEnforcementRegression,
-                         ::testing::Values(404, 476, 917, 1136));
+                         ::testing::Values(GenFit{404, 12}, GenFit{476, 12},
+                                           GenFit{917, 12}, GenFit{1136, 12},
+                                           GenFit{296, 10}, GenFit{124, 16}));
 
 TEST(Enforcement, RejectsDirectCouplingAboveTheCeiling) {
   // sigma_max(H(jw)) tends to sigma_max(D) as w grows, and perturbing
@@ -283,8 +329,8 @@ TEST(Enforcement, RejectsDirectCouplingAboveTheCeiling) {
   spec.target_peak_gain = 1.05;
   spec.seed = 203;
   spec.d_norm = 0.999;
-  SolverSession session(macromodel::make_synthetic_model(spec));
-  EXPECT_THROW((void)enforce_passivity(session, core::SolverOptions{}),
+  SimoRealization simo(macromodel::make_synthetic_model(spec));
+  EXPECT_THROW((void)characterize_and_enforce(simo, core::SolverOptions{}),
                std::invalid_argument);
 }
 

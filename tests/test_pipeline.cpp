@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "phes/engine/session.hpp"
 #include "phes/io/touchstone.hpp"
+#include "phes/la/svd.hpp"
 #include "phes/macromodel/samples.hpp"
+#include "phes/macromodel/simo_realization.hpp"
+#include "phes/passivity/characterization.hpp"
+#include "phes/passivity/enforcement.hpp"
 #include "phes/pipeline/batch.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/pipeline/report.hpp"
@@ -65,46 +68,107 @@ TEST(Pipeline, EndToEndEnforcesPassivity) {
   EXPECT_GT(result.order, 0u);
   EXPECT_EQ(result.ports, 2u);
 
-  // One session carried the job: characterize, every enforcement
-  // round's re-characterization, and verify.  The fitted model sits
-  // below engine::kDenseMaxOrder, so each of those solves took the
-  // dense route: no factorizations.  Enforcement's round 0 re-solves
-  // characterize's revision and verify the last round's, so the
-  // session's memo serves exactly two.
-  ASSERT_LE(result.order, engine::kDenseMaxOrder);
+  // Characterize and every enforcement round after round 0 (which
+  // reads characterize's report) ran an eigensolve; verify ran none.
+  // The fitted model sits below core::kDenseMaxOrder, so each solve
+  // took the dense route: no factorizations.
+  ASSERT_LE(result.order, core::kDenseMaxOrder);
   EXPECT_GE(result.enforcement.characterizations, 2u);
-  EXPECT_EQ(result.session.solves,
-            2 + result.enforcement.characterizations);
-  EXPECT_EQ(result.session.dense_solves,
-            result.enforcement.characterizations);
-  EXPECT_EQ(result.session.reuses, 2u);
-  EXPECT_EQ(result.session.dense_solves + result.session.reuses,
-            result.session.solves);
+  EXPECT_EQ(result.session.solves, result.enforcement.characterizations);
+  EXPECT_EQ(result.session.solves, 1 + result.enforcement.iterations);
+  EXPECT_EQ(result.session.dense_solves, result.session.solves);
   EXPECT_EQ(result.session.factorizations, 0u);
   EXPECT_TRUE(result.initial_report.solver.dense);
   EXPECT_TRUE(result.final_report.solver.dense);
 }
 
 TEST(Pipeline, KrylovJobRunsOneEigensolvePerRound) {
-  // A non-passive model fitted just above engine::kDenseMaxOrder takes
+  // A non-passive model fitted just above core::kDenseMaxOrder takes
   // the Krylov route.  At one thread, characterize and each perturbed
-  // round run an eigensolve; enforcement's round 0 and verify re-read
-  // a revision the session already solved, so its memo answers them.
+  // round run an eigensolve; enforcement's round 0 reads characterize's
+  // report and verify samples the last round's, so neither solves.
   PipelineJob job = make_job(test::gen_samples(2));  // 4 ports
   job.options.fit.num_poles = 49;                    // order 196
   job.options.solver.threads = 1;
   const auto result = run_pipeline(job);
   ASSERT_TRUE(result.ok) << result.error;
-  ASSERT_GT(result.order, engine::kDenseMaxOrder);
+  ASSERT_GT(result.order, core::kDenseMaxOrder);
   ASSERT_TRUE(result.enforcement_run);
   EXPECT_EQ(result.status(), "enforced");
   EXPECT_FALSE(result.initial_report.solver.dense);
   EXPECT_EQ(result.session.dense_solves, 0u);
-  EXPECT_EQ(result.session.solves - result.session.reuses,
-            1 + result.enforcement.iterations);
+  EXPECT_EQ(result.session.solves, 1 + result.enforcement.iterations);
+  EXPECT_EQ(result.session.factorizations,
+            result.initial_report.solver.factorizations +
+                result.enforcement.factorizations);
   EXPECT_GT(result.initial_report.solver.total_matvecs, 0u);
   EXPECT_EQ(result.final_report.solver.total_matvecs, 0u);
   EXPECT_TRUE(result.certified_passive);
+}
+
+// ---- verify_certificate: the verify stage's sampling check -------------
+
+/// A non-passive model, its characterization, and the enforced copy
+/// with enforcement's final report.
+struct Certified {
+  macromodel::SimoRealization original;
+  passivity::PassivityReport initial;
+  macromodel::SimoRealization enforced;
+  passivity::PassivityReport final_report;
+};
+
+Certified certify(double peak, std::uint64_t seed) {
+  const macromodel::SimoRealization original(test::synthetic_model(peak, seed));
+  const core::SolverOptions opt;
+  const auto initial = passivity::characterize_passivity(original, opt);
+  macromodel::SimoRealization enforced = original;
+  auto result = passivity::enforce_passivity(enforced, initial, opt);
+  util::require(result.success, "fixture model did not enforce");
+  return {original, initial, std::move(enforced),
+          std::move(result.final_report)};
+}
+
+/// The message verify_certificate throws, or "" when it accepts.
+std::string verdict(const macromodel::SimoRealization& realization,
+                    const passivity::PassivityReport& report,
+                    const std::vector<passivity::ViolationBand>& bands) {
+  try {
+    pipeline::verify_certificate(realization, report, bands);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VerifyCertificate, AcceptsTheEnforcedModelsReport) {
+  const Certified c = certify(1.06, 3);
+  ASSERT_FALSE(c.initial.bands.empty());
+  ASSERT_TRUE(c.final_report.passive);
+  EXPECT_EQ(verdict(c.enforced, c.final_report, c.initial.bands), "");
+}
+
+TEST(VerifyCertificate, StaleRealizationIsCaughtAtTheCharacterizedPeaks) {
+  // The enforced model's "passive, no crossings" report handed over
+  // with the unenforced realization.
+  const Certified c = certify(1.06, 3);
+  ASSERT_TRUE(c.final_report.crossings.empty());
+  const std::string why =
+      verdict(c.original, c.final_report, c.initial.bands);
+  EXPECT_NE(why.find("characterized peak"), std::string::npos) << why;
+}
+
+TEST(VerifyCertificate, PlantedCrossingIsCaughtAtTheUnitSigmaCheck) {
+  // A passive report that claims a crossing where no singular value of
+  // H(jw) is near 1.
+  const Certified c = certify(1.06, 3);
+  passivity::PassivityReport planted = c.final_report;
+  const double w = 0.5 * planted.solver.omega_max;
+  ASSERT_LT(la::complex_spectral_norm(c.enforced.eval(w)), 0.999);
+  planted.crossings = {w};
+  const std::string why = verdict(c.enforced, planted, c.initial.bands);
+  EXPECT_NE(why.find("no unit singular value at crossing"),
+            std::string::npos)
+      << why;
 }
 
 TEST(Pipeline, StopAfterFitShortCircuits) {
@@ -203,8 +267,8 @@ TEST(Pipeline, InlineTextInputMatchesThePathRoute) {
 
 TEST(Pipeline, BatchDuplicateModelsEachRunTheirOwnSolve) {
   // Four jobs over ONE model, one worker: jobs serialize, and each one
-  // builds its own session and runs its own eigensolve — nothing is
-  // shared across jobs.  The model sits below engine::kDenseMaxOrder,
+  // runs its own eigensolve — nothing is shared across jobs.  The
+  // model sits below core::kDenseMaxOrder,
   // so that eigensolve is dense and builds no factorization.
   const auto samples = non_passive_samples(7, 20);
   std::vector<PipelineJob> jobs;
@@ -225,11 +289,10 @@ TEST(Pipeline, BatchDuplicateModelsEachRunTheirOwnSolve) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     ASSERT_TRUE(r.ok) << r.error;
-    ASSERT_LE(r.order, engine::kDenseMaxOrder);
+    ASSERT_LE(r.order, core::kDenseMaxOrder);
     EXPECT_FALSE(r.session_reused);
     EXPECT_EQ(r.session.solves, 1u);
     EXPECT_EQ(r.session.dense_solves, 1u) << "job " << i;
-    EXPECT_EQ(r.session.reuses, 0u) << "job " << i;
     EXPECT_EQ(r.session.factorizations, 0u);
     // Same model, same deterministic product: equal signatures and
     // bit-identical crossings.
@@ -328,17 +391,18 @@ TEST(Pipeline, SummaryJsonIsWrittenAndParseable) {
   EXPECT_NE(json.find("\"name\": \"fit-only\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"enforced\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"stopped@fit\""), std::string::npos);
-  // The full job's session stats are reported verbatim.
-  const std::string reuses_field =
-      "\"reuses\": " + std::to_string(results[0].session.reuses);
-  EXPECT_NE(json.find(reuses_field), std::string::npos) << json;
+  // The full job's eigensolve counts are reported verbatim.
+  const std::string solves_field =
+      "\"solves\": " + std::to_string(results[0].session.solves);
+  EXPECT_NE(json.find(solves_field), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"reuses\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"summary\": { \"jobs\": 2, \"succeeded\": 2"),
             std::string::npos);
   // A fit-only job reports no characterize products.
   EXPECT_NE(json.find("\"bands_initial\": null"), std::string::npos);
 }
 
-TEST(Pipeline, SummaryTableHasMemoColumn) {
+TEST(Pipeline, SummaryTableHasSolvesColumn) {
   auto job = make_job(non_passive_samples(7));
   job.options.stop_after = Stage::kCharacterize;
   const auto result = run_pipeline(job);
@@ -346,9 +410,8 @@ TEST(Pipeline, SummaryTableHasMemoColumn) {
   const auto table = pipeline::summary_table({result});
   std::ostringstream os;
   table.print(os);
-  EXPECT_NE(os.str().find("memo"), std::string::npos);
-  // A cold single characterization: no memo reuse out of one solve.
-  EXPECT_NE(os.str().find("0/1"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("solves"), std::string::npos);
+  EXPECT_EQ(result.session.solves, 1u);
 }
 
 TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {
@@ -358,18 +421,15 @@ TEST(Pipeline, AlreadyPassiveModelSkipsEnforcement) {
   EXPECT_EQ(result.status(), "passive");
   EXPECT_FALSE(result.enforcement_run);
   EXPECT_TRUE(result.certified_passive);
-  // Characterize runs the dense eigensolve; verify re-solves the same
-  // revision and is served by the session's memo.
-  ASSERT_LE(result.order, engine::kDenseMaxOrder);
-  EXPECT_EQ(result.session.solves, 2u);
+  // Characterize runs the dense eigensolve; verify samples its report.
+  ASSERT_LE(result.order, core::kDenseMaxOrder);
+  EXPECT_EQ(result.session.solves, 1u);
   EXPECT_EQ(result.session.dense_solves, 1u);
-  EXPECT_EQ(result.session.reuses, 1u);
 }
 
 TEST(Pipeline, RepeatOfPassiveModelRunsItsOwnEigensolve) {
   // Two full runs over one passive model, one worker: the second job
-  // builds its own session, so it runs the same one dense eigensolve
-  // (verify is the memo reuse) and gets the same bits.
+  // runs the same one dense eigensolve and gets the same bits.
   const auto samples = test::passive_samples(21);
   std::vector<PipelineJob> jobs(2, make_job(samples));
   pipeline::BatchOptions options;
@@ -380,9 +440,8 @@ TEST(Pipeline, RepeatOfPassiveModelRunsItsOwnEigensolve) {
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.status(), "passive");
-    EXPECT_EQ(r.session.solves, 2u);
+    EXPECT_EQ(r.session.solves, 1u);
     EXPECT_EQ(r.session.dense_solves, 1u);
-    EXPECT_EQ(r.session.reuses, 1u);
   }
   EXPECT_EQ(results[1].initial_report.solver.eigenvalues,
             results[0].initial_report.solver.eigenvalues);

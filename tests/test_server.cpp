@@ -16,7 +16,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "phes/engine/session.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/pipeline/report.hpp"
 #include "phes/server/job_queue.hpp"
@@ -334,7 +333,7 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
   transport.start();
 
   // Two successive submissions of the same file over the socket; each
-  // job runs on its own session.
+  // job runs its own eigensolve.
   server::Client client(socket_path);
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 2; ++i) {
@@ -386,9 +385,9 @@ TEST(ServerIntegration, SocketJobsBitMatchOneShotPipeline) {
 
 TEST(ServerIntegration, RepeatCharacterizationRunsItsOwnEigensolve) {
   // A passive model, characterize-only, submitted twice to one server:
-  // nothing is shared across jobs, so each job builds its own session
-  // and runs its own (dense) eigensolve, with the same crossings bit
-  // for bit.  golden.s4p fits below engine::kDenseMaxOrder.
+  // nothing is shared across jobs, so each job runs its own (dense)
+  // eigensolve, with the same crossings bit for bit.  golden.s4p fits
+  // below core::kDenseMaxOrder.
   ServerOptions options = deterministic_server_options();
   options.workers = 1;
   JobServer jobs(options);
@@ -409,11 +408,10 @@ TEST(ServerIntegration, RepeatCharacterizationRunsItsOwnEigensolve) {
   ASSERT_TRUE(r2 && r2->ok) << (r2 ? r2->error : "missing");
 
   for (const auto& r : {*r1, *r2}) {
-    ASSERT_LE(r.order, engine::kDenseMaxOrder);
+    ASSERT_LE(r.order, core::kDenseMaxOrder);
     EXPECT_TRUE(r.initial_report.passive);
     EXPECT_EQ(r.session.solves, 1u);
     EXPECT_EQ(r.session.dense_solves, 1u);
-    EXPECT_EQ(r.session.reuses, 0u);
     EXPECT_EQ(r.session.factorizations, 0u);
     EXPECT_TRUE(r.initial_report.solver.dense);
   }

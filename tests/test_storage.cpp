@@ -65,10 +65,8 @@ PipelineResult sample_result(std::uint64_t id) {
   r.enforcement.relative_model_change = 0.00123456789;
   r.certified_passive = true;
   r.session.factorizations = 13;
-  r.session.solves = 5;
+  r.session.solves = 3;
   r.session.dense_solves = 1;
-  r.session.reuses = 2;
-  r.session.revision = 3;
   double t = 0.0123456789;
   for (const Stage stage :
        {Stage::kLoad, Stage::kFit, Stage::kRealize, Stage::kCharacterize,
@@ -110,9 +108,28 @@ PipelineResult cancelled_result(std::uint64_t id) {
 
 using test::TempDir;
 
-/// `doc` as an older build wrote it: the session block also carries
-/// cache and warm-start counters and calls the reuses "dense_reuses".
+/// `doc` as a build with a per-job result memo wrote it: its "solves"
+/// also counted 2 memo answers, which ran no eigensolve, written as
+/// `reuse_key` ("reuses", earlier "dense_reuses") next to the model
+/// "revision".
+std::string memo_job_json(std::string doc, const std::string& reuse_key) {
+  const std::string solves_key = "\"solves\": ";
+  const std::size_t at = doc.find(solves_key);
+  const std::size_t end = doc.find(',', at);
+  if (at == std::string::npos || end == std::string::npos) return doc;
+  const std::size_t value = at + solves_key.size();
+  doc.replace(value, end - value,
+              std::to_string(std::stoul(doc.substr(value, end - value)) + 2));
+  const std::size_t close = doc.find(" }", doc.find("\"dense_solves\": "));
+  doc.insert(close, ", \"" + reuse_key + "\": 2, \"revision\": 3");
+  return doc;
+}
+
+/// `doc` as an older memo build wrote it: the session block also
+/// carries cache and warm-start counters and calls the reuses
+/// "dense_reuses".
 std::string older_job_json(std::string doc) {
+  doc = memo_job_json(std::move(doc), "dense_reuses");
   const auto replace = [&doc](const std::string& from,
                               const std::string& to) {
     const std::size_t at = doc.find(from);
@@ -124,7 +141,6 @@ std::string older_job_json(std::string doc) {
           "\"cache_evictions\": 1, ");
   replace(", \"dense_solves\": ",
           ", \"warm_solves\": 4, \"dense_solves\": ");
-  replace("\"reuses\": ", "\"dense_reuses\": ");
   return doc;
 }
 
@@ -150,9 +166,17 @@ TEST(ReportReader, RoundTripIsByteStableForAllResultShapes) {
     EXPECT_EQ(job_json(reread), once) << once;
     // And the reader is idempotent, not just write-stable.
     EXPECT_EQ(job_json(pipeline::read_job_json(job_json(reread))), once);
-    // A record an older build wrote reads back to the same result.
-    const std::string older = older_job_json(once);
-    EXPECT_EQ(job_json(pipeline::read_job_json(older)), once) << older;
+    // A record an older build wrote reads back to the same result: its
+    // memo answers leave the solves.
+    EXPECT_EQ(once.find("reuses"), std::string::npos) << once;
+    EXPECT_EQ(once.find("revision"), std::string::npos) << once;
+    for (const std::string& older :
+         {memo_job_json(once, "reuses"), older_job_json(once)}) {
+      ASSERT_NE(older.find("reuses\": 2, \"revision\": 3 }"),
+                std::string::npos)
+          << older;
+      EXPECT_EQ(job_json(pipeline::read_job_json(older)), once) << older;
+    }
   }
 }
 
@@ -177,12 +201,12 @@ TEST(ReportReader, ReconstructsSemanticFields) {
   EXPECT_EQ(reread.status(), "enforced");
   EXPECT_EQ(reread.initial_report.bands.size(), 2u);
   EXPECT_EQ(reread.stage_timings.size(), 6u);
+  EXPECT_EQ(reread.session.solves, 3u);
   EXPECT_EQ(reread.session.dense_solves, 1u);
-  EXPECT_EQ(reread.session.reuses, 2u);
 
   // Records of builds with a cross-job session pool carry a "reused"
   // flag in the session block; it is ignored.
-  std::string pooled_doc = job_json(sample_result(44));
+  std::string pooled_doc = memo_job_json(job_json(sample_result(44)), "reuses");
   const std::string revision_key = ", \"revision\": 3";
   const std::size_t revision_at = pooled_doc.find(revision_key);
   ASSERT_NE(revision_at, std::string::npos);
@@ -191,17 +215,16 @@ TEST(ReportReader, ReconstructsSemanticFields) {
             job_json(sample_result(44)));
 
   // Records written before the dense route carry no "dense_solves",
-  // and those written before the dense-result memo no reuse count.
+  // and those written before the dense-result memo no reuse count:
+  // every solve ran.
   std::string old_doc = job_json(sample_result(43));
-  for (const std::string key :
-       {", \"dense_solves\": 1", ", \"reuses\": 2"}) {
-    const std::size_t key_at = old_doc.find(key);
-    ASSERT_NE(key_at, std::string::npos) << key;
-    old_doc.erase(key_at, key.size());
-  }
+  const std::string key = ", \"dense_solves\": 1";
+  const std::size_t key_at = old_doc.find(key);
+  ASSERT_NE(key_at, std::string::npos) << key;
+  old_doc.erase(key_at, key.size());
   const PipelineResult old_record = pipeline::read_job_json(old_doc);
   EXPECT_EQ(old_record.session.dense_solves, 0u);
-  EXPECT_EQ(old_record.session.reuses, 0u);
+  EXPECT_EQ(old_record.session.solves, 3u);
 
   const PipelineResult failed =
       pipeline::read_job_json(job_json(failed_result(9)));

@@ -1,8 +1,8 @@
 #pragma once
 // Shared helpers for the PHES test suite: random matrices, spectrum
 // comparison, model-vs-samples error, the phes-samples writer, the
-// seeded synthetic-model fixtures used by the engine/pipeline/server
-// tests and the session-reuse bench, and metrics-snapshot readers.
+// seeded synthetic-model fixtures used by the solver/pipeline/server
+// tests and the benches, and metrics-snapshot readers.
 
 #include <unistd.h>
 
@@ -200,7 +200,7 @@ inline bool frequencies_match(const RealVector& a, const RealVector& b,
 }
 
 // ---- Seeded model fixtures --------------------------------------------
-// One source of truth for the synthetic models the engine, pipeline,
+// One source of truth for the synthetic models the solver, pipeline,
 // server, and bench suites exercise; seeds select reproducible model
 // instances, peak gain selects passive (< 1) vs violating (> 1).
 

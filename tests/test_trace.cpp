@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "phes/engine/session.hpp"
 #include "phes/pipeline/job.hpp"
 #include "phes/server/protocol.hpp"
 #include "phes/server/server.hpp"
@@ -49,34 +48,47 @@ JobTrace sample_trace(std::uint64_t id) {
   t.spans.push_back(span);
   t.solves = 9;
   t.dense_solves = 4;
-  t.reuses = 3;
   t.factorizations = 7;
   return t;
 }
 
-/// `json` as an older build wrote it: spans and the session block also
-/// carry cache and warm-start counters, and the reuses are called
+/// Replace every `from` in `json` with `to`.
+void replace_all(std::string& json, const std::string& from,
+                 const std::string& to) {
+  for (std::size_t at = json.find(from); at != std::string::npos;
+       at = json.find(from, at + to.size())) {
+    json.replace(at, from.size(), to);
+  }
+}
+
+/// `json` (of sample_trace) as the builds with a per-job result memo
+/// wrote it: their "solves" also counted 3 memo answers, written as
+/// "reuses", which ran no eigensolve.
+std::string memo_trace_json(std::string json) {
+  replace_all(json, "\"session\": {\"solves\": 9",
+              "\"session\": {\"solves\": 12");
+  replace_all(json, ", \"factorizations\": 7}}",
+              ", \"reuses\": 3, \"factorizations\": 7}}");
+  return json;
+}
+
+/// `json` as an older memo build wrote it: spans and the session block
+/// also carry cache and warm-start counters, and the reuses are called
 /// "dense_reuses".
 std::string older_trace_json(std::string json) {
-  const auto replace_all = [&json](const std::string& from,
-                                   const std::string& to) {
-    for (std::size_t at = json.find(from); at != std::string::npos;
-         at = json.find(from, at + to.size())) {
-      json.replace(at, from.size(), to);
-    }
-  };
-  replace_all("\"factorizations\": 7}}",
+  json = memo_trace_json(std::move(json));
+  replace_all(json, "\"factorizations\": 7}}",
               "\"factorizations\": 7, \"cache_hits\": 11, "
               "\"cache_misses\": 6}}");
-  replace_all("\"factorizations\": 7}",
+  replace_all(json, "\"factorizations\": 7}",
               "\"factorizations\": 7, \"cache_hits\": 3, "
               "\"cache_misses\": 4}");
-  replace_all("\"factorizations\": 0}",
+  replace_all(json, "\"factorizations\": 0}",
               "\"factorizations\": 0, \"cache_hits\": 0, "
               "\"cache_misses\": 0}");
-  replace_all(", \"dense_solves\": ",
+  replace_all(json, ", \"dense_solves\": ",
               ", \"warm_solves\": 5, \"dense_solves\": ");
-  replace_all("\"reuses\": ", "\"dense_reuses\": ");
+  replace_all(json, "\"reuses\": ", "\"dense_reuses\": ");
   return json;
 }
 
@@ -86,11 +98,17 @@ TEST(JobTraceJson, RoundTripIsByteIdentical) {
   // NDJSON: one line, no raw newlines even with hostile names.
   EXPECT_EQ(json.find('\n'), std::string::npos);
 
-  // A trace an older build wrote parses to the same trace.
+  // A trace an older build wrote parses to the same trace: its memo
+  // answers leave the solves.
+  EXPECT_EQ(json.find("reuses"), std::string::npos) << json;
+  const std::string memo = memo_trace_json(json);
+  ASSERT_NE(memo.find("\"solves\": 12, \"dense_solves\": 4, \"reuses\": 3"),
+            std::string::npos)
+      << memo;
   const std::string older = older_trace_json(json);
   ASSERT_NE(older.find("\"dense_reuses\": 3"), std::string::npos) << older;
   ASSERT_NE(older.find("\"cache_misses\": 4"), std::string::npos) << older;
-  for (const std::string& input : {json, older}) {
+  for (const std::string& input : {json, memo, older}) {
     const JobTrace parsed =
         JobTrace::from_json(util::JsonValue::parse(input));
     EXPECT_EQ(parsed.id, original.id);
@@ -102,7 +120,6 @@ TEST(JobTraceJson, RoundTripIsByteIdentical) {
     EXPECT_EQ(parsed.spans[1].stage, "verify");
     EXPECT_EQ(parsed.solves, 9u);
     EXPECT_EQ(parsed.dense_solves, 4u);
-    EXPECT_EQ(parsed.reuses, 3u);
     // The contract from trace.hpp: parse -> rebuild -> serialize is
     // byte-identical (fixed %.6f timestamp formatting at build time).
     EXPECT_EQ(parsed.to_json(), json) << input;
@@ -112,17 +129,14 @@ TEST(JobTraceJson, RoundTripIsByteIdentical) {
 TEST(JobTraceJson, RecordWithoutDenseSolvesReadsZero) {
   // Traces written before the dense route existed carry no
   // "dense_solves" key, and those before the dense-result memo no reuse
-  // count; they read as zero.
+  // count: every solve ran.
   std::string json = sample_trace(42).to_json();
-  for (const std::string key :
-       {", \"dense_solves\": 4", ", \"reuses\": 3"}) {
-    const std::size_t at = json.find(key);
-    ASSERT_NE(at, std::string::npos) << json;
-    json.erase(at, key.size());
-  }
+  const std::string key = ", \"dense_solves\": 4";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.erase(at, key.size());
   const JobTrace parsed = JobTrace::from_json(util::JsonValue::parse(json));
   EXPECT_EQ(parsed.dense_solves, 0u);
-  EXPECT_EQ(parsed.reuses, 0u);
   EXPECT_EQ(parsed.solves, 9u);
 }
 
@@ -185,12 +199,12 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   result.initial_report.solver.total_matvecs = 100;
   result.initial_report.solver.factorizations = 3;
   result.enforcement.total_matvecs = 250;
+  result.enforcement.factorizations = 5;
   result.final_report.solver.total_matvecs = 40;
   result.final_report.solver.factorizations = 1;
   result.session.solves = 8;
   result.session.factorizations = 9;
   result.session.dense_solves = 2;
-  result.session.reuses = 5;
 
   const JobTrace trace =
       server::build_job_trace(result, 1000.0, 1000.5, 500.0);
@@ -202,8 +216,7 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   EXPECT_EQ(trace.spans[1].stage, "characterize");
   EXPECT_EQ(trace.spans[1].matvecs, 100u);
   EXPECT_EQ(trace.spans[1].factorizations, 3u);
-  // Enforce: the rounds' aggregate, and the session's factorizations
-  // that the characterize (3) and verify (1) solves did not build.
+  // Enforce: the rounds' aggregate.
   EXPECT_EQ(trace.spans[2].stage, "enforce");
   EXPECT_EQ(trace.spans[2].matvecs, 250u);
   EXPECT_EQ(trace.spans[2].factorizations, 5u);
@@ -214,7 +227,7 @@ TEST(BuildJobTrace, MapsSolverCountersOntoStages) {
   EXPECT_NEAR(trace.spans[1].start_unix, 1000.6, 1e-6);
   EXPECT_EQ(trace.solves, 8u);
   EXPECT_EQ(trace.dense_solves, 2u);
-  EXPECT_EQ(trace.reuses, 5u);
+  EXPECT_EQ(trace.factorizations, 9u);
 }
 
 // ---- trace op integration ---------------------------------------------
@@ -260,20 +273,16 @@ TEST(TraceOp, FullPipelineJobYieldsOrderedSpans) {
     }
   }
   // golden.s2p fits to a 2-port, order-24 model: below kDenseMaxOrder,
-  // so every eigensolve of the job took the dense route — one session,
-  // no shifts, no factorizations.  It is non-passive, so the job ran
-  // characterize + enforce's re-characterizations + verify.  Two of
-  // those repeat a solve of the same revision and are served by the
-  // session's memo: enforcement's round 0 (characterize's
-  // model) and verify (the last round's model).
+  // so every eigensolve of the job took the dense route — no shifts,
+  // no factorizations.  It is non-passive, so the job solved in
+  // characterize and in every enforcement round after round 0, which
+  // reads characterize's report; verify samples the last round's.
   const auto result = jobs.result(id);
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->enforcement_run);
-  ASSERT_LE(result->order, engine::kDenseMaxOrder);
-  EXPECT_EQ(trace.solves, 2 + result->enforcement.characterizations);
-  EXPECT_EQ(trace.dense_solves, result->enforcement.characterizations);
-  EXPECT_EQ(trace.reuses, 2u);
-  EXPECT_EQ(trace.dense_solves + trace.reuses, trace.solves);
+  ASSERT_LE(result->order, core::kDenseMaxOrder);
+  EXPECT_EQ(trace.solves, result->enforcement.characterizations);
+  EXPECT_EQ(trace.dense_solves, trace.solves);
   EXPECT_EQ(trace.factorizations, 0u);
   for (const StageSpan& span : trace.spans) {
     EXPECT_EQ(span.matvecs, 0u) << span.stage;

@@ -9,7 +9,6 @@
 
 #include <cmath>
 
-#include "phes/engine/session.hpp"
 #include "phes/la/blas.hpp"
 #include "phes/la/lu.hpp"
 #include "phes/la/schur.hpp"
@@ -100,11 +99,10 @@ TEST(EnergyGain, MatchesSigmaSquaredAtDriveFrequency) {
 }
 
 TEST(EnergyGain, ExceedsUnityInsideViolationBand) {
-  engine::SolverSession session(make_model(1.25, 32));
-  const SimoRealization& simo = session.realization();
+  const SimoRealization simo(make_model(1.25, 32));
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto report = passivity::characterize_passivity(session, sopt);
+  const auto report = passivity::characterize_passivity(simo, sopt);
   ASSERT_FALSE(report.bands.empty());
   const auto& band = report.bands.front();
 
@@ -174,9 +172,8 @@ TEST(Transient, NonPassiveModelBlowsUpWhenClosedLoopIsUnstable) {
 TEST(Transient, EnforcementRemovesInstability) {
   // End-to-end: find an unstable termination for the non-passive model,
   // enforce passivity, verify the same termination is now stable.
-  engine::SolverSession session(make_model(1.5, 35));
-  // Enforcement perturbs the session's model in place.
-  const SimoRealization& simo = session.realization();
+  // Enforcement perturbs this model in place.
+  SimoRealization simo(make_model(1.5, 35));
   la::RealVector bad_gammas;
   for (const auto& gammas : sign_patterns(simo.ports(), 0.999)) {
     if (has_rhp_pole(simo, gammas)) {
@@ -188,7 +185,8 @@ TEST(Transient, EnforcementRemovesInstability) {
 
   core::SolverOptions sopt;
   sopt.threads = 2;
-  const auto enf = passivity::enforce_passivity(session, sopt);
+  const auto enf = passivity::enforce_passivity(
+      simo, passivity::characterize_passivity(simo, sopt), sopt);
   ASSERT_TRUE(enf.success);
   EXPECT_FALSE(has_rhp_pole(simo, bad_gammas));
 

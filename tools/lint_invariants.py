@@ -329,6 +329,9 @@ PROD_CALLERS_ALLOW = {
     "assert_held": "thread-safety analysis hook for lambda predicates "
                    "(sync.hpp contract); only test_sync's predicates "
                    "touch guarded fields today",
+    "stats": "JobQueue::stats: the queue tests' view of its counters and "
+             "of its peak depth (the capacity bound), which the metrics "
+             "registry does not carry",
 }
 
 NOT_FUNCTIONS = {
