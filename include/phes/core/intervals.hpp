@@ -30,6 +30,14 @@ struct CompletedDisk {
   la::ComplexVector eigenvalues;  ///< eigenvalues inside the disk
 };
 
+/// The eigenvalues the disks report, one copy of each.  Copies closer
+/// than kClusterTol * scale are one eigenvalue; of these it keeps the
+/// copy nearest its own disk's center j*center (a Ritz value is most
+/// accurate near its shift), ties going to the lower disk index.  The
+/// result is sorted by imaginary part.
+[[nodiscard]] la::ComplexVector merge_disk_eigenvalues(
+    const std::vector<CompletedDisk>& disks, double scale);
+
 /// Shift-queue state machine.  Invariants (checked in tests):
 ///  - tentative intervals never overlap each other or in-flight ones;
 ///  - an interval is handed out at most once (Eq. 20);
@@ -77,10 +85,6 @@ class IntervalScheduler {
   [[nodiscard]] const std::vector<CompletedDisk>& disks() const noexcept {
     return completed_;
   }
-
-  /// All eigenvalues from all completed disks (duplicates possible when
-  /// disks overlap; callers cluster).
-  [[nodiscard]] la::ComplexVector all_eigenvalues() const;
 
  private:
   std::uint64_t next_id_ = 0;

@@ -31,10 +31,11 @@ enum class SchedulingMode {
   kStaticGrid,  ///< fixed uniform grid, gaps mopped up afterwards
 };
 
-/// Solver configuration; defaults follow the paper's reported settings.
+/// Solver configuration.  The paper's fixed settings (d = 60, kappa,
+/// alpha, ...) are constants; its n_theta cap is not kept (see
+/// single_shift.hpp).
 struct SolverOptions {
   std::size_t threads = 1;
-  SingleShiftOptions shift{};
   SchedulingMode scheduling = SchedulingMode::kDynamic;
   std::uint64_t seed = 1;
 };
@@ -55,7 +56,9 @@ struct SolverResult {
   /// Omega: sorted positive crossing frequencies (empty => passive).
   la::RealVector crossings;
   bool passive = false;
-  /// All (deduplicated) eigenvalues found in the certified disks.
+  /// All (deduplicated) eigenvalues found in the certified disks; the
+  /// Krylov route keeps each one's copy nearest its own shift
+  /// (merge_disk_eigenvalues).
   la::ComplexVector eigenvalues;
   double omega_min = 0.0;  ///< searched band [omega_min, omega_max];
   double omega_max = 0.0;  ///< omega_min is always 0

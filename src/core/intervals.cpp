@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "phes/core/single_shift.hpp"
 #include "phes/util/check.hpp"
 
 namespace phes::core {
@@ -141,12 +142,50 @@ void IntervalScheduler::complete(const TentativeInterval& interval,
   tentative_ = std::move(kept);
 }
 
-la::ComplexVector IntervalScheduler::all_eigenvalues() const {
-  la::ComplexVector all;
-  for (const auto& d : completed_) {
-    all.insert(all.end(), d.eigenvalues.begin(), d.eigenvalues.end());
+la::ComplexVector merge_disk_eigenvalues(
+    const std::vector<CompletedDisk>& disks, double scale) {
+  struct Copy {
+    la::Complex lambda;
+    double distance;  ///< to its own disk's center
+  };
+  std::vector<Copy> copies;
+  for (const CompletedDisk& disk : disks) {
+    const la::Complex theta(0.0, disk.center);
+    for (const la::Complex& lambda : disk.eigenvalues) {
+      copies.push_back({lambda, std::abs(lambda - theta)});
+    }
   }
-  return all;
+  // Stable: equally near copies keep the disks' order.
+  std::stable_sort(copies.begin(), copies.end(),
+                   [](const Copy& a, const Copy& b) {
+                     return a.distance < b.distance;
+                   });
+
+  // Nearest copies first: a copy is kept unless a kept one lies within
+  // the cluster radius.  `merged` stays sorted by imaginary part, so
+  // the search scans a window.
+  const double tol = kClusterTol * scale;
+  const auto by_imag = [](const la::Complex& a, double im) {
+    return a.imag() < im;
+  };
+  la::ComplexVector merged;
+  for (const Copy& c : copies) {
+    auto it = std::lower_bound(merged.begin(), merged.end(),
+                               c.lambda.imag() - tol, by_imag);
+    bool duplicate = false;
+    for (; it != merged.end() && it->imag() <= c.lambda.imag() + tol; ++it) {
+      if (std::abs(*it - c.lambda) <= tol) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (!duplicate) {
+      merged.insert(std::lower_bound(merged.begin(), merged.end(),
+                                     c.lambda.imag(), by_imag),
+                    c.lambda);
+    }
+  }
+  return merged;
 }
 
 }  // namespace phes::core

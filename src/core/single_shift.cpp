@@ -36,11 +36,8 @@ struct LockedEig {
 
 SingleShiftResult single_shift_iteration(
     const macromodel::SimoRealization& realization, double omega_center,
-    double rho0, const SingleShiftOptions& opt, std::size_t min_restarts,
-    util::Rng& rng) {
+    double rho0, std::size_t min_restarts, util::Rng& rng) {
   util::check(rho0 > 0.0, "single_shift_iteration: rho0 must be positive");
-  util::check(opt.eigs_per_shift >= 1 && opt.krylov_dim > opt.eigs_per_shift,
-              "single_shift_iteration: need krylov_dim > eigs_per_shift >= 1");
 
   const double scale =
       std::max({std::abs(omega_center), realization.max_pole_magnitude(),
@@ -66,7 +63,7 @@ SingleShiftResult single_shift_iteration(
                 "after nudging the shift");
 
   const std::size_t dim = op->dim();
-  const std::size_t d = std::min(opt.krylov_dim, dim - 1);
+  const std::size_t d = std::min(kKrylovDim, dim - 1);
   const std::size_t d_confirm = std::min(kConfirmDim, d);
 
   std::vector<LockedEig> locked;
@@ -156,18 +153,10 @@ SingleShiftResult single_shift_iteration(
                 return a.distance < b.distance;
               });
 
-    // Radius rules (paper Sec. III).
+    // Radius rules: expand to the farthest converged eigenvalue.
     rho = rho0;
-    if (!locked.empty()) {
-      if (locked.size() > opt.eigs_per_shift) {
-        // Shrink: enclose exactly n_theta eigenvalues.
-        const double inner = locked[opt.eigs_per_shift - 1].distance;
-        const double outer = locked[opt.eigs_per_shift].distance;
-        rho = std::min(rho, 0.5 * (inner + outer));
-      } else if (locked.back().distance > rho) {
-        // Expand to the farthest converging eigenvalue.
-        rho = locked.back().distance * 1.0000001;
-      }
+    if (!locked.empty() && locked.back().distance > rho) {
+      rho = locked.back().distance * 1.0000001;
     }
     // Certificate cap: nothing unseen may hide inside the disk.
     rho = std::min(rho, kRadiusSafety * unconverged_limit);

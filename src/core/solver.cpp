@@ -30,6 +30,16 @@ constexpr double kResolution = 1e-9;
 // Relative |Re lambda| threshold for "purely imaginary".
 constexpr double kImagTol = 1e-6;
 
+// The Krylov routes' product: one copy of each eigenvalue the disks
+// report, then the crossing filter both routes share.
+void finalize_disks(SolverResult& result,
+                    const macromodel::SimoRealization& realization,
+                    double band_hi) {
+  result.eigenvalues = merge_disk_eigenvalues(
+      result.disks, std::max(realization.max_pole_magnitude(), band_hi));
+  finalize_crossings(result, realization, band_hi);
+}
+
 }  // namespace
 
 ParallelHamiltonianEigensolver::ParallelHamiltonianEigensolver(
@@ -99,7 +109,7 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
       bool ok = true;
       try {
         sres = single_shift_iteration(realization_, task->shift, rho0,
-                                      opt.shift, kMinRestarts, rng);
+                                      kMinRestarts, rng);
       } catch (const std::exception&) {
         ok = false;
       }
@@ -141,9 +151,7 @@ SolverResult ParallelHamiltonianEigensolver::run_scheduler(
 
   result.shifts_eliminated = sched.shifts_eliminated();
   result.disks = sched.disks();
-  la::ComplexVector all = sched.all_eigenvalues();
-  result.eigenvalues = std::move(all);
-  finalize_crossings(result, realization_, band_hi);
+  finalize_disks(result, realization_, band_hi);
   return result;
 }
 
@@ -169,7 +177,7 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
     util::WallTimer t;
     try {
       outcomes[i] = single_shift_iteration(realization_, center, rho0,
-                                           opt.shift, kMinRestarts, rng);
+                                           kMinRestarts, rng);
     } catch (const std::exception&) {
       failures.fetch_add(1);
       outcomes[i].radius = 2.0 * min_width;
@@ -234,13 +242,8 @@ SolverResult ParallelHamiltonianEigensolver::run_static_grid(
     for (const auto& d : phase2.disks) result.disks.push_back(d);
   }
 
-  la::ComplexVector all;
-  for (const auto& d : result.disks) {
-    all.insert(all.end(), d.eigenvalues.begin(), d.eigenvalues.end());
-  }
-  result.eigenvalues = std::move(all);
   result.shifts_eliminated = 0;  // the static grid never skips work
-  finalize_crossings(result, realization_, band_hi);
+  finalize_disks(result, realization_, band_hi);
   return result;
 }
 

@@ -1119,15 +1119,14 @@ inline bool plane_lock_vector(std::vector<core::PlaneVector>& locked,
 /// stopped building deflation vectors: every restart, the last one
 /// included, forms and locks the Ritz vector of each newly locked pair
 /// as soon as the pair is accepted.  It sizes its restarts by the
-/// library's rule (restart 0 at d, every later one at
-/// min(core::kConfirmDim, d)), so a mismatch isolates the deflation
-/// vectors the library skips.  Each restart allocates its own basis.
+/// library's rule (restart 0 at d = min(core::kKrylovDim, dim - 1),
+/// every later one at min(core::kConfirmDim, d)), so a mismatch
+/// isolates the deflation vectors the library skips.  Each restart allocates its own basis.
 /// kRitzTol, kMaxRestarts and kRadiusSafety repeat the library's
 /// file-local constants.
 inline core::SingleShiftResult reference_single_shift(
     const macromodel::SimoRealization& realization, double omega_center,
-    double rho0, const core::SingleShiftOptions& opt,
-    std::size_t min_restarts, util::Rng& rng) {
+    double rho0, std::size_t min_restarts, util::Rng& rng) {
   using core::kClusterTol;
   using hamiltonian::SmwShiftInvertOp;
   using la::Complex;
@@ -1157,7 +1156,7 @@ inline core::SingleShiftResult reference_single_shift(
   util::require(op != nullptr, "reference_single_shift: singular kernel");
 
   const std::size_t dim = op->dim();
-  const std::size_t d = std::min(opt.krylov_dim, dim - 1);
+  const std::size_t d = std::min(core::kKrylovDim, dim - 1);
   const std::size_t d_confirm = std::min(core::kConfirmDim, d);
   std::vector<LockedEig> locked;
   std::vector<double> locked_vectors;
@@ -1209,14 +1208,8 @@ inline core::SingleShiftResult reference_single_shift(
               });
 
     rho = rho0;
-    if (!locked.empty()) {
-      if (locked.size() > opt.eigs_per_shift) {
-        const double inner = locked[opt.eigs_per_shift - 1].distance;
-        const double outer = locked[opt.eigs_per_shift].distance;
-        rho = std::min(rho, 0.5 * (inner + outer));
-      } else if (locked.back().distance > rho) {
-        rho = locked.back().distance * 1.0000001;
-      }
+    if (!locked.empty() && locked.back().distance > rho) {
+      rho = locked.back().distance * 1.0000001;
     }
     rho = std::min(rho, kRadiusSafety * unconverged_limit);
 

@@ -14,7 +14,9 @@
 namespace phes {
 namespace {
 
+using core::CompletedDisk;
 using core::IntervalScheduler;
+using core::merge_disk_eigenvalues;
 using core::TentativeInterval;
 
 TEST(Intervals, StartupOrderProcessesExtremaFirst) {
@@ -194,8 +196,39 @@ TEST(Intervals, EigenvalueAggregation) {
   auto t2 = s.acquire();
   s.complete(*t1, 5.0, {la::Complex(0.0, 1.0)});
   s.complete(*t2, 5.0, {la::Complex(0.0, 1.7), la::Complex(0.1, 0.3)});
-  EXPECT_EQ(s.all_eigenvalues().size(), 3u);
+  EXPECT_EQ(merge_disk_eigenvalues(s.disks(), 2.0).size(), 3u);
   EXPECT_EQ(s.disks().size(), 2u);
+}
+
+TEST(Intervals, MergeKeepsEachEigenvaluesCopyNearestItsOwnDisk) {
+  // Two overlapping disks report one eigenvalue near j*1.0, each with
+  // its own perturbation (within the cluster radius 1e-7 * scale): the
+  // copy nearer its own disk's center wins, whatever the disk order.
+  // Eigenvalues only one disk reports are kept as they are.
+  const double scale = 10.0;
+  const la::Complex near_copy(0.0, 1.0 + 2e-7);  // 0.1 from its center
+  const la::Complex far_copy(0.0, 1.0 - 3e-7);   // 0.9 from its center
+  const CompletedDisk a{1.1, 0.5, {near_copy, la::Complex(0.0, 1.3)}};
+  const CompletedDisk b{0.1, 1.0, {la::Complex(0.2, 0.05), far_copy}};
+  for (const auto& disks : {std::vector<CompletedDisk>{a, b},
+                            std::vector<CompletedDisk>{b, a}}) {
+    const la::ComplexVector merged = merge_disk_eigenvalues(disks, scale);
+    ASSERT_EQ(merged.size(), 3u);
+    EXPECT_EQ(merged[0], la::Complex(0.2, 0.05));  // sorted by Im
+    EXPECT_EQ(merged[1], near_copy);
+    EXPECT_EQ(merged[2], la::Complex(0.0, 1.3));
+  }
+
+  // Equally distant copies (mirror images about j*1.0): the lower disk
+  // index wins.
+  const la::Complex left_copy(1e-7, 1.0);
+  const la::Complex right_copy(-1e-7, 1.0);
+  const CompletedDisk left{0.5, 1.0, {left_copy}};
+  const CompletedDisk right{1.5, 1.0, {right_copy}};
+  EXPECT_EQ(merge_disk_eigenvalues({left, right}, 100.0),
+            la::ComplexVector{left_copy});
+  EXPECT_EQ(merge_disk_eigenvalues({right, left}, 100.0),
+            la::ComplexVector{right_copy});
 }
 
 }  // namespace

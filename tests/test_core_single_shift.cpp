@@ -34,7 +34,6 @@ namespace {
 
 using core::kMinRestarts;
 using core::single_shift_iteration;
-using core::SingleShiftOptions;
 using la::Complex;
 using la::ComplexVector;
 using macromodel::SimoRealization;
@@ -46,14 +45,7 @@ struct Truth {
   double scale;
 };
 
-Truth make_truth(double peak, std::uint64_t seed, std::size_t states = 30,
-                 std::size_t ports = 3) {
-  macromodel::SyntheticModelSpec spec;
-  spec.ports = ports;
-  spec.states = states;
-  spec.target_peak_gain = peak;
-  spec.seed = seed;
-  auto model = macromodel::make_synthetic_model(spec);
+Truth truth_of(macromodel::PoleResidueModel model) {
   SimoRealization simo(model);
   auto m = hamiltonian::build_scattering_hamiltonian(simo.to_dense());
   auto spectrum = la::real_eigenvalues(std::move(m));
@@ -61,13 +53,25 @@ Truth make_truth(double peak, std::uint64_t seed, std::size_t states = 30,
   return {std::move(model), std::move(simo), std::move(spectrum), scale};
 }
 
-void check_contract(const Truth& truth, double omega_center, double rho0,
-                    std::uint64_t rng_seed) {
-  SingleShiftOptions opt;
+Truth make_truth(double peak, std::uint64_t seed, std::size_t states = 30,
+                 std::size_t ports = 3) {
+  macromodel::SyntheticModelSpec spec;
+  spec.ports = ports;
+  spec.states = states;
+  spec.target_peak_gain = peak;
+  spec.seed = seed;
+  return truth_of(macromodel::make_synthetic_model(spec));
+}
+
+// Runs S and checks its certificate against the dense spectrum; returns
+// S's result.
+core::SingleShiftResult check_contract(const Truth& truth,
+                                       double omega_center, double rho0,
+                                       std::uint64_t rng_seed) {
   util::Rng rng(rng_seed);
   const auto res = single_shift_iteration(truth.simo, omega_center, rho0,
-                                          opt, kMinRestarts, rng);
-  ASSERT_GT(res.radius, 0.0);
+                                          kMinRestarts, rng);
+  EXPECT_GT(res.radius, 0.0);
   const Complex theta(0.0, omega_center);
   const double tol = 1e-6 * truth.scale;
 
@@ -95,6 +99,7 @@ void check_contract(const Truth& truth, double omega_center, double rho0,
           << " radius " << res.radius;
     }
   }
+  return res;
 }
 
 class SingleShiftContract
@@ -127,10 +132,9 @@ TEST(SingleShift, FindsKnownCrossingsNearShift) {
   ASSERT_FALSE(freqs.empty());
   const double w0 = freqs[freqs.size() / 2];
 
-  SingleShiftOptions opt;
   util::Rng rng(5);
-  const auto res = single_shift_iteration(
-      truth.simo, w0, 0.1 * truth.scale, opt, kMinRestarts, rng);
+  const auto res = single_shift_iteration(truth.simo, w0, 0.1 * truth.scale,
+                                          kMinRestarts, rng);
   double best = 1e300;
   for (const Complex& lambda : res.eigenvalues) {
     best = std::min(best, std::abs(lambda - Complex(0.0, w0)));
@@ -138,35 +142,19 @@ TEST(SingleShift, FindsKnownCrossingsNearShift) {
   EXPECT_LT(best, 1e-6 * truth.scale);
 }
 
-TEST(SingleShift, ShrinkRuleCapsReportedCount) {
-  // With a huge initial radius the disk would contain many eigenvalues;
-  // the shrink rule must cap the report at n_theta (the paper requires
-  // n_theta << d for stabilization and fine scheduling granularity).
+TEST(SingleShift, HugeInitialRadiusKeepsCertificate) {
+  // An initial radius of ten times the pole scale would enclose the
+  // whole spectrum; whatever radius S certifies, every eigenvalue
+  // inside it must be reported.
   const Truth truth = make_truth(1.1, 888, 40, 4);
-  SingleShiftOptions opt;
-  opt.eigs_per_shift = 4;
-  util::Rng rng(6);
-  const auto res =
-      single_shift_iteration(truth.simo, 0.5 * truth.scale,
-                             10.0 * truth.scale, opt, kMinRestarts, rng);
-  EXPECT_LE(res.eigenvalues.size(), 4u);
-  // And the certificate still holds.
-  const Complex theta(0.0, 0.5 * truth.scale);
-  const double tol = 1e-6 * truth.scale;
-  for (const Complex& mu : truth.spectrum) {
-    if (std::abs(mu - theta) < res.radius * (1.0 - 1e-6) - tol) {
-      double best = 1e300;
-      for (const Complex& lambda : res.eigenvalues) {
-        best = std::min(best, std::abs(lambda - mu));
-      }
-      EXPECT_LT(best, tol);
-    }
-  }
+  (void)check_contract(truth, 0.5 * truth.scale, 10.0 * truth.scale, 6);
 }
 
-TEST(SingleShift, EmptyDiskOnPassiveQuietRegion) {
+TEST(SingleShift, QuietRegionDiskExpandsSoundAndComplete) {
   // A passive model with well-damped poles: a small disk far from any
-  // eigenvalue returns empty but certifies a positive radius.
+  // eigenvalue certifies a positive radius, expands to the farthest
+  // eigenvalue the shift converged, and reports exactly the dense
+  // spectrum inside it.
   macromodel::SyntheticModelSpec spec;
   spec.ports = 2;
   spec.states = 16;
@@ -174,29 +162,18 @@ TEST(SingleShift, EmptyDiskOnPassiveQuietRegion) {
   spec.min_damping = 0.3;
   spec.max_damping = 0.5;
   spec.seed = 99;
-  const auto model = macromodel::make_synthetic_model(spec);
-  const SimoRealization simo(model);
-  SingleShiftOptions opt;
-  util::Rng rng(7);
-  const double w = 0.5 * model.max_pole_magnitude();
-  const auto res =
-      single_shift_iteration(simo, w, 0.01 * model.max_pole_magnitude(),
-                             opt, kMinRestarts, rng);
-  EXPECT_GT(res.radius, 0.0);
-  EXPECT_TRUE(res.eigenvalues.empty());
+  const Truth truth = truth_of(macromodel::make_synthetic_model(spec));
+  const double rho0 = 0.01 * truth.scale;
+  const auto res = check_contract(truth, 0.5 * truth.scale, rho0, 7);
+  EXPECT_FALSE(res.eigenvalues.empty());
+  EXPECT_GT(res.radius, rho0);
 }
 
 TEST(SingleShift, RejectsBadArguments) {
   const Truth truth = make_truth(1.05, 1234, 20, 2);
-  SingleShiftOptions opt;
   util::Rng rng(1);
-  EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 0.0, opt,
-                                      kMinRestarts, rng),
-               std::invalid_argument);
-  opt.eigs_per_shift = 60;
-  opt.krylov_dim = 60;
-  EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 1.0, opt,
-                                      kMinRestarts, rng),
+  EXPECT_THROW(single_shift_iteration(truth.simo, 1.0, 0.0, kMinRestarts,
+                                      rng),
                std::invalid_argument);
 }
 
@@ -258,7 +235,7 @@ double scan_ritz_pairs(const core::ArnoldiResult& ar, double rho0,
 std::string planted_miss(const Truth& truth, Complex lambda_star,
                          double omega, std::uint64_t start_seed,
                          const std::string& label) {
-  const std::size_t d = SingleShiftOptions{}.krylov_dim;
+  const std::size_t d = core::kKrylovDim;
   const double scale = truth.scale;
   const Complex theta(0.0, omega);
   const double star_dist = std::abs(lambda_star - theta);
@@ -361,22 +338,88 @@ TEST(SingleShiftPlantedMiss, ConfirmationConvergesOrCapsTheMissedEigenvalue) {
   EXPECT_EQ(cases, 36u);
 }
 
+// The eigenvalues restart 0 of S converges at shift j*omega from
+// `start_seed` (d = kKrylovDim, nothing locked), each snapped to the
+// nearest dense eigenvalue, nearest the shift first.
+std::vector<Complex> restart0_converged(const Truth& truth, double omega,
+                                        std::uint64_t start_seed) {
+  const Complex theta(0.0, omega);
+  const hamiltonian::SmwShiftInvertOp op(truth.simo, theta);
+  util::Rng rng(start_seed);
+  const core::ArnoldiResult ar = core::arnoldi(
+      op, core::random_start_vector(op.dim(), rng),
+      std::min(core::kKrylovDim, op.dim() - 1), {});
+  std::vector<Complex> found;
+  (void)scan_ritz_pairs(ar, truth.scale, [&](const auto& p) {
+    const Complex ritz = theta + 1.0 / p.value;
+    const Complex lambda = *std::min_element(
+        truth.spectrum.begin(), truth.spectrum.end(),
+        [&](Complex a, Complex b) {
+          return std::abs(a - ritz) < std::abs(b - ritz);
+        });
+    if (std::find(found.begin(), found.end(), lambda) == found.end()) {
+      found.push_back(lambda);
+    }
+  });
+  std::sort(found.begin(), found.end(), [&](Complex a, Complex b) {
+    return std::abs(a - theta) < std::abs(b - theta);
+  });
+  return found;
+}
+
+TEST(SingleShiftPlantedMiss, CatchesPlantsBeyondTheSixthNearest) {
+  // A shift reports everything its restart 0 converged, so its disk
+  // reaches past the 6th-nearest eigenvalue (where a cap of n_theta = 6
+  // per shift stopped it) to the farthest converged one.  Plant lambda*
+  // in that region: the 7th-nearest, the middle and the farthest
+  // eigenvalue restart 0 converges at the shift without a plant.  The
+  // confirmation must still converge it or cap the disk below it.
+  std::size_t cases = 0;
+  for (const auto& [seed, states, ports] :
+       {std::tuple<std::uint64_t, std::size_t, std::size_t>{3101, 40, 2},
+        {3102, 50, 3},
+        {3103, 60, 4}}) {
+    const Truth truth = make_truth(1.08, seed, states, ports);
+    for (const double frac : {0.25, 0.6}) {
+      const double omega = frac * truth.scale;
+      for (const std::uint64_t start_seed : {11u, 12u}) {
+        const std::vector<Complex> found =
+            restart0_converged(truth, omega, start_seed);
+        ASSERT_GE(found.size(), 8u) << "seed " << seed << " shift " << omega;
+        for (const std::size_t rank :
+             {std::size_t{6}, (6 + found.size() - 1) / 2, found.size() - 1}) {
+          const Complex star = found[rank];
+          const std::string label =
+              "seed " + std::to_string(seed) + " order " +
+              std::to_string(states) + " ports " + std::to_string(ports) +
+              " lambda* (" + std::to_string(star.real()) + ", " +
+              std::to_string(star.imag()) + ") rank " +
+              std::to_string(rank + 1) + " of " +
+              std::to_string(found.size()) + " shift " +
+              std::to_string(omega) + " start " + std::to_string(start_seed);
+          EXPECT_NE(planted_miss(truth, star, omega, start_seed, label),
+                    "missed")
+              << label;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 36u);
+}
+
 // memcmp equality of S and the loop it replaced on one shift; returns
 // the reference's restart count.
 std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
                                         double omega, double rho0,
-                                        std::size_t krylov_dim,
                                         std::size_t min_restarts) {
   const std::string label = "omega=" + std::to_string(omega) +
                             " rho0=" + std::to_string(rho0) +
-                            " d=" + std::to_string(krylov_dim) +
                             " min_restarts=" + std::to_string(min_restarts);
-  SingleShiftOptions opt;
-  opt.krylov_dim = krylov_dim;
   util::Rng rng_got(31), rng_ref(31);
-  const auto got = single_shift_iteration(simo, omega, rho0, opt,
-                                          min_restarts, rng_got);
-  const auto ref = test::reference_single_shift(simo, omega, rho0, opt,
+  const auto got =
+      single_shift_iteration(simo, omega, rho0, min_restarts, rng_got);
+  const auto ref = test::reference_single_shift(simo, omega, rho0,
                                                 min_restarts, rng_ref);
   EXPECT_EQ(got.restarts, ref.restarts) << label;
   EXPECT_EQ(got.matvecs, ref.matvecs) << label;
@@ -396,10 +439,11 @@ std::size_t expect_single_shift_bitwise(const SimoRealization& simo,
 
 TEST(SingleShiftBitwiseTest, MatchesLockEveryRestartLoop) {
   // Shifts across the band of two models at two initial radii.
-  // Restart floor 2 is the solver's; every run at floors 1 and 2 stops
-  // after two restarts (a fresh restart finds nothing new in the disk,
-  // as at every shift of Table I cases 1 and 2), so its first restart's
-  // deflation vectors are read and its second's are not.
+  // Restart floor 2 is the solver's; every run at floor 2 stops after
+  // two restarts (a fresh restart finds nothing new in the disk, as at
+  // every shift of Table I cases 1-3), so its first restart's deflation
+  // vectors are read and its second's are not.  At floor 1 some runs
+  // stop after restart 0, whose vectors are then never formed.
   // Floor 3 adds runs whose middle restart is non-final too: its
   // vectors must still be built for the third.
   //  - A 4-port, order-220 model (operator dimension 440): its
@@ -417,15 +461,12 @@ TEST(SingleShiftBitwiseTest, MatchesLockEveryRestartLoop) {
     const double scale = model.max_pole_magnitude();
     for (const std::size_t min_restarts : {std::size_t{1}, kMinRestarts,
                                            kMinRestarts + 1}) {
-      for (const std::size_t krylov_dim : {60u, 30u}) {
-        for (const double frac : {0.05, 0.3, 0.55, 0.8}) {
-          for (const double rel_rho : {0.02, 0.1}) {
-            max_restarts = std::max(
-                max_restarts,
-                expect_single_shift_bitwise(simo, frac * scale,
-                                            rel_rho * scale, krylov_dim,
-                                            min_restarts));
-          }
+      for (const double frac : {0.05, 0.3, 0.55, 0.8}) {
+        for (const double rel_rho : {0.02, 0.1}) {
+          max_restarts = std::max(
+              max_restarts,
+              expect_single_shift_bitwise(simo, frac * scale,
+                                          rel_rho * scale, min_restarts));
         }
       }
     }
