@@ -17,9 +17,14 @@
 //     bit for bit (both timings printed, no timing gate);
 //   - the CGS2 kernels alone on that run's dim 2000 x 60-row basis:
 //     dotc_rows and axpy_rows throughput in GF/s (8 flops per row
-//     element), with dotc_rows checked bit for bit against its
-//     scalar-accumulator oracle (scalar_dotc_rows) and axpy_rows
-//     against the interleaved kernels (no timing gate);
+//     element) at each lane width the CPU runs ("isa": "baseline" for
+//     two lanes, "avx2" for four), with dotc_rows checked bit for bit
+//     against its scalar-accumulator oracle (scalar_dotc_rows),
+//     axpy_rows against the interleaved kernels, and every width
+//     against the baseline build (no timing gate);
+//   - gemv_planes and gemv_t_planes at Table I case 1's C shape
+//     (20 x 1000) in GF/s at each width, every width checked bit for
+//     bit against the baseline build;
 //   - gemm on residue-matrix shapes;
 //   - vector_fit's sigma least squares: the per-output 400x26 block
 //     [Phi, 1 | -H_i Phi | H_i] of the fast solve (12 poles, 200
@@ -103,6 +108,16 @@ double best_seconds(int reps, F&& body) {
     best = std::min(best, t.seconds());
   }
   return best;
+}
+
+/// Every build of the row kernels this CPU runs, baseline first.
+std::vector<const la::kernels::RowKernels*> builds() {
+  std::vector<const la::kernels::RowKernels*> out;
+  using la::kernels::Isa;
+  for (const Isa isa : {Isa::kBaseline, Isa::kAvx2}) {
+    if (const auto* k = la::kernels::row_kernels(isa)) out.push_back(k);
+  }
+  return out;
 }
 
 }  // namespace
@@ -293,25 +308,93 @@ int main() {
            "axpy_rows is bit-identical to the interleaved oracle");
 
     // Each timed sample is `sweeps` calls, so it spans milliseconds.
+    // Every build this CPU runs is timed, and each must leave the
+    // baseline build's bits.
     const int sweeps = 200;
-    const double dot_sec = best_seconds(5, [&] {
-      for (int r = 0; r < sweeps; ++r) {
-        la::kernels::dotc_rows(ar.basis.data(), 2 * dim, rows, w.data(), dim,
-                               proj.data());
-      }
-    });
-    const double axpy_sec = best_seconds(5, [&] {
-      for (int r = 0; r < sweeps; ++r) {
-        la::kernels::axpy_rows(ar.basis.data(), 2 * dim, rows,
-                               ref_proj.data(), w2.data(), dim);
-      }
-    });
     const double flops = 8.0 * static_cast<double>(dim * rows) * sweeps;
-    std::printf(
-        "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"plane_rows\","
-        "\"dim\":%zu,\"rows\":%zu,\"dotc_gflops\":%.2f,"
-        "\"axpy_gflops\":%.2f}\n",
-        dim, rows, flops / dot_sec * 1e-9, flops / axpy_sec * 1e-9);
+    std::vector<la::Complex> base_proj;
+    core::PlaneVector base_w;
+    for (const la::kernels::RowKernels* k : builds()) {
+      std::vector<la::Complex> kproj(rows);
+      k->dotc_rows(ar.basis.data(), 2 * dim, rows, w.data(), dim,
+                   kproj.data());
+      core::PlaneVector kw = w;
+      k->axpy_rows(ar.basis.data(), 2 * dim, rows, kproj.data(), kw.data(),
+                   dim);
+      if (base_proj.empty()) {
+        base_proj = kproj;
+        base_w = kw;
+      }
+      expect(std::memcmp(kproj.data(), base_proj.data(),
+                         rows * sizeof(la::Complex)) == 0 &&
+                 std::memcmp(kw.data(), base_w.data(),
+                             2 * dim * sizeof(double)) == 0,
+             "dotc_rows and axpy_rows give the same bits at every width");
+      const double dot_sec = best_seconds(5, [&] {
+        for (int r = 0; r < sweeps; ++r) {
+          k->dotc_rows(ar.basis.data(), 2 * dim, rows, w.data(), dim,
+                       proj.data());
+        }
+      });
+      const double axpy_sec = best_seconds(5, [&] {
+        for (int r = 0; r < sweeps; ++r) {
+          k->axpy_rows(ar.basis.data(), 2 * dim, rows, ref_proj.data(),
+                       w2.data(), dim);
+        }
+      });
+      std::printf(
+          "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"plane_rows\","
+          "\"isa\":\"%s\",\"dim\":%zu,\"rows\":%zu,\"dotc_gflops\":%.2f,"
+          "\"axpy_gflops\":%.2f}\n",
+          k->name, dim, rows, flops / dot_sec * 1e-9,
+          flops / axpy_sec * 1e-9);
+    }
+  }
+
+  // The C and C^T products of Table I case 1's operators (p = 20 rows
+  // of n = 1000) at every width, 4 flops per matrix element each way.
+  {
+    const std::size_t m = 20, n = 1000;
+    util::Rng rng(10);
+    std::vector<double> c(m * n), x(2 * n), t(2 * m);
+    for (auto& v : c) v = rng.normal();
+    for (auto& v : x) v = rng.normal();
+    for (auto& v : t) v = rng.normal();
+    std::vector<double> base_y, base_z;
+    const int sweeps = 2000;
+    const double flops = 4.0 * static_cast<double>(m * n) * sweeps;
+    for (const la::kernels::RowKernels* k : builds()) {
+      std::vector<double> y(2 * m), z(2 * n);
+      k->gemv_planes(c.data(), m, n, x.data(), x.data() + n, y.data(),
+                     y.data() + m);
+      k->gemv_t_planes(c.data(), m, n, t.data(), t.data() + m, z.data(),
+                       z.data() + n);
+      if (base_y.empty()) {
+        base_y = y;
+        base_z = z;
+      }
+      expect(y == base_y && z == base_z,
+             "gemv_planes and gemv_t_planes give the same bits at every "
+             "width");
+      const double gemv_sec = best_seconds(5, [&] {
+        for (int r = 0; r < sweeps; ++r) {
+          k->gemv_planes(c.data(), m, n, x.data(), x.data() + n, y.data(),
+                         y.data() + m);
+        }
+      });
+      const double gemv_t_sec = best_seconds(5, [&] {
+        for (int r = 0; r < sweeps; ++r) {
+          k->gemv_t_planes(c.data(), m, n, t.data(), t.data() + m, z.data(),
+                           z.data() + n);
+        }
+      });
+      std::printf(
+          "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"gemv_planes\","
+          "\"isa\":\"%s\",\"m\":%zu,\"n\":%zu,\"gemv_gflops\":%.2f,"
+          "\"gemv_t_gflops\":%.2f}\n",
+          k->name, m, n, flops / gemv_sec * 1e-9,
+          flops / gemv_t_sec * 1e-9);
+    }
   }
 
   // gemm on residue-matrix shapes.

@@ -12,8 +12,8 @@
 // at rounding level; tests/reference_kernels.hpp keeps those loops as
 // the test oracle.  Order-preserving transforms (la/blas.hpp blocked
 // products, la::hessenberg_eig, the plane-row kernels below against
-// the interleaved kernels they replaced, the two-lane vector
-// accumulators and the four-row gemv passes below against their
+// the interleaved kernels they replaced, the vector accumulators at
+// both lane widths and the four-row gemv passes below against their
 // scalar loops) are bit-identical to the loops they replaced.  Either
 // way the results are deterministic: bit-identical across runs and
 // thread counts.
@@ -42,32 +42,55 @@ namespace kernels {
 // the Arnoldi basis and over the locked set (two packs of the same
 // layout), Ritz-vector formation and the locking update.
 //
-// Rows are processed in pairs sharing one pass over w; a pair keeps
-// one accumulator per row for even and one for odd i, a lone last row
-// one accumulator per i mod 4 summed as (r0 + r1) + (r2 + r3), and
-// tail elements go to accumulator 0.
+// The dot kernel takes rows in pairs sharing one pass over w; a pair
+// keeps one accumulator per row for even and one for odd i, a lone
+// last row one accumulator per i mod 4 summed as (r0 + r1) + (r2 + r3),
+// and tail elements go to accumulator 0.
 //
-// The dot kernels (and gemv_planes below) hold those accumulators as
-// the lanes of two-double vectors (GCC/Clang vector extensions, one
-// SSE2 register on x86-64): lane l is accumulator l, so each vector
-// operation is the scalar operations on its lanes, in the same order.
-// Loads go through memcpy and are unaligned, because rows, w and
-// matrix rows start at any double offset.  The results are bit for bit
-// those of the scalar loops (tests/reference_kernels.hpp keeps them as
-// the oracle): nothing is reassociated, and the x86-64 baseline has no
-// FMA, so no multiply-add is contracted in either form.  Written as
+// Lane layout.  The four row kernels (dotc_rows, axpy_rows,
+// gemv_planes, gemv_t_planes) each have one body, templated on the
+// lane width L of a GCC/Clang vector of doubles, and each lane is
+// exactly one of the scalar loops' accumulators or elements:
+//
+//   - dotc_rows and gemv_planes: at L = 2 a row's even and odd
+//     accumulators are the two lanes of one vector (one per row); at
+//     L = 4 one vector holds a row pair's even and odd accumulators
+//     (row r of the pair in lanes 2r and 2r + 1), and the w (or x)
+//     pair is broadcast into both halves;
+//   - axpy_rows and gemv_t_planes: one vector holds L consecutive
+//     elements of w (or y), each updated in the scalar per-element
+//     order;
+//   - the lone-row paths (dotc_rows' i mod 4 row, axpy_rows' last
+//     row, gemv_planes' rows past the last four-row block) and the
+//     scalar tails are the same at both widths.
+//
+// So each vector operation is the scalar operations on its lanes, in
+// the same order, and both widths give the results of the scalar
+// loops bit for bit (tests/reference_kernels.hpp keeps them as the
+// oracle).  Loads go through memcpy and are unaligned, because rows, w
+// and matrix rows start at any double offset.  No FMA: a fused
+// multiply-add rounds once where the scalar loops round twice, so
+// neither build enables it and nothing is contracted.  Written as
 // scalars, GCC's SLP vectorizer cannot build the pair kernel's
 // reduction groups and falls back to lane gathers and transposes.
-// Explicit vectors stay in src/la/kernels.cpp (lint check
-// simd-confined).
+//
+// Selection.  The body is built twice: at L = 2 for the baseline
+// target (one SSE2 register on x86-64) and, on x86, at L = 4 under
+// target("avx2").  The entry points run the AVX2 build when the CPU
+// has AVX2 (__builtin_cpu_supports, asked once, at the first call) and
+// the baseline build otherwise; there is no flag, option or
+// environment variable.  row_kernels() hands tests and benches either
+// build.  Explicit vectors and ISA selection stay in
+// src/la/kernels.cpp (lint check simd-confined).
 
 /// proj[j] = sum_i conj(row_j[i]) * w[i]  for j in [0, count).
 void dotc_rows(const double* rows, std::size_t stride, std::size_t count,
                const double* w, std::size_t dim, Complex* proj);
 
-/// w -= sum_j coeffs[j] * row_j  for j in [0, count); each element of a
-/// row pair is updated as w - t0 - t1, so each store of w absorbs two
-/// rank-1 updates.
+/// w -= sum_j coeffs[j] * row_j  for j in [0, count).  Rows go four
+/// per pass over w, each element updated as (((w - t0) - t1) - t2) - t3
+/// (two row pairs' w - t0 - t1, in their order), so each store of w
+/// absorbs four rank-1 updates; then a pair and a lone row.
 void axpy_rows(const double* rows, std::size_t stride, std::size_t count,
                const Complex* coeffs, double* w, std::size_t dim);
 
@@ -83,8 +106,8 @@ void axpy_rows(const double* rows, std::size_t stride, std::size_t count,
 // the real-matrix products in apply_c / apply_ct.
 
 /// yre/yim = A xre/xim (A row-major m x n; y has length m).  Each row
-/// keeps one accumulator for even and one for odd j (the two lanes of
-/// a vector, as above), the odd-n tail going to the even one.  Rows go
+/// keeps one accumulator for even and one for odd j (two lanes of a
+/// vector, as above), the odd-n tail going to the even one.  Rows go
 /// four per pass over x, then the remaining rows one at a time; each
 /// row's sums are those of a pass of its own.
 void gemv_planes(const double* a, std::size_t m, std::size_t n,
@@ -98,6 +121,38 @@ void gemv_planes(const double* a, std::size_t m, std::size_t n,
 void gemv_t_planes(const double* a, std::size_t m, std::size_t n,
                    const double* xre, const double* xim, double* yre,
                    double* yim);
+
+// ---- the builds of the four row kernels -------------------------------
+
+enum class Isa {
+  kBaseline,  ///< two lanes, the compiler's baseline target
+  kAvx2,      ///< four lanes, AVX2 without FMA (x86 only)
+};
+
+/// One build of the four row kernels above; same signatures, same bits.
+struct RowKernels {
+  Isa isa;
+  const char* name;  ///< "baseline" or "avx2"
+  void (*dotc_rows)(const double* rows, std::size_t stride,
+                    std::size_t count, const double* w, std::size_t dim,
+                    Complex* proj);
+  void (*axpy_rows)(const double* rows, std::size_t stride,
+                    std::size_t count, const Complex* coeffs, double* w,
+                    std::size_t dim);
+  void (*gemv_planes)(const double* a, std::size_t m, std::size_t n,
+                      const double* xre, const double* xim, double* yre,
+                      double* yim);
+  void (*gemv_t_planes)(const double* a, std::size_t m, std::size_t n,
+                        const double* xre, const double* xim, double* yre,
+                        double* yim);
+};
+
+/// The build for `isa`, or nullptr when this CPU cannot run it.
+[[nodiscard]] const RowKernels* row_kernels(Isa isa) noexcept;
+
+/// The build the entry points run: AVX2 when the CPU has it, else the
+/// baseline.  Picked once.
+[[nodiscard]] const RowKernels& active_row_kernels() noexcept;
 
 /// Split an interleaved complex span into planes.
 void split_planes(const Complex* x, std::size_t n, double* re, double* im);

@@ -37,20 +37,11 @@ struct QueuedJob {
 
 class JobQueue {
  public:
-  struct Stats {
-    std::size_t pushed = 0;
-    std::size_t popped = 0;
-    std::size_t removed = 0;     ///< cancelled while queued
-    std::size_t push_waits = 0;  ///< pushes that hit backpressure
-    std::size_t peak_size = 0;
-    std::size_t size = 0;
-    std::size_t capacity = 0;
-    bool closed = false;
-  };
-
-  /// Capacity must be at least 1.  Counters and the depth gauge live
-  /// in `registry` (the owning server's); nullptr gives the queue a
-  /// private registry so standalone queues stay isolated.
+  /// Capacity must be at least 1.  Counters and the depth gauges
+  /// (`phes_queue_depth`, and `phes_queue_depth_peak`, the largest
+  /// depth reached) live in `registry` (the owning server's); nullptr
+  /// gives the queue a private registry so standalone queues stay
+  /// isolated.
   explicit JobQueue(std::size_t capacity,
                     obs::MetricsRegistry* registry = nullptr);
 
@@ -77,8 +68,6 @@ class JobQueue {
   void close() PHES_EXCLUDES(mutex_);
 
   [[nodiscard]] std::size_t size() const PHES_EXCLUDES(mutex_);
-  [[nodiscard]] bool closed() const PHES_EXCLUDES(mutex_);
-  [[nodiscard]] Stats stats() const PHES_EXCLUDES(mutex_);
 
  private:
   const std::size_t capacity_;
@@ -87,17 +76,15 @@ class JobQueue {
   util::CondVar work_available_;
   std::deque<QueuedJob> queue_ PHES_GUARDED_BY(mutex_);
   bool closed_ PHES_GUARDED_BY(mutex_) = false;
-  /// Max-tracking needs the mutex anyway.
-  std::size_t peak_size_ PHES_GUARDED_BY(mutex_) = 0;
 
-  /// Stats counters are registry-backed (stats() is a view over the
-  /// metrics registry, not a parallel bookkeeping path).
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::Counter* pushed_ = nullptr;
   obs::Counter* popped_ = nullptr;
   obs::Counter* removed_ = nullptr;
   obs::Counter* push_waits_ = nullptr;
   obs::Gauge* depth_ = nullptr;
+  /// Raised under the mutex, so concurrent pushes cannot lose a peak.
+  obs::Gauge* depth_peak_ = nullptr;
   obs::Histogram* admission_wait_ = nullptr;
 };
 

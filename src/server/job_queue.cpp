@@ -19,6 +19,7 @@ JobQueue::JobQueue(std::size_t capacity, obs::MetricsRegistry* registry)
   removed_ = &registry->counter("phes_queue_removed_total");
   push_waits_ = &registry->counter("phes_queue_push_waits_total");
   depth_ = &registry->gauge("phes_queue_depth");
+  depth_peak_ = &registry->gauge("phes_queue_depth_peak");
   admission_wait_ =
       &registry->histogram("phes_queue_admission_wait_seconds");
 }
@@ -40,8 +41,9 @@ bool JobQueue::push(QueuedJob item) {
     if (!closed_) {
       queue_.push_back(std::move(item));
       pushed_->add();
-      depth_->set(static_cast<std::int64_t>(queue_.size()));
-      peak_size_ = std::max(peak_size_, queue_.size());
+      const auto depth = static_cast<std::int64_t>(queue_.size());
+      depth_->set(depth);
+      if (depth > depth_peak_->value()) depth_peak_->set(depth);
       admitted = true;
     }
   }
@@ -105,25 +107,6 @@ void JobQueue::close() {
 std::size_t JobQueue::size() const {
   util::MutexLock lock(mutex_);
   return queue_.size();
-}
-
-bool JobQueue::closed() const {
-  util::MutexLock lock(mutex_);
-  return closed_;
-}
-
-JobQueue::Stats JobQueue::stats() const {
-  util::MutexLock lock(mutex_);
-  Stats s;
-  s.pushed = pushed_->value();
-  s.popped = popped_->value();
-  s.removed = removed_->value();
-  s.push_waits = push_waits_->value();
-  s.peak_size = peak_size_;
-  s.size = queue_.size();
-  s.capacity = capacity_;
-  s.closed = closed_;
-  return s;
 }
 
 }  // namespace phes::server

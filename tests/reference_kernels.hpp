@@ -31,7 +31,8 @@
 // as written with scalar accumulators, before those accumulators
 // became the lanes of two-double vectors, and scalar_gemv_t_planes is
 // the two-rows-per-pass C^T product before it took four; the library
-// must match them bit for bit too.  TableSmwOp is
+// must match them bit for bit too, with both builds of its row kernels
+// (two lanes, and four on AVX2).  TableSmwOp is
 // hamiltonian::SmwShiftInvertOp as it ran on those kernels with
 // std::complex resolvent-table products, and reference_single_shift is
 // core::single_shift_iteration (with its restart sizes) as it ran when

@@ -20,12 +20,17 @@
 //    they replaced (interleaved_arnoldi in reference_kernels.hpp) in h,
 //    basis, steps and matvecs, for every dim mod 4, 0-3 locked vectors
 //    and a breakdown run;
-//  - the two-lane vector dot and gemv kernels (dotc_rows, gemv_planes)
-//    are BIT-identical to the scalar-accumulator loops
-//    they were written from (scalar_dotc_rows / scalar_gemv_planes in
+//  - the vector dot and gemv kernels (dotc_rows, gemv_planes) are
+//    BIT-identical to the scalar-accumulator loops they were written
+//    from (scalar_dotc_rows / scalar_gemv_planes in
 //    reference_kernels.hpp) for dims 1-9 and 36-39, 1-5 rows and
 //    matrices of 1-21 rows, and the four-row gemv_t_planes to its
 //    two-row loop (scalar_gemv_t_planes) for 1-21 rows;
+//  - both builds of the four row kernels (two lanes, and four lanes on
+//    AVX2, skipped on a CPU without it) are BIT-identical to those
+//    oracles and dotc_rows / axpy_rows to the interleaved kernels, for
+//    every dim mod 4, 0-7 rows, with signed zeros and a NaN; the entry
+//    points run the AVX2 build exactly when the CPU has AVX2;
 //  - SmwShiftInvertOp::apply, with its written-out table products and
 //    four-row C / C^T passes, is BIT-identical to the std::complex
 //    apply it replaced (TableSmwOp in reference_kernels.hpp);
@@ -46,7 +51,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -373,6 +381,170 @@ TEST(VectorKernelsBitwiseTest, GemvTPlanesMatchesScalarOracle) {
       EXPECT_TRUE(same_bits(yim.data(), rim.data(), n)) << label;
     }
   }
+}
+
+// ---- both builds of the row kernels = their oracles, bit for bit ------
+
+// The build under test, or a skip on a CPU that cannot run it.
+class RowKernelBuildTest : public ::testing::TestWithParam<la::kernels::Isa> {
+ protected:
+  void SetUp() override {
+    k_ = la::kernels::row_kernels(GetParam());
+    if (k_ == nullptr) GTEST_SKIP() << "this CPU cannot run the build";
+  }
+  const la::kernels::RowKernels* k_ = nullptr;
+};
+
+// Every dim mod 4 (the four-lane loops' tails), dims below one vector
+// iteration, and longer rows.
+constexpr std::size_t kBuildDims[] = {1,  2,  3,  4,  5,  6,  7,
+                                      8,  9,  36, 37, 38, 39};
+
+// Random values with signed zeros and one NaN sprinkled in when
+// `special` is set (the same quiet NaN everywhere, so every operation
+// that meets it returns it unchanged and memcmp stays exact).
+RealVector build_input(std::size_t n, util::Rng& rng, bool special) {
+  RealVector v = random_real_vector(n, rng);
+  if (special) {
+    for (std::size_t i = 0; i < n; i += 3) v[i] = (i % 2 == 0) ? -0.0 : 0.0;
+    v[n / 2] = std::numeric_limits<double>::quiet_NaN();
+  }
+  return v;
+}
+
+TEST_P(RowKernelBuildTest, DotcAndAxpyMatchScalarAndInterleavedOracles) {
+  // Row counts 0-7: none, a lone row, a pair, axpy_rows' four-row
+  // pass and every remainder after it; rows one double and w three
+  // doubles into their buffers, so no plane starts on a vector
+  // boundary.
+  util::Rng rng(46);
+  for (const std::size_t dim : kBuildDims) {
+    for (std::size_t count = 0; count <= 7; ++count) {
+      for (const bool special : {false, true}) {
+        const std::string label = std::string(k_->name) +
+                                  " dim=" + std::to_string(dim) +
+                                  " count=" + std::to_string(count) +
+                                  (special ? " signed zeros + NaN" : "");
+        const RealVector buf =
+            build_input(1 + count * 2 * dim, rng, special && count > 0);
+        const double* rows = buf.data() + 1;
+        RealVector wbuf = build_input(3 + 2 * dim, rng, special);
+        const double* w = wbuf.data() + 3;
+
+        std::vector<Complex> got(count), ref(count), iref(count);
+        k_->dotc_rows(rows, 2 * dim, count, w, dim, got.data());
+        test::scalar_dotc_rows(rows, 2 * dim, count, w, dim, ref.data());
+        EXPECT_TRUE(same_bits(got.data(), ref.data(), count)) << label;
+
+        std::vector<ComplexVector> irows(count);
+        std::vector<const Complex*> iptrs(count);
+        for (std::size_t j = 0; j < count; ++j) {
+          irows[j] = test::from_planes(std::span<const double>(
+              rows + j * 2 * dim, 2 * dim));
+          iptrs[j] = irows[j].data();
+        }
+        const ComplexVector wi =
+            test::from_planes(std::span<const double>(w, 2 * dim));
+        test::interleaved_dotc_ptrs(iptrs.data(), count, wi.data(), dim,
+                                    iref.data());
+        EXPECT_TRUE(same_bits(got.data(), iref.data(), count)) << label;
+
+        // Subtract with the projections as coefficients, an exact zero
+        // and a negative zero among them.
+        std::vector<Complex> coeffs = got;
+        if (count > 1) coeffs[1] = Complex(-0.0, 0.0);
+        RealVector wout(wbuf.begin() + 3, wbuf.end());
+        k_->axpy_rows(rows, 2 * dim, count, coeffs.data(), wout.data(), dim);
+        ComplexVector wref = wi;
+        test::interleaved_axpy_ptrs(iptrs.data(), count, coeffs.data(),
+                                    wref.data(), dim);
+        const core::PlaneVector wref_planes = test::to_planes(wref);
+        EXPECT_TRUE(same_bits(wout.data(), wref_planes.data(), 2 * dim))
+            << label;
+      }
+    }
+  }
+}
+
+TEST_P(RowKernelBuildTest, GemvPlanesMatchScalarOracles) {
+  // Row counts 0-5 and 8, 9, 20, 21 (the four-row blocks with every
+  // remainder), every row length mod 4, from an unaligned matrix and
+  // unaligned planes.
+  util::Rng rng(47);
+  for (const std::size_t m : {0u, 1u, 2u, 3u, 4u, 5u, 8u, 9u, 20u, 21u}) {
+    for (const std::size_t n : kBuildDims) {
+      for (const bool special : {false, true}) {
+        const std::string label = std::string(k_->name) +
+                                  " m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) +
+                                  (special ? " signed zeros + NaN" : "");
+        const RealVector abuf = build_input(1 + m * n, rng, special && m > 0);
+        const double* a = abuf.data() + 1;
+
+        const RealVector xbuf = build_input(1 + 2 * n, rng, special);
+        const double* xre = xbuf.data() + 1;
+        const double* xim = xre + n;
+        std::vector<double> yre(m), yim(m), rre(m), rim(m);
+        k_->gemv_planes(a, m, n, xre, xim, yre.data(), yim.data());
+        test::scalar_gemv_planes(a, m, n, xre, xim, rre.data(), rim.data());
+        EXPECT_TRUE(same_bits(yre.data(), rre.data(), m)) << label;
+        EXPECT_TRUE(same_bits(yim.data(), rim.data(), m)) << label;
+
+        const RealVector tbuf = build_input(1 + 2 * m, rng, special && m > 0);
+        const double* tre = tbuf.data() + 1;
+        const double* tim = tre + m;
+        std::vector<double> zre(n), zim(n), sre(n), sim(n);
+        k_->gemv_t_planes(a, m, n, tre, tim, zre.data(), zim.data());
+        test::scalar_gemv_t_planes(a, m, n, tre, tim, sre.data(),
+                                   sim.data());
+        EXPECT_TRUE(same_bits(zre.data(), sre.data(), n)) << label;
+        EXPECT_TRUE(same_bits(zim.data(), sim.data(), n)) << label;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Builds, RowKernelBuildTest,
+    ::testing::Values(la::kernels::Isa::kBaseline, la::kernels::Isa::kAvx2),
+    [](const ::testing::TestParamInfo<la::kernels::Isa>& info) {
+      return std::string(info.param == la::kernels::Isa::kAvx2 ? "avx2"
+                                                               : "baseline");
+    });
+
+// Whether the kernel reports AVX2 for this CPU (Linux); nullopt where
+// /proc/cpuinfo is not there to ask.
+std::optional<bool> cpuinfo_has_avx2() {
+  std::ifstream in("/proc/cpuinfo");
+  if (!in) return std::nullopt;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    std::string flag;
+    while (words >> flag) {
+      if (flag == "avx2") return true;
+    }
+    return false;
+  }
+  return std::nullopt;
+}
+
+TEST(RowKernelSelectionTest, EntryPointsUseAvx2WhenTheCpuHasIt) {
+  // The baseline build always runs; the entry points run the AVX2
+  // build exactly when the CPU has AVX2, checked against the CPU flags
+  // the operating system reports rather than the library's own probe.
+  ASSERT_NE(la::kernels::row_kernels(la::kernels::Isa::kBaseline), nullptr);
+  const la::kernels::RowKernels& active = la::kernels::active_row_kernels();
+  const bool avx2_runs =
+      la::kernels::row_kernels(la::kernels::Isa::kAvx2) != nullptr;
+  EXPECT_EQ(active.isa, avx2_runs ? la::kernels::Isa::kAvx2
+                                  : la::kernels::Isa::kBaseline);
+  EXPECT_EQ(&active, la::kernels::row_kernels(active.isa));
+  const std::optional<bool> has_avx2 = cpuinfo_has_avx2();
+  if (!has_avx2) GTEST_SKIP() << "no /proc/cpuinfo flags to compare with";
+  EXPECT_EQ(avx2_runs, *has_avx2);
+  EXPECT_STREQ(active.name, *has_avx2 ? "avx2" : "baseline");
 }
 
 TEST(SmwApplyBitwiseTest, MatchesStdComplexTableApply) {

@@ -108,7 +108,8 @@ void expect_bit_identical(const PipelineResult& a, const PipelineResult& b) {
 // ---- JobQueue unit coverage -------------------------------------------
 
 TEST(JobQueue, FifoPushPopAndStats) {
-  server::JobQueue queue(4);
+  obs::MetricsRegistry registry;
+  server::JobQueue queue(4, &registry);
   for (std::uint64_t id = 1; id <= 3; ++id) {
     EXPECT_TRUE(queue.push({id, PipelineJob{}}));
   }
@@ -118,11 +119,11 @@ TEST(JobQueue, FifoPushPopAndStats) {
     ASSERT_TRUE(item.has_value());
     EXPECT_EQ(item->id, id);  // FIFO
   }
-  const auto stats = queue.stats();
-  EXPECT_EQ(stats.pushed, 3u);
-  EXPECT_EQ(stats.popped, 3u);
-  EXPECT_EQ(stats.peak_size, 3u);
-  EXPECT_EQ(stats.push_waits, 0u);
+  EXPECT_EQ(registry.counter("phes_queue_pushed_total").value(), 3u);
+  EXPECT_EQ(registry.counter("phes_queue_popped_total").value(), 3u);
+  EXPECT_EQ(registry.gauge("phes_queue_depth_peak").value(), 3);
+  EXPECT_EQ(registry.gauge("phes_queue_depth").value(), 0);
+  EXPECT_EQ(registry.counter("phes_queue_push_waits_total").value(), 0u);
 }
 
 TEST(JobQueue, RemoveDrainAndClose) {
@@ -141,8 +142,7 @@ TEST(JobQueue, RemoveDrainAndClose) {
   EXPECT_EQ(drained[2].id, 4u);
   EXPECT_EQ(queue.size(), 0u);
 
-  queue.close();
-  EXPECT_TRUE(queue.closed());
+  queue.close();  // observable only through push and pop
   EXPECT_FALSE(queue.push({5, PipelineJob{}}));
   EXPECT_FALSE(queue.pop().has_value());
 }

@@ -34,7 +34,8 @@ TEST(JobQueueStress, BackpressureBoundsTheQueueWithoutLosingJobs) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kPerProducer = 16;
   constexpr std::size_t kTotal = kProducers * kPerProducer;
-  JobQueue queue(3);
+  obs::MetricsRegistry registry;
+  JobQueue queue(3, &registry);
 
   std::vector<std::thread> producers;
   for (std::size_t t = 0; t < kProducers; ++t) {
@@ -61,11 +62,12 @@ TEST(JobQueueStress, BackpressureBoundsTheQueueWithoutLosingJobs) {
   }
   for (auto& t : producers) t.join();
 
-  const auto stats = queue.stats();
-  EXPECT_EQ(stats.pushed, kTotal);
-  EXPECT_EQ(stats.popped, kTotal);
-  EXPECT_LE(stats.peak_size, 3u) << "capacity bound violated";
-  EXPECT_GT(stats.push_waits, 0u) << "backpressure never engaged";
+  EXPECT_EQ(registry.counter("phes_queue_pushed_total").value(), kTotal);
+  EXPECT_EQ(registry.counter("phes_queue_popped_total").value(), kTotal);
+  EXPECT_LE(registry.gauge("phes_queue_depth_peak").value(), 3)
+      << "capacity bound violated";
+  EXPECT_GT(registry.counter("phes_queue_push_waits_total").value(), 0u)
+      << "backpressure never engaged";
 }
 
 TEST(JobQueueStress, CloseReleasesBlockedProducersAndConsumers) {

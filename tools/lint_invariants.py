@@ -38,12 +38,15 @@ Checks (each failure is one line on stdout; exit 1 if any fired):
                     uses its name: an uncalled `clear`, `capacity` or
                     `reset` hides behind std containers, smart
                     pointers and constructor parameters of that name.
-  7. simd-confined  GCC/Clang vector types (`vector_size`) and SIMD
+  7. simd-confined  GCC/Clang vector types (`vector_size`), SIMD
                     intrinsics headers (`<*intrin.h>`, `<arm_neon.h>`)
-                    appear only in src/la/kernels.cpp, so "one kernel
-                    path" stays checkable: every explicitly vectorized
-                    loop is in that file, with its scalar loop in
-                    tests/reference_kernels.hpp as the oracle.
+                    and instruction-set selection (`target("...")`,
+                    `target_clones`, `__builtin_cpu_supports`) appear
+                    only in src/la/kernels.cpp, so "one kernel path"
+                    stays checkable: every explicitly vectorized loop
+                    is in that file, with its scalar loop in
+                    tests/reference_kernels.hpp as the oracle, and so
+                    is the one place that picks a build per CPU.
   8. threads-confined
                     `std::thread`/`std::jthread` objects, `#pragma omp`
                     and `<omp.h>` appear in src/, include/ and
@@ -329,9 +332,6 @@ PROD_CALLERS_ALLOW = {
     "assert_held": "thread-safety analysis hook for lambda predicates "
                    "(sync.hpp contract); only test_sync's predicates "
                    "touch guarded fields today",
-    "stats": "JobQueue::stats: the queue tests' view of its counters and "
-             "of its peak depth (the capacity bound), which the metrics "
-             "registry does not carry",
 }
 
 NOT_FUNCTIONS = {
@@ -592,17 +592,18 @@ def check_prod_callers(errors: list[str]) -> None:
                           "production caller now; drop the entry")
 
 
-# ---- check 7: explicit SIMD only in the kernel file -------------------
+# ---- check 7: explicit SIMD and ISA selection only in the kernel file --
 
 SIMD_RE = re.compile(
     r"\bvector_size\b|<\s*\w*intrin\.h\s*>|<\s*arm_neon\.h\s*>"
+    r'|\btarget\s*\(\s*"|\btarget_clones\b|\b__builtin_cpu_supports\b'
 )
 SIMD_HOME = Path("src/la/kernels.cpp")
 
 
 def check_simd_confined(errors: list[str]) -> None:
     check_confined(errors, "simd-confined", SIMD_RE, SIMD_HOME,
-                   f"explicit SIMD belongs in {SIMD_HOME}")
+                   f"explicit SIMD and ISA selection belong in {SIMD_HOME}")
 
 
 # ---- check 8: threads start only in the thread helper -----------------
