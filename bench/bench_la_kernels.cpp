@@ -227,8 +227,8 @@ int main() {
   }
 
   // CGS2 Arnoldi at Table I case 1's shape, plane rows against the
-  // interleaved oracle.  The 6 locked vectors are Ritz vectors of a
-  // first run, locked as the single-shift iteration locks them.
+  // interleaved oracle.  The 6 locked rows are the first Ritz pairs of
+  // a first run, locked as the single-shift iteration locks them.
   {
     const macromodel::SimoRealization realization(
         bench::build_case_model(bench::table1_cases().front()));
@@ -240,12 +240,11 @@ int main() {
     {
       const auto first =
           core::arnoldi(op, core::random_start_vector(op.dim(), rng), 60, {});
-      for (const auto& pair : core::ritz_pairs(first)) {
-        if (locked.size() == 6 * row) break;
-        core::lock_vector(locked, core::form_ritz_vector(first, pair));
-      }
+      const auto pairs = core::ritz_pairs(first);
+      core::lock_ritz_pairs(
+          first, test::pair_ptrs(std::span(pairs).first(6)), locked);
     }
-    expect(locked.size() == 6 * row, "cgs2_arnoldi locks 6 Ritz vectors");
+    expect(locked.size() == 6 * row, "cgs2_arnoldi locks 6 Ritz pairs");
     const la::ComplexVector v0 = core::random_start_vector(op.dim(), rng);
     for (const std::size_t nl : {std::size_t{0}, locked.size() / row}) {
       const std::span<const double> lk(locked.data(), nl * row);

@@ -10,16 +10,16 @@
 // Hessenberg matrix whose eigenpairs approximate the operator's
 // dominant eigenpairs.
 //
-// Every full-space vector of the process (the basis, the locked set,
-// Ritz vectors and the working vector) is stored as a plane row
-// (la/kernels.hpp): re(x) followed by im(x).  The basis and the locked
-// set are packs of plane rows with row stride 2 * dim in one
-// allocation each, so the Gram-Schmidt passes, Ritz formation and the
-// locking update all run through the kernels' dotc_rows / axpy_rows on
-// contiguous doubles; only locking's projections stay a
-// single-accumulator loop.  The operator still sees interleaved
-// vectors; each step merges one basis row into an interleaved scratch
-// for op.apply and splits the result.
+// Every full-space vector of the process (the basis, the locked set
+// and the working vector) is stored as a plane row (la/kernels.hpp):
+// re(x) followed by im(x).  The basis and the locked set are packs of
+// plane rows with row stride 2 * dim in one allocation each, so the
+// Gram-Schmidt passes and the locked rows' formation all run through
+// the kernels' dotc_rows / axpy_rows on contiguous doubles.  Locking
+// orthonormalizes in the d Krylov coordinates, not in the full space.
+// The operator still sees interleaved vectors; each step merges one
+// basis row into an interleaved scratch for op.apply and splits the
+// result.
 
 #include <span>
 #include <vector>
@@ -55,9 +55,9 @@ struct ArnoldiResult {
 ///
 /// The full-space Ritz vector x = V_d y costs d * dim complex
 /// multiply-adds, far more than the d x d eigensolve that yields y, and
-/// callers need it only for the few pairs they lock.  So a pair carries
-/// only its projected eigenvector y (`coords`, length d);
-/// form_ritz_vector(ar, pair) builds x for the pairs that need it.
+/// callers need it only for the span of the few pairs they lock.  So a
+/// pair carries only its projected eigenvector y (`coords`, length d);
+/// lock_ritz_pairs writes the full-space rows of the pairs it locks.
 struct RitzPair {
   Complex value{};       ///< eigenvalue of the *operator* (e.g. mu)
   double residual = 0.0; ///< ||Op x - mu x|| estimate
@@ -65,10 +65,10 @@ struct RitzPair {
 };
 
 /// Run `d` Arnoldi steps from start vector v0 (need not be normalized).
-/// `locked` is the locked set as lock_vector builds it: plane rows of
-/// length 2 * dim packed with row stride 2 * dim, the layout of
-/// ArnoldiResult::basis.  Its rows are deflated: the basis is kept
-/// orthogonal to them.  Throws std::invalid_argument on dimension
+/// `locked` is the locked set as lock_ritz_pairs builds it: orthonormal
+/// plane rows of length 2 * dim packed with row stride 2 * dim, the
+/// layout of ArnoldiResult::basis.  Its rows are deflated: the basis is
+/// kept orthogonal to them.  Throws std::invalid_argument on dimension
 /// mismatches (a pack that is not a whole number of rows).
 ///
 /// Orthogonalization is blocked classical Gram-Schmidt with a full
@@ -91,22 +91,19 @@ struct RitzPair {
 /// shift).  Residuals use the h(d+1,d) * |last component| bound.
 [[nodiscard]] std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar);
 
-/// The unit-norm full-space Ritz vector V_d y of `pair` (a pair of `ar`
-/// returned by ritz_pairs) as a plane row: one axpy_rows sweep of
-/// x = 0 - sum_j (-y_j) v_j over the d basis rows, in ascending row
-/// order.  A pair whose coordinates are all zero yields the zero
-/// vector.
-[[nodiscard]] PlaneVector form_ritz_vector(const ArnoldiResult& ar,
-                                           const RitzPair& pair);
-
-/// Append the plane row `v` to the locked set `locked` (a pack of plane
-/// rows of length v.size(), as arnoldi reads it) after two modified
-/// Gram-Schmidt passes against its rows and normalization, so the set
-/// stays orthonormal (a raw set of Ritz vectors is not, and deflating
-/// with it produces spurious Ritz values).  A direction already
-/// represented (residual norm below 1e-8) is dropped; returns whether
-/// `v` was appended.  `v` must not point into `locked`.
-bool lock_vector(std::vector<double>& locked, std::span<const double> v);
+/// Append an orthonormal basis of the span of the Ritz vectors V_d y of
+/// `pairs` (pairs of `ar`) to `locked`, the pack `ar` was deflated
+/// against; returns the number of rows appended.  Raw Ritz vectors of a
+/// non-normal operator are not orthogonal, and deflating with them
+/// produces spurious Ritz values.  V_d is orthonormal and orthogonal to
+/// `locked`, so the coordinates y are orthonormalized in C^d instead:
+/// two modified Gram-Schmidt passes in the order of `pairs`, dropping a
+/// direction whose residual norm is below 1e-8 (already represented).
+/// Each kept q becomes the pack's next row V_d q in place, one axpy_rows
+/// sweep in ascending row order; the pack is reserved once per call.
+std::size_t lock_ritz_pairs(const ArnoldiResult& ar,
+                            std::span<const RitzPair* const> pairs,
+                            std::vector<double>& locked);
 
 /// Random complex start vector of unit norm.
 [[nodiscard]] ComplexVector random_start_vector(std::size_t dim,

@@ -21,7 +21,11 @@ struct LambdaMaxEstimate {
 /// reporting the matrix-vector products spent: the largest Ritz value
 /// of 3 Arnoldi runs of dimension 40, at least the largest pole
 /// magnitude, times 1.05 (Ritz values underestimate |lambda|max).
+/// The start vectors are drawn from `rng` first, in order, and the runs
+/// go on min(threads, 3) threads: the estimate and rng's state after it
+/// are the same bits at every `threads` >= 1.
 [[nodiscard]] LambdaMaxEstimate estimate_lambda_max(
-    const macromodel::SimoRealization& realization, util::Rng& rng);
+    const macromodel::SimoRealization& realization, util::Rng& rng,
+    std::size_t threads);
 
 }  // namespace phes::core

@@ -43,7 +43,9 @@
 // Converged Ritz vectors become deflation vectors (an orthonormalized
 // locked set) only for the next restart's Arnoldi run.  The final
 // restart therefore reports its converged pairs but builds no
-// deflation vectors from them.
+// deflation vectors from them.  A restart locks its newly converged
+// pairs as one batch, orthonormalized in Krylov coordinates
+// (core::lock_ritz_pairs).
 
 #include <cstdint>
 

@@ -154,60 +154,53 @@ std::vector<RitzPair> ritz_pairs(const ArnoldiResult& ar) {
   return pairs;
 }
 
-PlaneVector form_ritz_vector(const ArnoldiResult& ar, const RitzPair& pair) {
+std::size_t lock_ritz_pairs(const ArnoldiResult& ar,
+                            std::span<const RitzPair* const> pairs,
+                            std::vector<double>& locked) {
   const std::size_t d = ar.steps;
-  util::check(pair.coords.size() == d,
-              "form_ritz_vector: pair does not belong to this Arnoldi run");
   const std::size_t dim = ar.dim;
-  // x = 0 - sum_j (-y_j) v_j through axpy_rows: the same bits as adding
-  // y_j v_j in ascending row order.  Negation is exact, so each update
-  // x - (-t) equals x + t; and a zero coefficient adds a zero, which
-  // leaves x unchanged because x starts at +0 and a sum never turns
-  // into -0.
-  std::vector<Complex> neg(d);
-  for (std::size_t j = 0; j < d; ++j) neg[j] = -pair.coords[j];
-  PlaneVector x(2 * dim, 0.0);
-  la::kernels::axpy_rows(ar.basis.data(), 2 * dim, d, neg.data(), x.data(),
-                         dim);
-  const double norm = la::kernels::nrm2_plane(x.data(), dim);
-  if (norm > 0.0) scale_into(x.data(), norm, dim, x.data());
-  return x;
-}
+  util::check(locked.size() % (2 * dim) == 0,
+              "lock_ritz_pairs: locked set is not a pack of dim-length rows");
 
-bool lock_vector(std::vector<double>& locked, std::span<const double> v) {
-  const std::size_t stride = v.size();
-  const std::size_t dim = stride / 2;
-  const std::size_t nl = locked.size() / stride;
-  // The candidate is written in place as the pack's next row (amortized
-  // growth) and popped again if it is dropped.
-  locked.insert(locked.end(), v.begin(), v.end());
-  double* const w = locked.data() + nl * stride;
-  const double* const wr = w;
-  const double* const wi = w + dim;
-  // Each row's projection is a single-accumulator sum in ascending i,
-  // conj(q) * w spelled out as std::complex evaluates it for finite
-  // values, (ac + bd, ad - bc); the update is axpy_rows on one row.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t j = 0; j < nl; ++j) {
-      const double* qr = locked.data() + j * stride;
-      const double* qi = qr + dim;
-      double pr = 0.0;
-      double pi = 0.0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        pr += qr[i] * wr[i] + qi[i] * wi[i];
-        pi += qr[i] * wi[i] - qi[i] * wr[i];
+  // MGS2 on the coordinates, kept vectors back to back in q.
+  std::vector<Complex> q;
+  q.reserve(pairs.size() * d);
+  std::size_t kept = 0;
+  for (const RitzPair* pair : pairs) {
+    util::check(pair->coords.size() == d,
+                "lock_ritz_pairs: pair does not belong to this Arnoldi run");
+    q.insert(q.end(), pair->coords.begin(), pair->coords.end());
+    Complex* const w = q.data() + kept * d;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t j = 0; j < kept; ++j) {
+        const Complex* const qj = q.data() + j * d;
+        Complex proj{};
+        for (std::size_t i = 0; i < d; ++i) proj += std::conj(qj[i]) * w[i];
+        for (std::size_t i = 0; i < d; ++i) w[i] -= proj * qj[i];
       }
-      const Complex p(pr, pi);
-      la::kernels::axpy_rows(qr, stride, 1, &p, w, dim);
     }
+    const double norm = la::nrm2<Complex>(std::span<const Complex>(w, d));
+    if (norm < 1e-8) {  // direction already represented
+      q.resize(kept * d);
+      continue;
+    }
+    for (std::size_t i = 0; i < d; ++i) w[i] /= norm;
+    ++kept;
   }
-  const double norm = la::kernels::nrm2_plane(w, dim);
-  if (norm < 1e-8) {  // direction already represented
-    locked.resize(nl * stride);
-    return false;
+
+  // Row x = 0 - sum_j (-q_j) v_j: the bits of adding q_j v_j in
+  // ascending row order (negation is exact, and a zero coefficient adds
+  // a zero to an x that starts at +0 and never turns -0).  One exact
+  // reservation: doubling growth would raise peak RSS.
+  for (Complex& c : q) c = -c;
+  const std::size_t nl = locked.size() / (2 * dim);
+  locked.reserve((nl + kept) * 2 * dim);
+  locked.resize((nl + kept) * 2 * dim, 0.0);
+  for (std::size_t j = 0; j < kept; ++j) {
+    la::kernels::axpy_rows(ar.basis.data(), 2 * dim, d, q.data() + j * d,
+                           locked.data() + (nl + j) * 2 * dim, dim);
   }
-  scale_into(w, norm, dim, w);
-  return true;
+  return kept;
 }
 
 }  // namespace phes::core

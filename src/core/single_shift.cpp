@@ -67,13 +67,8 @@ SingleShiftResult single_shift_iteration(
   const std::size_t d_confirm = std::min(kConfirmDim, d);
 
   std::vector<LockedEig> locked;
-  // Deflation basis: an ORTHONORMALIZED basis of the span of converged
-  // Ritz vectors.  Eigenvectors of the (non-normal) Hamiltonian are not
-  // mutually orthogonal, and sequential projection against a
-  // non-orthogonal set is not a projector — deflating with raw Ritz
-  // vectors produces spurious Ritz values.  Orthonormalizing preserves
-  // the span (an approximately invariant subspace), which is all the
-  // deflation needs.  Its plane rows are packed with stride 2 * dim.
+  // Deflation basis: an orthonormal basis of the span of converged Ritz
+  // vectors (lock_ritz_pairs), plane rows packed with stride 2 * dim.
   std::vector<double> locked_vectors;
   double rho = rho0;
   // Distance estimate of the nearest eigenvalue the process has seen but
@@ -138,15 +133,7 @@ SingleShiftResult single_shift_iteration(
     const bool another_restart =
         !(restart + 1 >= min_restarts && new_in_disk == 0) &&
         restart + 1 < kMaxRestarts;
-    if (another_restart) {
-      // One allocation per restart, sized to the batch: lock_vector
-      // then appends in place.
-      locked_vectors.reserve(locked_vectors.size() +
-                             newly_locked.size() * 2 * dim);
-      for (const RitzPair* p : newly_locked) {
-        lock_vector(locked_vectors, form_ritz_vector(ar, *p));
-      }
-    }
+    if (another_restart) lock_ritz_pairs(ar, newly_locked, locked_vectors);
 
     std::sort(locked.begin(), locked.end(),
               [](const LockedEig& a, const LockedEig& b) {

@@ -53,7 +53,8 @@ SolverResult ParallelHamiltonianEigensolver::solve(
   util::WallTimer timer;
 
   util::Rng rng(opt.seed, kLambdaStreamSalt);
-  const LambdaMaxEstimate est = estimate_lambda_max(realization_, rng);
+  const LambdaMaxEstimate est =
+      estimate_lambda_max(realization_, rng, opt.threads);
   const double band_hi = est.omega_max;
   util::require(band_hi > 0.0,
                 "solve: could not establish a positive search band");

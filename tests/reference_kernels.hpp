@@ -15,17 +15,12 @@
 //
 // interleaved_arnoldi is core::arnoldi as it ran on interleaved
 // std::complex storage (blocked CGS2 through the row-paired interleaved
-// dot/axpy kernels), and reference_form_ritz_vector and
-// reference_lock_vector are the std::complex loops behind
-// core::form_ritz_vector and core::lock_vector.  The library runs the
-// same operations in the same order on plane rows, so test_la_kernels
-// and bench_la_kernels demand memcmp equality with them.
-// plane_form_ritz_vector and plane_lock_vector are the same two
-// functions as they ran on plane rows before their vector sums moved
-// onto la::kernels::axpy_rows and the locked set into one pack (a
-// pair loop over the nonzero-coefficient rows, a written-out update
-// over separately allocated rows); test_la_kernels demands memcmp
-// equality with them too.
+// dot/axpy kernels), and reference_lock_ritz_pairs is
+// core::lock_ritz_pairs on std::complex vectors: MGS2 on the Ritz
+// coordinates, then each locked row summed over the basis rows in
+// ascending order.  The library runs the same operations in the same
+// order on plane rows, so test_la_kernels and bench_la_kernels demand
+// memcmp equality with them.
 //
 // scalar_dotc_rows and scalar_gemv_planes are the plane-row kernels
 // as written with scalar accumulators, before those accumulators
@@ -37,7 +32,7 @@
 // std::complex resolvent-table products, and reference_single_shift is
 // core::single_shift_iteration (with its restart sizes) as it ran when
 // every restart, the last one included, locked its converged Ritz
-// vectors; test_la_kernels and test_core_single_shift demand memcmp
+// pairs; test_la_kernels and test_core_single_shift demand memcmp
 // equality with them.
 //
 // reference_dense_sigma_solve is the dense sigma least squares that
@@ -464,6 +459,15 @@ inline std::vector<la::ComplexVector> from_pack(std::span<const double> pack,
   for (std::size_t off = 0; off + 2 * dim <= pack.size(); off += 2 * dim) {
     out.push_back(from_planes(pack.subspan(off, 2 * dim)));
   }
+  return out;
+}
+
+/// Pointers to `pairs`, in order: the batch form core::lock_ritz_pairs
+/// takes.
+inline std::vector<const core::RitzPair*> pair_ptrs(
+    std::span<const core::RitzPair> pairs) {
+  std::vector<const core::RitzPair*> out;
+  for (const auto& p : pairs) out.push_back(&p);
   return out;
 }
 
@@ -987,142 +991,54 @@ class TableSmwOp final : public hamiltonian::ComplexLinearOperator {
   std::vector<TableBlock> q_table_;  ///< -(A^T + theta I)^{-1}
 };
 
-/// core::form_ritz_vector with std::complex products, on an interleaved
-/// basis.
-inline la::ComplexVector reference_form_ritz_vector(
-    const ReferenceArnoldi& ar, const core::RitzPair& pair) {
+/// core::lock_ritz_pairs with std::complex products, on an interleaved
+/// basis: two modified Gram-Schmidt passes over the coordinates in the
+/// order of `pairs`, a residual norm below 1e-8 dropped, the others
+/// normalized; then each kept q as the row V_d q, summed over the basis
+/// rows with a nonzero coefficient in ascending order.  Returns the
+/// rows lock_ritz_pairs appends.
+inline std::vector<la::ComplexVector> reference_lock_ritz_pairs(
+    const ReferenceArnoldi& ar,
+    std::span<const core::RitzPair* const> pairs) {
   using la::Complex;
-  const std::size_t d = ar.steps;
+  std::vector<la::ComplexVector> qs;
+  for (const core::RitzPair* pair : pairs) {
+    la::ComplexVector w = pair->coords;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& q : qs) {
+        Complex proj{};
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          proj += std::conj(q[i]) * w[i];
+        }
+        for (std::size_t i = 0; i < w.size(); ++i) w[i] -= proj * q[i];
+      }
+    }
+    const double norm = la::nrm2<Complex>(w);
+    if (norm < 1e-8) continue;  // direction already represented
+    for (auto& x : w) x /= norm;
+    qs.push_back(std::move(w));
+  }
   const std::size_t dim = ar.v_rows.cols();
-  la::ComplexVector x(dim, Complex{});
-  for (std::size_t row = 0; row < d; ++row) {
-    const Complex yc = pair.coords[row];
-    if (yc == Complex{}) continue;
-    const Complex* vr = ar.v_rows.row_ptr(row);
-    for (std::size_t i = 0; i < dim; ++i) x[i] += vr[i] * yc;
-  }
-  const double norm = la::nrm2<Complex>(x);
-  if (norm > 0.0) {
-    for (auto& e : x) e /= norm;
-  }
-  return x;
-}
-
-/// core::lock_vector with std::complex products (the MGS2 lambda of
-/// the single-shift iteration), on interleaved vectors.
-inline bool reference_lock_vector(std::vector<la::ComplexVector>& locked,
-                                  const la::ComplexVector& v) {
-  using la::Complex;
-  la::ComplexVector w = v;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& q : locked) {
-      Complex proj{};
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        proj += std::conj(q[i]) * w[i];
-      }
-      for (std::size_t i = 0; i < w.size(); ++i) w[i] -= proj * q[i];
+  std::vector<la::ComplexVector> rows;
+  for (const auto& q : qs) {
+    la::ComplexVector x(dim, Complex{});
+    for (std::size_t row = 0; row < ar.steps; ++row) {
+      if (q[row] == Complex{}) continue;
+      const Complex* vr = ar.v_rows.row_ptr(row);
+      for (std::size_t i = 0; i < dim; ++i) x[i] += vr[i] * q[row];
     }
+    rows.push_back(std::move(x));
   }
-  const double norm = la::nrm2<Complex>(w);
-  if (norm < 1e-8) return false;  // direction already represented
-  for (auto& x : w) x /= norm;
-  locked.push_back(std::move(w));
-  return true;
-}
-
-/// core::form_ritz_vector as it ran before it became one axpy_rows
-/// sweep: rows with a nonzero coefficient only, two per pass over x as
-/// (x + t0) + t1, the complex products spelled out as
-/// (ac - bd, ad + bc).  Bit-identical to the library.
-inline core::PlaneVector plane_form_ritz_vector(const core::ArnoldiResult& ar,
-                                                const core::RitzPair& pair) {
-  using la::Complex;
-  const std::size_t d = ar.steps;
-  const std::size_t dim = ar.dim;
-  core::PlaneVector x(2 * dim, 0.0);
-  double* xr = x.data();
-  double* xi = x.data() + dim;
-  std::vector<std::size_t> rows;
-  for (std::size_t row = 0; row < d; ++row) {
-    if (pair.coords[row] != Complex{}) rows.push_back(row);
-  }
-  std::size_t k = 0;
-  for (; k + 2 <= rows.size(); k += 2) {
-    const double c0 = pair.coords[rows[k]].real();
-    const double s0 = pair.coords[rows[k]].imag();
-    const double c1 = pair.coords[rows[k + 1]].real();
-    const double s1 = pair.coords[rows[k + 1]].imag();
-    const double* v0r = ar.basis.data() + 2 * dim * rows[k];
-    const double* v0i = v0r + dim;
-    const double* v1r = ar.basis.data() + 2 * dim * rows[k + 1];
-    const double* v1i = v1r + dim;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double a0 = v0r[i], b0 = v0i[i], a1 = v1r[i], b1 = v1i[i];
-      xr[i] = (xr[i] + (a0 * c0 - b0 * s0)) + (a1 * c1 - b1 * s1);
-      xi[i] = (xi[i] + (a0 * s0 + b0 * c0)) + (a1 * s1 + b1 * c1);
-    }
-  }
-  if (k < rows.size()) {
-    const double c = pair.coords[rows[k]].real();
-    const double s = pair.coords[rows[k]].imag();
-    const double* vr = ar.basis.data() + 2 * dim * rows[k];
-    const double* vi = vr + dim;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double a = vr[i];
-      const double b = vi[i];
-      xr[i] += a * c - b * s;
-      xi[i] += a * s + b * c;
-    }
-  }
-  const double norm = la::kernels::nrm2_plane(x.data(), dim);
-  if (norm > 0.0) {
-    for (double& e : x) e /= norm;
-  }
-  return x;
-}
-
-/// core::lock_vector as it ran on a set of separately allocated plane
-/// rows: per locked row a single-accumulator dot, then the update
-/// w -= p * q written out as (ac - bd, ad + bc).  Bit-identical to the
-/// library.
-inline bool plane_lock_vector(std::vector<core::PlaneVector>& locked,
-                              const core::PlaneVector& v) {
-  core::PlaneVector w = v;
-  const std::size_t dim = w.size() / 2;
-  double* wr = w.data();
-  double* wi = w.data() + dim;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& q : locked) {
-      const double* qr = q.data();
-      const double* qi = q.data() + dim;
-      double pr = 0.0;
-      double pi = 0.0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        pr += qr[i] * wr[i] + qi[i] * wi[i];
-        pi += qr[i] * wi[i] - qi[i] * wr[i];
-      }
-      for (std::size_t i = 0; i < dim; ++i) {
-        const double a = qr[i];
-        const double b = qi[i];
-        wr[i] -= pr * a - pi * b;
-        wi[i] -= pr * b + pi * a;
-      }
-    }
-  }
-  const double norm = la::kernels::nrm2_plane(w.data(), dim);
-  if (norm < 1e-8) return false;  // direction already represented
-  for (double& e : w) e /= norm;
-  locked.push_back(std::move(w));
-  return true;
+  return rows;
 }
 
 /// core::single_shift_iteration as it ran before the final restart
 /// stopped building deflation vectors: every restart, the last one
-/// included, forms and locks the Ritz vector of each newly locked pair
-/// as soon as the pair is accepted.  It sizes its restarts by the
-/// library's rule (restart 0 at d = min(core::kKrylovDim, dim - 1),
-/// every later one at min(core::kConfirmDim, d)), so a mismatch
-/// isolates the deflation vectors the library skips.  Each restart allocates its own basis.
+/// included, locks its batch of newly converged pairs.  It sizes its
+/// restarts by the library's rule (restart 0 at d = min(core::kKrylovDim,
+/// dim - 1), every later one at min(core::kConfirmDim, d)), so a
+/// mismatch isolates the deflation vectors the library skips.  Each
+/// restart allocates its own basis.
 /// kRitzTol, kMaxRestarts and kRadiusSafety repeat the library's
 /// file-local constants.
 inline core::SingleShiftResult reference_single_shift(
@@ -1185,6 +1101,7 @@ inline core::SingleShiftResult reference_single_shift(
     ++result.restarts;
 
     const auto pairs = core::ritz_pairs(ar);
+    std::vector<const core::RitzPair*> newly_locked;
     std::size_t new_in_disk = 0;
     unconverged_limit = std::numeric_limits<double>::infinity();
     for (const auto& p : pairs) {
@@ -1199,9 +1116,10 @@ inline core::SingleShiftResult reference_single_shift(
       const Complex lambda = theta + 1.0 / p.value;
       if (already_locked(lambda)) continue;
       locked.push_back({lambda, std::abs(lambda - theta)});
-      core::lock_vector(locked_vectors, core::form_ritz_vector(ar, p));
+      newly_locked.push_back(&p);
       if (locked.back().distance <= rho * 1.0000001) ++new_in_disk;
     }
+    core::lock_ritz_pairs(ar, newly_locked, locked_vectors);
 
     std::sort(locked.begin(), locked.end(),
               [](const LockedEig& a, const LockedEig& b) {

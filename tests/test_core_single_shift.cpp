@@ -5,7 +5,7 @@
 // returned value is an eigenvalue) and completeness (none is missed).
 // SingleShiftBitwiseTest holds S to the loop it replaced
 // (reference_single_shift in reference_kernels.hpp), which also locked
-// the final restart's Ritz vectors: eigenvalues, radius, restarts and
+// the final restart's Ritz pairs: eigenvalues, radius, restarts and
 // matvecs must match exactly.
 
 #include <gtest/gtest.h>
@@ -211,13 +211,13 @@ ComplexVector right_eigenvector(const SimoRealization& simo, Complex lambda,
   return x;
 }
 
-// Distance estimate 1/|mu| of the nearest unconverged Ritz value of
-// `ar`, as S caps its radius; `on_converged` sees each converged pair.
+// Distance estimate 1/|mu| of the nearest unconverged Ritz value among
+// `pairs`, as S caps its radius; `on_converged` sees each converged pair.
 template <typename F>
-double scan_ritz_pairs(const core::ArnoldiResult& ar, double rho0,
-                       F&& on_converged) {
+double scan_ritz_pairs(const std::vector<core::RitzPair>& pairs,
+                       double rho0, F&& on_converged) {
   double cap = std::numeric_limits<double>::infinity();
-  for (const auto& p : core::ritz_pairs(ar)) {
+  for (const auto& p : pairs) {
     const double mu_abs = std::abs(p.value);
     if (mu_abs < 1e3 * la::kEps / rho0) continue;
     if (p.residual > kRitzTol * mu_abs) {
@@ -251,7 +251,9 @@ std::string planted_miss(const Truth& truth, Complex lambda_star,
   const core::ArnoldiResult ar0 = core::arnoldi(
       op, core::random_start_vector(dim, rng), d, locked);
   std::vector<Complex> found;
-  const double cap0 = scan_ritz_pairs(ar0, rho0, [&](const auto& p) {
+  const auto pairs0 = core::ritz_pairs(ar0);
+  std::vector<const core::RitzPair*> batch;
+  const double cap0 = scan_ritz_pairs(pairs0, rho0, [&](const auto& p) {
     const Complex lambda = theta + 1.0 / p.value;
     EXPECT_GT(std::abs(lambda - lambda_star), 1e-6 * scale)
         << label << ": restart 0 saw the planted eigenvalue";
@@ -259,9 +261,10 @@ std::string planted_miss(const Truth& truth, Complex lambda_star,
           return std::abs(f - lambda) <= core::kClusterTol * scale;
         })) {
       found.push_back(lambda);
-      core::lock_vector(locked, core::form_ritz_vector(ar0, p));
+      batch.push_back(&p);
     }
   });
+  core::lock_ritz_pairs(ar0, batch, locked);
   locked.erase(locked.begin(),
                locked.begin() + static_cast<std::ptrdiff_t>(2 * dim));
 
@@ -270,7 +273,8 @@ std::string planted_miss(const Truth& truth, Complex lambda_star,
       core::arnoldi(op, core::random_start_vector(dim, rng),
                     std::min(core::kConfirmDim, d), locked);
   bool converged = false;
-  const double cap1 = scan_ritz_pairs(ar1, rho0, [&](const auto& p) {
+  const double cap1 = scan_ritz_pairs(core::ritz_pairs(ar1), rho0,
+                                      [&](const auto& p) {
     if (std::abs(theta + 1.0 / p.value - lambda_star) <= 1e-6 * scale) {
       converged = true;
     }
@@ -350,7 +354,8 @@ std::vector<Complex> restart0_converged(const Truth& truth, double omega,
       op, core::random_start_vector(op.dim(), rng),
       std::min(core::kKrylovDim, op.dim() - 1), {});
   std::vector<Complex> found;
-  (void)scan_ritz_pairs(ar, truth.scale, [&](const auto& p) {
+  (void)scan_ritz_pairs(core::ritz_pairs(ar), truth.scale,
+                        [&](const auto& p) {
     const Complex ritz = theta + 1.0 / p.value;
     const Complex lambda = *std::min_element(
         truth.spectrum.begin(), truth.spectrum.end(),

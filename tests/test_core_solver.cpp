@@ -186,9 +186,32 @@ TEST(Solver, LambdaMaxBoundsSpectralRadius) {
   for (const auto& l : spectrum) rho = std::max(rho, std::abs(l));
 
   util::Rng rng(3);
-  const double est = core::estimate_lambda_max(fx.simo, rng).omega_max;
+  const double est = core::estimate_lambda_max(fx.simo, rng, 1).omega_max;
   EXPECT_GE(est, rho * 0.999);  // upper bound (with safety factor)
   EXPECT_LE(est, rho * 2.0);    // not wildly pessimistic
+}
+
+TEST(Solver, LambdaMaxIsBitIdenticalAtEveryThreadCount) {
+  // The three runs go on up to three threads; the estimate, its matvec
+  // count and the rng stream after it are the same bits at T = 1-4.
+  const Fixture fx = make_fixture(1.05, 909);
+  util::Rng rng1(5);
+  const core::LambdaMaxEstimate one =
+      core::estimate_lambda_max(fx.simo, rng1, 1);
+  const double next1 = rng1.normal();
+  EXPECT_GT(one.matvecs, 0u);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    util::Rng rng(5);
+    const core::LambdaMaxEstimate est =
+        core::estimate_lambda_max(fx.simo, rng, threads);
+    EXPECT_EQ(std::memcmp(&est.omega_max, &one.omega_max, sizeof(double)),
+              0)
+        << threads << " threads";
+    EXPECT_EQ(est.matvecs, one.matvecs) << threads << " threads";
+    const double next = rng.normal();
+    EXPECT_EQ(std::memcmp(&next, &next1, sizeof(double)), 0)
+        << threads << " threads";
+  }
 }
 
 TEST(Solver, RejectsBadOptions) {

@@ -34,13 +34,12 @@
 //  - SmwShiftInvertOp::apply, with its written-out table products and
 //    four-row C / C^T passes, is BIT-identical to the std::complex
 //    apply it replaced (TableSmwOp in reference_kernels.hpp);
-//  - core::form_ritz_vector and core::lock_vector, whose vector sums run
-//    through axpy_rows on plane rows and the packed locked set, are
-//    BIT-identical to the std::complex loops they replaced
-//    (reference_form_ritz_vector / reference_lock_vector) and to their
-//    plane-row pair loop and written-out update (plane_form_ritz_vector
-//    / plane_lock_vector) on the Ritz pairs and locking sequences of
-//    real Arnoldi runs and on coefficients with exact zeros;
+//  - core::lock_ritz_pairs, whose MGS2 runs on the Ritz coordinates and
+//    whose locked rows are axpy_rows sweeps written into the packed
+//    locked set, is BIT-identical to its std::complex oracle
+//    (reference_lock_ritz_pairs) on the Ritz pairs of real Arnoldi runs
+//    (drops included) and on coordinates with exact zeros of either
+//    sign;
 //  - the library operators (ImplicitHamiltonianOp, SmwShiftInvertOp,
 //    arnoldi CGS2) agree with the straight-line oracle loops of
 //    reference_kernels.hpp to rounding on the solver's real shapes, and
@@ -1196,128 +1195,71 @@ TEST(QrRowSweepBitwiseTest, NegativeZerosMatchReference) {
   expect_qr_bitwise(a, "negative zeros", rng);
 }
 
-// ---- Ritz formation and locking: bitwise oracles ---------------------
+// ---- Locking Ritz pairs: bitwise oracle --------------------------------
 
 bool same_plane_bits(const std::vector<double>& a,
                      const std::vector<double>& b) {
   return a.size() == b.size() && same_bits(a.data(), b.data(), a.size());
 }
 
-// Separately allocated plane rows as one pack, for comparison with the
-// library's locked set.
-std::vector<double> concat(const std::vector<core::PlaneVector>& rows) {
-  std::vector<double> out;
-  for (const auto& r : rows) out.insert(out.end(), r.begin(), r.end());
-  return out;
-}
-
-// form_ritz_vector against both of its oracles.
-::testing::AssertionResult ritz_vector_matches(
-    const core::ArnoldiResult& ar, const core::RitzPair& pair) {
-  const core::PlaneVector x = core::form_ritz_vector(ar, pair);
-  if (!same_plane_bits(x, test::plane_form_ritz_vector(ar, pair))) {
-    return ::testing::AssertionFailure() << "differs from the pair loop";
-  }
-  if (!same_plane_bits(x, test::to_planes(test::reference_form_ritz_vector(
-                              test::to_reference(ar), pair)))) {
-    return ::testing::AssertionFailure() << "differs from std::complex";
-  }
-  return ::testing::AssertionSuccess();
-}
-
-// One lock_vector call on the pack against both oracles' sets: the
-// same verdict and, row for row, the same bits.
+// One lock_ritz_pairs call on the pack against the oracle: the same
+// count and the same bits in the rows appended, the rows before left
+// as they were.
 ::testing::AssertionResult lock_matches(
-    std::vector<double>& locked, std::vector<core::PlaneVector>& plane_locked,
-    std::vector<ComplexVector>& ref_locked, const core::PlaneVector& v) {
-  const bool took = core::lock_vector(locked, v);
-  if (took != test::plane_lock_vector(plane_locked, v) ||
-      took != test::reference_lock_vector(ref_locked, test::from_planes(v))) {
-    return ::testing::AssertionFailure() << "verdicts differ";
-  }
-  if (!same_plane_bits(locked, concat(plane_locked)) ||
-      !same_plane_bits(locked, test::to_pack(ref_locked))) {
+    const core::ArnoldiResult& ar,
+    const std::vector<const core::RitzPair*>& batch,
+    std::vector<double>& locked) {
+  const std::vector<double> before = locked;
+  const std::size_t appended = core::lock_ritz_pairs(ar, batch, locked);
+  const auto ref =
+      test::reference_lock_ritz_pairs(test::to_reference(ar), batch);
+  if (appended != ref.size()) {
     return ::testing::AssertionFailure()
-           << "locked sets differ after " << ref_locked.size() << " rows";
+           << "appended " << appended << " rows, the oracle " << ref.size();
+  }
+  std::vector<double> expected = before;
+  const std::vector<double> rows = test::to_pack(ref);
+  expected.insert(expected.end(), rows.begin(), rows.end());
+  if (!same_plane_bits(locked, expected)) {
+    return ::testing::AssertionFailure()
+           << "locked sets differ after " << appended << " new rows";
   }
   return ::testing::AssertionSuccess();
 }
 
-TEST(RitzLockBitwiseTest, FormAndLockMatchReference) {
-  // A shift-inverted operator, as in the single-shift iteration: lock
-  // every Ritz vector of several restarts in turn, through all three
-  // paths, and demand the same bits at every step (including the
-  // rejections of directions already represented, which must leave the
-  // pack as it was).
+TEST(RitzLockBitwiseTest, RestartBatchesMatchReference) {
+  // A shift-inverted operator, as in the single-shift iteration: each
+  // of several restarts deflated by the rows locked so far locks every
+  // Ritz pair it has, then a batch that repeats its first and last
+  // pairs, whose copies are dropped.
   const auto model = test::synthetic_model(1.08, 2011, 64, 4);
   const macromodel::SimoRealization realization(model);
   const hamiltonian::SmwShiftInvertOp op(realization, Complex(0.0, 2.5));
   const std::size_t dim = op.dim();
   util::Rng rng(61);
   std::vector<double> locked;
-  std::vector<core::PlaneVector> plane_locked;
-  std::vector<ComplexVector> ref_locked;
   for (int restart = 0; restart < 3; ++restart) {
     const ComplexVector v0 = core::random_start_vector(dim, rng);
     const auto ar = core::arnoldi(op, v0, 30, locked);
-    for (const auto& pair : core::ritz_pairs(ar)) {
-      ASSERT_TRUE(ritz_vector_matches(ar, pair)) << "restart " << restart;
-      ASSERT_TRUE(lock_matches(locked, plane_locked, ref_locked,
-                               core::form_ritz_vector(ar, pair)))
-          << "restart " << restart;
-      // Re-locking a row already in the set takes the rejection path
-      // through all three.
-      const core::PlaneVector last(locked.end() - 2 * dim, locked.end());
-      ASSERT_FALSE(core::lock_vector(locked, last));
-      ASSERT_FALSE(test::plane_lock_vector(plane_locked, last));
-      ASSERT_FALSE(test::reference_lock_vector(ref_locked, ref_locked.back()));
-      ASSERT_TRUE(same_plane_bits(locked, concat(plane_locked)));
-    }
+    const auto pairs = core::ritz_pairs(ar);
+    ASSERT_TRUE(lock_matches(ar, test::pair_ptrs(pairs), locked))
+        << "restart " << restart;
+    const std::vector<const core::RitzPair*> repeats = {
+        &pairs.front(), &pairs.back(), &pairs.front()};
+    std::vector<double> scratch;
+    ASSERT_TRUE(lock_matches(ar, repeats, scratch)) << "restart " << restart;
+    EXPECT_EQ(scratch.size(), 2 * 2 * dim) << "restart " << restart;
   }
-  EXPECT_GT(plane_locked.size(), 60u);
-  EXPECT_EQ(locked.size(), plane_locked.size() * 2 * dim);
+  EXPECT_EQ(locked.size(), 90 * 2 * dim);
 }
 
-TEST(RitzLockBitwiseTest, RandomAndSignedZeroInputsMatchReference) {
-  // Random Ritz coordinates on a random orthonormal-free basis, with
-  // exact zeros and negative zeros sprinkled into both.
-  util::Rng rng(62);
-  core::ArnoldiResult ar;
-  ar.steps = 9;
-  ar.dim = 33;
-  for (std::size_t r = 0; r <= ar.steps; ++r) {
-    const core::PlaneVector row =
-        test::to_planes(random_complex_vector(33, rng));
-    ar.basis.insert(ar.basis.end(), row.begin(), row.end());
-  }
-  ar.basis[2 * 33 * 1 + 4] = -0.0;       // re of row 1, element 4
-  ar.basis[2 * 33 * 2 + 33 + 7] = -0.0;  // im of row 2, element 7
-  core::RitzPair pair;
-  pair.coords = random_complex_vector(ar.steps, rng);
-  pair.coords[3] = Complex{};
-  pair.coords[5] = Complex(-0.0, 1.0);
-  EXPECT_TRUE(ritz_vector_matches(ar, pair));
-
-  std::vector<double> locked;
-  std::vector<core::PlaneVector> plane_locked;
-  std::vector<ComplexVector> ref_locked;
-  for (int i = 0; i < 12; ++i) {
-    ComplexVector v = random_complex_vector(33, rng);
-    v[static_cast<std::size_t>(i)] = Complex(-0.0, -0.0);
-    ASSERT_TRUE(lock_matches(locked, plane_locked, ref_locked,
-                             test::to_planes(v)))
-        << i;
-  }
-  EXPECT_EQ(plane_locked.size(), 12u);
-}
-
-TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
-  // form_ritz_vector adds every basis row, two per pass, with negated
-  // coefficients; its oracles add only the nonzero-coefficient rows.
-  // Exact zeros (either sign) at even, odd and adjacent positions must
-  // be exact no-ops that shift the pairing, leaving an odd or even
-  // number of nonzero rows, and an all-zero pair takes the norm == 0
-  // path.
+TEST(RitzLockBitwiseTest, ZeroCoordinatesMatchReference) {
+  // A random (not orthonormal) basis with negative zeros, and one-pair
+  // batches whose coordinates carry exact zeros of either sign at even,
+  // odd and adjacent positions: the library adds every basis row with
+  // negated coefficients, its oracle only the nonzero-coefficient
+  // rows, so each zero must be an exact no-op.  An all-zero pair is
+  // dropped.
   util::Rng rng(63);
   core::ArnoldiResult ar;
   ar.steps = 12;
@@ -1327,6 +1269,8 @@ TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
         test::to_planes(random_complex_vector(ar.dim, rng));
     ar.basis.insert(ar.basis.end(), row.begin(), row.end());
   }
+  ar.basis[2 * 37 * 1 + 4] = -0.0;       // re of row 1, element 4
+  ar.basis[2 * 37 * 2 + 37 + 7] = -0.0;  // im of row 2, element 7
   const std::vector<std::vector<std::size_t>> zero_sets = {
       {0, 3, 6, 7, 10},  // even, odd and adjacent: 7 rows remain
       {1, 2, 11},        // adjacent and the last row: 9 rows remain
@@ -1337,6 +1281,8 @@ TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11},  // one lone row remains
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},  // all zero
   };
+  std::vector<double> locked;
+  std::vector<core::RitzPair> pairs;
   for (const auto& zeros : zero_sets) {
     core::RitzPair pair;
     pair.coords = random_complex_vector(ar.steps, rng);
@@ -1344,13 +1290,15 @@ TEST(RitzLockBitwiseTest, ExactZeroCoefficientsMatchReference) {
       pair.coords[zeros[k]] =
           k % 2 == 0 ? Complex{} : Complex(-0.0, -0.0);
     }
-    EXPECT_TRUE(ritz_vector_matches(ar, pair))
+    std::vector<double> one;
+    EXPECT_TRUE(lock_matches(ar, {&pair}, one))
         << zeros.size() << " zero coefficient(s)";
-    if (zeros.size() == ar.steps) {
-      EXPECT_EQ(core::form_ritz_vector(ar, pair),
-                core::PlaneVector(2 * ar.dim, 0.0));
-    }
+    EXPECT_EQ(one.size(), zeros.size() == ar.steps ? 0u : 2 * ar.dim);
+    pairs.push_back(std::move(pair));
   }
+  // All eight as one batch: seven independent directions.
+  EXPECT_TRUE(lock_matches(ar, test::pair_ptrs(pairs), locked));
+  EXPECT_EQ(locked.size(), 7 * 2 * ar.dim);
 }
 
 // ---- plane-row CGS2 Arnoldi: bitwise oracle ---------------------------
@@ -1382,7 +1330,8 @@ void expect_arnoldi_bitwise(const hamiltonian::ComplexLinearOperator& op,
 }
 
 // `count` orthonormal locked vectors built as the single-shift
-// iteration builds them: Ritz vectors of a first run, locked in turn.
+// iteration builds them: the first Ritz pairs of a run, locked as one
+// batch.
 std::vector<ComplexVector> locked_from_ritz(
     const hamiltonian::ComplexLinearOperator& op, std::size_t count,
     util::Rng& rng) {
@@ -1390,10 +1339,9 @@ std::vector<ComplexVector> locked_from_ritz(
   const auto ar = core::arnoldi(
       op, core::random_start_vector(op.dim(), rng),
       std::min<std::size_t>(12, op.dim() - 2), {});
-  for (const auto& pair : core::ritz_pairs(ar)) {
-    if (locked.size() == count * 2 * op.dim()) break;
-    core::lock_vector(locked, core::form_ritz_vector(ar, pair));
-  }
+  const auto pairs = core::ritz_pairs(ar);
+  core::lock_ritz_pairs(
+      ar, test::pair_ptrs(std::span(pairs).first(count)), locked);
   return test::from_pack(locked, op.dim());
 }
 
