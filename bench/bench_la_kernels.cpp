@@ -1,21 +1,21 @@
 // bench_la_kernels — ctest-registered BENCH-JSON smoke over the dense
 // kernel substrate on the shapes the solver actually uses:
 //
-//   - d x d complex Hessenberg eigensolve, d = 30/60/90 (one per
-//     Arnoldi restart), on random Hessenbergs and on the d = 60
-//     projection of a real Arnoldi run (SmwShiftInvertOp of a 3-port,
-//     order-36 model — the serving traffic's shape);
+//   - d x d complex Hessenberg eigensolve at the two restart lengths
+//     of a shift (core::kConfirmDim and core::kKrylovDim), on random
+//     Hessenbergs and on the d = kKrylovDim projection of a real
+//     Arnoldi run (SmwShiftInvertOp of a 3-port, order-36 model);
 //   - p x p complex singular values, p = 18/56/83 (passivity sampling);
 //   - 2p x 2p complex LU factor + fused multi-RHS solve (the SMW
 //     kernel), with a correctness check of solve_many against the
 //     column-wise solve;
-//   - one d = 60 CGS2 Arnoldi at Table I case 1's shape (the
+//   - one d = kKrylovDim CGS2 Arnoldi at Table I case 1's shape (the
 //     SmwShiftInvertOp of the n = 1000, p = 20 surrogate, dim 2000)
 //     with 0 and 6 locked vectors: core::arnoldi on plane rows against
 //     the interleaved oracle interleaved_arnoldi of
 //     tests/reference_kernels.hpp, whose h and basis it must reproduce
 //     bit for bit (both timings printed, no timing gate);
-//   - the CGS2 kernels alone on that run's dim 2000 x 60-row basis:
+//   - the CGS2 kernels alone on that run's dim 2000 x d-row basis:
 //     dotc_rows and axpy_rows throughput in GF/s (8 flops per row
 //     element) at each lane width the CPU runs ("isa": "baseline" for
 //     two lanes, "avx2" for four), with dotc_rows checked bit for bit
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "phes/core/arnoldi.hpp"
+#include "phes/core/single_shift.hpp"
 #include "phes/hamiltonian/shift_invert.hpp"
 #include "phes/la/blas.hpp"
 #include "phes/la/eig.hpp"
@@ -124,7 +125,7 @@ std::vector<const la::kernels::RowKernels*> builds() {
 
 int main() {
   // Ritz problem: projected Hessenberg eigensolve per Arnoldi restart.
-  for (const std::size_t d : {30u, 60u, 90u}) {
+  for (const std::size_t d : {core::kConfirmDim, core::kKrylovDim}) {
     la::ComplexMatrix h = random_complex(d, 1);
     for (std::size_t i = 0; i < d; ++i) {
       for (std::size_t j = 0; j + 1 < i; ++j) h(i, j) = la::Complex{};
@@ -141,8 +142,8 @@ int main() {
         d, sec);
   }
 
-  // The same solve on a real Ritz problem: the d = 60 Hessenberg of
-  // an Arnoldi run on a shift-inverted Hamiltonian.
+  // The same solve on a real Ritz problem: the d = kKrylovDim
+  // Hessenberg of an Arnoldi run on a shift-inverted Hamiltonian.
   {
     macromodel::SyntheticModelSpec spec;
     spec.ports = 3;
@@ -154,7 +155,8 @@ int main() {
                                            la::Complex(0.0, 4.7));
     util::Rng rng(7);
     const la::ComplexVector v0 = core::random_start_vector(op.dim(), rng);
-    const core::ArnoldiResult ar = core::arnoldi(op, v0, 60, {});
+    const core::ArnoldiResult ar =
+        core::arnoldi(op, v0, core::kKrylovDim, {});
     const std::size_t d = ar.steps;
     la::ComplexMatrix h(d, d);
     for (std::size_t i = 0; i < d; ++i) {
@@ -165,8 +167,8 @@ int main() {
       const auto eig = la::hessenberg_eig(h, true);
       values = eig.values.size();
     });
-    expect(d == 60 && values == d,
-           "arnoldi hessenberg_eig returns 60 eigenvalues");
+    expect(d == core::kKrylovDim && values == d,
+           "arnoldi hessenberg_eig returns d eigenvalues");
     std::printf(
         "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"hessenberg_eig\","
         "\"source\":\"arnoldi\",\"d\":%zu,\"seconds\":%.6f}\n",
@@ -235,11 +237,12 @@ int main() {
     const hamiltonian::SmwShiftInvertOp op(realization,
                                            la::Complex(0.0, 50.0));
     util::Rng rng(9);
+    const std::size_t d = core::kKrylovDim;
     const std::size_t row = 2 * op.dim();
     std::vector<double> locked;
     {
       const auto first =
-          core::arnoldi(op, core::random_start_vector(op.dim(), rng), 60, {});
+          core::arnoldi(op, core::random_start_vector(op.dim(), rng), d, {});
       const auto pairs = core::ritz_pairs(first);
       core::lock_ritz_pairs(
           first, test::pair_ptrs(std::span(pairs).first(6)), locked);
@@ -253,11 +256,11 @@ int main() {
       core::ArnoldiResult ar;
       test::ReferenceArnoldi ref;
       const double sec =
-          best_seconds(3, [&] { ar = core::arnoldi(op, v0, 60, lk); });
+          best_seconds(3, [&] { ar = core::arnoldi(op, v0, d, lk); });
       const double ref_sec = best_seconds(
-          3, [&] { ref = test::interleaved_arnoldi(op, v0, 60, ref_locked); });
+          3, [&] { ref = test::interleaved_arnoldi(op, v0, d, ref_locked); });
       const test::ReferenceArnoldi got = test::to_reference(ar);
-      expect(ar.steps == 60 && got.steps == ref.steps &&
+      expect(ar.steps == d && got.steps == ref.steps &&
                  got.matvecs == ref.matvecs &&
                  got.h.size() == ref.h.size() &&
                  std::memcmp(got.h.data(), ref.h.data(),
@@ -268,18 +271,18 @@ int main() {
              "cgs2_arnoldi is bit-identical to the interleaved oracle");
       std::printf(
           "BENCH {\"bench\":\"la_kernels\",\"kernel\":\"cgs2_arnoldi\","
-          "\"dim\":%zu,\"d\":60,\"locked\":%zu,\"seconds\":%.6f,"
+          "\"dim\":%zu,\"d\":%zu,\"locked\":%zu,\"seconds\":%.6f,"
           "\"interleaved_seconds\":%.6f,\"speedup\":%.3f}\n",
-          op.dim(), nl, sec, ref_sec, ref_sec / sec);
+          op.dim(), d, nl, sec, ref_sec, ref_sec / sec);
     }
 
     // The CGS2 kernels alone on that basis: one dotc_rows and one
-    // axpy_rows sweep of w over all 60 rows, 8 flops per row element
+    // axpy_rows sweep of w over all d rows, 8 flops per row element
     // each.  dotc_rows must match its scalar-accumulator oracle and
     // axpy_rows the interleaved kernels, bit for bit.
-    const core::ArnoldiResult ar = core::arnoldi(op, v0, 60, {});
+    const core::ArnoldiResult ar = core::arnoldi(op, v0, d, {});
     const std::size_t dim = op.dim();
-    const std::size_t rows = 60;
+    const std::size_t rows = d;
     const core::PlaneVector w = test::to_planes(
         core::random_start_vector(dim, rng));
     std::vector<la::Complex> proj(rows), ref_proj(rows);

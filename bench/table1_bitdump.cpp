@@ -16,19 +16,39 @@
 //
 // At more than one thread the dynamic scheduler's shift order depends
 // on timing, and so do shift_log and total_matvecs.
+//
+// `dump dense` instead prints each case's crossings from the dense
+// route (core::solve_dense, a full eigendecomposition of the 2n x 2n
+// Hamiltonian, about 25 s per case in Release), the truth oracle that
+// tools/table1_dump_compare.py --oracle reads;
+// tests/data/table1_dense_crossings.txt holds its output.
 
 #include <cstdio>
+#include <cstring>
 
 #include "bench_support.hpp"
 #include "phes/core/solver.hpp"
 #include "phes/macromodel/simo_realization.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace phes;
 
+  const bool dense = argc == 2 && std::strcmp(argv[1], "dense") == 0;
+  if (argc > 2 || (argc == 2 && !dense)) {
+    std::fprintf(stderr, "usage: %s [dense]\n", argv[0]);
+    return 2;
+  }
   for (const auto& c : bench::table1_cases()) {
     if (c.id > 3) break;
     const macromodel::SimoRealization realization(bench::build_case_model(c));
+    if (dense) {
+      const core::SolverResult r = core::solve_dense(realization);
+      std::printf("case %d n %zu p %zu passive %d\n", c.id, c.n, c.p,
+                  r.passive ? 1 : 0);
+      std::printf("crossings %zu\n", r.crossings.size());
+      for (const double w : r.crossings) std::printf("%a\n", w);
+      continue;
+    }
     core::SolverOptions opt;
     opt.threads = 1;
     const core::SolverResult r =

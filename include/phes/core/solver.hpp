@@ -31,9 +31,9 @@ enum class SchedulingMode {
   kStaticGrid,  ///< fixed uniform grid, gaps mopped up afterwards
 };
 
-/// Solver configuration.  The paper's fixed settings (d = 60, kappa,
-/// alpha, ...) are constants; its n_theta cap is not kept (see
-/// single_shift.hpp).
+/// Solver configuration.  The paper's fixed settings (kappa, alpha,
+/// ...) are constants; its n_theta cap is not kept, and restart 0 runs
+/// at d = kKrylovDim = 32 instead of its d = 60 (see single_shift.hpp).
 struct SolverOptions {
   std::size_t threads = 1;
   SchedulingMode scheduling = SchedulingMode::kDynamic;

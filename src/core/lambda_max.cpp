@@ -15,7 +15,7 @@ namespace phes::core {
 
 namespace {
 
-constexpr std::size_t kKrylovDim = 40;
+constexpr std::size_t kEstimateDim = 40;
 constexpr std::size_t kRestarts = 3;
 // Ritz values underestimate |lambda|max.
 constexpr double kSafetyFactor = 1.05;
@@ -27,7 +27,7 @@ LambdaMaxEstimate estimate_lambda_max(
     std::size_t threads) {
   const hamiltonian::ImplicitHamiltonianOp op(realization);
   const std::size_t dim = op.dim();
-  const std::size_t d = std::min(kKrylovDim, dim - 1);
+  const std::size_t d = std::min(kEstimateDim, dim - 1);
 
   // Every start vector comes off rng before any run starts.
   std::array<ComplexVector, kRestarts> starts;

@@ -20,8 +20,6 @@ using hamiltonian::SmwShiftInvertOp;
 using la::Complex;
 using la::ComplexVector;
 
-// Relative residual acceptance of a Ritz pair.
-constexpr double kRitzTol = 1e-9;
 constexpr std::size_t kMaxRestarts = 10;
 // Margin of the certified radius below the distance estimate of the
 // nearest unconverged Ritz value.
@@ -113,8 +111,7 @@ SingleShiftResult single_shift_iteration(
       const double mu_abs = std::abs(p.value);
       if (mu_abs < 1e3 * la::kEps / rho0) continue;  // numerically zero
       const double dist = 1.0 / mu_abs;
-      const bool converged = p.residual <= kRitzTol * mu_abs;
-      if (!converged) {
+      if (!ritz_pair_certified(p.residual, mu_abs, scale)) {
         // A potential eigenvalue this close is not yet certain: the
         // clean radius must stay below its distance estimate.
         unconverged_limit = std::min(unconverged_limit, dist);

@@ -1039,15 +1039,15 @@ inline std::vector<la::ComplexVector> reference_lock_ritz_pairs(
 /// dim - 1), every later one at min(core::kConfirmDim, d)), so a
 /// mismatch isolates the deflation vectors the library skips.  Each
 /// restart allocates its own basis.
-/// kRitzTol, kMaxRestarts and kRadiusSafety repeat the library's
-/// file-local constants.
+/// It accepts a Ritz pair by the library's rule
+/// (core::ritz_pair_certified); kMaxRestarts and kRadiusSafety repeat
+/// the library's file-local constants.
 inline core::SingleShiftResult reference_single_shift(
     const macromodel::SimoRealization& realization, double omega_center,
     double rho0, std::size_t min_restarts, util::Rng& rng) {
   using core::kClusterTol;
   using hamiltonian::SmwShiftInvertOp;
   using la::Complex;
-  constexpr double kRitzTol = 1e-9;
   constexpr std::size_t kMaxRestarts = 10;
   constexpr double kRadiusSafety = 0.9;
   struct LockedEig {
@@ -1108,8 +1108,7 @@ inline core::SingleShiftResult reference_single_shift(
       const double mu_abs = std::abs(p.value);
       if (mu_abs < 1e3 * la::kEps / rho0) continue;
       const double dist = 1.0 / mu_abs;
-      const bool converged = p.residual <= kRitzTol * mu_abs;
-      if (!converged) {
+      if (!core::ritz_pair_certified(p.residual, mu_abs, scale)) {
         unconverged_limit = std::min(unconverged_limit, dist);
         continue;
       }

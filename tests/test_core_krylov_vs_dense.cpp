@@ -28,16 +28,19 @@ namespace {
 
 // Per-crossing relative bounds.  Of the copies of a crossing that
 // overlapping disks report, the Krylov route keeps the one nearest its
-// own shift (core::merge_disk_eigenvalues); a copy near its disk's edge
-// can be off by 1e-11 relative.  Worst deviations from the dense
-// crossings over these ten models, measured on x86-64 with GCC 12:
-//  - 1 thread (deterministic): 5.9e-13 (seed 5103); without the
-//    nearest-copy merge 3.2e-11 (seed 5103) and 9.5e-12 (seed 5108);
-//  - 4 threads: the shift placement follows completion order, and
-//    seed 5103's pair of crossings 2.6e-3 apart read 6.7e-12 or 2.7e-11
-//    in most of 40 runs (5.5e-14 to 8.9e-12 in the rest); every other
-//    model stays below 1.3e-14.
-constexpr double kCrossingRelTol1Thread = 5e-12;
+// own shift (core::merge_disk_eigenvalues).  A shift accepts a Ritz
+// pair only when the first-order error of its eigenvalue is below
+// core::kEigTol * scale (core::ritz_pair_certified); under the residual
+// test alone a copy near its disk's edge was off by 1e-11 relative.
+// Worst deviations from the dense crossings over these ten models,
+// measured on x86-64 with GCC 12:
+//  - 1 thread (deterministic): 4.3e-13 (seed 5104); 5.9e-13 (seed
+//    5103) under the residual test alone at d = 60;
+//  - 4 threads: the shift placement follows completion order.  Under
+//    the residual test alone seed 5103's pair of crossings 2.6e-3
+//    apart read 6.7e-12 or 2.7e-11 in most of 40 runs; with the error
+//    bound it read 5.6e-14 in each of 10 runs, the worst of any model.
+constexpr double kCrossingRelTol1Thread = 1e-12;
 constexpr double kCrossingRelTol4Threads = 1e-10;
 
 struct KrylovCase {

@@ -188,8 +188,7 @@ TEST(SingleShift, RejectsBadArguments) {
 // then ritz_pairs.  It must either converge lambda* or leave an
 // unconverged Ritz value whose certificate cap 0.9 / |mu| excludes it.
 
-// Repeats single_shift.cpp's file-local acceptance constants.
-constexpr double kRitzTol = 1e-9;
+// Repeats single_shift.cpp's file-local radius margin.
 constexpr double kRadiusSafety = 0.9;
 
 // Unit right eigenvector of M for lambda by inverse iteration on a
@@ -211,16 +210,22 @@ ComplexVector right_eigenvector(const SimoRealization& simo, Complex lambda,
   return x;
 }
 
+// S's scale at shift j*omega: max(|omega|, max pole magnitude).
+double shift_scale(const Truth& truth, double omega) {
+  return std::max(std::abs(omega), truth.scale);
+}
+
 // Distance estimate 1/|mu| of the nearest unconverged Ritz value among
-// `pairs`, as S caps its radius; `on_converged` sees each converged pair.
+// `pairs`, as S caps its radius at a shift of scale `scale`;
+// `on_converged` sees each converged pair.
 template <typename F>
 double scan_ritz_pairs(const std::vector<core::RitzPair>& pairs,
-                       double rho0, F&& on_converged) {
+                       double rho0, double scale, F&& on_converged) {
   double cap = std::numeric_limits<double>::infinity();
   for (const auto& p : pairs) {
     const double mu_abs = std::abs(p.value);
     if (mu_abs < 1e3 * la::kEps / rho0) continue;
-    if (p.residual > kRitzTol * mu_abs) {
+    if (!core::ritz_pair_certified(p.residual, mu_abs, scale)) {
       cap = std::min(cap, 1.0 / mu_abs);
     } else {
       on_converged(p);
@@ -253,7 +258,9 @@ std::string planted_miss(const Truth& truth, Complex lambda_star,
   std::vector<Complex> found;
   const auto pairs0 = core::ritz_pairs(ar0);
   std::vector<const core::RitzPair*> batch;
-  const double cap0 = scan_ritz_pairs(pairs0, rho0, [&](const auto& p) {
+  const double cap0 = scan_ritz_pairs(pairs0, rho0,
+                                      shift_scale(truth, omega),
+                                      [&](const auto& p) {
     const Complex lambda = theta + 1.0 / p.value;
     EXPECT_GT(std::abs(lambda - lambda_star), 1e-6 * scale)
         << label << ": restart 0 saw the planted eigenvalue";
@@ -274,6 +281,7 @@ std::string planted_miss(const Truth& truth, Complex lambda_star,
                     std::min(core::kConfirmDim, d), locked);
   bool converged = false;
   const double cap1 = scan_ritz_pairs(core::ritz_pairs(ar1), rho0,
+                                      shift_scale(truth, omega),
                                       [&](const auto& p) {
     if (std::abs(theta + 1.0 / p.value - lambda_star) <= 1e-6 * scale) {
       converged = true;
@@ -355,7 +363,7 @@ std::vector<Complex> restart0_converged(const Truth& truth, double omega,
       std::min(core::kKrylovDim, op.dim() - 1), {});
   std::vector<Complex> found;
   (void)scan_ritz_pairs(core::ritz_pairs(ar), truth.scale,
-                        [&](const auto& p) {
+                        shift_scale(truth, omega), [&](const auto& p) {
     const Complex ritz = theta + 1.0 / p.value;
     const Complex lambda = *std::min_element(
         truth.spectrum.begin(), truth.spectrum.end(),
@@ -379,18 +387,34 @@ TEST(SingleShiftPlantedMiss, CatchesPlantsBeyondTheSixthNearest) {
   // in that region: the 7th-nearest, the middle and the farthest
   // eigenvalue restart 0 converges at the shift without a plant.  The
   // confirmation must still converge it or cap the disk below it.
+  // The region exists only at a shift whose restart 0 converges at
+  // least 8 eigenvalues; on these order-40 to 60 models a d = 32
+  // restart 0 converges 0-7 at 18 of the 30 shifts tried.  Each model
+  // and start vector therefore takes the first two shifts of a fixed
+  // list that have the region.
   std::size_t cases = 0;
   for (const auto& [seed, states, ports] :
        {std::tuple<std::uint64_t, std::size_t, std::size_t>{3101, 40, 2},
         {3102, 50, 3},
         {3103, 60, 4}}) {
     const Truth truth = make_truth(1.08, seed, states, ports);
-    for (const double frac : {0.25, 0.6}) {
-      const double omega = frac * truth.scale;
-      for (const std::uint64_t start_seed : {11u, 12u}) {
+    for (const std::uint64_t start_seed : {11u, 12u}) {
+      std::size_t shifts = 0;
+      for (const double frac :
+           {0.25, 0.6, 0.4, 0.8, 0.15, 0.5, 0.7, 0.35, 0.9, 0.05}) {
+        if (shifts == 2) break;
+        const double omega = frac * truth.scale;
         const std::vector<Complex> found =
             restart0_converged(truth, omega, start_seed);
-        ASSERT_GE(found.size(), 8u) << "seed " << seed << " shift " << omega;
+        if (found.size() < 8) {
+          std::printf("[planted-miss] seed %llu shift %f start %llu: "
+                      "restart 0 converges %zu, no plant\n",
+                      static_cast<unsigned long long>(seed), omega,
+                      static_cast<unsigned long long>(start_seed),
+                      found.size());
+          continue;
+        }
+        ++shifts;
         for (const std::size_t rank :
              {std::size_t{6}, (6 + found.size() - 1) / 2, found.size() - 1}) {
           const Complex star = found[rank];
@@ -408,9 +432,130 @@ TEST(SingleShiftPlantedMiss, CatchesPlantsBeyondTheSixthNearest) {
           ++cases;
         }
       }
+      EXPECT_EQ(shifts, 2u) << "seed " << seed << " start " << start_seed;
     }
   }
   EXPECT_EQ(cases, 36u);
+}
+
+// ---- Acceptance on the eigenvalue's error ---------------------------
+// S accepts a Ritz pair when its residual passes kRitzTol and the
+// first-order error of its eigenvalue, residual / |mu|^2, is at most
+// kEigTol * scale (core::ritz_pair_certified).
+
+// An order-300, 4-port model (operator dimension 600) with its dense
+// spectrum, shared by the tests below.
+const Truth& accuracy_truth() {
+  static const Truth truth = make_truth(1.1, 6101, 300, 4);
+  return truth;
+}
+
+// Worst distance of a reported eigenvalue from the dense spectrum, in
+// units of kEigTol * scale, over the shifts below: measured 0.88 (33
+// eigenvalues) on x86-64 with GCC 12.  The bound is first order and the
+// Hamiltonian is not normal, so the error may exceed it by the
+// eigenvalue's condition number; the dense eigenvalues carry their own
+// roundoff too.
+constexpr double kEigErrorFactor = 4.0;
+
+TEST(SingleShiftAccuracy, ReportedEigenvaluesMeetTheErrorBound) {
+  const Truth& truth = accuracy_truth();
+  double worst = 0.0;
+  std::size_t reported = 0;
+  for (int k = 1; k < 20; ++k) {
+    const double omega = 0.05 * k * truth.scale;
+    const double scale = shift_scale(truth, omega);
+    util::Rng rng(41);
+    const auto res = single_shift_iteration(
+        truth.simo, omega, 0.02 * truth.scale, kMinRestarts, rng);
+    for (const Complex& lambda : res.eigenvalues) {
+      double best = 1e300;
+      for (const Complex& mu : truth.spectrum) {
+        best = std::min(best, std::abs(lambda - mu));
+      }
+      const double err = best / (core::kEigTol * scale);
+      worst = std::max(worst, err);
+      EXPECT_LE(err, kEigErrorFactor)
+          << "eigenvalue " << lambda << " at shift " << omega
+          << " is off its dense counterpart by " << best;
+      ++reported;
+    }
+  }
+  std::printf("[eig-error] %zu eigenvalues reported, worst error %.2g x "
+              "kEigTol * scale\n",
+              reported, worst);
+  EXPECT_GE(reported, 30u);
+}
+
+TEST(SingleShiftAccuracy, PairPastTheErrorBoundCapsTheRadius) {
+  // S's restart 0 at shift j*omega from Rng(seed) is reproduced here bit
+  // for bit.  Plant: its nearest Ritz pair that passes the residual test
+  // kRitzTol but fails the error bound.  With rho0 below every certified
+  // pair and min_restarts 1, S stops after restart 0, so its radius is
+  // set by restart 0's pairs alone.  The plant must cap that radius at
+  // 0.9 of its distance and stay unreported, where the residual test
+  // alone would have reported it inside a larger disk.
+  const Truth& truth = accuracy_truth();
+  std::size_t plants = 0;
+  for (const double frac : {0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75,
+                            0.85, 0.95}) {
+    const double omega = frac * truth.scale;
+    const double scale = shift_scale(truth, omega);
+    const std::uint64_t seed = 43;
+    const Complex theta(0.0, omega);
+    const hamiltonian::SmwShiftInvertOp op(truth.simo, theta);
+    util::Rng rng(seed);
+    const core::ArnoldiResult ar = core::arnoldi(
+        op, core::random_start_vector(op.dim(), rng),
+        std::min(core::kKrylovDim, op.dim() - 1), {});
+    const auto pairs = core::ritz_pairs(ar);
+
+    double plant_dist = std::numeric_limits<double>::infinity();
+    double nearest_certified = std::numeric_limits<double>::infinity();
+    double farthest_residual_only = 0.0;
+    double cap_residual_only = std::numeric_limits<double>::infinity();
+    for (const auto& p : pairs) {
+      const double mu_abs = std::abs(p.value);
+      const double dist = 1.0 / mu_abs;
+      const bool residual_ok = p.residual <= core::kRitzTol * mu_abs;
+      if (!residual_ok) {
+        cap_residual_only = std::min(cap_residual_only, dist);
+        continue;
+      }
+      farthest_residual_only = std::max(farthest_residual_only, dist);
+      if (core::ritz_pair_certified(p.residual, mu_abs, scale)) {
+        nearest_certified = std::min(nearest_certified, dist);
+      } else {
+        plant_dist = std::min(plant_dist, dist);
+      }
+    }
+    // The disk the residual test alone would certify.
+    const double rho0 = 0.5 * std::min(nearest_certified, plant_dist);
+    const double rho_residual_only =
+        std::min(std::max(rho0, farthest_residual_only * 1.0000001),
+                 kRadiusSafety * cap_residual_only);
+    if (!std::isfinite(plant_dist) || plant_dist > rho_residual_only) {
+      continue;
+    }
+    ++plants;
+
+    util::Rng rng_s(seed);
+    const auto res =
+        single_shift_iteration(truth.simo, omega, rho0, 1, rng_s);
+    const std::string label = "shift " + std::to_string(omega) +
+                              " plant at distance " +
+                              std::to_string(plant_dist);
+    EXPECT_EQ(res.restarts, 1u) << label;
+    EXPECT_LE(res.radius, kRadiusSafety * plant_dist) << label;
+    for (const Complex& lambda : res.eigenvalues) {
+      EXPECT_LT(std::abs(lambda - theta), plant_dist * (1.0 - 1e-9))
+          << label << ": reported " << lambda;
+    }
+    std::printf("[planted-pair] %s: radius %.6g, residual test alone "
+                "%.6g\n",
+                label.c_str(), res.radius, rho_residual_only);
+  }
+  EXPECT_GE(plants, 3u);
 }
 
 // memcmp equality of S and the loop it replaced on one shift; returns
@@ -453,10 +598,10 @@ TEST(SingleShiftBitwiseTest, MatchesLockEveryRestartLoop) {
   // vectors must still be built for the third.
   //  - A 4-port, order-220 model (operator dimension 440): its
   //    d = kConfirmDim middle restarts lock nothing restart 0 missed.
-  //  - A 2-port, order-24 model (dimension 48): restart 0 at d = 47
-  //    locks most of the space and the confirmation run covers the
-  //    rest, so the middle restart locks new pairs; the third
-  //    restart's Arnoldi length depends on their vectors.
+  //  - A 2-port, order-24 model (dimension 48): restart 0 at
+  //    d = kKrylovDim covers most of the space and the confirmation
+  //    runs cover the rest, so middle restarts lock new pairs; the
+  //    third restart's Arnoldi length depends on their vectors.
   std::size_t max_restarts = 0;
   for (const auto& [seed, order, ports] :
        {std::tuple<std::uint64_t, std::size_t, std::size_t>{2024, 220, 4},

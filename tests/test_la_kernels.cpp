@@ -947,8 +947,9 @@ TEST(HessenbergEigBitwiseTest, RandomHessenbergsMatchReference) {
 }
 
 TEST(HessenbergEigBitwiseTest, ArnoldiHessenbergsMatchReference) {
-  // The serving traffic's shape: d = 60 projections of the
-  // shift-inverted Hamiltonian of a 3-port, order-36 model.
+  // d = 60 projections (the paper's restart length, above restart 0's
+  // core::kKrylovDim) of the shift-inverted Hamiltonian of a 3-port,
+  // order-36 model.
   const auto model = test::synthetic_model(1.05, 2011, 36, 3);
   const macromodel::SimoRealization realization(model);
   util::Rng rng(21);
@@ -1369,7 +1370,7 @@ TEST(PlaneArnoldiBitwiseTest, EveryDimModFourAndLockedCountMatches) {
 TEST(PlaneArnoldiBitwiseTest, SolverOperatorsMatch) {
   // The solver's operators: shift-inverted (dim 2 * 64 = 128 and
   // 2 * 63 = 126, i.e. 0 and 2 mod 4) and the implicit Hamiltonian of
-  // the |lambda|max estimate, d = 60 as in the single-shift iteration.
+  // the |lambda|max estimate, at the paper's d = 60.
   for (const std::size_t states : {64u, 63u}) {
     const auto model = test::synthetic_model(1.08, 2011, states, 3);
     const macromodel::SimoRealization realization(model);

@@ -8,8 +8,11 @@ temporary directory, runs the compare script on each pair and checks
 its exit code: 0 when the product is the same (bits elsewhere may
 move), 1 when a crossing moved past 1e-12 relative, the crossing count
 changed or omega_max / lambda_max_matvecs changed, 2 on an unreadable
-file.  Exits 0 when every check holds, 1 otherwise.  Standard library
-only.
+file.  With --oracle it checks the per-case worst error against a
+dense-route oracle: 0 while the new dump is within max(1e-12, the base
+dump's worst error), 1 past it or on a crossing count that differs from
+the oracle's, 2 on a missing oracle file or a bare --oracle.  Exits 0
+when every check holds, 1 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,6 +59,19 @@ def moved(rel: float) -> list[float]:
     return out
 
 
+def oracle(crossings=None) -> str:
+    """A dense-route oracle in `table1_bitdump dense`'s format: the case
+    header and the crossings, case 1's taken from `crossings`."""
+    lines = []
+    for cid in (1, 2):
+        cross = (crossings if crossings is not None else CROSSINGS[1]) \
+            if cid == 1 else CROSSINGS[2]
+        lines.append(f"case {cid} n 1000 p 20 passive 0")
+        lines.append(f"crossings {len(cross)}")
+        lines += [float.hex(w) for w in cross]
+    return "\n".join(lines) + "\n"
+
+
 def main() -> int:
     base = dump()
     cases = [
@@ -86,6 +102,41 @@ def main() -> int:
         runs.append(("malformed crossing", [str(base_path), str(bad_path)],
                      2))
         runs.append(("wrong argument count", [str(base_path)], 2))
+
+        # Oracle checks: pairs of dumps whose product compare passes
+        # (crossings within 1e-12 of each other), read against an oracle.
+        truth_path = Path(tmp) / "oracle.txt"
+        truth_path.write_text(oracle(), encoding="utf-8")
+        extra_path = Path(tmp) / "oracle_extra.txt"
+        extra_path.write_text(oracle(CROSSINGS[1] + [20.5]),
+                              encoding="utf-8")
+        oracle_cases = [
+            ("oracle: both exact", dump(), dump(), truth_path, 0),
+            ("oracle: new 5e-13 off, under the 1e-12 floor", dump(),
+             dump(crossings=moved(5e-13)), truth_path, 0),
+            ("oracle: base 9e-13 off, new 1.5e-12 off",
+             dump(crossings=moved(9e-13)), dump(crossings=moved(1.5e-12)),
+             truth_path, 1),
+            ("oracle: base 3e-12 off, new 2.5e-12 off",
+             dump(crossings=moved(3e-12)), dump(crossings=moved(2.5e-12)),
+             truth_path, 0),
+            ("oracle: base 2.5e-12 off, new 3e-12 off",
+             dump(crossings=moved(2.5e-12)), dump(crossings=moved(3e-12)),
+             truth_path, 1),
+            ("oracle: crossing count differs from the oracle's", dump(),
+             dump(), extra_path, 1),
+            ("oracle: missing oracle file", dump(), dump(),
+             Path(tmp) / "missing_oracle.txt", 2),
+        ]
+        for i, (label, old, new, truth, want) in enumerate(oracle_cases):
+            old_path = Path(tmp) / f"oracle_base{i}.txt"
+            new_path = Path(tmp) / f"oracle_new{i}.txt"
+            old_path.write_text(old, encoding="utf-8")
+            new_path.write_text(new, encoding="utf-8")
+            runs.append((label, ["--oracle", str(truth), str(old_path),
+                                 str(new_path)], want))
+        runs.append(("oracle: bare --oracle",
+                     ["--oracle", str(base_path), str(base_path)], 2))
         for label, args, want in runs:
             got = subprocess.run([sys.executable, str(SCRIPT), *args],
                                  capture_output=True, text=True).returncode
